@@ -12,9 +12,11 @@
 package carriersense_bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -410,6 +412,47 @@ func BenchmarkMonteCarloAverages(b *testing.B) {
 	m := core.New(core.DefaultParams())
 	for i := 0; i < b.N; i++ {
 		m.EstimateAverages(uint64(i), 40_000, 55, 55, 55)
+	}
+}
+
+// BenchmarkRunRequestPool measures local pool scaling on one 10-shard
+// core/averages request: width=1 runs the shards serially, and
+// width=GOMAXPROCS reports its speedup over width=1. A speedup near 1
+// on a multi-core host means the workers contend, e.g. on shared cache
+// lines.
+func BenchmarkRunRequestPool(b *testing.B) {
+	req, ok := core.AveragesRequest(core.DefaultParams(), 55, 55, 55, 1, 40_000)
+	if !ok {
+		b.Fatal("default params have no serializable kernel identity")
+	}
+	defer montecarlo.ResetMaxWorkers()
+	widths := []int{1}
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		widths = append(widths, n)
+	}
+	var serialNs float64
+	for _, width := range widths {
+		name := "width=1"
+		if width > 1 {
+			name = "width=GOMAXPROCS"
+		}
+		b.Run(name, func(b *testing.B) {
+			if err := montecarlo.SetMaxWorkers(width); err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < b.N; i++ {
+				req.Seed = uint64(i)
+				if _, err := montecarlo.RunRequest(context.Background(), req); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			if width == 1 {
+				serialNs = ns
+			} else if serialNs > 0 {
+				b.ReportMetric(serialNs/ns, "speedup")
+			}
+		})
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -107,13 +108,37 @@ type flakyWorker struct {
 	inner    http.Handler
 	survives int64 // shard requests served before dying
 	served   atomic.Int64
+	// died, when non-nil, is closed at the first severed request.
+	died     chan struct{}
+	diedOnce sync.Once
 }
 
 func (f *flakyWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path == dist.PathShards && f.served.Add(1) > f.survives {
+		if f.died != nil {
+			f.diedOnce.Do(func() { close(f.died) })
+		}
 		panic(http.ErrAbortHandler)
 	}
 	f.inner.ServeHTTP(w, r)
+}
+
+// startHeldWorker boots a healthy worker that holds every shard
+// request until release is closed. Holding the healthy worker until the
+// flaky one has died makes a mid-run death test exercise the death
+// path on any schedule: otherwise the healthy worker can drain the
+// queue before the flaky one reaches its death threshold.
+func startHeldWorker(t *testing.T, release <-chan struct{}) string {
+	t.Helper()
+	inner := dist.NewServer()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == dist.PathShards {
+			<-release
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	return strings.TrimPrefix(srv.URL, "http://")
 }
 
 func TestFailoverWorkerKilledMidRun(t *testing.T) {
@@ -124,11 +149,12 @@ func TestFailoverWorkerKilledMidRun(t *testing.T) {
 	}
 	want := estimates(local)
 
-	// One healthy worker, one that dies after two shard batches.
-	flaky := &flakyWorker{inner: dist.NewServer(), survives: 2}
+	// One healthy worker, held until the other has died after two
+	// shard batches.
+	flaky := &flakyWorker{inner: dist.NewServer(), survives: 2, died: make(chan struct{})}
 	flakySrv := httptest.NewServer(flaky)
 	defer flakySrv.Close()
-	hosts := append(startWorkers(t, 1), strings.TrimPrefix(flakySrv.URL, "http://"))
+	hosts := []string{startHeldWorker(t, flaky.died), strings.TrimPrefix(flakySrv.URL, "http://")}
 	// flakyWorker counts and aborts JSON shard POSTs; pin the wire so
 	// the death path is what this test exercises (stream_test.go covers
 	// mid-run death on the binary wire).

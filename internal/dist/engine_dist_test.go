@@ -91,10 +91,13 @@ func TestEngineRunDistributedBitIdentical(t *testing.T) {
 
 func TestEngineRunSurvivesWorkerDeathMidRun(t *testing.T) {
 	local := runScenario(t, nil)
-	flaky := &flakyWorker{inner: dist.NewServer(), survives: 3}
+	// The healthy worker is held until the flaky one dies. The first
+	// estimation has four shards and the held worker claims at most one,
+	// so the flaky worker gets three: two served, then death.
+	flaky := &flakyWorker{inner: dist.NewServer(), survives: 2, died: make(chan struct{})}
 	flakySrv := httptest.NewServer(flaky)
 	defer flakySrv.Close()
-	hosts := append(startWorkers(t, 1), strings.TrimPrefix(flakySrv.URL, "http://"))
+	hosts := []string{startHeldWorker(t, flaky.died), strings.TrimPrefix(flakySrv.URL, "http://")}
 	// flakyWorker aborts JSON shard POSTs; pin the wire so the death
 	// path fires (binary-wire death is covered in stream_test.go).
 	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{
@@ -104,7 +107,7 @@ func TestEngineRunSurvivesWorkerDeathMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := runScenario(t, remote)
-	if flaky.served.Load() <= 3 {
+	if flaky.served.Load() <= 2 {
 		t.Fatalf("flaky worker served %d requests; death path not exercised", flaky.served.Load())
 	}
 	if got.Text != local.Text || !reflect.DeepEqual(got.Metrics, local.Metrics) {

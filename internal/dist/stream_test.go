@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -342,6 +343,8 @@ func TestBinaryWorkerDiesMidRunFleetSurvives(t *testing.T) {
 	// then drops every connection, dead for good.
 	var served atomic.Int64
 	const survives = 2
+	died := make(chan struct{})
+	var diedOnce sync.Once
 	flakyHost := startFrameWorker(t, func(ss *streamSession) {
 		var scratch []byte
 		if helloExchange(ss, &scratch) != nil {
@@ -362,6 +365,7 @@ func TestBinaryWorkerDiesMidRunFleetSurvives(t *testing.T) {
 				reqs[id] = r
 			case frameBatch:
 				if served.Add(1) > survives {
+					diedOnce.Do(func() { close(died) })
 					return // the deferred close severs the conn mid-batch
 				}
 				id, indices, err := decodeBatch(payload)
@@ -384,7 +388,18 @@ func TestBinaryWorkerDiesMidRunFleetSurvives(t *testing.T) {
 			}
 		}
 	})
-	hosts := []string{startWorker(t), flakyHost}
+	// The healthy worker opens its stream only once the flaky one has
+	// died, so the death path runs on any schedule: it holds at most one
+	// claimed shard, leaving the flaky worker the three it needs.
+	inner := NewServer()
+	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == PathStream {
+			<-died
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(healthy.Close)
+	hosts := []string{strings.TrimPrefix(healthy.URL, "http://"), flakyHost}
 	remote, err := NewRemote(hosts, RemoteOptions{BatchSize: 1, Concurrency: 1, HostFailLimit: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -157,20 +157,22 @@ type Shard struct {
 
 // PlanShards splits a total sample budget into ShardSize-sample shards
 // and deterministically derives one rng.Source per shard from the
-// seed. The plan depends only on (seed, total).
+// seed. The plan depends only on (seed, total). The sources come from
+// one SplitN, so pool workers drawing from neighbouring shards never
+// write to the same cache line.
 func PlanShards(seed uint64, total int) []Shard {
 	if total <= 0 {
 		return nil
 	}
 	count := (total + ShardSize - 1) / ShardSize
-	root := rng.New(seed)
+	srcs := rng.New(seed).SplitN(count)
 	shards := make([]Shard, count)
 	for i := range shards {
 		n := ShardSize
 		if i == count-1 {
 			n = total - i*ShardSize
 		}
-		shards[i] = Shard{Index: i, N: n, Src: root.Split()}
+		shards[i] = Shard{Index: i, N: n, Src: srcs[i]}
 	}
 	return shards
 }
@@ -178,10 +180,13 @@ func PlanShards(seed uint64, total int) []Shard {
 // RunShards evaluates fn over every shard using a pool of Workers()
 // goroutines. fn must confine its writes to state owned by the shard
 // index (e.g. accs[shard.Index]); RunShards returns once every shard
-// has been evaluated. Each evaluation is timed into the registry and,
-// when tracing is on, emitted as a span on its pool worker's lane —
-// the pool only ever decides scheduling, so instrumentation cannot
-// affect results.
+// has been evaluated. Per-sample writes belong in worker-local state,
+// stored to the shard's slot once when the shard ends: neighbouring
+// slots share cache lines, and two workers writing them per sample
+// would keep invalidating each other's copy. Each evaluation is timed
+// into the registry and, when tracing is on, emitted as a span on its
+// pool worker's lane — the pool only ever decides scheduling, so
+// instrumentation cannot affect results.
 func RunShards(shards []Shard, fn func(Shard)) {
 	workers := Workers()
 	if workers > len(shards) {
@@ -217,10 +222,11 @@ func Mean(seed uint64, n int, f func(*rng.Source) float64) Estimate {
 	shards := PlanShards(seed, n)
 	accs := make([]Accumulator, len(shards))
 	RunShards(shards, func(s Shard) {
-		acc := &accs[s.Index]
+		var acc Accumulator
 		for i := 0; i < s.N; i++ {
 			acc.Add(f(s.Src))
 		}
+		accs[s.Index] = acc
 		addEvaluatedSamples(s.N)
 	})
 	var total Accumulator
@@ -238,10 +244,8 @@ func Mean(seed uint64, n int, f func(*rng.Source) float64) Estimate {
 func MeanVec(seed uint64, n, dim int, f func(*rng.Source, []float64)) []Estimate {
 	shards := PlanShards(seed, n)
 	accs := make([][]Accumulator, len(shards))
-	for i := range accs {
-		accs[i] = make([]Accumulator, dim)
-	}
 	RunShards(shards, func(s Shard) {
+		acc := make([]Accumulator, dim)
 		out := make([]float64, dim)
 		for i := 0; i < s.N; i++ {
 			// Zero the vector so integrands may leave components
@@ -251,9 +255,10 @@ func MeanVec(seed uint64, n, dim int, f func(*rng.Source, []float64)) []Estimate
 			}
 			f(s.Src, out)
 			for j, v := range out {
-				accs[s.Index][j].Add(v)
+				acc[j].Add(v)
 			}
 		}
+		accs[s.Index] = acc
 		addEvaluatedSamples(s.N)
 	})
 	result := make([]Estimate, dim)
@@ -295,8 +300,8 @@ func MeanToRelErr(seed uint64, n0, nMax int, relErr float64, f func(*rng.Source)
 	var accs []Accumulator // running per-shard accumulators
 	for {
 		count := ShardCount(n)
-		for len(shards) < count {
-			shards = append(shards, Shard{Index: len(shards), Src: root.Split()})
+		for _, src := range root.SplitN(count - len(shards)) {
+			shards = append(shards, Shard{Index: len(shards), Src: src})
 			accs = append(accs, Accumulator{})
 		}
 		// Delta work per shard: its target size under the grown plan
@@ -312,10 +317,11 @@ func MeanToRelErr(seed uint64, n0, nMax int, relErr float64, f func(*rng.Source)
 			}
 		}
 		RunShards(work, func(s Shard) {
-			acc := &accs[s.Index]
+			acc := accs[s.Index]
 			for i := 0; i < s.N; i++ {
 				acc.Add(f(s.Src))
 			}
+			accs[s.Index] = acc
 			addEvaluatedSamples(s.N)
 		})
 		var total Accumulator

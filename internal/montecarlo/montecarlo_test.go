@@ -3,6 +3,7 @@ package montecarlo
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"carriersense/internal/rng"
 )
@@ -203,6 +204,27 @@ func TestPlanShardsFixedByBudget(t *testing.T) {
 	}
 	if PlanShards(5, 0) != nil {
 		t.Error("zero budget should plan no shards")
+	}
+}
+
+// TestPlanShardsSourcesApart guards the pool against false sharing:
+// consecutive shard streams, which two workers draw from at the same
+// time, lie at least two cache lines apart. The streams themselves are
+// still the root's successive Splits.
+func TestPlanShardsSourcesApart(t *testing.T) {
+	shards := PlanShards(5, 6*ShardSize)
+	root := rng.New(5)
+	for i, s := range shards {
+		if got, want := s.Src.Uint64(), root.Split().Uint64(); got != want {
+			t.Errorf("shard %d stream starts %x, root's Split %d gives %x", i, got, i, want)
+		}
+		if i == 0 {
+			continue
+		}
+		a, b := uintptr(unsafe.Pointer(shards[i-1].Src)), uintptr(unsafe.Pointer(s.Src))
+		if d := max(a, b) - min(a, b); d < 128 {
+			t.Errorf("shards %d and %d: sources %d bytes apart, want >= 128", i-1, i, d)
+		}
 	}
 }
 

@@ -3,8 +3,16 @@
 //
 // Every consumer of randomness in this repository takes an explicit
 // *rng.Source seeded by the caller, so that experiments are exactly
-// reproducible run to run and streams can be split per-node or
-// per-worker without contention.
+// reproducible run to run and streams can be split per node or per
+// shard.
+//
+// Streams that different goroutines draw from at the same time come
+// from one SplitN call, not from successive Splits. A Source is small,
+// so successively split Sources sit side by side in memory, several to
+// a cache line; every draw writes the generator state, and two cores
+// drawing from neighbours would keep stealing the line from each other
+// (false sharing). SplitN lays its children out at least a cache line
+// pair apart.
 //
 // The distributions here are the ones the paper's propagation model
 // needs (§2 and the appendix): Gaussian (for dB-domain shadowing),
@@ -16,9 +24,10 @@ package rng
 import (
 	"math"
 	"math/rand/v2"
+	"unsafe"
 )
 
-// Source is a deterministic random variate generator. It wraps a PCG
+// Source is a deterministic random variate generator. It holds a PCG
 // generator from math/rand/v2 and adds the distributions used by the
 // propagation and simulation packages.
 //
@@ -30,7 +39,10 @@ import (
 // mirroring (u → 1−u), or stratifying the uniforms transforms every
 // downstream variate coherently, without the integrands knowing.
 type Source struct {
-	r *rand.Rand
+	// pcg is the generator state, the only field a draw writes. It is
+	// held by value so a Source is one allocation, and r draws from it.
+	pcg rand.PCG
+	r   rand.Rand
 	// uni, when non-nil, supplies every uniform; all variates then go
 	// through inverse transforms so they are monotone in the uniforms.
 	uni func() float64
@@ -39,7 +51,16 @@ type Source struct {
 // New returns a Source seeded with the given 64-bit seed. Two Sources
 // with the same seed produce identical streams.
 func New(seed uint64) *Source {
-	return &Source{r: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))}
+	s := new(Source)
+	s.seed(seed, seed^0x9e3779b97f4a7c15)
+	return s
+}
+
+// seed sets s to a fresh PCG stream. s must not move afterwards: r
+// points at s.pcg.
+func (s *Source) seed(hi, lo uint64) {
+	s.pcg.Seed(hi, lo)
+	s.r = *rand.New(&s.pcg)
 }
 
 // WithUniforms returns a Source that derives every variate from the
@@ -55,10 +76,42 @@ func WithUniforms(next func() float64) *Source {
 // stream is a deterministic function of the parent's state, so a fixed
 // sequence of Split calls is reproducible.
 func (s *Source) Split() *Source {
-	if s.uni != nil {
-		return &Source{r: rand.New(rand.NewPCG(s.hookedUint64(), s.hookedUint64()))}
+	child := new(Source)
+	s.splitInto(child)
+	return child
+}
+
+// splitInto seeds child from the next two parent words, in order.
+func (s *Source) splitInto(child *Source) {
+	hi := s.Uint64()
+	lo := s.Uint64()
+	child.seed(hi, lo)
+}
+
+// slabStride is the distance between SplitN's children: two 64-byte
+// cache lines, so neither a shared line nor the adjacent-line
+// prefetcher couples two children's generator state.
+const slabStride = 128
+
+// slabSource pads a Source to slabStride bytes.
+type slabSource struct {
+	Source
+	_ [slabStride - unsafe.Sizeof(Source{})]byte
+}
+
+// SplitN returns the same n streams as n successive Split calls, laid
+// out in one slab with the children slabStride bytes apart. Use it for
+// streams that run concurrently, such as the shards of a Monte Carlo
+// plan: with adjacent Splits, every draw on one core would invalidate
+// the cache line a neighbouring stream's core is drawing from.
+func (s *Source) SplitN(n int) []*Source {
+	slab := make([]slabSource, n)
+	out := make([]*Source, n)
+	for i := range slab {
+		s.splitInto(&slab[i].Source)
+		out[i] = &slab[i].Source
 	}
-	return &Source{r: rand.New(rand.NewPCG(s.r.Uint64(), s.r.Uint64()))}
+	return out
 }
 
 // Float64 returns a uniform variate in [0, 1).

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -34,6 +35,57 @@ func TestSplitReproducible(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if sa.Uint64() != sb.Uint64() {
 			t.Fatalf("split streams diverged at draw %d", i)
+		}
+	}
+}
+
+// TestSplitNMatchesSplit pins SplitN to the streams of n successive
+// Split calls, for a PCG parent and for a uniform-hooked parent, and
+// checks that the parent ends in the same state either way.
+func TestSplitNMatchesSplit(t *testing.T) {
+	parents := map[string]func() *Source{
+		"pcg": func() *Source { return New(21) },
+		"uniforms": func() *Source {
+			u := New(22)
+			return WithUniforms(u.Float64)
+		},
+	}
+	for name, parent := range parents {
+		a, b := parent(), parent()
+		for _, n := range []int{0, 1, 2, 7} {
+			got := a.SplitN(n)
+			if len(got) != n {
+				t.Fatalf("%s: SplitN(%d) returned %d sources", name, n, len(got))
+			}
+			for i, child := range got {
+				want := b.Split()
+				for d := 0; d < 50; d++ {
+					if g, w := child.Uint64(), want.Uint64(); g != w {
+						t.Fatalf("%s: SplitN(%d)[%d] draw %d = %x, Split gives %x", name, n, i, d, g, w)
+					}
+				}
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Errorf("%s: parent state differs after SplitN and Split", name)
+		}
+	}
+}
+
+// TestSplitNStateOnDisjointLines checks the layout SplitN exists for:
+// no two children's generator state shares a 64-byte cache line.
+func TestSplitNStateOnDisjointLines(t *testing.T) {
+	const line = 64
+	srcs := New(23).SplitN(9)
+	for i := range srcs {
+		for j := i + 1; j < len(srcs); j++ {
+			ai, aj := uintptr(unsafe.Pointer(&srcs[i].pcg)), uintptr(unsafe.Pointer(&srcs[j].pcg))
+			size := unsafe.Sizeof(srcs[i].pcg)
+			firstI, lastI := ai/line, (ai+size-1)/line
+			firstJ, lastJ := aj/line, (aj+size-1)/line
+			if firstI <= lastJ && firstJ <= lastI {
+				t.Errorf("children %d and %d share a cache line: state at %#x and %#x", i, j, ai, aj)
+			}
 		}
 	}
 }
