@@ -61,9 +61,7 @@ func startWorkers(t *testing.T, n int) []string {
 	t.Helper()
 	hosts := make([]string, n)
 	for i := range hosts {
-		srv := httptest.NewServer(dist.NewServer())
-		t.Cleanup(srv.Close)
-		hosts[i] = strings.TrimPrefix(srv.URL, "http://")
+		hosts[i] = dist.StartHandler(t, dist.NewServer())
 	}
 	return hosts
 }
@@ -101,44 +99,46 @@ func TestRemoteBitIdenticalToLocalAtAnyFleetSize(t *testing.T) {
 	}
 }
 
-// flakyWorker serves shard jobs normally until its request budget
-// runs out, after which every connection is severed mid-request — the
-// closest an httptest server gets to kill -9 on a worker process.
+// flakyWorker answers its first `survives` batch frames, then severs
+// every connection mid-batch — the closest an in-process worker gets
+// to kill -9 on a worker process.
 type flakyWorker struct {
-	inner    http.Handler
-	survives int64 // shard requests served before dying
-	served   atomic.Int64
-	// died, when non-nil, is closed at the first severed request.
+	survives int64
+	served   atomic.Int64 // batch frames received, the severed ones included
+	// died, when non-nil, is closed at the first severed batch.
 	died     chan struct{}
 	diedOnce sync.Once
 }
 
-func (f *flakyWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == dist.PathShards && f.served.Add(1) > f.survives {
+func (f *flakyWorker) start(t *testing.T) string {
+	t.Helper()
+	return dist.StartHandler(t, dist.BatchWorker(func(batch int64) bool {
+		f.served.Add(1)
+		if batch <= f.survives {
+			return true
+		}
 		if f.died != nil {
 			f.diedOnce.Do(func() { close(f.died) })
 		}
-		panic(http.ErrAbortHandler)
-	}
-	f.inner.ServeHTTP(w, r)
+		return false
+	}))
 }
 
-// startHeldWorker boots a healthy worker that holds every shard
-// request until release is closed. Holding the healthy worker until the
-// flaky one has died makes a mid-run death test exercise the death
-// path on any schedule: otherwise the healthy worker can drain the
-// queue before the flaky one reaches its death threshold.
+// startHeldWorker boots a healthy worker whose stream upgrades wait
+// until release is closed. Holding the healthy worker until the flaky
+// one has died makes a mid-run death test exercise the death path on
+// any schedule: otherwise the healthy worker can drain the queue before
+// the flaky one reaches its death threshold. Holding the upgrade, not a
+// batch, keeps the held worker's claim to the one shard it dialed for.
 func startHeldWorker(t *testing.T, release <-chan struct{}) string {
 	t.Helper()
 	inner := dist.NewServer()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == dist.PathShards {
+	return dist.StartHandler(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == dist.PathStream {
 			<-release
 		}
 		inner.ServeHTTP(w, r)
 	}))
-	t.Cleanup(srv.Close)
-	return strings.TrimPrefix(srv.URL, "http://")
 }
 
 func TestFailoverWorkerKilledMidRun(t *testing.T) {
@@ -151,15 +151,10 @@ func TestFailoverWorkerKilledMidRun(t *testing.T) {
 
 	// One healthy worker, held until the other has died after two
 	// shard batches.
-	flaky := &flakyWorker{inner: dist.NewServer(), survives: 2, died: make(chan struct{})}
-	flakySrv := httptest.NewServer(flaky)
-	defer flakySrv.Close()
-	hosts := []string{startHeldWorker(t, flaky.died), strings.TrimPrefix(flakySrv.URL, "http://")}
-	// flakyWorker counts and aborts JSON shard POSTs; pin the wire so
-	// the death path is what this test exercises (stream_test.go covers
-	// mid-run death on the binary wire).
+	flaky := &flakyWorker{survives: 2, died: make(chan struct{})}
+	hosts := []string{startHeldWorker(t, flaky.died), flaky.start(t)}
 	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{
-		BatchSize: 1, Concurrency: 1, HostFailLimit: 2, Wire: dist.WireJSON,
+		BatchSize: 1, Concurrency: 1, HostFailLimit: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -211,16 +206,14 @@ func TestDeadWorkerStaysAbandonedAcrossEstimations(t *testing.T) {
 	// death-detection cost once, not re-probe the corpse at every
 	// point. (Default readmission probes /healthz in the background —
 	// readmit_test.go covers that path.)
-	flaky := &flakyWorker{inner: dist.NewServer(), survives: 0}
-	flakySrv := httptest.NewServer(flaky)
-	defer flakySrv.Close()
-	hosts := append(startWorkers(t, 1), strings.TrimPrefix(flakySrv.URL, "http://"))
+	flaky := &flakyWorker{survives: 0}
+	hosts := append(startWorkers(t, 1), flaky.start(t))
 	// HostFailLimit 1 so the very first abort kills the host; with a
 	// higher limit the healthy worker can drain the queue while the
 	// flaky loop sits in its jittered retry backoff, ending the run
 	// before the limit is ever reached.
 	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{
-		BatchSize: 1, Concurrency: 1, HostFailLimit: 1, Wire: dist.WireJSON,
+		BatchSize: 1, Concurrency: 1, HostFailLimit: 1,
 		ReadmitBase: dist.ReadmitOff,
 	})
 	if err != nil {
@@ -394,23 +387,6 @@ func TestHealthzAndStatsEndpoints(t *testing.T) {
 	}
 	if len(stats.Kernels) == 0 {
 		t.Error("stats reports no kernels")
-	}
-
-	// Malformed and invalid jobs are 400s, not 500s.
-	for _, body := range []string{
-		"{not json",
-		`{"kernel":"dist-test/vec","seed":1,"samples":4096,"dim":3,"indices":[9]}`,
-		`{"kernel":"dist-test/vec","seed":1,"samples":4096,"dim":3,"indices":[]}`,
-		`{"kernel":"dist-test/vec","seed":1,"samples":16384,"dim":3,"indices":[2,2]}`,
-	} {
-		resp, err := http.Post(srv.URL+dist.PathShards, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("body %q: status %d, want 400", body, resp.StatusCode)
-		}
-		resp.Body.Close()
 	}
 }
 

@@ -94,14 +94,10 @@ func TestEngineRunSurvivesWorkerDeathMidRun(t *testing.T) {
 	// The healthy worker is held until the flaky one dies. The first
 	// estimation has four shards and the held worker claims at most one,
 	// so the flaky worker gets three: two served, then death.
-	flaky := &flakyWorker{inner: dist.NewServer(), survives: 2, died: make(chan struct{})}
-	flakySrv := httptest.NewServer(flaky)
-	defer flakySrv.Close()
-	hosts := []string{startHeldWorker(t, flaky.died), strings.TrimPrefix(flakySrv.URL, "http://")}
-	// flakyWorker aborts JSON shard POSTs; pin the wire so the death
-	// path fires (binary-wire death is covered in stream_test.go).
+	flaky := &flakyWorker{survives: 2, died: make(chan struct{})}
+	hosts := []string{startHeldWorker(t, flaky.died), flaky.start(t)}
 	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{
-		BatchSize: 1, Concurrency: 1, HostFailLimit: 2, Wire: dist.WireJSON,
+		BatchSize: 1, Concurrency: 1, HostFailLimit: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -89,7 +89,7 @@ func TestInjectedRefusalsExhaustTheirBudget(t *testing.T) {
 	req := testRequest(t, 2*montecarlo.ShardSize)
 	want := wantLocal(t, req)
 	remote, err := dist.NewRemote(startWorkers(t, 1), dist.RemoteOptions{
-		BatchSize: 1, Concurrency: 1, Wire: dist.WireJSON, ReadmitBase: dist.ReadmitOff,
+		BatchSize: 1, Concurrency: 1, ReadmitBase: dist.ReadmitOff,
 	})
 	if err != nil {
 		t.Fatal(err)

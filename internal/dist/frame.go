@@ -9,8 +9,9 @@ package dist
 // and the conversation is strictly ordered per connection:
 //
 //	coordinator → hello            magic + ProtoVersion
-//	worker      → hello            echo (mismatch ⇒ coordinator falls
-//	                               back to the JSON path)
+//	worker      → hello            echo (mismatch ⇒ the worker closes
+//	                               the stream and the coordinator
+//	                               abandons the worker)
 //	coordinator → request          id + montecarlo.Request JSON, once
 //	                               per estimation — the identity is
 //	                               never repeated per batch
@@ -20,13 +21,10 @@ package dist
 //	                               while evaluating the current one
 //	worker      → result…          id + per-shard raw accumulator
 //	                               states (AccumulatorStateSize bytes a
-//	                               piece, IEEE-754 bit patterns — the
-//	                               same merge currency the JSON wire
-//	                               ships, minus the envelope)
+//	                               piece, IEEE-754 bit patterns)
 //	worker      → error            fatal flag + message (job-level
 //	                               rejections; the coordinator abandons
-//	                               the worker exactly as it does on a
-//	                               4xx JSON response)
+//	                               the worker)
 //	worker      → goodbye          drain notice: the worker finished
 //	                               its current batch and is shutting
 //	                               down; unanswered batches must be
@@ -49,8 +47,7 @@ import (
 )
 
 // PathStream is the endpoint a coordinator upgrades to the binary
-// shard stream. Workers that predate the stream protocol 404 it, which
-// the coordinator treats as "speak JSON to this worker".
+// shard stream.
 const PathStream = "/v1/stream"
 
 // streamUpgrade is the HTTP Upgrade token that switches a connection
@@ -109,7 +106,7 @@ func writeFrame(w *bufio.Writer, t frameType, payload []byte) error {
 	}
 	_, err := w.Write(payload)
 	if err == nil {
-		mBytesBinaryTx.Add(int64(5 + len(payload)))
+		mBytesTx.Add(int64(5 + len(payload)))
 	}
 	return err
 }
@@ -136,7 +133,7 @@ func readFrame(r *bufio.Reader, scratch *[]byte) (frameType, []byte, error) {
 	if _, err := readFull(r, buf); err != nil {
 		return 0, nil, fmt.Errorf("%s frame truncated: %w", t, err)
 	}
-	mBytesBinaryRx.Add(int64(5 + n))
+	mBytesRx.Add(int64(5 + n))
 	return t, buf, nil
 }
 
@@ -207,8 +204,7 @@ func decodeRequest(payload []byte) (id uint32, req montecarlo.Request, err error
 // A batch frame is the request id plus compact [start, start+count)
 // index ranges. The coordinator claims mostly-contiguous runs from the
 // pending queue, so a typical batch is one range — 8 bytes for 8
-// shards, versus ~8 JSON-encoded integers plus the full request
-// identity on the old wire.
+// shards.
 
 func encodeBatch(id uint32, indices []int) []byte {
 	b := make([]byte, 8, 8+8*4)
@@ -257,7 +253,7 @@ func decodeBatch(payload []byte) (id uint32, indices []int, err error) {
 // A result frame answers one batch: per shard, the index and dim raw
 // accumulator states. The states are the exact bit patterns the worker
 // computed; the coordinator's merge is therefore bit-identical to a
-// local run by construction, as on the JSON wire.
+// local run by construction.
 
 func encodeResult(id uint32, dim int, indices []int, accs [][]montecarlo.Accumulator) []byte {
 	b := make([]byte, 0, 12+len(indices)*(4+dim*montecarlo.AccumulatorStateSize))

@@ -181,8 +181,8 @@ func TestCoordinatorRegistryParsesAfterDistributedRun(t *testing.T) {
 	if perWorker < 2 {
 		t.Errorf("found %d per-worker dispatch series, want >= 2 (fleet of 2)", perWorker)
 	}
-	if v, ok := parsed.Value(`cs_dist_wire_bytes_total{dir="tx",wire="binary"}`); !ok || v <= 0 {
-		t.Errorf("binary tx wire bytes = %v (ok=%v), want > 0", v, ok)
+	if v, ok := parsed.Value(`cs_dist_wire_bytes_total{dir="tx"}`); !ok || v <= 0 {
+		t.Errorf("tx wire bytes = %v (ok=%v), want > 0", v, ok)
 	}
 }
 

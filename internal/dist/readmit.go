@@ -23,7 +23,6 @@ package dist
 // other, which is bit-identical anyway.
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -73,7 +72,7 @@ func (r *Remote) probeLoop(h *hostState) {
 		case <-t.C:
 		}
 		mProbes.Inc()
-		if err := r.probeHealthz(h); err != nil {
+		if err := probeHealthz(h.url); err != nil {
 			h.mu.Lock()
 			h.probeRound++
 			h.mu.Unlock()
@@ -92,16 +91,16 @@ func (r *Remote) probeLoop(h *hostState) {
 	}
 }
 
+// probeClient carries the readmission probes, bounded by probeTimeout
+// per round trip. Its transport uses no proxy, and no connection
+// outlives its probe: probes are seconds apart, and an idle connection
+// to a worker that is down is worth nothing.
+var probeClient = &http.Client{Timeout: probeTimeout, Transport: &http.Transport{DisableKeepAlives: true}}
+
 // probeHealthz is one readmission probe: anything but a 200 /healthz
 // keeps the worker dead (a draining worker's 503 lands here).
-func (r *Remote) probeHealthz(h *hostState) error {
-	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, h.url+PathHealthz, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := r.opt.Client.Do(req)
+func probeHealthz(workerURL string) error {
+	resp, err := probeClient.Get(workerURL + PathHealthz)
 	if err != nil {
 		return err
 	}

@@ -23,19 +23,22 @@ import (
 // process, as seen from the coordinator — and serves normally once
 // healed.
 type healingWorker struct {
-	inner   http.Handler
 	healthy atomic.Bool
-	shards  atomic.Int64 // shard requests served while healthy
+	shards  atomic.Int64 // batches served while healthy
 }
 
-func (hw *healingWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if !hw.healthy.Load() {
-		panic(http.ErrAbortHandler)
-	}
-	if r.URL.Path == dist.PathShards {
+func (hw *healingWorker) start(t *testing.T) string {
+	t.Helper()
+	inner := dist.BatchWorker(func(int64) bool {
 		hw.shards.Add(1)
-	}
-	hw.inner.ServeHTTP(w, r)
+		return true
+	})
+	return dist.StartHandler(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !hw.healthy.Load() {
+			panic(http.ErrAbortHandler)
+		}
+		inner.ServeHTTP(w, r)
+	}))
 }
 
 func mustIdentical(t *testing.T, accs []montecarlo.Accumulator, want []montecarlo.Estimate, what string) {
@@ -56,12 +59,10 @@ func TestDeadWorkerReadmittedAfterHeal(t *testing.T) {
 	}
 	want := estimates(local)
 
-	hw := &healingWorker{inner: dist.NewServer()}
-	srv := httptest.NewServer(hw)
-	defer srv.Close()
-	hosts := append(startWorkers(t, 1), strings.TrimPrefix(srv.URL, "http://"))
+	hw := &healingWorker{}
+	hosts := append(startWorkers(t, 1), hw.start(t))
 	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{
-		BatchSize: 1, Concurrency: 1, HostFailLimit: 1, Wire: dist.WireJSON,
+		BatchSize: 1, Concurrency: 1, HostFailLimit: 1,
 		ReadmitBase: 10 * time.Millisecond,
 	})
 	if err != nil {
@@ -97,18 +98,14 @@ func TestDeadWorkerReadmittedAfterHeal(t *testing.T) {
 	}
 }
 
-// slowWorker delays every shard request so a run lasts long enough for
-// mid-run events to land inside it.
-type slowWorker struct {
-	inner http.Handler
-	delay time.Duration
-}
-
-func (sw *slowWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == dist.PathShards {
-		time.Sleep(sw.delay)
-	}
-	sw.inner.ServeHTTP(w, r)
+// startSlowWorker boots a worker that delays every batch, so a run
+// lasts long enough for mid-run events to land inside it.
+func startSlowWorker(t *testing.T, delay time.Duration) string {
+	t.Helper()
+	return dist.StartHandler(t, dist.BatchWorker(func(int64) bool {
+		time.Sleep(delay)
+		return true
+	}))
 }
 
 func TestReadmittedWorkerJoinsRunInFlight(t *testing.T) {
@@ -119,16 +116,11 @@ func TestReadmittedWorkerJoinsRunInFlight(t *testing.T) {
 	}
 	want := estimates(local)
 
-	slow := httptest.NewServer(&slowWorker{inner: dist.NewServer(), delay: 20 * time.Millisecond})
-	defer slow.Close()
-	hw := &healingWorker{inner: dist.NewServer()}
-	hwSrv := httptest.NewServer(hw)
-	defer hwSrv.Close()
-
+	hw := &healingWorker{}
 	remote, err := dist.NewRemote(
-		[]string{strings.TrimPrefix(slow.URL, "http://"), strings.TrimPrefix(hwSrv.URL, "http://")},
+		[]string{startSlowWorker(t, 20*time.Millisecond), hw.start(t)},
 		dist.RemoteOptions{
-			BatchSize: 1, Concurrency: 1, HostFailLimit: 1, Wire: dist.WireJSON,
+			BatchSize: 1, Concurrency: 1, HostFailLimit: 1,
 			ReadmitBase: 10 * time.Millisecond,
 		})
 	if err != nil {
@@ -152,23 +144,6 @@ func TestReadmittedWorkerJoinsRunInFlight(t *testing.T) {
 	}
 }
 
-// stallingWorker serves normally until stalled, after which shard
-// requests block on the gate — a wedged-but-connected worker.
-type stallingWorker struct {
-	inner   http.Handler
-	stall   atomic.Bool
-	gate    chan struct{}
-	stalled atomic.Int64
-}
-
-func (gw *stallingWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == dist.PathShards && gw.stall.Load() {
-		gw.stalled.Add(1)
-		<-gw.gate
-	}
-	gw.inner.ServeHTTP(w, r)
-}
-
 func TestHedgingCompletesAroundWedgedStraggler(t *testing.T) {
 	req := testRequest(t, 24*montecarlo.ShardSize)
 	local, err := dist.Local{}.EstimateVec(context.Background(), req)
@@ -177,14 +152,23 @@ func TestHedgingCompletesAroundWedgedStraggler(t *testing.T) {
 	}
 	want := estimates(local)
 
-	gw := &stallingWorker{inner: dist.NewServer(), gate: make(chan struct{})}
-	srv := httptest.NewServer(gw)
-	t.Cleanup(srv.Close)
-	t.Cleanup(func() { close(gw.gate) }) // unblock before srv.Close waits on handlers
+	// A worker that serves normally until stalled, after which batches
+	// block on the gate — a wedged-but-connected worker.
+	var stall atomic.Bool
+	var stalled atomic.Int64
+	gate := make(chan struct{})
+	wedgeable := dist.StartHandler(t, dist.BatchWorker(func(int64) bool {
+		if stall.Load() {
+			stalled.Add(1)
+			<-gate
+		}
+		return true
+	}))
+	t.Cleanup(func() { close(gate) }) // runs before the server's cleanup
 
-	hosts := append(startWorkers(t, 1), strings.TrimPrefix(srv.URL, "http://"))
+	hosts := append(startWorkers(t, 1), wedgeable)
 	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{
-		BatchSize: 1, Concurrency: 1, Wire: dist.WireJSON,
+		BatchSize: 1, Concurrency: 1,
 		HedgeQuantile: 0.9, ReadmitBase: dist.ReadmitOff,
 	})
 	if err != nil {
@@ -202,7 +186,7 @@ func TestHedgingCompletesAroundWedgedStraggler(t *testing.T) {
 	// Wedge one worker and re-run: it claims a batch and never answers.
 	// Without hedging this run blocks until the gate opens; with it, the
 	// healthy worker duplicates the overdue batch and finishes the run.
-	gw.stall.Store(true)
+	stall.Store(true)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -218,7 +202,7 @@ func TestHedgingCompletesAroundWedgedStraggler(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("hedged run did not complete while the straggler stayed wedged")
 	}
-	if gw.stalled.Load() == 0 {
+	if stalled.Load() == 0 {
 		t.Fatal("straggler never wedged; test exercised nothing")
 	}
 }

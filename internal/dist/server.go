@@ -1,13 +1,12 @@
 package dist
 
 // The worker side: a small HTTP server around the shared kernel
-// registry. `cs serve -listen :port` runs one of these; any number of
-// coordinators may POST shard batches concurrently (the montecarlo
-// pool bounds per-request parallelism, the HTTP server provides
-// cross-request concurrency). Coordinators that speak the binary
-// stream protocol upgrade PathStream into a persistent framed
-// connection (stream.go); the JSON endpoint stays for older
-// coordinators and as the negotiated-down fallback.
+// registry. `cs serve -listen :port` runs one of these. Coordinators
+// upgrade PathStream into a persistent framed connection (stream.go);
+// any number of them may stream batches concurrently (the montecarlo
+// pool bounds per-batch parallelism, one goroutine per stream provides
+// cross-coordinator concurrency). The remaining endpoints are plain
+// HTTP probes: /healthz, /stats, and /metrics.
 
 import (
 	"context"
@@ -37,29 +36,28 @@ func beginBatchSpan() (*obs.Tracer, time.Duration) {
 	return tr, tr.Now()
 }
 
-func endBatchSpan(tr *obs.Tracer, start time.Duration, kernel, wire string, shards int) {
+func endBatchSpan(tr *obs.Tracer, start time.Duration, kernel string, shards int) {
 	if tr == nil {
 		return
 	}
 	tr.NameThread(obs.TidServer, "server")
 	tr.Span("batch "+kernel, "worker", obs.TidServer, start,
-		map[string]any{"wire": wire, "shards": shards})
+		map[string]any{"shards": shards})
 }
 
-// Server is a shard worker: it evaluates ShardJob batches against the
-// kernel registry linked into the binary and serves health and stats
-// probes. The zero value is not usable; call NewServer.
+// Server is a shard worker: it evaluates streamed shard batches against
+// the kernel registry linked into the binary and serves health and
+// stats probes. The zero value is not usable; call NewServer.
 type Server struct {
 	mux   *http.ServeMux
 	start time.Time
 
-	requests      atomic.Int64
-	shards        atomic.Int64
-	samples       atomic.Int64
-	failures      atomic.Int64
-	streams       atomic.Int64
-	streamBatches atomic.Int64
-	inflight      atomic.Int64
+	requests atomic.Int64
+	shards   atomic.Int64
+	samples  atomic.Int64
+	failures atomic.Int64
+	streams  atomic.Int64
+	inflight atomic.Int64
 
 	draining  atomic.Bool
 	streamReg streamRegistry
@@ -68,7 +66,6 @@ type Server struct {
 // NewServer returns a ready-to-serve worker.
 func NewServer() *Server {
 	s := &Server{mux: http.NewServeMux(), start: time.Now()}
-	s.mux.HandleFunc(PathShards, s.handleShards)
 	s.mux.HandleFunc(PathStream, s.handleStream)
 	s.mux.HandleFunc(PathHealthz, s.handleHealthz)
 	s.mux.HandleFunc(PathStats, s.handleStats)
@@ -107,79 +104,13 @@ func (s *Server) countFailure() {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if f := fault.Current(); f != nil && f.RefuseRequest() {
 		// A refused dial must look like a dead TCP peer, not an HTTP
-		// status: a 503 on the stream-upgrade path would read as "this
-		// worker speaks JSON only" and negotiate down instead of
-		// exercising the failure path. ErrAbortHandler severs the
+		// status: a 503 on the stream-upgrade path would read as a
+		// refused upgrade and abandon the worker outright instead of
+		// exercising the retry path. ErrAbortHandler severs the
 		// connection without a response and without a stack trace.
 		panic(http.ErrAbortHandler)
 	}
 	s.mux.ServeHTTP(w, r)
-}
-
-func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	s.beginBatch()
-	defer s.endBatch()
-	cr := &countingReader{r: r.Body}
-	var job ShardJob
-	err := json.NewDecoder(cr).Decode(&job)
-	mBytesJSONRx.Add(cr.n)
-	if err != nil {
-		s.countFailure()
-		http.Error(w, fmt.Sprintf("decode shard job: %v", err), http.StatusBadRequest)
-		return
-	}
-	if err := job.Validate(); err != nil {
-		s.countFailure()
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	evalStart := time.Now()
-	tr, traceStart := beginBatchSpan()
-	accs, err := montecarlo.EvaluateShards(job.Request, job.Indices)
-	if err != nil {
-		s.countFailure()
-		// Unknown kernels and bad params are the caller's mistake, not
-		// a worker fault; report 400 so the coordinator fails fast
-		// instead of retrying elsewhere.
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	endBatchSpan(tr, traceStart, job.Request.Kernel, "json", len(job.Indices))
-	wBatchEvalSeconds.Observe(time.Since(evalStart).Seconds())
-	resp := ShardResponse{Proto: ProtoVersion, Results: make([]ShardResult, len(job.Indices))}
-	sampleCount := 0
-	for i, idx := range job.Indices {
-		states := make([]montecarlo.AccumulatorState, len(accs[i]))
-		for j, acc := range accs[i] {
-			states[j] = acc.State()
-		}
-		// Every component of a shard sees the same sample count; tally
-		// the first so /stats reports configurations, not components.
-		if len(accs[i]) > 0 {
-			sampleCount += accs[i][0].N()
-		}
-		resp.Results[i] = ShardResult{Index: idx, Accs: states}
-	}
-	s.shards.Add(int64(len(job.Indices)))
-	s.samples.Add(int64(sampleCount))
-	wShards.Add(int64(len(job.Indices)))
-	wSamples.Add(int64(sampleCount))
-	w.Header().Set("Content-Type", "application/json")
-	body, err := json.Marshal(resp)
-	if err != nil {
-		s.countFailure()
-		return
-	}
-	body = append(body, '\n')
-	if _, err := w.Write(body); err != nil {
-		s.countFailure()
-		return
-	}
-	mBytesJSONTx.Add(int64(len(body)))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -204,7 +135,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Samples:         s.samples.Load(),
 		Failures:        s.failures.Load(),
 		Streams:         s.streams.Load(),
-		StreamBatches:   s.streamBatches.Load(),
 		InflightBatches: s.inflight.Load(),
 		Draining:        s.draining.Load(),
 		Kernels:         montecarlo.KernelNames(),
@@ -212,8 +142,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // DrainGrace bounds how long Serve waits for in-flight shard batches
-// (JSON requests and stream batches alike) after a shutdown signal
-// before severing connections. A shard batch is at most BatchSize
+// after a shutdown signal before severing connections. A shard batch is at most BatchSize
 // kernel shards; at `-scale full` that is tens of seconds, so the
 // grace is generous rather than snappy — a fleet restart should never
 // turn delivered work into spurious re-dispatches.
@@ -246,7 +175,7 @@ func Serve(ctx context.Context, addr string, ready chan<- net.Addr) error {
 		s.BeginDrain()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), DrainGrace)
 		defer cancel()
-		_ = srv.Shutdown(shutdownCtx) // drains in-flight JSON handlers
+		_ = srv.Shutdown(shutdownCtx) // drains in-flight probe handlers
 		s.waitStreams(DrainGrace)     // drains hijacked stream conns
 	}()
 	if ready != nil {
@@ -261,10 +190,4 @@ func Serve(ctx context.Context, addr string, ready chan<- net.Addr) error {
 		return nil
 	}
 	return err
-}
-
-// ListenAndServe runs a worker on addr until the listener fails or the
-// process exits, with no drain hook — Serve with a background context.
-func ListenAndServe(addr string, ready chan<- net.Addr) error {
-	return Serve(context.Background(), addr, ready)
 }

@@ -1,10 +1,10 @@
 package dist
 
-// Binary shard stream tests: wire negotiation on mixed fleets, the
-// determinism contract on the framed wire, loud failure on corrupt
-// frames, mid-run worker death on persistent connections, shard
-// timeouts, and graceful drain. These live in the internal package so
-// misbehaving workers can be built straight from the frame codec.
+// Binary shard stream tests: refused upgrades, the determinism
+// contract on the framed wire, loud failure on corrupt frames, mid-run
+// worker death on persistent connections, shard timeouts, and graceful
+// drain. These live in the internal package so misbehaving workers can
+// be built straight from the frame codec.
 
 import (
 	"bufio"
@@ -74,37 +74,42 @@ func workerStats(t *testing.T, host string) Stats {
 	return st
 }
 
-// startWorker boots one full worker and returns its host:port.
-func startWorker(t *testing.T) string {
+// startHandler serves h on a loopback test server and returns its
+// host:port.
+func startHandler(t *testing.T, h http.Handler) string {
 	t.Helper()
-	srv := httptest.NewServer(NewServer())
+	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 	return strings.TrimPrefix(srv.URL, "http://")
 }
 
-// startJSONOnlyWorker boots a worker that predates the stream
-// protocol: PathStream 404s, everything else is a current worker.
-func startJSONOnlyWorker(t *testing.T) string {
+// startWorker boots one full worker and returns its host:port.
+func startWorker(t *testing.T) string {
+	t.Helper()
+	return startHandler(t, NewServer())
+}
+
+// startRefusingWorker boots a worker that refuses the stream upgrade
+// (PathStream 404s, as on a build without it); every other path is a
+// current worker.
+func startRefusingWorker(t *testing.T) string {
 	t.Helper()
 	inner := NewServer()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return startHandler(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == PathStream {
 			http.NotFound(w, r)
 			return
 		}
 		inner.ServeHTTP(w, r)
 	}))
-	t.Cleanup(srv.Close)
-	return strings.TrimPrefix(srv.URL, "http://")
 }
 
-// startFrameWorker boots a worker whose stream endpoint hands the
+// frameWorker returns a worker handler whose stream endpoint hands the
 // upgraded connection to serve; all other paths behave like a current
 // worker. Used to build misbehaving peers.
-func startFrameWorker(t *testing.T, serve func(ss *streamSession)) string {
-	t.Helper()
+func frameWorker(serve func(ss *streamSession)) http.Handler {
 	inner := NewServer()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != PathStream {
 			inner.ServeHTTP(w, r)
 			return
@@ -121,9 +126,59 @@ func startFrameWorker(t *testing.T, serve func(ss *streamSession)) string {
 			return
 		}
 		serve(ss)
-	}))
-	t.Cleanup(srv.Close)
-	return strings.TrimPrefix(srv.URL, "http://")
+	})
+}
+
+func startFrameWorker(t *testing.T, serve func(ss *streamSession)) string {
+	t.Helper()
+	return startHandler(t, frameWorker(serve))
+}
+
+// batchWorker is the shared test double for fleet-failure tests: a
+// frame worker that runs the hello, request and batch frames itself
+// and hands every batch to hook with its 1-based ordinal across all of
+// the worker's connections. hook may block (a held, slow or wedged
+// worker). When it returns true the batch is answered with real
+// EvaluateShards results, so delivered work must merge bit-identically;
+// false severs the connection mid-batch, as a crashed worker would.
+func batchWorker(hook func(batch int64) bool) http.Handler {
+	var batches atomic.Int64
+	return frameWorker(func(ss *streamSession) {
+		var scratch []byte
+		if helloExchange(ss, &scratch) != nil {
+			return
+		}
+		reqs := map[uint32]montecarlo.Request{}
+		for {
+			t, payload, err := readFrame(ss.br, &scratch)
+			if err != nil {
+				return
+			}
+			switch t {
+			case frameRequest:
+				id, r, err := decodeRequest(payload)
+				if err != nil {
+					return
+				}
+				reqs[id] = r
+			case frameBatch:
+				id, indices, err := decodeBatch(payload)
+				if err != nil || !hook(batches.Add(1)) {
+					return // the deferred close severs the conn mid-batch
+				}
+				r := reqs[id]
+				accs, err := montecarlo.EvaluateShards(r, indices)
+				if err != nil {
+					return
+				}
+				if writeFrame(ss.bw, frameResult, encodeResult(id, r.Dim, indices, accs)) != nil || ss.bw.Flush() != nil {
+					return
+				}
+			default:
+				return
+			}
+		}
+	})
 }
 
 // helloExchange performs the worker half of the handshake.
@@ -155,18 +210,15 @@ func TestBinaryWireCarriesTheRunAndStaysBitIdentical(t *testing.T) {
 	}
 	requireIdentical(t, accs, want, "binary wire")
 
-	var streams, streamBatches, shards int64
+	var streams, requests, shards int64
 	for _, h := range hosts {
 		st := workerStats(t, h)
 		streams += st.Streams
-		streamBatches += st.StreamBatches
+		requests += st.Requests
 		shards += st.Shards
-		if st.Requests != st.StreamBatches {
-			t.Errorf("worker %s: %d requests but %d stream batches — some work fell back to JSON", h, st.Requests, st.StreamBatches)
-		}
 	}
-	if streams == 0 || streamBatches == 0 {
-		t.Fatalf("no stream traffic recorded (streams=%d batches=%d); the binary wire was never used", streams, streamBatches)
+	if streams == 0 || requests == 0 {
+		t.Fatalf("no stream traffic recorded (streams=%d batches=%d)", streams, requests)
 	}
 	if wantShards := int64(montecarlo.ShardCount(req.Samples)); shards != wantShards {
 		t.Errorf("fleet evaluated %d shards, plan has %d", shards, wantShards)
@@ -190,74 +242,69 @@ func TestStreamsPersistAcrossEstimations(t *testing.T) {
 	}
 }
 
-func TestJSONOnlyWorkerNegotiatesDown(t *testing.T) {
-	req := streamTestRequest(4*montecarlo.ShardSize + 9)
-	want := localWant(t, req)
-	host := startJSONOnlyWorker(t)
-	remote, err := NewRemote([]string{host})
-	if err != nil {
-		t.Fatal(err)
-	}
-	accs, err := remote.EstimateVec(context.Background(), req)
-	if err != nil {
-		t.Fatalf("run against a JSON-only worker failed instead of negotiating down: %v", err)
-	}
-	requireIdentical(t, accs, want, "negotiated-down wire")
-	st := workerStats(t, host)
-	if st.Streams != 0 {
-		t.Errorf("JSON-only worker reports %d streams", st.Streams)
-	}
-	if wantShards := int64(montecarlo.ShardCount(req.Samples)); st.Shards != wantShards {
-		t.Errorf("worker evaluated %d shards over JSON, plan has %d", st.Shards, wantShards)
-	}
-}
-
-func TestMixedWireFleetStaysBitIdentical(t *testing.T) {
-	req := streamTestRequest(8 * montecarlo.ShardSize)
-	want := localWant(t, req)
-	binHost, jsonHost := startWorker(t), startJSONOnlyWorker(t)
-	remote, err := NewRemote([]string{binHost, jsonHost}, RemoteOptions{BatchSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	accs, err := remote.EstimateVec(context.Background(), req)
-	if err != nil {
-		t.Fatalf("mixed-wire fleet failed: %v", err)
-	}
-	requireIdentical(t, accs, want, "mixed-wire fleet")
-	binStats, jsonStats := workerStats(t, binHost), workerStats(t, jsonHost)
-	if jsonStats.Streams != 0 {
-		t.Errorf("JSON-only worker reports %d streams", jsonStats.Streams)
-	}
-	if total, plan := binStats.Shards+jsonStats.Shards, int64(montecarlo.ShardCount(req.Samples)); total != plan {
-		t.Errorf("fleet evaluated %d shards, plan has %d (negotiation lost or duplicated work)", total, plan)
-	}
-}
-
-func TestWireBinaryAbandonsJSONOnlyWorker(t *testing.T) {
+func TestRefusedUpgradeAbandonsWorker(t *testing.T) {
 	req := streamTestRequest(4 * montecarlo.ShardSize)
 	want := localWant(t, req)
-	binHost, jsonHost := startWorker(t), startJSONOnlyWorker(t)
-	remote, err := NewRemote([]string{binHost, jsonHost}, RemoteOptions{Wire: WireBinary})
+	refusing := startRefusingWorker(t)
+	remote, err := NewRemote([]string{startWorker(t), refusing})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer remote.Close()
 	accs, err := remote.EstimateVec(context.Background(), req)
 	if err != nil {
-		t.Fatalf("-wire binary with one capable worker failed: %v", err)
+		t.Fatalf("fleet with one refusing worker failed: %v", err)
 	}
-	requireIdentical(t, accs, want, "wire=binary")
-	if st := workerStats(t, jsonHost); st.Shards != 0 {
-		t.Errorf("JSON-only worker evaluated %d shards under -wire binary", st.Shards)
+	requireIdentical(t, accs, want, "around a refusing worker")
+	if st := workerStats(t, refusing); st.Shards != 0 {
+		t.Errorf("worker that refused the upgrade evaluated %d shards", st.Shards)
 	}
 
-	// An all-JSON fleet under -wire binary must fail, not degrade.
-	lonely, err := NewRemote([]string{startJSONOnlyWorker(t)}, RemoteOptions{Wire: WireBinary})
+	// A fleet that refuses every upgrade must fail loudly.
+	lonely, err := NewRemote([]string{startRefusingWorker(t)}, RemoteOptions{ReadmitBase: ReadmitOff})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := lonely.EstimateVec(context.Background(), req); err == nil {
-		t.Fatal("-wire binary against a JSON-only fleet succeeded; want loud failure")
+		t.Fatal("run against an all-refusing fleet succeeded; want loud failure")
+	} else if !strings.Contains(err.Error(), "refused") {
+		t.Errorf("error does not say the upgrade was refused: %v", err)
+	}
+}
+
+func TestUpgradeRefusedWhileDrainingIsNotPermanent(t *testing.T) {
+	// A worker whose first upgrade lands in a drain window answers 503
+	// and is healthy afterwards. Once readmitted it must carry work over
+	// a stream again, not stay on a fallback for the Remote's lifetime.
+	req := streamTestRequest(4 * montecarlo.ShardSize)
+	want := localWant(t, req)
+	inner := NewServer()
+	var refused atomic.Bool
+	flapping := startHandler(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == PathStream && refused.CompareAndSwap(false, true) {
+			http.Error(w, "dist: worker is draining", http.StatusServiceUnavailable)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	remote, err := NewRemote([]string{startWorker(t), flapping}, RemoteOptions{
+		BatchSize: 1, ReadmitBase: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for workerStats(t, flapping).Streams == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker that refused one upgrade (refused=%v) never served over a stream again", refused.Load())
+		}
+		accs, err := remote.EstimateVec(context.Background(), req)
+		if err != nil {
+			t.Fatalf("estimation: %v", err)
+		}
+		requireIdentical(t, accs, want, "around a draining refusal")
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -334,6 +381,54 @@ func TestTruncatedFrameFailsLoudly(t *testing.T) {
 	}
 }
 
+func TestMalformedBatchFramesGetFatalErrorFrame(t *testing.T) {
+	// Malformed and invalid jobs are the caller's mistake: the worker
+	// answers with a fatal error frame, so the coordinator abandons
+	// rather than retries, and never with a result.
+	host := startWorker(t)
+	request := func(samples int) []byte {
+		payload, err := encodeRequest(1, montecarlo.Request{
+			Kernel: "dist-test/vec", Params: json.RawMessage(`{"scale":2.5}`), Seed: 1, Samples: samples, Dim: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
+	}
+	for _, c := range []struct {
+		name    string
+		request []byte
+		indices []int
+	}{
+		{"request not JSON", append([]byte{1, 0, 0, 0}, "{not json"...), []int{0}},
+		{"index out of range", request(montecarlo.ShardSize), []int{9}},
+		{"no indices", request(montecarlo.ShardSize), []int{}},
+		{"duplicate index", request(4 * montecarlo.ShardSize), []int{2, 2}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sc, err := dialStream(context.Background(), "http://"+host, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sc.close()
+			if err := writeFrame(sc.bw, frameRequest, c.request); err != nil {
+				t.Fatal(err)
+			}
+			if err := sc.sendBatch(1, c.indices); err != nil {
+				t.Fatal(err)
+			}
+			sc.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			ft, payload, err := readFrame(sc.br, &sc.scratch)
+			if err != nil || ft != frameError {
+				t.Fatalf("got %v frame, err %v; want an error frame", ft, err)
+			}
+			if fatal, msg, err := decodeError(payload); err != nil || !fatal {
+				t.Errorf("error frame fatal=%v msg=%q err=%v; want fatal", fatal, msg, err)
+			}
+		})
+	}
+}
+
 func TestBinaryWorkerDiesMidRunFleetSurvives(t *testing.T) {
 	req := streamTestRequest(9 * montecarlo.ShardSize)
 	want := localWant(t, req)
@@ -341,66 +436,29 @@ func TestBinaryWorkerDiesMidRunFleetSurvives(t *testing.T) {
 	// A worker that answers `survives` batch frames correctly — real
 	// evaluations, so its delivered work must merge bit-identically —
 	// then drops every connection, dead for good.
-	var served atomic.Int64
 	const survives = 2
+	var served atomic.Int64
 	died := make(chan struct{})
 	var diedOnce sync.Once
-	flakyHost := startFrameWorker(t, func(ss *streamSession) {
-		var scratch []byte
-		if helloExchange(ss, &scratch) != nil {
-			return
+	flakyHost := startHandler(t, batchWorker(func(batch int64) bool {
+		served.Store(batch)
+		if batch <= survives {
+			return true
 		}
-		reqs := map[uint32]montecarlo.Request{}
-		for {
-			t, payload, err := readFrame(ss.br, &scratch)
-			if err != nil {
-				return
-			}
-			switch t {
-			case frameRequest:
-				id, r, err := decodeRequest(payload)
-				if err != nil {
-					return
-				}
-				reqs[id] = r
-			case frameBatch:
-				if served.Add(1) > survives {
-					diedOnce.Do(func() { close(died) })
-					return // the deferred close severs the conn mid-batch
-				}
-				id, indices, err := decodeBatch(payload)
-				if err != nil {
-					return
-				}
-				r := reqs[id]
-				accs, err := montecarlo.EvaluateShards(r, indices)
-				if err != nil {
-					return
-				}
-				if writeFrame(ss.bw, frameResult, encodeResult(id, r.Dim, indices, accs)) != nil {
-					return
-				}
-				if ss.bw.Flush() != nil {
-					return
-				}
-			default:
-				return
-			}
-		}
-	})
+		diedOnce.Do(func() { close(died) })
+		return false
+	}))
 	// The healthy worker opens its stream only once the flaky one has
 	// died, so the death path runs on any schedule: it holds at most one
 	// claimed shard, leaving the flaky worker the three it needs.
 	inner := NewServer()
-	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	healthy := startHandler(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == PathStream {
 			<-died
 		}
 		inner.ServeHTTP(w, r)
 	}))
-	t.Cleanup(healthy.Close)
-	hosts := []string{strings.TrimPrefix(healthy.URL, "http://"), flakyHost}
-	remote, err := NewRemote(hosts, RemoteOptions{BatchSize: 1, Concurrency: 1, HostFailLimit: 2})
+	remote, err := NewRemote([]string{healthy, flakyHost}, RemoteOptions{BatchSize: 1, Concurrency: 1, HostFailLimit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,19 +562,6 @@ func TestServeDrainsStreamsWithGoodbye(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Serve did not return after drain")
-	}
-}
-
-func TestParseWire(t *testing.T) {
-	cases := map[string]Wire{"": WireAuto, "auto": WireAuto, "json": WireJSON, "binary": WireBinary}
-	for in, want := range cases {
-		got, err := ParseWire(in)
-		if err != nil || got != want {
-			t.Errorf("ParseWire(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseWire("carrier-pigeon"); err == nil {
-		t.Error("ParseWire accepted nonsense")
 	}
 }
 

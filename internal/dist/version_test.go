@@ -1,64 +1,104 @@
 package dist
 
 import (
+	"bufio"
 	"context"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
+	"encoding/binary"
+	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"carriersense/internal/montecarlo"
 )
 
-// The wire protocol version guard: a mixed-version fleet must fail
-// loudly in both directions, never silently mis-serve (an old worker
-// ignores the sampler/shard-range fields and would return cleanly
-// merging but wrong accumulators).
+// The protocol version guard: a mixed-version fleet must fail loudly
+// in both directions, never silently mis-serve (an old worker ignores
+// the request fields it does not know and would return cleanly merging
+// but wrong accumulators). The version travels in the hello frames.
+
+// oldHello is the hello payload of a peer one protocol version behind.
+func oldHello() []byte {
+	b := make([]byte, 8)
+	binary.LittleEndian.PutUint32(b[:4], frameMagic)
+	binary.LittleEndian.PutUint32(b[4:], uint32(ProtoVersion-1))
+	return b
+}
 
 func TestWorkerRejectsWrongProtocolVersion(t *testing.T) {
-	job := ShardJob{
-		Request: montecarlo.Request{Kernel: "core/single", Seed: 1, Samples: montecarlo.ShardSize, Dim: 1},
-		Proto:   ProtoVersion - 1, // an old coordinator (or none at all: 0)
-		Indices: []int{0},
+	// An old coordinator upgrades and says hello with the previous
+	// version: the worker answers with its own version, then closes
+	// without serving anything sent after the hello.
+	host := startWorker(t)
+	conn, err := net.DialTimeout("tcp", host, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := job.Validate(); err == nil || !strings.Contains(err.Error(), "protocol version") {
-		t.Errorf("Validate accepted protocol version %d: %v", job.Proto, err)
+	defer conn.Close()
+	sc := &streamConn{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
+	if err := sc.upgrade(host); err != nil {
+		t.Fatal(err)
 	}
-	job.Proto = ProtoVersion
-	if err := job.Validate(); err != nil {
-		t.Errorf("Validate rejected the current protocol version: %v", err)
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := writeFrame(sc.bw, frameHello, oldHello()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ft, payload, err := readFrame(sc.br, &sc.scratch)
+	if err != nil || ft != frameHello {
+		t.Fatalf("want the worker's hello, got %v frame, err %v", ft, err)
+	}
+	if proto, err := decodeHello(payload); err != nil || proto != ProtoVersion {
+		t.Fatalf("worker hello carries version %d (err %v), want %d", proto, err, ProtoVersion)
+	}
+
+	// Whatever the old coordinator sends next must go unanswered.
+	if id, err := sc.sendRequest(streamTestRequest(montecarlo.ShardSize)); err == nil {
+		_ = sc.sendBatch(id, []int{0})
+	}
+	if ft, _, err := readFrame(sc.br, &sc.scratch); err == nil {
+		t.Fatalf("worker answered a version-%d coordinator with a %v frame; want the stream closed", ProtoVersion-1, ft)
+	}
+	if st := workerStats(t, host); st.Shards != 0 {
+		t.Errorf("worker evaluated %d shards for a version-%d coordinator", st.Shards, ProtoVersion-1)
 	}
 }
 
 func TestCoordinatorRejectsPreVersioningWorker(t *testing.T) {
-	// A pre-versioning worker evaluates the job but echoes no proto
-	// field. Simulate it: strip the proto from a real server's answer.
-	inner := NewServer()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec := httptest.NewRecorder()
-		inner.ServeHTTP(rec, r)
-		var raw map[string]json.RawMessage
-		if rec.Code == http.StatusOK && json.Unmarshal(rec.Body.Bytes(), &raw) == nil {
-			delete(raw, "proto")
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(raw)
+	// An old worker accepts the upgrade but says hello with the previous
+	// version. The coordinator must abandon it without sending it work,
+	// and the run must fail with an error that names the protocol.
+	var batches atomic.Int64
+	host := startFrameWorker(t, func(ss *streamSession) {
+		var scratch []byte
+		if ft, _, err := readFrame(ss.br, &scratch); err != nil || ft != frameHello {
 			return
 		}
-		w.WriteHeader(rec.Code)
-		_, _ = w.Write(rec.Body.Bytes())
-	}))
-	defer srv.Close()
-
-	remote, err := NewRemote([]string{strings.TrimPrefix(srv.URL, "http://")})
+		if writeFrame(ss.bw, frameHello, oldHello()) != nil || ss.bw.Flush() != nil {
+			return
+		}
+		for {
+			ft, _, err := readFrame(ss.br, &scratch)
+			if err != nil {
+				return
+			}
+			if ft == frameBatch {
+				batches.Add(1)
+			}
+		}
+	})
+	remote, err := NewRemote([]string{host}, RemoteOptions{ReadmitBase: ReadmitOff})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = remote.EstimateVec(context.Background(), montecarlo.Request{
-		Kernel: "core/single", Seed: 1, Samples: montecarlo.ShardSize, Dim: 1,
-		Params: json.RawMessage(`{"env":{"alpha":3,"noise_db":-96,"capacity":{"kind":"shannon"}},"rmax":20,"d":1}`),
-	})
+	_, err = remote.EstimateVec(context.Background(), streamTestRequest(montecarlo.ShardSize))
 	if err == nil || !strings.Contains(err.Error(), "protocol") {
-		t.Errorf("coordinator accepted a worker with no protocol echo: %v", err)
+		t.Errorf("coordinator accepted a version-%d worker: %v", ProtoVersion-1, err)
+	}
+	if n := batches.Load(); n != 0 {
+		t.Errorf("coordinator sent %d batches to a version-%d worker", n, ProtoVersion-1)
 	}
 }

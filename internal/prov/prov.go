@@ -71,8 +71,11 @@ type VCS struct {
 type ExecInfo struct {
 	// Workers is the fleet host list ("" = in-process only).
 	Workers []string `json:"workers,omitempty"`
-	// Wire is the shard transport ("auto", "json", "binary"); empty
-	// for local runs.
+	// Wire is the shard transport that runs stamped before the frame
+	// stream became the only one recorded ("auto", "json", "binary").
+	// New runs leave it empty. It stays because the self-hash
+	// re-marshals the decoded struct: dropping the field would fail
+	// every such manifest's verification.
 	Wire string `json:"wire,omitempty"`
 	// Parallel is the pinned pool width (0 = GOMAXPROCS).
 	Parallel int `json:"parallel,omitempty"`

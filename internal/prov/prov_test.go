@@ -170,6 +170,40 @@ func TestSelfHashStableAcrossRoundTrip(t *testing.T) {
 	}
 }
 
+// Distributed runs stamped while the CLI still had a transport flag
+// recorded "wire" in their execution shape. Their manifests must keep
+// verifying: the self-hash re-marshals the decoded struct, so the
+// field has to survive the decode.
+func TestManifestWithWireStillVerifies(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "output.txt"), []byte("efficiency 0.9131\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := &Manifest{
+		Schema:   SchemaVersion,
+		Created:  time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC),
+		Scenario: "curves",
+		Exec:     ExecInfo{Workers: []string{"127.0.0.1:18041"}, Wire: "auto"},
+	}
+	if err := Stamp(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"wire": "auto"`) {
+		t.Fatalf("test setup: manifest does not record the wire:\n%s", raw)
+	}
+	got, err := VerifyDir(dir)
+	if err != nil {
+		t.Fatalf("manifest recording a wire no longer verifies: %v", err)
+	}
+	if got.Exec.Wire != "auto" {
+		t.Errorf("decoded wire = %q, want auto", got.Exec.Wire)
+	}
+}
+
 func TestFindManifests(t *testing.T) {
 	root := t.TempDir()
 	a, _ := stampTestDir(t)

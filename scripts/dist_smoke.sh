@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # Distributed smoke test: start two `cs serve` workers on localhost and
-# run one scenario five ways — locally, over the JSON wire, over the
-# binary frame wire, via -cache -prefetch on the binary wire, and with
-# full observability (-trace + -metrics-listen) — then require every
-# run to be byte-identical to the local one. The /stats endpoints must
-# show the traffic actually took the wire under test (shards via JSON
-# POSTs, stream batches via binary frames), the /metrics scrapes must
-# be live Prometheus text, and a SIGTERM'd worker must drain in-flight
-# batches and exit 0. CI runs this; it is also handy locally:
+# run one scenario four ways — locally, over the fleet, via -cache
+# -prefetch through the fleet, and with full observability (-trace +
+# -metrics-listen) — then require every run to be byte-identical to the
+# local one. The /stats endpoints must show the fleet moved shards over
+# frame streams, the /metrics scrapes must be live Prometheus text, and
+# a SIGTERM'd worker must drain in-flight batches and exit 0. CI runs
+# this; it is also handy locally:
 #
 #   scripts/dist_smoke.sh
 #
@@ -74,24 +73,13 @@ require_identical() { # <dir> <label>
 "$work/cs" run "$scenario" -scale smoke -seed 7 -quiet -out "$work/local"
 local_dir=$(echo "$work"/local/*)
 
-# JSON wire: the legacy one-POST-per-batch protocol, still the fallback
-# for old workers. Must be bit-identical and must move shards.
+# Fleet run: persistent streams, length-prefixed frames. Must be
+# bit-identical, must open streams, and must move shards over them.
 "$work/cs" run "$scenario" -scale smoke -seed 7 -quiet \
-  -workers "$fleet" -wire json -out "$work/json"
-require_identical "$work/json" "json-wire"
-if [ "$(stat_sum shards)" -eq 0 ]; then
-  echo "JSON-wire run moved no shards — the run was not distributed" >&2
-  exit 1
-fi
-
-# Binary wire: persistent streams, length-prefixed frames. Must be
-# bit-identical and must move stream batches (the counter only the
-# frame protocol increments).
-"$work/cs" run "$scenario" -scale smoke -seed 7 -quiet \
-  -workers "$fleet" -wire binary -out "$work/binary"
-require_identical "$work/binary" "binary-wire"
-if [ "$(stat_sum stream_batches)" -eq 0 ]; then
-  echo "binary-wire run moved no stream batches — frames were not used" >&2
+  -workers "$fleet" -out "$work/fleet"
+require_identical "$work/fleet" "fleet"
+if [ "$(stat_sum streams)" -eq 0 ] || [ "$(stat_sum shards)" -eq 0 ]; then
+  echo "fleet run moved no shards over streams — the run was not distributed" >&2
   exit 1
 fi
 
@@ -100,7 +88,7 @@ fi
 # byte-identical output.
 prefetch_log="$work/prefetch.log"
 "$work/cs" run "$scenario" -scale smoke -seed 7 -quiet \
-  -workers "$fleet" -wire binary \
+  -workers "$fleet" \
   -cache -cache-dir "$work/cache" -prefetch \
   -out "$work/prefetch" 2>"$prefetch_log"
 require_identical "$work/prefetch" "prefetch"
@@ -121,7 +109,7 @@ grep '^prefetch:' "$prefetch_log"
 # endpoint, still byte-identical to the local run — instrumentation
 # must be observationally inert.
 "$work/cs" run "$scenario" -scale smoke -seed 7 -quiet \
-  -workers "$fleet" -wire binary \
+  -workers "$fleet" \
   -trace "$work/trace.json" -metrics-listen 127.0.0.1:18049 \
   -out "$work/traced"
 require_identical "$work/traced" "traced"
@@ -191,4 +179,4 @@ if ! grep -q 'drained in-flight shard batches and stopped' "$work/worker1.log"; 
   exit 1
 fi
 
-echo "distributed smoke OK: '$scenario' is bit-identical across 2 workers on both wires (+prefetch, $fetched estimations warmed; +trace/metrics inert, $metrics_shards shards scraped, drain clean)"
+echo "distributed smoke OK: '$scenario' is bit-identical across 2 workers (+prefetch, $fetched estimations warmed; +trace/metrics inert, $metrics_shards shards scraped, drain clean)"
