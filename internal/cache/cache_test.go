@@ -23,15 +23,15 @@ type testParams struct {
 }
 
 func init() {
-	montecarlo.RegisterKernel("cachetest/scaled", func(raw json.RawMessage) (montecarlo.EvalFunc, error) {
+	montecarlo.RegisterKernel("cachetest/scaled", 2, func(raw json.RawMessage) (montecarlo.BatchEvalFunc, error) {
 		var p testParams
 		if err := json.Unmarshal(raw, &p); err != nil {
 			return nil, err
 		}
-		return func(src *rng.Source, out []float64) {
+		return montecarlo.BatchLoop(2, func(src *rng.Source, out []float64) {
 			out[0] = p.Scale * src.Float64()
 			out[1] = src.Normal(0, 1)
-		}, nil
+		}), nil
 	})
 }
 

@@ -18,12 +18,12 @@ import (
 // prefix-consumption contract control twins follow.
 func init() {
 	montecarlo.RegisterControlTwin("cachetest/scaled", montecarlo.ControlTwin{
-		Eval: func(raw json.RawMessage) (montecarlo.EvalFunc, error) {
-			return func(src *rng.Source, out []float64) {
+		Eval: func(raw json.RawMessage) (montecarlo.BatchEvalFunc, error) {
+			return montecarlo.BatchLoop(2, func(src *rng.Source, out []float64) {
 				u := src.Float64()
 				out[0] = u
 				out[1] = u
-			}, nil
+			}), nil
 		},
 		Means: func(raw json.RawMessage) ([]float64, error) {
 			return []float64{0.5, math.NaN()}, nil

@@ -91,17 +91,10 @@ type Fairness struct {
 	P10CS float64
 }
 
-// fairnessEval builds the fairness integrand (Jain index plus the two
-// starvation indicators); the core/fairness kernel rebuilds it on
-// workers. The integrand is the fused pointEval sampler.
-func (m *Model) fairnessEval(rmax, d, dThresh float64) montecarlo.EvalFunc {
-	return m.newPointEval(rmax, d, dThresh).fairnessSample
-}
-
 // EstimateFairness estimates the fairness metrics with n samples.
 func (m *Model) EstimateFairness(seed uint64, n int, rmax, d, dThresh float64) Fairness {
 	pThresh := m.ThresholdPower(dThresh)
-	est := m.estimatePoint(KernelFairness, rmax, d, dThresh, m.fairnessEval(rmax, d, dThresh), seed, n, 3)
+	est := m.estimatePoint(KernelFairness, rmax, d, dThresh, seed, n)
 	// Percentile needs the sample set; rerun a single-threaded pass.
 	src := rng.New(seed ^ 0xfa1f)
 	samples := make([]float64, 0, n)
@@ -162,16 +155,8 @@ func (m *Model) EstimateShadowingExample(seed uint64, n int, rmax, d, dThresh fl
 	ex.PSpuriousConcurrency = m.SpuriousConcurrencyProbability(d, dThresh)
 	ex.PSmothered = geometry.FractionCloserTo(geometry.Point{X: -d, Y: 0}, rmax)
 	ex.PBadSNR = ex.PSpuriousConcurrency * ex.PSmothered
-	ex.PBadSNRMC = m.estimatePoint(KernelBadSNR, rmax, d, dThresh, m.badSNREval(rmax, d, dThresh), seed, n, 1)[0]
+	ex.PBadSNRMC = m.estimatePoint(KernelBadSNR, rmax, d, dThresh, seed, n)[0]
 	return ex
-}
-
-// badSNREval builds the §3.4 indicator integrand: spurious concurrency
-// leaving the receiver below 0 dB SNR. The core/bad-snr kernel
-// rebuilds it on workers. The integrand is the fused pointEval
-// sampler, which for this indicator needs no capacity evaluation.
-func (m *Model) badSNREval(rmax, d, dThresh float64) montecarlo.EvalFunc {
-	return m.newPointEval(rmax, d, dThresh).badSNRSample
 }
 
 // LumpedDistanceFactor converts a dB uncertainty into the equivalent

@@ -48,21 +48,13 @@ const (
 	nAverages
 )
 
-// averagesEval builds the per-policy throughput integrand behind
-// EstimateAverages; the core/averages kernel rebuilds it on workers.
-// The integrand is the fused pointEval sampler: each path gain and
-// capacity evaluation happens exactly once per sample.
-func (m *Model) averagesEval(rmax, d, dThresh float64) montecarlo.EvalFunc {
-	return m.newPointEval(rmax, d, dThresh).averagesSample
-}
-
 // EstimateAverages estimates all policy averages at one (R_max, D)
 // point with n Monte Carlo configurations. dThresh sets the carrier
 // sense threshold distance. The estimation runs through the installed
 // executor (in-process by default, a worker fleet under `cs run
 // -workers`); results are bit-identical either way.
 func (m *Model) EstimateAverages(seed uint64, n int, rmax, d, dThresh float64) Averages {
-	est := m.estimatePoint(KernelAverages, rmax, d, dThresh, m.averagesEval(rmax, d, dThresh), seed, n, nAverages)
+	est := m.estimatePoint(KernelAverages, rmax, d, dThresh, seed, n)
 	return Averages{
 		Rmax: rmax, D: d, DThresh: dThresh,
 		Single:           est[idxSingle],
@@ -149,14 +141,8 @@ func (m *Model) NormalizationConstant(seed uint64, n int) float64 {
 	if m.params.SigmaDB == 0 {
 		return m.AvgSingleQuad(20)
 	}
-	est := m.estimatePoint(KernelSingle, 20, 1, 0, m.singleEval(20, 1), seed, n, 1)
+	est := m.estimatePoint(KernelSingle, 20, 1, 0, seed, n)
 	return est[0].Mean
-}
-
-// singleEval builds the no-competition throughput integrand; the
-// core/single kernel rebuilds it on workers.
-func (m *Model) singleEval(rmax, d float64) montecarlo.EvalFunc {
-	return m.newPointEval(rmax, d, 0).singleSample
 }
 
 // ConcurrencySlope estimates d⟨C_conc⟩/dD at the given D by a central

@@ -27,29 +27,6 @@ import (
 	"carriersense/internal/numeric"
 )
 
-// sigma0Model rebuilds the kernel's model with shadowing disabled.
-func sigma0Model(raw json.RawMessage) (*Model, pointParams, error) {
-	var p pointParams
-	if err := json.Unmarshal(raw, &p); err != nil {
-		return nil, p, err
-	}
-	p.Env.SigmaDB = 0
-	m, err := p.Env.build()
-	return m, p, err
-}
-
-// sigma0Factory adapts a Model-level eval constructor into the twin's
-// KernelFactory over the σ = 0 model.
-func sigma0Factory(build func(m *Model, p pointParams) montecarlo.EvalFunc) montecarlo.KernelFactory {
-	return func(raw json.RawMessage) (montecarlo.EvalFunc, error) {
-		m, p, err := sigma0Model(raw)
-		if err != nil {
-			return nil, err
-		}
-		return build(m, p), nil
-	}
-}
-
 // avgCSQuad returns the σ = 0 carrier-sense mean and the (σ = 0
 // deterministic) deferral decision: with L″ pinned at 1 the threshold
 // comparison is a per-point constant, so CS throughput is exactly the
@@ -75,11 +52,9 @@ func (m *Model) avgUBMaxQuad(rmax, d float64) float64 {
 
 func init() {
 	montecarlo.RegisterControlTwin(KernelAverages, montecarlo.ControlTwin{
-		Eval: sigma0Factory(func(m *Model, p pointParams) montecarlo.EvalFunc {
-			return m.averagesEval(p.Rmax, p.D, p.DThresh)
-		}),
+		Eval: pointKernelFactory(KernelAverages, true),
 		Means: func(raw json.RawMessage) ([]float64, error) {
-			m, p, err := sigma0Model(raw)
+			m, p, err := pointModel(raw, true)
 			if err != nil {
 				return nil, err
 			}
@@ -102,11 +77,9 @@ func init() {
 		},
 	})
 	montecarlo.RegisterControlTwin(KernelSingle, montecarlo.ControlTwin{
-		Eval: sigma0Factory(func(m *Model, p pointParams) montecarlo.EvalFunc {
-			return m.singleEval(p.Rmax, p.D)
-		}),
+		Eval: pointKernelFactory(KernelSingle, true),
 		Means: func(raw json.RawMessage) ([]float64, error) {
-			m, p, err := sigma0Model(raw)
+			m, p, err := pointModel(raw, true)
 			if err != nil {
 				return nil, err
 			}
@@ -114,11 +87,9 @@ func init() {
 		},
 	})
 	montecarlo.RegisterControlTwin(KernelPolicyDiff, montecarlo.ControlTwin{
-		Eval: sigma0Factory(func(m *Model, p pointParams) montecarlo.EvalFunc {
-			return m.policyDiffEval(p.Rmax, p.D)
-		}),
+		Eval: pointKernelFactory(KernelPolicyDiff, true),
 		Means: func(raw json.RawMessage) ([]float64, error) {
-			m, p, err := sigma0Model(raw)
+			m, p, err := pointModel(raw, true)
 			if err != nil {
 				return nil, err
 			}

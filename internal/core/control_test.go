@@ -68,7 +68,7 @@ func TestTwinMeansMatchMonteCarlo(t *testing.T) {
 	if !ok {
 		t.Fatal("averages kernel must be serializable")
 	}
-	m, p, err := sigma0Model(req.Params)
+	m, p, err := pointModel(req.Params, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,8 @@ func TestTwinMeansMatchMonteCarlo(t *testing.T) {
 }
 
 // alterSigma rewrites the request params to σ = 0, mirroring
-// sigma0Model, so the σ = 0 kernel can run as an ordinary MC request.
+// pointModel with sigma0 set, so the σ = 0 kernel can run as an
+// ordinary MC request.
 func alterSigma(t *testing.T, raw json.RawMessage) json.RawMessage {
 	t.Helper()
 	var p pointParams

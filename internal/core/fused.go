@@ -16,21 +16,18 @@ package core
 //     rewritten into the shadowing domain, the devirtualized Shannon
 //     capacity — are hoisted into pointEval, outside the sample loop;
 //   - every integrand (averages, single, fairness, bad-snr,
-//     policy-diff) is a thin projection over the same draw, so the
-//     per-sample and batch kernel forms are bit-identical by
-//     construction.
+//     policy-diff) is a thin projection over the same draw.
 //
 // Determinism contract: draw consumes random variates in exactly the
 // order SampleConfig does (two disc points, then five lognormal
 // shadowing factors), so shard streams stay aligned across the
-// per-sample path, the batch path, worker fleets, and the cache.
+// chunked and one-sample-per-call paths, worker fleets, and the cache.
 
 import (
 	"math"
 
 	"carriersense/internal/capacity"
 	"carriersense/internal/geometry"
-	"carriersense/internal/montecarlo"
 	"carriersense/internal/rng"
 )
 
@@ -217,10 +214,11 @@ func (pe *pointEval) policyDiffSample(src *rng.Source, out []float64) {
 
 // Batch forms: one montecarlo.BatchEvalFunc call evaluates a whole
 // buffer chunk through direct (devirtualized, inlinable) method calls
-// on the shared pointEval — the per-sample indirection the EvalFunc
-// path pays once per sample is paid once per chunk. Samples are
-// evaluated in order on the same stream, so every batch form is
-// bit-identical to its per-sample form by construction.
+// on the shared pointEval, so the plain path pays the kernel's
+// indirect call once per chunk, not once per sample. Samples are
+// evaluated in order on the same stream and pointEval is read-only
+// after construction, so count calls with count = 1 are bit-identical
+// to one call with count.
 
 func (pe *pointEval) averagesBatch(src *rng.Source, count int, out []float64) {
 	for i := 0; i < count; i++ {
@@ -249,16 +247,5 @@ func (pe *pointEval) badSNRBatch(src *rng.Source, count int, out []float64) {
 func (pe *pointEval) policyDiffBatch(src *rng.Source, count int, out []float64) {
 	for i := 0; i < count; i++ {
 		pe.policyDiffSample(src, out[i*2:(i+1)*2:(i+1)*2])
-	}
-}
-
-// batchLoop adapts a per-sample evaluator into a batch one for
-// kernels without a dedicated batch method (the n-pair kernel, whose
-// per-sample cost dwarfs the call indirection).
-func batchLoop(dim int, sample montecarlo.EvalFunc) montecarlo.BatchEvalFunc {
-	return func(src *rng.Source, count int, out []float64) {
-		for i := 0; i < count; i++ {
-			sample(src, out[i*dim:(i+1)*dim:(i+1)*dim])
-		}
 	}
 }

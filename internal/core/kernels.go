@@ -79,86 +79,57 @@ type multiParamsWire struct {
 	Rounds     int     `json:"rounds"`
 }
 
-// pointFactory adapts a Model-level eval constructor into a
-// montecarlo.KernelFactory over pointParams.
-func pointFactory(build func(m *Model, p pointParams) montecarlo.EvalFunc) montecarlo.KernelFactory {
-	return func(raw json.RawMessage) (montecarlo.EvalFunc, error) {
-		var p pointParams
-		if err := json.Unmarshal(raw, &p); err != nil {
-			return nil, err
-		}
-		m, err := p.Env.build()
-		if err != nil {
-			return nil, err
-		}
-		return build(m, p), nil
-	}
+// pointKernel is one two-pair kernel: a projection of the fused
+// pointEval draw with its component count.
+type pointKernel struct {
+	dim   int
+	batch func(pe *pointEval) montecarlo.BatchEvalFunc
 }
 
-// pointBatchFactory adapts a pointEval batch-method selector into the
-// batch kernel form. The batch method wraps the identical fused
-// sampler the per-sample form uses, so the two are
-// bit-interchangeable.
-func pointBatchFactory(build func(m *Model, p pointParams) montecarlo.BatchEvalFunc) montecarlo.BatchKernelFactory {
+// pointKernels are the two-pair kernels by name. The registry, the
+// σ = 0 control twins and the local fallback all build from this one
+// table. It is a package variable, not init state, because control.go's
+// init runs before this file's.
+var pointKernels = map[string]pointKernel{
+	KernelAverages:   {nAverages, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.averagesBatch }},
+	KernelSingle:     {1, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.singleBatch }},
+	KernelFairness:   {3, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.fairnessBatch }},
+	KernelBadSNR:     {1, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.badSNRBatch }},
+	KernelPolicyDiff: {2, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.policyDiffBatch }},
+}
+
+// pointKernelFactory rebuilds a two-pair kernel from its pointParams;
+// sigma0 builds it on the σ = 0 model, as the control twins need.
+func pointKernelFactory(name string, sigma0 bool) montecarlo.KernelFactory {
+	batch := pointKernels[name].batch
 	return func(raw json.RawMessage) (montecarlo.BatchEvalFunc, error) {
-		var p pointParams
-		if err := json.Unmarshal(raw, &p); err != nil {
-			return nil, err
-		}
-		m, err := p.Env.build()
+		m, p, err := pointModel(raw, sigma0)
 		if err != nil {
 			return nil, err
 		}
-		return build(m, p), nil
+		return batch(m.newPointEval(p.Rmax, p.D, p.DThresh)), nil
 	}
 }
 
-// registerPoint registers a two-pair kernel in both per-sample and
-// batch form.
-func registerPoint(name string, dim int,
-	build func(m *Model, p pointParams) montecarlo.EvalFunc,
-	buildBatch func(m *Model, p pointParams) montecarlo.BatchEvalFunc) {
-	montecarlo.RegisterKernel(name, pointFactory(build))
-	montecarlo.RegisterBatchKernel(name, dim, pointBatchFactory(buildBatch))
+// pointModel rebuilds the model a two-pair kernel's params name, with
+// shadowing disabled when sigma0 is set.
+func pointModel(raw json.RawMessage, sigma0 bool) (*Model, pointParams, error) {
+	var p pointParams
+	if err := json.Unmarshal(raw, &p); err != nil {
+		return nil, p, err
+	}
+	if sigma0 {
+		p.Env.SigmaDB = 0
+	}
+	m, err := p.Env.build()
+	return m, p, err
 }
 
 func init() {
-	registerPoint(KernelAverages, nAverages,
-		func(m *Model, p pointParams) montecarlo.EvalFunc {
-			return m.averagesEval(p.Rmax, p.D, p.DThresh)
-		},
-		func(m *Model, p pointParams) montecarlo.BatchEvalFunc {
-			return m.newPointEval(p.Rmax, p.D, p.DThresh).averagesBatch
-		})
-	registerPoint(KernelSingle, 1,
-		func(m *Model, p pointParams) montecarlo.EvalFunc {
-			return m.singleEval(p.Rmax, p.D)
-		},
-		func(m *Model, p pointParams) montecarlo.BatchEvalFunc {
-			return m.newPointEval(p.Rmax, p.D, 0).singleBatch
-		})
-	registerPoint(KernelFairness, 3,
-		func(m *Model, p pointParams) montecarlo.EvalFunc {
-			return m.fairnessEval(p.Rmax, p.D, p.DThresh)
-		},
-		func(m *Model, p pointParams) montecarlo.BatchEvalFunc {
-			return m.newPointEval(p.Rmax, p.D, p.DThresh).fairnessBatch
-		})
-	registerPoint(KernelBadSNR, 1,
-		func(m *Model, p pointParams) montecarlo.EvalFunc {
-			return m.badSNREval(p.Rmax, p.D, p.DThresh)
-		},
-		func(m *Model, p pointParams) montecarlo.BatchEvalFunc {
-			return m.newPointEval(p.Rmax, p.D, p.DThresh).badSNRBatch
-		})
-	registerPoint(KernelPolicyDiff, 2,
-		func(m *Model, p pointParams) montecarlo.EvalFunc {
-			return m.policyDiffEval(p.Rmax, p.D)
-		},
-		func(m *Model, p pointParams) montecarlo.BatchEvalFunc {
-			return m.newPointEval(p.Rmax, p.D, 0).policyDiffBatch
-		})
-	buildMultiModel := func(raw json.RawMessage) (*MultiModel, error) {
+	for name, k := range pointKernels {
+		montecarlo.RegisterKernel(name, k.dim, pointKernelFactory(name, false))
+	}
+	montecarlo.RegisterKernel(KernelMulti, nMultiIdx, func(raw json.RawMessage) (montecarlo.BatchEvalFunc, error) {
 		var p multiParamsWire
 		if err := json.Unmarshal(raw, &p); err != nil {
 			return nil, err
@@ -177,30 +148,15 @@ func init() {
 			Rmax:       p.Rmax,
 			DThresh:    p.DThresh,
 			Rounds:     p.Rounds,
-		}), nil
-	}
-	montecarlo.RegisterKernel(KernelMulti, func(raw json.RawMessage) (montecarlo.EvalFunc, error) {
-		mm, err := buildMultiModel(raw)
-		if err != nil {
-			return nil, err
-		}
-		return mm.multiEval(), nil
-	})
-	montecarlo.RegisterBatchKernel(KernelMulti, nMultiIdx, func(raw json.RawMessage) (montecarlo.BatchEvalFunc, error) {
-		mm, err := buildMultiModel(raw)
-		if err != nil {
-			return nil, err
-		}
-		return mm.multiBatch(), nil
+		}).multiBatch(), nil
 	})
 }
 
 // AveragesRequest builds the serializable core/averages estimation
 // request for an environment and one (R_max, D, D_thresh) point — the
 // entry point the sampling subsystem's tests and benches use to drive
-// the hot-path kernel (with its registered batch form) directly
-// through executors. ok is false when the environment's capacity model
-// has no serializable identity.
+// the hot-path kernel directly through executors. ok is false when the
+// environment's capacity model has no serializable identity.
 func AveragesRequest(p Params, rmax, d, dThresh float64, seed uint64, n int) (montecarlo.Request, bool) {
 	m := New(p)
 	env, ok := envSpecOf(m.params)
@@ -215,23 +171,24 @@ func AveragesRequest(p Params, rmax, d, dThresh float64, seed uint64, n int) (mo
 }
 
 // estimatePoint routes a two-pair kernel estimation through the
-// installed executor, falling back to running eval on the in-process
-// pool when the environment has no serializable identity. Both paths
-// evaluate the same shard plan with the same closure under the
-// installed default sampler and are bit-identical.
-func (m *Model) estimatePoint(kernel string, rmax, d, dThresh float64, eval montecarlo.EvalFunc, seed uint64, n, dim int) []montecarlo.Estimate {
+// installed executor, falling back to the in-process pool when the
+// environment has no serializable identity. Both paths evaluate the
+// same shard plan with the same batch function under the installed
+// default sampler and are bit-identical.
+func (m *Model) estimatePoint(kernel string, rmax, d, dThresh float64, seed uint64, n int) []montecarlo.Estimate {
+	k := pointKernels[kernel]
 	if env, ok := envSpecOf(m.params); ok {
 		p := pointParams{Env: env, Rmax: rmax, D: d, DThresh: dThresh}
-		return montecarlo.KernelMeanVec(kernel, p, seed, n, dim)
+		return montecarlo.KernelMeanVec(kernel, p, seed, n, k.dim)
 	}
-	return localMeanVec(seed, n, dim, eval)
+	return localMeanVec(seed, n, k.dim, k.batch(m.newPointEval(rmax, d, dThresh)))
 }
 
 // localMeanVec is the executor-bypassing fallback for environments with
 // no serializable kernel identity. It still honors the installed
 // default sampler — a `-sampler antithetic` run must not silently
 // degrade to plain draws just because the capacity model is foreign.
-func localMeanVec(seed uint64, n, dim int, eval montecarlo.EvalFunc) []montecarlo.Estimate {
+func localMeanVec(seed uint64, n, dim int, eval montecarlo.BatchEvalFunc) []montecarlo.Estimate {
 	est, err := montecarlo.SampledMeanVec(montecarlo.DefaultSampler(), seed, n, dim, eval)
 	if err != nil {
 		panic(&montecarlo.ExecError{Kernel: "(local fallback)", Err: err})

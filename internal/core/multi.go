@@ -379,34 +379,24 @@ func (mm *MultiModel) evalOne(src *rng.Source, sc *multiScratch, pThresh float64
 	out[idxMultiBestLevel] = float64(bestK)
 }
 
-// multiEval builds the n-pair policy-vector integrand behind
+// multiBatch builds the n-pair policy-vector integrand behind
 // EstimateMulti; the core/multi kernel rebuilds it on workers. One
-// EvalFunc is shared across concurrently evaluated shards (and is the
-// only form the sampler-transformed path uses), so scratches come
-// from a pool: concurrency-safe, and a sampled run still amortizes
-// the working set instead of reallocating it per sample.
-func (mm *MultiModel) multiEval() montecarlo.EvalFunc {
-	pThresh := mm.model.ThresholdPower(mm.p.DThresh)
-	pool := sync.Pool{New: func() any { return mm.newScratch() }}
-	return func(src *rng.Source, out []float64) {
-		sc := pool.Get().(*multiScratch)
-		mm.evalOne(src, sc, pThresh, out)
-		pool.Put(sc)
-	}
-}
-
-// multiBatch is the batch form: one scratch per chunk, reused across
-// its samples, so the per-sample slice churn (configuration rows, DCF
-// round permutations, subset buffers) disappears from the hot path.
-// Draw order and arithmetic are identical to the per-sample form, so
-// the two are bit-interchangeable.
+// function is shared by every concurrently evaluated shard, so each
+// call takes a scratch from a pool and reuses it across its samples:
+// the per-sample slice churn (configuration rows, DCF round
+// permutations, subset buffers) stays out of the hot path, and the
+// sampled path, which calls it once per sample, does not allocate a
+// scratch per sample either. evalOne overwrites every scratch slot it
+// reads, so no state carries from one call to the next.
 func (mm *MultiModel) multiBatch() montecarlo.BatchEvalFunc {
 	pThresh := mm.model.ThresholdPower(mm.p.DThresh)
+	pool := sync.Pool{New: func() any { return mm.newScratch() }}
 	return func(src *rng.Source, count int, out []float64) {
-		sc := mm.newScratch()
+		sc := pool.Get().(*multiScratch)
 		for i := 0; i < count; i++ {
 			mm.evalOne(src, sc, pThresh, out[i*nMultiIdx:(i+1)*nMultiIdx:(i+1)*nMultiIdx])
 		}
+		pool.Put(sc)
 	}
 }
 
@@ -426,7 +416,7 @@ func (mm *MultiModel) EstimateMulti(seed uint64, nSamples int) MultiAverages {
 			Rounds:     mm.p.Rounds,
 		}, seed, nSamples, nMultiIdx)
 	} else {
-		est = localMeanVec(seed, nSamples, nMultiIdx, mm.multiEval())
+		est = localMeanVec(seed, nSamples, nMultiIdx, mm.multiBatch())
 	}
 	return MultiAverages{
 		NPairs:        n,

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"carriersense/internal/montecarlo"
 	"carriersense/internal/numeric"
 	"carriersense/internal/rng"
 )
@@ -77,7 +76,7 @@ func (m *Model) OptimalThresholdQuad(rmax float64) float64 {
 // keeps the crossing-point definition and so do we.
 func (m *Model) OptimalThresholdMC(seed uint64, n int, rmax float64) float64 {
 	diff := func(d float64) float64 {
-		est := m.estimatePoint(KernelPolicyDiff, rmax, d, 0, m.policyDiffEval(rmax, d), seed, n, 2)
+		est := m.estimatePoint(KernelPolicyDiff, rmax, d, 0, seed, n)
 		return est[0].Mean - est[1].Mean
 	}
 	lo, hi := 1e-3, math.Max(4*rmax, 50.0)
@@ -92,14 +91,6 @@ func (m *Model) OptimalThresholdMC(seed uint64, n int, rmax float64) float64 {
 		return hi
 	}
 	return d
-}
-
-// policyDiffEval builds the common-random-numbers C_conc/C_mux pair
-// integrand behind OptimalThresholdMC; the core/policy-diff kernel
-// rebuilds it on workers. The integrand is the fused pointEval
-// sampler.
-func (m *Model) policyDiffEval(rmax, d float64) montecarlo.EvalFunc {
-	return m.newPointEval(rmax, d, 0).policyDiffSample
 }
 
 // OptimalThreshold picks the appropriate solver for the model's σ.

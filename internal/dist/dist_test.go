@@ -35,12 +35,12 @@ func distTestEval(scale float64) montecarlo.EvalFunc {
 }
 
 func init() {
-	montecarlo.RegisterKernel("dist-test/vec", func(raw json.RawMessage) (montecarlo.EvalFunc, error) {
+	montecarlo.RegisterKernel("dist-test/vec", 3, func(raw json.RawMessage) (montecarlo.BatchEvalFunc, error) {
 		var p distTestParams
 		if err := json.Unmarshal(raw, &p); err != nil {
 			return nil, err
 		}
-		return distTestEval(p.Scale), nil
+		return montecarlo.BatchLoop(3, distTestEval(p.Scale)), nil
 	})
 }
 

@@ -13,10 +13,10 @@ import (
 )
 
 func init() {
-	montecarlo.RegisterKernel("enginetest/uniform", func(params json.RawMessage) (montecarlo.EvalFunc, error) {
-		return func(src *rng.Source, out []float64) {
+	montecarlo.RegisterKernel("enginetest/uniform", 1, func(params json.RawMessage) (montecarlo.BatchEvalFunc, error) {
+		return montecarlo.BatchLoop(1, func(src *rng.Source, out []float64) {
 			out[0] = 1 + src.Float64()
-		}, nil
+		}), nil
 	})
 }
 

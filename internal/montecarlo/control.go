@@ -83,8 +83,8 @@ func (c *ControlSpec) Equal(o *ControlSpec) bool {
 
 // ControlTwin is one kernel's registered control-variate twin.
 type ControlTwin struct {
-	// Eval rebuilds the twin integrand from the kernel's own params.
-	// The twin must consume a prefix of the real kernel's per-sample
+	// Eval rebuilds the twin integrand from the kernel's own params,
+	// with the kernel's component count. The twin must consume a prefix of the real kernel's per-sample
 	// uniforms (same draw order, fewer or equal draws) so replaying the
 	// recorded stream aligns the two on the same configuration.
 	Eval KernelFactory
@@ -148,7 +148,7 @@ func lookupControlTwin(kernel string) (ControlTwin, error) {
 // controlEval is a built twin plus the request's adjustment, shared
 // read-only by every shard of one estimation.
 type controlEval struct {
-	fn   EvalFunc
+	fn   BatchEvalFunc
 	beta []float64
 	mean []float64
 }
@@ -197,7 +197,7 @@ func PilotControl(req Request, n int) (*ControlSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	fn, err := BuildKernel(req.Kernel, req.Params)
+	fn, err := BuildKernel(req.Kernel, req.Params, req.Dim)
 	if err != nil {
 		return nil, err
 	}
@@ -228,9 +228,9 @@ func PilotControl(req Request, n int) (*ControlSpec, error) {
 			f[j], g[j] = 0, 0
 		}
 		rp.beginSample()
-		fn(rp.record, f)
+		fn(rp.record, 1, f)
 		rp.beginReplay()
-		twin(rp.replay, g)
+		twin(rp.replay, 1, g)
 		inv := 1 / float64(i+1)
 		for j := 0; j < dim; j++ {
 			df := f[j] - mf[j]

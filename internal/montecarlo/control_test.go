@@ -15,24 +15,24 @@ import (
 // Because component 0 is an affine function of the twin, the optimal
 // β reduces its variance to exactly zero.
 func init() {
-	RegisterKernel("ctl/linear", func(params json.RawMessage) (EvalFunc, error) {
+	RegisterKernel("ctl/linear", 2, func(params json.RawMessage) (BatchEvalFunc, error) {
 		var p [2]float64
 		if err := json.Unmarshal(params, &p); err != nil {
 			return nil, err
 		}
-		return func(src *rng.Source, out []float64) {
+		return BatchLoop(2, func(src *rng.Source, out []float64) {
 			u := src.Float64()
 			out[0] = p[0] + p[1]*u
 			out[1] = u * u
-		}, nil
+		}), nil
 	})
 	RegisterControlTwin("ctl/linear", ControlTwin{
-		Eval: func(params json.RawMessage) (EvalFunc, error) {
-			return func(src *rng.Source, out []float64) {
+		Eval: func(params json.RawMessage) (BatchEvalFunc, error) {
+			return BatchLoop(2, func(src *rng.Source, out []float64) {
 				u := src.Float64()
 				out[0] = u
 				out[1] = u
-			}, nil
+			}), nil
 		},
 		Means: func(params json.RawMessage) ([]float64, error) {
 			return []float64{0.5, math.NaN()}, nil

@@ -30,45 +30,55 @@ import (
 // EvalFunc evaluates one sample of a vector-valued integrand: it fills
 // out (one slot per component) using draws from src. The slice is
 // zeroed before every call, so indicator components may be left unset.
+// It is the per-sample form MeanVec and BatchLoop take; registered
+// kernels are batch functions.
 type EvalFunc func(src *rng.Source, out []float64)
 
 // BatchEvalFunc evaluates count consecutive samples of a
 // dim-component integrand into out, a count×dim row-major flat buffer
 // (sample i fills out[i*dim : (i+1)*dim]). The buffer is zeroed by
-// the caller, so indicator components may be left unset, exactly as
-// with EvalFunc. The batch form must consume random variates from src
-// in precisely the order count successive EvalFunc calls would — the
-// shard evaluator accumulates batch rows in sample order, so a
-// conforming batch kernel is bit-identical to its per-sample form.
+// the caller, so indicator components may be left unset. It is the
+// one form every registered kernel takes. The plain path calls it a
+// chunk at a time; the sampler and control-variate paths call it with
+// count = 1, once per sample on that sample's stream. So a kernel must
+// carry no state from one call to the next: count calls with count = 1
+// must draw and compute exactly what one call with count does.
 type BatchEvalFunc func(src *rng.Source, count int, out []float64)
 
-// KernelFactory rebuilds an EvalFunc from serialized parameters.
-type KernelFactory func(params json.RawMessage) (EvalFunc, error)
-
-// BatchKernelFactory rebuilds a BatchEvalFunc from serialized
+// KernelFactory rebuilds a kernel's BatchEvalFunc from serialized
 // parameters.
-type BatchKernelFactory func(params json.RawMessage) (BatchEvalFunc, error)
+type KernelFactory func(params json.RawMessage) (BatchEvalFunc, error)
 
-// batchRegistration pairs a batch factory with the component count its
-// evaluators stride the flat buffer by; requests with a different Dim
-// are rejected rather than silently mis-striding the buffer.
-type batchRegistration struct {
-	factory BatchKernelFactory
+// BatchLoop adapts a per-sample dim-component integrand into the batch
+// form, for kernels whose per-sample cost dwarfs the call indirection.
+func BatchLoop(dim int, sample EvalFunc) BatchEvalFunc {
+	return func(src *rng.Source, count int, out []float64) {
+		for i := 0; i < count; i++ {
+			sample(src, out[i*dim:(i+1)*dim:(i+1)*dim])
+		}
+	}
+}
+
+// registration pairs a factory with the component count its evaluators
+// stride the flat buffer by; requests with a different Dim are
+// rejected rather than silently mis-striding the buffer.
+type registration struct {
+	factory KernelFactory
 	dim     int
 }
 
 var (
-	kernelMu     sync.RWMutex
-	kernels      = map[string]KernelFactory{}
-	batchKernels = map[string]batchRegistration{}
+	kernelMu sync.RWMutex
+	kernels  = map[string]registration{}
 )
 
-// RegisterKernel adds a named integrand factory to the global registry.
-// Registration happens in init() (internal/core registers the model's
-// estimators); duplicates and empty names panic so a broken catalog
-// fails loudly at startup.
-func RegisterKernel(name string, factory KernelFactory) {
-	if name == "" || factory == nil {
+// RegisterKernel adds a named integrand factory with its component
+// count to the global registry. Registration happens in init()
+// (internal/core registers the model's estimators); duplicates, empty
+// names and a dim below 1 panic so a broken catalog fails loudly at
+// startup.
+func RegisterKernel(name string, dim int, factory KernelFactory) {
+	if name == "" || factory == nil || dim < 1 {
 		panic("montecarlo: invalid kernel registration")
 	}
 	kernelMu.Lock()
@@ -76,28 +86,7 @@ func RegisterKernel(name string, factory KernelFactory) {
 	if _, dup := kernels[name]; dup {
 		panic(fmt.Sprintf("montecarlo: duplicate kernel %q", name))
 	}
-	kernels[name] = factory
-}
-
-// RegisterBatchKernel adds an optional batch evaluator for an
-// already-registered (or about-to-be-registered) kernel name. dim is
-// the kernel's component count — the stride its batch evaluators
-// write the flat buffer with; estimation requests for the name must
-// carry the same Dim or they are rejected. When a batch form is
-// present, every shard evaluator — local pool, worker server, cache
-// fill — prefers it: one call per buffer chunk instead of per sample.
-// The batch form must draw and compute exactly as the per-sample form
-// does; the two are interchangeable bit-for-bit.
-func RegisterBatchKernel(name string, dim int, factory BatchKernelFactory) {
-	if name == "" || factory == nil || dim < 1 {
-		panic("montecarlo: invalid batch kernel registration")
-	}
-	kernelMu.Lock()
-	defer kernelMu.Unlock()
-	if _, dup := batchKernels[name]; dup {
-		panic(fmt.Sprintf("montecarlo: duplicate batch kernel %q", name))
-	}
-	batchKernels[name] = batchRegistration{factory: factory, dim: dim}
+	kernels[name] = registration{factory: factory, dim: dim}
 }
 
 // KernelNames returns every registered kernel name, sorted.
@@ -112,54 +101,26 @@ func KernelNames() []string {
 	return out
 }
 
-// BuildKernel resolves a registered kernel and rebuilds its evaluation
-// function from the serialized parameters.
-func BuildKernel(name string, params json.RawMessage) (EvalFunc, error) {
+// BuildKernel resolves a registered kernel and rebuilds its batch
+// evaluator from the serialized parameters. The registration pins the
+// kernel's component count: a request with a different dim (a
+// version-skewed coordinator, a hand-built job) is an error here, not
+// a mis-strided buffer or an out-of-range panic downstream.
+func BuildKernel(name string, params json.RawMessage, dim int) (BatchEvalFunc, error) {
 	kernelMu.RLock()
-	factory, ok := kernels[name]
+	reg, ok := kernels[name]
 	kernelMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("montecarlo: unknown kernel %q", name)
 	}
-	fn, err := factory(params)
+	if dim != reg.dim {
+		return nil, fmt.Errorf("montecarlo: kernel %q has %d components, request wants %d", name, reg.dim, dim)
+	}
+	fn, err := reg.factory(params)
 	if err != nil {
 		return nil, fmt.Errorf("montecarlo: kernel %q: %w", name, err)
 	}
 	return fn, nil
-}
-
-// kernelEval is a built kernel in both forms; batch is nil when the
-// kernel registered only the per-sample form.
-type kernelEval struct {
-	fn    EvalFunc
-	batch BatchEvalFunc
-}
-
-// buildEval resolves a kernel's per-sample evaluator and, when
-// registered, its batch evaluator. A batch registration pins the
-// kernel's component count: a request with a different dim (a
-// version-skewed coordinator, a hand-built job) is an error here, not
-// a mis-strided buffer downstream.
-func buildEval(name string, params json.RawMessage, dim int) (kernelEval, error) {
-	fn, err := BuildKernel(name, params)
-	if err != nil {
-		return kernelEval{}, err
-	}
-	kernelMu.RLock()
-	br, hasBatch := batchKernels[name]
-	kernelMu.RUnlock()
-	ev := kernelEval{fn: fn}
-	if hasBatch {
-		if dim != br.dim {
-			return kernelEval{}, fmt.Errorf("montecarlo: kernel %q has %d components, request wants %d", name, br.dim, dim)
-		}
-		batch, err := br.factory(params)
-		if err != nil {
-			return kernelEval{}, fmt.Errorf("montecarlo: batch kernel %q: %w", name, err)
-		}
-		ev.batch = batch
-	}
-	return ev, nil
 }
 
 // Request is one complete, serializable estimation: a registered
@@ -197,7 +158,7 @@ type Request struct {
 }
 
 // Validate reports whether the request is well-formed (it does not
-// check that the kernel or sampler is registered; buildEval does).
+// check that the kernel or sampler is registered; BuildKernel does).
 func (r Request) Validate() error {
 	if r.Kernel == "" {
 		return fmt.Errorf("montecarlo: request missing kernel name")
@@ -277,7 +238,7 @@ func RunRequest(ctx context.Context, req Request) ([]Accumulator, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ev, err := buildEval(req.Kernel, req.Params, req.Dim)
+	ev, err := BuildKernel(req.Kernel, req.Params, req.Dim)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +275,7 @@ func EvaluateShards(req Request, indices []int) ([][]Accumulator, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	ev, err := buildEval(req.Kernel, req.Params, req.Dim)
+	ev, err := BuildKernel(req.Kernel, req.Params, req.Dim)
 	if err != nil {
 		return nil, err
 	}
@@ -353,57 +314,43 @@ const batchChunk = 512
 
 // evalShard evaluates one shard of a dim-component integrand exactly
 // the way MeanVec does, so kernel-routed and closure-based estimations
-// produce bit-identical accumulators. Under the plain sampler, kernels
-// with a registered batch form are evaluated a chunk at a time into a
-// preallocated flat buffer; rows are accumulated in sample order, so
-// the two paths produce identical accumulators. Under any other
+// produce bit-identical accumulators. Under the plain sampler the
+// kernel is evaluated a chunk at a time into a preallocated flat
+// buffer, and rows are accumulated in sample order. Under any other
 // sampler — or whenever a control-variate adjustment is attached —
-// the per-sample form runs over the sampler's stream, with each group
-// of Group() consecutive samples folded into one accumulator
-// observation (their mean) — for antithetic pairs that is what lets
-// the accumulator's standard error see the negative within-pair
-// covariance instead of only the marginal variance.
-func evalShard(ev kernelEval, s Shard, dim int, sp Sampler, cv *controlEval) []Accumulator {
+// the kernel runs one sample per call over the sampler's stream, with
+// each group of Group() consecutive samples folded into one
+// accumulator observation (their mean) — for antithetic pairs that is
+// what lets the accumulator's standard error see the negative
+// within-pair covariance instead of only the marginal variance.
+func evalShard(ev BatchEvalFunc, s Shard, dim int, sp Sampler, cv *controlEval) []Accumulator {
 	if _, plain := sp.(plainSampler); cv != nil || (!plain && sp != nil) {
 		return evalShardSampled(ev, s, dim, sp, cv)
 	}
 	accs := make([]Accumulator, dim)
 	defer addEvaluatedSamples(s.N)
-	if ev.batch != nil {
-		chunk := batchChunk
-		if s.N < chunk {
-			chunk = s.N
-		}
-		buf := make([]float64, chunk*dim)
-		for done := 0; done < s.N; {
-			n := chunk
-			if rest := s.N - done; n > rest {
-				n = rest
-			}
-			b := buf[:n*dim]
-			for i := range b {
-				b[i] = 0
-			}
-			ev.batch(s.Src, n, b)
-			for i := 0; i < n; i++ {
-				row := b[i*dim : (i+1)*dim]
-				for j, v := range row {
-					accs[j].Add(v)
-				}
-			}
-			done += n
-		}
-		return accs
+	chunk := batchChunk
+	if s.N < chunk {
+		chunk = s.N
 	}
-	out := make([]float64, dim)
-	for i := 0; i < s.N; i++ {
-		for j := range out {
-			out[j] = 0
+	buf := make([]float64, chunk*dim)
+	for done := 0; done < s.N; {
+		n := chunk
+		if rest := s.N - done; n > rest {
+			n = rest
 		}
-		ev.fn(s.Src, out)
-		for j, v := range out {
-			accs[j].Add(v)
+		b := buf[:n*dim]
+		for i := range b {
+			b[i] = 0
 		}
+		ev(s.Src, n, b)
+		for i := 0; i < n; i++ {
+			row := b[i*dim : (i+1)*dim]
+			for j, v := range row {
+				accs[j].Add(v)
+			}
+		}
+		done += n
 	}
 	return accs
 }
@@ -422,7 +369,7 @@ func evalShard(ev kernelEval, s Shard, dim int, sp Sampler, cv *controlEval) []A
 // twin, and the sample adjusted to out_j − β_j·(twin_j − μ_j) before
 // accumulation — so the accumulator states (and everything downstream:
 // merge, wire, cache) are states of the adjusted variable.
-func evalShardSampled(ev kernelEval, s Shard, dim int, sp Sampler, cv *controlEval) []Accumulator {
+func evalShardSampled(ev BatchEvalFunc, s Shard, dim int, sp Sampler, cv *controlEval) []Accumulator {
 	accs := make([]Accumulator, dim)
 	defer addEvaluatedSamples(s.N)
 	stream := sp.Stream(s.N, s.Src)
@@ -449,16 +396,16 @@ func evalShardSampled(ev kernelEval, s Shard, dim int, sp Sampler, cv *controlEv
 				out[j] = 0
 			}
 			if cv == nil {
-				ev.fn(src, out)
+				ev(src, 1, out)
 			} else {
 				cur = src
 				rp.beginSample()
-				ev.fn(rp.record, out)
+				ev(rp.record, 1, out)
 				for j := range tout {
 					tout[j] = 0
 				}
 				rp.beginReplay()
-				cv.fn(rp.replay, tout)
+				cv.fn(rp.replay, 1, tout)
 				for j, b := range cv.beta {
 					if b != 0 {
 						out[j] -= b * (tout[j] - cv.mean[j])
@@ -498,8 +445,9 @@ func (e *ExecError) Unwrap() error { return e.Err }
 // KernelMeanVec estimates the means of a registered vector-valued
 // kernel through the installed executor, under the installed default
 // sampler. Params must marshal to the JSON the kernel's factory
-// expects. Results are bit-identical to MeanVec over the factory-built
-// EvalFunc (for the plain sampler), at any executor.
+// expects. Results are bit-identical to MeanVec over the same
+// integrand's per-sample form (for the plain sampler), at any
+// executor.
 func KernelMeanVec(kernel string, params any, seed uint64, n, dim int) []Estimate {
 	raw, err := json.Marshal(params)
 	if err != nil {

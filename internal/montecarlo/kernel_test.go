@@ -23,34 +23,20 @@ func testKernelEval(offset float64) EvalFunc {
 	}
 }
 
-// Call counters for the dual-form kernel below: the shard evaluator
-// must prefer the batch form whenever one is registered.
-var (
-	batchKernelCalls     atomic.Int64
-	perSampleKernelCalls atomic.Int64
-)
+// batchKernelCalls counts calls into the hand-written batch kernel
+// below: the plain path must evaluate it a chunk per call.
+var batchKernelCalls atomic.Int64
 
 func init() {
-	RegisterKernel("test/vec", func(raw json.RawMessage) (EvalFunc, error) {
+	RegisterKernel("test/vec", 2, func(raw json.RawMessage) (BatchEvalFunc, error) {
 		var p testKernelParams
 		if err := json.Unmarshal(raw, &p); err != nil {
 			return nil, err
 		}
-		return testKernelEval(p.Offset), nil
+		return BatchLoop(2, testKernelEval(p.Offset)), nil
 	})
-	// The same integrand registered in both forms, instrumented.
-	RegisterKernel("test/batched", func(raw json.RawMessage) (EvalFunc, error) {
-		var p testKernelParams
-		if err := json.Unmarshal(raw, &p); err != nil {
-			return nil, err
-		}
-		eval := testKernelEval(p.Offset)
-		return func(src *rng.Source, out []float64) {
-			perSampleKernelCalls.Add(1)
-			eval(src, out)
-		}, nil
-	})
-	RegisterBatchKernel("test/batched", 2, func(raw json.RawMessage) (BatchEvalFunc, error) {
+	// The same integrand as a hand-written batch loop, instrumented.
+	RegisterKernel("test/batched", 2, func(raw json.RawMessage) (BatchEvalFunc, error) {
 		var p testKernelParams
 		if err := json.Unmarshal(raw, &p); err != nil {
 			return nil, err
@@ -125,16 +111,15 @@ func TestRunRequestMatchesMeanVec(t *testing.T) {
 }
 
 func TestBatchKernelBitIdenticalToPerSample(t *testing.T) {
-	// A kernel evaluated through its batch form must produce the same
+	// A kernel evaluated a chunk per call must produce the same
 	// accumulators, bit for bit, as the per-sample closure path — the
-	// batch API is a scheduling optimization, never a numeric change.
+	// chunking is a scheduling optimization, never a numeric change.
 	const n = 2*ShardSize + 403
 	want := MeanVec(13, n, 2, testKernelEval(0.75))
 	raw, _ := json.Marshal(testKernelParams{Offset: 0.75})
 	req := Request{Kernel: "test/batched", Params: raw, Seed: 13, Samples: n, Dim: 2}
 
 	batchKernelCalls.Store(0)
-	perSampleKernelCalls.Store(0)
 	accs, err := RunRequest(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -144,13 +129,14 @@ func TestBatchKernelBitIdenticalToPerSample(t *testing.T) {
 			t.Errorf("component %d: batch path %+v != closure path %+v", j, got, want[j])
 		}
 	}
-	if batchKernelCalls.Load() == 0 {
-		t.Error("batch form registered but never used")
+	chunks := int64(0)
+	for _, s := range PlanShards(13, n) {
+		chunks += int64((s.N + batchChunk - 1) / batchChunk)
 	}
-	if got := perSampleKernelCalls.Load(); got != 0 {
-		t.Errorf("per-sample form called %d times despite batch form", got)
+	if got := batchKernelCalls.Load(); got != chunks {
+		t.Errorf("plain path made %d kernel calls, want one per %d-sample chunk (%d)", got, batchChunk, chunks)
 	}
-	// The worker-server path (EvaluateShards) takes the batch form too.
+	// The worker-server path (EvaluateShards) takes the same path.
 	count := ShardCount(n)
 	indices := make([]int, count)
 	for i := range indices {
@@ -171,20 +157,24 @@ func TestBatchKernelBitIdenticalToPerSample(t *testing.T) {
 			t.Errorf("component %d: shard-wise batch merge %+v != closure path %+v", j, got, want[j])
 		}
 	}
-	if got := perSampleKernelCalls.Load(); got != 0 {
-		t.Errorf("per-sample form called %d times on the worker path", got)
-	}
 }
 
-func TestBatchKernelRejectsDimMismatch(t *testing.T) {
-	// A batch registration pins the kernel's component count: a request
-	// with a different Dim must fail cleanly (a mis-strided flat buffer
-	// would otherwise corrupt results silently).
+func TestKernelRejectsDimMismatch(t *testing.T) {
+	// A registration pins the kernel's component count: a request with
+	// a different Dim must fail cleanly, whether the kernel is written
+	// in batch form or adapted from a per-sample one. A mis-strided
+	// flat buffer would otherwise corrupt results silently, and a
+	// too-short one would panic inside the shard pool.
 	raw, _ := json.Marshal(testKernelParams{})
-	for _, dim := range []int{1, 3} {
-		req := Request{Kernel: "test/batched", Params: raw, Seed: 1, Samples: 10, Dim: dim}
-		if _, err := RunRequest(context.Background(), req); err == nil {
-			t.Errorf("dim %d accepted for a 2-component batch kernel", dim)
+	for _, kernel := range []string{"test/batched", "test/vec"} {
+		for _, dim := range []int{1, 3} {
+			req := Request{Kernel: kernel, Params: raw, Seed: 1, Samples: 10, Dim: dim}
+			if _, err := RunRequest(context.Background(), req); err == nil {
+				t.Errorf("%s: dim %d accepted for a 2-component kernel", kernel, dim)
+			}
+			if _, err := EvaluateShards(req, []int{0}); err == nil {
+				t.Errorf("%s: dim %d accepted by EvaluateShards for a 2-component kernel", kernel, dim)
+			}
 		}
 	}
 }

@@ -2,8 +2,9 @@
 // machinery behind the model's expected-throughput integrals. The
 // paper computed ⟨C_i⟩(R_max, D) "in Maple with Monte Carlo
 // integration" (§3.2.5); this package is our equivalent, with
-// deterministic sharded random streams, standard-error tracking, and
-// optional convergence to a target relative error.
+// deterministic sharded random streams and standard-error tracking.
+// Convergence to a target relative error is internal/sampling's
+// driver, which grows a Request's shard plan round by round.
 //
 // Determinism contract: a sample budget is split into fixed-size
 // shards, each shard receives its own rng.Source split from the root
@@ -216,26 +217,6 @@ func RunShards(shards []Shard, fn func(Shard)) {
 	wg.Wait()
 }
 
-// Mean estimates E[f] over n samples using the sharded pool. Results
-// are bit-identical for a fixed (seed, n) at any worker width.
-func Mean(seed uint64, n int, f func(*rng.Source) float64) Estimate {
-	shards := PlanShards(seed, n)
-	accs := make([]Accumulator, len(shards))
-	RunShards(shards, func(s Shard) {
-		var acc Accumulator
-		for i := 0; i < s.N; i++ {
-			acc.Add(f(s.Src))
-		}
-		accs[s.Index] = acc
-		addEvaluatedSamples(s.N)
-	})
-	var total Accumulator
-	for i := range accs {
-		total.Merge(accs[i])
-	}
-	return total.Estimate()
-}
-
 // MeanVec estimates the means of a vector-valued integrand: f fills
 // out with one sample per component. All components share the same
 // random configuration draw, which is exactly what comparing MAC
@@ -270,84 +251,4 @@ func MeanVec(seed uint64, n, dim int, f func(*rng.Source, []float64)) []Estimate
 		result[j] = total.Estimate()
 	}
 	return result
-}
-
-// MeanToRelErr estimates E[f], growing the sample count geometrically
-// (starting at n0, capped at nMax) until the relative standard error
-// of the mean drops below relErr. The second return reports whether
-// the target was actually reached: false means the estimate ran into
-// nMax still above the target, which callers (the threshold searches,
-// the convergence driver's artifact output) must be able to tell apart
-// from a genuine convergence.
-//
-// Growth is incremental: each round extends the live shard plan —
-// partial shards continue their random streams, new shards are split
-// from the root in shard order — so only the delta samples are
-// evaluated (a fresh re-estimation per round would throw away ~33% of
-// the total work). The result after any round is bit-identical to
-// Mean(seed, n) at that round's n, because shard streams, Welford add
-// order, and the shard-order merge are all unchanged.
-func MeanToRelErr(seed uint64, n0, nMax int, relErr float64, f func(*rng.Source) float64) (Estimate, bool) {
-	if n0 < 1 {
-		n0 = 1
-	}
-	if nMax < n0 {
-		nMax = n0
-	}
-	n := n0
-	root := rng.New(seed)
-	var shards []Shard     // live shard streams, split from root in shard order
-	var accs []Accumulator // running per-shard accumulators
-	for {
-		count := ShardCount(n)
-		for _, src := range root.SplitN(count - len(shards)) {
-			shards = append(shards, Shard{Index: len(shards), Src: src})
-			accs = append(accs, Accumulator{})
-		}
-		// Delta work per shard: its target size under the grown plan
-		// minus the samples already folded in earlier rounds.
-		var work []Shard
-		for i := 0; i < count; i++ {
-			target := ShardSize
-			if i == count-1 {
-				target = n - i*ShardSize
-			}
-			if add := target - accs[i].n; add > 0 {
-				work = append(work, Shard{Index: i, N: add, Src: shards[i].Src})
-			}
-		}
-		RunShards(work, func(s Shard) {
-			acc := accs[s.Index]
-			for i := 0; i < s.N; i++ {
-				acc.Add(f(s.Src))
-			}
-			accs[s.Index] = acc
-			addEvaluatedSamples(s.N)
-		})
-		var total Accumulator
-		for i := 0; i < count; i++ {
-			total.Merge(accs[i])
-		}
-		est := total.Estimate()
-		if est.RelErr() <= relErr {
-			return est, true
-		}
-		if n >= nMax {
-			return est, false
-		}
-		n *= 4
-		if n > nMax {
-			n = nMax
-		}
-	}
-}
-
-// Fraction estimates P[pred] over n samples.
-func Fraction(seed uint64, n int, pred func(*rng.Source) bool) Estimate {
-	return Mean(seed, n, func(src *rng.Source) float64 {
-		if pred(src) {
-			return 1
-		}
-		return 0
-	})
 }

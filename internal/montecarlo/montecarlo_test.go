@@ -8,8 +8,13 @@ import (
 	"carriersense/internal/rng"
 )
 
+// scalarMean is MeanVec over a one-component integrand.
+func scalarMean(seed uint64, n int, f func(*rng.Source) float64) Estimate {
+	return MeanVec(seed, n, 1, func(src *rng.Source, out []float64) { out[0] = f(src) })[0]
+}
+
 func TestMeanOfUniform(t *testing.T) {
-	est := Mean(1, 200_000, func(src *rng.Source) float64 { return src.Float64() })
+	est := scalarMean(1, 200_000, func(src *rng.Source) float64 { return src.Float64() })
 	if math.Abs(est.Mean-0.5) > 0.005 {
 		t.Errorf("mean = %v, want 0.5", est.Mean)
 	}
@@ -25,12 +30,12 @@ func TestMeanOfUniform(t *testing.T) {
 
 func TestMeanDeterministicAcrossRuns(t *testing.T) {
 	f := func(src *rng.Source) float64 { return src.Normal(0, 1) }
-	a := Mean(99, 10_000, f)
-	b := Mean(99, 10_000, f)
+	a := scalarMean(99, 10_000, f)
+	b := scalarMean(99, 10_000, f)
 	if a.Mean != b.Mean {
 		t.Errorf("same seed gave different means: %v vs %v", a.Mean, b.Mean)
 	}
-	c := Mean(100, 10_000, f)
+	c := scalarMean(100, 10_000, f)
 	if a.Mean == c.Mean {
 		t.Error("different seeds gave identical means")
 	}
@@ -38,8 +43,8 @@ func TestMeanDeterministicAcrossRuns(t *testing.T) {
 
 func TestStdErrShrinksWithN(t *testing.T) {
 	f := func(src *rng.Source) float64 { return src.Exp(1) }
-	small := Mean(5, 1_000, f)
-	big := Mean(5, 100_000, f)
+	small := scalarMean(5, 1_000, f)
+	big := scalarMean(5, 100_000, f)
 	if big.StdErr >= small.StdErr {
 		t.Errorf("stderr should shrink: %v -> %v", small.StdErr, big.StdErr)
 	}
@@ -63,87 +68,6 @@ func TestMeanVecCommonRandomNumbers(t *testing.T) {
 	}
 	if math.Abs(est[0].StdErr-est[1].StdErr) > 1e-12 {
 		t.Errorf("stderrs differ: %v vs %v", est[0].StdErr, est[1].StdErr)
-	}
-}
-
-func TestMeanVecMatchesMean(t *testing.T) {
-	f := func(src *rng.Source) float64 { return src.Normal(2, 1) }
-	scalar := Mean(11, 20_000, f)
-	vec := MeanVec(11, 20_000, 1, func(src *rng.Source, out []float64) {
-		out[0] = f(src)
-	})
-	if scalar.Mean != vec[0].Mean {
-		t.Errorf("Mean and MeanVec disagree: %v vs %v", scalar.Mean, vec[0].Mean)
-	}
-}
-
-func TestMeanToRelErr(t *testing.T) {
-	est, converged := MeanToRelErr(3, 1_000, 1_000_000, 0.005, func(src *rng.Source) float64 {
-		return 5 + src.Normal(0, 1)
-	})
-	if !converged {
-		t.Errorf("converged = false, want true")
-	}
-	if est.RelErr() > 0.005 {
-		t.Errorf("rel err = %v, want <= 0.005", est.RelErr())
-	}
-	if math.Abs(est.Mean-5) > 0.1 {
-		t.Errorf("mean = %v, want ~5", est.Mean)
-	}
-}
-
-func TestMeanToRelErrMatchesMeanBitwise(t *testing.T) {
-	// Incremental shard-plan growth must change nothing about the
-	// result: after any number of growth rounds, the estimate is
-	// bit-identical to a fresh Mean over the same total — shard
-	// streams continue rather than restart, new shards split from the
-	// root in shard order, and the merge stays in shard order.
-	f := func(src *rng.Source) float64 { return 5 + src.Normal(0, 1) }
-	est, _ := MeanToRelErr(9, 500, 3_000_000, 0.002, f)
-	if est.N <= 500 {
-		t.Fatalf("test needs growth rounds; converged at n0 (N=%d)", est.N)
-	}
-	direct := Mean(9, est.N, f)
-	if est != direct {
-		t.Errorf("incremental %+v != fresh Mean %+v", est, direct)
-	}
-}
-
-func TestMeanToRelErrEvaluatesEachSampleOnce(t *testing.T) {
-	// The point of the incremental plan: total work equals the final
-	// sample count, not the ~1.33x of re-evaluating every prior round.
-	f := func(src *rng.Source) float64 { return 5 + src.Normal(0, 1) }
-	before := EvaluatedSamples()
-	est, _ := MeanToRelErr(10, 500, 3_000_000, 0.002, f)
-	evaluated := EvaluatedSamples() - before
-	if est.N <= 500 {
-		t.Fatalf("test needs growth rounds; converged at n0 (N=%d)", est.N)
-	}
-	if evaluated != int64(est.N) {
-		t.Errorf("evaluated %d samples for a final N of %d; incremental growth should evaluate each exactly once", evaluated, est.N)
-	}
-}
-
-func TestMeanToRelErrHitsCap(t *testing.T) {
-	// Zero-mean integrand: relative error never converges; must stop
-	// at nMax rather than loop forever.
-	est, converged := MeanToRelErr(4, 100, 5_000, 1e-6, func(src *rng.Source) float64 {
-		return src.Normal(0, 1)
-	})
-	if est.N > 5_000 {
-		t.Errorf("N = %d exceeded cap", est.N)
-	}
-	if converged {
-		t.Errorf("converged = true for a capped run; callers must be able to tell capped from converged")
-	}
-}
-
-func TestFraction(t *testing.T) {
-	est := Fraction(8, 100_000, func(src *rng.Source) bool {
-		return src.Float64() < 0.25
-	})
-	if math.Abs(est.Mean-0.25) > 0.01 {
-		t.Errorf("fraction = %v, want 0.25", est.Mean)
 	}
 }
 
@@ -236,7 +160,7 @@ func TestMeanInvariantUnderWorkerWidth(t *testing.T) {
 	if err := SetMaxWorkers(1); err != nil {
 		t.Fatal(err)
 	}
-	serial := Mean(42, 3*ShardSize+100, f)
+	serial := scalarMean(42, 3*ShardSize+100, f)
 	vecSerial := MeanVec(42, 2*ShardSize+9, 2, func(src *rng.Source, out []float64) {
 		out[0] = src.Float64()
 		out[1] = src.Exp(1)
@@ -245,7 +169,7 @@ func TestMeanInvariantUnderWorkerWidth(t *testing.T) {
 		if err := SetMaxWorkers(workers); err != nil {
 			t.Fatal(err)
 		}
-		got := Mean(42, 3*ShardSize+100, f)
+		got := scalarMean(42, 3*ShardSize+100, f)
 		if got != serial {
 			t.Errorf("workers=%d: %+v != serial %+v", workers, got, serial)
 		}

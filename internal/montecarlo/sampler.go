@@ -192,8 +192,8 @@ func DefaultSampler() string {
 // sampler-aware form of MeanVec, used by estimators whose environment
 // has no serializable kernel identity and therefore cannot route
 // through an executor; results for sampler "" / "plain" are
-// bit-identical to MeanVec.
-func SampledMeanVec(sampler string, seed uint64, n, dim int, f EvalFunc) ([]Estimate, error) {
+// bit-identical to MeanVec over the same integrand's per-sample form.
+func SampledMeanVec(sampler string, seed uint64, n, dim int, f BatchEvalFunc) ([]Estimate, error) {
 	sp, err := lookupSampler(sampler)
 	if err != nil {
 		return nil, err
@@ -201,7 +201,7 @@ func SampledMeanVec(sampler string, seed uint64, n, dim int, f EvalFunc) ([]Esti
 	shards := PlanShards(seed, n)
 	accs := make([][]Accumulator, len(shards))
 	RunShards(shards, func(s Shard) {
-		accs[s.Index] = evalShard(kernelEval{fn: f}, s, dim, sp, nil)
+		accs[s.Index] = evalShard(f, s, dim, sp, nil)
 	})
 	result := make([]Estimate, dim)
 	for j := 0; j < dim; j++ {

@@ -15,16 +15,16 @@ import (
 // params, monotone in its single uniform so the variance-reduction
 // samplers bite.
 func init() {
-	montecarlo.RegisterKernel("drive/noisy", func(params json.RawMessage) (montecarlo.EvalFunc, error) {
+	montecarlo.RegisterKernel("drive/noisy", 1, func(params json.RawMessage) (montecarlo.BatchEvalFunc, error) {
 		sd := 1.0
 		if len(params) > 0 {
 			if err := json.Unmarshal(params, &sd); err != nil {
 				return nil, err
 			}
 		}
-		return func(src *rng.Source, out []float64) {
+		return montecarlo.BatchLoop(1, func(src *rng.Source, out []float64) {
 			out[0] = 5 + sd*src.Normal(0, 1)
-		}, nil
+		}), nil
 	})
 }
 

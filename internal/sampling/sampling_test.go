@@ -33,26 +33,26 @@ func probeValues() []float64 {
 
 func init() {
 	// probe/first: records the sample's first uniform.
-	montecarlo.RegisterKernel("probe/first", func(params json.RawMessage) (montecarlo.EvalFunc, error) {
-		return func(src *rng.Source, out []float64) {
+	montecarlo.RegisterKernel("probe/first", 1, func(params json.RawMessage) (montecarlo.BatchEvalFunc, error) {
+		return montecarlo.BatchLoop(1, func(src *rng.Source, out []float64) {
 			u := src.Float64()
 			probeMu.Lock()
 			probeLog = append(probeLog, u)
 			probeMu.Unlock()
 			out[0] = u
-		}, nil
+		}), nil
 	})
 	// probe/mixed: consumes a uniform and a normal, like a real
 	// integrand with position and shadowing draws.
-	montecarlo.RegisterKernel("probe/mixed", func(params json.RawMessage) (montecarlo.EvalFunc, error) {
-		return func(src *rng.Source, out []float64) {
+	montecarlo.RegisterKernel("probe/mixed", 1, func(params json.RawMessage) (montecarlo.BatchEvalFunc, error) {
+		return montecarlo.BatchLoop(1, func(src *rng.Source, out []float64) {
 			u := src.Float64()
 			z := src.Normal(0, 1)
 			probeMu.Lock()
 			probeLog = append(probeLog, u, z)
 			probeMu.Unlock()
 			out[0] = u + z
-		}, nil
+		}), nil
 	})
 }
 

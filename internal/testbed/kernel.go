@@ -89,7 +89,7 @@ func (w comboWire) experimentParams() ExperimentParams {
 }
 
 func init() {
-	montecarlo.RegisterKernel(KernelCombo, func(raw json.RawMessage) (montecarlo.EvalFunc, error) {
+	montecarlo.RegisterKernel(KernelCombo, nComboIdx, func(raw json.RawMessage) (montecarlo.BatchEvalFunc, error) {
 		var w comboWire
 		if err := json.Unmarshal(raw, &w); err != nil {
 			return nil, err
@@ -111,7 +111,7 @@ func init() {
 		p := w.experimentParams()
 		// The replication is deterministic: its randomness comes from
 		// SimSeed in the identity, not from the shard stream.
-		return func(_ *rng.Source, out []float64) {
+		return montecarlo.BatchLoop(nComboIdx, func(_ *rng.Source, out []float64) {
 			tb := memoTestbed(w.Layout, w.LayoutSeed)
 			res := runCombo(tb, p, Link{Src: w.Src1, Dst: w.Dst1}, Link{Src: w.Src2, Dst: w.Dst2}, w.SimSeed)
 			out[idxComboRSSI] = res.SenderRSSIdB
@@ -122,7 +122,7 @@ func init() {
 			out[idxComboConcBase] = res.ConcBase
 			out[idxComboCSBase] = res.CSBase
 			out[idxComboCSDelivery] = res.CSDelivery
-		}, nil
+		}), nil
 	})
 }
 

@@ -3,7 +3,8 @@
 # run one scenario four ways — locally, over the fleet, via -cache
 # -prefetch through the fleet, and with full observability (-trace +
 # -metrics-listen) — then require every run to be byte-identical to the
-# local one. The /stats endpoints must show the fleet moved shards over
+# local one. A sampled leg (the cv sampler to a -relerr target) runs
+# locally and over the fleet and must be byte-identical too. The /stats endpoints must show the fleet moved shards over
 # frame streams, the /metrics scrapes must be live Prometheus text, and
 # a SIGTERM'd worker must drain in-flight batches and exit 0. CI runs
 # this; it is also handy locally:
@@ -58,13 +59,13 @@ stat_sum() { # <json field> -> field summed across both workers
   echo "$total"
 }
 
-require_identical() { # <dir> <label>
-  local got_dir
+require_identical() { # <dir> <label> [<reference run dir>, default the local run]
+  local got_dir want_dir=${3:-$local_dir}
   got_dir=$(echo "$1"/*)
   for f in output.txt result.json; do
-    if ! cmp -s "$local_dir/$f" "$got_dir/$f"; then
+    if ! cmp -s "$want_dir/$f" "$got_dir/$f"; then
       echo "$2 run differs from local in $f:" >&2
-      diff "$local_dir/$f" "$got_dir/$f" >&2 || true
+      diff "$want_dir/$f" "$got_dir/$f" >&2 || true
       exit 1
     fi
   done
@@ -82,6 +83,14 @@ if [ "$(stat_sum streams)" -eq 0 ] || [ "$(stat_sum shards)" -eq 0 ]; then
   echo "fleet run moved no shards over streams — the run was not distributed" >&2
   exit 1
 fi
+
+# Sampled leg: cv with a -relerr target evaluates every kernel one
+# sample per call and replays each sample into its control twin, on the
+# workers as well as locally. The fleet run must match the local one.
+sampled=(-scale smoke -seed 7 -sampler cv -relerr 0.01 -quiet)
+"$work/cs" run "$scenario" "${sampled[@]}" -out "$work/cv-local"
+"$work/cs" run "$scenario" "${sampled[@]}" -workers "$fleet" -out "$work/cv-fleet"
+require_identical "$work/cv-fleet" "sampled (cv) fleet" "$(echo "$work"/cv-local/*)"
 
 # Plan-driven prefetch: cold cache, -prefetch warms it through the
 # fleet, then the real run is served from the cache — still
@@ -179,4 +188,4 @@ if ! grep -q 'drained in-flight shard batches and stopped' "$work/worker1.log"; 
   exit 1
 fi
 
-echo "distributed smoke OK: '$scenario' is bit-identical across 2 workers (+prefetch, $fetched estimations warmed; +trace/metrics inert, $metrics_shards shards scraped, drain clean)"
+echo "distributed smoke OK: '$scenario' is bit-identical across 2 workers (+cv sampled, +prefetch, $fetched estimations warmed; +trace/metrics inert, $metrics_shards shards scraped, drain clean)"
