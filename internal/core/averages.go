@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"carriersense/internal/geometry"
 	"carriersense/internal/montecarlo"
 	"carriersense/internal/numeric"
 )
@@ -91,11 +90,23 @@ func (m *Model) AvgMuxQuad(rmax float64) float64 {
 // AvgConcQuad computes ⟨C_concurrent⟩(R_max, D) for σ = 0 by nested
 // quadrature over the receiver disc.
 func (m *Model) AvgConcQuad(rmax, d float64) float64 {
-	return numeric.DiscAverage(func(r, theta float64) float64 {
-		p := geometry.Polar(r, theta)
-		c := Config{D: d, X1: p.X, Y1: p.Y, LSig1: 1, LInt1: 1}
-		return m.CConcurrent(c, 1)
-	}, rmax, 48, 24)
+	return m.concDiscQuad(rmax, d, 1)[0]
+}
+
+// concDiscQuad averages, over receiver 1's disc at σ = 0, ⟨C_conc⟩
+// and, when dim is 2, the per-receiver upper-bound component
+// ⟨max(C_conc, C_mux)⟩, which depends on receiver 1's placement only.
+// Both come from one sweep that computes the signal power once per
+// node; the sweep's r-panels run over the Monte Carlo pool's width.
+func (m *Model) concDiscQuad(rmax, d float64, dim int) []float64 {
+	return numeric.DiscAverageVec(func(n numeric.DiscNode, out []float64) {
+		c := Config{D: d, X1: n.R * n.Cos, Y1: n.R * n.Sin, LSig1: 1, LInt1: 1}
+		s := m.SignalPower(c, 1)
+		out[0] = m.cap.Throughput(s / (m.noise + m.InterferencePower(c, 1)))
+		if dim > 1 {
+			out[1] = math.Max(out[0], m.cap.Throughput(s/m.noise)/2)
+		}
+	}, dim, rmax, 48, 24, montecarlo.Workers())
 }
 
 // CurvePoint is one D-sample of the Figure 4/5/9 throughput curves.

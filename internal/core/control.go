@@ -22,78 +22,58 @@ import (
 	"encoding/json"
 	"math"
 
-	"carriersense/internal/geometry"
 	"carriersense/internal/montecarlo"
-	"carriersense/internal/numeric"
 )
 
-// avgCSQuad returns the σ = 0 carrier-sense mean and the (σ = 0
-// deterministic) deferral decision: with L″ pinned at 1 the threshold
-// comparison is a per-point constant, so CS throughput is exactly the
-// multiplexing or the concurrency disc average.
-func (m *Model) avgCSQuad(rmax, d, dThresh float64) (cs float64, defers bool) {
-	defers = 1 > m.ThresholdPower(dThresh)/m.pathGain(d)
-	if defers {
-		return m.AvgMuxQuad(rmax), true
-	}
-	return m.AvgConcQuad(rmax, d), false
-}
-
-// avgUBMaxQuad computes ⟨max(C_conc, C_mux)⟩ over receiver 1's disc
-// for σ = 0 — the per-receiver upper bound component, which depends
-// on receiver 1's placement only.
-func (m *Model) avgUBMaxQuad(rmax, d float64) float64 {
-	return numeric.DiscAverage(func(r, theta float64) float64 {
-		p := geometry.Polar(r, theta)
-		c := Config{D: d, X1: p.X, Y1: p.Y, LSig1: 1, LInt1: 1}
-		return math.Max(m.CConcurrent(c, 1), m.CSingle(c, 1)/2)
-	}, rmax, 48, 24)
+// twinMeans are the σ = 0 quadrature means of every kernel with a
+// control twin; init registers one twin per entry.
+var twinMeans = map[string]func(raw json.RawMessage) ([]float64, error){
+	KernelAverages: func(raw json.RawMessage) ([]float64, error) {
+		m, p, err := pointModel(raw, true)
+		if err != nil {
+			return nil, err
+		}
+		// With L″ pinned at 1 the deferral decision is a per-point
+		// constant, so the σ = 0 CS mean is exactly the mux or the
+		// conc disc average.
+		defers := 1 > m.ThresholdPower(p.DThresh)/m.pathGain(p.D)
+		single := m.AvgSingleQuad(p.Rmax)
+		conc := m.concDiscQuad(p.Rmax, p.D, 2)
+		means := make([]float64, nAverages)
+		means[idxSingle] = single
+		means[idxMux] = single / 2
+		means[idxConc] = conc[0]
+		means[idxCS] = conc[0]
+		means[idxMax] = math.NaN() // depends on both placements: no 2-D quadrature
+		means[idxUBMax] = conc[1]
+		means[idxStarved] = math.NaN() // discontinuous indicator: quadrature would bias
+		if defers {
+			means[idxCS] = means[idxMux]
+			means[idxDeferred] = 1
+		}
+		return means, nil
+	},
+	KernelSingle: func(raw json.RawMessage) ([]float64, error) {
+		m, p, err := pointModel(raw, true)
+		if err != nil {
+			return nil, err
+		}
+		return []float64{m.AvgSingleQuad(p.Rmax)}, nil
+	},
+	KernelPolicyDiff: func(raw json.RawMessage) ([]float64, error) {
+		m, p, err := pointModel(raw, true)
+		if err != nil {
+			return nil, err
+		}
+		return []float64{m.AvgConcQuad(p.Rmax, p.D), m.AvgSingleQuad(p.Rmax) / 2}, nil
+	},
 }
 
 func init() {
-	montecarlo.RegisterControlTwin(KernelAverages, montecarlo.ControlTwin{
-		Eval: pointKernelFactory(KernelAverages, true),
-		Means: func(raw json.RawMessage) ([]float64, error) {
-			m, p, err := pointModel(raw, true)
-			if err != nil {
-				return nil, err
-			}
-			means := make([]float64, nAverages)
-			single := m.AvgSingleQuad(p.Rmax)
-			means[idxSingle] = single
-			means[idxMux] = single / 2
-			means[idxConc] = m.AvgConcQuad(p.Rmax, p.D)
-			cs, defers := m.avgCSQuad(p.Rmax, p.D, p.DThresh)
-			means[idxCS] = cs
-			means[idxMax] = math.NaN() // depends on both placements: no 2-D quadrature
-			means[idxUBMax] = m.avgUBMaxQuad(p.Rmax, p.D)
-			means[idxStarved] = math.NaN() // discontinuous indicator: quadrature would bias
-			if defers {
-				means[idxDeferred] = 1
-			} else {
-				means[idxDeferred] = 0
-			}
-			return means, nil
-		},
-	})
-	montecarlo.RegisterControlTwin(KernelSingle, montecarlo.ControlTwin{
-		Eval: pointKernelFactory(KernelSingle, true),
-		Means: func(raw json.RawMessage) ([]float64, error) {
-			m, p, err := pointModel(raw, true)
-			if err != nil {
-				return nil, err
-			}
-			return []float64{m.AvgSingleQuad(p.Rmax)}, nil
-		},
-	})
-	montecarlo.RegisterControlTwin(KernelPolicyDiff, montecarlo.ControlTwin{
-		Eval: pointKernelFactory(KernelPolicyDiff, true),
-		Means: func(raw json.RawMessage) ([]float64, error) {
-			m, p, err := pointModel(raw, true)
-			if err != nil {
-				return nil, err
-			}
-			return []float64{m.AvgConcQuad(p.Rmax, p.D), m.AvgSingleQuad(p.Rmax) / 2}, nil
-		},
-	})
+	for name, means := range twinMeans {
+		montecarlo.RegisterControlTwin(name, montecarlo.ControlTwin{
+			Eval:  pointKernelFactory(name, true),
+			Means: means,
+		})
+	}
 }

@@ -6,7 +6,9 @@ import (
 	"math"
 	"testing"
 
+	"carriersense/internal/geometry"
 	"carriersense/internal/montecarlo"
+	"carriersense/internal/numeric"
 )
 
 func TestControlTwinsRegisteredForShadowedKernels(t *testing.T) {
@@ -85,13 +87,96 @@ func TestTwinMeansMatchMonteCarlo(t *testing.T) {
 	}{
 		{idxSingle, m.AvgSingleQuad(p.Rmax)},
 		{idxConc, m.AvgConcQuad(p.Rmax, p.D)},
-		{idxUBMax, m.avgUBMaxQuad(p.Rmax, p.D)},
+		{idxUBMax, discQuadRef(m, p.Rmax, p.D, ubMaxAt)},
 	}
 	for _, c := range means {
 		est := twin[c.j].Estimate()
 		tol := 4*est.StdErr + 2e-3*math.Abs(c.quad)
 		if math.Abs(est.Mean-c.quad) > tol {
 			t.Errorf("component %d: quadrature %v vs σ=0 MC %v (stderr %v)", c.j, c.quad, est.Mean, est.StdErr)
+		}
+	}
+}
+
+// discQuadRef is one σ = 0 disc average of receiver 1's integrand
+// f, swept serially with the trigonometry done per node through
+// geometry.Polar: the single-component reference the fused, parallel
+// twin sweep must match bit for bit.
+func discQuadRef(m *Model, rmax, d float64, f func(m *Model, c Config) float64) float64 {
+	return numeric.DiscAverage(func(n numeric.DiscNode) float64 {
+		p := geometry.Polar(n.R, n.Theta)
+		return f(m, Config{D: d, X1: p.X, Y1: p.Y, LSig1: 1, LInt1: 1})
+	}, rmax, 48, 24, 1)
+}
+
+func concAt(m *Model, c Config) float64 { return m.CConcurrent(c, 1) }
+
+// ubMaxAt is the upper-bound component max(C_conc, C_mux).
+func ubMaxAt(m *Model, c Config) float64 {
+	return math.Max(m.CConcurrent(c, 1), m.CSingle(c, 1)/2)
+}
+
+func TestTwinMeansBitIdenticalAcrossWidths(t *testing.T) {
+	// Every twin's means come from one fused sweep over the pool's
+	// width; each component must equal its own serial single-component
+	// sweep exactly, at every width. D_thresh = 55 makes D = 40 defer
+	// (the CS mean is the mux average) and D = 70 not (the conc one).
+	t.Cleanup(montecarlo.ResetMaxWorkers)
+	for _, pt := range []struct {
+		d      float64
+		defers bool
+	}{{40, true}, {70, false}} {
+		req, ok := AveragesRequest(Params{Alpha: 3, SigmaDB: 8, NoiseDB: DefaultNoiseDB}, 55, pt.d, 55, 9, 1)
+		if !ok {
+			t.Fatal("averages kernel must be serializable")
+		}
+		m, p, err := pointModel(req.Params, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conc := discQuadRef(m, p.Rmax, p.D, concAt)
+		if got := m.AvgConcQuad(p.Rmax, p.D); got != conc {
+			t.Errorf("D=%v: AvgConcQuad %v, serial reference %v", pt.d, got, conc)
+		}
+		mux := m.AvgMuxQuad(p.Rmax)
+		cs, deferred := conc, 0.0
+		if pt.defers {
+			cs, deferred = mux, 1
+		}
+		want := map[string][]float64{
+			KernelAverages: {
+				idxSingle: m.AvgSingleQuad(p.Rmax), idxMux: mux, idxConc: conc, idxCS: cs,
+				idxMax: math.NaN(), idxUBMax: discQuadRef(m, p.Rmax, p.D, ubMaxAt),
+				idxStarved: math.NaN(), idxDeferred: deferred,
+			},
+			KernelSingle:     {m.AvgSingleQuad(p.Rmax)},
+			KernelPolicyDiff: {conc, mux},
+		}
+		for _, name := range montecarlo.ControlTwinNames() {
+			means, ok := twinMeans[name]
+			if !ok || want[name] == nil {
+				t.Fatalf("twin %s has no means reference", name)
+			}
+			for _, width := range []int{1, 0, 7} { // 0: the GOMAXPROCS default
+				montecarlo.ResetMaxWorkers()
+				if width > 0 {
+					if err := montecarlo.SetMaxWorkers(width); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got, err := means(req.Params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want[name]) {
+					t.Fatalf("twin %s: %d means, want %d", name, len(got), len(want[name]))
+				}
+				for j, w := range want[name] {
+					if math.Float64bits(got[j]) != math.Float64bits(w) {
+						t.Errorf("D=%v twin %s width %d component %d: %v, want %v", pt.d, name, montecarlo.Workers(), j, got[j], w)
+					}
+				}
+			}
 		}
 	}
 }

@@ -184,9 +184,11 @@ const pilotSeedSalt = 0x9e3779b97f4a7c15
 // noisy pilot variance ratio would amplify rather than cancel noise.
 const maxControlBeta = 8
 
-// PilotControl estimates a request's control coefficients from n
-// serial in-process samples over a seed derived from the request's.
-// The result is a pure function of (kernel, params, seed, n): every
+// PilotControl builds a request's control spec: the twin's exact
+// means from its Means (the core twins' disc quadrature fans out over
+// the pool's Workers width), and the coefficients β from n serial
+// in-process samples over a seed derived from the request's. The
+// result is a pure function of (kernel, params, seed, n): every
 // executor that computes it independently agrees bit-for-bit. Returns
 // an error when the kernel has no registered twin.
 func PilotControl(req Request, n int) (*ControlSpec, error) {

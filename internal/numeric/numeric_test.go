@@ -104,19 +104,85 @@ func TestGaussLegendrePanels(t *testing.T) {
 
 func TestDiscAverage(t *testing.T) {
 	// Average of a constant is the constant.
-	got := DiscAverage(func(r, theta float64) float64 { return 7 }, 3, 8, 8)
+	got := DiscAverage(func(n DiscNode) float64 { return 7 }, 3, 8, 8, 1)
 	if math.Abs(got-7) > 1e-9 {
 		t.Errorf("constant disc average = %v", got)
 	}
 	// Average of r² over a disc of radius R is R²/2.
-	got = DiscAverage(func(r, theta float64) float64 { return r * r }, 5, 16, 8)
+	got = DiscAverage(func(n DiscNode) float64 { return n.R * n.R }, 5, 16, 8, 1)
 	if math.Abs(got-12.5) > 1e-6 {
 		t.Errorf("r^2 disc average = %v, want 12.5", got)
 	}
 	// An angular-dependent integrand: average of cos²θ is 1/2.
-	got = DiscAverage(func(r, theta float64) float64 { return math.Cos(theta) * math.Cos(theta) }, 5, 8, 16)
+	got = DiscAverage(func(n DiscNode) float64 { return math.Cos(n.Theta) * math.Cos(n.Theta) }, 5, 8, 16, 1)
 	if math.Abs(got-0.5) > 1e-6 {
 		t.Errorf("cos^2 disc average = %v, want 0.5", got)
+	}
+}
+
+// nestedDiscAverage is the disc average as nested GaussLegendre20Panels
+// calls, with the trigonometry done per node: the reference the
+// sweep's precomputed θ nodes and panel slots must match bit for bit.
+func nestedDiscAverage(f func(n DiscNode) float64, radius float64, rPanels, thetaPanels int) float64 {
+	inner := func(r float64) float64 {
+		g := func(theta float64) float64 {
+			sin, cos := math.Sincos(theta)
+			return f(DiscNode{R: r, Theta: theta, Sin: sin, Cos: cos})
+		}
+		return r * GaussLegendre20Panels(g, 0, 2*math.Pi, thetaPanels)
+	}
+	return GaussLegendre20Panels(inner, 0, radius, rPanels) / (math.Pi * radius * radius)
+}
+
+func TestDiscAverageVecComponentsMatchScalar(t *testing.T) {
+	// A peaked integrand like the σ=0 capacities, one that needs the
+	// Cartesian coordinates, and one with a sign change: each
+	// component of the fused sweep must equal its own scalar sweep and
+	// the nested reference exactly, at every width.
+	comps := []func(n DiscNode) float64{
+		func(n DiscNode) float64 { return math.Log2(1 + 1/(1e-3+n.R*n.R*n.R)) },
+		func(n DiscNode) float64 { x, y := n.R*n.Cos, n.R*n.Sin; return math.Exp(-(x-1)*(x-1) - 3*y*y) },
+		func(n DiscNode) float64 { return n.R * n.Sin * math.Cos(3*n.Theta) },
+	}
+	vec := func(n DiscNode, out []float64) {
+		for c, f := range comps {
+			out[c] = f(n)
+		}
+	}
+	for _, panels := range [][2]int{{48, 24}, {5, 3}, {0, -2}} {
+		rp, tp := panels[0], panels[1]
+		want := make([]float64, len(comps))
+		for c, f := range comps {
+			want[c] = nestedDiscAverage(f, 2.5, rp, tp)
+		}
+		for _, width := range []int{1, 2, 7} {
+			got := DiscAverageVec(vec, len(comps), 2.5, rp, tp, width)
+			for c, f := range comps {
+				if got[c] != want[c] {
+					t.Errorf("panels %dx%d width %d component %d: vec %v, nested %v", rp, tp, width, c, got[c], want[c])
+				}
+				if s := DiscAverage(f, 2.5, rp, tp, width); s != want[c] {
+					t.Errorf("panels %dx%d width %d component %d: scalar %v, nested %v", rp, tp, width, c, s, want[c])
+				}
+			}
+		}
+	}
+}
+
+func TestDiscAveragePanelsClampToOne(t *testing.T) {
+	// rPanels (and thetaPanels) below 1 clamp to 1, as in
+	// GaussLegendre20Panels: 0 and -3 panels are the 1×1 sweep.
+	f := func(n DiscNode) float64 { return n.R * n.R * (2 + n.Cos) }
+	one := DiscAverage(f, 5, 1, 1, 1)
+	if math.Abs(one-25) > 1e-9 {
+		t.Errorf("1x1 sweep of r²(2+cosθ) = %v, want 25", one)
+	}
+	for _, rp := range []int{0, -3} {
+		for _, width := range []int{1, 2} {
+			if got := DiscAverage(f, 5, rp, 0, width); got != one {
+				t.Errorf("rPanels %d width %d: %v, want the 1x1 sweep %v", rp, width, got, one)
+			}
+		}
 	}
 }
 

@@ -81,7 +81,7 @@ func NewControlVariates(inner montecarlo.Executor) *ControlVariates {
 }
 
 // ControlFor returns the memoized control spec for a request, running
-// the serial pilot on first sight of its (kernel, params, seed). The
+// the pilot on first sight of its (kernel, params, seed). The
 // spec is a pure function of that key, so every coordinator — and a
 // rerun hitting the cache — derives bit-identical coefficients.
 func (c *ControlVariates) ControlFor(req montecarlo.Request) (*montecarlo.ControlSpec, error) {
