@@ -49,7 +49,7 @@ func benchScale() experiments.Scale {
 // metrics: mean and minimum efficiency over the grid.
 func BenchmarkTable1Efficiency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Table1(experiments.DefaultTable1(), benchScale())
+		t := experiments.Table1(context.Background(), experiments.DefaultTable1(), benchScale())
 		sum, cnt := 0.0, 0
 		for _, row := range t.Cells {
 			for _, v := range row {
@@ -66,7 +66,7 @@ func BenchmarkTable1Efficiency(b *testing.B) {
 // table (paper thresholds 40/55/60).
 func BenchmarkTable2OptimizedThreshold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Table2(experiments.DefaultTable1(), benchScale())
+		t := experiments.Table2(context.Background(), experiments.DefaultTable1(), benchScale())
 		b.ReportMetric(t.Thresholds[0], "dopt_rmax20")
 		b.ReportMetric(t.Thresholds[2], "dopt_rmax120")
 		b.ReportMetric(t.Min(), "min_eff")
@@ -77,7 +77,7 @@ func BenchmarkTable2OptimizedThreshold(b *testing.B) {
 // claim ("very little change is observed").
 func BenchmarkTableRobustnessSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := experiments.RobustnessSweep([]float64{2, 3, 4}, []float64{4, 8, 12}, experiments.ScaleSmoke)
+		pts := experiments.RobustnessSweep(context.Background(), []float64{2, 3, 4}, []float64{4, 8, 12}, experiments.ScaleSmoke)
 		min := 1.0
 		for _, p := range pts {
 			if p.MinEfficiency < min {

@@ -126,7 +126,8 @@ run/all flags:
   -seed S        override the scenario's Seed parameter
   -scale LEVEL   sampling effort: smoke, bench (default), or full
   -parallel N    Monte Carlo worker pool width (default GOMAXPROCS);
-                 results are bit-identical at any width
+                 at 1 a scenario's independent points also run one
+                 at a time; results are bit-identical at any width
   -sampler NAME  Monte Carlo sampling strategy: plain (default),
                  antithetic (mirrored draw pairs), stratified
                  (per-shard strata), sobol (scrambled quasi-Monte

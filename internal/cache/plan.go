@@ -18,6 +18,7 @@ package cache
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"carriersense/internal/montecarlo"
@@ -46,9 +47,16 @@ type PlanSummary struct {
 type Planner struct {
 	probe *Executor // read path into the persistent layer
 
-	mu      sync.Mutex
-	entries []PlanEntry
-	misses  []montecarlo.Request
+	mu     sync.Mutex
+	ledger []planned
+}
+
+// planned is one request the planned run issued, with the plan
+// position (montecarlo.Position) of the estimation point it serves.
+type planned struct {
+	pos   montecarlo.Position
+	entry PlanEntry
+	req   montecarlo.Request
 }
 
 // NewPlanner builds a dry-run executor over a persistent cache
@@ -65,15 +73,12 @@ func (p *Planner) EstimateVec(ctx context.Context, req montecarlo.Request) ([]mo
 	}
 	entry := PlanEntry{Kernel: req.Kernel, Sampler: req.Sampler, Samples: req.SampleSpan()}
 	states, hit := p.probe.loadDisk(Key(req), req)
-	p.mu.Lock()
 	entry.Cached = hit
-	p.entries = append(p.entries, entry)
-	if !hit {
-		// Keep the full request, not just the ledger line: the misses
-		// are exactly what a prefetch pass must evaluate to make the
-		// real run all-hits.
-		p.misses = append(p.misses, req)
-	}
+	p.mu.Lock()
+	// Keep the full request, not just the ledger line: the misses are
+	// exactly what a prefetch pass must evaluate to make the real run
+	// all-hits.
+	p.ledger = append(p.ledger, planned{montecarlo.PositionOf(ctx), entry, req})
 	p.mu.Unlock()
 	if hit {
 		return fromStates(states), nil
@@ -87,27 +92,45 @@ func (p *Planner) EstimateVec(ctx context.Context, req montecarlo.Request) ([]mo
 	return accs, nil
 }
 
-// Entries returns a copy of the ledger in request order.
-func (p *Planner) Entries() []PlanEntry {
+// ordered returns the ledger in plan order: by the position of the
+// point each request serves, which is the sequential program's order
+// however concurrent tasks interleaved. A point's own requests (its
+// pilots, then the point) arrive in order from one task, and the
+// stable sort keeps them so.
+func (p *Planner) ordered() []planned {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]PlanEntry(nil), p.entries...)
+	out := append([]planned(nil), p.ledger...)
+	p.mu.Unlock()
+	slices.SortStableFunc(out, func(a, b planned) int { return slices.Compare(a.pos, b.pos) })
+	return out
+}
+
+// Entries returns a copy of the ledger in plan order.
+func (p *Planner) Entries() []PlanEntry {
+	var out []PlanEntry
+	for _, pl := range p.ordered() {
+		out = append(out, pl.entry)
+	}
+	return out
 }
 
 // Misses returns the requests the planned run would have to evaluate,
-// in request order, duplicates included (Prefetch dedupes by key).
+// in plan order, duplicates included (Prefetch dedupes by key).
 func (p *Planner) Misses() []montecarlo.Request {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]montecarlo.Request(nil), p.misses...)
+	var out []montecarlo.Request
+	for _, pl := range p.ordered() {
+		if !pl.entry.Cached {
+			out = append(out, pl.req)
+		}
+	}
+	return out
 }
 
 // Reset clears the ledger (between scenarios, so per-scenario
 // summaries don't bleed into each other).
 func (p *Planner) Reset() {
 	p.mu.Lock()
-	p.entries = p.entries[:0]
-	p.misses = p.misses[:0]
+	p.ledger = p.ledger[:0]
 	p.mu.Unlock()
 }
 
@@ -116,7 +139,8 @@ func (p *Planner) Summarize() PlanSummary {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var s PlanSummary
-	for _, e := range p.entries {
+	for _, pl := range p.ledger {
+		e := pl.entry
 		s.Requests++
 		if e.Cached {
 			s.Cached++

@@ -14,6 +14,7 @@ package core
 // is bit-identical anyway.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 
@@ -170,6 +171,18 @@ func AveragesRequest(p Params, rmax, d, dThresh float64, seed uint64, n int) (mo
 	return montecarlo.Request{Kernel: KernelAverages, Params: raw, Seed: seed, Samples: n, Dim: nAverages}, true
 }
 
+// WithContext returns a copy of the model whose estimations pass ctx
+// to the installed executor, as net/http's Request.WithContext does:
+// the estimators keep their signatures, and a forked task
+// (montecarlo.Fork) binds its context, and with it its plan position,
+// once. A model without a bound context passes context.TODO, which
+// the engine's executor replaces with the run's context.
+func (m *Model) WithContext(ctx context.Context) *Model {
+	c := *m
+	c.ctx = ctx
+	return &c
+}
+
 // estimatePoint routes a two-pair kernel estimation through the
 // installed executor, falling back to the in-process pool when the
 // environment has no serializable identity. Both paths evaluate the
@@ -178,8 +191,12 @@ func AveragesRequest(p Params, rmax, d, dThresh float64, seed uint64, n int) (mo
 func (m *Model) estimatePoint(kernel string, rmax, d, dThresh float64, seed uint64, n int) []montecarlo.Estimate {
 	k := pointKernels[kernel]
 	if env, ok := envSpecOf(m.params); ok {
+		ctx := m.ctx
+		if ctx == nil {
+			ctx = context.TODO()
+		}
 		p := pointParams{Env: env, Rmax: rmax, D: d, DThresh: dThresh}
-		return montecarlo.KernelMeanVec(kernel, p, seed, n, k.dim)
+		return montecarlo.KernelMeanVec(ctx, kernel, p, seed, n, k.dim)
 	}
 	return localMeanVec(seed, n, k.dim, k.batch(m.newPointEval(rmax, d, dThresh)))
 }

@@ -15,6 +15,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -93,6 +94,9 @@ type Model struct {
 	// default α = 3 case), letting pathGain use multiplications instead
 	// of math.Pow on the Monte Carlo hot path; 0 otherwise.
 	alphaInt int
+	// ctx is the context estimations pass to the executor (see
+	// WithContext); nil until bound.
+	ctx context.Context
 }
 
 // New constructs a Model. It panics on invalid parameters, which are

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/bits"
 	"sync"
@@ -407,7 +408,7 @@ func (mm *MultiModel) EstimateMulti(seed uint64, nSamples int) MultiAverages {
 	n := mm.p.NPairs
 	var est []montecarlo.Estimate
 	if env, ok := envSpecOf(mm.p.Env); ok {
-		est = montecarlo.KernelMeanVec(KernelMulti, multiParamsWire{
+		est = montecarlo.KernelMeanVec(context.TODO(), KernelMulti, multiParamsWire{
 			Env:        env,
 			NPairs:     mm.p.NPairs,
 			AreaRadius: mm.p.AreaRadius,

@@ -6,7 +6,10 @@ package engine_test
 // assigned per fixed-size shard rather than per worker.
 
 import (
+	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -14,40 +17,56 @@ import (
 	_ "carriersense/internal/experiments" // registers the scenario catalog
 )
 
-func runOnce(t *testing.T, name string, parallel int, sets ...string) *engine.Result {
+// runWith runs one variant of a scenario at seed 12345 and smoke scale
+// with the given options, writing its artifacts to a fresh directory,
+// and returns the result and that run directory.
+func runWith(t *testing.T, name string, opts engine.Options) (*engine.Result, string) {
 	t.Helper()
-	results, err := engine.Run(context.Background(), name, engine.Options{
-		Seed:     "12345",
-		Scale:    "smoke",
-		Parallel: parallel,
-		Sets:     sets,
-	})
+	opts.Seed, opts.Scale, opts.OutDir = "12345", "smoke", t.TempDir()
+	results, err := engine.Run(context.Background(), name, opts)
 	if err != nil {
-		t.Fatalf("run %s parallel=%d: %v", name, parallel, err)
+		t.Fatalf("run %s parallel=%d: %v", name, opts.Parallel, err)
 	}
 	if len(results) != 1 {
 		t.Fatalf("%d results", len(results))
 	}
-	return results[0]
+	dirs, err := filepath.Glob(filepath.Join(opts.OutDir, "*"))
+	if err != nil || len(dirs) != 1 {
+		t.Fatalf("run dirs %v (%v)", dirs, err)
+	}
+	return results[0], dirs[0]
 }
 
 func TestScenarioOutputInvariantUnderParallelWidth(t *testing.T) {
 	// One Monte Carlo model scenario, one packet-level scenario, and a
-	// multi-estimate table scenario cover the merged-result paths.
+	// multi-estimate table scenario cover the merged-result paths. The
+	// driven auto run covers the orders that concurrent table points
+	// must not change: the sampling ledger and the auto pilot's choice.
 	cases := []struct {
-		name string
-		sets []string
+		label, name string
+		opts        engine.Options
+		artifacts   []string
 	}{
 		{name: "curves"},
 		{name: "tables"},
+		{label: "tables-auto-relerr", name: "tables",
+			opts:      engine.Options{Sampler: "auto", RelErr: 0.01},
+			artifacts: []string{"sampling.csv", "sampler_choices.csv"}},
 		{name: "section34"},
-		{name: "testbed", sets: []string{"range=short", "combos=4"}},
+		{name: "testbed", opts: engine.Options{Sets: []string{"range=short", "combos=4"}}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			serial := runOnce(t, tc.name, 1, tc.sets...)
+		label := tc.label
+		if label == "" {
+			label = tc.name
+		}
+		t.Run(label, func(t *testing.T) {
+			opts := tc.opts
+			opts.Parallel = 1
+			serial, serialDir := runWith(t, tc.name, opts)
 			for _, width := range []int{2, 8} {
-				wide := runOnce(t, tc.name, width, tc.sets...)
+				opts.Parallel = width
+				wide, wideDir := runWith(t, tc.name, opts)
 				if wide.Text != serial.Text {
 					t.Errorf("parallel=%d text differs from serial (lens %d vs %d)",
 						width, len(wide.Text), len(serial.Text))
@@ -55,6 +74,16 @@ func TestScenarioOutputInvariantUnderParallelWidth(t *testing.T) {
 				if !reflect.DeepEqual(wide.Metrics, serial.Metrics) {
 					t.Errorf("parallel=%d metrics differ:\n%v\nvs\n%v",
 						width, wide.Metrics, serial.Metrics)
+				}
+				for _, name := range tc.artifacts {
+					a, errA := os.ReadFile(filepath.Join(serialDir, name))
+					b, errB := os.ReadFile(filepath.Join(wideDir, name))
+					if errA != nil || errB != nil {
+						t.Fatalf("read %s: %v / %v", name, errA, errB)
+					}
+					if !bytes.Equal(a, b) {
+						t.Errorf("parallel=%d %s differs from serial:\n%s\nvs\n%s", width, name, b, a)
+					}
 				}
 			}
 		})

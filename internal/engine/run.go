@@ -115,7 +115,9 @@ type Result struct {
 
 // RunContext is the scenario's view of one variant run.
 type RunContext struct {
-	// Context carries cancellation from the CLI.
+	// Context carries cancellation from the CLI and the variant's plan
+	// (montecarlo.WithPlan). Scenarios pass it to montecarlo.Fork and
+	// to estimations, so their points take positions in plan order.
 	Context context.Context
 	// Params is the populated parameter struct (same concrete type as
 	// Scenario.NewParams()).
@@ -309,30 +311,38 @@ func Run(ctx context.Context, name string, opts Options) ([]*Result, error) {
 	return results, nil
 }
 
-// boundExecutor forwards estimations to the configured executor under
-// the run's context instead of the context.Background() the kernel
-// entry points pass, so canceling engine.Run cancels distributed work.
-// It is also the engine's estimation-level instrumentation point:
-// every kernel estimation a variant issues is timed into
-// cs_engine_estimate_seconds and, under -trace, emitted as a span on
-// the engine lane.
+// boundExecutor is the engine's executor seam. An estimation issued
+// from a forked task (montecarlo.Fork) already carries a task context
+// derived from the run's, and is forwarded under it; one issued
+// without a plan task (context.TODO from a kernel entry point) runs
+// under the run's context, whose root task it joins. Either way
+// canceling engine.Run cancels distributed work, and the estimation
+// takes its plan position here (montecarlo.Point), before any layer
+// below reads it. It is also the engine's estimation-level
+// instrumentation point: every kernel estimation a variant issues is
+// timed into cs_engine_estimate_seconds and, under -trace, emitted as
+// a span on its task's lane.
 type boundExecutor struct {
 	ctx   context.Context
 	inner montecarlo.Executor
 }
 
 // EstimateVec implements montecarlo.Executor.
-func (b boundExecutor) EstimateVec(_ context.Context, req montecarlo.Request) ([]montecarlo.Accumulator, error) {
+func (b boundExecutor) EstimateVec(ctx context.Context, req montecarlo.Request) ([]montecarlo.Accumulator, error) {
+	if !montecarlo.InPlan(ctx) {
+		ctx = b.ctx
+	}
+	ctx = montecarlo.Point(ctx)
 	tr := obs.CurrentTracer()
 	var ts time.Duration
 	if tr != nil {
 		ts = tr.Now()
 	}
 	t0 := time.Now()
-	accs, err := b.inner.EstimateVec(b.ctx, req)
+	accs, err := b.inner.EstimateVec(ctx, req)
 	mEstimateSeconds.Observe(time.Since(t0).Seconds())
 	if tr != nil {
-		tr.Span("estimate", "engine", obs.TidEngine, ts,
+		tr.Span("estimate", "engine", montecarlo.Lane(ctx), ts,
 			map[string]any{"kernel": req.Kernel, "samples": req.Samples, "dim": req.Dim})
 	}
 	return accs, err
@@ -396,10 +406,10 @@ func runVariant(ctx context.Context, sc Scenario, point GridPoint, scale string,
 	// Install the variant's executor chain: the configured executor
 	// (worker fleet, cache, or the in-process default), wrapped in a
 	// fresh convergence driver when -relerr is set — fresh per variant
-	// so each variant's sampling ledger is its own. Kernel-routed
-	// estimators have no ctx parameter, so the executor hook receives
-	// context.Background(); bind the run's context here so
-	// cancellation reaches in-flight shard work.
+	// so each variant's sampling ledger is its own. The variant's
+	// context carries a fresh plan (montecarlo.WithPlan), whose
+	// positions order that ledger.
+	ctx = montecarlo.WithPlan(ctx)
 	var driver *sampling.Driver
 	exec := opts.Executor
 	if opts.RelErr > 0 {

@@ -31,7 +31,7 @@ func registerMCStub(t *testing.T, name string, samples int) {
 		Figures:     "none",
 		NewParams:   func() any { return &stubParams{Seed: 1, Gain: 2} },
 		Run: func(rc *RunContext) error {
-			est := montecarlo.KernelMean("enginetest/uniform", nil, 5, samples)
+			est := montecarlo.KernelMeanVec(rc.Context, "enginetest/uniform", nil, 5, samples, 1)[0]
 			rc.Metric("mean", est.Mean)
 			rc.Metric("n", float64(est.N))
 			return nil

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ var paperTable1 = [3][3]float64{
 }
 
 func TestTable1MatchesPaper(t *testing.T) {
-	got := Table1(DefaultTable1(), ScaleBench)
+	got := Table1(context.Background(), DefaultTable1(), ScaleBench)
 	for i, row := range got.Cells {
 		for j, v := range row {
 			if math.Abs(v-paperTable1[i][j]) > 0.04 {
@@ -32,7 +33,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestTable2ThresholdsMatchPaper(t *testing.T) {
-	got := Table2(DefaultTable1(), ScaleBench)
+	got := Table2(context.Background(), DefaultTable1(), ScaleBench)
 	wantThresh := []float64{40, 55, 60}
 	for i, th := range got.Thresholds {
 		if math.Abs(th-wantThresh[i])/wantThresh[i] > 0.15 {
@@ -42,7 +43,7 @@ func TestTable2ThresholdsMatchPaper(t *testing.T) {
 	}
 	// Optimizing the threshold changes little ("very little change is
 	// observed"): each cell within a few points of the fixed version.
-	fixed := Table1(DefaultTable1(), ScaleBench)
+	fixed := Table1(context.Background(), DefaultTable1(), ScaleBench)
 	for i := range got.Cells {
 		for j := range got.Cells[i] {
 			if math.Abs(got.Cells[i][j]-fixed.Cells[i][j]) > 0.07 {
@@ -54,7 +55,7 @@ func TestTable2ThresholdsMatchPaper(t *testing.T) {
 }
 
 func TestRobustnessSweep(t *testing.T) {
-	pts := RobustnessSweep([]float64{2, 4}, []float64{4, 12}, ScaleSmoke)
+	pts := RobustnessSweep(context.Background(), []float64{2, 4}, []float64{4, 12}, ScaleSmoke)
 	if len(pts) != 4 {
 		t.Fatalf("%d points", len(pts))
 	}
@@ -302,7 +303,7 @@ func TestReportSmoke(t *testing.T) {
 		t.Skip("report is slow")
 	}
 	var b strings.Builder
-	Report(&b, ScaleSmoke)
+	Report(context.Background(), &b, ScaleSmoke)
 	out := b.String()
 	for _, want := range []string{"T1:", "F7:", "F14:", "S34:", "S5a:", "short-range", "long-range"} {
 		if !strings.Contains(out, want) {

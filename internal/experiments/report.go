@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -12,20 +13,20 @@ import (
 // Report runs every experiment in DESIGN.md's index at the given scale
 // and writes a consolidated text report — the generator behind
 // EXPERIMENTS.md and cmd/csreport.
-func Report(w io.Writer, scale Scale) {
+func Report(ctx context.Context, w io.Writer, scale Scale) {
 	fmt.Fprintln(w, "=== In Defense of Wireless Carrier Sense: reproduction report ===")
 	fmt.Fprintln(w)
 
 	fmt.Fprintln(w, "--- T1/T2: carrier sense efficiency tables (section 3.2.5) ---")
-	t1 := Table1(DefaultTable1(), scale)
+	t1 := Table1(ctx, DefaultTable1(), scale)
 	t1.Render(w, "T1: CS %% of optimal, fixed Dthresh=55 (paper: 96 88 96 / 96 87 96 / 89 83 92)")
 	fmt.Fprintln(w)
-	t2 := Table2(DefaultTable1(), scale)
+	t2 := Table2(ctx, DefaultTable1(), scale)
 	t2.Render(w, "T2: CS %% of optimal, per-Rmax optimized thresholds (paper: Dthresh 40/55/60; 93 91 99 / 96 87 96 / 89 83 92)")
 	fmt.Fprintln(w)
 
 	fmt.Fprintln(w, "--- T3: environment robustness sweep ---")
-	RenderRobustness(w, RobustnessSweep([]float64{2, 3, 4}, []float64{4, 8, 12}, minScale(scale)))
+	RenderRobustness(w, RobustnessSweep(ctx, []float64{2, 3, 4}, []float64{4, 8, 12}, minScale(scale)))
 	fmt.Fprintln(w)
 
 	fmt.Fprintln(w, "--- F2/F3: capacity landscape and preference maps ---")

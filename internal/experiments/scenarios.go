@@ -117,11 +117,11 @@ func init() {
 		Run: func(rc *engine.RunContext) error {
 			p := *rc.Params.(*Table1Params)
 			sc := scale(rc)
-			t1 := Table1(p, sc)
+			t1 := Table1(rc.Context, p, sc)
 			rc.Table("t1", efficiencyTable(t1,
 				"T1: CS % of optimal, fixed Dthresh (paper: 96 88 96 / 96 87 96 / 89 83 92)"))
 			rc.Printf("\n")
-			t2 := Table2(p, sc)
+			t2 := Table2(rc.Context, p, sc)
 			rc.Table("t2", efficiencyTable(t2,
 				"T2: CS % of optimal, per-Rmax optimized thresholds (paper: Dthresh 40/55/60)"))
 			rc.Printf("\nminimum cell: %.0f%% (paper claim: typically <15%% below optimal)\n", 100*t1.Min())
@@ -143,7 +143,7 @@ func init() {
 		},
 		Run: func(rc *engine.RunContext) error {
 			p := *rc.Params.(*RobustnessParams)
-			pts := RobustnessSweep(p.Alphas, p.Sigmas, scale(rc))
+			pts := RobustnessSweep(rc.Context, p.Alphas, p.Sigmas, scale(rc))
 			tbl := plot.Table{
 				Title:   "T3: carrier sense efficiency across environments (fixed power threshold)",
 				Headers: []string{"alpha", "sigma(dB)", "min eff", "mean eff"},
@@ -310,7 +310,7 @@ func init() {
 		Figures:     "all",
 		NewParams:   func() any { return &NoParams{} },
 		Run: func(rc *engine.RunContext) error {
-			Report(rc.Out(), scale(rc))
+			Report(rc.Context, rc.Out(), scale(rc))
 			return nil
 		},
 	})

@@ -8,11 +8,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
 
 	"carriersense/internal/core"
+	"carriersense/internal/montecarlo"
 	"carriersense/internal/plot"
 )
 
@@ -89,19 +91,20 @@ type EfficiencyTable struct {
 // Table1 computes the first §3.2.5 table: CS efficiency with the fixed
 // factory threshold D_thresh = 55 across the R_max × D grid. Paper
 // values: rows (20, 40, 120) × columns (20, 55, 120) =
-// (96 88 96 / 96 87 96 / 89 83 92) percent.
-func Table1(p Table1Params, scale Scale) EfficiencyTable {
+// (96 88 96 / 96 87 96 / 89 83 92) percent. The cells are independent
+// estimation points and run as one montecarlo.Fork.
+func Table1(ctx context.Context, p Table1Params, scale Scale) EfficiencyTable {
 	m := core.New(core.Params{Alpha: p.Alpha, SigmaDB: p.SigmaDB, NoiseDB: core.DefaultNoiseDB})
 	n := scale.mcSamples()
-	t := EfficiencyTable{Params: p}
-	for i, rmax := range p.RmaxGrid {
-		row := make([]float64, len(p.DGrid))
-		for j, d := range p.DGrid {
-			a := m.EstimateAverages(p.Seed+uint64(i*31+j), n, rmax, d, p.DThresh)
-			row[j] = a.Efficiency()
-		}
-		t.Cells = append(t.Cells, row)
-		t.Thresholds = append(t.Thresholds, p.DThresh)
+	t := newEfficiencyTable(p)
+	cols := len(p.DGrid)
+	montecarlo.Fork(ctx, len(p.RmaxGrid)*cols, func(ctx context.Context, k int) {
+		i, j := k/cols, k%cols
+		a := m.WithContext(ctx).EstimateAverages(p.Seed+uint64(i*31+j), n, p.RmaxGrid[i], p.DGrid[j], p.DThresh)
+		t.Cells[i][j] = a.Efficiency()
+	})
+	for i := range t.Thresholds {
+		t.Thresholds[i] = p.DThresh
 	}
 	return t
 }
@@ -109,20 +112,35 @@ func Table1(p Table1Params, scale Scale) EfficiencyTable {
 // Table2 computes the second §3.2.5 table: the same grid but with the
 // threshold optimized per R_max by the §3.3.3 criterion (the
 // ⟨C_conc⟩ = ⟨C_mux⟩ crossing). Paper thresholds: 40, 55, 60; values
-// (93 91 99 / 96 87 96 / 89 83 92) percent.
-func Table2(p Table1Params, scale Scale) EfficiencyTable {
+// (93 91 99 / 96 87 96 / 89 83 92) percent. Each row — its threshold
+// search, then its cells — is one task of a montecarlo.Fork.
+func Table2(ctx context.Context, p Table1Params, scale Scale) EfficiencyTable {
 	m := core.New(core.Params{Alpha: p.Alpha, SigmaDB: p.SigmaDB, NoiseDB: core.DefaultNoiseDB})
 	n := scale.mcSamples()
-	t := EfficiencyTable{Params: p}
-	for i, rmax := range p.RmaxGrid {
+	t := newEfficiencyTable(p)
+	montecarlo.Fork(ctx, len(p.RmaxGrid), func(ctx context.Context, i int) {
+		m := m.WithContext(ctx)
+		rmax := p.RmaxGrid[i]
 		dOpt := m.OptimalThreshold(p.Seed+uint64(1000+i), n/4, rmax)
-		row := make([]float64, len(p.DGrid))
 		for j, d := range p.DGrid {
 			a := m.EstimateAverages(p.Seed+uint64(i*31+j), n, rmax, d, dOpt)
-			row[j] = a.Efficiency()
+			t.Cells[i][j] = a.Efficiency()
 		}
-		t.Cells = append(t.Cells, row)
-		t.Thresholds = append(t.Thresholds, dOpt)
+		t.Thresholds[i] = dOpt
+	})
+	return t
+}
+
+// newEfficiencyTable allocates a table's cells, so that forked tasks
+// can each fill their own.
+func newEfficiencyTable(p Table1Params) EfficiencyTable {
+	t := EfficiencyTable{
+		Params:     p,
+		Cells:      make([][]float64, len(p.RmaxGrid)),
+		Thresholds: make([]float64, len(p.RmaxGrid)),
+	}
+	for i := range t.Cells {
+		t.Cells[i] = make([]float64, len(p.DGrid))
 	}
 	return t
 }
@@ -179,7 +197,7 @@ type RobustnessPoint struct {
 // precisely why §3.3.4 finds one hardware threshold robust across
 // environments; sweeping with a fixed *distance* instead collapses
 // the α = 2 cells.
-func RobustnessSweep(alphas, sigmas []float64, scale Scale) []RobustnessPoint {
+func RobustnessSweep(ctx context.Context, alphas, sigmas []float64, scale Scale) []RobustnessPoint {
 	base := DefaultTable1()
 	pThresh := math.Pow(base.DThresh, -base.Alpha)
 	var out []RobustnessPoint
@@ -189,7 +207,7 @@ func RobustnessSweep(alphas, sigmas []float64, scale Scale) []RobustnessPoint {
 			p.Alpha = alpha
 			p.SigmaDB = sigma
 			p.DThresh = math.Pow(pThresh, -1/alpha)
-			t := Table1(p, scale)
+			t := Table1(ctx, p, scale)
 			sum, cnt := 0.0, 0
 			for _, row := range t.Cells {
 				for _, v := range row {

@@ -445,16 +445,17 @@ func (e *ExecError) Unwrap() error { return e.Err }
 // KernelMeanVec estimates the means of a registered vector-valued
 // kernel through the installed executor, under the installed default
 // sampler. Params must marshal to the JSON the kernel's factory
-// expects. Results are bit-identical to MeanVec over the same
-// integrand's per-sample form (for the plain sampler), at any
-// executor.
-func KernelMeanVec(kernel string, params any, seed uint64, n, dim int) []Estimate {
+// expects. ctx reaches the executor: it carries cancellation and, for
+// a forked task (Fork), the task's plan position. Results are
+// bit-identical to MeanVec over the same integrand's per-sample form
+// (for the plain sampler), at any executor.
+func KernelMeanVec(ctx context.Context, kernel string, params any, seed uint64, n, dim int) []Estimate {
 	raw, err := json.Marshal(params)
 	if err != nil {
 		panic(&ExecError{Kernel: kernel, Err: fmt.Errorf("marshal params: %w", err)})
 	}
 	req := Request{Kernel: kernel, Params: raw, Seed: seed, Samples: n, Dim: dim, Sampler: DefaultSampler()}
-	accs, err := CurrentExecutor().EstimateVec(context.Background(), req)
+	accs, err := CurrentExecutor().EstimateVec(ctx, req)
 	if err != nil {
 		panic(&ExecError{Kernel: kernel, Err: err})
 	}
@@ -466,9 +467,4 @@ func KernelMeanVec(kernel string, params any, seed uint64, n, dim int) []Estimat
 		out[j] = accs[j].Estimate()
 	}
 	return out
-}
-
-// KernelMean is the scalar convenience over KernelMeanVec.
-func KernelMean(kernel string, params any, seed uint64, n int) Estimate {
-	return KernelMeanVec(kernel, params, seed, n, 1)[0]
 }

@@ -102,7 +102,7 @@ func TestRunRequestMatchesMeanVec(t *testing.T) {
 		}
 	}
 	// And through the public KernelMeanVec entry point.
-	got := KernelMeanVec("test/vec", testKernelParams{Offset: 1.5}, 42, n, 2)
+	got := KernelMeanVec(context.Background(), "test/vec", testKernelParams{Offset: 1.5}, 42, n, 2)
 	for j := range got {
 		if got[j] != want[j] {
 			t.Errorf("KernelMeanVec[%d] = %+v, want %+v", j, got[j], want[j])
@@ -252,7 +252,7 @@ func TestKernelMeanVecPanicsWithExecError(t *testing.T) {
 			t.Fatalf("panic value %v is not an ExecError", r)
 		}
 	}()
-	KernelMeanVec("test/definitely-not-registered", nil, 1, 10, 1)
+	KernelMeanVec(context.Background(), "test/definitely-not-registered", nil, 1, 10, 1)
 }
 
 func TestSetExecutorRoutesRequests(t *testing.T) {
@@ -263,7 +263,7 @@ func TestSetExecutorRoutesRequests(t *testing.T) {
 		return RunRequest(ctx, req)
 	}))
 	want := MeanVec(5, ShardSize, 2, testKernelEval(0))
-	got := KernelMeanVec("test/vec", testKernelParams{}, 5, ShardSize, 2)
+	got := KernelMeanVec(context.Background(), "test/vec", testKernelParams{}, 5, ShardSize, 2)
 	if called != 1 {
 		t.Errorf("executor called %d times", called)
 	}

@@ -22,8 +22,9 @@ var (
 
 // instrumentShard runs fn for one shard under the pool's metrics and,
 // when a tracer is installed, a per-shard span on the pool worker's
-// lane. The disabled-tracer path allocates nothing beyond fn itself.
-func instrumentShard(w int, s Shard, fn func(Shard)) {
+// lane (a tracer thread ID from poolLanes). The disabled-tracer path
+// allocates nothing beyond fn itself.
+func instrumentShard(lane int, s Shard, fn func(Shard)) {
 	tr := obs.CurrentTracer()
 	var ts time.Duration
 	if tr != nil {
@@ -34,7 +35,7 @@ func instrumentShard(w int, s Shard, fn func(Shard)) {
 	shardEvalSeconds.Observe(time.Since(t0).Seconds())
 	shardsEvaluated.Inc()
 	if tr != nil {
-		tr.Span("shard", "mc", obs.TidLocalBase+w, ts,
+		tr.Span("shard", "mc", lane, ts,
 			map[string]any{"shard": s.Index, "n": s.N})
 	}
 }

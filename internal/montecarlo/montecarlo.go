@@ -186,7 +186,9 @@ func PlanShards(seed uint64, total int) []Shard {
 // slots share cache lines, and two workers writing them per sample
 // would keep invalidating each other's copy. Each evaluation is timed
 // into the registry and, when tracing is on, emitted as a span on its
-// pool worker's lane — the pool only ever decides scheduling, so
+// pool worker's lane. A worker holds its lane for the sweep, so
+// concurrent sweeps (forked tasks, a worker serving several batches)
+// never share one. The pool only ever decides scheduling, so
 // instrumentation cannot affect results.
 func RunShards(shards []Shard, fn func(Shard)) {
 	workers := Workers()
@@ -194,8 +196,10 @@ func RunShards(shards []Shard, fn func(Shard)) {
 		workers = len(shards)
 	}
 	if workers <= 1 {
+		lane := poolLanes.acquire()
+		defer poolLanes.release(lane)
 		for _, s := range shards {
-			instrumentShard(0, s, fn)
+			instrumentShard(lane, s, fn)
 		}
 		return
 	}
@@ -203,16 +207,18 @@ func RunShards(shards []Shard, fn func(Shard)) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
+			lane := poolLanes.acquire()
+			defer poolLanes.release(lane)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(shards) {
 					return
 				}
-				instrumentShard(w, shards[i], fn)
+				instrumentShard(lane, shards[i], fn)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 }

@@ -33,15 +33,19 @@ type TraceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// Well-known tracer thread IDs. Local pool workers use TidLocalBase+w,
+// Well-known tracer thread IDs. Local pool workers use TidLocalBase+k,
 // remote workers TidRemoteBase+i in fleet order. TidServer is the
 // worker-process lane: `cs serve -trace` records every shard batch it
 // evaluates there, the other end of the coordinator's dispatch spans.
+// Estimation tasks that run beside the engine's own (montecarlo.Fork)
+// record their estimate spans on TidTaskBase+k. Pool and task lanes
+// are handed out lowest-free, so lanes busy at the same time differ.
 const (
 	TidEngine     = 1
 	TidServer     = 2
 	TidLocalBase  = 10
 	TidRemoteBase = 100
+	TidTaskBase   = 1000
 )
 
 // DefaultTraceCap bounds the event buffer: a runaway -relerr run can

@@ -56,6 +56,9 @@ const Auto = "auto"
 // than a single typical convergence round.
 const AutoPilotShards = 2
 
+// autoPilotSamples is one candidate's pilot budget in samples.
+const autoPilotSamples = AutoPilotShards * montecarlo.ShardSize
+
 // autoCandidates returns the candidate strategies for a kernel, in
 // the fixed tie-break order: cheapest-machinery first, cv last and
 // only when the kernel has a registered control twin (and the
@@ -107,12 +110,14 @@ type AutoScheduler struct {
 	base  montecarlo.Executor // pilot path: no driving, no auto/cv rewriting
 	cv    *ControlVariates    // equips the cv candidate; nil disables cv
 
-	mu      sync.Mutex
-	choices map[string]string       // kernel → winning sampler name ("plain" literal)
-	scores  map[string][]PilotScore // kernel → pilot scoreboard
-	spent   int
-	table   string
-	target  float64
+	mu       sync.Mutex
+	choices  map[string]string       // kernel → winning sampler name ("plain" literal)
+	scores   map[string][]PilotScore // kernel → pilot scoreboard
+	piloting map[string]bool         // kernels whose pilot is running
+	settled  chan struct{}           // closed (and replaced) when a pilot ends
+	spent    int
+	table    string
+	target   float64
 }
 
 // NewAuto builds an auto-scheduler over inner (the resolved-request
@@ -127,13 +132,15 @@ func NewAuto(inner, base montecarlo.Executor, cv *ControlVariates, opt AutoOptio
 		base = localExecutor{}
 	}
 	a := &AutoScheduler{
-		inner:   inner,
-		base:    base,
-		cv:      cv,
-		choices: map[string]string{},
-		scores:  map[string][]PilotScore{},
-		table:   opt.TablePath,
-		target:  opt.Target,
+		inner:    inner,
+		base:     base,
+		cv:       cv,
+		choices:  map[string]string{},
+		scores:   map[string][]PilotScore{},
+		piloting: map[string]bool{},
+		settled:  make(chan struct{}),
+		table:    opt.TablePath,
+		target:   opt.Target,
 	}
 	a.loadTable()
 	return a
@@ -215,7 +222,7 @@ func (a *AutoScheduler) score(ctx context.Context, req montecarlo.Request, cand 
 	if cand == Plain {
 		pr.Sampler = "" // canonical plain identity
 	}
-	pr.Samples = AutoPilotShards * montecarlo.ShardSize
+	pr.Samples = autoPilotSamples
 	pr.FirstShard = 0
 	pr.Control = nil
 	if cand == CV && montecarlo.HasControlTwin(req.Kernel) {
@@ -229,7 +236,6 @@ func (a *AutoScheduler) score(ctx context.Context, req montecarlo.Request, cand 
 	if err != nil {
 		return 0, fmt.Errorf("sampling: auto pilot %q/%s: %w", req.Kernel, cand, err)
 	}
-	a.spent += pr.Samples
 	est := accs[0].Estimate()
 	group := float64(candidateGroup[cand])
 	if est.Mean == 0 {
@@ -244,21 +250,47 @@ func (a *AutoScheduler) score(ctx context.Context, req montecarlo.Request, cand 
 }
 
 // resolve returns the winning sampler name for a kernel, piloting the
-// candidates on first sight. The pilot is serialized under the
-// scheduler's lock — it runs once per kernel per process (or never,
-// with a warm choice table).
+// candidates on first sight. The pilot runs on the request the
+// sequential program would have seen first: only the task that leads
+// its plan (montecarlo.Leads) may pilot an unresolved kernel, and a
+// later task that asks first waits until the kernel resolves or it
+// comes to lead. The lock is not held across a pilot, so requests for
+// resolved kernels keep flowing meanwhile. A pilot runs once per
+// kernel per process (or never, with a warm choice table).
 func (a *AutoScheduler) resolve(ctx context.Context, req montecarlo.Request) (string, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if name, ok := a.choices[req.Kernel]; ok {
-		return name, nil
+	for {
+		leads, changed := montecarlo.Leads(ctx)
+		a.mu.Lock()
+		if name, ok := a.choices[req.Kernel]; ok {
+			a.mu.Unlock()
+			return name, nil
+		}
+		if leads && !a.piloting[req.Kernel] {
+			a.piloting[req.Kernel] = true
+			a.mu.Unlock()
+			return a.pilot(ctx, req)
+		}
+		settled := a.settled
+		a.mu.Unlock()
+		select {
+		case <-changed:
+		case <-settled:
+		case <-ctx.Done():
+			return "", ctx.Err()
+		}
 	}
+}
+
+// pilot scores every candidate on req and records the winner. A failed
+// pilot records nothing, so a later request may pilot again.
+func (a *AutoScheduler) pilot(ctx context.Context, req montecarlo.Request) (string, error) {
 	best, bestScore := "", math.Inf(1)
 	var board []PilotScore
+	var err error
 	for _, cand := range autoCandidates(req.Kernel, a.cv != nil) {
-		s, err := a.score(ctx, req, cand)
-		if err != nil {
-			return "", err
+		var s float64
+		if s, err = a.score(ctx, req, cand); err != nil {
+			break
 		}
 		board = append(board, PilotScore{Sampler: cand, Score: s})
 		if s < bestScore { // strict: ties keep the earlier candidate
@@ -267,6 +299,15 @@ func (a *AutoScheduler) resolve(ctx context.Context, req montecarlo.Request) (st
 	}
 	if best == "" {
 		best = Plain // every candidate scored +Inf (zero primary mean)
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	delete(a.piloting, req.Kernel)
+	close(a.settled)
+	a.settled = make(chan struct{})
+	a.spent += len(board) * autoPilotSamples
+	if err != nil {
+		return "", err
 	}
 	a.choices[req.Kernel] = best
 	a.scores[req.Kernel] = board

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"carriersense/internal/cache"
@@ -158,4 +159,96 @@ func TestExpectedCostChargesCVPilot(t *testing.T) {
 	if cv, rival := expectedCost(CV, 0, 0.005), expectedCost(Sobol, 1e-5, 0.005); cv <= rival {
 		t.Errorf("cv cost %v <= cheap rival %v; pilot surcharge missing", cv, rival)
 	}
+}
+
+// pilotRecorder is a base executor that remembers the seed of every
+// pilot request it serves; piloted is closed at the first.
+type pilotRecorder struct {
+	mu      sync.Mutex
+	seeds   []uint64
+	piloted chan struct{}
+}
+
+func (p *pilotRecorder) EstimateVec(ctx context.Context, req montecarlo.Request) ([]montecarlo.Accumulator, error) {
+	p.mu.Lock()
+	if len(p.seeds) == 0 {
+		close(p.piloted)
+	}
+	p.seeds = append(p.seeds, req.Seed)
+	p.mu.Unlock()
+	return montecarlo.RunRequest(ctx, req)
+}
+
+func TestAutoPilotsOnPlanLeaderNotFirstAsker(t *testing.T) {
+	if err := montecarlo.SetMaxWorkers(4); err != nil {
+		t.Fatal(err)
+	}
+	defer montecarlo.ResetMaxWorkers()
+	rec := &pilotRecorder{piloted: make(chan struct{})}
+	a := NewAuto(localExecutor{}, rec, nil, AutoOptions{Target: 0.005})
+	// Task 0 asks only once task 1 has asked and waits behind it (its
+	// first look at ctx.Done is the scheduler's wait) or, were the
+	// scheduler first-come, has started piloting.
+	waiting := make(chan struct{})
+	asked := make(chan struct{})
+	go func() {
+		defer close(asked)
+		select {
+		case <-waiting:
+		case <-rec.piloted:
+		}
+	}()
+	results := make([][]montecarlo.Accumulator, 2)
+	montecarlo.Fork(montecarlo.WithPlan(context.Background()), 2, func(ctx context.Context, i int) {
+		if i == 0 {
+			<-asked
+		}
+		req := autoReq(2 * montecarlo.ShardSize)
+		req.Seed = uint64(10 + i)
+		if i == 1 {
+			ctx = &doneWatch{Context: ctx, first: waiting}
+		}
+		accs, err := a.EstimateVec(montecarlo.Point(ctx), req)
+		if err != nil {
+			t.Error(err)
+		}
+		results[i] = accs
+	})
+	for _, seed := range rec.seeds {
+		if seed != 10 {
+			t.Fatalf("pilot seeds %v: piloted on task 1's request, want only task 0's (seed 10)", rec.seeds)
+		}
+	}
+	if len(rec.seeds) == 0 {
+		t.Fatal("no pilot ran")
+	}
+	// Both points ran under the winner, exactly as a sequential run would.
+	winner := a.Choices()["drive/noisy"]
+	if winner == Plain {
+		winner = ""
+	}
+	for i, got := range results {
+		req := autoReq(2 * montecarlo.ShardSize)
+		req.Seed = uint64(10 + i)
+		req.Sampler = winner
+		want, err := montecarlo.RunRequest(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0].State() != want[0].State() {
+			t.Errorf("task %d: result differs from the fixed-winner request", i)
+		}
+	}
+}
+
+// doneWatch closes first the first time its Done channel is asked for.
+type doneWatch struct {
+	context.Context
+	first chan struct{}
+	once  sync.Once
+}
+
+func (d *doneWatch) Done() <-chan struct{} {
+	d.once.Do(func() { close(d.first) })
+	return d.Context.Done()
 }

@@ -30,6 +30,7 @@ package sampling
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"carriersense/internal/montecarlo"
@@ -113,7 +114,13 @@ type Driver struct {
 	opt   DriverOptions
 
 	mu     sync.Mutex
-	points []PointReport
+	points []ledgerEntry
+}
+
+// ledgerEntry is one finished point with its plan position.
+type ledgerEntry struct {
+	pos    montecarlo.Position
+	report PointReport
 }
 
 // localExecutor evaluates in-process; the default inner executor.
@@ -199,7 +206,7 @@ func (d *Driver) EstimateVec(ctx context.Context, req montecarlo.Request) ([]mon
 		report.RelErr = accs[0].Estimate().RelErr()
 		if report.RelErr <= d.opt.RelErr {
 			report.Converged = true
-			d.recordPoint(report)
+			d.recordPoint(ctx, report)
 			return accs, nil
 		}
 		// Probe missed: discard it entirely (totals stay empty) and
@@ -242,14 +249,15 @@ func (d *Driver) EstimateVec(ctx context.Context, req montecarlo.Request) ([]mon
 		}
 		n = next
 	}
-	d.recordPoint(report)
+	d.recordPoint(ctx, report)
 	return totals, nil
 }
 
-// recordPoint appends one finished point to the ledger and metrics.
-func (d *Driver) recordPoint(report PointReport) {
+// recordPoint appends one finished point, with the plan position ctx
+// carries, to the ledger and metrics.
+func (d *Driver) recordPoint(ctx context.Context, report PointReport) {
 	d.mu.Lock()
-	d.points = append(d.points, report)
+	d.points = append(d.points, ledgerEntry{montecarlo.PositionOf(ctx), report})
 	d.mu.Unlock()
 	mPoints.Inc()
 	mRounds.Add(int64(report.Rounds))
@@ -260,12 +268,20 @@ func (d *Driver) recordPoint(report PointReport) {
 	}
 }
 
-// Reports returns a copy of every point driven so far, in completion
-// order.
+// Reports returns a copy of every point driven so far, in plan order
+// (montecarlo.Position), which is the order the sequential program
+// issues them in, however concurrent tasks finish. Points without a
+// position keep their completion order, ahead of the rest.
 func (d *Driver) Reports() []PointReport {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]PointReport(nil), d.points...)
+	entries := append([]ledgerEntry(nil), d.points...)
+	d.mu.Unlock()
+	slices.SortStableFunc(entries, func(a, b ledgerEntry) int { return slices.Compare(a.pos, b.pos) })
+	out := make([]PointReport, len(entries))
+	for i, e := range entries {
+		out[i] = e.report
+	}
+	return out
 }
 
 // Summary aggregates the driver's points.
@@ -281,7 +297,8 @@ func (d *Driver) Summarize() Summary {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s := Summary{Points: len(d.points)}
-	for _, p := range d.points {
+	for _, e := range d.points {
+		p := e.report
 		s.Spent += p.Spent
 		if p.Converged {
 			s.Converged++

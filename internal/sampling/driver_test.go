@@ -279,3 +279,43 @@ func TestDriverNoProbeStartsAtWholeShards(t *testing.T) {
 		}
 	}
 }
+
+// forkInReverse runs fn for three tasks of one plan and makes them
+// finish in reverse index order: each task waits for the next one to
+// finish before it starts.
+func forkInReverse(t *testing.T, fn func(ctx context.Context, i int)) {
+	t.Helper()
+	if err := montecarlo.SetMaxWorkers(4); err != nil {
+		t.Fatal(err)
+	}
+	defer montecarlo.ResetMaxWorkers()
+	done := []chan struct{}{make(chan struct{}), make(chan struct{}), make(chan struct{})}
+	montecarlo.Fork(montecarlo.WithPlan(context.Background()), 3, func(ctx context.Context, i int) {
+		defer close(done[i])
+		if i < 2 {
+			<-done[i+1]
+		}
+		fn(montecarlo.Point(ctx), i)
+	})
+}
+
+func TestDriverReportsInPlanOrder(t *testing.T) {
+	d, err := NewDriver(nil, DriverOptions{RelErr: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forkInReverse(t, func(ctx context.Context, i int) {
+		req := driveReq(1, "", 8*montecarlo.ShardSize)
+		req.Seed = uint64(i)
+		if _, err := d.EstimateVec(ctx, req); err != nil {
+			t.Error(err)
+		}
+	})
+	var seeds []uint64
+	for _, r := range d.Reports() {
+		seeds = append(seeds, r.Seed)
+	}
+	if len(seeds) != 3 || seeds[0] != 0 || seeds[1] != 1 || seeds[2] != 2 {
+		t.Errorf("report seeds %v, want plan order [0 1 2] although tasks finished in reverse", seeds)
+	}
+}
