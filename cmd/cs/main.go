@@ -129,15 +129,13 @@ run/all flags:
                  at 1 a scenario's independent points also run one
                  at a time; results are bit-identical at any width
   -sampler NAME  Monte Carlo sampling strategy: plain (default),
-                 antithetic (mirrored draw pairs), stratified
-                 (per-shard strata), sobol (scrambled quasi-Monte
-                 Carlo), halton (rotated quasi-Monte Carlo fallback),
-                 cv (control variates against each kernel's exact
-                 sigma=0 quadrature twin), or auto (pilot every
-                 strategy per kernel, run the winner); part of the
-                 estimation identity, so results stay bit-identical at
-                 any -parallel width, -workers fleet size, and through
-                 -cache
+                 stratified (per-shard strata), sobol (scrambled
+                 quasi-Monte Carlo), cv (control variates against
+                 each kernel's exact sigma=0 quadrature twin), or
+                 auto (pilot every strategy per kernel, run the
+                 winner); part of the estimation identity, so results
+                 stay bit-identical at any -parallel width, -workers
+                 fleet size, and through -cache
   -auto-table F  with -sampler auto: persist the per-kernel winners to
                  F (JSON, stamped with the cache key epoch) so repeat
                  runs skip the pilot rounds; defaults to
@@ -246,7 +244,7 @@ func runOptions(fs *flag.FlagSet, withSets bool) (finish func() (runConfig, erro
 	fs.StringVar(&opts.Seed, "seed", "", "override the scenario's Seed parameter")
 	fs.StringVar(&opts.Scale, "scale", "bench", "sampling effort: smoke, bench, or full")
 	fs.IntVar(&opts.Parallel, "parallel", 0, "worker pool width (0 = GOMAXPROCS)")
-	fs.StringVar(&opts.Sampler, "sampler", "", "sampling strategy: plain (default), antithetic, stratified, sobol, halton, cv, or auto")
+	fs.StringVar(&opts.Sampler, "sampler", "", "sampling strategy: plain (default), stratified, sobol, cv, or auto")
 	fs.StringVar(&opts.AutoTable, "auto-table", "", "with -sampler auto: persist per-kernel choices to this JSON table (default: <cache-dir>/sampler-choices.json when -cache is set)")
 	fs.Float64Var(&opts.RelErr, "relerr", 0, "grow per-point budgets until this relative standard error is met")
 	fs.IntVar(&opts.MaxSamples, "max-samples", 0, "per-point budget cap for -relerr (0 = the scenario's own budget)")

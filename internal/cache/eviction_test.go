@@ -13,7 +13,7 @@ import (
 func TestKeyCoversSamplerAndShardRange(t *testing.T) {
 	base := testReq(1, 5, 2*montecarlo.ShardSize)
 	sampled := base
-	sampled.Sampler = "antithetic"
+	sampled.Sampler = "sobol"
 	ranged := base
 	ranged.FirstShard = 1
 	keys := map[string]string{
@@ -34,15 +34,15 @@ func TestSamplerVariantsAreSeparateEntries(t *testing.T) {
 	inner := &countingExecutor{inner: dist.Local{}}
 	e := New(inner, Options{})
 	plain := testReq(1, 9, montecarlo.ShardSize)
-	anti := plain
-	anti.Sampler = "plain" // registered, distinct key from ""
+	named := plain
+	named.Sampler = "plain" // registered, distinct key from ""
 	mustEstimate(t, e, plain)
-	mustEstimate(t, e, anti)
+	mustEstimate(t, e, named)
 	if got := inner.calls.Load(); got != 2 {
 		t.Errorf("sampler variant served from the wrong entry: %d inner calls, want 2", got)
 	}
 	// A hit under each identity returns that identity's bits.
-	if !sameAccs(mustEstimate(t, e, plain), mustEstimate(t, e, anti)) {
+	if !sameAccs(mustEstimate(t, e, plain), mustEstimate(t, e, named)) {
 		// "" and "plain" are the same strategy, so the *values* agree
 		// even though the entries are distinct.
 		t.Error("plain and \"\" sampler results differ")

@@ -203,7 +203,7 @@ func (m *Model) estimatePoint(kernel string, rmax, d, dThresh float64, seed uint
 
 // localMeanVec is the executor-bypassing fallback for environments with
 // no serializable kernel identity. It still honors the installed
-// default sampler — a `-sampler antithetic` run must not silently
+// default sampler — a `-sampler sobol` run must not silently
 // degrade to plain draws just because the capacity model is foreign.
 func localMeanVec(seed uint64, n, dim int, eval montecarlo.BatchEvalFunc) []montecarlo.Estimate {
 	est, err := montecarlo.SampledMeanVec(montecarlo.DefaultSampler(), seed, n, dim, eval)

@@ -386,9 +386,10 @@ func TestMalformedBatchFramesGetFatalErrorFrame(t *testing.T) {
 	// answers with a fatal error frame, so the coordinator abandons
 	// rather than retries, and never with a result.
 	host := startWorker(t)
-	request := func(samples, dim int) []byte {
+	request := func(samples, dim int, sampler string) []byte {
 		payload, err := encodeRequest(1, montecarlo.Request{
 			Kernel: "dist-test/vec", Params: json.RawMessage(`{"scale":2.5}`), Seed: 1, Samples: samples, Dim: dim,
+			Sampler: sampler,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -401,12 +402,15 @@ func TestMalformedBatchFramesGetFatalErrorFrame(t *testing.T) {
 		indices []int
 	}{
 		{"request not JSON", append([]byte{1, 0, 0, 0}, "{not json"...), []int{0}},
-		{"index out of range", request(montecarlo.ShardSize, 3), []int{9}},
-		{"no indices", request(montecarlo.ShardSize, 3), []int{}},
-		{"duplicate index", request(4*montecarlo.ShardSize, 3), []int{2, 2}},
+		{"index out of range", request(montecarlo.ShardSize, 3, ""), []int{9}},
+		{"no indices", request(montecarlo.ShardSize, 3, ""), []int{}},
+		{"duplicate index", request(4*montecarlo.ShardSize, 3, ""), []int{2, 2}},
 		// A 3-component kernel asked for 1: rejected before evaluation,
 		// not an out-of-range panic that kills the worker.
-		{"dim too small", request(montecarlo.ShardSize, 1), []int{0}},
+		{"dim too small", request(montecarlo.ShardSize, 1, ""), []int{0}},
+		// A sampler an older coordinator still knows but this worker
+		// no longer registers.
+		{"retired sampler", request(montecarlo.ShardSize, 3, "antithetic"), []int{0}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			sc, err := dialStream(context.Background(), "http://"+host, 5*time.Second)

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,7 +45,7 @@ func TestRunRecordsSamplerInResult(t *testing.T) {
 	for _, tc := range []struct{ sampler, want string }{
 		{"", "plain"},
 		{"plain", "plain"},
-		{"antithetic", "antithetic"},
+		{"stratified", "stratified"},
 	} {
 		results, err := Run(context.Background(), "mcstub-sampler", Options{Sampler: tc.sampler})
 		if err != nil {
@@ -57,7 +58,7 @@ func TestRunRecordsSamplerInResult(t *testing.T) {
 }
 
 func TestRunSamplerChangesEstimatorIdentity(t *testing.T) {
-	registerMCStub(t, "mcstub-identity", 4000)
+	registerMCStub(t, "mcstub-identity", montecarlo.ShardSize)
 	run := func(sampler string) map[string]float64 {
 		results, err := Run(context.Background(), "mcstub-identity", Options{Sampler: sampler})
 		if err != nil {
@@ -66,18 +67,18 @@ func TestRunSamplerChangesEstimatorIdentity(t *testing.T) {
 		return results[0].Metrics
 	}
 	plain := run("plain")
-	anti := run("antithetic")
-	// Antithetic folds pairs into single observations: half the
-	// accumulator count, and an exact mean of 1.5 for the uniform
-	// integrand (u and 1-u cancel perfectly).
-	if anti["n"] != plain["n"]/2 {
-		t.Errorf("antithetic N = %v, want %v", anti["n"], plain["n"]/2)
+	strat := run("stratified")
+	// Stratified folds each 64-sample block into one observation, and
+	// each block puts one draw in every stratum, so the mean of the
+	// uniform integrand lands within 1e-3 of 1.5.
+	if strat["n"] != plain["n"]/64 {
+		t.Errorf("stratified N = %v, want %v", strat["n"], plain["n"]/64)
 	}
-	if anti["mean"] != 1.5 {
-		t.Errorf("antithetic mean = %v, want exactly 1.5", anti["mean"])
+	if math.Abs(strat["mean"]-1.5) > 1e-3 {
+		t.Errorf("stratified mean = %v, want 1.5 within 1e-3", strat["mean"])
 	}
-	if plain["mean"] == 1.5 {
-		t.Error("plain mean hit 1.5 exactly; the stub is not distinguishing samplers")
+	if strat["mean"] == plain["mean"] {
+		t.Error("stratified and plain means are equal; the stub is not distinguishing samplers")
 	}
 }
 

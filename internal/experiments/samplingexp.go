@@ -71,8 +71,7 @@ func SamplingBench(p SamplingBenchParams, scale Scale) []SamplerComparison {
 	var out []SamplerComparison
 	var plainSpent int
 	for _, name := range []string{
-		sampling.Plain, sampling.Antithetic, sampling.Stratified,
-		sampling.Sobol, sampling.Halton, sampling.CV, sampling.Auto,
+		sampling.Plain, sampling.Stratified, sampling.Sobol, sampling.CV, sampling.Auto,
 	} {
 		driver, err := sampling.NewDriver(nil, sampling.DriverOptions{RelErr: p.Target, MaxSamples: cap})
 		if err != nil {

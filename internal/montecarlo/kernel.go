@@ -320,9 +320,9 @@ const batchChunk = 512
 // sampler — or whenever a control-variate adjustment is attached —
 // the kernel runs one sample per call over the sampler's stream, with
 // each group of Group() consecutive samples folded into one
-// accumulator observation (their mean) — for antithetic pairs that is
-// what lets the accumulator's standard error see the negative
-// within-pair covariance instead of only the marginal variance.
+// accumulator observation (their mean) — for stratified and Sobol
+// blocks that is what lets the accumulator's standard error see the
+// variance the block removes instead of only the marginal variance.
 func evalShard(ev BatchEvalFunc, s Shard, dim int, sp Sampler, cv *controlEval) []Accumulator {
 	if _, plain := sp.(plainSampler); cv != nil || (!plain && sp != nil) {
 		return evalShardSampled(ev, s, dim, sp, cv)

@@ -1,7 +1,7 @@
 package montecarlo
 
 // The sampler seam: a Sampler rewrites how one shard's samples are
-// drawn (and, for paired strategies, how they are folded into the
+// drawn (and, for block strategies, how they are folded into the
 // accumulator) without the integrand knowing. Strategies are
 // registered by name — the name travels in Request.Sampler, through
 // the dist wire protocol and the cache key — so a sampler-transformed
@@ -11,7 +11,7 @@ package montecarlo
 // The registry mirrors the kernel registry: montecarlo registers the
 // degenerate "plain" strategy (raw shard streams, one observation per
 // sample); internal/sampling registers the variance-reduction
-// strategies (antithetic, stratified) in its init. Both the
+// strategies (stratified, sobol, cv) in its init. Both the
 // coordinator and `cs serve` workers link internal/sampling via the
 // engine, so a named sampler rebuilds identically on either side.
 
@@ -42,8 +42,8 @@ type SampleStream interface {
 type Sampler interface {
 	// Group returns how many consecutive samples fold into one
 	// accumulator observation (their mean): 1 for independent
-	// samples, 2 for antithetic pairs. Group must divide ShardSize so
-	// groups never straddle shard boundaries.
+	// samples, 64 for a stratified or Sobol block. Group must divide
+	// ShardSize so groups never straddle shard boundaries.
 	Group() int
 	// Stream starts one shard evaluation of n samples drawing from
 	// src, the shard's deterministic raw stream.

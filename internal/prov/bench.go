@@ -19,7 +19,7 @@ import (
 // BenchSnapshot is one parsed BENCH_*.json: header strings plus every
 // numeric value flattened into dot-separated lanes, e.g.
 // "sim.events_per_sec", "dist.local_us_per_shard",
-// "sampling.scenarios.curves.antithetic_savings_pct",
+// "sampling.scenarios.curves.sobol_savings_pct",
 // "benchmarks.BenchmarkPacketSimSecond.ns_per_op".
 type BenchSnapshot struct {
 	Path   string

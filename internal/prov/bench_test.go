@@ -28,7 +28,7 @@ const oldSnapshot = `{
   "sampling": {
     "target_relerr": 0.005,
     "scenarios": [
-      {"scenario": "curves", "plain": 1000, "antithetic": 500, "antithetic_savings_pct": 50.0}
+      {"scenario": "curves", "plain": 1000, "sobol": 500, "sobol_savings_pct": 50.0}
     ]
   }
 }`
@@ -54,7 +54,7 @@ const newSnapshot = `{
   "sampling": {
     "target_relerr": 0.005,
     "scenarios": [
-      {"scenario": "curves", "plain": 1000, "antithetic": 500, "antithetic_savings_pct": 50.0}
+      {"scenario": "curves", "plain": 1000, "sobol": 500, "sobol_savings_pct": 50.0}
     ]
   }
 }`
@@ -84,7 +84,7 @@ func TestLoadBenchFlattensLanes(t *testing.T) {
 		"dist.prefetch_hit_rate":                                1.0,
 		"benchmarks.BenchmarkPacketSimSecond.ns_per_op":         1000,
 		"benchmarks.BenchmarkPacketSimSecond.metrics.allocs/op": 100,
-		"sampling.scenarios.curves.antithetic_savings_pct":      50.0,
+		"sampling.scenarios.curves.sobol_savings_pct":           50.0,
 	}
 	for lane, v := range want {
 		if got, ok := s.Lanes[lane]; !ok || got != v {
@@ -109,7 +109,7 @@ func TestLoadBenchCommittedSnapshot(t *testing.T) {
 	for _, lane := range []string{
 		"sim.allocs_per_event",
 		"dist.prefetch_hit_rate",
-		"sampling.scenarios.curves.antithetic_savings_pct",
+		"sampling.scenarios.curves.sobol_savings_pct",
 	} {
 		if _, ok := s.Lanes[lane]; !ok {
 			t.Errorf("committed snapshot missing expected lane %s", lane)
@@ -172,10 +172,10 @@ func TestDiffGates(t *testing.T) {
 	oldS, _ := LoadBench(oldPath)
 	newS, _ := LoadBench(newPath)
 	d := DiffSnapshots(oldS, newS, DiffOptions{Gates: map[string]float64{
-		"sim.allocs_per_event":                             0.5,  // regressed 200% → fails
-		"dist.prefetch_hit_rate":                           0.75, // regressed 50% → passes
-		"sampling.scenarios.curves.antithetic_savings_pct": 0.25, // unchanged → passes
-		"no.such.lane":                                     0.1,  // absent from both → fails loudly
+		"sim.allocs_per_event":                        0.5,  // regressed 200% → fails
+		"dist.prefetch_hit_rate":                      0.75, // regressed 50% → passes
+		"sampling.scenarios.curves.sobol_savings_pct": 0.25, // unchanged → passes
+		"no.such.lane":                                0.1,  // absent from both → fails loudly
 	}})
 	if len(d.GateFailures) != 2 {
 		t.Fatalf("gate failures = %v, want exactly 2", d.GateFailures)

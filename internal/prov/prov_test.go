@@ -28,7 +28,7 @@ func stampTestDir(t *testing.T) (string, *Manifest) {
 		Scenario:      "efficiency",
 		Scale:         "paper",
 		Seed:          "42",
-		Sampler:       "antithetic",
+		Sampler:       "sobol",
 		CacheKeyEpoch: 3,
 		Exec:          ExecInfo{Parallel: 4, Cache: true, Experiment: "sweep", Repeat: 1},
 		Toolchain:     CurrentToolchain(),

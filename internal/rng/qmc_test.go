@@ -1,9 +1,6 @@
 package rng
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestSobolDim0IsVanDerCorput(t *testing.T) {
 	// Unshifted dimension 0 is the base-2 van der Corput sequence; in
@@ -71,58 +68,6 @@ func TestSobolDigitalShiftPreservesStructure(t *testing.T) {
 			ub := uint32(b.Coord(d) * (1 << 32))
 			if ua^ub != shift[d] {
 				t.Fatalf("point %d dim %d: xor difference %#x, want shift %#x", i, d, ua^ub, shift[d])
-			}
-		}
-	}
-}
-
-func TestRadicalInverseKnownValues(t *testing.T) {
-	cases := []struct {
-		base, i uint32
-		want    float64
-	}{
-		{2, 0, 0}, {2, 1, 0.5}, {2, 2, 0.25}, {2, 3, 0.75}, {2, 4, 0.125},
-		{3, 1, 1.0 / 3}, {3, 2, 2.0 / 3}, {3, 3, 1.0 / 9}, {3, 4, 4.0 / 9},
-		{5, 7, 2.0/5 + 1.0/25},
-	}
-	for _, c := range cases {
-		if got := RadicalInverse(c.base, c.i); math.Abs(got-c.want) > 1e-15 {
-			t.Errorf("RadicalInverse(%d, %d) = %v, want %v", c.base, c.i, got, c.want)
-		}
-	}
-}
-
-func TestHaltonCoordRotation(t *testing.T) {
-	// The Cranley-Patterson rotation is a modulo-1 shift and always
-	// lands in [0,1), including the wraparound rounding edge.
-	if got := HaltonCoord(0, 1, 0.75); math.Abs(got-0.25) > 1e-15 {
-		t.Errorf("rotated coord = %v, want 0.25", got)
-	}
-	if got := HaltonCoord(0, 0, math.Nextafter(1, 0)); got < 0 || got >= 1 {
-		t.Errorf("edge rotation produced %v outside [0,1)", got)
-	}
-	for d := 0; d < HaltonMaxDim; d++ {
-		for i := uint32(0); i < 50; i++ {
-			if u := HaltonCoord(d, i, 0.618); u < 0 || u >= 1 {
-				t.Fatalf("dim %d point %d: coord %v outside [0,1)", d, i, u)
-			}
-		}
-	}
-}
-
-func TestHaltonLowBasesStratify(t *testing.T) {
-	// Base 2 and base 3: the first b^k points hit every 1/b^k interval
-	// exactly once.
-	for d, cells := range map[int]int{0: 16, 1: 27} {
-		seen := make([]int, cells)
-		for i := 0; i < cells; i++ {
-			// Tiny epsilon: base-3 radical inverses accumulate in floats,
-			// so a cell boundary can land one ulp low.
-			seen[int(HaltonCoord(d, uint32(i), 0)*float64(cells)+1e-9)]++
-		}
-		for j, n := range seen {
-			if n != 1 {
-				t.Errorf("dim %d: interval %d/%d holds %d points, want 1", d, j, cells, n)
 			}
 		}
 	}

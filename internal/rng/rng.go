@@ -65,9 +65,9 @@ func (s *Source) seed(hi, lo uint64) {
 
 // WithUniforms returns a Source that derives every variate from the
 // given uniform stream via inverse transforms. next must yield values
-// in [0, 1). Two WithUniforms sources over streams u and 1−u produce
-// antithetic (componentwise monotone-mirrored) variate streams, which
-// is what makes the transformation useful for variance reduction.
+// in [0, 1). A stratified or low-discrepancy uniform stream thus
+// carries its structure through to the variates, which is what makes
+// the transformation useful for variance reduction.
 func WithUniforms(next func() float64) *Source {
 	return &Source{uni: next}
 }

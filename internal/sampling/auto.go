@@ -64,21 +64,11 @@ const autoPilotSamples = AutoPilotShards * montecarlo.ShardSize
 // only when the kernel has a registered control twin (and the
 // scheduler has a ControlVariates decorator to equip it).
 func autoCandidates(kernel string, haveCV bool) []string {
-	c := []string{Plain, Antithetic, Stratified, Sobol}
+	c := []string{Plain, Stratified, Sobol}
 	if haveCV && montecarlo.HasControlTwin(kernel) {
 		c = append(c, CV)
 	}
 	return c
-}
-
-// candidateGroup maps candidate names to their observation group
-// sizes — the samples-per-observation factor of the score.
-var candidateGroup = map[string]int{
-	Plain:      1,
-	Antithetic: 2,
-	Stratified: StratifiedBlock,
-	Sobol:      SobolBlock,
-	CV:         1,
 }
 
 // AutoOptions configure an AutoScheduler.
@@ -167,7 +157,9 @@ func (a *AutoScheduler) loadTable() {
 		return
 	}
 	for kernel, name := range t.Choices {
-		if _, ok := candidateGroup[name]; ok {
+		// A name this build does not register (a retired sampler) is
+		// dropped, so only that kernel pilots again.
+		if name != "" && montecarlo.HasSampler(name) {
 			a.choices[kernel] = name
 		}
 	}
@@ -236,13 +228,16 @@ func (a *AutoScheduler) score(ctx context.Context, req montecarlo.Request, cand 
 	if err != nil {
 		return 0, fmt.Errorf("sampling: auto pilot %q/%s: %w", req.Kernel, cand, err)
 	}
+	group, err := montecarlo.SamplerGroup(cand)
+	if err != nil {
+		return 0, err
+	}
 	est := accs[0].Estimate()
-	group := float64(candidateGroup[cand])
 	if est.Mean == 0 {
 		return math.Inf(1), nil
 	}
 	varObs := est.StdErr * est.StdErr * float64(est.N)
-	raw := varObs * group / (est.Mean * est.Mean)
+	raw := varObs * float64(group) / (est.Mean * est.Mean)
 	if a.target > 0 {
 		return expectedCost(cand, raw, a.target), nil
 	}

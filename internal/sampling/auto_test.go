@@ -153,6 +153,42 @@ func TestAutoChoiceTableInvalidatedByEpoch(t *testing.T) {
 	}
 }
 
+func TestAutoChoiceTableDropsRetiredSampler(t *testing.T) {
+	// A table written by a build that still had a since-retired
+	// sampler: only the kernel whose winner is gone pilots again.
+	table := filepath.Join(t.TempDir(), "table.json")
+	old, _ := json.Marshal(map[string]any{
+		"key_epoch": cache.KeyEpoch,
+		"choices":   map[string]string{"drive/noisy": "halton", "probe/first": Stratified},
+	})
+	if err := os.WriteFile(table, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a := NewAuto(localExecutor{}, nil, nil, AutoOptions{TablePath: table})
+	if got := a.Choices(); len(got) != 1 || got["probe/first"] != Stratified {
+		t.Fatalf("loaded choices %v, want only probe/first=%s", got, Stratified)
+	}
+	probe := montecarlo.Request{Kernel: "probe/first", Seed: 1, Samples: montecarlo.ShardSize, Dim: 1, Sampler: Auto}
+	if _, err := a.EstimateVec(context.Background(), probe); err != nil {
+		t.Fatal(err)
+	}
+	if a.PilotSpent() != 0 {
+		t.Errorf("kept choice re-piloted: spent %d", a.PilotSpent())
+	}
+	if _, err := a.EstimateVec(context.Background(), autoReq(2*montecarlo.ShardSize)); err != nil {
+		t.Fatal(err)
+	}
+	if want := len(autoCandidates("drive/noisy", false)) * autoPilotSamples; a.PilotSpent() != want {
+		t.Errorf("re-pilot spent %d, want %d (one kernel's candidates)", a.PilotSpent(), want)
+	}
+	if got := a.Choices()["drive/noisy"]; got == "" || got == "halton" {
+		t.Errorf("drive/noisy resolved to %q, want a fresh pilot winner", got)
+	}
+	if got := a.Choices()["probe/first"]; got != Stratified {
+		t.Errorf("probe/first choice %q after the re-pilot, want the kept %s", got, Stratified)
+	}
+}
+
 func TestExpectedCostChargesCVPilot(t *testing.T) {
 	// A zero-variance cv candidate still costs its per-point β pilot;
 	// a rival whose variance implies fewer samples than that must win.

@@ -67,10 +67,7 @@ func TestSamplersBitIdenticalAcrossExecutors(t *testing.T) {
 		strings.TrimPrefix(srv2.URL, "http://"),
 	}
 
-	for _, sampler := range []string{
-		sampling.Plain, sampling.Antithetic, sampling.Stratified,
-		sampling.Sobol, sampling.Halton, sampling.CV,
-	} {
+	for _, sampler := range []string{sampling.Plain, sampling.Stratified, sampling.Sobol, sampling.CV} {
 		req := averagesReq(t, sampler, 3*montecarlo.ShardSize+101)
 		if sampler == sampling.CV {
 			// The engine's cv decorator stamps the pilot coefficients
@@ -110,7 +107,7 @@ func TestDriverBitIdenticalAcrossExecutors(t *testing.T) {
 	srv := httptest.NewServer(dist.NewServer())
 	defer srv.Close()
 
-	for _, sampler := range []string{sampling.Plain, sampling.Antithetic, sampling.Sobol, sampling.CV} {
+	for _, sampler := range []string{sampling.Plain, sampling.Stratified, sampling.Sobol, sampling.CV} {
 		req := averagesReq(t, sampler, 6*montecarlo.ShardSize)
 		opts := sampling.DriverOptions{RelErr: 0.01, MaxSamples: 6 * montecarlo.ShardSize}
 		// cv runs under the engine's decorator chain (cv outside the

@@ -254,18 +254,11 @@ func (d *Driver) EstimateVec(ctx context.Context, req montecarlo.Request) ([]mon
 }
 
 // recordPoint appends one finished point, with the plan position ctx
-// carries, to the ledger and metrics.
+// carries, to the ledger.
 func (d *Driver) recordPoint(ctx context.Context, report PointReport) {
 	d.mu.Lock()
 	d.points = append(d.points, ledgerEntry{montecarlo.PositionOf(ctx), report})
 	d.mu.Unlock()
-	mPoints.Inc()
-	mRounds.Add(int64(report.Rounds))
-	if report.Converged {
-		mConverged.Inc()
-	} else {
-		mCapped.Inc()
-	}
 }
 
 // Reports returns a copy of every point driven so far, in plan order

@@ -1,37 +1,30 @@
 package sampling
 
-// Quasi-Monte Carlo strategies: `sobol` (scrambled Sobol, the
-// workhorse) and `halton` (rotated Halton, the any-dimension
-// fallback). Both replace the iid uniform stream with low-discrepancy
-// point blocks under the same rng.WithUniforms hook the antithetic
-// and stratified strategies use — kernels are untouched, and every
+// The quasi-Monte Carlo strategy `sobol`: scrambled Sobol blocks
+// replace the iid uniform stream under the same rng.WithUniforms hook
+// the stratified strategy uses — kernels are untouched, and every
 // variate still derives from the points by inverse transforms.
 //
-// The block is the randomization unit: each block draws fresh
-// scramble randomness (a digital shift per Sobol dimension, a
-// Cranley-Patterson rotation per Halton dimension) from the shard's
-// raw stream, so block means are iid randomized-QMC replicates and
-// the accumulator's standard error is an honest convergence signal —
-// exactly the stratified-sampler argument, with the whole point set
-// equidistributed instead of one pinned dimension. Because the
-// scramble words come from the shard's own deterministic stream, a
-// QMC shard remains a pure function of (seed, shard index): bit-
-// identical serial, parallel, on a fleet, and through the cache.
+// The block is the randomization unit: each block draws a fresh
+// digital shift per Sobol dimension from the shard's raw stream, so
+// block means are iid randomized-QMC replicates and the accumulator's
+// standard error is an honest convergence signal — exactly the
+// stratified-sampler argument, with the whole point set
+// equidistributed instead of one pinned dimension. Because the shift
+// words come from the shard's own deterministic stream, a QMC shard
+// remains a pure function of (seed, shard index): bit-identical
+// serial, parallel, on a fleet, and through the cache.
 
 import (
 	"carriersense/internal/montecarlo"
 	"carriersense/internal/rng"
 )
 
-// QMC strategy names.
-const (
-	Sobol  = "sobol"
-	Halton = "halton"
-)
+// Sobol is the QMC strategy name.
+const Sobol = "sobol"
 
 func init() {
 	montecarlo.RegisterSampler(Sobol, sobolSampler{})
-	montecarlo.RegisterSampler(Halton, haltonSampler{})
 }
 
 // SobolBlock is the Sobol randomization cycle: each block of this
@@ -92,57 +85,6 @@ func (st *sobolStream) Next() *rng.Source {
 		st.pts = rng.NewSobol(&shift)
 	} else {
 		st.pts.Next()
-	}
-	st.dim = 0
-	return st.derived
-}
-
-// HaltonBlock is the Halton randomization cycle. Halton's projections
-// degrade faster than Sobol's with block length (the high prime bases
-// stripe), so blocks are shorter: 64 samples per rotation, 64
-// observations per shard.
-const HaltonBlock = 64
-
-// haltonSampler enumerates Cranley-Patterson-rotated Halton blocks:
-// sample p of a block is Halton point p, each coordinate rotated by a
-// per-block, per-dimension uniform offset drawn from the raw shard
-// stream. Dimensions beyond rng.HaltonMaxDim fall back to raw draws.
-type haltonSampler struct{}
-
-func (haltonSampler) Group() int { return HaltonBlock }
-
-func (haltonSampler) Stream(n int, src *rng.Source) montecarlo.SampleStream {
-	st := &haltonStream{raw: src, i: -1}
-	st.derived = rng.WithUniforms(func() float64 {
-		if st.dim < rng.HaltonMaxDim {
-			u := rng.HaltonCoord(st.dim, st.idx, st.rot[st.dim])
-			st.dim++
-			return u
-		}
-		return st.raw.Float64()
-	})
-	return st
-}
-
-// haltonStream is the per-shard rotation state.
-type haltonStream struct {
-	raw     *rng.Source
-	rot     [rng.HaltonMaxDim]float64
-	i       int    // sample index within the shard
-	idx     uint32 // point index within the current block
-	dim     int    // next coordinate of the current point
-	derived *rng.Source
-}
-
-func (st *haltonStream) Next() *rng.Source {
-	st.i++
-	if st.i%HaltonBlock == 0 {
-		for d := range st.rot {
-			st.rot[d] = st.raw.Float64()
-		}
-		st.idx = 0
-	} else {
-		st.idx++
 	}
 	st.dim = 0
 	return st.derived

@@ -7,14 +7,15 @@
 // dominant cost is no longer per-sample math but *how many* samples
 // each point needs. This package attacks that on two axes:
 //
-//   - Sampler strategies (this file) change what each sample costs in
-//     variance: `antithetic` mirrors the uniform stream pairwise so
-//     monotone integrands (capacity vs distance, capacity vs
-//     shadowing) cancel noise within each pair; `stratified` pins each
-//     sample's primary uniform — the receiver's radial position draw —
-//     to its own stratum of the shard, removing the between-strata
-//     variance of that dimension. `plain` is montecarlo's built-in
-//     identity strategy.
+//   - Sampler strategies change what each sample costs in variance:
+//     `stratified` (this file) pins each sample's primary uniform —
+//     the receiver's radial position draw — to its own stratum of the
+//     shard, removing the between-strata variance of that dimension;
+//     `sobol` (qmc.go) replaces the whole uniform stream with
+//     scrambled low-discrepancy blocks; `cv` (cv.go) subtracts each
+//     kernel's exact σ = 0 twin. `plain` is montecarlo's built-in
+//     identity strategy, and `auto` (auto.go) pilots the others per
+//     kernel and runs the winner.
 //   - The convergence driver (driver.go) changes how many samples each
 //     estimation point buys: budgets grow geometrically, in whole
 //     shards, until the primary component's relative standard error
@@ -23,9 +24,9 @@
 //
 // Determinism contract: a strategy is a pure per-shard stream
 // transform. All state lives in the per-shard SampleStream, sample
-// order within a shard is sequential, and groups (antithetic pairs)
-// never straddle shard boundaries because the group size divides
-// montecarlo.ShardSize. The sampler name travels in
+// order within a shard is sequential, and groups (stratified and
+// Sobol blocks) never straddle shard boundaries because the group
+// size divides montecarlo.ShardSize. The sampler name travels in
 // montecarlo.Request — over the dist wire protocol and into the cache
 // key — so a named strategy reproduces bit-identically local, on any
 // `cs serve` fleet, and through `internal/cache`, at any parallelism.
@@ -43,12 +44,10 @@ import (
 // registers Plain, the identity).
 const (
 	Plain      = montecarlo.SamplerPlain
-	Antithetic = "antithetic"
 	Stratified = "stratified"
 )
 
 func init() {
-	montecarlo.RegisterSampler(Antithetic, antitheticSampler{})
 	montecarlo.RegisterSampler(Stratified, stratifiedSampler{})
 }
 
@@ -66,73 +65,6 @@ func Validate(name string) error {
 		return fmt.Errorf("sampling: unknown sampler %q (want one of %v)", name, Names())
 	}
 	return nil
-}
-
-// antitheticSampler mirrors the uniform stream pairwise: the even
-// sample of each pair records every uniform it consumes, the odd
-// sample replays them as 1−u. Every variate is drawn through rng's
-// inverse transforms (montonic in the uniform), so the odd sample's
-// variates are componentwise monotone-mirrored — near receiver
-// becomes far receiver, deep shadow becomes strong signal — and the
-// pair's mean cancels the monotone part of the integrand's noise.
-// Pairs are folded into the accumulator as one observation (Group
-// 2), so the tracked standard error sees the within-pair covariance;
-// a plain Welford pass over the individual samples would hide
-// exactly the variance the mirroring removes.
-type antitheticSampler struct{}
-
-func (antitheticSampler) Group() int { return 2 }
-
-func (antitheticSampler) Stream(n int, src *rng.Source) montecarlo.SampleStream {
-	st := &antitheticStream{raw: src}
-	st.record = rng.WithUniforms(func() float64 {
-		u := st.raw.Float64()
-		st.rec = append(st.rec, u)
-		return u
-	})
-	st.replay = rng.WithUniforms(func() float64 {
-		if st.idx < len(st.rec) {
-			u := st.rec[st.idx]
-			st.idx++
-			// WithUniforms requires [0, 1); a recorded u of exactly 0
-			// would mirror to 1.0 and drive the inverse transforms that
-			// use log(1-u) (Exp, Rayleigh) to infinity, poisoning the
-			// shard accumulator. Clamp one ulp below 1.
-			if m := 1 - u; m < 1 {
-				return m
-			}
-			return 1 - 0x1p-53
-		}
-		// The mirrored sample consumed more uniforms than its partner
-		// recorded (possible only for integrands whose draw count
-		// depends on the values drawn); continue with fresh raw draws —
-		// still deterministic, just not mirrored for the excess.
-		return st.raw.Float64()
-	})
-	return st
-}
-
-// antitheticStream is the per-shard pairing state. The raw source is
-// only advanced by even samples (and by replay overruns), so the
-// pairing — and therefore the result — is a pure function of the
-// shard stream.
-type antitheticStream struct {
-	raw    *rng.Source
-	rec    []float64 // uniforms consumed by the current pair's even sample
-	idx    int       // replay cursor into rec
-	even   bool      // flipped by Next; starts false so the first call is "even"
-	record *rng.Source
-	replay *rng.Source
-}
-
-func (st *antitheticStream) Next() *rng.Source {
-	st.even = !st.even
-	if st.even {
-		st.rec = st.rec[:0]
-		return st.record
-	}
-	st.idx = 0
-	return st.replay
 }
 
 // StratifiedBlock is the stratification cycle length: consecutive

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -42,17 +43,15 @@ func init() {
 			out[0] = u
 		}), nil
 	})
-	// probe/mixed: consumes a uniform and a normal, like a real
-	// integrand with position and shadowing draws.
-	montecarlo.RegisterKernel("probe/mixed", 1, func(params json.RawMessage) (montecarlo.BatchEvalFunc, error) {
-		return montecarlo.BatchLoop(1, func(src *rng.Source, out []float64) {
-			u := src.Float64()
-			z := src.Normal(0, 1)
-			probeMu.Lock()
-			probeLog = append(probeLog, u, z)
-			probeMu.Unlock()
-			out[0] = u + z
-		}), nil
+	// probe/first's control twin is the integrand itself, so the cv
+	// sampler has a twin to adjust against.
+	montecarlo.RegisterControlTwin("probe/first", montecarlo.ControlTwin{
+		Eval: func(params json.RawMessage) (montecarlo.BatchEvalFunc, error) {
+			return montecarlo.BatchLoop(1, func(src *rng.Source, out []float64) {
+				out[0] = src.Float64()
+			}), nil
+		},
+		Means: func(params json.RawMessage) ([]float64, error) { return []float64{0.5}, nil },
 	})
 }
 
@@ -76,93 +75,37 @@ func runProbe(t *testing.T, kernel, sampler string, seed uint64, samples int) []
 	return accs
 }
 
-func TestAntitheticPairsMirrorUniforms(t *testing.T) {
-	sequential(t)
-	const n = 2*montecarlo.ShardSize + 10 // spans three shards, last one partial and odd-ish
-	runProbe(t, "probe/first", Antithetic, 7, n)
-	us := probeValues()
-	if len(us) != n {
-		t.Fatalf("recorded %d draws, want %d", len(us), n)
-	}
-	// Pairing restarts per shard; within every shard, sample 2k+1
-	// replays 1-u of sample 2k. ShardSize is even, so pairs never
-	// straddle a shard boundary — including around the boundaries at
-	// ShardSize and 2*ShardSize.
-	for start := 0; start < n; start += montecarlo.ShardSize {
-		end := start + montecarlo.ShardSize
-		if end > n {
-			end = n
-		}
-		for i := start; i+1 < end; i += 2 {
-			if got, want := us[i+1], 1-us[i]; got != want {
-				t.Fatalf("sample %d = %v, want mirror %v of sample %d", i+1, got, want, i)
-			}
-		}
-	}
-}
-
-func TestAntitheticPairingSurvivesIncrementalGrowth(t *testing.T) {
+func TestBlockSamplersSurviveIncrementalGrowth(t *testing.T) {
 	// The convergence driver grows budgets in whole shards, so a
-	// driven antithetic run is a sequence of ranged requests. The
-	// concatenated draw stream must pair exactly like the one-shot
-	// run: same shards, same streams, same pairing.
+	// driven block-sampler run is a sequence of ranged requests. The
+	// concatenated draw stream must match the one-shot run: same
+	// shards, same streams, same blocks.
 	sequential(t)
 	const total = 3 * montecarlo.ShardSize
-	runProbe(t, "probe/first", Antithetic, 21, total)
-	oneShot := probeValues()
+	for _, sampler := range []string{Stratified, Sobol} {
+		runProbe(t, "probe/first", sampler, 21, total)
+		oneShot := probeValues()
 
-	resetProbe()
-	for _, round := range []struct{ samples, first int }{
-		{montecarlo.ShardSize, 0}, {2 * montecarlo.ShardSize, 1}, {total, 2},
-	} {
-		if _, err := montecarlo.RunRequest(context.Background(), montecarlo.Request{
-			Kernel: "probe/first", Seed: 21, Samples: round.samples, Dim: 1,
-			Sampler: Antithetic, FirstShard: round.first,
-		}); err != nil {
-			t.Fatal(err)
+		resetProbe()
+		for _, round := range []struct{ samples, first int }{
+			{montecarlo.ShardSize, 0}, {2 * montecarlo.ShardSize, 1}, {total, 2},
+		} {
+			if _, err := montecarlo.RunRequest(context.Background(), montecarlo.Request{
+				Kernel: "probe/first", Seed: 21, Samples: round.samples, Dim: 1,
+				Sampler: sampler, FirstShard: round.first,
+			}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	grown := probeValues()
-	if len(grown) != len(oneShot) {
-		t.Fatalf("grown run recorded %d draws, one-shot %d", len(grown), len(oneShot))
-	}
-	for i := range oneShot {
-		if oneShot[i] != grown[i] {
-			t.Fatalf("draw %d differs: one-shot %v, grown %v", i, oneShot[i], grown[i])
+		grown := probeValues()
+		if len(grown) != len(oneShot) {
+			t.Fatalf("%s: grown run recorded %d draws, one-shot %d", sampler, len(grown), len(oneShot))
 		}
-	}
-}
-
-func TestAntitheticMirrorsNormalsViaInverseCDF(t *testing.T) {
-	sequential(t)
-	runProbe(t, "probe/mixed", Antithetic, 11, 64)
-	vals := probeValues() // u0, z0, u1, z1, ...
-	for i := 0; i+3 < len(vals); i += 4 {
-		uEven, zEven, uOdd, zOdd := vals[i], vals[i+1], vals[i+2], vals[i+3]
-		if uOdd != 1-uEven {
-			t.Fatalf("pair %d: uniform not mirrored", i/4)
+		for i := range oneShot {
+			if oneShot[i] != grown[i] {
+				t.Fatalf("%s: draw %d differs: one-shot %v, grown %v", sampler, i, oneShot[i], grown[i])
+			}
 		}
-		// Φ⁻¹(1-u) = -Φ⁻¹(u); the quantile is antisymmetric, so the
-		// mirrored normal is the negation (within the quantile's own
-		// numeric symmetry).
-		if math.Abs(zOdd+zEven) > 1e-8 {
-			t.Fatalf("pair %d: normals %v and %v are not antithetic", i/4, zEven, zOdd)
-		}
-	}
-}
-
-func TestAntitheticAccumulatesPairMeans(t *testing.T) {
-	sequential(t)
-	accs := runProbe(t, "probe/first", Antithetic, 13, montecarlo.ShardSize)
-	if got, want := accs[0].N(), montecarlo.ShardSize/2; got != want {
-		t.Fatalf("accumulator N = %d, want %d pair observations", got, want)
-	}
-	// Each pair mean is (u + 1-u)/2 = 1/2 exactly, so the estimate is
-	// exact with zero variance: the degenerate best case of antithetic
-	// cancellation on a monotone integrand.
-	est := accs[0].Estimate()
-	if est.Mean != 0.5 || est.StdErr != 0 {
-		t.Fatalf("pair-mean estimate = %+v, want exactly {0.5, 0}", est)
 	}
 }
 
@@ -218,15 +161,23 @@ func TestStratifiedAccumulatesBlockMeans(t *testing.T) {
 }
 
 func TestSamplersDeterministicAcrossParallelism(t *testing.T) {
-	for _, sampler := range []string{Plain, Antithetic, Stratified} {
+	for _, sampler := range []string{Plain, Stratified, Sobol, CV} {
+		req := montecarlo.Request{
+			Kernel: "probe/first", Seed: 99, Samples: 5*montecarlo.ShardSize + 123, Dim: 1, Sampler: sampler,
+		}
+		if sampler == CV {
+			spec, err := montecarlo.PilotControl(req, PilotSamples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Control = spec
+		}
 		var base []montecarlo.Accumulator
 		for _, workers := range []int{1, 3, 8} {
 			if err := montecarlo.SetMaxWorkers(workers); err != nil {
 				t.Fatal(err)
 			}
-			accs, err := montecarlo.RunRequest(context.Background(), montecarlo.Request{
-				Kernel: "probe/first", Seed: 99, Samples: 5*montecarlo.ShardSize + 123, Dim: 1, Sampler: sampler,
-			})
+			accs, err := montecarlo.RunRequest(context.Background(), req)
 			montecarlo.ResetMaxWorkers()
 			if err != nil {
 				t.Fatal(err)
@@ -243,12 +194,15 @@ func TestSamplersDeterministicAcrossParallelism(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	for _, name := range []string{"", Plain, Antithetic, Stratified} {
+	for _, name := range []string{"", Plain, Stratified, Sobol, CV} {
 		if err := Validate(name); err != nil {
 			t.Errorf("Validate(%q) = %v", name, err)
 		}
 	}
-	if err := Validate("latin-hypercube"); err == nil {
-		t.Error("Validate accepted an unregistered sampler")
+	for _, name := range []string{"latin-hypercube", "antithetic", "halton"} {
+		err := Validate(name)
+		if err == nil || !strings.Contains(err.Error(), "unknown sampler") {
+			t.Errorf("Validate(%q) = %v, want an unknown-sampler error", name, err)
+		}
 	}
 }

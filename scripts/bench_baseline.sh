@@ -2,8 +2,9 @@
 # Benchmark baseline snapshot: run the -short bench lane once and emit
 # BENCH_<date>.json — one record per benchmark with ns/op and every
 # custom metric, plus a samples-to-target lane comparing the sampler
-# strategies (plain vs antithetic vs stratified) at a fixed relative
-# error — so the repo's performance trajectory is tracked run-over-run.
+# strategies (plain vs stratified, sobol, cv and auto) at a fixed
+# relative error — so the repo's performance trajectory is tracked
+# run-over-run.
 # CI executes this and uploads the JSON as an artifact; locally:
 #
 #   scripts/bench_baseline.sh            # writes BENCH_YYYYMMDD.json
@@ -146,7 +147,7 @@ sampling_json+="    \"max_samples\": $max_samples,\n"
 sampling_json+="    \"scale\": \"$scale\",\n"
 sampling_json+="    \"scenarios\": [\n"
 scenarios=(curves inefficiency tables)
-samplers=(antithetic stratified sobol cv auto)
+samplers=(stratified sobol cv auto)
 for i in "${!scenarios[@]}"; do
     sc=${scenarios[$i]}
     plain=$(spent_for "$sc" plain)
