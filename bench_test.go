@@ -1,13 +1,13 @@
 // Package carriersense_bench regenerates every table and figure of the
-// paper's evaluation as a Go benchmark (see the per-experiment index
-// in DESIGN.md §3). Each benchmark runs the experiment at ScaleBench
-// and reports the headline quantity as a custom metric, so
-// `go test -bench=. -benchmem` doubles as the reproduction harness:
-// compare the reported metrics against the paper values quoted in the
-// bench names' doc comments and in EXPERIMENTS.md.
+// paper's evaluation as a Go benchmark (README's "Scenario catalog ↔
+// paper figures" maps each scenario to its figure). Each benchmark
+// runs the experiment at ScaleBench and reports the headline quantity
+// as a custom metric, so `go test -bench=. -benchmem` doubles as the
+// reproduction harness: compare the reported metrics against the paper
+// values quoted in the bench names' doc comments.
 //
-// Ablation benchmarks (the design choices DESIGN.md calls out) live at
-// the bottom: fixed-rate versus adaptive capacity, the noise-floor
+// Ablation benchmarks of the model's design choices live at the
+// bottom: fixed-rate versus adaptive capacity, the noise-floor
 // term, shadowing, CCA flavor, capture, and RTS policies.
 package carriersense_bench
 
@@ -369,8 +369,9 @@ type staticChannel struct{ gain float64 }
 func (c staticChannel) GainDB(from, to phy.NodeID) float64 { return c.gain }
 
 // BenchmarkSimulatorEventThroughput measures the raw discrete-event
-// engine: a dense self-rescheduling workload. events/sec is the
-// simulator lane's headline number in BENCH_<date>.json.
+// engine: a dense self-rescheduling workload. events/sec is its
+// headline number; TestEventLoopAllocs in internal/sim bounds the
+// allocations of the same workload.
 func BenchmarkSimulatorEventThroughput(b *testing.B) {
 	const events = 100_000
 	for i := 0; i < b.N; i++ {
@@ -512,9 +513,8 @@ func BenchmarkControlTwinMeans(b *testing.B) {
 // are in-process httptest servers, so the delta is pure protocol cost
 // with no network in the way — the floor any real fleet adds to.
 // Sub-benchmark names avoid a trailing fleet number (remote-2workers,
-// not remote-workers-2) so the bench baseline's GOMAXPROCS-suffix
-// strip leaves each fleet size distinct and BENCH_<date>.json rows
-// diff per fleet.
+// not remote-workers-2), which benchmark tools would read as the
+// GOMAXPROCS suffix.
 func BenchmarkDistributedVsLocal(b *testing.B) {
 	m := core.New(core.DefaultParams())
 	const samples = 40_000

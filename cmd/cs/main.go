@@ -66,8 +66,6 @@ func main() {
 		err = cmdVerify(os.Args[2:])
 	case "exp":
 		err = cmdExp(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "help", "-h", "--help":
 		if len(os.Args) > 2 {
 			err = cmdHelp(os.Args[2])
@@ -102,10 +100,6 @@ commands:
   cs exp analyze DIR        verify + aggregate manifested runs into
                             analysis/{summary_runs.csv,
                             summary_grouped.csv, tables.tex, plots.txt}
-  cs bench diff OLD NEW     lane-by-lane comparison of two BENCH_*.json
-                            snapshots (-threshold F, -gate lane=maxfrac
-                            repeatable, -all, -o report.md); nonzero
-                            exit when a gated lane regresses
   cs help <scenario>        describe one scenario and its parameters
 
 serve flags:

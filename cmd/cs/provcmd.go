@@ -1,10 +1,8 @@
 package main
 
 // Provenance-facing subcommands: `cs verify` (re-check run directories
-// against their manifests), `cs exp` (declarative experiment grids
-// with stamped repeats and manifest-driven analysis), and `cs bench
-// diff` (lane-by-lane comparison of two BENCH_*.json snapshots, the
-// CI regression gate).
+// against their manifests) and `cs exp` (declarative experiment grids
+// with stamped repeats and manifest-driven analysis).
 
 import (
 	"context"
@@ -13,8 +11,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"carriersense/internal/exp"
 	"carriersense/internal/prov"
@@ -162,71 +158,4 @@ func cmdExpAnalyze(args []string) error {
 		log = os.Stderr
 	}
 	return exp.Analyze(fs.Arg(0), log)
-}
-
-// gateFlag collects repeatable -gate lane=maxfrac values.
-type gateFlag map[string]float64
-
-func (g gateFlag) String() string { return fmt.Sprint(map[string]float64(g)) }
-func (g gateFlag) Set(v string) error {
-	lane, frac, ok := strings.Cut(v, "=")
-	if !ok {
-		return fmt.Errorf("want lane=maxfrac, e.g. sim.allocs_per_event=0.5")
-	}
-	f, err := strconv.ParseFloat(frac, 64)
-	if err != nil {
-		return fmt.Errorf("bad gate fraction %q: %v", frac, err)
-	}
-	g[lane] = f
-	return nil
-}
-
-// cmdBench is `cs bench diff OLD.json NEW.json`: the perf-trajectory
-// comparator over two BENCH_*.json snapshots.
-func cmdBench(args []string) error {
-	if len(args) < 1 || args[0] != "diff" {
-		return fmt.Errorf("usage: cs bench diff [-threshold F] [-gate lane=maxfrac ...] [-all] [-o FILE] OLD.json NEW.json")
-	}
-	fs := flag.NewFlagSet("bench diff", flag.ExitOnError)
-	threshold := fs.Float64("threshold", 0.10, "report lanes whose regression or improvement exceeds this fraction")
-	all := fs.Bool("all", false, "report every lane regardless of threshold")
-	outPath := fs.String("o", "", "write the markdown report to this file instead of stdout")
-	gates := gateFlag{}
-	fs.Var(&gates, "gate", "fail when lane regresses more than maxfrac (repeatable, lane=maxfrac)")
-	fs.Usage = func() { usage(fs.Output()) }
-	if err := fs.Parse(args[1:]); err != nil {
-		return err
-	}
-	if fs.NArg() != 2 {
-		return fmt.Errorf("usage: cs bench diff [flags] OLD.json NEW.json")
-	}
-	oldS, err := prov.LoadBench(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	newS, err := prov.LoadBench(fs.Arg(1))
-	if err != nil {
-		return err
-	}
-	d := prov.DiffSnapshots(oldS, newS, prov.DiffOptions{
-		ReportThreshold: *threshold,
-		All:             *all,
-		Gates:           gates,
-	})
-	out := os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := d.WriteMarkdown(out); err != nil {
-		return err
-	}
-	if len(d.GateFailures) > 0 {
-		return fmt.Errorf("cs bench diff: %d gated lane(s) regressed past their threshold", len(d.GateFailures))
-	}
-	return nil
 }

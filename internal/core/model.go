@@ -163,8 +163,10 @@ func (m *Model) pathGainSq(s float64) float64 {
 }
 
 // ThresholdPower converts a nominal threshold distance to the
-// threshold power P_thresh = D_thresh^-α (the median sensed power at
-// separation D_thresh; DESIGN.md §4 fixes the sign convention).
+// threshold power P_thresh = D_thresh^-α, the median sensed power at
+// separation D_thresh. A sender defers when it senses more than
+// P_thresh, so a larger P_thresh is a shorter D_thresh and less
+// deferral.
 func (m *Model) ThresholdPower(dThresh float64) float64 {
 	return m.pathGain(dThresh)
 }

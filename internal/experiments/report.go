@@ -10,9 +10,9 @@ import (
 	"carriersense/internal/testbed"
 )
 
-// Report runs every experiment in DESIGN.md's index at the given scale
-// and writes a consolidated text report — the generator behind
-// EXPERIMENTS.md and cmd/csreport.
+// Report runs every experiment of README's scenario catalog at the
+// given scale and writes a consolidated text report: the `report`
+// scenario.
 func Report(ctx context.Context, w io.Writer, scale Scale) {
 	fmt.Fprintln(w, "=== In Defense of Wireless Carrier Sense: reproduction report ===")
 	fmt.Fprintln(w)

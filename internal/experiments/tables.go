@@ -1,7 +1,8 @@
 // Package experiments contains one orchestrator per table and figure
 // of the paper's evaluation, returning structured results and
-// rendering them as text. DESIGN.md §3 maps each experiment ID to its
-// paper source; EXPERIMENTS.md records paper-versus-measured values.
+// rendering them as text. README's "Scenario catalog ↔ paper figures"
+// maps each scenario to its paper source; experiments_test.go checks
+// the measured values against the paper's.
 //
 // Every orchestrator takes a Scale: benchmark and test callers use
 // reduced Monte Carlo sample counts, command-line tools use full ones.

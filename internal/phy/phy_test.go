@@ -462,8 +462,8 @@ func (c dbOnly) GainDB(from, to NodeID) float64 { return c.ch.GainDB(from, to) }
 // TestPerFrameAllocs guards the per-frame PHY+MAC allocation budget: a
 // warm saturated run — pooled transmissions, embedded receptions,
 // recycled event slots, pre-bound timer callbacks — must not allocate
-// per frame. This is the hot-path pin behind the simulator lane of
-// BENCH_<date>.json.
+// per frame. This is the hot-path pin behind the simulator benchmarks
+// in the repository root.
 func TestPerFrameAllocs(t *testing.T) {
 	src := rng.New(3)
 	s := sim.New()

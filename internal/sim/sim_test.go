@@ -177,34 +177,61 @@ func TestHeapAgainstReference(t *testing.T) {
 	}
 }
 
-// TestEventLoopAllocs guards the simulator's per-event allocation
-// budget: with slots recycled through the freelist and a pre-built
-// callback, a warm event loop must not allocate per event. This is the
-// tenfold-alloc-reduction pin of the hot-path overhaul — regressing it
-// (a boxed queue entry, a per-schedule closure) fails here before it
-// shows up in the benches.
+// TestEventLoopAllocs guards the simulator's allocation budget. A warm
+// event loop, with slots recycled through the freelist and a pre-built
+// callback, must not allocate per event. This is the tenfold-alloc-
+// reduction pin of the hot-path overhaul: regressing it (a boxed queue
+// entry, a per-schedule closure) fails here before it shows up in the
+// benches. A fresh simulator pays only for growing its slab, a handful
+// of allocations for BenchmarkSimulatorEventThroughput's 100,000
+// events.
 func TestEventLoopAllocs(t *testing.T) {
-	s := New()
-	const eventsPerRun = 10_000
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		if count < eventsPerRun {
-			s.After(Microsecond, tick)
+	t.Run("warm", func(t *testing.T) {
+		s := New()
+		const eventsPerRun = 10_000
+		count := 0
+		var tick func()
+		tick = func() {
+			count++
+			if count < eventsPerRun {
+				s.After(Microsecond, tick)
+			}
 		}
-	}
-	run := func() {
-		count = 0
-		s.After(Microsecond, tick)
-		s.RunAll()
-	}
-	run() // warm the slab
-	allocs := testing.AllocsPerRun(5, run)
-	if perEvent := allocs / eventsPerRun; perEvent > 0.001 {
-		t.Errorf("event loop allocates %.4f objects/event (%.0f per %d events), want ~0",
-			perEvent, allocs, eventsPerRun)
-	}
+		run := func() {
+			count = 0
+			s.After(Microsecond, tick)
+			s.RunAll()
+		}
+		run() // warm the slab
+		allocs := testing.AllocsPerRun(5, run)
+		if perEvent := allocs / eventsPerRun; perEvent > 0.001 {
+			t.Errorf("event loop allocates %.4f objects/event (%.0f per %d events), want ~0",
+				perEvent, allocs, eventsPerRun)
+		}
+	})
+	t.Run("fresh", func(t *testing.T) {
+		// The bound is the allocs_per_event lane of BENCH_20260808.json,
+		// 7e-5 per event (7 per 100,000 events), with its 50% CI
+		// tolerance: 10.5, so at most 10.
+		const events, maxAllocs = 100_000, 10
+		allocs := testing.AllocsPerRun(5, func() {
+			s := New()
+			count := 0
+			var tick func()
+			tick = func() {
+				count++
+				if count < events {
+					s.After(Microsecond, tick)
+				}
+			}
+			s.After(0, tick)
+			s.RunAll()
+		})
+		if allocs > maxAllocs {
+			t.Errorf("a fresh simulator allocates %.0f objects for %d events, want <= %d",
+				allocs, events, maxAllocs)
+		}
+	})
 }
 
 // TestAt1PassesArgument covers the allocation-free callback form.

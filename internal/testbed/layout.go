@@ -4,12 +4,12 @@
 // The paper's physical testbed — "roughly 50 Soekris single-board
 // computers scattered about two closely-coupled floors of a large,
 // modern office building", Atheros 802.11a radios, one rubber-duck
-// antenna each — is proprietary hardware we cannot rerun. Per the
-// substitution rule (DESIGN.md §2) we generate a statistically
-// equivalent building: nodes scattered over two floors, link gains
-// drawn from the paper's own measured propagation model (α ≈ 3.5,
-// σ ≈ 10 dB, footnote 2 / Figure 14) with ITU-style floor attenuation,
-// frozen into a static symmetric gain matrix for the run.
+// antenna each — is proprietary hardware we cannot rerun. In its
+// place we generate a statistically equivalent building: nodes
+// scattered over two floors, link gains drawn from the paper's own
+// measured propagation model (α ≈ 3.5, σ ≈ 10 dB, footnote 2 /
+// Figure 14) with ITU-style floor attenuation, frozen into a static
+// symmetric gain matrix for the run.
 package testbed
 
 import (

@@ -404,3 +404,26 @@ func TestEnergyOnlyCCAChangesBehavior(t *testing.T) {
 		}
 	}
 }
+
+// TestPacketSimSecondAllocs guards the allocation cost of
+// BenchmarkPacketSimSecond's workload: generating the default testbed
+// and simulating one second of a saturated two-pair combo at the first
+// rate. It is measured warm, so one-time initialization elsewhere in
+// the process does not count. The bound is the packet_sim_second_allocs
+// lane of BENCH_20260808.json, 534, with its 50% CI tolerance: 801.
+func TestPacketSimSecondAllocs(t *testing.T) {
+	const maxAllocs = 801
+	allocs := testing.AllocsPerRun(3, func() {
+		tb := Generate(DefaultLayout(), 42)
+		p := DefaultExperiment()
+		p.Duration = 1 * sim.Second
+		p.MaxCombos = 1
+		p.Rates = p.Rates[:1]
+		if res := RunExperiment(tb, p, ShortRange); len(res.Combos) != 1 {
+			t.Fatalf("got %d combos, want 1", len(res.Combos))
+		}
+	})
+	if allocs > maxAllocs {
+		t.Errorf("one packet-simulated second allocates %.0f objects, want <= %d", allocs, maxAllocs)
+	}
+}

@@ -2,10 +2,9 @@
 // decibels, along with small helpers for dBm-referenced powers and
 // path-loss-equivalent distances.
 //
-// Throughout the model (see DESIGN.md §4) powers are dimensionless
-// linear ratios relative to P0, the signal power at unit distance.
-// The packet-level simulator instead works in dBm; both conventions
-// meet here.
+// Throughout the model powers are dimensionless linear ratios relative
+// to P0, the signal power at unit distance. The packet-level simulator
+// instead works in dBm; both conventions meet here.
 package units
 
 import "math"
@@ -47,7 +46,8 @@ func DBmToMilliwatts(dbm float64) float64 {
 // to unit distance: the D such that D^-alpha == p.
 //
 // This is the paper's D_threshold = P_threshold^(-1/alpha) relation
-// (§3.2.2, with the sign convention fixed per DESIGN.md §4).
+// (§3.2.2). The exponent is negative: a larger threshold power is a
+// shorter threshold distance.
 func PathLossDistance(p, alpha float64) float64 {
 	return math.Pow(p, -1/alpha)
 }
