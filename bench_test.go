@@ -422,10 +422,7 @@ func BenchmarkMonteCarloAverages(b *testing.B) {
 // on a multi-core host means the workers contend, e.g. on shared cache
 // lines.
 func BenchmarkRunRequestPool(b *testing.B) {
-	req, ok := core.AveragesRequest(core.DefaultParams(), 55, 55, 55, 1, 40_000)
-	if !ok {
-		b.Fatal("default params have no serializable kernel identity")
-	}
+	req := core.AveragesRequest(core.DefaultParams(), 55, 55, 55, 1, 40_000)
 	defer montecarlo.ResetMaxWorkers()
 	widths := []int{1}
 	if n := runtime.GOMAXPROCS(0); n > 1 {
@@ -464,10 +461,7 @@ func BenchmarkRunRequestPool(b *testing.B) {
 // 2 samples, so the disc sweeps are what is timed; width=GOMAXPROCS
 // reports its speedup over width=1.
 func BenchmarkControlTwinMeans(b *testing.B) {
-	req, ok := core.AveragesRequest(core.DefaultParams(), 55, 40, 55, 1, 1)
-	if !ok {
-		b.Fatal("default params have no serializable kernel identity")
-	}
+	req := core.AveragesRequest(core.DefaultParams(), 55, 40, 55, 1, 1)
 	defer montecarlo.ResetMaxWorkers()
 	widths := []int{1}
 	if n := runtime.GOMAXPROCS(0); n > 1 {

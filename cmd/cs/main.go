@@ -193,7 +193,8 @@ run/all flags:
 run-only flags:
   -set k=v       override one parameter (repeatable; dotted keys reach
                  nested structs, e.g. -set layout.nodes=30)
-  -grid k=v1,v2  sweep a parameter axis (repeatable; axes cross-multiply)
+  -grid k=v1,v2  sweep a parameter axis (repeatable; axes cross-multiply;
+                 values within an axis and keys across axes are distinct)
 
 run/all -plan (requires -cache):
   -plan          dry-run that diffs the run's estimations — for run,
@@ -221,6 +222,7 @@ type runConfig struct {
 	cache         *cache.Executor // non-nil when -cache is set
 	cacheDir      string          // resolved persistent cache directory (when -cache)
 	prefetch      bool            // -prefetch: warm the cache from the plan first
+	plan          bool            // -plan: report the cache plan instead of running
 	cpuProfile    string
 	memProfile    string
 	traceFile     string // -trace: Chrome trace_event JSON output path
@@ -249,6 +251,7 @@ func runOptions(fs *flag.FlagSet, withSets bool) (finish func() (runConfig, erro
 	faultSpec := fs.String("fault", "", "deterministic fault schedule for this coordinator process (testing; see internal/fault)")
 	useCache := fs.Bool("cache", false, "serve repeated kernel estimations from the persistent result cache")
 	prefetch := fs.Bool("prefetch", false, "with -cache: evaluate every predicted cache miss before the real run")
+	fs.BoolVar(&cfg.plan, "plan", false, "with -cache: report which estimations are already cached, without running")
 	cacheDir := fs.String("cache-dir", "", "persistent cache directory (default: user cache dir)")
 	cacheMaxBytes := fs.Int64("cache-max-bytes", 0, "evict least-recently-used persistent entries beyond this size (0 = unbounded)")
 	fs.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -267,9 +270,6 @@ func runOptions(fs *flag.FlagSet, withSets bool) (finish func() (runConfig, erro
 		opts.Grid = grid
 		if !*quiet {
 			opts.Stdout = os.Stdout
-		}
-		if opts.Parallel < 0 {
-			return cfg, fmt.Errorf("-parallel must be >= 1 (or 0 for the GOMAXPROCS default), got %d", opts.Parallel)
 		}
 		if *shardTimeout < 0 {
 			return cfg, fmt.Errorf("-shard-timeout must be >= 0, got %v", *shardTimeout)
@@ -316,14 +316,6 @@ func runOptions(fs *flag.FlagSet, withSets bool) (finish func() (runConfig, erro
 		} else if *readmitBase != 0 {
 			return cfg, fmt.Errorf("-readmit-base requires -workers")
 		}
-		if opts.Sampler != sampling.Auto {
-			if err := sampling.Validate(opts.Sampler); err != nil {
-				return cfg, err
-			}
-			if opts.AutoTable != "" {
-				return cfg, fmt.Errorf("-auto-table requires -sampler auto")
-			}
-		}
 		if *useCache {
 			dir, err := resolveCacheDir(*cacheDir)
 			if err != nil {
@@ -355,6 +347,18 @@ func runOptions(fs *flag.FlagSet, withSets bool) (finish func() (runConfig, erro
 				return cfg, fmt.Errorf("-prefetch cannot predict -relerr convergence rounds; prefetch without -relerr")
 			}
 			cfg.prefetch = true
+		}
+		if cfg.plan {
+			if cfg.cache == nil {
+				return cfg, fmt.Errorf("-plan requires -cache")
+			}
+			if opts.RelErr > 0 {
+				// A convergence-driven run issues rounds until the
+				// *values* converge; a dry run with zero-mean
+				// placeholders would spin every point to its cap and
+				// report nonsense. Plan the fixed-budget shape instead.
+				return cfg, fmt.Errorf("-plan cannot predict -relerr convergence rounds; plan without -relerr")
+			}
 		}
 		// Record the execution shape for provenance manifests: the
 		// engine cannot see through the Executor interface, so the flag
@@ -540,7 +544,6 @@ func cmdHelp(name string) error {
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	finish := runOptions(fs, true)
-	plan := fs.Bool("plan", false, "with -cache: report which estimations are already cached, without running")
 	if len(args) > 0 && (args[0] == "-h" || args[0] == "--help" || args[0] == "-help") {
 		usage(os.Stdout)
 		return nil
@@ -556,7 +559,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *plan {
+	if cfg.plan {
 		return planRun(cfg, name)
 	}
 	if cfg.prefetch {
@@ -621,15 +624,6 @@ func prefetchScenarios(cfg runConfig, names []string) error {
 // the run is already paid for. The single-scenario counterpart of
 // `cs all -cache -plan` (ROADMAP: cache-aware orchestration).
 func planRun(cfg runConfig, name string) error {
-	if cfg.cache == nil {
-		return fmt.Errorf("-plan requires -cache")
-	}
-	if cfg.opts.RelErr > 0 {
-		// A convergence-driven run issues rounds until the *values*
-		// converge; a dry run with zero-mean placeholders would spin
-		// every point to its cap and report nonsense.
-		return fmt.Errorf("-plan cannot predict -relerr convergence rounds; plan without -relerr")
-	}
 	if name == "sampling" {
 		return fmt.Errorf("the sampling scenario drives its own local executor and is never cache-routed; nothing to plan")
 	}
@@ -878,7 +872,6 @@ func cmdServe(args []string) error {
 func cmdAll(args []string) error {
 	fs := flag.NewFlagSet("all", flag.ExitOnError)
 	finish := runOptions(fs, false)
-	plan := fs.Bool("plan", false, "with -cache: report which estimations are already cached, without running")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -886,17 +879,7 @@ func cmdAll(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *plan {
-		if cfg.cache == nil {
-			return fmt.Errorf("-plan requires -cache")
-		}
-		if cfg.opts.RelErr > 0 {
-			// A convergence-driven run issues rounds until the *values*
-			// converge; a dry run with zero-mean placeholders would spin
-			// every point to its cap and report nonsense. Plan the
-			// fixed-budget shape instead.
-			return fmt.Errorf("-plan cannot predict -relerr convergence rounds; plan without -relerr")
-		}
+	if cfg.plan {
 		return planAll(cfg)
 	}
 	if cfg.prefetch {

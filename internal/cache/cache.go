@@ -108,18 +108,11 @@ type entry struct {
 	states []montecarlo.AccumulatorState
 }
 
-// localExecutor evaluates in-process; the default inner executor.
-type localExecutor struct{}
-
-func (localExecutor) EstimateVec(ctx context.Context, req montecarlo.Request) ([]montecarlo.Accumulator, error) {
-	return montecarlo.RunRequest(ctx, req)
-}
-
-// New builds a caching executor around inner. A nil inner uses the
-// in-process pool.
+// New builds a caching executor around inner. A nil inner uses
+// montecarlo.Local.
 func New(inner montecarlo.Executor, opts Options) *Executor {
 	if inner == nil {
-		inner = localExecutor{}
+		inner = montecarlo.Local{}
 	}
 	max := opts.MaxEntries
 	if max <= 0 {

@@ -74,7 +74,7 @@ func sameAccs(a, b []montecarlo.Accumulator) bool {
 }
 
 func TestHitIsBitIdenticalToFreshRun(t *testing.T) {
-	inner := &countingExecutor{inner: dist.Local{}}
+	inner := &countingExecutor{inner: montecarlo.Local{}}
 	e := New(inner, Options{})
 	req := testReq(2.5, 11, 3*montecarlo.ShardSize+77)
 
@@ -100,7 +100,7 @@ func TestHitIsBitIdenticalToFreshRun(t *testing.T) {
 }
 
 func TestDifferentRequestsMiss(t *testing.T) {
-	inner := &countingExecutor{inner: dist.Local{}}
+	inner := &countingExecutor{inner: montecarlo.Local{}}
 	e := New(inner, Options{})
 	base := testReq(1, 5, montecarlo.ShardSize)
 	mustEstimate(t, e, base)
@@ -127,7 +127,7 @@ func TestDifferentRequestsMiss(t *testing.T) {
 }
 
 func TestLRUEvictionBound(t *testing.T) {
-	inner := &countingExecutor{inner: dist.Local{}}
+	inner := &countingExecutor{inner: montecarlo.Local{}}
 	e := New(inner, Options{MaxEntries: 2})
 	a := testReq(1, 1, 100)
 	b := testReq(1, 2, 100)
@@ -198,7 +198,7 @@ func TestDiskPersistenceAcrossExecutors(t *testing.T) {
 	dir := t.TempDir()
 	req := testReq(4, 31, montecarlo.ShardSize+5)
 
-	inner1 := &countingExecutor{inner: dist.Local{}}
+	inner1 := &countingExecutor{inner: montecarlo.Local{}}
 	e1 := New(inner1, Options{Dir: dir})
 	first := mustEstimate(t, e1, req)
 	if st := e1.Stats(); st.WriteFails != 0 {
@@ -207,7 +207,7 @@ func TestDiskPersistenceAcrossExecutors(t *testing.T) {
 
 	// A brand-new executor over the same directory: served from disk,
 	// inner never called.
-	inner2 := &countingExecutor{inner: dist.Local{}}
+	inner2 := &countingExecutor{inner: montecarlo.Local{}}
 	e2 := New(inner2, Options{Dir: dir})
 	second := mustEstimate(t, e2, req)
 	if !sameAccs(second, first) {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"carriersense/internal/dist"
 	"carriersense/internal/montecarlo"
 	"carriersense/internal/rng"
 )
@@ -50,12 +49,12 @@ func TestControlSpecPartOfCacheKey(t *testing.T) {
 
 func TestControlSpecRoundTripsThroughDisk(t *testing.T) {
 	dir := t.TempDir()
-	first := New(&countingExecutor{inner: dist.Local{}}, Options{Dir: dir})
+	first := New(&countingExecutor{inner: montecarlo.Local{}}, Options{Dir: dir})
 	want := mustEstimate(t, first, controlReq(1))
 
 	// A second process (fresh Cache over the same directory) must hit
 	// and verify the stored spec against the request's.
-	second := New(&countingExecutor{inner: dist.Local{}}, Options{Dir: dir})
+	second := New(&countingExecutor{inner: montecarlo.Local{}}, Options{Dir: dir})
 	got := mustEstimate(t, second, controlReq(1))
 	if !sameAccs(got, want) {
 		t.Error("disk hit not bit-identical")
@@ -65,7 +64,7 @@ func TestControlSpecRoundTripsThroughDisk(t *testing.T) {
 	}
 
 	// A different β is a different computation: full miss.
-	third := New(&countingExecutor{inner: dist.Local{}}, Options{Dir: dir})
+	third := New(&countingExecutor{inner: montecarlo.Local{}}, Options{Dir: dir})
 	other := mustEstimate(t, third, controlReq(2))
 	if st := third.Stats(); st.Misses != 1 {
 		t.Errorf("different β hit a stale entry: stats %+v", st)

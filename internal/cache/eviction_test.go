@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"carriersense/internal/dist"
 	"carriersense/internal/montecarlo"
 )
 
@@ -31,7 +30,7 @@ func TestKeyCoversSamplerAndShardRange(t *testing.T) {
 }
 
 func TestSamplerVariantsAreSeparateEntries(t *testing.T) {
-	inner := &countingExecutor{inner: dist.Local{}}
+	inner := &countingExecutor{inner: montecarlo.Local{}}
 	e := New(inner, Options{})
 	plain := testReq(1, 9, montecarlo.ShardSize)
 	named := plain
@@ -56,7 +55,7 @@ func TestDiskEvictionBound(t *testing.T) {
 	dir := t.TempDir()
 	// Measure one entry's on-disk size, then bound the directory to
 	// roughly three entries and write six.
-	probe := New(dist.Local{}, Options{Dir: dir})
+	probe := New(montecarlo.Local{}, Options{Dir: dir})
 	mustEstimate(t, probe, testReq(1, 1, montecarlo.ShardSize))
 	st, err := StatDir(dir)
 	if err != nil || st.Entries != 1 {
@@ -67,7 +66,7 @@ func TestDiskEvictionBound(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := New(dist.Local{}, Options{Dir: dir, MaxBytes: 3*entrySize + entrySize/2})
+	e := New(montecarlo.Local{}, Options{Dir: dir, MaxBytes: 3*entrySize + entrySize/2})
 	for seed := uint64(1); seed <= 6; seed++ {
 		mustEstimate(t, e, testReq(1, seed, montecarlo.ShardSize))
 		// Distinct mtimes so LRU order is unambiguous on coarse
@@ -103,7 +102,7 @@ func TestDiskEvictionBound(t *testing.T) {
 
 func TestDiskHitRefreshesRecency(t *testing.T) {
 	dir := t.TempDir()
-	e := New(dist.Local{}, Options{Dir: dir})
+	e := New(montecarlo.Local{}, Options{Dir: dir})
 	old := testReq(1, 1, montecarlo.ShardSize)
 	mustEstimate(t, e, old)
 	path := filepath.Join(dir, Key(old)+".json")
@@ -113,7 +112,7 @@ func TestDiskHitRefreshesRecency(t *testing.T) {
 	}
 	// A disk hit from a fresh executor must bump the mtime so eviction
 	// sees the entry as live.
-	fresh := New(dist.Local{}, Options{Dir: dir})
+	fresh := New(montecarlo.Local{}, Options{Dir: dir})
 	mustEstimate(t, fresh, old)
 	info, err := os.Stat(path)
 	if err != nil {
@@ -126,7 +125,7 @@ func TestDiskHitRefreshesRecency(t *testing.T) {
 
 func TestPlannerLedger(t *testing.T) {
 	dir := t.TempDir()
-	warm := New(dist.Local{}, Options{Dir: dir})
+	warm := New(montecarlo.Local{}, Options{Dir: dir})
 	cached := testReq(1, 3, montecarlo.ShardSize)
 	mustEstimate(t, warm, cached)
 

@@ -15,7 +15,6 @@ import (
 	"strings"
 	"testing"
 
-	"carriersense/internal/dist"
 	"carriersense/internal/fault"
 	"carriersense/internal/montecarlo"
 )
@@ -25,7 +24,7 @@ import (
 // the entry path plus the clean result.
 func writeEntryVia(t *testing.T, dir string, req montecarlo.Request) (string, []montecarlo.Accumulator) {
 	t.Helper()
-	e := New(dist.Local{}, Options{Dir: dir})
+	e := New(montecarlo.Local{}, Options{Dir: dir})
 	clean := mustEstimate(t, e, req)
 	path := filepath.Join(dir, Key(req)+".json")
 	if _, err := os.Stat(path); err != nil {
@@ -38,7 +37,7 @@ func writeEntryVia(t *testing.T, dir string, req montecarlo.Request) (string, []
 // memory layer) and returns its result and stats for one estimation.
 func reload(t *testing.T, dir string, req montecarlo.Request) ([]montecarlo.Accumulator, Stats) {
 	t.Helper()
-	e := New(dist.Local{}, Options{Dir: dir})
+	e := New(montecarlo.Local{}, Options{Dir: dir})
 	got := mustEstimate(t, e, req)
 	return got, e.Stats()
 }

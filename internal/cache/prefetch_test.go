@@ -6,13 +6,12 @@ import (
 	"path/filepath"
 	"testing"
 
-	"carriersense/internal/dist"
 	"carriersense/internal/montecarlo"
 )
 
 func TestPrefetchMakesTheRunAllHits(t *testing.T) {
 	dir := t.TempDir()
-	warm := New(dist.Local{}, Options{Dir: dir})
+	warm := New(montecarlo.Local{}, Options{Dir: dir})
 	cached := testReq(1, 11, montecarlo.ShardSize)
 	want := mustEstimate(t, warm, cached)
 
@@ -28,7 +27,7 @@ func TestPrefetchMakesTheRunAllHits(t *testing.T) {
 		t.Fatalf("planner recorded %d misses, want 3 (duplicates included)", len(misses))
 	}
 
-	counting := &countingExecutor{inner: dist.Local{}}
+	counting := &countingExecutor{inner: montecarlo.Local{}}
 	exec := New(counting, Options{Dir: dir})
 	rep, err := Prefetch(context.Background(), exec, misses)
 	if err != nil {
@@ -56,7 +55,7 @@ func TestPrefetchMakesTheRunAllHits(t *testing.T) {
 	if got := mustEstimate(t, run, cached); !sameAccs(got, want) {
 		t.Error("pre-existing entry changed bits")
 	}
-	direct := mustEstimate(t, dist.Local{}, missA)
+	direct := mustEstimate(t, montecarlo.Local{}, missA)
 	if got := mustEstimate(t, run, missA); !sameAccs(got, direct) {
 		t.Error("prefetched entry differs from direct evaluation")
 	}
@@ -77,9 +76,9 @@ func TestPrefetchSkipsEntriesFilledMeanwhile(t *testing.T) {
 	mustEstimate(t, p, req)
 
 	// Someone else fills the entry between plan and prefetch.
-	mustEstimate(t, New(dist.Local{}, Options{Dir: dir}), req)
+	mustEstimate(t, New(montecarlo.Local{}, Options{Dir: dir}), req)
 
-	counting := &countingExecutor{inner: dist.Local{}}
+	counting := &countingExecutor{inner: montecarlo.Local{}}
 	rep, err := Prefetch(context.Background(), New(counting, Options{Dir: dir}), p.Misses())
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +96,7 @@ func TestPrefetchSurvivesFailures(t *testing.T) {
 	good := testReq(5, 15, montecarlo.ShardSize)
 	bad := good
 	bad.Kernel = "cachetest/no-such-kernel"
-	rep, err := Prefetch(context.Background(), New(dist.Local{}, Options{Dir: dir}), []montecarlo.Request{bad, good})
+	rep, err := Prefetch(context.Background(), New(montecarlo.Local{}, Options{Dir: dir}), []montecarlo.Request{bad, good})
 	if err == nil {
 		t.Fatal("prefetch with a broken request reported no error")
 	}

@@ -24,11 +24,8 @@ func TestSigma0PilotIsExact(t *testing.T) {
 	// find β = 1 on every quadrature-backed component, and the adjusted
 	// variable is then the constant μ — zero variance, so the cv
 	// strategy converges at the driver's first probe.
-	req, ok := AveragesRequest(Params{Alpha: 3, SigmaDB: 0, NoiseDB: DefaultNoiseDB},
+	req := AveragesRequest(Params{Alpha: 3, SigmaDB: 0, NoiseDB: DefaultNoiseDB},
 		55, 40, 55, 9, 4*montecarlo.ShardSize)
-	if !ok {
-		t.Fatal("averages kernel must be serializable")
-	}
 	spec, err := montecarlo.PilotControl(req, 1024)
 	if err != nil {
 		t.Fatal(err)
@@ -65,11 +62,8 @@ func TestTwinMeansMatchMonteCarlo(t *testing.T) {
 	// The quadrature means the pilot regresses against must agree with
 	// a Monte Carlo estimate of the twin integrand itself — a wrong μ
 	// would bias every cv result, not just inflate variance.
-	req, ok := AveragesRequest(Params{Alpha: 3, SigmaDB: 8, NoiseDB: DefaultNoiseDB},
+	req := AveragesRequest(Params{Alpha: 3, SigmaDB: 8, NoiseDB: DefaultNoiseDB},
 		55, 40, 55, 9, 4*montecarlo.ShardSize)
-	if !ok {
-		t.Fatal("averages kernel must be serializable")
-	}
 	m, p, err := pointModel(req.Params, true)
 	if err != nil {
 		t.Fatal(err)
@@ -126,10 +120,7 @@ func TestTwinMeansBitIdenticalAcrossWidths(t *testing.T) {
 		d      float64
 		defers bool
 	}{{40, true}, {70, false}} {
-		req, ok := AveragesRequest(Params{Alpha: 3, SigmaDB: 8, NoiseDB: DefaultNoiseDB}, 55, pt.d, 55, 9, 1)
-		if !ok {
-			t.Fatal("averages kernel must be serializable")
-		}
+		req := AveragesRequest(Params{Alpha: 3, SigmaDB: 8, NoiseDB: DefaultNoiseDB}, 55, pt.d, 55, 9, 1)
 		m, p, err := pointModel(req.Params, true)
 		if err != nil {
 			t.Fatal(err)

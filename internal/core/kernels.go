@@ -7,11 +7,6 @@ package core
 // registered scenarios — changing at all. The coordinator and the
 // workers run the same binary, so a (kernel name, params) pair
 // rebuilds the exact closure on either side.
-//
-// Environments with a foreign capacity.Model implementation (anything
-// outside internal/capacity) have no serializable identity; the
-// estimators detect that and fall back to the in-process pool, which
-// is bit-identical anyway.
 
 import (
 	"context"
@@ -40,11 +35,11 @@ type EnvSpec struct {
 	Capacity capacity.Spec `json:"capacity,omitempty"`
 }
 
-// envSpecOf captures the environment's serializable identity; ok is
-// false when the capacity model is a foreign implementation.
-func envSpecOf(p Params) (EnvSpec, bool) {
-	cs, ok := capacity.SpecOf(p.Capacity)
-	return EnvSpec{Alpha: p.Alpha, SigmaDB: p.SigmaDB, NoiseDB: p.NoiseDB, Capacity: cs}, ok
+// envSpecOf captures the environment's serializable identity. Params
+// that passed Validate always have one.
+func envSpecOf(p Params) EnvSpec {
+	cs, _ := capacity.SpecOf(p.Capacity)
+	return EnvSpec{Alpha: p.Alpha, SigmaDB: p.SigmaDB, NoiseDB: p.NoiseDB, Capacity: cs}
 }
 
 // build reconstructs the Model an EnvSpec was captured from.
@@ -156,19 +151,15 @@ func init() {
 // AveragesRequest builds the serializable core/averages estimation
 // request for an environment and one (R_max, D, D_thresh) point — the
 // entry point the sampling subsystem's tests and benches use to drive
-// the hot-path kernel directly through executors. ok is false when the
-// environment's capacity model has no serializable identity.
-func AveragesRequest(p Params, rmax, d, dThresh float64, seed uint64, n int) (montecarlo.Request, bool) {
+// the hot-path kernel directly through executors. Like New, it panics
+// on invalid parameters.
+func AveragesRequest(p Params, rmax, d, dThresh float64, seed uint64, n int) montecarlo.Request {
 	m := New(p)
-	env, ok := envSpecOf(m.params)
-	if !ok {
-		return montecarlo.Request{}, false
-	}
-	raw, err := json.Marshal(pointParams{Env: env, Rmax: rmax, D: d, DThresh: dThresh})
+	raw, err := json.Marshal(pointParams{Env: envSpecOf(m.params), Rmax: rmax, D: d, DThresh: dThresh})
 	if err != nil {
-		return montecarlo.Request{}, false
+		panic(err)
 	}
-	return montecarlo.Request{Kernel: KernelAverages, Params: raw, Seed: seed, Samples: n, Dim: nAverages}, true
+	return montecarlo.Request{Kernel: KernelAverages, Params: raw, Seed: seed, Samples: n, Dim: nAverages}
 }
 
 // WithContext returns a copy of the model whose estimations pass ctx
@@ -184,31 +175,12 @@ func (m *Model) WithContext(ctx context.Context) *Model {
 }
 
 // estimatePoint routes a two-pair kernel estimation through the
-// installed executor, falling back to the in-process pool when the
-// environment has no serializable identity. Both paths evaluate the
-// same shard plan with the same batch function under the installed
-// default sampler and are bit-identical.
+// installed executor, under the installed default sampler.
 func (m *Model) estimatePoint(kernel string, rmax, d, dThresh float64, seed uint64, n int) []montecarlo.Estimate {
-	k := pointKernels[kernel]
-	if env, ok := envSpecOf(m.params); ok {
-		ctx := m.ctx
-		if ctx == nil {
-			ctx = context.TODO()
-		}
-		p := pointParams{Env: env, Rmax: rmax, D: d, DThresh: dThresh}
-		return montecarlo.KernelMeanVec(ctx, kernel, p, seed, n, k.dim)
+	ctx := m.ctx
+	if ctx == nil {
+		ctx = context.TODO()
 	}
-	return localMeanVec(seed, n, k.dim, k.batch(m.newPointEval(rmax, d, dThresh)))
-}
-
-// localMeanVec is the executor-bypassing fallback for environments with
-// no serializable kernel identity. It still honors the installed
-// default sampler — a `-sampler sobol` run must not silently
-// degrade to plain draws just because the capacity model is foreign.
-func localMeanVec(seed uint64, n, dim int, eval montecarlo.BatchEvalFunc) []montecarlo.Estimate {
-	est, err := montecarlo.SampledMeanVec(montecarlo.DefaultSampler(), seed, n, dim, eval)
-	if err != nil {
-		panic(&montecarlo.ExecError{Kernel: "(local fallback)", Err: err})
-	}
-	return est
+	p := pointParams{Env: envSpecOf(m.params), Rmax: rmax, D: d, DThresh: dThresh}
+	return montecarlo.KernelMeanVec(ctx, kernel, p, seed, n, pointKernels[kernel].dim)
 }

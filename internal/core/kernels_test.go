@@ -16,10 +16,7 @@ func kernelParams(t *testing.T, name string, sigmaDB float64) (json.RawMessage, 
 	t.Helper()
 	p := DefaultParams()
 	p.SigmaDB = sigmaDB
-	env, ok := envSpecOf(p)
-	if !ok {
-		t.Fatal("default environment has no serializable identity")
-	}
+	env := envSpecOf(p)
 	var (
 		v   any
 		dim int

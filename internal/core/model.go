@@ -69,6 +69,11 @@ func (p Params) Validate() error {
 	if p.NoiseDB >= 0 {
 		return fmt.Errorf("core: noise floor %v dB not below unit-distance power", p.NoiseDB)
 	}
+	if _, ok := capacity.SpecOf(p.Capacity); !ok {
+		// Every estimation is a serializable kernel request; a model
+		// outside internal/capacity has no spec to ship.
+		return fmt.Errorf("core: capacity model %T has no serializable spec (use a model from internal/capacity)", p.Capacity)
+	}
 	return nil
 }
 

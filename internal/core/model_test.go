@@ -30,6 +30,36 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
+// foreignCapacity is a capacity model from outside internal/capacity:
+// it has no spec, so no kernel request can carry it.
+type foreignCapacity struct{}
+
+func (foreignCapacity) Throughput(snr float64) float64 { return snr }
+func (foreignCapacity) Name() string                   { return "foreign" }
+
+func TestParamsValidateRejectsForeignCapacity(t *testing.T) {
+	p := DefaultParams()
+	p.Capacity = foreignCapacity{}
+	err := p.Validate()
+	if err == nil {
+		t.Fatal("foreign capacity model accepted")
+	}
+	for _, m := range []capacity.Model{nil, capacity.NewShannon(), capacity.FixedRate{Rate: 1}} {
+		ok := DefaultParams()
+		ok.Capacity = m
+		if verr := ok.Validate(); verr != nil {
+			t.Errorf("capacity %T rejected: %v", m, verr)
+		}
+	}
+	defer func() {
+		r := recover()
+		if perr, isErr := r.(error); !isErr || perr.Error() != err.Error() {
+			t.Errorf("New panicked with %v, want %v", r, err)
+		}
+	}()
+	New(p)
+}
+
 func TestNewPanicsOnInvalid(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -406,19 +406,14 @@ func (mm *MultiModel) multiBatch() montecarlo.BatchEvalFunc {
 // -workers`).
 func (mm *MultiModel) EstimateMulti(seed uint64, nSamples int) MultiAverages {
 	n := mm.p.NPairs
-	var est []montecarlo.Estimate
-	if env, ok := envSpecOf(mm.p.Env); ok {
-		est = montecarlo.KernelMeanVec(context.TODO(), KernelMulti, multiParamsWire{
-			Env:        env,
-			NPairs:     mm.p.NPairs,
-			AreaRadius: mm.p.AreaRadius,
-			Rmax:       mm.p.Rmax,
-			DThresh:    mm.p.DThresh,
-			Rounds:     mm.p.Rounds,
-		}, seed, nSamples, nMultiIdx)
-	} else {
-		est = localMeanVec(seed, nSamples, nMultiIdx, mm.multiBatch())
-	}
+	est := montecarlo.KernelMeanVec(context.TODO(), KernelMulti, multiParamsWire{
+		Env:        envSpecOf(mm.p.Env),
+		NPairs:     mm.p.NPairs,
+		AreaRadius: mm.p.AreaRadius,
+		Rmax:       mm.p.Rmax,
+		DThresh:    mm.p.DThresh,
+		Rounds:     mm.p.Rounds,
+	}, seed, nSamples, nMultiIdx)
 	return MultiAverages{
 		NPairs:        n,
 		TDMA:          est[idxMultiTDMA],

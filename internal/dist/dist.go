@@ -19,24 +19,3 @@
 // errors out only when every worker is gone or a shard exhausts its
 // attempts. Workers expose /healthz and /stats for fleet supervision.
 package dist
-
-import (
-	"context"
-
-	"carriersense/internal/montecarlo"
-)
-
-// Executor evaluates a montecarlo.Request's full shard plan. It is the
-// seam engine.Options exposes: Local evaluates in-process, Remote
-// farms shards out to a worker fleet.
-type Executor = montecarlo.Executor
-
-// Local is the in-process executor: the whole shard plan evaluated by
-// montecarlo's worker pool (the same path `cs run` takes without
-// -workers). It exists so callers can name the default explicitly.
-type Local struct{}
-
-// EstimateVec implements Executor.
-func (Local) EstimateVec(ctx context.Context, req montecarlo.Request) ([]montecarlo.Accumulator, error) {
-	return montecarlo.RunRequest(ctx, req)
-}

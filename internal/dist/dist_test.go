@@ -76,7 +76,7 @@ func estimates(accs []montecarlo.Accumulator) []montecarlo.Estimate {
 
 func TestRemoteBitIdenticalToLocalAtAnyFleetSize(t *testing.T) {
 	req := testRequest(t, 7*montecarlo.ShardSize+501)
-	local, err := dist.Local{}.EstimateVec(context.Background(), req)
+	local, err := montecarlo.Local{}.EstimateVec(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

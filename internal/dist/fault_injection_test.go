@@ -36,7 +36,7 @@ func installFault(t *testing.T, spec, id string) *fault.Plan {
 // wantLocal evaluates the request locally for the bit-identity check.
 func wantLocal(t *testing.T, req montecarlo.Request) []montecarlo.Estimate {
 	t.Helper()
-	local, err := dist.Local{}.EstimateVec(context.Background(), req)
+	local, err := montecarlo.Local{}.EstimateVec(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

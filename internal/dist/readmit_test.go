@@ -53,7 +53,7 @@ func mustIdentical(t *testing.T, accs []montecarlo.Accumulator, want []montecarl
 
 func TestDeadWorkerReadmittedAfterHeal(t *testing.T) {
 	req := testRequest(t, 6*montecarlo.ShardSize)
-	local, err := dist.Local{}.EstimateVec(context.Background(), req)
+	local, err := montecarlo.Local{}.EstimateVec(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func startSlowWorker(t *testing.T, delay time.Duration) string {
 
 func TestReadmittedWorkerJoinsRunInFlight(t *testing.T) {
 	req := testRequest(t, 36*montecarlo.ShardSize)
-	local, err := dist.Local{}.EstimateVec(context.Background(), req)
+	local, err := montecarlo.Local{}.EstimateVec(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestReadmittedWorkerJoinsRunInFlight(t *testing.T) {
 
 func TestHedgingCompletesAroundWedgedStraggler(t *testing.T) {
 	req := testRequest(t, 24*montecarlo.ShardSize)
-	local, err := dist.Local{}.EstimateVec(context.Background(), req)
+	local, err := montecarlo.Local{}.EstimateVec(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func streamTestRequest(samples int) montecarlo.Request {
 
 func localWant(t *testing.T, req montecarlo.Request) []montecarlo.Estimate {
 	t.Helper()
-	accs, err := Local{}.EstimateVec(context.Background(), req)
+	accs, err := montecarlo.Local{}.EstimateVec(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"os"
 	"strings"
 	"testing"
 )
@@ -116,7 +117,7 @@ func TestParseGridAxis(t *testing.T) {
 	if ax.Key != "rmax" || len(ax.Values) != 3 || ax.Values[1] != "55" {
 		t.Errorf("axis = %+v", ax)
 	}
-	for _, bad := range []string{"", "rmax", "rmax=", "=1"} {
+	for _, bad := range []string{"", "rmax", "rmax=", "=1", "alpha=3,3", "alpha=2, 4,2"} {
 		if _, err := ParseGridAxis(bad); err == nil {
 			t.Errorf("bad axis %q accepted", bad)
 		}
@@ -188,6 +189,23 @@ func TestRunAppliesSeedSetsAndGrid(t *testing.T) {
 		}
 		if res.Variant == "" {
 			t.Error("grid variant label missing")
+		}
+	}
+}
+
+func TestRunRejectsRepeatedGridKeysAndValues(t *testing.T) {
+	registerStub(t, "stub-grid-dups")
+	for _, grid := range [][]string{
+		{"gain=3,3"},           // two variants, one gain_3 file set
+		{"gain=2,4", "gain=3"}, // both variants would run at gain 3
+		{"gain=2,4", "label=x", "Gain=3"},
+	} {
+		out := t.TempDir()
+		if _, err := Run(context.Background(), "stub-grid-dups", Options{Grid: grid, OutDir: out}); err == nil {
+			t.Errorf("grid %q accepted", grid)
+		}
+		if entries, _ := os.ReadDir(out); len(entries) != 0 {
+			t.Errorf("grid %q: rejected run left %d entries in -out", grid, len(entries))
 		}
 	}
 }

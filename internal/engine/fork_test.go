@@ -28,7 +28,7 @@ func (f failingCell) EstimateVec(ctx context.Context, req montecarlo.Request) ([
 	if req.Seed == f.seed {
 		return nil, errInjected
 	}
-	return montecarlo.RunRequest(ctx, req)
+	return montecarlo.Local{}.EstimateVec(ctx, req)
 }
 
 func TestTablesOverAFailingExecutorReturnsAnError(t *testing.T) {

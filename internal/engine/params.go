@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -179,7 +180,9 @@ type GridAxis struct {
 	Values []string
 }
 
-// ParseGridAxis parses a "key=v1,v2,..." grid specification.
+// ParseGridAxis parses a "key=v1,v2,..." grid specification. A value
+// repeated within the axis is an error: its variants would share one
+// label, and so one set of artifact files.
 func ParseGridAxis(spec string) (GridAxis, error) {
 	key, vals, ok := strings.Cut(spec, "=")
 	if !ok || key == "" || vals == "" {
@@ -188,6 +191,9 @@ func ParseGridAxis(spec string) (GridAxis, error) {
 	parts := strings.Split(vals, ",")
 	for i := range parts {
 		parts[i] = strings.TrimSpace(parts[i])
+		if slices.Contains(parts[:i], parts[i]) {
+			return GridAxis{}, fmt.Errorf("grid axis %q repeats value %q", spec, parts[i])
+		}
 	}
 	return GridAxis{Key: key, Values: parts}, nil
 }

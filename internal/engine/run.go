@@ -203,38 +203,6 @@ func Run(ctx context.Context, name string, opts Options) ([]*Result, error) {
 		}
 		defer montecarlo.ResetMaxWorkers()
 	}
-	if opts.RelErr < 0 {
-		return nil, fmt.Errorf("engine: -relerr must be > 0, got %g", opts.RelErr)
-	}
-	if opts.MaxSamples < 0 {
-		return nil, fmt.Errorf("engine: -max-samples must be >= 1, got %d", opts.MaxSamples)
-	}
-	if opts.MaxSamples > 0 && opts.RelErr == 0 {
-		return nil, fmt.Errorf("engine: -max-samples requires -relerr")
-	}
-	if opts.Sampler == sampling.Auto {
-		// "auto" is virtual: never registered, resolved per kernel by
-		// the AutoScheduler decorator runVariant installs. Stamp it
-		// unchecked; if the decorator were somehow absent, the first
-		// estimation fails loudly at sampler lookup.
-		montecarlo.ForceDefaultSampler(sampling.Auto)
-		defer montecarlo.ForceDefaultSampler("")
-	} else {
-		if err := sampling.Validate(opts.Sampler); err != nil {
-			return nil, err
-		}
-		if opts.Sampler != "" {
-			// Stamp the strategy into every kernel request issued during
-			// the run (the executor seam's sampler analogue).
-			if err := montecarlo.SetDefaultSampler(opts.Sampler); err != nil {
-				return nil, err
-			}
-			defer func() { _ = montecarlo.SetDefaultSampler("") }()
-		}
-	}
-	if opts.AutoTable != "" && opts.Sampler != sampling.Auto {
-		return nil, fmt.Errorf("engine: -auto-table requires -sampler auto")
-	}
 	scale := opts.Scale
 	if scale == "" {
 		scale = "bench"
@@ -251,6 +219,14 @@ func Run(ctx context.Context, name string, opts Options) ([]*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Keys are case-insensitive field names (SetParam): a key on
+		// two axes would label variants by both values but run each
+		// at the later one.
+		for _, prev := range axes {
+			if strings.EqualFold(prev.Key, ax.Key) {
+				return nil, fmt.Errorf("grid key %q is on two -grid axes", ax.Key)
+			}
+		}
 		axes = append(axes, ax)
 	}
 	points := ExpandGrid(axes)
@@ -259,13 +235,6 @@ func Run(ctx context.Context, name string, opts Options) ([]*Result, error) {
 	now := opts.Now
 	if now.IsZero() {
 		now = time.Now()
-	}
-	if opts.OutDir != "" {
-		var err error
-		runDir, err = makeRunDir(opts.OutDir, now.UTC().Format("20060102-150405")+"-"+sc.Name)
-		if err != nil {
-			return nil, err
-		}
 	}
 
 	runStart := time.Now()
@@ -277,7 +246,15 @@ func Run(ctx context.Context, name string, opts Options) ([]*Result, error) {
 		if err != nil {
 			return results, fmt.Errorf("scenario %s%s: %w", sc.Name, variantSuffix(point), err)
 		}
-		if runDir != "" {
+		if opts.OutDir != "" {
+			// The run directory appears with the first variant's
+			// artifacts, so a run rejected before any variant ran
+			// (a bad -set, -sampler or -relerr) leaves nothing behind.
+			if runDir == "" {
+				if runDir, err = makeRunDir(opts.OutDir, now.UTC().Format("20060102-150405")+"-"+sc.Name); err != nil {
+					return results, err
+				}
+			}
 			if err := writeArtifacts(runDir, res); err != nil {
 				return results, err
 			}
@@ -348,15 +325,6 @@ func (b boundExecutor) EstimateVec(ctx context.Context, req montecarlo.Request) 
 	return accs, err
 }
 
-// localExecutor routes through the in-process pool; installed so the
-// instrumented boundExecutor wraps local runs exactly like remote or
-// cached ones (same semantics as montecarlo's own default executor).
-type localExecutor struct{}
-
-func (localExecutor) EstimateVec(ctx context.Context, req montecarlo.Request) ([]montecarlo.Accumulator, error) {
-	return montecarlo.RunRequest(ctx, req)
-}
-
 // makeRunDir creates a fresh run directory under parent. The stamp is
 // second-resolution, so two runs of the same scenario within one
 // second would land on the same path and silently overwrite each
@@ -404,50 +372,19 @@ func runVariant(ctx context.Context, sc Scenario, point GridPoint, scale string,
 		}
 	}()
 	// Install the variant's executor chain: the configured executor
-	// (worker fleet, cache, or the in-process default), wrapped in a
-	// fresh convergence driver when -relerr is set — fresh per variant
-	// so each variant's sampling ledger is its own. The variant's
-	// context carries a fresh plan (montecarlo.WithPlan), whose
-	// positions order that ledger.
+	// (worker fleet, cache, or montecarlo.Local) under the sampling
+	// chain — fresh per variant so each variant's sampling ledger is
+	// its own — wrapped in the bound, instrumented executor, so
+	// estimation timings and run-context cancellation apply to every
+	// run alike. The variant's context carries a fresh plan
+	// (montecarlo.WithPlan), whose positions order that ledger.
 	ctx = montecarlo.WithPlan(ctx)
-	var driver *sampling.Driver
-	exec := opts.Executor
-	if opts.RelErr > 0 {
-		driver, err = sampling.NewDriver(exec, sampling.DriverOptions{
-			RelErr:     opts.RelErr,
-			MaxSamples: opts.MaxSamples,
-		})
-		if err != nil {
-			return nil, err
-		}
-		exec = driver
+	chain, err := sampling.NewChain(opts.Executor, opts.Sampler, opts.RelErr, opts.MaxSamples, opts.AutoTable)
+	if err != nil {
+		return nil, err
 	}
-	// The variance-reduction decorators sit outside the driver so a
-	// driven point's rounds all share one pilot β (cv) and one resolved
-	// strategy (auto): the coefficients are stamped on the full request
-	// before the driver splits it into ranged rounds.
-	var cvdec *sampling.ControlVariates
-	var auto *sampling.AutoScheduler
-	if opts.Sampler == sampling.CV || opts.Sampler == sampling.Auto {
-		cvdec = sampling.NewControlVariates(exec)
-		exec = cvdec
-	}
-	if opts.Sampler == sampling.Auto {
-		// Pilot probes bypass the driver/cv chain — a pilot is a
-		// fixed-budget measurement, not something to drive to
-		// convergence — and go to the configured base executor, so a
-		// fleet or cache still serves them.
-		auto = sampling.NewAuto(exec, opts.Executor, cvdec, sampling.AutoOptions{TablePath: opts.AutoTable, Target: opts.RelErr})
-		exec = auto
-	}
-	if exec == nil {
-		exec = localExecutor{}
-	}
-	// Always install the bound, instrumented executor — for local runs
-	// it wraps the same RunRequest path the montecarlo default uses, so
-	// semantics (and results) are unchanged while estimation timings
-	// and run-context cancellation apply uniformly.
-	montecarlo.SetExecutor(boundExecutor{ctx: ctx, inner: exec})
+	defer chain.Close()
+	montecarlo.SetExecutor(boundExecutor{ctx: ctx, inner: chain.Executor()})
 	defer montecarlo.SetExecutor(nil)
 	params := sc.NewParams()
 	if opts.Seed != "" && HasParam(params, "seed") {
@@ -514,11 +451,11 @@ func runVariant(ctx context.Context, sc Scenario, point GridPoint, scale string,
 	if err := sc.Run(rc); err != nil {
 		return nil, err
 	}
-	if driver != nil {
-		recordSampling(rc, driver, cvdec, auto)
+	if chain.Driver() != nil {
+		recordSampling(rc, chain)
 	}
-	if auto != nil {
-		recordChoices(rc, auto)
+	if chain.Auto() != nil {
+		recordChoices(rc, chain.Auto())
 	}
 	res.Elapsed = time.Since(start)
 	res.Perf = obs.SnapshotDelta(pre, obs.Default().SnapshotFlows())
@@ -541,22 +478,15 @@ func runVariant(ctx context.Context, sc Scenario, point GridPoint, scale string,
 // and one summary line in the text report. Everything here is a pure
 // function of (params, seed, sampler, target), so the output stays
 // byte-stable under the determinism contract.
-func recordSampling(rc *RunContext, driver *sampling.Driver, cvdec *sampling.ControlVariates, auto *sampling.AutoScheduler) {
+func recordSampling(rc *RunContext, chain *sampling.Chain) {
+	driver := chain.Driver()
 	reports := driver.Reports()
 	if len(reports) == 0 {
 		return
 	}
-	// Pilot honesty: the cv coefficient pilots and the auto-scheduler's
-	// candidate probes evaluate real samples the driver never sees.
-	// Fold them into the spend so savings claims pay for their own
-	// measurement overhead.
-	pilot := 0
-	if cvdec != nil {
-		pilot += cvdec.PilotSpent()
-	}
-	if auto != nil {
-		pilot += auto.PilotSpent()
-	}
+	// Pilot honesty: fold the pilots' samples into the spend so savings
+	// claims pay for their own measurement overhead.
+	pilot := chain.PilotSpent()
 	rows := make([][]string, 0, len(reports))
 	for _, p := range reports {
 		rows = append(rows, []string{

@@ -62,54 +62,26 @@ func SamplingBench(p SamplingBenchParams, scale Scale) []SamplerComparison {
 		cap = scale.mcSamples() * 64
 	}
 	prevExec := montecarlo.CurrentExecutor()
-	prevSampler := montecarlo.DefaultSampler()
-	defer func() {
-		montecarlo.SetExecutor(prevExec)
-		montecarlo.ForceDefaultSampler(prevSampler)
-	}()
+	defer montecarlo.SetExecutor(prevExec)
 
 	var out []SamplerComparison
 	var plainSpent int
 	for _, name := range []string{
 		sampling.Plain, sampling.Stratified, sampling.Sobol, sampling.CV, sampling.Auto,
 	} {
-		driver, err := sampling.NewDriver(nil, sampling.DriverOptions{RelErr: p.Target, MaxSamples: cap})
+		chain, err := sampling.NewChain(nil, name, p.Target, cap, "")
 		if err != nil {
 			panic(err) // options are static; a failure is a programming error
 		}
-		// cv and auto need their coordinator-side decorators, exactly as
-		// the engine chains them: cv equips requests with pilot β, auto
-		// resolves the winner before anything reaches the driver.
-		var exec montecarlo.Executor = driver
-		var cvdec *sampling.ControlVariates
-		var auto *sampling.AutoScheduler
-		if name == sampling.CV || name == sampling.Auto {
-			cvdec = sampling.NewControlVariates(exec)
-			exec = cvdec
-		}
-		if name == sampling.Auto {
-			auto = sampling.NewAuto(exec, nil, cvdec, sampling.AutoOptions{Target: p.Target})
-			exec = auto
-		}
-		montecarlo.SetExecutor(exec)
-		if name == sampling.Auto {
-			montecarlo.ForceDefaultSampler(sampling.Auto)
-		} else if err := montecarlo.SetDefaultSampler(name); err != nil {
-			panic(err)
-		}
+		montecarlo.SetExecutor(chain.Executor())
 		for i, d := range p.DValues {
 			// Same per-point seed schedule as core.Curves, so the
 			// comparison covers the exact estimations the scenarios run.
 			m.EstimateAverages(p.Seed+uint64(i)*7919, cap, p.Rmax, d, p.DThresh)
 		}
-		s := driver.Summarize()
-		c := SamplerComparison{Sampler: name, Spent: s.Spent, Converged: s.Converged, Points: s.Points}
-		if cvdec != nil {
-			c.Pilot += cvdec.PilotSpent()
-		}
-		if auto != nil {
-			c.Pilot += auto.PilotSpent()
-		}
+		chain.Close()
+		s := chain.Driver().Summarize()
+		c := SamplerComparison{Sampler: name, Spent: s.Spent, Pilot: chain.PilotSpent(), Converged: s.Converged, Points: s.Points}
 		c.Spent += c.Pilot // pilots are real evaluations; the ledger is honest
 		if name == sampling.Plain {
 			plainSpent = c.Spent

@@ -9,11 +9,11 @@ package montecarlo
 // (they are the same binary), which is what lets the distributed path
 // reproduce shard accumulators bit-identically.
 //
-// The Executor interface is the scale-out seam: the default local
-// executor evaluates the whole shard plan in-process with the
-// RunShards pool; internal/dist provides a Remote executor that farms
-// shards out over HTTP and merges the returned accumulator states in
-// shard order. engine.Run installs the configured executor for the
+// The Executor interface is the scale-out seam: Local, the default,
+// evaluates the whole shard plan in-process with the RunShards pool;
+// internal/dist provides a Remote executor that farms shards out over
+// a frame stream and merges the returned accumulator states in shard
+// order. engine.Run installs the configured executor for the
 // duration of a run, so every scenario distributes without
 // per-scenario changes.
 
@@ -197,18 +197,17 @@ type Executor interface {
 
 var (
 	execMu      sync.RWMutex
-	currentExec Executor = localExecutor{}
+	currentExec Executor = Local{}
 )
 
 // SetExecutor installs the executor used by every kernel-routed
-// estimation. nil restores the in-process default. engine.Run installs
-// the CLI-configured executor for the duration of a run.
+// estimation. nil restores Local. engine.Run installs the
+// CLI-configured executor for the duration of a run.
 func SetExecutor(e Executor) {
 	execMu.Lock()
 	defer execMu.Unlock()
 	if e == nil {
-		currentExec = localExecutor{}
-		return
+		e = Local{}
 	}
 	currentExec = e
 }
@@ -220,40 +219,67 @@ func CurrentExecutor() Executor {
 	return currentExec
 }
 
-// localExecutor is the default in-process executor: the whole shard
-// plan evaluated by the RunShards pool.
-type localExecutor struct{}
+// Local is the in-process executor and the default: the whole shard
+// plan evaluated by the RunShards pool. Every decorator that is given
+// a nil inner executor (the cache, the sampling chain) uses it.
+type Local struct{}
 
-func (localExecutor) EstimateVec(ctx context.Context, req Request) ([]Accumulator, error) {
+// EstimateVec implements Executor.
+func (Local) EstimateVec(ctx context.Context, req Request) ([]Accumulator, error) {
 	return RunRequest(ctx, req)
+}
+
+// prepared is a request made ready for in-process evaluation: checked,
+// with its kernel, sampler and control adjustment built.
+type prepared struct {
+	ev  BatchEvalFunc
+	sp  Sampler
+	cv  *controlEval
+	dim int
+}
+
+// prepare is the one request-preparation step RunRequest and
+// EvaluateShards share: validate, build the kernel, look up the
+// sampler, build the control.
+func prepare(req Request) (prepared, error) {
+	if err := req.Validate(); err != nil {
+		return prepared{}, err
+	}
+	ev, err := BuildKernel(req.Kernel, req.Params, req.Dim)
+	if err != nil {
+		return prepared{}, err
+	}
+	sp, err := lookupSampler(req.Sampler)
+	if err != nil {
+		return prepared{}, err
+	}
+	cv, err := buildControl(req)
+	if err != nil {
+		return prepared{}, err
+	}
+	return prepared{ev: ev, sp: sp, cv: cv, dim: req.Dim}, nil
+}
+
+// shard evaluates one shard of the prepared request.
+func (p prepared) shard(s Shard) []Accumulator {
+	return evalShard(p.ev, s, p.dim, p.sp, p.cv)
 }
 
 // RunRequest evaluates a request in-process: every planned shard (from
 // FirstShard on) through the worker pool, merged in shard order. It
-// backs both the default local executor and dist.Local.
+// is what Local runs.
 func RunRequest(ctx context.Context, req Request) ([]Accumulator, error) {
-	if err := req.Validate(); err != nil {
+	p, err := prepare(req)
+	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ev, err := BuildKernel(req.Kernel, req.Params, req.Dim)
-	if err != nil {
-		return nil, err
-	}
-	sp, err := lookupSampler(req.Sampler)
-	if err != nil {
-		return nil, err
-	}
-	cv, err := buildControl(req)
-	if err != nil {
-		return nil, err
-	}
 	shards := PlanShards(req.Seed, req.Samples)[req.FirstShard:]
 	accs := make([][]Accumulator, len(shards))
 	RunShards(shards, func(s Shard) {
-		accs[s.Index-req.FirstShard] = evalShard(ev, s, req.Dim, sp, cv)
+		accs[s.Index-req.FirstShard] = p.shard(s)
 	})
 	merged := make([]Accumulator, req.Dim)
 	for i := range accs {
@@ -272,18 +298,7 @@ func RunRequest(ctx context.Context, req Request) ([]Accumulator, error) {
 // server's entry point: the coordinator sends index batches and merges
 // the states itself.
 func EvaluateShards(req Request, indices []int) ([][]Accumulator, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	ev, err := BuildKernel(req.Kernel, req.Params, req.Dim)
-	if err != nil {
-		return nil, err
-	}
-	sp, err := lookupSampler(req.Sampler)
-	if err != nil {
-		return nil, err
-	}
-	cv, err := buildControl(req)
+	p, err := prepare(req)
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +317,7 @@ func EvaluateShards(req Request, indices []int) ([][]Accumulator, error) {
 	}
 	results := make([][]Accumulator, len(indices))
 	RunShards(selected, func(s Shard) {
-		results[position[s.Index]] = evalShard(ev, s, req.Dim, sp, cv)
+		results[position[s.Index]] = p.shard(s)
 	})
 	return results, nil
 }

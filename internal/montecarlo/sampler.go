@@ -141,39 +141,27 @@ func init() {
 
 // defaultSampler is the process-wide sampler applied to kernel-routed
 // estimations whose call sites predate the sampler seam (the model's
-// estimators). engine.Run installs the CLI's -sampler choice here for
-// the duration of a run, exactly as it installs the executor.
+// estimators). The sampling chain (internal/sampling) installs the
+// CLI's -sampler choice here for the duration of a run, exactly as
+// engine.Run installs the executor.
 var (
 	defaultSamplerMu sync.RWMutex
 	defaultSampler   = ""
 )
 
 // SetDefaultSampler installs the sampler name KernelMeanVec stamps
-// into requests. The name must be registered; "" restores plain.
-// "plain" is canonicalized to "" so the default strategy has exactly
-// one request identity — an explicit `-sampler plain` run shares wire
-// jobs and cache entries with a default run instead of re-evaluating
-// bit-identical results under a second key.
-func SetDefaultSampler(name string) error {
-	if !HasSampler(name) {
-		return fmt.Errorf("montecarlo: unknown sampler %q (registered: %v)", name, SamplerNames())
-	}
+// into requests; "" restores plain. "plain" is canonicalized to "" so
+// the default strategy has exactly one request identity — an explicit
+// `-sampler plain` run shares wire jobs and cache entries with a
+// default run instead of re-evaluating bit-identical results under a
+// second key. The name is not checked here: the sampling chain
+// validates it, and may install a virtual strategy ("auto") that its
+// decorator resolves before any shard evaluation. A name nothing
+// resolves fails loudly at the first estimation's sampler lookup.
+func SetDefaultSampler(name string) {
 	if name == SamplerPlain {
 		name = ""
 	}
-	defaultSamplerMu.Lock()
-	defaultSampler = name
-	defaultSamplerMu.Unlock()
-	return nil
-}
-
-// ForceDefaultSampler installs a default sampler name without
-// registry validation — for virtual strategies that an installed
-// executor decorator resolves to a registered name before any shard
-// evaluation (internal/sampling's auto-scheduler). If no decorator
-// intercepts the name, the first estimation fails loudly at sampler
-// lookup rather than silently running plain.
-func ForceDefaultSampler(name string) {
 	defaultSamplerMu.Lock()
 	defaultSampler = name
 	defaultSamplerMu.Unlock()
@@ -185,31 +173,4 @@ func DefaultSampler() string {
 	defaultSamplerMu.RLock()
 	defer defaultSamplerMu.RUnlock()
 	return defaultSampler
-}
-
-// SampledMeanVec estimates the means of a vector-valued integrand with
-// the named sampler applied, on the in-process pool. It is the
-// sampler-aware form of MeanVec, used by estimators whose environment
-// has no serializable kernel identity and therefore cannot route
-// through an executor; results for sampler "" / "plain" are
-// bit-identical to MeanVec over the same integrand's per-sample form.
-func SampledMeanVec(sampler string, seed uint64, n, dim int, f BatchEvalFunc) ([]Estimate, error) {
-	sp, err := lookupSampler(sampler)
-	if err != nil {
-		return nil, err
-	}
-	shards := PlanShards(seed, n)
-	accs := make([][]Accumulator, len(shards))
-	RunShards(shards, func(s Shard) {
-		accs[s.Index] = evalShard(f, s, dim, sp, nil)
-	})
-	result := make([]Estimate, dim)
-	for j := 0; j < dim; j++ {
-		var total Accumulator
-		for i := range accs {
-			total.Merge(accs[i][j])
-		}
-		result[j] = total.Estimate()
-	}
-	return result, nil
 }

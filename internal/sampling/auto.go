@@ -119,7 +119,7 @@ type AutoScheduler struct {
 // epoch discards it.
 func NewAuto(inner, base montecarlo.Executor, cv *ControlVariates, opt AutoOptions) *AutoScheduler {
 	if base == nil {
-		base = localExecutor{}
+		base = montecarlo.Local{}
 	}
 	a := &AutoScheduler{
 		inner:    inner,

@@ -31,7 +31,7 @@ func (r *recordingExecutor) EstimateVec(ctx context.Context, req montecarlo.Requ
 
 func TestAutoResolvesDeterministically(t *testing.T) {
 	run := func() (string, []PilotScore) {
-		a := NewAuto(localExecutor{}, nil, NewControlVariates(nil), AutoOptions{Target: 0.005})
+		a := NewAuto(montecarlo.Local{}, nil, NewControlVariates(nil), AutoOptions{Target: 0.005})
 		if _, err := a.EstimateVec(context.Background(), autoReq(2*montecarlo.ShardSize)); err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestAutoResolvesDeterministically(t *testing.T) {
 }
 
 func TestAutoRewritesToWinnerOnly(t *testing.T) {
-	rec := &recordingExecutor{inner: localExecutor{}}
+	rec := &recordingExecutor{inner: montecarlo.Local{}}
 	a := NewAuto(rec, nil, nil, AutoOptions{})
 	if _, err := a.EstimateVec(context.Background(), autoReq(2*montecarlo.ShardSize)); err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestAutoRewritesToWinnerOnly(t *testing.T) {
 }
 
 func TestAutoResultBitIdenticalToFixedWinner(t *testing.T) {
-	a := NewAuto(localExecutor{}, nil, nil, AutoOptions{})
+	a := NewAuto(montecarlo.Local{}, nil, nil, AutoOptions{})
 	got, err := a.EstimateVec(context.Background(), autoReq(2*montecarlo.ShardSize))
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestAutoResultBitIdenticalToFixedWinner(t *testing.T) {
 
 func TestAutoChoiceTablePersistsAndSkipsPilots(t *testing.T) {
 	table := filepath.Join(t.TempDir(), "choices", "table.json")
-	cold := NewAuto(localExecutor{}, nil, nil, AutoOptions{TablePath: table})
+	cold := NewAuto(montecarlo.Local{}, nil, nil, AutoOptions{TablePath: table})
 	if _, err := cold.EstimateVec(context.Background(), autoReq(2*montecarlo.ShardSize)); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestAutoChoiceTablePersistsAndSkipsPilots(t *testing.T) {
 		t.Errorf("table %s carries no epoch stamp", raw)
 	}
 
-	warm := NewAuto(localExecutor{}, nil, nil, AutoOptions{TablePath: table})
+	warm := NewAuto(montecarlo.Local{}, nil, nil, AutoOptions{TablePath: table})
 	if _, err := warm.EstimateVec(context.Background(), autoReq(2*montecarlo.ShardSize)); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestAutoChoiceTableInvalidatedByEpoch(t *testing.T) {
 	if err := os.WriteFile(table, stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	a := NewAuto(localExecutor{}, nil, nil, AutoOptions{TablePath: table})
+	a := NewAuto(montecarlo.Local{}, nil, nil, AutoOptions{TablePath: table})
 	if len(a.Choices()) != 0 {
 		t.Errorf("stale-epoch table loaded: %v", a.Choices())
 	}
@@ -164,7 +164,7 @@ func TestAutoChoiceTableDropsRetiredSampler(t *testing.T) {
 	if err := os.WriteFile(table, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	a := NewAuto(localExecutor{}, nil, nil, AutoOptions{TablePath: table})
+	a := NewAuto(montecarlo.Local{}, nil, nil, AutoOptions{TablePath: table})
 	if got := a.Choices(); len(got) != 1 || got["probe/first"] != Stratified {
 		t.Fatalf("loaded choices %v, want only probe/first=%s", got, Stratified)
 	}
@@ -212,7 +212,7 @@ func (p *pilotRecorder) EstimateVec(ctx context.Context, req montecarlo.Request)
 	}
 	p.seeds = append(p.seeds, req.Seed)
 	p.mu.Unlock()
-	return montecarlo.RunRequest(ctx, req)
+	return montecarlo.Local{}.EstimateVec(ctx, req)
 }
 
 func TestAutoPilotsOnPlanLeaderNotFirstAsker(t *testing.T) {
@@ -221,7 +221,7 @@ func TestAutoPilotsOnPlanLeaderNotFirstAsker(t *testing.T) {
 	}
 	defer montecarlo.ResetMaxWorkers()
 	rec := &pilotRecorder{piloted: make(chan struct{})}
-	a := NewAuto(localExecutor{}, rec, nil, AutoOptions{Target: 0.005})
+	a := NewAuto(montecarlo.Local{}, rec, nil, AutoOptions{Target: 0.005})
 	// Task 0 asks only once task 1 has asked and waits behind it (its
 	// first look at ctx.Done is the scheduler's wait) or, were the
 	// scheduler first-come, has started piloting.

@@ -1,0 +1,101 @@
+package sampling
+
+// The sampling chain: the one place a run's executor decorators are
+// assembled. From the base executor outwards it holds the convergence
+// driver (with a RelErr target), the cv decorator (cv and auto) and
+// the auto-scheduler (auto). The variance-reduction decorators sit
+// outside the driver so a driven point's rounds all share one pilot
+// β (cv) and one resolved strategy (auto): the coefficients are
+// stamped on the full request before the driver splits it into ranged
+// rounds.
+
+import (
+	"fmt"
+
+	"carriersense/internal/montecarlo"
+)
+
+// Chain is one run's assembled sampling chain.
+type Chain struct {
+	exec   montecarlo.Executor
+	driver *Driver
+	cv     *ControlVariates
+	auto   *AutoScheduler
+	prev   string // the default sampler Close restores
+}
+
+// NewChain checks a run's sampling options, assembles the chain over
+// base (nil = montecarlo.Local) and installs sampler as montecarlo's
+// default sampler until Close. relErr > 0 adds the convergence driver,
+// capped per point at maxSamples (0 = each request's own budget).
+// autoTable persists auto's per-kernel choices; it needs sampler auto.
+func NewChain(base montecarlo.Executor, sampler string, relErr float64, maxSamples int, autoTable string) (*Chain, error) {
+	if err := Validate(sampler); err != nil {
+		return nil, err
+	}
+	if autoTable != "" && sampler != Auto {
+		return nil, fmt.Errorf("sampling: -auto-table requires -sampler auto")
+	}
+	if relErr < 0 {
+		return nil, fmt.Errorf("sampling: -relerr must be > 0, got %g", relErr)
+	}
+	if maxSamples < 0 {
+		return nil, fmt.Errorf("sampling: -max-samples must be >= 1, got %d", maxSamples)
+	}
+	if maxSamples > 0 && relErr == 0 {
+		return nil, fmt.Errorf("sampling: -max-samples requires -relerr")
+	}
+	if base == nil {
+		base = montecarlo.Local{}
+	}
+	c := &Chain{exec: base}
+	if relErr > 0 {
+		d, err := NewDriver(base, DriverOptions{RelErr: relErr, MaxSamples: maxSamples})
+		if err != nil {
+			return nil, err
+		}
+		c.driver, c.exec = d, d
+	}
+	if sampler == CV || sampler == Auto {
+		c.cv = NewControlVariates(c.exec)
+		c.exec = c.cv
+	}
+	if sampler == Auto {
+		// Pilot probes bypass the driver/cv chain — a pilot is a
+		// fixed-budget measurement, not something to drive to
+		// convergence — and go to base, so a fleet or cache still
+		// serves them.
+		c.auto = NewAuto(c.exec, base, c.cv, AutoOptions{TablePath: autoTable, Target: relErr})
+		c.exec = c.auto
+	}
+	c.prev = montecarlo.DefaultSampler()
+	montecarlo.SetDefaultSampler(sampler)
+	return c, nil
+}
+
+// Close restores the default sampler NewChain replaced.
+func (c *Chain) Close() { montecarlo.SetDefaultSampler(c.prev) }
+
+// Executor returns the outermost executor of the chain.
+func (c *Chain) Executor() montecarlo.Executor { return c.exec }
+
+// Driver returns the convergence driver, or nil without a RelErr
+// target.
+func (c *Chain) Driver() *Driver { return c.driver }
+
+// Auto returns the auto-scheduler, or nil unless the sampler is auto.
+func (c *Chain) Auto() *AutoScheduler { return c.auto }
+
+// PilotSpent returns the samples the cv coefficient pilots and the
+// auto-scheduler's candidate probes have evaluated: real samples the
+// driver never sees, which an honest spend ledger folds in.
+func (c *Chain) PilotSpent() int {
+	n := 0
+	if c.cv != nil {
+		n += c.cv.PilotSpent()
+	}
+	if c.auto != nil {
+		n += c.auto.PilotSpent()
+	}
+	return n
+}

@@ -1,0 +1,56 @@
+package sampling
+
+import (
+	"context"
+	"testing"
+
+	"carriersense/internal/montecarlo"
+)
+
+func TestNewChainShapeAndDefaultSampler(t *testing.T) {
+	for _, tc := range []struct {
+		sampler          string
+		relErr           float64
+		driver, cv, auto bool
+	}{
+		{"", 0, false, false, false},
+		{Sobol, 0.01, true, false, false},
+		{CV, 0, false, true, false},
+		{Auto, 0.01, true, true, true},
+	} {
+		c, err := NewChain(nil, tc.sampler, tc.relErr, 0, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := montecarlo.DefaultSampler(); got != tc.sampler {
+			t.Errorf("%q: default sampler %q installed", tc.sampler, got)
+		}
+		if (c.Driver() != nil) != tc.driver || (c.cv != nil) != tc.cv || (c.Auto() != nil) != tc.auto {
+			t.Errorf("%q relerr %g: driver %v cv %v auto %v", tc.sampler, tc.relErr, c.Driver() != nil, c.cv != nil, c.Auto() != nil)
+		}
+		if _, isLocal := c.Executor().(montecarlo.Local); isLocal != (tc.sampler == "") {
+			t.Errorf("%q: outermost executor %T", tc.sampler, c.Executor())
+		}
+		c.Close()
+		if got := montecarlo.DefaultSampler(); got != "" {
+			t.Errorf("%q: Close left default sampler %q", tc.sampler, got)
+		}
+	}
+}
+
+func TestNewChainCountsPilotSpend(t *testing.T) {
+	c, err := NewChain(nil, Auto, 0.01, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	req := driveReq(1, Auto, 8*montecarlo.ShardSize)
+	if _, err := c.Executor().EstimateVec(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	// The chain's spend is auto's candidate pilots plus cv's β pilots.
+	want := c.Auto().PilotSpent() + c.cv.PilotSpent()
+	if got := c.PilotSpent(); got != want || got < 3*autoPilotSamples {
+		t.Errorf("PilotSpent = %d, want %d (≥ 3 candidate pilots)", got, want)
+	}
+}

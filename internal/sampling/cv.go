@@ -71,11 +71,11 @@ type ControlVariates struct {
 	spent int
 }
 
-// NewControlVariates wraps inner (nil = the in-process pool) in the
+// NewControlVariates wraps inner (nil = montecarlo.Local) in the
 // cv-equipping decorator.
 func NewControlVariates(inner montecarlo.Executor) *ControlVariates {
 	if inner == nil {
-		inner = localExecutor{}
+		inner = montecarlo.Local{}
 	}
 	return &ControlVariates{inner: inner, specs: map[string]*montecarlo.ControlSpec{}}
 }

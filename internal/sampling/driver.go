@@ -46,20 +46,16 @@ type DriverOptions struct {
 	// Samples field as the cap (the scenario's configured budget), so
 	// convergence can only save samples, never exceed the plan.
 	MaxSamples int
-	// MinSamples is the starting budget, rounded up to whole shards;
-	// 0 starts at one shard (montecarlo.ShardSize samples).
-	MinSamples int
-	// Growth is the budget multiplier per round (rounded up to whole
-	// shards); 0 means 2. Smaller factors track the true
-	// samples-to-target more tightly at the cost of more rounds —
-	// rounds are cheap, since each evaluates only its delta.
-	Growth float64
-	// NoProbe disables the sub-shard probe round; every point then
-	// starts at the whole-shard floor. MinSamples > 0 also disables it
-	// (an explicit starting budget is a statement that smaller rounds
-	// are not wanted).
-	NoProbe bool
 }
+
+// growth is the budget multiplier per round. Rounds are cheap, since
+// each evaluates only its delta. The schedule starts at one shard, so
+// every round is whole shards, and whole-shard rounds are what make
+// incremental growth exact: shard i's stream is identical in every
+// plan that includes it, so a finished shard is never re-entered, and
+// the only partial shard a driven point can see is the final one of a
+// cap-sized round.
+const growth = 2
 
 // probeMinSamples floors the probe round: below this even a group-1
 // sampler's error estimate is not worth acting on relative to the
@@ -123,41 +119,16 @@ type ledgerEntry struct {
 	report PointReport
 }
 
-// localExecutor evaluates in-process; the default inner executor.
-type localExecutor struct{}
-
-func (localExecutor) EstimateVec(ctx context.Context, req montecarlo.Request) ([]montecarlo.Accumulator, error) {
-	return montecarlo.RunRequest(ctx, req)
-}
-
-// NewDriver wraps inner (nil = the in-process pool) in a convergence
+// NewDriver wraps inner (nil = montecarlo.Local) in a convergence
 // driver.
 func NewDriver(inner montecarlo.Executor, opt DriverOptions) (*Driver, error) {
 	if opt.RelErr <= 0 {
 		return nil, fmt.Errorf("sampling: driver needs a positive RelErr target, got %g", opt.RelErr)
 	}
-	if opt.Growth == 0 {
-		opt.Growth = 2
-	}
-	if opt.Growth <= 1 {
-		return nil, fmt.Errorf("sampling: driver growth factor must be > 1, got %g", opt.Growth)
-	}
 	if inner == nil {
-		inner = localExecutor{}
+		inner = montecarlo.Local{}
 	}
 	return &Driver{inner: inner, opt: opt}, nil
-}
-
-// roundUpToShard rounds a sample count up to whole shards. Whole-shard
-// rounds are what make incremental growth exact: shard i's stream is
-// identical in every plan that includes it, so a finished shard is
-// never re-entered, and the only partial shard a driven point can see
-// is the final one of a cap-sized round.
-func roundUpToShard(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	return montecarlo.ShardCount(n) * montecarlo.ShardSize
 }
 
 // EstimateVec implements montecarlo.Executor. Ranged requests
@@ -174,10 +145,7 @@ func (d *Driver) EstimateVec(ctx context.Context, req montecarlo.Request) ([]mon
 	if cap <= 0 {
 		cap = req.Samples
 	}
-	n := roundUpToShard(montecarlo.ShardSize)
-	if d.opt.MinSamples > 0 {
-		n = roundUpToShard(d.opt.MinSamples)
-	}
+	n := montecarlo.ShardSize
 	if n > cap {
 		n = cap
 	}
@@ -190,7 +158,7 @@ func (d *Driver) EstimateVec(ctx context.Context, req montecarlo.Request) ([]mon
 		Budget:  cap,
 		Target:  d.opt.RelErr,
 	}
-	if p := probeSamples(req.Sampler); !d.opt.NoProbe && d.opt.MinSamples == 0 && p > 0 && p < cap {
+	if p := probeSamples(req.Sampler); p > 0 && p < cap {
 		probe := req
 		probe.Samples = p
 		probe.FirstShard = 0
@@ -240,10 +208,7 @@ func (d *Driver) EstimateVec(ctx context.Context, req montecarlo.Request) ([]mon
 			break
 		}
 		prevShards = montecarlo.ShardCount(n)
-		next := roundUpToShard(int(float64(n) * d.opt.Growth))
-		if next <= n {
-			next = n + montecarlo.ShardSize
-		}
+		next := n * growth
 		if next > cap {
 			next = cap
 		}

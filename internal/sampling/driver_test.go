@@ -185,7 +185,7 @@ func (c *countingExecutor) EstimateVec(ctx context.Context, req montecarlo.Reque
 	c.mu.Lock()
 	c.reqs = append(c.reqs, req)
 	c.mu.Unlock()
-	return montecarlo.RunRequest(ctx, req)
+	return montecarlo.Local{}.EstimateVec(ctx, req)
 }
 
 func TestDriverRoundScheduleIsDeterministicAndRanged(t *testing.T) {
@@ -253,30 +253,6 @@ func TestDriverProbeConvergesSubShard(t *testing.T) {
 	}
 	if accs[0] != direct[0] {
 		t.Errorf("probe result %+v != direct result %+v", accs[0].State(), direct[0].State())
-	}
-}
-
-func TestDriverNoProbeStartsAtWholeShards(t *testing.T) {
-	// NoProbe (and MinSamples > 0, which implies it) restores the
-	// whole-shard-only schedule.
-	for _, opt := range []DriverOptions{
-		{RelErr: 0.005, NoProbe: true},
-		{RelErr: 0.005, MinSamples: 1},
-	} {
-		inner := &countingExecutor{}
-		d, err := NewDriver(inner, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.EstimateVec(context.Background(), driveReq(1e-6, Plain, 4_000_000)); err != nil {
-			t.Fatal(err)
-		}
-		if got := inner.reqs[0].Samples; got != montecarlo.ShardSize {
-			t.Errorf("opts %+v: first round has %d samples, want one whole shard", opt, got)
-		}
-		if r := d.Reports()[0]; r.Spent%montecarlo.ShardSize != 0 {
-			t.Errorf("opts %+v: spent %d is not whole shards", opt, r.Spent)
-		}
 	}
 }
 

@@ -22,6 +22,9 @@
 //     meets the target — so easy points stop early and heavy-tailed
 //     points keep going.
 //
+// NewChain (chain.go) stacks the driver and the cv and auto decorators
+// over a run's base executor; every caller builds its chain there.
+//
 // Determinism contract: a strategy is a pure per-shard stream
 // transform. All state lives in the per-shard SampleStream, sample
 // order within a shard is sequential, and groups (stratified and
@@ -51,20 +54,15 @@ func init() {
 	montecarlo.RegisterSampler(Stratified, stratifiedSampler{})
 }
 
-// Names returns every registered sampler name, sorted — the CLI's
-// `-sampler` vocabulary.
-func Names() []string {
-	names := montecarlo.SamplerNames()
-	sort.Strings(names)
-	return names
-}
-
-// Validate checks a CLI-supplied sampler name ("" is plain).
+// Validate checks a run's sampler name: a registered strategy ("" is
+// plain) or the virtual Auto.
 func Validate(name string) error {
-	if !montecarlo.HasSampler(name) {
-		return fmt.Errorf("sampling: unknown sampler %q (want one of %v)", name, Names())
+	if name == Auto || montecarlo.HasSampler(name) {
+		return nil
 	}
-	return nil
+	names := append(montecarlo.SamplerNames(), Auto)
+	sort.Strings(names)
+	return fmt.Errorf("sampling: unknown sampler %q (want one of %v)", name, names)
 }
 
 // StratifiedBlock is the stratification cycle length: consecutive

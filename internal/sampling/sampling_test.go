@@ -194,7 +194,7 @@ func TestSamplersDeterministicAcrossParallelism(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	for _, name := range []string{"", Plain, Stratified, Sobol, CV} {
+	for _, name := range []string{"", Plain, Stratified, Sobol, CV, Auto} {
 		if err := Validate(name); err != nil {
 			t.Errorf("Validate(%q) = %v", name, err)
 		}

@@ -163,9 +163,6 @@ func memoTestbed(p LayoutParams, seed uint64) *Testbed {
 
 // memoPut seeds the memo with a realization the caller already has.
 func memoPut(tb *Testbed) {
-	if !tb.generated {
-		return
-	}
 	key := tbMemoKey{layout: tb.Params, seed: tb.seed}
 	tbMemo.Lock()
 	if tbMemo.entries == nil {
@@ -234,18 +231,9 @@ func comboFromAccs(l1, l2 Link, accs []montecarlo.Accumulator) ComboResult {
 // runCombos measures every combo through the installed executor with a
 // Workers()-bounded local fan-out. Results are assembled in combo
 // order, so the outcome is bit-identical at any pool width, on any
-// executor honoring the accumulator contract. Testbeds without a
-// recorded seed (hand-built, not Generate'd) have no serializable
-// identity and fall back to the in-process serial path, which computes
-// the identical results.
+// executor honoring the accumulator contract.
 func runCombos(tb *Testbed, p ExperimentParams, combos [][2]Link, seeds []uint64) []ComboResult {
 	out := make([]ComboResult, len(combos))
-	if !tb.generated {
-		for i, c := range combos {
-			out[i] = runCombo(tb, p, c[0], c[1], seeds[i])
-		}
-		return out
-	}
 	memoPut(tb) // in-process kernel evaluations reuse this realization
 	exec := montecarlo.CurrentExecutor()
 	reqs := make([]montecarlo.Request, len(combos))

@@ -127,15 +127,14 @@ type Testbed struct {
 	// realization's serializable identity — what lets a two-pair
 	// replication travel to a worker process as a sim kernel and be
 	// rebuilt there bit-identically (see kernel.go).
-	seed      uint64
-	generated bool
+	seed uint64
 }
 
 // Generate creates a testbed realization from the given seed. The same
 // (params, seed) always yields the same building.
 func Generate(p LayoutParams, seed uint64) *Testbed {
 	src := rng.New(seed)
-	tb := &Testbed{Params: p, seed: seed, generated: true}
+	tb := &Testbed{Params: p, seed: seed}
 	tb.Nodes = make([]Node, p.Nodes)
 	for i := range tb.Nodes {
 		tb.Nodes[i] = Node{
@@ -243,13 +242,6 @@ func (tb *Testbed) GainLin(from, to phy.NodeID) float64 {
 		return 1
 	}
 	return tb.gainLin[from][to]
-}
-
-// Seed returns the Generate seed and whether the testbed carries one
-// (a zero-value Testbed does not). (Params, Seed) is the realization's
-// full identity: Generate(Params, Seed) rebuilds it bit-identically.
-func (tb *Testbed) Seed() (uint64, bool) {
-	return tb.seed, tb.generated
 }
 
 // OutageProbability implements phy.OutageChannel.
