@@ -141,15 +141,19 @@ func TestRegisterValidation(t *testing.T) {
 	}
 }
 
-// registerStub registers a scenario under a test-unique name.
 type stubParams struct {
 	Seed  uint64
 	Gain  float64
 	Label string
 }
 
+// registerStub registers a scenario under a test-unique name, once per
+// process, so the tests pass again under go test -count=N.
 func registerStub(t *testing.T, name string) {
 	t.Helper()
+	if _, ok := Lookup(name); ok {
+		return
+	}
 	Register(Scenario{
 		Name:        name,
 		Description: "test stub",

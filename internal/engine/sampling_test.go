@@ -23,9 +23,12 @@ func init() {
 
 // registerMCStub registers a scenario that runs one real kernel
 // estimation, so engine-level sampler/relerr options have something to
-// transform.
+// transform. Like registerStub it registers each name once per process.
 func registerMCStub(t *testing.T, name string, samples int) {
 	t.Helper()
+	if _, ok := Lookup(name); ok {
+		return
+	}
 	Register(Scenario{
 		Name:        name,
 		Description: "mc stub",

@@ -182,11 +182,11 @@ type Station struct {
 	protectNext  int // remaining frames to protect with RTS (adaptive)
 
 	// Pre-bound timer callbacks, built once in NewStation: the DCF loop
-	// schedules thousands of DIFS/slot/timeout timers per simulated
+	// arms hundreds of DIFS, backoff and timeout timers per simulated
 	// second, and binding the methods per call would allocate a closure
 	// for every one of them.
 	difsExpiredFn  func()
-	slotTickFn     func()
+	backoffDoneFn  func()
 	ackTimeoutFn   func()
 	ctsTimeoutFn   func()
 	transmitDataFn func()
@@ -216,7 +216,7 @@ func NewStation(s *sim.Simulator, radio *phy.Radio, cfg Config, src *rng.Source,
 	}
 	st := &Station{cfg: cfg, s: s, radio: radio, src: src, rates: rates, cw: cfg.CWMin}
 	st.difsExpiredFn = st.difsExpired
-	st.slotTickFn = st.slotTick
+	st.backoffDoneFn = st.backoffDone
 	st.ackTimeoutFn = st.ackTimeout
 	st.ctsTimeoutFn = st.ctsTimeout
 	st.transmitDataFn = st.transmitData
@@ -326,25 +326,27 @@ func (st *Station) difsExpired() {
 	if st.backoffSlots == 0 {
 		st.backoffSlots = st.src.IntN(st.cw + 1)
 	}
-	st.scheduleSlot()
-}
-
-func (st *Station) scheduleSlot() {
 	if st.backoffSlots == 0 {
 		st.startExchange()
 		return
 	}
-	st.cancelTimer()
-	st.timer = st.s.After(st.cfg.SlotTime, st.slotTickFn)
+	// The slots count down in one timer, which elapses the slots no
+	// event can interrupt without running anything; every exit from
+	// stBackoff before the end goes through freezeBackoff.
+	st.timer = st.s.Countdown(st.cfg.SlotTime, st.backoffSlots, st.backoffDoneFn)
 }
 
-// slotTick burns one backoff slot.
-func (st *Station) slotTick() {
-	if st.st != stBackoff {
-		return
-	}
-	st.backoffSlots--
-	st.scheduleSlot()
+// backoffDone ends the countdown: every backoff slot has elapsed.
+func (st *Station) backoffDone() {
+	st.backoffSlots = 0
+	st.startExchange()
+}
+
+// freezeBackoff leaves stBackoff, keeping the slots not yet burned for
+// the next contention round.
+func (st *Station) freezeBackoff() {
+	st.backoffSlots = st.timer.Remaining()
+	st.cancelTimer()
 }
 
 // onCCA freezes and resumes the contention process.
@@ -360,7 +362,7 @@ func (st *Station) onCCA(busyNow bool) {
 		}
 	case stBackoff:
 		if busyNow {
-			st.cancelTimer()
+			st.freezeBackoff()
 			st.enterWaitIdle()
 		}
 	case stWaitIdle:
@@ -623,6 +625,9 @@ func (st *Station) onRx(res phy.RxResult) {
 // CCA per the standard (responses own the medium).
 func (st *Station) respondAfterSIFS(f phy.Frame) {
 	prev := st.st
+	if prev == stBackoff {
+		st.freezeBackoff()
+	}
 	st.st = stRespond
 	st.s.After(st.cfg.SIFS, func() {
 		if st.radio.Transmitting() {

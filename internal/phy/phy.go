@@ -220,12 +220,13 @@ type transmission struct {
 
 // RxResult reports a completed reception attempt to a listener.
 type RxResult struct {
-	Frame    Frame
-	OK       bool    // frame decoded successfully
-	SINRdB   float64 // time-averaged SINR over the locked reception
-	RSSIdBm  float64 // received signal strength of the frame
-	Survival float64 // modeled survival probability the success draw used
+	Frame Frame
+	OK    bool    // frame decoded successfully
+	SINR  float64 // time-averaged SINR over the locked reception, linear
 }
+
+// SINRdB returns the reception's time-averaged SINR in dB.
+func (r RxResult) SINRdB() float64 { return 10 * math.Log10(r.SINR) }
 
 // reception tracks a radio locked onto a frame. Each radio embeds one
 // reception record (a radio locks at most one frame at a time), so
@@ -652,13 +653,7 @@ func (m *Medium) finishReception(r *Radio) {
 	sinr := rx.signalMw / (r.noiseMw + avgInterf)
 	ok := m.src.Float64() < rx.survival
 	if r.OnRx != nil {
-		r.OnRx(RxResult{
-			Frame:    rx.tx.frame,
-			OK:       ok,
-			SINRdB:   10 * math.Log10(sinr),
-			RSSIdBm:  10 * math.Log10(rx.signalMw),
-			Survival: rx.survival,
-		})
+		r.OnRx(RxResult{Frame: rx.tx.frame, OK: ok, SINR: sinr})
 	}
 }
 

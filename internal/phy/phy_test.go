@@ -430,7 +430,7 @@ func TestLinearChannelMatchesGeneric(t *testing.T) {
 		rx.OnRx = func(res RxResult) {
 			if res.OK {
 				delivered++
-				sinr = res.SINRdB
+				sinr = res.SINRdB()
 			}
 		}
 		for i := 0; i < 20; i++ {

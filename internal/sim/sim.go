@@ -13,10 +13,19 @@
 // event. Recycled slots carry a generation counter, so an Event handle
 // kept past its firing (or cancellation) goes harmlessly stale instead
 // of poisoning whatever event reuses the slot.
+//
+// A Countdown is one queue entry standing for a chain of periodic
+// ticks, each of which would only have scheduled the next (the MAC's
+// backoff slots). It fires exactly as that After chain would: same
+// clock, same order against every other event, same count of ticks
+// left when it is canceled. But it runs one callback, at the last
+// tick, and passes over the ticks no other event can observe without
+// touching the heap.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -48,19 +57,27 @@ func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 // FromMicros converts float64 microseconds to a Time.
 func FromMicros(us float64) Time { return Time(us * float64(Microsecond)) }
 
-// slot is one event record in the simulator's slab. Exactly one of fn
-// and fn1 is set while the slot is live. pos is the slot's position in
-// the heap, -1 while free. gen increments every time the slot is
-// released, so stale Event handles can be detected.
+// slot is one event record in the simulator's slab; the field order
+// keeps it at 64 bytes. fn(arg) is the callback, set while the slot is
+// live (At stores its func() in arg behind call0). pos is the slot's
+// position in the heap, -1 while free. gen increments every time the
+// slot is released, so stale Event handles can be detected. left counts
+// the ticks still to elapse, the one at at included, period apart; a
+// plain event is a countdown of one tick.
 type slot struct {
-	at  Time
-	seq uint64
-	gen uint32
-	pos int32
-	fn  func()
-	fn1 func(any)
-	arg any
+	at     Time
+	seq    uint64
+	gen    uint32
+	pos    int32
+	left   int32
+	period Time
+	fn     func(any)
+	arg    any
 }
+
+// call0 runs a func() stored as a slot's argument. A func value is
+// pointer-shaped, so storing it in an any allocates nothing.
+func call0(fn any) { fn.(func())() }
 
 // Event is a handle to a scheduled callback. Events are one-shot;
 // cancel via Cancel before they fire. The zero Event is valid and
@@ -101,12 +118,25 @@ func (e Event) Scheduled() bool {
 }
 
 // Time returns the scheduled fire time, or 0 when the handle is stale
-// (the event already fired or was canceled).
+// (the event already fired or was canceled). For a countdown it is the
+// time of the next tick to elapse.
 func (e Event) Time() Time {
 	if !e.Scheduled() {
 		return 0
 	}
 	return e.s.slots[e.id].at
+}
+
+// Remaining returns how many ticks of a pending countdown have not yet
+// elapsed, the last (the one that runs the callback) included: the
+// ticks an equivalent After chain would still fire. It is 1 for a
+// pending plain event and 0 for a stale handle, so read it before
+// Cancel.
+func (e Event) Remaining() int {
+	if !e.Scheduled() {
+		return 0
+	}
+	return int(e.s.slots[e.id].left)
 }
 
 // Simulator owns the clock and the event queue. It is not safe for
@@ -130,7 +160,9 @@ func New() *Simulator {
 // Now returns the current simulation time.
 func (s *Simulator) Now() Time { return s.now }
 
-// EventsFired returns the number of events executed so far.
+// EventsFired returns the number of callbacks run so far. A countdown
+// counts once, when its callback runs; its elapsed ticks are not
+// events.
 func (s *Simulator) EventsFired() uint64 { return s.fired }
 
 // Pending returns the number of events still queued. Canceled events
@@ -139,7 +171,7 @@ func (s *Simulator) Pending() int { return len(s.heap) }
 
 // alloc claims a slot from the freelist (or grows the slab) and fills
 // it. The slot keeps the generation its last release assigned.
-func (s *Simulator) alloc(t Time, fn func(), fn1 func(any), arg any) int32 {
+func (s *Simulator) alloc(t Time, fn func(any), arg any, period Time, left int32) int32 {
 	var id int32
 	if n := len(s.free); n > 0 {
 		id = s.free[n-1]
@@ -151,8 +183,9 @@ func (s *Simulator) alloc(t Time, fn func(), fn1 func(any), arg any) int32 {
 	sl := &s.slots[id]
 	sl.at = t
 	sl.seq = s.seq
+	sl.left = left
+	sl.period = period
 	sl.fn = fn
-	sl.fn1 = fn1
 	sl.arg = arg
 	s.seq++
 	return id
@@ -166,7 +199,6 @@ func (s *Simulator) release(id int32) {
 	sl.gen++
 	sl.pos = -1
 	sl.fn = nil
-	sl.fn1 = nil
 	sl.arg = nil
 	s.free = append(s.free, id)
 }
@@ -267,15 +299,10 @@ func (s *Simulator) popRoot() {
 
 // At schedules fn at absolute time t, which must not be in the past.
 func (s *Simulator) At(t Time, fn func()) Event {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling at %d before now %d", t, s.now))
-	}
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	id := s.alloc(t, fn, nil, nil)
-	s.pushHeap(id)
-	return Event{s: s, id: id, gen: s.slots[id].gen}
+	return s.At1(t, call0, fn)
 }
 
 // At1 schedules fn(arg) at absolute time t. It is the allocation-free
@@ -289,7 +316,11 @@ func (s *Simulator) At1(t Time, fn func(any), arg any) Event {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	id := s.alloc(t, nil, fn, arg)
+	return s.schedule(t, fn, arg, 0, 1)
+}
+
+func (s *Simulator) schedule(t Time, fn func(any), arg any, period Time, left int32) Event {
+	id := s.alloc(t, fn, arg, period, left)
 	s.pushHeap(id)
 	return Event{s: s, id: id, gen: s.slots[id].gen}
 }
@@ -310,27 +341,69 @@ func (s *Simulator) After1(d Time, fn func(any), arg any) Event {
 	return s.At1(s.now+d, fn, arg)
 }
 
+// Countdown schedules a chain of n ticks, period apart from now, and
+// runs fn at the last one. It is equivalent to an After(period, ·)
+// chain in which every tick but the last only schedules the next, and
+// it keeps that chain's order against every other event exactly: a
+// callback that cancels it at time T finds Remaining() equal to the
+// ticks the chain would not yet have fired before that callback.
+func (s *Simulator) Countdown(period Time, n int, fn func()) Event {
+	if period <= 0 {
+		panic(fmt.Sprintf("sim: countdown period %d not positive", period))
+	}
+	if n < 1 || n > math.MaxInt32 {
+		panic(fmt.Sprintf("sim: countdown of %d ticks", n))
+	}
+	if fn == nil {
+		panic("sim: nil event callback")
+	}
+	return s.schedule(s.now+period, call0, fn, period, int32(n))
+}
+
 // Stop halts Run after the current event returns.
 func (s *Simulator) Stop() { s.stopped = true }
 
-// fireRoot pops and executes the heap minimum. The slot is released
-// before the callback runs, so callbacks are free to schedule new
-// events into the recycled slot; the generation bump keeps old handles
-// stale.
-func (s *Simulator) fireRoot() {
+// fireRoot executes the heap minimum, whose time is at most until.
+//
+// A countdown with ticks left elapses its tick in place. It also
+// elapses every later tick but the last that falls strictly before
+// the earliest other queued event and no later than until: the After
+// chain would have run those alone, scheduling nothing else. It then
+// goes back into the heap under the key that chain would have given
+// its next tick, (tick time, s.seq++).
+//
+// Otherwise the slot is popped and released before the callback runs,
+// so callbacks are free to schedule new events into the recycled
+// slot; the generation bump keeps old handles stale.
+func (s *Simulator) fireRoot(until Time) {
 	id := s.heap[0]
 	sl := &s.slots[id]
-	at := sl.at
-	fn, fn1, arg := sl.fn, sl.fn1, sl.arg
+	s.now = sl.at
+	if sl.left > 1 {
+		sl.left--
+		next := sl.at + sl.period
+		limit := until
+		for c, n := 1, len(s.heap); c <= 4 && c < n; c++ {
+			if at := s.slots[s.heap[c]].at - 1; at < limit {
+				limit = at
+			}
+		}
+		for sl.left > 1 && next <= limit {
+			s.now = next
+			sl.left--
+			next += sl.period
+		}
+		sl.at = next
+		sl.seq = s.seq
+		s.seq++
+		s.siftDown(0)
+		return
+	}
+	fn, arg := sl.fn, sl.arg
 	s.popRoot()
 	s.release(id)
-	s.now = at
 	s.fired++
-	if fn != nil {
-		fn()
-	} else {
-		fn1(arg)
-	}
+	fn(arg)
 }
 
 // Run executes events in timestamp order until the queue empties, the
@@ -342,7 +415,7 @@ func (s *Simulator) Run(until Time) Time {
 		if s.slots[s.heap[0]].at > until {
 			break
 		}
-		s.fireRoot()
+		s.fireRoot(until)
 	}
 	if s.now < until {
 		s.now = until
@@ -354,7 +427,7 @@ func (s *Simulator) Run(until Time) Time {
 func (s *Simulator) RunAll() Time {
 	s.stopped = false
 	for len(s.heap) > 0 && !s.stopped {
-		s.fireRoot()
+		s.fireRoot(math.MaxInt64)
 	}
 	return s.now
 }

@@ -1,10 +1,14 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -357,5 +361,313 @@ func TestEventTimeAccessor(t *testing.T) {
 	e := s.At(77*Microsecond, func() {})
 	if e.Time() != 77*Microsecond {
 		t.Errorf("Time() = %v", e.Time())
+	}
+}
+
+// TestSlotSize pins the event record at one 64-byte cache line: the
+// countdown fields fit only because At keeps its func() in arg.
+func TestSlotSize(t *testing.T) {
+	if n := unsafe.Sizeof(slot{}); n != 64 {
+		t.Errorf("slot is %d bytes, want 64", n)
+	}
+}
+
+// chainHandle is the part of an Event the countdown equivalence test
+// drives: an Event from Countdown, or an afterChain.
+type chainHandle interface {
+	Remaining() int
+	Cancel()
+}
+
+// afterChain is the reference a countdown must match: n ticks, each
+// scheduling the next with After, and fn run at the last.
+type afterChain struct {
+	s      *Simulator
+	period Time
+	left   int
+	fn     func()
+	ev     Event
+}
+
+func (c *afterChain) tick() {
+	c.left--
+	if c.left == 0 {
+		c.fn()
+		return
+	}
+	c.ev = c.s.After(c.period, c.tick)
+}
+
+func (c *afterChain) Remaining() int {
+	if !c.ev.Scheduled() {
+		return 0
+	}
+	return c.left
+}
+
+func (c *afterChain) Cancel() { c.ev.Cancel() }
+
+// cdStep is one callback of a countdown test plan. It logs itself,
+// then cancels chain cancel (logging its Remaining), arms chain arm,
+// and schedules spawn, each at its delay from now. -1 means none.
+type cdStep struct {
+	delay  Time
+	label  int
+	cancel int
+	arm    int
+	spawn  []cdStep
+}
+
+// cdSetup is one action before the first Run or between Runs: arm a
+// chain (arm >= 0) or schedule step.
+type cdSetup struct {
+	arm  int
+	step cdStep
+}
+
+type cdChain struct {
+	period Time
+	n      int
+}
+
+type cdPlan struct {
+	chains []cdChain
+	setup  [][]cdSetup // setup[i] runs before Run(until[i]); the last before RunAll
+	until  []Time
+}
+
+// cdCoverage counts the cases a countdown run exercised.
+type cdCoverage struct {
+	midCancels  int // canceled with 0 < Remaining < n
+	midRunEnds  int // a Run(until) returned inside a countdown
+	singleTicks int // n = 1 chains armed
+	nestedArms  int // chains armed from inside a callback
+	tickTimeEvs int // other events that ran exactly on a pending chain's tick
+}
+
+// runCountdownPlan runs the plan with Countdown (countdown true) or
+// with afterChains, and returns its log: every callback with its time
+// and label, every Remaining read at a cancel, and Now() after each
+// Run. It also returns EventsFired and the callbacks the plan ran.
+func runCountdownPlan(p cdPlan, countdown bool, cov *cdCoverage) (log []string, fired, callbacks uint64) {
+	s := New()
+	logf := func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) }
+	handles := make([]chainHandle, len(p.chains))
+	arm := func(i int) {
+		c := p.chains[i]
+		done := func() {
+			callbacks++
+			logf("%d chain %d done", s.Now(), i)
+		}
+		if c.n == 1 && cov != nil {
+			cov.singleTicks++
+		}
+		if countdown {
+			handles[i] = s.Countdown(c.period, c.n, done)
+			return
+		}
+		ac := &afterChain{s: s, period: c.period, left: c.n, fn: done}
+		ac.ev = s.After(c.period, ac.tick)
+		handles[i] = ac
+	}
+	var schedule func(st cdStep)
+	schedule = func(st cdStep) {
+		s.After(st.delay, func() {
+			callbacks++
+			logf("%d event %d", s.Now(), st.label)
+			if cov != nil {
+				for _, h := range handles {
+					if e, ok := h.(Event); ok && e.Scheduled() && e.Time() == s.Now() {
+						cov.tickTimeEvs++
+					}
+				}
+			}
+			if st.cancel >= 0 {
+				r := 0
+				if h := handles[st.cancel]; h != nil {
+					r = h.Remaining()
+					h.Cancel()
+				}
+				if cov != nil && r > 0 && r < p.chains[st.cancel].n {
+					cov.midCancels++
+				}
+				logf("%d cancel %d remaining %d", s.Now(), st.cancel, r)
+			}
+			if st.arm >= 0 {
+				if cov != nil {
+					cov.nestedArms++
+				}
+				arm(st.arm)
+			}
+			for _, c := range st.spawn {
+				schedule(c)
+			}
+		})
+	}
+	for i, setup := range p.setup {
+		for _, a := range setup {
+			if a.arm >= 0 {
+				arm(a.arm)
+			} else {
+				schedule(a.step)
+			}
+		}
+		if i < len(p.until) {
+			logf("run until %d: now %d", p.until[i], s.Run(p.until[i]))
+			if cov != nil {
+				for ci, h := range handles {
+					if r := 0; h != nil {
+						r = h.Remaining()
+						if r > 0 && r < p.chains[ci].n {
+							cov.midRunEnds++
+						}
+					}
+				}
+			}
+		}
+	}
+	logf("run all: now %d pending %d", s.RunAll(), s.Pending())
+	return log, s.EventsFired(), callbacks
+}
+
+// genCountdownPlan draws a plan on a 1 µs grid with short periods, so
+// other events land exactly on chain ticks often: some scheduled
+// before the chain (at setup), some after (spawned by callbacks).
+func genCountdownPlan(rng *rand.Rand) cdPlan {
+	var p cdPlan
+	nChains := 1 + rng.IntN(5)
+	for i := 0; i < nChains; i++ {
+		n := 1 + rng.IntN(25)
+		if rng.IntN(5) == 0 {
+			n = 1
+		}
+		p.chains = append(p.chains, cdChain{period: Time(1+rng.IntN(5)) * Microsecond, n: n})
+	}
+	label := 0
+	pickChain := func(prob int) int {
+		if rng.IntN(prob) != 0 {
+			return -1
+		}
+		return rng.IntN(nChains)
+	}
+	// Each chain is armed exactly once: at setup or from a callback.
+	armAt := make([]int, nChains) // 0: setup, 1: callback
+	for i := range armAt {
+		armAt[i] = rng.IntN(2)
+	}
+	var pendingArms []int
+	for i, where := range armAt {
+		if where == 1 {
+			pendingArms = append(pendingArms, i)
+		}
+	}
+	var genStep func(depth int) cdStep
+	genStep = func(depth int) cdStep {
+		label++
+		st := cdStep{delay: Time(rng.IntN(40)) * Microsecond, label: label, cancel: pickChain(3), arm: -1}
+		if len(pendingArms) > 0 && rng.IntN(3) == 0 {
+			st.arm = pendingArms[0]
+			pendingArms = pendingArms[1:]
+		}
+		if depth < 2 {
+			for k := rng.IntN(3); k > 0; k-- {
+				st.spawn = append(st.spawn, genStep(depth+1))
+			}
+		}
+		return st
+	}
+	segments := 1 + rng.IntN(4)
+	until := Time(0)
+	for seg := 0; seg <= segments; seg++ {
+		var setup []cdSetup
+		for k := rng.IntN(6); k > 0; k-- {
+			setup = append(setup, cdSetup{arm: -1, step: genStep(0)})
+		}
+		if seg == 0 {
+			for i, where := range armAt {
+				if where == 0 {
+					at := rng.IntN(len(setup) + 1)
+					setup = append(setup[:at], append([]cdSetup{{arm: i}}, setup[at:]...)...)
+				}
+			}
+		}
+		p.setup = append(p.setup, setup)
+		if seg < segments {
+			until += Time(rng.IntN(60)) * Microsecond
+			p.until = append(p.until, until)
+		}
+	}
+	// Arms no step drew still happen, from one last callback.
+	if len(pendingArms) > 0 {
+		last := &p.setup[len(p.setup)-1]
+		for _, i := range pendingArms {
+			label++
+			*last = append(*last, cdSetup{arm: -1, step: cdStep{label: label, cancel: -1, arm: i}})
+		}
+	}
+	return p
+}
+
+// TestCountdownMatchesAfterChain runs random schedules twice, once
+// with Countdown and once with the After chain it stands for, and
+// requires the same log: every callback at the same time in the same
+// order, the same Remaining at every cancel and the same Now() after
+// every Run. The countdown run must count its callbacks, not its
+// ticks, in EventsFired.
+func TestCountdownMatchesAfterChain(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 17))
+	var cov cdCoverage
+	for trial := 0; trial < 2000; trial++ {
+		p := genCountdownPlan(rng)
+		want, _, _ := runCountdownPlan(p, false, nil)
+		got, fired, callbacks := runCountdownPlan(p, true, &cov)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: plan %+v\ncountdown log:\n%s\nAfter-chain log:\n%s",
+				trial, p, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+		if fired != callbacks {
+			t.Fatalf("trial %d: EventsFired = %d, want the %d callbacks run", trial, fired, callbacks)
+		}
+	}
+	t.Logf("coverage: %+v", cov)
+	if cov.midCancels == 0 || cov.midRunEnds == 0 || cov.singleTicks == 0 ||
+		cov.nestedArms == 0 || cov.tickTimeEvs == 0 {
+		t.Errorf("the plans missed a case: %+v", cov)
+	}
+}
+
+// TestCountdownRemaining walks one countdown tick by tick.
+func TestCountdownRemaining(t *testing.T) {
+	s := New()
+	done := Time(0)
+	e := s.Countdown(9*Microsecond, 4, func() { done = s.Now() })
+	// Run includes until, so Run(k slots) elapses the k-th tick.
+	for k, want := range []int{4, 3, 2, 1} {
+		s.Run(Time(k) * 9 * Microsecond)
+		if got := e.Remaining(); got != want {
+			t.Errorf("at %v: Remaining = %d, want %d", s.Now(), got, want)
+		}
+	}
+	if s.EventsFired() != 0 {
+		t.Errorf("EventsFired = %d before the last tick, want 0", s.EventsFired())
+	}
+	s.RunAll()
+	if done != 36*Microsecond || e.Remaining() != 0 || e.Scheduled() || s.EventsFired() != 1 {
+		t.Errorf("done at %v, Remaining %d, Scheduled %v, EventsFired %d; want 36µs, 0, false, 1",
+			done, e.Remaining(), e.Scheduled(), s.EventsFired())
+	}
+	for _, bad := range []func(){
+		func() { s.Countdown(0, 1, func() {}) },
+		func() { s.Countdown(Microsecond, 0, func() {}) },
+		func() { s.Countdown(Microsecond, 1, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("invalid Countdown did not panic")
+				}
+			}()
+			bad()
+		}()
 	}
 }

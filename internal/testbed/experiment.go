@@ -221,11 +221,7 @@ func runCombo(tb *Testbed, p ExperimentParams, l1, l2 Link, seed uint64) ComboRe
 	res := ComboResult{Link1: l1, Link2: l2}
 	// Sender-sender RSSI in dB above the noise floor, averaged over
 	// both directions; -Inf when below the preamble sensitivity.
-	phyCfg := phy.DefaultConfig()
-	phyCfg.NoiseFloorDBm = tb.Params.NoiseFloorDBm
-	phyCfg.CCAThresholdDBm = p.CCAThresholdDBm
-	phyCfg.PreambleCarrierSense = !p.EnergyOnlyCCA
-	phyCfg.Fade = tb.Params.Fade
+	phyCfg := comboPhyConfig(tb, p)
 	r12 := tb.RSSIdBm(l1.Src, l2.Src)
 	r21 := tb.RSSIdBm(l2.Src, l1.Src)
 	if r12 < phyCfg.PreambleSensitivityDBm && r21 < phyCfg.PreambleSensitivityDBm {
@@ -286,10 +282,22 @@ func runCombo(tb *Testbed, p ExperimentParams, l1, l2 Link, seed uint64) ComboRe
 	return res
 }
 
-// comboCounts carries one run's delivered and sent frame counts.
+// comboPhyConfig is the PHY every replication of tb under p runs.
+func comboPhyConfig(tb *Testbed, p ExperimentParams) phy.Config {
+	cfg := phy.DefaultConfig()
+	cfg.NoiseFloorDBm = tb.Params.NoiseFloorDBm
+	cfg.CCAThresholdDBm = p.CCAThresholdDBm
+	cfg.PreambleCarrierSense = !p.EnergyOnlyCCA
+	cfg.Fade = tb.Params.Fade
+	return cfg
+}
+
+// comboCounts carries one run's delivered and sent frame counts. A
+// two-sender run also records the callbacks its simulator ran.
 type comboCounts struct {
 	got1, got2   uint64
 	sent1, sent2 uint64
+	events       uint64
 }
 
 // runComboOnce runs one simulation: the two senders (or one at a time
@@ -325,6 +333,7 @@ func runComboOnce(tb *Testbed, p ExperimentParams, phyCfg phy.Config, l1, l2 Lin
 	return comboCounts{
 		got1: count1, got2: count2,
 		sent1: st1.Stats.DataSent, sent2: st2.Stats.DataSent,
+		events: s.EventsFired(),
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"carriersense/internal/capacity"
 	"carriersense/internal/phy"
+	"carriersense/internal/rng"
 	"carriersense/internal/sim"
 )
 
@@ -425,5 +426,33 @@ func TestPacketSimSecondAllocs(t *testing.T) {
 	})
 	if allocs > maxAllocs {
 		t.Errorf("one packet-simulated second allocates %.0f objects, want <= %d", allocs, maxAllocs)
+	}
+}
+
+// TestPacketSimSecondEvents guards the packet simulator's work per
+// simulated second: the callbacks (sim.Simulator.EventsFired) one
+// carrier sense second of the first short-range combo on the default
+// testbed runs at 6 Mb/s. Each backoff counts its slots down in one
+// countdown, which runs one callback where a slot-by-slot timer chain
+// fired one event per 9 µs slot: 11,086 events here, against 3,998
+// callbacks with the countdown.
+func TestPacketSimSecondEvents(t *testing.T) {
+	const maxEvents = 5500
+	tb := Generate(DefaultLayout(), 42)
+	p := DefaultExperiment()
+	p.Duration = 1 * sim.Second
+	// RunExperiment's plan for its first combo.
+	src := rng.New(p.Seed)
+	links := tb.QualifyingLinks(ShortRange)
+	src.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
+	combos := selectCombos(links, 1, src)
+	if len(combos) != 1 {
+		t.Fatalf("got %d combos, want 1", len(combos))
+	}
+	l1, l2 := combos[0][0], combos[0][1]
+	cc := runComboOnce(tb, p, comboPhyConfig(tb, p), l1, l2, ModeCarrierSense, p.Rates[0], src.Uint64())
+	t.Logf("%d callbacks, %d+%d frames sent", cc.events, cc.sent1, cc.sent2)
+	if cc.events > maxEvents {
+		t.Errorf("one carrier sense second runs %d callbacks, want <= %d", cc.events, maxEvents)
 	}
 }
