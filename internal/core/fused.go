@@ -16,12 +16,18 @@ package core
 //     rewritten into the shadowing domain, the devirtualized Shannon
 //     capacity — are hoisted into pointEval, outside the sample loop;
 //   - every integrand (averages, single, fairness, bad-snr,
-//     policy-diff) is a thin projection over the same draw.
+//     policy-diff) is a thin projection over the same draw, and names
+//     the primitives it reads (receiver 1, receiver 2, sensing) so the
+//     draw computes only those.
 //
-// Determinism contract: draw consumes random variates in exactly the
-// order SampleConfig does (two disc points, then five lognormal
-// shadowing factors), so shard streams stay aligned across the
-// chunked and one-sample-per-call paths, worker fleets, and the cache.
+// Determinism contract: draw consumes every random variate, in exactly
+// the order SampleConfig does (two disc points, then five lognormal
+// shadowing factors), whatever the integrand reads, so shard streams
+// stay aligned across kernels, the chunked and one-sample-per-call
+// paths, worker fleets, and the cache. Only what is read is
+// transformed: an unread disc point skips its Sqrt, Sincos and path
+// gains, and an unread shadowing factor skips its Exp (and, on a
+// uniform-hooked source, its NormalQuantile) through rng.SkipNormal.
 
 import (
 	"math"
@@ -90,31 +96,71 @@ func (pe *pointEval) thr(snr float64) float64 {
 	return pe.m.cap.Throughput(snr)
 }
 
-// draw samples one configuration and computes its received powers.
-// Random variates are consumed in exactly the order SampleConfig uses:
+// reads is the set of primitives an integrand reads from a draw.
+type reads uint8
+
+const (
+	readRx1   reads = 1 << iota // Sig1, Int1
+	readRx2                     // Sig2, Int2
+	readSense                   // LSense
+	readAll   = readRx1 | readRx2 | readSense
+)
+
+// draw samples one configuration and computes the received powers in
+// r; the fields of primitives outside r hold no meaning. Random
+// variates are consumed in exactly the order SampleConfig uses:
 // receiver 1 position, receiver 2 position, then the five lognormal
 // shadowing draws (none when σ = 0, matching rng.LognormalDB).
-func (pe *pointEval) draw(src *rng.Source) Evaluated {
-	p1 := geometry.UniformInDisc(src, pe.rmax)
-	p2 := geometry.UniformInDisc(src, pe.rmax)
+func (pe *pointEval) draw(src *rng.Source, r reads) Evaluated {
 	m := pe.m
-	dx1 := p1.X + pe.d
-	dx2 := p2.X + pe.d
-	e := Evaluated{
-		Sig1:   m.pathGainSq(p1.X*p1.X + p1.Y*p1.Y),
-		Int1:   m.pathGainSq(dx1*dx1 + p1.Y*p1.Y),
-		Sig2:   m.pathGainSq(p2.X*p2.X + p2.Y*p2.Y),
-		Int2:   m.pathGainSq(dx2*dx2 + p2.Y*p2.Y),
-		LSense: 1,
+	e := Evaluated{LSense: 1}
+	if r&readRx1 != 0 {
+		p := geometry.UniformInDisc(src, pe.rmax)
+		dx := p.X + pe.d
+		e.Sig1 = m.pathGainSq(p.X*p.X + p.Y*p.Y)
+		e.Int1 = m.pathGainSq(dx*dx + p.Y*p.Y)
+	} else {
+		skipDisc(src)
 	}
-	if sigma := pe.sigma; sigma != 0 {
+	if r&readRx2 != 0 {
+		p := geometry.UniformInDisc(src, pe.rmax)
+		dx := p.X + pe.d
+		e.Sig2 = m.pathGainSq(p.X*p.X + p.Y*p.Y)
+		e.Int2 = m.pathGainSq(dx*dx + p.Y*p.Y)
+	} else {
+		skipDisc(src)
+	}
+	sigma := pe.sigma
+	if sigma == 0 {
+		return e
+	}
+	if r&readRx1 != 0 {
 		e.Sig1 *= src.LognormalDB(sigma)
 		e.Int1 *= src.LognormalDB(sigma)
+	} else {
+		src.SkipNormal()
+		src.SkipNormal()
+	}
+	if r&readRx2 != 0 {
 		e.Sig2 *= src.LognormalDB(sigma)
 		e.Int2 *= src.LognormalDB(sigma)
+	} else {
+		src.SkipNormal()
+		src.SkipNormal()
+	}
+	if r&readSense != 0 {
 		e.LSense = src.LognormalDB(sigma)
+	} else {
+		src.SkipNormal()
 	}
 	return e
+}
+
+// skipDisc consumes the two uniforms (radius, angle) of a
+// geometry.UniformInDisc point nobody reads.
+func skipDisc(src *rng.Source) {
+	src.Float64()
+	src.Float64()
 }
 
 // defers reports the carrier sense decision for the drawn sample, with
@@ -126,8 +172,7 @@ func (pe *pointEval) defers(e Evaluated) bool {
 // averagesSample is the fused form of the EstimateAverages integrand:
 // 4 path gains and 4 capacity evaluations per sample instead of the
 // ~13 of each the unfused policy-formula tree performed.
-func (pe *pointEval) averagesSample(src *rng.Source, out []float64) {
-	e := pe.draw(src)
+func (pe *pointEval) averagesSample(e Evaluated, out []float64) {
 	noise := pe.noise
 	single1 := pe.thr(e.Sig1 / noise)
 	single2 := pe.thr(e.Sig2 / noise)
@@ -158,14 +203,12 @@ func (pe *pointEval) averagesSample(src *rng.Source, out []float64) {
 }
 
 // singleSample is the fused no-competition integrand.
-func (pe *pointEval) singleSample(src *rng.Source, out []float64) {
-	e := pe.draw(src)
+func (pe *pointEval) singleSample(e Evaluated, out []float64) {
 	out[0] = pe.thr(e.Sig1 / pe.noise)
 }
 
 // fairnessSample is the fused Jain-index-plus-starvation integrand.
-func (pe *pointEval) fairnessSample(src *rng.Source, out []float64) {
-	e := pe.draw(src)
+func (pe *pointEval) fairnessSample(e Evaluated, out []float64) {
 	noise := pe.noise
 	single1 := pe.thr(e.Sig1 / noise)
 	single2 := pe.thr(e.Sig2 / noise)
@@ -194,8 +237,7 @@ func (pe *pointEval) fairnessSample(src *rng.Source, out []float64) {
 // badSNRSample is the fused §3.4 indicator: spurious concurrency
 // leaving receiver 1 below 0 dB SNR. It needs no capacity evaluation
 // at all.
-func (pe *pointEval) badSNRSample(src *rng.Source, out []float64) {
-	e := pe.draw(src)
+func (pe *pointEval) badSNRSample(e Evaluated, out []float64) {
 	if pe.defers(e) {
 		return
 	}
@@ -206,8 +248,7 @@ func (pe *pointEval) badSNRSample(src *rng.Source, out []float64) {
 
 // policyDiffSample is the fused common-random-numbers C_conc/C_mux
 // pair behind OptimalThresholdMC.
-func (pe *pointEval) policyDiffSample(src *rng.Source, out []float64) {
-	e := pe.draw(src)
+func (pe *pointEval) policyDiffSample(e Evaluated, out []float64) {
 	out[0] = pe.thr(e.Sig1 / (pe.noise + e.Int1))
 	out[1] = pe.thr(e.Sig1/pe.noise) / 2
 }
@@ -215,37 +256,38 @@ func (pe *pointEval) policyDiffSample(src *rng.Source, out []float64) {
 // Batch forms: one montecarlo.BatchEvalFunc call evaluates a whole
 // buffer chunk through direct (devirtualized, inlinable) method calls
 // on the shared pointEval, so the plain path pays the kernel's
-// indirect call once per chunk, not once per sample. Samples are
+// indirect call once per chunk, not once per sample. Each batch's draw
+// names the primitives its integrand reads. Samples are
 // evaluated in order on the same stream and pointEval is read-only
 // after construction, so count calls with count = 1 are bit-identical
 // to one call with count.
 
 func (pe *pointEval) averagesBatch(src *rng.Source, count int, out []float64) {
 	for i := 0; i < count; i++ {
-		pe.averagesSample(src, out[i*nAverages:(i+1)*nAverages:(i+1)*nAverages])
+		pe.averagesSample(pe.draw(src, readAll), out[i*nAverages:(i+1)*nAverages:(i+1)*nAverages])
 	}
 }
 
 func (pe *pointEval) singleBatch(src *rng.Source, count int, out []float64) {
 	for i := 0; i < count; i++ {
-		pe.singleSample(src, out[i:i+1:i+1])
+		pe.singleSample(pe.draw(src, readRx1), out[i:i+1:i+1])
 	}
 }
 
 func (pe *pointEval) fairnessBatch(src *rng.Source, count int, out []float64) {
 	for i := 0; i < count; i++ {
-		pe.fairnessSample(src, out[i*3:(i+1)*3:(i+1)*3])
+		pe.fairnessSample(pe.draw(src, readAll), out[i*3:(i+1)*3:(i+1)*3])
 	}
 }
 
 func (pe *pointEval) badSNRBatch(src *rng.Source, count int, out []float64) {
 	for i := 0; i < count; i++ {
-		pe.badSNRSample(src, out[i:i+1:i+1])
+		pe.badSNRSample(pe.draw(src, readRx1|readSense), out[i:i+1:i+1])
 	}
 }
 
 func (pe *pointEval) policyDiffBatch(src *rng.Source, count int, out []float64) {
 	for i := 0; i < count; i++ {
-		pe.policyDiffSample(src, out[i*2:(i+1)*2:(i+1)*2])
+		pe.policyDiffSample(pe.draw(src, readRx1), out[i*2:(i+1)*2:(i+1)*2])
 	}
 }

@@ -43,12 +43,6 @@ var (
 		"Shard batch frames received.")
 	wShards = obs.Default().Counter("cs_worker_shards_total",
 		"Shards evaluated for coordinators.")
-	wSamples = obs.Default().Counter("cs_worker_samples_total",
-		"Monte Carlo samples evaluated for coordinators.")
-	wFailures = obs.Default().Counter("cs_worker_failures_total",
-		"Shard batches rejected or failed.")
-	wStreams = obs.Default().Counter("cs_worker_streams_total",
-		"Binary shard streams accepted.")
 	wInflight = obs.Default().Gauge("cs_worker_inflight_batches",
 		"Shard batches currently being evaluated.")
 	wDraining = obs.Default().Gauge("cs_worker_draining",

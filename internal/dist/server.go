@@ -94,12 +94,6 @@ func (s *Server) endBatch() {
 	wInflight.Dec()
 }
 
-// countFailure tallies one failed batch on both stat surfaces.
-func (s *Server) countFailure() {
-	s.failures.Add(1)
-	wFailures.Inc()
-}
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if f := fault.Current(); f != nil && f.RefuseRequest() {

@@ -187,7 +187,6 @@ const maxStreamRequests = 64
 // batches.
 func (s *Server) serveStream(ss *streamSession) {
 	s.streams.Add(1)
-	wStreams.Inc()
 	s.registerStream(ss.conn)
 	defer func() {
 		s.unregisterStream(ss.conn)
@@ -195,7 +194,7 @@ func (s *Server) serveStream(ss *streamSession) {
 	}()
 
 	fail := func(msg string) {
-		s.countFailure()
+		s.failures.Add(1)
 		_ = writeFrame(ss.bw, frameError, encodeError(true, msg))
 		_ = ss.bw.Flush()
 	}
@@ -304,7 +303,6 @@ func (s *Server) serveStream(ss *streamSession) {
 			s.shards.Add(int64(len(indices)))
 			s.samples.Add(int64(sampleCount))
 			wShards.Add(int64(len(indices)))
-			wSamples.Add(int64(sampleCount))
 			s.endBatch()
 			result := encodeResult(id, req.Dim, indices, accs)
 			if f := fault.Current(); f != nil {

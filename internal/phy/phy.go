@@ -444,9 +444,6 @@ func (m *Medium) interferenceMwAt(r *Radio, skip *transmission) float64 {
 	return total
 }
 
-// noiseMwAt returns radio r's noise floor in mW.
-func (m *Medium) noiseMwAt(r *Radio) float64 { return r.noiseMw }
-
 // CCABusy reports the instantaneous clear channel assessment at radio
 // r: busy while transmitting, while locked on a preamble (if preamble
 // carrier sense is enabled), or while total received energy exceeds

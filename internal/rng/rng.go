@@ -38,6 +38,11 @@ import (
 // variance-reduction samplers in internal/sampling use: recording,
 // mirroring (u → 1−u), or stratifying the uniforms transforms every
 // downstream variate coherently, without the integrands knowing.
+//
+// SkipNormal advances either kind of Source exactly as Normal would,
+// without the transform. A consumer with a fixed variate layout uses
+// it for the variates it does not read, so the variates it does read
+// come from the same stream positions as in the full layout.
 type Source struct {
 	// pcg is the generator state, the only field a draw writes. It is
 	// held by value so a Source is one allocation, and r draws from it.
@@ -175,6 +180,19 @@ func (s *Source) Normal(mean, stddev float64) float64 {
 		return mean + stddev*NormalQuantile(u)
 	}
 	return mean + stddev*s.r.NormFloat64()
+}
+
+// SkipNormal consumes the variate Normal would draw and discards it,
+// leaving the source exactly where Normal leaves it: a plain source
+// runs the ziggurat, whose rejection steps consume a varying number
+// of words, and a uniform-hooked source takes one uniform without
+// paying for its inverse transform.
+func (s *Source) SkipNormal() {
+	if s.uni != nil {
+		s.uni()
+		return
+	}
+	s.r.NormFloat64()
 }
 
 // Quantile clamp bounds: the open unit interval minus one double ulp on

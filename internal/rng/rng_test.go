@@ -234,6 +234,50 @@ func TestWidebandFadeAveraging(t *testing.T) {
 	}
 }
 
+// zigguratTail is the ziggurat's base-strip edge (math/rand/v2's rn):
+// a standard normal draw beyond it came from the tail sampler, which
+// consumes extra words.
+const zigguratTail = 3.442619855899
+
+// TestSkipNormalAdvancesLikeNormal checks that SkipNormal leaves a
+// source exactly where Normal leaves it: on a plain source across
+// enough draws to take the ziggurat's rejection and tail paths, and on
+// a uniform-hooked source uniform for uniform.
+func TestSkipNormalAdvancesLikeNormal(t *testing.T) {
+	const n = 200_000
+	a, b := New(11), New(11)
+	tail := 0
+	for i := 0; i < n; i++ {
+		if math.Abs(a.Normal(0, 1)) > zigguratTail {
+			tail++
+		}
+		b.SkipNormal()
+		if x, y := a.Uint64(), b.Uint64(); x != y {
+			t.Fatalf("plain: after draw %d the next word is %#x after Normal, %#x after SkipNormal", i, x, y)
+		}
+	}
+	if tail == 0 {
+		t.Fatalf("plain: none of %d draws reached the ziggurat tail", n)
+	}
+
+	var usedA, usedB int
+	hooked := func(used *int) *Source {
+		u := New(11)
+		return WithUniforms(func() float64 { *used++; return u.Float64() })
+	}
+	ha, hb := hooked(&usedA), hooked(&usedB)
+	for i := 0; i < 1000; i++ {
+		ha.Normal(0, 1)
+		hb.SkipNormal()
+		if usedA != usedB {
+			t.Fatalf("hooked: after draw %d Normal used %d uniforms, SkipNormal %d", i, usedA, usedB)
+		}
+	}
+	if ha.Float64() != hb.Float64() {
+		t.Fatal("hooked: next uniform differs after Normal and SkipNormal")
+	}
+}
+
 func TestNormalCDFKnownValues(t *testing.T) {
 	cases := []struct{ x, want float64 }{
 		{0, 0.5},
