@@ -454,52 +454,6 @@ func BenchmarkRunRequestPool(b *testing.B) {
 	}
 }
 
-// BenchmarkControlTwinMeans measures the σ = 0 quadrature means a cv
-// pilot pays once per point, for the averages twin (⟨C_single⟩ plus
-// one fused disc sweep for ⟨C_conc⟩ and the upper-bound component)
-// and the policy-diff twin (one ⟨C_conc⟩ sweep). The pilot draws only
-// 2 samples, so the disc sweeps are what is timed; width=GOMAXPROCS
-// reports its speedup over width=1.
-func BenchmarkControlTwinMeans(b *testing.B) {
-	req := core.AveragesRequest(core.DefaultParams(), 55, 40, 55, 1, 1)
-	defer montecarlo.ResetMaxWorkers()
-	widths := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		widths = append(widths, n)
-	}
-	for _, k := range []struct {
-		name, kernel string
-		dim          int
-	}{{"averages", core.KernelAverages, req.Dim}, {"policy-diff", core.KernelPolicyDiff, 2}} {
-		kreq := req
-		kreq.Kernel, kreq.Dim = k.kernel, k.dim
-		var serialNs float64
-		for _, width := range widths {
-			name := "kernel=" + k.name + "/width=1"
-			if width > 1 {
-				name = "kernel=" + k.name + "/width=GOMAXPROCS"
-			}
-			b.Run(name, func(b *testing.B) {
-				if err := montecarlo.SetMaxWorkers(width); err != nil {
-					b.Fatal(err)
-				}
-				for i := 0; i < b.N; i++ {
-					if _, err := montecarlo.PilotControl(kreq, 2); err != nil {
-						b.Fatal(err)
-					}
-				}
-				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-				b.ReportMetric(ns/1e6, "ms/op")
-				if width == 1 {
-					serialNs = ns
-				} else if serialNs > 0 {
-					b.ReportMetric(serialNs/ns, "speedup")
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkDistributedVsLocal measures the distributed executor's
 // per-shard overhead against the in-process pool on the same
 // estimation (EstimateAverages, 40k samples ≈ 10 shards): shard

@@ -210,7 +210,6 @@ func (e *Executor) EstimateVec(ctx context.Context, req montecarlo.Request) ([]m
 		e.mu.Lock()
 		e.stats.DiskHits++
 		e.mu.Unlock()
-		mDiskHits.Inc()
 		e.store(key, states)
 		return fromStates(states), nil
 	}
@@ -225,7 +224,6 @@ func (e *Executor) EstimateVec(ctx context.Context, req montecarlo.Request) ([]m
 	e.mu.Lock()
 	e.stats.Misses++
 	e.mu.Unlock()
-	mMisses.Inc()
 	states := toStates(accs)
 	e.store(key, states)
 	e.saveDisk(key, req, states)
@@ -242,7 +240,6 @@ func (e *Executor) lookup(key string) ([]montecarlo.AccumulatorState, bool) {
 	}
 	e.lru.MoveToFront(el)
 	e.stats.Hits++
-	mHits.Inc()
 	return el.Value.(*entry).states, true
 }
 
@@ -261,7 +258,6 @@ func (e *Executor) store(key string, states []montecarlo.AccumulatorState) {
 		e.lru.Remove(back)
 		delete(e.entries, back.Value.(*entry).key)
 		e.stats.Evictions++
-		mEvictions.Inc()
 	}
 }
 
@@ -491,7 +487,6 @@ func (e *Executor) saveDisk(key string, req montecarlo.Request, states []monteca
 		e.mu.Lock()
 		e.stats.WriteFails++
 		e.mu.Unlock()
-		mWriteFails.Inc()
 		return
 	}
 	if e.maxBytes > 0 {
@@ -531,7 +526,6 @@ func (e *Executor) enforceDiskBudget(written int64) {
 	e.diskBytes = remaining
 	e.stats.DiskEvictions += int64(evicted)
 	e.mu.Unlock()
-	mDiskEvictions.Add(int64(evicted))
 }
 
 // EvictDir removes least-recently-used cache entries — mtime order;

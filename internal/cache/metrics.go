@@ -1,29 +1,18 @@
 package cache
 
-// Registry handles for the cache layer. Per-Executor Stats stay the
-// source of truth for `cs cache stats` (tests build many independent
-// executors, which must not cross-contaminate); the global registry
-// aggregates across every executor in the process for /metrics.
+// Registry handles for the cache layer. Per-Executor Stats are the
+// record of cache traffic (`cs cache stats` and the bench harness read
+// them; tests build many independent executors, which must not
+// cross-contaminate). The process-wide registry keeps two series: the
+// quarantine counter, so that an integrity check that fired shows in
+// a run's metrics.json, and the lookup latency behind timings.csv's
+// cache_lookup column.
 
 import "carriersense/internal/obs"
 
 var (
-	mHits = obs.Default().Counter("cs_cache_hits_total",
-		"Estimations served from the in-memory cache layer.")
-	mDiskHits = obs.Default().Counter("cs_cache_disk_hits_total",
-		"Estimations served from the persistent cache layer.")
-	mMisses = obs.Default().Counter("cs_cache_misses_total",
-		"Estimations evaluated by the inner executor on cache miss.")
-	mEvictions = obs.Default().Counter("cs_cache_evictions_total",
-		"In-memory LRU evictions.")
-	mDiskEvictions = obs.Default().Counter("cs_cache_disk_evictions_total",
-		"Persistent-layer LRU evictions under the disk byte budget.")
-	mWriteFails = obs.Default().Counter("cs_cache_write_fails_total",
-		"Best-effort persistent cache writes that failed.")
 	mCorrupt = obs.Default().Counter("cs_cache_corrupt_total",
 		"Disk entries that failed integrity verification and were quarantined.")
-	mPrefetchFills = obs.Default().Counter("cs_cache_prefetch_fills_total",
-		"Cache entries filled by plan-driven prefetch passes.")
 	mLookupSeconds = obs.Default().Histogram("cs_cache_lookup_seconds",
 		"Wall time to resolve a request against memory and disk layers, before any inner evaluation.", nil)
 )

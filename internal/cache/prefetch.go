@@ -70,7 +70,6 @@ func Prefetch(ctx context.Context, exec *Executor, misses []montecarlo.Request) 
 			continue
 		}
 		rep.Fetched++
-		mPrefetchFills.Inc()
 		rep.Samples += int64(req.SampleSpan())
 	}
 	return rep, firstErr

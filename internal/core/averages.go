@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 
 	"carriersense/internal/montecarlo"
 	"carriersense/internal/numeric"
@@ -90,23 +91,131 @@ func (m *Model) AvgMuxQuad(rmax float64) float64 {
 // AvgConcQuad computes ⟨C_concurrent⟩(R_max, D) for σ = 0 by nested
 // quadrature over the receiver disc.
 func (m *Model) AvgConcQuad(rmax, d float64) float64 {
-	return m.concDiscQuad(rmax, d, 1)[0]
+	conc, _ := m.concDiscQuad(rmax, d, false)
+	return conc
 }
 
-// concDiscQuad averages, over receiver 1's disc at σ = 0, ⟨C_conc⟩
-// and, when dim is 2, the per-receiver upper-bound component
-// ⟨max(C_conc, C_mux)⟩, which depends on receiver 1's placement only.
-// Both come from one sweep that computes the signal power once per
-// node; the sweep's r-panels run over the Monte Carlo pool's width.
-func (m *Model) concDiscQuad(rmax, d float64, dim int) []float64 {
-	return numeric.DiscAverageVec(func(n numeric.DiscNode, out []float64) {
-		c := Config{D: d, X1: n.R * n.Cos, Y1: n.R * n.Sin, LSig1: 1, LInt1: 1}
-		s := m.SignalPower(c, 1)
-		out[0] = m.cap.Throughput(s / (m.noise + m.InterferencePower(c, 1)))
-		if dim > 1 {
-			out[1] = math.Max(out[0], m.cap.Throughput(s/m.noise)/2)
+// ring memoizes, for one r ring of the disc sweep, the terms of the
+// upper-bound component that depend only on a node's squared radius
+// q = x² + y²: the signal power and C_single/2. The 480 nodes of a
+// ring round r²cos²θ + r²sin²θ to about five distinct q, so the
+// sweep evaluates these once per distinct q, not once per node. A
+// ⟨C_conc⟩-only sweep does not use it: saving one path gain per node
+// costs more in the lookup than it gains.
+type ring []ringNode
+
+type ringNode struct{ q, s, mux float64 }
+
+// at returns q's entry, computing it on first use.
+func (rg *ring) at(m *Model, q float64) ringNode {
+	for _, n := range *rg {
+		if n.q == q {
+			return n
 		}
-	}, dim, rmax, 48, 24, montecarlo.Workers())
+	}
+	s := m.pathGainSq(q)
+	n := ringNode{q: q, s: s, mux: m.thr(s/m.noise) / 2}
+	*rg = append(*rg, n)
+	return n
+}
+
+// The resolution of the σ = 0 disc averages: 20-point Gauss-Legendre
+// panels, discRPanels in r and discThetaPanels in θ.
+const discRPanels, discThetaPanels = 48, 24
+
+// concDiscQuad averages ⟨C_conc⟩ over receiver 1's disc at σ = 0 and,
+// when withUB is set, the per-receiver upper-bound component
+// ⟨max(C_conc, C_mux)⟩, which depends on receiver 1's placement only.
+//
+// It is the nested GaussLegendre20Panels form — the θ rule inside the
+// r rule, weighted by r, over π·R_max² — written out as one sweep with
+// the integrand inline and the θ nodes' sines and cosines computed
+// once. A node costs two path gains and one capacity evaluation; with
+// the upper bound, the signal path gain and C_single/2 come from the
+// node's ring. The partial sums run in the nested form's order
+// (θ-panel, r-node, r-panel, then the r-panels in order), so both
+// averages are bit-identical to it. The r-panels are striped over the
+// Monte Carlo pool's width, each into its own slot, and the slots are
+// added in panel order after the join: the result does not depend on
+// width.
+func (m *Model) concDiscQuad(rmax, d float64, withUB bool) (conc, ub float64) {
+	gw := numeric.GL20Weights
+	nq := len(gw)
+	// As variables, the panel counts divide in float64 at run time, as
+	// GaussLegendre20Panels' do, not exactly as constants would.
+	rPanels, thetaPanels := discRPanels, discThetaPanels
+	// The θ nodes are the same for every r. The expressions are
+	// GaussLegendre20Panels' over [0, 2π].
+	sins := make([]float64, thetaPanels*nq)
+	coss := make([]float64, thetaPanels*nq)
+	halves := make([]float64, thetaPanels)
+	ht := (2 * math.Pi) / float64(thetaPanels)
+	for j := range halves {
+		a, b := float64(j)*ht, float64(j+1)*ht
+		mid, half := (a+b)/2, (b-a)/2
+		halves[j] = half
+		for k, x := range numeric.GL20Nodes {
+			sins[j*nq+k], coss[j*nq+k] = math.Sincos(mid + half*x)
+		}
+	}
+
+	noise := m.noise
+	hr := rmax / float64(rPanels)
+	slots := make([][2]float64, rPanels)
+	sweep := func(first, width int) {
+		var rg ring
+		for i := first; i < rPanels; i += width {
+			a, b := float64(i)*hr, float64(i+1)*hr
+			mid, half := (a+b)/2, (b-a)/2
+			var acc0, acc1 float64
+			for k, x := range numeric.GL20Nodes {
+				r := mid + half*x
+				rg = rg[:0]
+				var in0, in1 float64
+				for j, thHalf := range halves {
+					var p0, p1 float64
+					for l, w := range gw {
+						x1, y1 := r*coss[j*nq+l], r*sins[j*nq+l]
+						q, dx := x1*x1+y1*y1, x1+d
+						nI := noise + m.pathGainSq(dx*dx+y1*y1)
+						if withUB {
+							n := rg.at(m, q)
+							c := m.thr(n.s / nI)
+							p0 += w * c
+							p1 += w * math.Max(c, n.mux)
+						} else {
+							p0 += w * m.thr(m.pathGainSq(q)/nI)
+						}
+					}
+					in0 += p0 * thHalf
+					in1 += p1 * thHalf
+				}
+				acc0 += gw[k] * (r * in0)
+				acc1 += gw[k] * (r * in1)
+			}
+			// One store per panel: neighbouring slots belong to other
+			// goroutines and may share a cache line.
+			slots[i] = [2]float64{acc0 * half, acc1 * half}
+		}
+	}
+	width := min(montecarlo.Workers(), rPanels)
+	var wg sync.WaitGroup
+	for g := 1; g < width; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sweep(g, width)
+		}()
+	}
+	sweep(0, width)
+	wg.Wait()
+
+	for _, v := range slots {
+		conc += v[0]
+		ub += v[1]
+	}
+	area := math.Pi * rmax * rmax
+	return conc / area, ub / area
 }
 
 // CurvePoint is one D-sample of the Figure 4/5/9 throughput curves.

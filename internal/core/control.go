@@ -38,14 +38,14 @@ var twinMeans = map[string]func(raw json.RawMessage) ([]float64, error){
 		// conc disc average.
 		defers := 1 > m.ThresholdPower(p.DThresh)/m.pathGain(p.D)
 		single := m.AvgSingleQuad(p.Rmax)
-		conc := m.concDiscQuad(p.Rmax, p.D, 2)
+		conc, ub := m.concDiscQuad(p.Rmax, p.D, true)
 		means := make([]float64, nAverages)
 		means[idxSingle] = single
 		means[idxMux] = single / 2
-		means[idxConc] = conc[0]
-		means[idxCS] = conc[0]
+		means[idxConc] = conc
+		means[idxCS] = conc
 		means[idxMax] = math.NaN() // depends on both placements: no 2-D quadrature
-		means[idxUBMax] = conc[1]
+		means[idxUBMax] = ub
 		means[idxStarved] = math.NaN() // discontinuous indicator: quadrature would bias
 		if defers {
 			means[idxCS] = means[idxMux]

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
+	"carriersense/internal/capacity"
 	"carriersense/internal/geometry"
 	"carriersense/internal/montecarlo"
 	"carriersense/internal/numeric"
@@ -92,15 +94,21 @@ func TestTwinMeansMatchMonteCarlo(t *testing.T) {
 	}
 }
 
-// discQuadRef is one σ = 0 disc average of receiver 1's integrand
-// f, swept serially with the trigonometry done per node through
-// geometry.Polar: the single-component reference the fused, parallel
-// twin sweep must match bit for bit.
+// discQuadRef is one σ = 0 disc average of receiver 1's integrand f
+// as nested GaussLegendre20Panels calls — the θ rule inside the r rule
+// at the sweep's resolution — with the trigonometry done per node
+// through geometry.Polar and f evaluated through the public policy
+// formulas: the reference the fused, parallel twin sweep must match
+// bit for bit.
 func discQuadRef(m *Model, rmax, d float64, f func(m *Model, c Config) float64) float64 {
-	return numeric.DiscAverage(func(n numeric.DiscNode) float64 {
-		p := geometry.Polar(n.R, n.Theta)
-		return f(m, Config{D: d, X1: p.X, Y1: p.Y, LSig1: 1, LInt1: 1})
-	}, rmax, 48, 24, 1)
+	inner := func(r float64) float64 {
+		g := func(theta float64) float64 {
+			p := geometry.Polar(r, theta)
+			return f(m, Config{D: d, X1: p.X, Y1: p.Y, LSig1: 1, LInt1: 1})
+		}
+		return r * numeric.GaussLegendre20Panels(g, 0, 2*math.Pi, discThetaPanels)
+	}
+	return numeric.GaussLegendre20Panels(inner, 0, rmax, discRPanels) / (math.Pi * rmax * rmax)
 }
 
 func concAt(m *Model, c Config) float64 { return m.CConcurrent(c, 1) }
@@ -112,22 +120,38 @@ func ubMaxAt(m *Model, c Config) float64 {
 
 func TestTwinMeansBitIdenticalAcrossWidths(t *testing.T) {
 	// Every twin's means come from one fused sweep over the pool's
-	// width; each component must equal its own serial single-component
-	// sweep exactly, at every width. D_thresh = 55 makes D = 40 defer
-	// (the CS mean is the mux average) and D = 70 not (the conc one).
+	// width; each component must equal the nested-quadrature reference
+	// exactly, at every width. D_thresh = 55 makes D = 40 and D = 20
+	// defer (the CS mean is the mux average) and D = 70 not (the conc
+	// one); D = 20 at R_max = 120 puts the interferer inside the disc.
+	// The non-integer α takes pathGainSq's math.Pow branch, and the
+	// discrete rate set takes the sweep's interface capacity call.
 	t.Cleanup(montecarlo.ResetMaxWorkers)
+	shadowed := Params{Alpha: 3, SigmaDB: 8, NoiseDB: DefaultNoiseDB}
+	fractional := shadowed
+	fractional.Alpha = 2.5
+	discrete := shadowed
+	discrete.Capacity = capacity.Discrete{Table: capacity.Table80211a}
 	for _, pt := range []struct {
-		d      float64
-		defers bool
-	}{{40, true}, {70, false}} {
-		req := AveragesRequest(Params{Alpha: 3, SigmaDB: 8, NoiseDB: DefaultNoiseDB}, 55, pt.d, 55, 9, 1)
+		env     string
+		params  Params
+		rmax, d float64
+		defers  bool
+	}{
+		{"shannon", shadowed, 55, 40, true},
+		{"shannon", shadowed, 55, 70, false},
+		{"shannon", shadowed, 120, 20, true},
+		{"alpha=2.5", fractional, 55, 70, false},
+		{"discrete", discrete, 55, 40, true},
+	} {
+		req := AveragesRequest(pt.params, pt.rmax, pt.d, 55, 9, 1)
 		m, p, err := pointModel(req.Params, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		conc := discQuadRef(m, p.Rmax, p.D, concAt)
 		if got := m.AvgConcQuad(p.Rmax, p.D); got != conc {
-			t.Errorf("D=%v: AvgConcQuad %v, serial reference %v", pt.d, got, conc)
+			t.Errorf("%s R_max=%v D=%v: AvgConcQuad %v, nested reference %v", pt.env, pt.rmax, pt.d, got, conc)
 		}
 		mux := m.AvgMuxQuad(p.Rmax)
 		cs, deferred := conc, 0.0
@@ -164,11 +188,41 @@ func TestTwinMeansBitIdenticalAcrossWidths(t *testing.T) {
 				}
 				for j, w := range want[name] {
 					if math.Float64bits(got[j]) != math.Float64bits(w) {
-						t.Errorf("D=%v twin %s width %d component %d: %v, want %v", pt.d, name, montecarlo.Workers(), j, got[j], w)
+						t.Errorf("%s R_max=%v D=%v twin %s width %d component %d: %v, want %v",
+							pt.env, pt.rmax, pt.d, name, montecarlo.Workers(), j, got[j], w)
 					}
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkTwinMeans times each control twin's σ = 0 means, the
+// quadrature a cv pilot pays once per point, in ms per call at pool
+// width 1: averages at (R_max 20, D 20), with its ⟨C_conc⟩ and
+// upper-bound sweep, and policy-diff at (20, 80), with its ⟨C_conc⟩
+// sweep.
+func BenchmarkTwinMeans(b *testing.B) {
+	b.Cleanup(montecarlo.ResetMaxWorkers)
+	if err := montecarlo.SetMaxWorkers(1); err != nil {
+		b.Fatal(err)
+	}
+	points := map[string][2]float64{
+		KernelAverages:   {20, 20},
+		KernelSingle:     {20, 20},
+		KernelPolicyDiff: {20, 80},
+	}
+	for _, name := range montecarlo.ControlTwinNames() {
+		pt := points[name]
+		req := AveragesRequest(DefaultParams(), pt[0], pt[1], 55, 1, 1)
+		b.Run(strings.TrimPrefix(name, "core/"), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := twinMeans[name](req.Params); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e6, "ms/call")
+		})
 	}
 }
 

@@ -12,9 +12,10 @@ package core
 //     (serving and interfering power at each receiver, plus the
 //     sensing-channel shadowing), each derived from a single squared
 //     distance and one pathGainSq call;
-//   - per-point constants — pathGain(D), the threshold comparison
-//     rewritten into the shadowing domain, the devirtualized Shannon
-//     capacity — are hoisted into pointEval, outside the sample loop;
+//   - per-point constants — pathGain(D) and the threshold comparison
+//     rewritten into the shadowing domain — are hoisted into
+//     pointEval, outside the sample loop, and capacity goes through
+//     Model.thr, which calls the default Shannon formula directly;
 //   - every integrand (averages, single, fairness, bad-snr,
 //     policy-diff) is a thin projection over the same draw, and names
 //     the primitives it reads (receiver 1, receiver 2, sensing) so the
@@ -32,7 +33,6 @@ package core
 import (
 	"math"
 
-	"carriersense/internal/capacity"
 	"carriersense/internal/geometry"
 	"carriersense/internal/rng"
 )
@@ -60,9 +60,6 @@ type pointEval struct {
 	// domain: sensed = pathGain(D)·L″ > P_thresh  ⇔  L″ > senseThresh.
 	// For σ = 0 the comparison becomes a per-point constant.
 	senseThresh float64
-	// shanEff > 0 devirtualizes the (default) Shannon capacity model:
-	// thr() inlines eff·Log1p instead of an interface dispatch.
-	shanEff float64
 }
 
 func (m *Model) newPointEval(rmax, d, dThresh float64) *pointEval {
@@ -75,25 +72,7 @@ func (m *Model) newPointEval(rmax, d, dThresh float64) *pointEval {
 		gainD: m.pathGain(d),
 	}
 	pe.senseThresh = m.ThresholdPower(dThresh) / pe.gainD
-	if s, ok := m.cap.(capacity.Shannon); ok {
-		pe.shanEff = s.Efficiency
-		if pe.shanEff == 0 {
-			pe.shanEff = 1
-		}
-	}
 	return pe
-}
-
-// thr maps linear SINR to throughput, inlining the Shannon formula
-// when possible.
-func (pe *pointEval) thr(snr float64) float64 {
-	if pe.shanEff > 0 {
-		if snr <= 0 {
-			return 0
-		}
-		return pe.shanEff * math.Log1p(snr)
-	}
-	return pe.m.cap.Throughput(snr)
 }
 
 // reads is the set of primitives an integrand reads from a draw.
@@ -174,10 +153,10 @@ func (pe *pointEval) defers(e Evaluated) bool {
 // ~13 of each the unfused policy-formula tree performed.
 func (pe *pointEval) averagesSample(e Evaluated, out []float64) {
 	noise := pe.noise
-	single1 := pe.thr(e.Sig1 / noise)
-	single2 := pe.thr(e.Sig2 / noise)
-	conc1 := pe.thr(e.Sig1 / (noise + e.Int1))
-	conc2 := pe.thr(e.Sig2 / (noise + e.Int2))
+	single1 := pe.m.thr(e.Sig1 / noise)
+	single2 := pe.m.thr(e.Sig2 / noise)
+	conc1 := pe.m.thr(e.Sig1 / (noise + e.Int1))
+	conc2 := pe.m.thr(e.Sig2 / (noise + e.Int2))
 	mux1 := single1 / 2
 	mux2 := single2 / 2
 
@@ -204,16 +183,16 @@ func (pe *pointEval) averagesSample(e Evaluated, out []float64) {
 
 // singleSample is the fused no-competition integrand.
 func (pe *pointEval) singleSample(e Evaluated, out []float64) {
-	out[0] = pe.thr(e.Sig1 / pe.noise)
+	out[0] = pe.m.thr(e.Sig1 / pe.noise)
 }
 
 // fairnessSample is the fused Jain-index-plus-starvation integrand.
 func (pe *pointEval) fairnessSample(e Evaluated, out []float64) {
 	noise := pe.noise
-	single1 := pe.thr(e.Sig1 / noise)
-	single2 := pe.thr(e.Sig2 / noise)
-	conc1 := pe.thr(e.Sig1 / (noise + e.Int1))
-	conc2 := pe.thr(e.Sig2 / (noise + e.Int2))
+	single1 := pe.m.thr(e.Sig1 / noise)
+	single2 := pe.m.thr(e.Sig2 / noise)
+	conc1 := pe.m.thr(e.Sig1 / (noise + e.Int1))
+	conc2 := pe.m.thr(e.Sig2 / (noise + e.Int2))
 	deferred := pe.defers(e)
 	x1, x2 := conc1, conc2
 	if deferred {
@@ -249,8 +228,8 @@ func (pe *pointEval) badSNRSample(e Evaluated, out []float64) {
 // policyDiffSample is the fused common-random-numbers C_conc/C_mux
 // pair behind OptimalThresholdMC.
 func (pe *pointEval) policyDiffSample(e Evaluated, out []float64) {
-	out[0] = pe.thr(e.Sig1 / (pe.noise + e.Int1))
-	out[1] = pe.thr(e.Sig1/pe.noise) / 2
+	out[0] = pe.m.thr(e.Sig1 / (pe.noise + e.Int1))
+	out[1] = pe.m.thr(e.Sig1/pe.noise) / 2
 }
 
 // Batch forms: one montecarlo.BatchEvalFunc call evaluates a whole

@@ -99,6 +99,9 @@ type Model struct {
 	// default α = 3 case), letting pathGain use multiplications instead
 	// of math.Pow on the Monte Carlo hot path; 0 otherwise.
 	alphaInt int
+	// shanEff > 0 devirtualizes the (default) Shannon capacity model:
+	// thr inlines eff·Log1p instead of an interface dispatch.
+	shanEff float64
 	// ctx is the context estimations pass to the executor (see
 	// WithContext); nil until bound.
 	ctx context.Context
@@ -114,7 +117,25 @@ func New(p Params) *Model {
 	if a := int(p.Alpha); p.Alpha == float64(a) && a >= 1 && a <= 8 {
 		m.alphaInt = a
 	}
+	if s, ok := m.cap.(capacity.Shannon); ok {
+		m.shanEff = s.Efficiency
+		if m.shanEff == 0 {
+			m.shanEff = 1
+		}
+	}
 	return m
+}
+
+// thr maps linear SINR to throughput, inlining the Shannon formula
+// when possible; bit-identical to m.cap.Throughput.
+func (m *Model) thr(snr float64) float64 {
+	if m.shanEff > 0 {
+		if snr <= 0 {
+			return 0
+		}
+		return m.shanEff * math.Log1p(snr)
+	}
+	return m.cap.Throughput(snr)
 }
 
 // Params returns the model's parameters.

@@ -113,20 +113,20 @@ func Table1(ctx context.Context, p Table1Params, scale Scale) EfficiencyTable {
 // Table2 computes the second §3.2.5 table: the same grid but with the
 // threshold optimized per R_max by the §3.3.3 criterion (the
 // ⟨C_conc⟩ = ⟨C_mux⟩ crossing). Paper thresholds: 40, 55, 60; values
-// (93 91 99 / 96 87 96 / 89 83 92) percent. Each row — its threshold
-// search, then its cells — is one task of a montecarlo.Fork.
+// (93 91 99 / 96 87 96 / 89 83 92) percent. Each row is one task of a
+// montecarlo.Fork: its threshold search, then its cells as a nested
+// Fork, so that the slowest row's cells run side by side.
 func Table2(ctx context.Context, p Table1Params, scale Scale) EfficiencyTable {
 	m := core.New(core.Params{Alpha: p.Alpha, SigmaDB: p.SigmaDB, NoiseDB: core.DefaultNoiseDB})
 	n := scale.mcSamples()
 	t := newEfficiencyTable(p)
 	montecarlo.Fork(ctx, len(p.RmaxGrid), func(ctx context.Context, i int) {
-		m := m.WithContext(ctx)
 		rmax := p.RmaxGrid[i]
-		dOpt := m.OptimalThreshold(p.Seed+uint64(1000+i), n/4, rmax)
-		for j, d := range p.DGrid {
-			a := m.EstimateAverages(p.Seed+uint64(i*31+j), n, rmax, d, dOpt)
+		dOpt := m.WithContext(ctx).OptimalThreshold(p.Seed+uint64(1000+i), n/4, rmax)
+		montecarlo.Fork(ctx, len(p.DGrid), func(ctx context.Context, j int) {
+			a := m.WithContext(ctx).EstimateAverages(p.Seed+uint64(i*31+j), n, rmax, p.DGrid[j], dOpt)
 			t.Cells[i][j] = a.Efficiency()
-		}
+		})
 		t.Thresholds[i] = dOpt
 	})
 	return t

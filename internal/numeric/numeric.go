@@ -10,7 +10,6 @@ import (
 	"errors"
 	"math"
 	"sort"
-	"sync"
 )
 
 // ErrNoBracket is returned by root finders when the supplied interval
@@ -166,9 +165,11 @@ func adaptiveSimpson(f func(float64) float64, a, b, fa, fb, fc, whole, tol float
 		adaptiveSimpson(f, c, b, fc, fb, fr, right, tol/2, depth-1)
 }
 
-// gl20x and gl20w are the nodes and weights of 20-point Gauss-Legendre
-// quadrature on [-1, 1].
-var gl20x = []float64{
+// GL20Nodes and GL20Weights are the nodes and weights of 20-point
+// Gauss-Legendre quadrature on [-1, 1]. They are exported, read-only,
+// for sweeps that inline their integrand (the σ=0 disc averages of
+// core) and must reproduce GaussLegendre20Panels' sums bit for bit.
+var GL20Nodes = []float64{
 	-0.9931285991850949, -0.9639719272779138, -0.9122344282513259,
 	-0.8391169718222188, -0.7463319064601508, -0.6360536807265150,
 	-0.5108670019508271, -0.3737060887154195, -0.2277858511416451,
@@ -178,7 +179,7 @@ var gl20x = []float64{
 	0.9639719272779138, 0.9931285991850949,
 }
 
-var gl20w = []float64{
+var GL20Weights = []float64{
 	0.0176140071391521, 0.0406014298003869, 0.0626720483341091,
 	0.0832767415767048, 0.1019301198172404, 0.1181945319615184,
 	0.1316886384491766, 0.1420961093183820, 0.1491729864726037,
@@ -193,8 +194,8 @@ var gl20w = []float64{
 func GaussLegendre20(f func(float64) float64, a, b float64) float64 {
 	mid, half := (a+b)/2, (b-a)/2
 	sum := 0.0
-	for i, x := range gl20x {
-		sum += gl20w[i] * f(mid+half*x)
+	for i, x := range GL20Nodes {
+		sum += GL20Weights[i] * f(mid+half*x)
 	}
 	return sum * half
 }
@@ -213,111 +214,6 @@ func GaussLegendre20Panels(f func(float64) float64, a, b float64, n int) float64
 		sum += GaussLegendre20(f, a+float64(i)*h, a+float64(i+1)*h)
 	}
 	return sum
-}
-
-// DiscNode is one node of a disc quadrature: polar coordinates with
-// θ's sine and cosine precomputed, so an integrand that needs
-// Cartesian coordinates pays no trigonometry per node. R·Cos and
-// R·Sin are bit-identical to geometry.Polar(R, Theta).
-type DiscNode struct{ R, Theta, Sin, Cos float64 }
-
-// DiscAverage computes the area-average of f over the disc of the
-// given radius: the dim-1 case of DiscAverageVec.
-func DiscAverage(f func(n DiscNode) float64, radius float64, rPanels, thetaPanels, width int) float64 {
-	return DiscAverageVec(func(n DiscNode, out []float64) { out[0] = f(n) }, 1, radius, rPanels, thetaPanels, width)[0]
-}
-
-// DiscAverageVec computes the area-averages of the dim components f
-// writes into out, over the disc of the given radius, by nested
-// Gauss-Legendre quadrature (rPanels in r × thetaPanels in θ, each a
-// 20-point rule as in GaussLegendre20Panels; counts below 1 clamp to
-// 1). One sweep evaluates f once per node for all components, and
-// each component is bit-identical to a sweep of that component alone.
-// It backs the σ=0 disc averages behind the control-twin means and
-// the threshold solver.
-//
-// The r-panels are spread over width goroutines, so f must be safe for
-// concurrent calls. Each panel's partial sums land in their own slot
-// and the slots are added in panel order after the join: the result
-// does not depend on width.
-func DiscAverageVec(f func(n DiscNode, out []float64), dim int, radius float64, rPanels, thetaPanels, width int) []float64 {
-	rPanels, thetaPanels = max(rPanels, 1), max(thetaPanels, 1)
-	width = min(max(width, 1), rPanels)
-	nq := len(gl20x)
-
-	// The θ nodes are the same for every r: compute them, and their
-	// sines and cosines, once. The expressions are GaussLegendre20's.
-	nodes := make([]DiscNode, thetaPanels*nq)
-	halves := make([]float64, thetaPanels)
-	ht := (2 * math.Pi) / float64(thetaPanels)
-	for j := range halves {
-		a, b := float64(j)*ht, float64(j+1)*ht
-		mid, half := (a+b)/2, (b-a)/2
-		halves[j] = half
-		for k, x := range gl20x {
-			theta := mid + half*x
-			sin, cos := math.Sincos(theta)
-			nodes[j*nq+k] = DiscNode{Theta: theta, Sin: sin, Cos: cos}
-		}
-	}
-
-	hr := radius / float64(rPanels)
-	slots := make([]float64, rPanels*dim)
-	sweep := func(first int) {
-		scratch := make([]float64, 4*dim)
-		out, inner, panel, acc := scratch[:dim], scratch[dim:2*dim], scratch[2*dim:3*dim], scratch[3*dim:]
-		for i := first; i < rPanels; i += width {
-			a, b := float64(i)*hr, float64(i+1)*hr
-			mid, half := (a+b)/2, (b-a)/2
-			clear(acc)
-			for k, x := range gl20x {
-				r := mid + half*x
-				clear(inner)
-				for j, thHalf := range halves {
-					clear(panel)
-					for l, n := range nodes[j*nq : (j+1)*nq] {
-						n.R = r
-						f(n, out)
-						for c, v := range out {
-							panel[c] += gl20w[l] * v
-						}
-					}
-					for c, v := range panel {
-						inner[c] += v * thHalf
-					}
-				}
-				for c, v := range inner {
-					acc[c] += gl20w[k] * (r * v)
-				}
-			}
-			// One store per panel: neighbouring slots belong to other
-			// goroutines and may share a cache line.
-			for c, v := range acc {
-				slots[i*dim+c] = v * half
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for g := 1; g < width; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sweep(g)
-		}()
-	}
-	sweep(0)
-	wg.Wait()
-
-	// slots is panel-major, so this adds each component's panels in
-	// panel order.
-	avg := make([]float64, dim)
-	for i, v := range slots {
-		avg[i%dim] += v
-	}
-	for c := range avg {
-		avg[c] /= math.Pi * radius * radius
-	}
-	return avg
 }
 
 // NelderMead minimizes f over R^n starting from x0 with initial simplex

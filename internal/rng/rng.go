@@ -311,23 +311,34 @@ func NormalQuantile(p float64) float64 {
 	}
 	x := bsm(p)
 	// One Newton refinement: x -= (Φ(x)-p)/φ(x).
-	pdf := math.Exp(-x*x/2) / math.Sqrt(2*math.Pi)
+	pdf := math.Exp(-x*x/2) / sqrt2Pi
 	if pdf > 0 {
 		x -= (NormalCDF(x) - p) / pdf
 	}
 	return x
 }
 
-// bsm is the Beasley-Springer-Moro approximation to the standard
-// normal quantile.
-func bsm(p float64) float64 {
-	a := [4]float64{2.50662823884, -18.61500062529, 41.39119773534, -25.44106049637}
-	b := [4]float64{-8.47351093090, 23.08336743743, -21.06224101826, 3.13082909833}
-	c := [9]float64{
+// sqrt2Pi is √(2π), the normal density's normalizer.
+var sqrt2Pi = math.Sqrt(2 * math.Pi)
+
+// The Beasley-Springer-Moro coefficients: bsmA/bsmB are the central
+// rational approximation's numerator and denominator, bsmC the tail
+// polynomial in log(-log r). They live at package level so that a
+// call does not rebuild them.
+var (
+	bsmA = [4]float64{2.50662823884, -18.61500062529, 41.39119773534, -25.44106049637}
+	bsmB = [4]float64{-8.47351093090, 23.08336743743, -21.06224101826, 3.13082909833}
+	bsmC = [9]float64{
 		0.3374754822726147, 0.9761690190917186, 0.1607979714918209,
 		0.0276438810333863, 0.0038405729373609, 0.0003951896511919,
 		0.0000321767881768, 0.0000002888167364, 0.0000003960315187,
 	}
+)
+
+// bsm is the Beasley-Springer-Moro approximation to the standard
+// normal quantile.
+func bsm(p float64) float64 {
+	a, b, c := &bsmA, &bsmB, &bsmC
 	y := p - 0.5
 	if math.Abs(y) < 0.42 {
 		r := y * y
