@@ -190,7 +190,7 @@ func BenchmarkFigure9ShadowedCurves(b *testing.B) {
 func BenchmarkFigure10ShortRange(b *testing.B) {
 	p := experiments.DefaultTestbed(benchScale())
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunTestbed(p, testbed.ShortRange)
+		res := experiments.RunTestbed(context.Background(), testbed.Generate(p.Layout, p.Seed), p.Experiment, testbed.ShortRange)
 		b.ReportMetric(res.Summary.CSFrac(), "cs_frac")
 		b.ReportMetric(res.Summary.MuxFrac(), "mux_frac")
 		b.ReportMetric(res.Summary.ConcFrac(), "conc_frac")
@@ -203,7 +203,7 @@ func BenchmarkFigure10ShortRange(b *testing.B) {
 func BenchmarkFigure12LongRange(b *testing.B) {
 	p := experiments.DefaultTestbed(benchScale())
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunTestbed(p, testbed.LongRange)
+		res := experiments.RunTestbed(context.Background(), testbed.Generate(p.Layout, p.Seed), p.Experiment, testbed.LongRange)
 		b.ReportMetric(res.Summary.CSFrac(), "cs_frac")
 		b.ReportMetric(res.Summary.MuxFrac(), "mux_frac")
 		b.ReportMetric(res.Summary.ConcFrac(), "conc_frac")
@@ -230,7 +230,7 @@ func BenchmarkFigure14PropagationFit(b *testing.B) {
 func BenchmarkSection5ExposedTerminal(b *testing.B) {
 	p := experiments.DefaultTestbed(benchScale())
 	for i := 0; i < b.N; i++ {
-		res := experiments.ExposedTerminals(p)
+		res := experiments.ExposedTerminals(context.Background(), p)
 		b.ReportMetric(res.Study.AdaptationGain, "adaptation_gain_x")
 		b.ReportMetric(100*res.Study.ExposedGainBase, "exposed_base_pct")
 		b.ReportMetric(100*res.Study.CombinedGain, "exposed_on_top_pct")
@@ -323,7 +323,7 @@ func BenchmarkAblationPreambleVsEnergyCCA(b *testing.B) {
 		p.Duration = 500 * sim.Millisecond
 		p.MaxCombos = 12
 		p.EnergyOnlyCCA = !preamble
-		res := testbed.RunExperiment(tb, p, testbed.ShortRange)
+		res := testbed.RunExperiment(context.Background(), tb, p, testbed.ShortRange)
 		return res.Summarize().CSFrac()
 	}
 	for i := 0; i < b.N; i++ {
@@ -403,7 +403,7 @@ func BenchmarkPacketSimSecond(b *testing.B) {
 		p.Duration = 1 * sim.Second
 		p.MaxCombos = 1
 		p.Rates = p.Rates[:1]
-		testbed.RunExperiment(tb, p, testbed.ShortRange)
+		testbed.RunExperiment(context.Background(), tb, p, testbed.ShortRange)
 	}
 }
 
@@ -514,7 +514,7 @@ func BenchmarkExtension11g(b *testing.B) {
 	p := experiments.DefaultTestbed(benchScale())
 	p.Experiment.MaxCombos = 10
 	for i := 0; i < b.N; i++ {
-		res := experiments.Extension11g(p)
+		res := experiments.Extension11g(context.Background(), p)
 		b.ReportMetric(res.A.MeanCSDelivery(), "cs_delivery_11a")
 		b.ReportMetric(res.G.MeanCSDelivery(), "cs_delivery_11g")
 	}

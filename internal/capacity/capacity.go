@@ -285,6 +285,22 @@ func (f FadeModel) Zero() bool {
 	return f.SigmaDB <= 0 && (f.OutageProb <= 0 || f.OutageDepthDB <= 0)
 }
 
+// fadeNodes are ExpectedDeliveryRate's 33 midpoint nodes over ±4σ, in
+// σ units, and fadeWeights their Gaussian weights exp(−x²/2);
+// fadeWeightSum adds the weights in node order. A link census
+// evaluates thousands of links, so the weights are computed once.
+var fadeNodes, fadeWeights, fadeWeightSum = func() ([]float64, []float64, float64) {
+	const n = 33
+	nodes, weights := make([]float64, n), make([]float64, n)
+	sum := 0.0
+	for i := range nodes {
+		x := -4 + 8*(float64(i)+0.5)/n
+		nodes[i], weights[i] = x, math.Exp(-x*x/2)
+		sum += weights[i]
+	}
+	return nodes, weights, sum
+}()
+
 // ExpectedDeliveryRate returns the delivery rate at the given median
 // SINR averaged over the fade distribution — the long-run delivery
 // fraction a link census measures. Computed by 33-point midpoint
@@ -297,15 +313,11 @@ func (f FadeModel) ExpectedDeliveryRate(r Rate, medianSNRdB float64, frameBytes 
 		if f.SigmaDB <= 0 {
 			return DeliveryRate(r, medianSNRdB+offset, frameBytes)
 		}
-		const n = 33
-		total, wsum := 0.0, 0.0
-		for i := 0; i < n; i++ {
-			x := -4 + 8*(float64(i)+0.5)/n // in σ units
-			w := math.Exp(-x * x / 2)
-			total += w * DeliveryRate(r, medianSNRdB+offset+x*f.SigmaDB, frameBytes)
-			wsum += w
+		total := 0.0
+		for i, x := range fadeNodes {
+			total += fadeWeights[i] * DeliveryRate(r, medianSNRdB+offset+x*f.SigmaDB, frameBytes)
 		}
-		return total / wsum
+		return total / fadeWeightSum
 	}
 	p := f.OutageProb
 	if p < 0 {

@@ -216,8 +216,8 @@ func TestSection34Numbers(t *testing.T) {
 
 func TestTestbedExperimentShape(t *testing.T) {
 	p := DefaultTestbed(ScaleBench)
-	short := RunTestbed(p, testbed.ShortRange)
-	long := RunTestbed(p, testbed.LongRange)
+	both := RunTestbedClasses(context.Background(), p, []testbed.RangeClass{testbed.ShortRange, testbed.LongRange})
+	short, long := both[0], both[1]
 	// The load-bearing qualitative claims of §4: carrier sense is the
 	// best single strategy in both regimes and close to optimal.
 	if short.Summary.CSFrac() < 0.75 {
@@ -251,7 +251,7 @@ func TestTestbedExperimentShape(t *testing.T) {
 
 func TestExposedTerminalStudyShape(t *testing.T) {
 	p := DefaultTestbed(ScaleBench)
-	res := ExposedTerminals(p)
+	res := ExposedTerminals(context.Background(), p)
 	// §5: adaptation is the big win; exposed-terminal exploitation on
 	// top of adaptation is small.
 	if res.Study.AdaptationGain < 1.5 {
@@ -322,7 +322,7 @@ func TestScaleSamples(t *testing.T) {
 func TestExtension11g(t *testing.T) {
 	p := DefaultTestbed(ScaleSmoke)
 	p.Experiment.MaxCombos = 5
-	res := Extension11g(p)
+	res := Extension11g(context.Background(), p)
 	if len(res.A.Result.Combos) == 0 || len(res.G.Result.Combos) == 0 {
 		t.Fatal("empty deep-long-range experiments")
 	}
@@ -334,7 +334,7 @@ func TestExtension11g(t *testing.T) {
 	}
 	// Deep long range is a starved regime: absolute throughput far
 	// below the short-range experiment's.
-	short := RunTestbed(p, testbed.ShortRange)
+	short := RunTestbed(context.Background(), testbed.Generate(p.Layout, p.Seed), p.Experiment, testbed.ShortRange)
 	if res.A.Summary.Optimal > short.Summary.Optimal/2 {
 		t.Errorf("deep-long-range optimal %v not far below short-range %v",
 			res.A.Summary.Optimal, short.Summary.Optimal)

@@ -5,13 +5,16 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
+	"carriersense/internal/dist"
 	"carriersense/internal/engine"
+	"carriersense/internal/montecarlo"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden from this tree")
@@ -27,17 +30,25 @@ type goldenLeg struct {
 	scenarios []string // nil: every scenario `cs all` runs
 	opts      engine.Options
 	widths    []int // pool widths that must all reproduce the set; 0 is GOMAXPROCS
+	// fleet runs the leg over two in-process dist workers and compares
+	// it with the set of the leg named same, which -update writes.
+	fleet bool
+	same  string
 }
 
-// goldenLegs mirror `cs all -scale smoke -seed 1`, `cs run tables
-// -scale smoke -sampler auto -relerr 0.01` and `cs run curves -scale
-// smoke -sampler cv -relerr 0.01`.
+// goldenLegs mirror `cs all -scale smoke -seed 1` (locally and on a
+// two-worker fleet), `cs run tables -scale smoke -sampler auto -relerr
+// 0.01`, `cs run curves -scale smoke -sampler cv -relerr 0.01` and
+// `cs run testbed|exposed -scale smoke -sampler auto -relerr 0.01`.
 var goldenLegs = []goldenLeg{
 	{name: "all", widths: []int{1, 0}},
+	{name: "all-fleet", same: "all", fleet: true, widths: []int{0}},
 	{name: "tables-auto", scenarios: []string{"tables"},
 		opts: engine.Options{Sampler: "auto", RelErr: 0.01}, widths: []int{0}},
 	{name: "curves-cv", scenarios: []string{"curves"},
 		opts: engine.Options{Sampler: "cv", RelErr: 0.01}, widths: []int{0}},
+	{name: "testbed-relerr", scenarios: []string{"testbed", "exposed"},
+		opts: engine.Options{Sampler: "auto", RelErr: 0.01}, widths: []int{1, 0}},
 }
 
 // isGoldenArtifact reports whether a run-directory file is part of the
@@ -69,16 +80,23 @@ func TestGoldenArtifacts(t *testing.T) {
 				}
 			}
 		}
+		set := leg.name
+		if leg.same != "" {
+			set = leg.same
+		}
 		for _, width := range leg.widths {
-			if *update && width != leg.widths[0] {
+			if *update && (width != leg.widths[0] || leg.same != "") {
 				continue
 			}
 			t.Run(fmt.Sprintf("%s/parallel=%d", leg.name, width), func(t *testing.T) {
+				opts := leg.opts
+				opts.Seed, opts.Scale, opts.Parallel = "1", "smoke", width
+				if leg.fleet {
+					opts.Executor = testFleet(t)
+				}
 				for _, name := range scenarios {
-					opts := leg.opts
-					opts.Seed, opts.Scale, opts.Parallel = "1", "smoke", width
 					got := runArtifacts(t, name, opts)
-					dir := filepath.Join("testdata", "golden", leg.name, name)
+					dir := filepath.Join("testdata", "golden", set, name)
 					if *update {
 						writeGolden(t, dir, got)
 						continue
@@ -88,6 +106,24 @@ func TestGoldenArtifacts(t *testing.T) {
 			})
 		}
 	}
+}
+
+// testFleet starts two dist workers on local test servers and returns
+// a remote executor over them, closed with the test.
+func testFleet(t *testing.T) montecarlo.Executor {
+	t.Helper()
+	hosts := make([]string, 2)
+	for i := range hosts {
+		srv := httptest.NewServer(dist.NewServer())
+		t.Cleanup(srv.Close)
+		hosts[i] = strings.TrimPrefix(srv.URL, "http://")
+	}
+	remote, err := dist.NewRemote(hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(remote.Close)
+	return remote
 }
 
 // runArtifacts runs one scenario into a fresh directory and returns
@@ -183,5 +219,36 @@ func firstDiff(a, b []byte) (int, string, string) {
 		if x != y || i >= len(la) || i >= len(lb) {
 			return i + 1, x, y
 		}
+	}
+}
+
+// TestMaxSamplesLeavesExactCombosAlone runs exposed under -relerr with
+// and without a -max-samples cap. A testbed combo is an exact kernel:
+// more samples would replay the same simulation, so the cap must not
+// grow it. Every sampling.csv row keeps budget and spend 1, and the
+// artifacts equal the uncapped run's.
+func TestMaxSamplesLeavesExactCombosAlone(t *testing.T) {
+	opts := engine.Options{Seed: "1", Scale: "smoke", Sampler: "auto", RelErr: 0.01}
+	want := runArtifacts(t, "exposed", opts)
+	opts.MaxSamples = 8192
+	got := runArtifacts(t, "exposed", opts)
+	rows := strings.Split(strings.TrimSpace(string(got["sampling.csv"])), "\n")
+	if len(rows) < 2 {
+		t.Fatalf("sampling.csv has no combo rows:\n%s", got["sampling.csv"])
+	}
+	for _, row := range rows[1:] {
+		f := strings.Split(row, ",")
+		if f[0] != "testbed/combo" || f[3] != "1" || f[4] != "1" {
+			t.Errorf("combo row %q: want kernel testbed/combo, budget 1, spent 1", row)
+		}
+	}
+	for name, b := range want {
+		if !bytes.Equal(got[name], b) {
+			line, gotLine, wantLine := firstDiff(got[name], b)
+			t.Errorf("%s differs under -max-samples at line %d:\n got  %q\n want %q", name, line, gotLine, wantLine)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("-max-samples wrote %d artifacts, want %d", len(got), len(want))
 	}
 }

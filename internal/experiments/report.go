@@ -81,14 +81,15 @@ func Report(ctx context.Context, w io.Writer, scale Scale) {
 
 	fmt.Fprintln(w, "--- F10-F13: testbed experiments (packet simulator) ---")
 	tp := DefaultTestbed(scale)
-	short := RunTestbed(tp, testbed.ShortRange)
+	classes := RunTestbedClasses(ctx, tp, []testbed.RangeClass{testbed.ShortRange, testbed.LongRange})
+	short := classes[0]
 	cchart := short.CompetitiveChart()
 	cchart.Render(w, 72, 18)
 	rchart := short.RSSIChart()
 	rchart.Render(w, 72, 18)
 	short.RenderSummary(w)
 	fmt.Fprintln(w)
-	long := RunTestbed(tp, testbed.LongRange)
+	long := classes[1]
 	cchart = long.CompetitiveChart()
 	cchart.Render(w, 72, 18)
 	rchart = long.RSSIChart()
@@ -97,11 +98,11 @@ func Report(ctx context.Context, w io.Writer, scale Scale) {
 	fmt.Fprintln(w)
 
 	fmt.Fprintln(w, "--- S5a: exposed terminals vs bitrate adaptation ---")
-	ExposedTerminals(tp).Render(w)
+	ExposedTerminals(ctx, tp).Render(w)
 	fmt.Fprintln(w)
 
 	fmt.Fprintln(w, "--- X11g: deep long range with 11g rates (extension) ---")
-	Extension11g(tp).Render(w)
+	Extension11g(ctx, tp).Render(w)
 	fmt.Fprintln(w)
 
 	fmt.Fprintln(w, "--- Xn: n > 2 senders (extension) ---")

@@ -204,8 +204,8 @@ func init() {
 				return err
 			}
 			tp := testbedParamsAt(scale(rc), p.Seconds, p.Combos, p.Seed)
-			for _, class := range classes {
-				res := RunTestbed(tp, class)
+			for _, res := range RunTestbedClasses(rc.Context, tp, classes) {
+				class := res.Class
 				rc.Chart(fmt.Sprintf("%s-competitive", class), res.CompetitiveChart(), 90, 24)
 				rc.Printf("\n")
 				rc.Chart(fmt.Sprintf("%s-rssi", class), res.RSSIChart(), 90, 24)
@@ -229,7 +229,7 @@ func init() {
 		},
 		Run: func(rc *engine.RunContext) error {
 			p := *rc.Params.(*TestbedRunParams)
-			res := ExposedTerminals(testbedParamsAt(scale(rc), p.Seconds, p.Combos, p.Seed))
+			res := ExposedTerminals(rc.Context, testbedParamsAt(scale(rc), p.Seconds, p.Combos, p.Seed))
 			res.Render(rc.Out())
 			rc.Metric("adaptation_gain", res.Study.AdaptationGain)
 			rc.Metric("exposed_gain_base", res.Study.ExposedGainBase)
@@ -247,7 +247,7 @@ func init() {
 		},
 		Run: func(rc *engine.RunContext) error {
 			p := *rc.Params.(*TestbedRunParams)
-			res := Extension11g(testbedParamsAt(scale(rc), p.Seconds, p.Combos, p.Seed))
+			res := Extension11g(rc.Context, testbedParamsAt(scale(rc), p.Seconds, p.Combos, p.Seed))
 			res.Render(rc.Out())
 			rc.Metric("delivery_11a", res.A.MeanCSDelivery())
 			rc.Metric("delivery_11g", res.G.MeanCSDelivery())

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
 
 	"carriersense/internal/capacity"
+	"carriersense/internal/montecarlo"
 	"carriersense/internal/plot"
 	"carriersense/internal/sim"
 	"carriersense/internal/testbed"
@@ -48,12 +50,24 @@ type TestbedResult struct {
 	Summary testbed.Summary
 }
 
-// RunTestbed runs the §4 protocol for one range class on a fresh
-// building realization.
-func RunTestbed(p TestbedParams, class testbed.RangeClass) TestbedResult {
-	tb := testbed.Generate(p.Layout, p.Seed)
-	res := testbed.RunExperiment(tb, p.Experiment, class)
+// RunTestbed runs the §4 protocol for one range class on the building
+// tb under the experiment knobs p.
+func RunTestbed(ctx context.Context, tb *testbed.Testbed, p testbed.ExperimentParams, class testbed.RangeClass) TestbedResult {
+	res := testbed.RunExperiment(ctx, tb, p, class)
 	return TestbedResult{Class: class, Result: res, Summary: res.Summarize()}
+}
+
+// RunTestbedClasses runs the §4 protocol for each range class on one
+// fresh building, which they share with its link census. The classes
+// are the tasks of a montecarlo.Fork, so their combos share the pool;
+// the results are in class order.
+func RunTestbedClasses(ctx context.Context, p TestbedParams, classes []testbed.RangeClass) []TestbedResult {
+	tb := testbed.Generate(p.Layout, p.Seed)
+	out := make([]TestbedResult, len(classes))
+	montecarlo.Fork(ctx, len(classes), func(ctx context.Context, i int) {
+		out[i] = RunTestbed(ctx, tb, p.Experiment, classes[i])
+	})
+	return out
 }
 
 // CompetitiveChart renders the Figure 10/12 competitive comparison:
@@ -142,9 +156,8 @@ type ExposedResult struct {
 
 // ExposedTerminals runs the §5 comparison on the short-range set:
 // bitrate adaptation versus exposed-terminal exploitation.
-func ExposedTerminals(p TestbedParams) ExposedResult {
-	tb := testbed.Generate(p.Layout, p.Seed)
-	res := testbed.RunExperiment(tb, p.Experiment, testbed.ShortRange)
+func ExposedTerminals(ctx context.Context, p TestbedParams) ExposedResult {
+	res := testbed.RunExperiment(ctx, testbed.Generate(p.Layout, p.Seed), p.Experiment, testbed.ShortRange)
 	return ExposedResult{Study: testbed.StudyExposedTerminals(res)}
 }
 
@@ -169,16 +182,19 @@ type Extension11gResult struct {
 	G *TestbedResult // 11g-style rates (1, 2, 5.5, 11 + 6-24 Mb/s)
 }
 
-// Extension11g runs the deep-long-range comparison.
-func Extension11g(p TestbedParams) Extension11gResult {
-	pa := p
-	pa.Experiment.Rates = capacity.TablePaperDriver
-	a := RunTestbed(pa, testbed.DeepLongRange)
-	pg := p
-	pg.Experiment.Rates = append(append(capacity.RateTable{}, capacity.Table80211b...),
-		capacity.TablePaperDriver...)
-	g := RunTestbed(pg, testbed.DeepLongRange)
-	return Extension11gResult{A: &a, G: &g}
+// Extension11g runs the deep-long-range comparison: the two rate sets
+// on one building, as the tasks of a montecarlo.Fork.
+func Extension11g(ctx context.Context, p TestbedParams) Extension11gResult {
+	tb := testbed.Generate(p.Layout, p.Seed)
+	a, g := p.Experiment, p.Experiment
+	a.Rates = capacity.TablePaperDriver
+	g.Rates = append(append(capacity.RateTable{}, capacity.Table80211b...), capacity.TablePaperDriver...)
+	sets := []testbed.ExperimentParams{a, g}
+	res := make([]TestbedResult, len(sets))
+	montecarlo.Fork(ctx, len(sets), func(ctx context.Context, i int) {
+		res[i] = RunTestbed(ctx, tb, sets[i], testbed.DeepLongRange)
+	})
+	return Extension11gResult{A: &res[0], G: &res[1]}
 }
 
 // MeanCSDelivery averages the per-combo CS delivery ratios.

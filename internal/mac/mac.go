@@ -221,7 +221,6 @@ func NewStation(s *sim.Simulator, radio *phy.Radio, cfg Config, src *rng.Source,
 	st.ctsTimeoutFn = st.ctsTimeout
 	st.transmitDataFn = st.transmitData
 	st.navWakeFn = st.navWake
-	radio.OnCCA = st.onCCA
 	radio.OnTxDone = st.onTxDone
 	radio.OnRx = st.onRx
 	return st
@@ -234,6 +233,10 @@ func (st *Station) Radio() *phy.Radio { return st.radio }
 // data frames to dst (phy.Broadcast for the paper's methodology),
 // beginning at the current simulation time.
 func (st *Station) StartSaturated(dst phy.NodeID, frameBytes int) {
+	// Only a station with traffic contends, so only it listens to CCA
+	// transitions; a passive receiver's radio leaves the medium's CCA
+	// refresh alone.
+	st.radio.ListenCCA(st.onCCA)
 	st.backlogged = true
 	st.dst = dst
 	st.frameBytes = frameBytes

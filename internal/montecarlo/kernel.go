@@ -65,6 +65,7 @@ func BatchLoop(dim int, sample EvalFunc) BatchEvalFunc {
 type registration struct {
 	factory KernelFactory
 	dim     int
+	exact   bool
 }
 
 var (
@@ -78,7 +79,20 @@ var (
 // names and a dim below 1 panic so a broken catalog fails loudly at
 // startup.
 func RegisterKernel(name string, dim int, factory KernelFactory) {
-	if name == "" || factory == nil || dim < 1 {
+	register(name, registration{factory: factory, dim: dim})
+}
+
+// RegisterExactKernel registers a kernel whose every sample is the
+// same deterministic replay (a packet simulation seeded from its
+// parameters, not from the shard stream). A request for such a kernel
+// is exact at its own sample count, so a layer that would grow the
+// budget (the convergence driver) evaluates it as asked.
+func RegisterExactKernel(name string, dim int, factory KernelFactory) {
+	register(name, registration{factory: factory, dim: dim, exact: true})
+}
+
+func register(name string, reg registration) {
+	if name == "" || reg.factory == nil || reg.dim < 1 {
 		panic("montecarlo: invalid kernel registration")
 	}
 	kernelMu.Lock()
@@ -86,7 +100,15 @@ func RegisterKernel(name string, dim int, factory KernelFactory) {
 	if _, dup := kernels[name]; dup {
 		panic(fmt.Sprintf("montecarlo: duplicate kernel %q", name))
 	}
-	kernels[name] = registration{factory: factory, dim: dim}
+	kernels[name] = reg
+}
+
+// ExactKernel reports whether name was registered with
+// RegisterExactKernel.
+func ExactKernel(name string) bool {
+	kernelMu.RLock()
+	defer kernelMu.RUnlock()
+	return kernels[name].exact
 }
 
 // KernelNames returns every registered kernel name, sorted.

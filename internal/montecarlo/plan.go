@@ -140,7 +140,7 @@ func Leads(ctx context.Context) (leads bool, changed <-chan struct{}) {
 // own, started in index order; at a pool width of 1 (Workers() == 1)
 // the tasks run inline in index order, which is the sequential
 // program's schedule. Task i's context derives from ctx, so canceling
-// ctx reaches every task.
+// ctx reaches every task. Fork is ForkCapped without a cap.
 //
 // fn must write its results to state owned by index i. A panic in a
 // task cancels the tasks still running, skips those not yet started,
@@ -151,6 +151,16 @@ func Leads(ctx context.Context) (leads bool, changed <-chan struct{}) {
 // tasks it keeps from starting, so Fork never returns normally with a
 // task left undone.
 func Fork(ctx context.Context, n int, fn func(ctx context.Context, i int)) {
+	ForkCapped(ctx, n, 0, fn)
+}
+
+// ForkCapped is Fork with at most width tasks running at once (width
+// <= 0 is no cap). A freed slot goes to the lowest unstarted index, so
+// tasks still start in index order, and positions, failures and
+// cancellation behave as in Fork. A fork of many expensive tasks caps
+// itself at Workers(), so that no more of them are alive at once than
+// the pool can run.
+func ForkCapped(ctx context.Context, n, width int, fn func(ctx context.Context, i int)) {
 	if n <= 0 {
 		return
 	}
@@ -213,11 +223,19 @@ func Fork(ctx context.Context, n int, fn func(ctx context.Context, i int)) {
 		fn(context.WithValue(fctx, taskKey{}, k), i)
 	}
 	if concurrent {
+		if width <= 0 || width > n {
+			width = n
+		}
+		slots := make(chan struct{}, width)
 		var wg sync.WaitGroup
 		for i := range n {
+			slots <- struct{}{}
 			wg.Add(1)
 			go func() {
-				defer wg.Done()
+				defer func() {
+					<-slots
+					wg.Done()
+				}()
 				run(i)
 			}()
 		}

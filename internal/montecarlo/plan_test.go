@@ -246,3 +246,116 @@ func TestLanePoolHandsOutLowestFree(t *testing.T) {
 		t.Errorf("after releasing 11 got %d, want 11", got)
 	}
 }
+
+// TestForkWidthCap pins ForkCapped's schedule: no more than the cap run
+// at once, a freed slot goes to the lowest unstarted index, the
+// positions are the uncapped Fork's, and a failure or a canceled
+// context is handled as Fork handles it.
+func TestForkWidthCap(t *testing.T) {
+	withWorkers(t, 4)
+	t.Run("schedule", func(t *testing.T) {
+		const n, width = 6, 2
+		started := make(chan int, n)
+		release := make([]chan struct{}, n)
+		for i := range release {
+			release[i] = make(chan struct{})
+		}
+		var mu sync.Mutex
+		running, peak := 0, 0
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			ForkCapped(context.Background(), n, width, func(ctx context.Context, i int) {
+				mu.Lock()
+				if running++; running > peak {
+					peak = running
+				}
+				mu.Unlock()
+				started <- i
+				<-release[i]
+				mu.Lock()
+				running--
+				mu.Unlock()
+			})
+		}()
+		first := map[int]bool{<-started: true, <-started: true}
+		if !first[0] || !first[1] {
+			t.Fatalf("first tasks started %v, want 0 and 1", first)
+		}
+		// Each release frees one slot, which the next index takes.
+		for k, free := range []int{1, 0, 3, 2} {
+			close(release[free])
+			if got := <-started; got != k+2 {
+				t.Fatalf("after releasing task %d, task %d started; want %d", free, got, k+2)
+			}
+		}
+		close(release[4])
+		close(release[5])
+		<-done
+		if peak > width {
+			t.Errorf("%d tasks ran at once, cap %d", peak, width)
+		}
+	})
+	t.Run("positions", func(t *testing.T) {
+		positions := func(width int) []string {
+			var mu sync.Mutex
+			var got []string
+			ctx := WithPlan(context.Background())
+			Point(ctx)
+			ForkCapped(ctx, 5, width, func(ctx context.Context, i int) {
+				for range 2 {
+					pos := PositionOf(Point(ctx))
+					mu.Lock()
+					got = append(got, fmt.Sprint(pos))
+					mu.Unlock()
+				}
+			})
+			sort.Strings(got)
+			return got
+		}
+		want := positions(0)
+		for _, width := range []int{1, 2, 5, 9} {
+			if got := positions(width); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("width %d positions %v, want the uncapped %v", width, got, want)
+			}
+		}
+	})
+	t.Run("failure", func(t *testing.T) {
+		var mu sync.Mutex
+		var ran []int
+		zero := make(chan struct{}) // task 0 is running before task 1 fails
+		got := catchExecError(func() {
+			ForkCapped(context.Background(), 6, 2, func(ctx context.Context, i int) {
+				mu.Lock()
+				ran = append(ran, i)
+				mu.Unlock()
+				switch i {
+				case 0:
+					close(zero)
+					<-ctx.Done()
+				case 1:
+					<-zero
+					panic(&ExecError{Kernel: "k1", Err: errors.New("task 1 failed")})
+				}
+			})
+		})
+		if got == nil || got.Kernel != "k1" {
+			t.Fatalf("raised %v, want task 1's failure", got)
+		}
+		sort.Ints(ran)
+		if fmt.Sprint(ran) != "[0 1]" {
+			t.Errorf("ran tasks %v, want [0 1]: tasks waiting for a slot must not start after a failure", ran)
+		}
+	})
+	t.Run("canceled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		ran := false
+		got := catchExecError(func() {
+			ForkCapped(ctx, 4, 2, func(context.Context, int) { ran = true })
+		})
+		if ran || got == nil || !errors.Is(got, context.Canceled) {
+			t.Errorf("ran=%v raised %v; want no task run and a cancellation error", ran, got)
+		}
+	})
+}

@@ -264,10 +264,11 @@ type Radio struct {
 	rx           *reception
 	rxData       reception // storage rx points into while locked
 	ccaBusy      bool
-
-	// OnCCA, when non-nil, is called on every CCA busy/idle
-	// transition. The MAC uses it to freeze and resume backoff.
-	OnCCA func(busy bool)
+	// onCCA is the ListenCCA listener. sensed marks a radio whose
+	// ccaBusy is kept current even without one: it has transmitted,
+	// or it joined while frames were on the air (see refreshCCA).
+	onCCA  func(busy bool)
+	sensed bool
 	// OnRx, when non-nil, is called when a locked reception completes
 	// (successfully or not).
 	OnRx func(RxResult)
@@ -278,6 +279,24 @@ type Radio struct {
 
 // ID returns the radio's node ID.
 func (r *Radio) ID() NodeID { return r.id }
+
+// ListenCCA installs fn (nil removes it) to be called on every CCA
+// busy/idle transition from now on. The MAC listens to freeze and
+// resume backoff. Call it between medium events, not from a radio
+// callback.
+func (r *Radio) ListenCCA(fn func(busy bool)) {
+	r.catchUpCCA()
+	r.onCCA = fn
+}
+
+// catchUpCCA brings ccaBusy up to date on a radio refreshCCA skips.
+// Such a radio has every active frame's fading drawn already, so this
+// draws nothing.
+func (r *Radio) catchUpCCA() {
+	if r.onCCA == nil && !r.sensed {
+		r.ccaBusy = r.medium.CCABusy(r)
+	}
+}
 
 // SetCCAOffsetDB shifts this radio's CCA threshold relative to the
 // medium default (positive = less sensitive, defers less).
@@ -384,6 +403,9 @@ func (m *Medium) AddRadio(id NodeID, txPowerDBm float64) *Radio {
 		txPowerMw:   DBToLin(txPowerDBm),
 		noiseMw:     DBToLin(m.cfg.NoiseFloorDBm),
 		ccaThreshMw: DBToLin(m.cfg.CCAThresholdDBm),
+		// The frames on the air now never offered themselves to this
+		// radio, so its CCA would draw their fading: keep it current.
+		sensed: len(m.active) > 0,
 	}
 	m.radios[id] = r
 	m.ordered = append(m.ordered, r)
@@ -514,6 +536,11 @@ func (r *Radio) Transmit(frame Frame) sim.Time {
 	if r.transmitting != nil {
 		panic(fmt.Sprintf("phy: radio %d already transmitting", r.id))
 	}
+	// Frames that go live while this one is on the air skip this radio
+	// in tryLock, so from now on its CCA may draw fading and must be
+	// kept current in refreshCCA's order.
+	r.catchUpCCA()
+	r.sensed = true
 	frame.Src = r.id
 	m.seq++
 	frame.Seq = m.seq
@@ -654,14 +681,21 @@ func (m *Medium) finishReception(r *Radio) {
 	}
 }
 
-// refreshCCA recomputes CCA for all radios and fires transitions.
+// refreshCCA recomputes CCA for all radios and fires transitions. It
+// skips a radio with no listener that has never transmitted and
+// joined an idle medium: tryLock or onAirChange has drawn every active
+// frame's fading at it, so its assessment would draw nothing and tell
+// nobody. catchUpCCA updates it when that changes.
 func (m *Medium) refreshCCA() {
 	for _, r := range m.ordered {
+		if r.onCCA == nil && !r.sensed {
+			continue
+		}
 		busy := m.CCABusy(r)
 		if busy != r.ccaBusy {
 			r.ccaBusy = busy
-			if r.OnCCA != nil {
-				r.OnCCA(busy)
+			if r.onCCA != nil {
+				r.onCCA(busy)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -222,7 +223,7 @@ func TestCCAEnergyDetection(t *testing.T) {
 		t.Error("CCA busy on idle medium")
 	}
 	transitions := []bool{}
-	r[2].OnCCA = func(b bool) { transitions = append(transitions, b) }
+	r[2].ListenCCA(func(b bool) { transitions = append(transitions, b) })
 	s.At(0, func() {
 		r[0].Transmit(Frame{Dst: Broadcast, Bytes: 1400, Rate: rate6})
 	})
@@ -238,6 +239,32 @@ func TestCCAEnergyDetection(t *testing.T) {
 	}
 	if len(transitions) != 2 || !transitions[0] || transitions[1] {
 		t.Errorf("transitions = %v, want [busy, idle]", transitions)
+	}
+}
+
+// TestListenCCAAfterFirstTransmit installs a listener on a radio in
+// the turnaround of its first frame, while another frame keeps the
+// medium busy. The medium skipped the radio's CCA until then (no
+// listener, never transmitted), so Transmit must bring it up to date:
+// the listener sees what one installed from the start would see.
+func TestListenCCAAfterFirstTransmit(t *testing.T) {
+	run := func(listenFromStart bool) []bool {
+		s, _, r := collisionHarness(-80, -80, -75, quiet())
+		if listenFromStart {
+			r[2].ListenCCA(func(bool) {})
+		}
+		var seen []bool
+		s.At(0, func() { r[0].Transmit(Frame{Dst: Broadcast, Bytes: 1400, Rate: rate6}) })
+		s.At(50*sim.Microsecond, func() {
+			r[2].Transmit(Frame{Dst: Broadcast, Bytes: 100, Rate: rate6})
+			r[2].ListenCCA(func(b bool) { seen = append(seen, b) })
+		})
+		s.RunAll()
+		return seen
+	}
+	got, want := run(false), run(true)
+	if len(want) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("transitions %v, want %v as with a listener from the start", got, want)
 	}
 }
 

@@ -44,7 +44,9 @@ type DriverOptions struct {
 	RelErr float64
 	// MaxSamples caps the per-point budget; 0 uses each request's own
 	// Samples field as the cap (the scenario's configured budget), so
-	// convergence can only save samples, never exceed the plan.
+	// convergence can only save samples, never exceed the plan. An
+	// exact kernel (montecarlo.RegisterExactKernel) is always capped at
+	// its own Samples: more samples would replay the same value.
 	MaxSamples int
 }
 
@@ -142,7 +144,7 @@ func (d *Driver) EstimateVec(ctx context.Context, req montecarlo.Request) ([]mon
 		return d.inner.EstimateVec(ctx, req)
 	}
 	cap := d.opt.MaxSamples
-	if cap <= 0 {
+	if cap <= 0 || montecarlo.ExactKernel(req.Kernel) {
 		cap = req.Samples
 	}
 	n := montecarlo.ShardSize

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -180,10 +181,11 @@ func (r ExperimentResult) Summarize() Summary {
 // Combo selection and seeding are planned up front (cheap and
 // sequential); the replications themselves — the expensive part — are
 // issued as testbed/combo sim-kernel requests through the installed
-// montecarlo executor and run in parallel, distributed, or from cache
-// (see kernel.go). Results are assembled in combo order, so the
-// experiment is bit-identical at any parallelism on any executor.
-func RunExperiment(tb *Testbed, p ExperimentParams, class RangeClass) ExperimentResult {
+// montecarlo executor, as forked tasks of ctx's plan, and run in
+// parallel, distributed, or from cache (see kernel.go). Results are
+// assembled in combo order, so the experiment is bit-identical at any
+// parallelism on any executor.
+func RunExperiment(ctx context.Context, tb *Testbed, p ExperimentParams, class RangeClass) ExperimentResult {
 	src := rng.New(p.Seed)
 	links := tb.QualifyingLinks(class)
 	src.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
@@ -192,7 +194,7 @@ func RunExperiment(tb *Testbed, p ExperimentParams, class RangeClass) Experiment
 	for i := range seeds {
 		seeds[i] = src.Uint64()
 	}
-	return ExperimentResult{Class: class, Combos: runCombos(tb, p, combos, seeds)}
+	return ExperimentResult{Class: class, Combos: runCombos(ctx, tb, p, combos, seeds)}
 }
 
 // selectCombos greedily pairs up links into node-disjoint two-pair

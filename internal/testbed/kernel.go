@@ -10,9 +10,13 @@ package testbed
 // replays the combo. Replications are deterministic (one "sample",
 // zero variance), so:
 //
-//   - locally, RunExperiment fans combos out over a Workers()-bounded
-//     pool and assembles results in combo order — bit-identical at any
-//     `-parallel` width;
+//   - RunExperiment submits its combos as the tasks of one
+//     montecarlo.ForkCapped, so each is an estimation point with a
+//     plan position, and assembles results in combo order —
+//     bit-identical at any `-parallel` width;
+//   - under `cs run -relerr`, the convergence driver runs each combo
+//     at its own one-sample budget whatever -max-samples says (the
+//     kernel is registered as exact);
 //   - under `cs run -workers`, combos travel to the fleet like any
 //     other shard job;
 //   - under `cs run -cache`, each replication is one cache entry keyed
@@ -29,7 +33,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"carriersense/internal/capacity"
 	"carriersense/internal/montecarlo"
@@ -89,7 +92,7 @@ func (w comboWire) experimentParams() ExperimentParams {
 }
 
 func init() {
-	montecarlo.RegisterKernel(KernelCombo, nComboIdx, func(raw json.RawMessage) (montecarlo.BatchEvalFunc, error) {
+	montecarlo.RegisterExactKernel(KernelCombo, nComboIdx, func(raw json.RawMessage) (montecarlo.BatchEvalFunc, error) {
 		var w comboWire
 		if err := json.Unmarshal(raw, &w); err != nil {
 			return nil, err
@@ -228,58 +231,28 @@ func comboFromAccs(l1, l2 Link, accs []montecarlo.Accumulator) ComboResult {
 	}
 }
 
-// runCombos measures every combo through the installed executor with a
-// Workers()-bounded local fan-out. Results are assembled in combo
-// order, so the outcome is bit-identical at any pool width, on any
-// executor honoring the accumulator contract.
-func runCombos(tb *Testbed, p ExperimentParams, combos [][2]Link, seeds []uint64) []ComboResult {
+// runCombos measures every combo through the installed executor, one
+// task of a montecarlo.ForkCapped per combo, capped at Workers() so
+// that no more simulations are alive at once than the pool runs. Each
+// combo's request carries its task's plan position, so layers that
+// record per-point ledgers (sampling.csv) see combo order. Results are
+// assembled in combo order, so the outcome is bit-identical at any
+// pool width, on any executor honoring the accumulator contract. A
+// failed combo panics with a *montecarlo.ExecError.
+func runCombos(ctx context.Context, tb *Testbed, p ExperimentParams, combos [][2]Link, seeds []uint64) []ComboResult {
 	out := make([]ComboResult, len(combos))
 	memoPut(tb) // in-process kernel evaluations reuse this realization
 	exec := montecarlo.CurrentExecutor()
-	reqs := make([]montecarlo.Request, len(combos))
-	for i, c := range combos {
-		reqs[i] = comboRequest(tb, p, c[0], c[1], seeds[i])
-	}
-	errs := make([]error, len(combos))
-	workers := montecarlo.Workers()
-	if workers > len(combos) {
-		workers = len(combos)
-	}
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(combos) {
-				return
-			}
-			accs, err := exec.EstimateVec(context.Background(), reqs[i])
-			if err == nil && len(accs) != nComboIdx {
-				err = fmt.Errorf("executor returned %d components, want %d", len(accs), nComboIdx)
-			}
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			out[i] = comboFromAccs(combos[i][0], combos[i][1], accs)
+	montecarlo.ForkCapped(ctx, len(combos), montecarlo.Workers(), func(ctx context.Context, i int) {
+		c := combos[i]
+		accs, err := exec.EstimateVec(ctx, comboRequest(tb, p, c[0], c[1], seeds[i]))
+		if err == nil && len(accs) != nComboIdx {
+			err = fmt.Errorf("executor returned %d components, want %d", len(accs), nComboIdx)
 		}
-	}
-	if workers <= 1 {
-		work()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
 		if err != nil {
 			panic(&montecarlo.ExecError{Kernel: KernelCombo, Err: err})
 		}
-	}
+		out[i] = comboFromAccs(c[0], c[1], accs)
+	})
 	return out
 }

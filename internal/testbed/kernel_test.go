@@ -7,6 +7,7 @@ package testbed
 // extended to packet-level replications.
 
 import (
+	"context"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -48,7 +49,7 @@ func TestExperimentSerialVsParallelBitIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer montecarlo.ResetMaxWorkers()
-		return RunExperiment(tb, p, ShortRange)
+		return RunExperiment(context.Background(), tb, p, ShortRange)
 	}
 	serial := run(1)
 	if len(serial.Combos) == 0 {
@@ -67,7 +68,7 @@ func TestExperimentSerialVsParallelBitIdentity(t *testing.T) {
 // recorded seed take).
 func TestExperimentExecutorVsDirectBitIdentity(t *testing.T) {
 	tb, p := kernelExperiment()
-	routed := RunExperiment(tb, p, LongRange)
+	routed := RunExperiment(context.Background(), tb, p, LongRange)
 
 	// Replay the selection plan by hand and run each combo directly.
 	direct := func() ExperimentResult {
@@ -94,12 +95,12 @@ func TestExperimentCacheBitIdentity(t *testing.T) {
 	montecarlo.SetExecutor(c)
 	defer montecarlo.SetExecutor(nil)
 
-	first := RunExperiment(tb, p, ShortRange)
+	first := RunExperiment(context.Background(), tb, p, ShortRange)
 	misses := c.Stats().Misses
 	if misses == 0 {
 		t.Fatal("first run hit an empty cache")
 	}
-	second := RunExperiment(tb, p, ShortRange)
+	second := RunExperiment(context.Background(), tb, p, ShortRange)
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("cached experiment differs from evaluated one")
 	}
@@ -116,7 +117,7 @@ func TestExperimentCacheBitIdentity(t *testing.T) {
 // worker servers and compares with the local run.
 func TestExperimentRemoteBitIdentity(t *testing.T) {
 	tb, p := kernelExperiment()
-	local := RunExperiment(tb, p, ShortRange)
+	local := RunExperiment(context.Background(), tb, p, ShortRange)
 
 	hosts := make([]string, 2)
 	for i := range hosts {
@@ -130,7 +131,7 @@ func TestExperimentRemoteBitIdentity(t *testing.T) {
 	}
 	montecarlo.SetExecutor(remote)
 	defer montecarlo.SetExecutor(nil)
-	distributed := RunExperiment(tb, p, ShortRange)
+	distributed := RunExperiment(context.Background(), tb, p, ShortRange)
 	if !reflect.DeepEqual(local, distributed) {
 		t.Fatal("distributed experiment differs from local")
 	}

@@ -15,8 +15,10 @@ package testbed
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"carriersense/internal/capacity"
+	"carriersense/internal/montecarlo"
 	"carriersense/internal/phy"
 	"carriersense/internal/rng"
 )
@@ -128,6 +130,10 @@ type Testbed struct {
 	// replication travel to a worker process as a sim kernel and be
 	// rebuilt there bit-identically (see kernel.go).
 	seed uint64
+	// links is the link census, computed on first use; every range
+	// class and experiment on the realization shares it.
+	censusOnce sync.Once
+	links      []Link
 }
 
 // Generate creates a testbed realization from the given seed. The same
@@ -282,26 +288,53 @@ func (l Link) String() string {
 
 // Census enumerates all directed links with their expected 6 Mb/s
 // delivery rates — the paper's link-level metric for categorizing
-// short-range (≥94%) versus long-range (80-95%) pairs.
+// short-range (≥94%) versus long-range (80-95%) pairs. Links are
+// ordered by sender, then receiver. The census is computed on first
+// use and shared by every caller, which must not modify it. Sender
+// rows are striped over the montecarlo pool, each row writing its own
+// span of one preallocated slice, so the census is the same at any
+// width.
 func (tb *Testbed) Census() []Link {
-	rate6 := capacity.Table80211a[0]
-	var links []Link
-	for i := 0; i < tb.Params.Nodes; i++ {
-		for j := 0; j < tb.Params.Nodes; j++ {
-			if i == j {
-				continue
-			}
-			snr := tb.SNRdB(phy.NodeID(i), phy.NodeID(j))
-			fade := tb.Params.Fade.WithOutageProb(tb.outageProb[i][j])
-			links = append(links, Link{
-				Src:         phy.NodeID(i),
-				Dst:         phy.NodeID(j),
-				SNRdB:       snr,
-				DeliveryAt6: fade.ExpectedDeliveryRate(rate6, snr, 1400),
-			})
+	tb.censusOnce.Do(func() {
+		n := tb.Params.Nodes
+		if n < 2 {
+			return
 		}
+		tb.links = make([]Link, n*(n-1))
+		workers := min(montecarlo.Workers(), n)
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := w; i < n; i += workers {
+					tb.censusRow(i, tb.links[i*(n-1):(i+1)*(n-1)])
+				}
+			}()
+		}
+		wg.Wait()
+	})
+	return tb.links
+}
+
+// censusRow fills row with node i's outgoing links in receiver order.
+func (tb *Testbed) censusRow(i int, row []Link) {
+	rate6 := capacity.Table80211a[0]
+	k := 0
+	for j := 0; j < tb.Params.Nodes; j++ {
+		if i == j {
+			continue
+		}
+		snr := tb.SNRdB(phy.NodeID(i), phy.NodeID(j))
+		fade := tb.Params.Fade.WithOutageProb(tb.outageProb[i][j])
+		row[k] = Link{
+			Src:         phy.NodeID(i),
+			Dst:         phy.NodeID(j),
+			SNRdB:       snr,
+			DeliveryAt6: fade.ExpectedDeliveryRate(rate6, snr, 1400),
+		}
+		k++
 	}
-	return links
 }
 
 // RangeClass selects the paper's two experiment categories.
@@ -352,7 +385,8 @@ func (rc RangeClass) Matches(l Link) bool {
 	}
 }
 
-// QualifyingLinks returns the directed links in the class's band.
+// QualifyingLinks returns the directed links in the class's band, in
+// census order, as a slice of the caller's own.
 func (tb *Testbed) QualifyingLinks(rc RangeClass) []Link {
 	var out []Link
 	for _, l := range tb.Census() {

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -170,7 +171,7 @@ func TestSelectCombosDisjoint(t *testing.T) {
 	tb := Generate(DefaultLayout(), 42)
 	p := DefaultExperiment()
 	p.MaxCombos = 10
-	res := RunExperiment(tb, ExperimentParams{
+	res := RunExperiment(context.Background(), tb, ExperimentParams{
 		Duration:        50 * sim.Millisecond,
 		FrameBytes:      1400,
 		Rates:           p.Rates[:1],
@@ -194,7 +195,7 @@ func TestRunExperimentSmoke(t *testing.T) {
 	p := DefaultExperiment()
 	p.Duration = 200 * sim.Millisecond
 	p.MaxCombos = 5
-	res := RunExperiment(tb, p, ShortRange)
+	res := RunExperiment(context.Background(), tb, p, ShortRange)
 	if len(res.Combos) == 0 {
 		t.Fatal("no combos")
 	}
@@ -222,8 +223,8 @@ func TestExperimentDeterminism(t *testing.T) {
 	p := DefaultExperiment()
 	p.Duration = 100 * sim.Millisecond
 	p.MaxCombos = 3
-	a := RunExperiment(tb, p, LongRange)
-	b := RunExperiment(tb, p, LongRange)
+	a := RunExperiment(context.Background(), tb, p, LongRange)
+	b := RunExperiment(context.Background(), tb, p, LongRange)
 	if len(a.Combos) != len(b.Combos) {
 		t.Fatal("combo counts differ")
 	}
@@ -341,7 +342,7 @@ func TestCSDeliveryTracked(t *testing.T) {
 	p := DefaultExperiment()
 	p.Duration = 200 * sim.Millisecond
 	p.MaxCombos = 4
-	res := RunExperiment(tb, p, ShortRange)
+	res := RunExperiment(context.Background(), tb, p, ShortRange)
 	for _, c := range res.Combos {
 		if c.CSDelivery < 0 || c.CSDelivery > 1 {
 			t.Fatalf("CS delivery ratio %v out of range", c.CSDelivery)
@@ -364,7 +365,7 @@ func TestDSSSRatesInExperiment(t *testing.T) {
 	p.Duration = 200 * sim.Millisecond
 	p.MaxCombos = 2
 	p.Rates = capacity.Table80211b[:2] // 1 and 2 Mb/s
-	res := RunExperiment(tb, p, ShortRange)
+	res := RunExperiment(context.Background(), tb, p, ShortRange)
 	for _, c := range res.Combos {
 		// 1400 B at 1 Mb/s is ~11.4 ms of airtime: total pkt/s under
 		// 2 Mb/s best must stay below ~350.
@@ -385,9 +386,9 @@ func TestEnergyOnlyCCAChangesBehavior(t *testing.T) {
 	p := DefaultExperiment()
 	p.Duration = 300 * sim.Millisecond
 	p.MaxCombos = 8
-	preamble := RunExperiment(tb, p, LongRange)
+	preamble := RunExperiment(context.Background(), tb, p, LongRange)
 	p.EnergyOnlyCCA = true
-	energy := RunExperiment(tb, p, LongRange)
+	energy := RunExperiment(context.Background(), tb, p, LongRange)
 	same := true
 	for i := range preamble.Combos {
 		if preamble.Combos[i].CS != energy.Combos[i].CS {
@@ -420,7 +421,7 @@ func TestPacketSimSecondAllocs(t *testing.T) {
 		p.Duration = 1 * sim.Second
 		p.MaxCombos = 1
 		p.Rates = p.Rates[:1]
-		if res := RunExperiment(tb, p, ShortRange); len(res.Combos) != 1 {
+		if res := RunExperiment(context.Background(), tb, p, ShortRange); len(res.Combos) != 1 {
 			t.Fatalf("got %d combos, want 1", len(res.Combos))
 		}
 	})
