@@ -143,15 +143,12 @@ run/all flags:
   -workers LIST  distribute Monte Carlo shards over cs serve workers
                  (comma-separated host:port list); results are
                  bit-identical to a local run at any fleet size
-  -shard-timeout D
-                 with -workers: re-dispatch a shard batch unanswered
-                 for D (e.g. 30s) to another worker; 0 (default) lets
-                 batches run as long as their kernels do
-  -hedge Q       with -workers: hedged dispatch — once the queue is
-                 empty, an idle worker duplicates any batch in flight
-                 longer than 2x the fastest worker's Q-quantile batch
-                 latency; first result wins (bit-identical either way);
-                 0 (default) disables hedging
+  -hedge Q       with -workers: hedged dispatch, the one straggler
+                 policy — once the queue is empty, an idle worker
+                 duplicates any batch in flight longer than 2x the
+                 fastest worker's Q-quantile batch latency; first
+                 result wins (bit-identical either way); 0 (default)
+                 disables it, and a wedged batch then simply waits
   -readmit-base D
                  with -workers: base delay for the background /healthz
                  probes that readmit a dead worker (exponential backoff
@@ -245,7 +242,6 @@ func runOptions(fs *flag.FlagSet, withSets bool) (finish func() (runConfig, erro
 	fs.Float64Var(&opts.RelErr, "relerr", 0, "grow per-point budgets until this relative standard error is met")
 	fs.IntVar(&opts.MaxSamples, "max-samples", 0, "per-point budget cap for -relerr (0 = the scenario's own budget)")
 	workers := fs.String("workers", "", "distribute shards over cs serve workers (host:port,host:port,...)")
-	shardTimeout := fs.Duration("shard-timeout", 0, "re-dispatch a shard batch unanswered for this long (0 = no deadline)")
 	hedge := fs.Float64("hedge", 0, "with -workers: speculatively re-dispatch batches slower than this latency quantile (0 = off)")
 	readmitBase := fs.Duration("readmit-base", 0, "with -workers: base probe delay for readmitting dead workers (0 = default; negative = off)")
 	faultSpec := fs.String("fault", "", "deterministic fault schedule for this coordinator process (testing; see internal/fault)")
@@ -270,12 +266,6 @@ func runOptions(fs *flag.FlagSet, withSets bool) (finish func() (runConfig, erro
 		opts.Grid = grid
 		if !*quiet {
 			opts.Stdout = os.Stdout
-		}
-		if *shardTimeout < 0 {
-			return cfg, fmt.Errorf("-shard-timeout must be >= 0, got %v", *shardTimeout)
-		}
-		if *hedge < 0 || *hedge >= 1 {
-			return cfg, fmt.Errorf("-hedge must be a quantile in [0, 1), got %g", *hedge)
 		}
 		if *faultSpec != "" {
 			// Coordinator-side faults: rules targeting "coord" (fleet
@@ -302,15 +292,11 @@ func runOptions(fs *flag.FlagSet, withSets bool) (finish func() (runConfig, erro
 				return cfg, err
 			}
 			workerHosts = hosts
-			remote, err := dist.NewRemote(hosts, dist.RemoteOptions{
-				ShardTimeout: *shardTimeout, HedgeQuantile: *hedge, ReadmitBase: readmit,
-			})
+			remote, err := dist.NewRemote(hosts, dist.RemoteOptions{HedgeQuantile: *hedge, ReadmitBase: readmit})
 			if err != nil {
 				return cfg, err
 			}
 			opts.Executor = remote
-		} else if *shardTimeout != 0 {
-			return cfg, fmt.Errorf("-shard-timeout requires -workers")
 		} else if *hedge != 0 {
 			return cfg, fmt.Errorf("-hedge requires -workers")
 		} else if *readmitBase != 0 {

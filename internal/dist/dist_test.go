@@ -210,8 +210,7 @@ func TestDeadWorkerStaysAbandonedAcrossEstimations(t *testing.T) {
 	hosts := append(startWorkers(t, 1), flaky.start(t))
 	// HostFailLimit 1 so the very first abort kills the host; with a
 	// higher limit the healthy worker can drain the queue while the
-	// flaky loop sits in its jittered retry backoff, ending the run
-	// before the limit is ever reached.
+	// flaky loop redials, ending the run before the limit is reached.
 	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{
 		BatchSize: 1, Concurrency: 1, HostFailLimit: 1,
 		ReadmitBase: dist.ReadmitOff,
@@ -340,11 +339,14 @@ func TestParseWorkerList(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"", "  ", "localhost", "localhost:", ":8031", "localhost:0",
-		"localhost:70000", "localhost:abc", "a:1,,b:2", "a:1,b",
+		"localhost:70000", "localhost:abc", "a:1,,b:2", "a:1,b", "a:1,a:1",
 	} {
 		if _, err := ParseList(bad); err == nil {
 			t.Errorf("ParseWorkerList(%q) accepted", bad)
 		}
+	}
+	if _, err := ParseList("a:1, b:2, a:1"); err == nil || !strings.Contains(err.Error(), `"a:1"`) {
+		t.Errorf("repeated worker: error %v does not name it", err)
 	}
 }
 
@@ -396,5 +398,10 @@ func TestNewRemoteValidation(t *testing.T) {
 	}
 	if _, err := dist.NewRemote([]string{""}); err == nil {
 		t.Error("empty worker address accepted")
+	}
+	for _, q := range []float64{-0.1, 1.0} {
+		if _, err := dist.NewRemote([]string{"localhost:8031"}, dist.RemoteOptions{HedgeQuantile: q}); err == nil {
+			t.Errorf("hedge quantile %g accepted", q)
+		}
 	}
 }

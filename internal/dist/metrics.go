@@ -16,10 +16,6 @@ import (
 var (
 	mBatches = obs.Default().Counter("cs_dist_batches_total",
 		"Shard batches completed.")
-	mRequeues = obs.Default().Counter("cs_dist_requeues_total",
-		"Shards returned to the dispatch queue after a worker failure.")
-	mShardTimeouts = obs.Default().Counter("cs_dist_shard_timeouts_total",
-		"Batches abandoned because no answer arrived within -shard-timeout.")
 	mWorkersAbandoned = obs.Default().Counter("cs_dist_workers_abandoned_total",
 		"Workers declared dead and removed from the fleet for a run.")
 	mProbes = obs.Default().Counter("cs_dist_readmit_probes_total",

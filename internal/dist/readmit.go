@@ -14,12 +14,12 @@ package dist
 // queue everyone else does, and shard accumulators merge by index in
 // shard order regardless of who evaluated them.
 //
-// Hedging is the dispatch-side half of straggler defense: once the
-// pending queue is empty, an idle worker may claim a *copy* of the
-// oldest still-unanswered batch of a slower peer, provided that batch
-// has been in flight longer than a threshold derived from the fleet's
-// own observed latency (the cs_dist_batch_seconds histograms). The
-// idempotent complete path takes the first answer and drops the
+// Hedging is the one straggler policy: batches carry no deadline, but
+// once the pending queue is empty an idle worker may claim a *copy* of
+// the oldest still-unanswered batch of a slower peer, provided that
+// batch has been in flight longer than a threshold derived from the
+// fleet's own observed latency (the cs_dist_batch_seconds histograms).
+// The idempotent complete path takes the first answer and drops the
 // other, which is bit-identical anyway.
 
 import (
@@ -33,10 +33,10 @@ import (
 )
 
 // jitteredBackoff is base<<round, capped, with ±50% uniform jitter —
-// the pacing for both readmission probes and dial retries. Jitter
-// deliberately uses the global math/rand source: recovery pacing must
-// never touch result determinism (shard RNG derives from the plan),
-// and desynchronizing coordinators is the whole point.
+// the pacing of readmission probes. Jitter deliberately uses the
+// global math/rand source: recovery pacing must never touch result
+// determinism (shard RNG derives from the plan), and desynchronizing
+// coordinators is the whole point.
 func jitteredBackoff(base time.Duration, round int, max time.Duration) time.Duration {
 	if base <= 0 {
 		return 0

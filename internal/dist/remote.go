@@ -65,13 +65,6 @@ const (
 	readmitMaxBackoff = 30 * time.Second
 	// probeTimeout bounds one /healthz probe round trip.
 	probeTimeout = 5 * time.Second
-	// dialRetryBase paces a live worker's consecutive transport
-	// failures: ~dialRetryBase after the first failure, doubling with
-	// jitter up to dialRetryMax, so a restarting fleet sees staggered
-	// reconnects instead of a synchronized stampede from every
-	// coordinator loop.
-	dialRetryBase = 50 * time.Millisecond
-	dialRetryMax  = 2 * time.Second
 	// Hedging thresholds: a batch is re-dispatched speculatively once
 	// it has been in flight hedgeFactor times longer than the fastest
 	// worker's HedgeQuantile batch latency (floored at hedgeDelayMin;
@@ -93,23 +86,9 @@ const (
 // RemoteOptions tune a Remote executor. The zero value of every field
 // selects a default.
 type RemoteOptions struct {
-	BatchSize int // shards per request (default DefaultBatchSize)
-	// MaxAttempts is the per-shard attempt budget across the whole
-	// fleet before the run fails. 0 scales with the fleet:
-	// (HostFailLimit+Concurrency)·workers + 1, so a shard can survive
-	// every worker dying around it and still get a clean attempt.
-	MaxAttempts   int
+	BatchSize     int // shards per request (default DefaultBatchSize)
 	Concurrency   int // pipeline depth per worker (default DefaultConcurrency)
 	HostFailLimit int // consecutive failures before a worker is dead (default DefaultHostFailLimit)
-	// ShardTimeout, when > 0, bounds how long a dispatched shard batch
-	// may stay unanswered before it is re-dispatched to another worker
-	// (the original worker is charged a transport failure). 0 leaves
-	// batches un-deadlined: a batch legitimately takes as long as its
-	// kernel does, and `-scale full` sim replications run for tens of
-	// seconds. Set it generously on fleets where a wedged worker must
-	// not stall a run — re-dispatch cannot corrupt results, because
-	// duplicate shard completions merge idempotently (first one wins).
-	ShardTimeout time.Duration
 	// ReadmitBase paces dead-worker readmission: an abandoned worker
 	// gets a background /healthz probe loop with exponential backoff
 	// and jitter starting from this base. A probe that answers 200
@@ -118,12 +97,14 @@ type RemoteOptions struct {
 	// re-kills it with a longer backoff. 0 selects
 	// DefaultReadmitBase; ReadmitOff (negative) disables readmission.
 	ReadmitBase time.Duration
-	// HedgeQuantile, when in (0, 1), arms hedged dispatch: a batch in
-	// flight longer than hedgeFactor x the fastest worker's
-	// HedgeQuantile batch latency (from the cs_dist_batch_seconds
-	// histograms) is speculatively re-dispatched to an idle worker,
-	// and the first result wins (completions are idempotent, so the
-	// duplicate is bit-identical and harmless). 0 disables hedging.
+	// HedgeQuantile, when in (0, 1), arms hedged dispatch, the one
+	// straggler policy: a batch in flight longer than hedgeFactor x the
+	// fastest worker's HedgeQuantile batch latency (from the
+	// cs_dist_batch_seconds histograms) is speculatively re-dispatched
+	// to an idle worker, and the first result wins (completions are
+	// idempotent, so the duplicate is bit-identical and harmless). 0
+	// disables hedging. Batches carry no deadline: unhedged, or on a
+	// one-worker fleet, a wedged batch waits until the run is canceled.
 	HedgeQuantile float64
 }
 
@@ -136,6 +117,9 @@ type RemoteOptions struct {
 type Remote struct {
 	hosts []*hostState
 	opt   RemoteOptions
+	// maxAttempts is the per-shard attempt budget before the run fails,
+	// enough to survive every worker dying around the shard.
+	maxAttempts int
 
 	mu     sync.Mutex
 	active map[*dispatch]*runState // in-flight estimations readmitted workers can join
@@ -177,9 +161,6 @@ func NewRemote(hosts []string, opts ...RemoteOptions) (*Remote, error) {
 	if opt.HostFailLimit <= 0 {
 		opt.HostFailLimit = DefaultHostFailLimit
 	}
-	if opt.MaxAttempts <= 0 {
-		opt.MaxAttempts = (opt.HostFailLimit+opt.Concurrency)*len(hosts) + 1
-	}
 	if opt.ReadmitBase == 0 {
 		opt.ReadmitBase = DefaultReadmitBase
 	}
@@ -187,6 +168,7 @@ func NewRemote(hosts []string, opts ...RemoteOptions) (*Remote, error) {
 		return nil, fmt.Errorf("dist: hedge quantile must be in [0, 1), got %g", opt.HedgeQuantile)
 	}
 	r := &Remote{opt: opt, active: map[*dispatch]*runState{}, closed: make(chan struct{})}
+	r.maxAttempts = (opt.HostFailLimit+opt.Concurrency)*len(hosts) + 1
 	for i, h := range hosts {
 		if h == "" {
 			return nil, fmt.Errorf("dist: empty worker address")
@@ -206,12 +188,15 @@ func NewRemote(hosts []string, opts ...RemoteOptions) (*Remote, error) {
 
 // ParseWorkerList validates a comma-separated host:port list (the
 // `-workers` flag) and returns the cleaned entries. Every entry must
-// be host:port with a numeric port in [1, 65535].
+// be host:port with a numeric port in [1, 65535], and no entry may
+// repeat: a worker listed twice would run two loops that share one
+// latency series and one failure-cause slot.
 func ParseWorkerList(spec string) ([]string, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("dist: empty worker list")
 	}
 	var hosts []string
+	seen := map[string]bool{}
 	for _, entry := range strings.Split(spec, ",") {
 		entry = strings.TrimSpace(entry)
 		if entry == "" {
@@ -228,6 +213,10 @@ func ParseWorkerList(spec string) ([]string, error) {
 		if err != nil || p < 1 || p > 65535 {
 			return nil, fmt.Errorf("dist: bad worker %q: port must be 1-65535", entry)
 		}
+		if seen[entry] {
+			return nil, fmt.Errorf("dist: worker %q listed twice", entry)
+		}
+		seen[entry] = true
 		hosts = append(hosts, entry)
 	}
 	return hosts, nil
@@ -442,11 +431,10 @@ func (d *dispatch) causeSummaryLocked() string {
 	return strings.Join(parts, "; ")
 }
 
-// complete records evaluated shards. Duplicate completions — a shard
-// re-dispatched after a timeout whose original worker answers late —
-// are ignored: the first evaluation wins, and both evaluations are
-// bit-identical anyway (the shard stream is a pure function of the
-// plan).
+// complete records evaluated shards. Duplicate completions — a hedged
+// shard whose original worker answers late — are ignored: the first
+// evaluation wins, and both evaluations are bit-identical anyway (the
+// shard stream is a pure function of the plan).
 func (d *dispatch) complete(indices []int, accs [][]montecarlo.Accumulator) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -483,7 +471,6 @@ func (d *dispatch) requeue(indices []int, maxAttempts int, worker string, cause 
 			break
 		}
 		d.pending = append(d.pending, idx)
-		mRequeues.Inc()
 	}
 	d.cond.Broadcast()
 }
@@ -747,20 +734,6 @@ func (r *Remote) countFailure(h *hostState) (dead bool) {
 	return false
 }
 
-// retryDelay returns the jittered backoff before this host's next
-// attempt after `failures` consecutive transport failures — the
-// dial-retry pacing that keeps a restarted fleet from eating a
-// synchronized reconnect stampede.
-func (h *hostState) retryDelay() time.Duration {
-	h.mu.Lock()
-	n := h.failures
-	h.mu.Unlock()
-	if n <= 0 {
-		return 0
-	}
-	return jitteredBackoff(dialRetryBase, n-1, dialRetryMax)
-}
-
 // noteSuccess resets the consecutive-failure counter and, when the
 // success was a half-open worker's trial batch, restores the worker
 // to full fleet membership.
@@ -818,8 +791,8 @@ func (e *fatalStatusError) Error() string { return e.msg }
 // hostLoop drives one worker for the duration of one estimation: pump
 // batches through a stream until the plan drains or the host dies.
 // Stream establishment happens after claiming a batch, so a dead host
-// burns shard attempts (bounded by MaxAttempts) rather than spinning
-// on dials.
+// burns shard attempts (bounded by maxAttempts) rather than spinning
+// on dials; HostFailLimit bounds its unpaced redials.
 func (r *Remote) hostLoop(ctx context.Context, h *hostState, req montecarlo.Request, d *dispatch) {
 	var lastErr error
 	defer func() { d.loopExited(h.url, lastErr) }()
@@ -843,9 +816,15 @@ func (r *Remote) hostLoop(ctx context.Context, h *hostState, req montecarlo.Requ
 				return // plan drained through this stream
 			}
 		} else {
-			d.requeue(batch, r.opt.MaxAttempts, h.url, fmt.Errorf("worker %s: %w", h.url, err))
+			d.requeue(batch, r.maxAttempts, h.url, fmt.Errorf("worker %s: %w", h.url, err))
 		}
 		lastErr = err
+		if ctx.Err() != nil {
+			// Canceled: no worker failed. Charge none, and record the
+			// cancel before this loop's exit can read as a dead fleet.
+			d.fail(ctx.Err())
+			return
+		}
 		if errors.As(err, new(*fatalStatusError)) {
 			// Refused upgrade, version skew, or a rejected batch: abandon
 			// the worker and let the fleet retry. The readmission probes
@@ -856,20 +835,6 @@ func (r *Remote) hostLoop(ctx context.Context, h *hostState, req montecarlo.Requ
 		if r.countFailure(h) {
 			return
 		}
-		sleepCtx(ctx, h.retryDelay())
-	}
-}
-
-// sleepCtx sleeps for d or until ctx is canceled.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
 	}
 }
 
@@ -881,8 +846,6 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 type streamRun struct {
 	mu         sync.Mutex
 	cond       *sync.Cond
-	conn       net.Conn      // reader wake-up line (deadline pokes)
-	timeout    time.Duration // ShardTimeout; 0 disables deadlines
 	fifo       []streamBatch
 	writerDone bool
 	writerErr  error
@@ -894,8 +857,8 @@ type streamBatch struct {
 	sent    time.Time
 }
 
-func newStreamRun(conn net.Conn, timeout time.Duration) *streamRun {
-	st := &streamRun{conn: conn, timeout: timeout}
+func newStreamRun() *streamRun {
+	st := &streamRun{}
 	st.cond = sync.NewCond(&st.mu)
 	return st
 }
@@ -917,20 +880,11 @@ func (st *streamRun) waitRoom(window int) bool {
 // stopped.
 func (st *streamRun) push(b []int) bool {
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	if st.stopped {
-		st.mu.Unlock()
 		return false
 	}
-	wasIdle := len(st.fifo) == 0
 	st.fifo = append(st.fifo, streamBatch{indices: b, sent: time.Now()})
-	st.mu.Unlock()
-	if wasIdle && st.timeout > 0 {
-		// The reader may have armed a no-deadline read while the FIFO
-		// was empty; poke it so it re-arms against this batch's
-		// ShardTimeout. A spurious wake is classified as not-expired
-		// and re-armed — cheap, and only paid on idle→busy edges.
-		_ = st.conn.SetReadDeadline(time.Now())
-	}
 	return true
 }
 
@@ -981,9 +935,9 @@ func (st *streamRun) finishWriter(err error, wake net.Conn) {
 	st.writerErr = err
 	st.mu.Unlock()
 	// A reader blocked in a deadline-free read learns nothing from the
-	// flag alone; fire its deadline so it re-checks. The reader sets
-	// its own deadline under st.mu, so this cannot be overwritten by a
-	// stale value (see runStream's reader loop).
+	// flag alone; fire its deadline so it re-checks. The reader clears
+	// its deadline under st.mu, so the clear cannot land after this
+	// wake unseen (see runStream's reader loop).
 	_ = wake.SetReadDeadline(time.Now())
 }
 
@@ -997,7 +951,7 @@ func (r *Remote) runStream(ctx context.Context, h *hostState, sc *streamConn, re
 	// AfterFunc is stopped before the stream can re-enter the pool.
 	stopWake := context.AfterFunc(ctx, func() { sc.conn.Close() })
 
-	st := newStreamRun(sc.conn, r.opt.ShardTimeout)
+	st := newStreamRun()
 	reqID, err := sc.sendRequest(req)
 	if err != nil {
 		stopWake()
@@ -1042,7 +996,7 @@ func (r *Remote) runStream(ctx context.Context, h *hostState, sc *streamConn, re
 		stopWake()
 		sc.close()
 		if len(inflight) > 0 {
-			d.requeue(inflight, r.opt.MaxAttempts, h.url, cause)
+			d.requeue(inflight, r.maxAttempts, h.url, cause)
 		}
 		return cause
 	}
@@ -1065,14 +1019,10 @@ func (r *Remote) runStream(ctx context.Context, h *hostState, sc *streamConn, re
 			}
 			return nil
 		}
-		// Arm the read deadline under st.mu so finishWriter's wake can
-		// never be clobbered by a stale deadline computed before the
-		// writer finished.
-		var deadline time.Time
-		if r.opt.ShardTimeout > 0 && len(st.fifo) > 0 {
-			deadline = st.fifo[0].sent.Add(r.opt.ShardTimeout)
-		}
-		_ = sc.conn.SetReadDeadline(deadline)
+		// Clear the read deadline under st.mu so a wake from
+		// finishWriter, which flags writerDone under st.mu first, is
+		// either seen above or fires after this clear.
+		_ = sc.conn.SetReadDeadline(time.Time{})
 		st.mu.Unlock()
 
 		t, payload, err := readFrame(sc.br, &sc.scratch)
@@ -1082,21 +1032,7 @@ func (r *Remote) runStream(ctx context.Context, h *hostState, sc *streamConn, re
 			}
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
-				st.mu.Lock()
-				expired := r.opt.ShardTimeout > 0 && len(st.fifo) > 0 &&
-					time.Since(st.fifo[0].sent) >= r.opt.ShardTimeout
-				st.mu.Unlock()
-				if !expired {
-					continue // the writer's wake, or a re-arm race: re-check
-				}
-				// Re-dispatch on expiry: the batches go back to the
-				// queue for other workers; this connection is dropped
-				// (its late answers would be unmatchable).
-				mShardTimeouts.Inc()
-				if tr := obs.CurrentTracer(); tr != nil {
-					tr.Instant("shard_timeout", "dist", h.tid, map[string]any{"worker": h.url})
-				}
-				return abort(fmt.Errorf("worker %s: no answer for %s (shard timeout): re-dispatching", h.url, r.opt.ShardTimeout))
+				continue // finishWriter's wake: re-check
 			}
 			return abort(fmt.Errorf("worker %s: read frame: %w", h.url, err))
 		}

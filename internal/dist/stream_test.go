@@ -2,9 +2,9 @@ package dist
 
 // Binary shard stream tests: refused upgrades, the determinism
 // contract on the framed wire, loud failure on corrupt frames, mid-run
-// worker death on persistent connections, shard timeouts, and graceful
-// drain. These live in the internal package so misbehaving workers can
-// be built straight from the frame codec.
+// worker death on persistent connections, and graceful drain. These
+// live in the internal package so misbehaving workers can be built
+// straight from the frame codec.
 
 import (
 	"bufio"
@@ -270,6 +270,14 @@ func TestRefusedUpgradeAbandonsWorker(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "refused") {
 		t.Errorf("error does not say the upgrade was refused: %v", err)
 	}
+	// ReadmitOff: the abandoned worker gets no probe loop.
+	h := lonely.hosts[0]
+	h.mu.Lock()
+	dead, probing := h.health == hostDead, h.probing
+	h.mu.Unlock()
+	if !dead || probing {
+		t.Errorf("with ReadmitOff the refusing worker is dead=%v, probing=%v; want dead and unprobed", dead, probing)
+	}
 }
 
 func TestUpgradeRefusedWhileDrainingIsNotPermanent(t *testing.T) {
@@ -477,49 +485,6 @@ func TestBinaryWorkerDiesMidRunFleetSurvives(t *testing.T) {
 		t.Fatalf("flaky worker saw %d batches; the death path was never exercised", served.Load())
 	}
 	requireIdentical(t, accs, want, "binary wire after mid-run death")
-}
-
-func TestShardTimeoutRedispatchesToSurvivors(t *testing.T) {
-	req := streamTestRequest(5 * montecarlo.ShardSize)
-	want := localWant(t, req)
-
-	// A black hole: accepts batches, never answers them.
-	var swallowed atomic.Int64
-	holeHost := startFrameWorker(t, func(ss *streamSession) {
-		var scratch []byte
-		if helloExchange(ss, &scratch) != nil {
-			return
-		}
-		for {
-			t, _, err := readFrame(ss.br, &scratch)
-			if err != nil {
-				return
-			}
-			if t == frameBatch {
-				swallowed.Add(1)
-			}
-		}
-	})
-	hosts := []string{startWorker(t), holeHost}
-	remote, err := NewRemote(hosts, RemoteOptions{
-		BatchSize: 1, Concurrency: 1, HostFailLimit: 2,
-		ShardTimeout: 150 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	accs, err := remote.EstimateVec(context.Background(), req)
-	if err != nil {
-		t.Fatalf("run with a black-hole worker failed: %v", err)
-	}
-	if swallowed.Load() == 0 {
-		t.Fatal("black hole never swallowed a batch; timeout path not exercised")
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("run took %v; shard timeout did not re-dispatch promptly", elapsed)
-	}
-	requireIdentical(t, accs, want, "after shard-timeout re-dispatch")
 }
 
 func TestServeDrainsStreamsWithGoodbye(t *testing.T) {

@@ -14,9 +14,9 @@
 # worker, a straggler, a healed-and-readmitted worker, and a corrupt
 # cache entry must change *nothing* about the results — only the
 # timeline. The script also asserts the failures actually happened
-# (worker1 exited 3, worker3 served after readmission, the flipped
-# entry was quarantined) so a regression cannot pass by never injecting
-# anything. CI runs this; it is also handy locally:
+# (worker1 exited 3, worker3 served after readmission, the straggler
+# was hedged, the flipped entry was quarantined) so a regression cannot
+# pass by never injecting anything. CI runs this; it is also handy locally:
 #
 #   scripts/chaos_smoke.sh
 set -euo pipefail
@@ -165,7 +165,8 @@ if [ "${w3_shards:-0}" -eq 0 ]; then
 fi
 
 # The coordinator's run metrics must record the healing machinery
-# firing: workers declared dead, the refuser readmitted.
+# firing: workers declared dead, the refuser readmitted, and hedges
+# raced against the straggler.
 chaos_dir=$(echo "$work"/chaos/*)
 metric() { # <registry family> -> integer value (0 when absent)
   grep -o "\"$1[^\"]*\": *[0-9.]*" "$chaos_dir/metrics.json" |
@@ -183,7 +184,12 @@ if [ "${abandoned:-0}" -eq 0 ]; then
   echo "cs_dist_workers_abandoned_total is zero — nothing was ever declared dead" >&2
   exit 1
 fi
+if [ "${hedges:-0}" -eq 0 ]; then
+  echo "cs_dist_hedges_total is zero — no batch was hedged around the straggler; metrics:" >&2
+  cat "$chaos_dir/metrics.json" >&2
+  exit 1
+fi
 
 echo "chaos smoke OK: byte-identical through a crashed worker, a 750ms" \
-  "straggler (${hedges:-0} hedges), a refuser readmitted mid-soak (now at" \
+  "straggler ($hedges hedges), a refuser readmitted mid-soak (now at" \
   "$w3_shards shards), and a quarantined cache flip"
