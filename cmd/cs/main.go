@@ -42,7 +42,6 @@ import (
 	"carriersense/internal/montecarlo"
 	"carriersense/internal/obs"
 	"carriersense/internal/prov"
-	"carriersense/internal/sampling"
 )
 
 func main() {
@@ -130,10 +129,6 @@ run/all flags:
                  winner); part of the estimation identity, so results
                  stay bit-identical at any -parallel width, -workers
                  fleet size, and through -cache
-  -auto-table F  with -sampler auto: persist the per-kernel winners to
-                 F (JSON, stamped with the cache key epoch) so repeat
-                 runs skip the pilot rounds; defaults to
-                 <cache-dir>/sampler-choices.json when -cache is set
   -relerr T      adaptive budgets: grow each estimation point's sample
                  count (whole shards, nothing re-evaluated) until its
                  relative standard error is <= T; artifacts record
@@ -161,11 +156,6 @@ run/all flags:
   -cache         serve repeated kernel estimations from the result
                  cache (bit-identical to evaluating); persists across
                  runs under the cache directory
-  -prefetch      with -cache: dry-run the scenario first, then batch-
-                 evaluate every predicted cache miss before the real
-                 run, so the run itself is all hits (pairs best with
-                 -workers: the fleet streams the whole miss ledger
-                 back to back)
   -cache-dir DIR persistent cache location (default: the user cache
                  dir, e.g. ~/.cache/carriersense)
   -cache-max-bytes B
@@ -218,7 +208,6 @@ type runConfig struct {
 	opts          engine.Options
 	cache         *cache.Executor // non-nil when -cache is set
 	cacheDir      string          // resolved persistent cache directory (when -cache)
-	prefetch      bool            // -prefetch: warm the cache from the plan first
 	plan          bool            // -plan: report the cache plan instead of running
 	cpuProfile    string
 	memProfile    string
@@ -238,7 +227,6 @@ func runOptions(fs *flag.FlagSet, withSets bool) (finish func() (runConfig, erro
 	fs.StringVar(&opts.Scale, "scale", "bench", "sampling effort: smoke, bench, or full")
 	fs.IntVar(&opts.Parallel, "parallel", 0, "worker pool width (0 = GOMAXPROCS)")
 	fs.StringVar(&opts.Sampler, "sampler", "", "sampling strategy: plain (default), stratified, sobol, cv, or auto")
-	fs.StringVar(&opts.AutoTable, "auto-table", "", "with -sampler auto: persist per-kernel choices to this JSON table (default: <cache-dir>/sampler-choices.json when -cache is set)")
 	fs.Float64Var(&opts.RelErr, "relerr", 0, "grow per-point budgets until this relative standard error is met")
 	fs.IntVar(&opts.MaxSamples, "max-samples", 0, "per-point budget cap for -relerr (0 = the scenario's own budget)")
 	workers := fs.String("workers", "", "distribute shards over cs serve workers (host:port,host:port,...)")
@@ -246,7 +234,6 @@ func runOptions(fs *flag.FlagSet, withSets bool) (finish func() (runConfig, erro
 	readmitBase := fs.Duration("readmit-base", 0, "with -workers: base probe delay for readmitting dead workers (0 = default; negative = off)")
 	faultSpec := fs.String("fault", "", "deterministic fault schedule for this coordinator process (testing; see internal/fault)")
 	useCache := fs.Bool("cache", false, "serve repeated kernel estimations from the persistent result cache")
-	prefetch := fs.Bool("prefetch", false, "with -cache: evaluate every predicted cache miss before the real run")
 	fs.BoolVar(&cfg.plan, "plan", false, "with -cache: report which estimations are already cached, without running")
 	cacheDir := fs.String("cache-dir", "", "persistent cache directory (default: user cache dir)")
 	cacheMaxBytes := fs.Int64("cache-max-bytes", 0, "evict least-recently-used persistent entries beyond this size (0 = unbounded)")
@@ -315,25 +302,6 @@ func runOptions(fs *flag.FlagSet, withSets bool) (finish func() (runConfig, erro
 		} else if *cacheMaxBytes != 0 {
 			return cfg, fmt.Errorf("-cache-max-bytes requires -cache")
 		}
-		if opts.Sampler == sampling.Auto && opts.AutoTable == "" && cfg.cacheDir != "" {
-			// Default the choice table into the cache directory: both are
-			// KeyEpoch-scoped memoization of the same evaluation
-			// semantics, and the non-hex name is invisible to the cache's
-			// entry scans.
-			opts.AutoTable = filepath.Join(cfg.cacheDir, "sampler-choices.json")
-		}
-		if *prefetch {
-			if cfg.cache == nil {
-				return cfg, fmt.Errorf("-prefetch requires -cache")
-			}
-			if opts.RelErr > 0 {
-				// The planner cannot predict convergence rounds (its
-				// placeholder estimates have zero variance structure), so
-				// a -relerr prefetch would fetch the wrong miss set.
-				return cfg, fmt.Errorf("-prefetch cannot predict -relerr convergence rounds; prefetch without -relerr")
-			}
-			cfg.prefetch = true
-		}
 		if cfg.plan {
 			if cfg.cache == nil {
 				return cfg, fmt.Errorf("-plan requires -cache")
@@ -353,7 +321,6 @@ func runOptions(fs *flag.FlagSet, withSets bool) (finish func() (runConfig, erro
 			Parallel: opts.Parallel,
 			Cache:    *useCache,
 			CacheDir: cfg.cacheDir,
-			Prefetch: cfg.prefetch,
 			Fault:    *faultSpec,
 		}
 		opts.Exec.Workers = workerHosts
@@ -548,60 +515,10 @@ func cmdRun(args []string) error {
 	if cfg.plan {
 		return planRun(cfg, name)
 	}
-	if cfg.prefetch {
-		if name == "sampling" {
-			return fmt.Errorf("the sampling scenario drives its own local executor and is never cache-routed; nothing to prefetch")
-		}
-		if err := prefetchScenarios(cfg, []string{name}); err != nil {
-			return err
-		}
-	}
 	return runAndReport(cfg, func() error {
 		_, err := engine.Run(context.Background(), name, cfg.opts)
 		return err
 	})
-}
-
-// prefetchScenarios is the -cache -prefetch pass: dry-run the named
-// scenarios against the cache planner, then batch-evaluate every
-// predicted miss through the caching executor (and therefore through
-// -workers, when set) so the real run that follows is all cache hits.
-// Diagnostics go to stderr; a prefetch failure is a warning, not a
-// run-stopper — the real run evaluates whatever is still missing.
-func prefetchScenarios(cfg runConfig, names []string) error {
-	planner := cache.NewPlanner(cfg.cacheDir)
-	opts := cfg.opts
-	opts.Executor = planner
-	opts.Stdout = nil // the dry run must not impersonate the real report
-	opts.OutDir = ""
-	var misses []montecarlo.Request
-	for _, name := range names {
-		planner.Reset()
-		if err := planScenario(name, opts); err != nil {
-			// A scenario choking on placeholder estimates still yields a
-			// partial miss ledger; prefetch what was predicted.
-			fmt.Fprintf(os.Stderr, "prefetch: plan for %s incomplete (%v); fetching what was predicted\n", name, err)
-		}
-		misses = append(misses, planner.Misses()...)
-	}
-	if len(misses) == 0 {
-		fmt.Fprintln(os.Stderr, "prefetch: cache already warm; nothing to fetch")
-		return nil
-	}
-	start := time.Now()
-	rep, err := cache.Prefetch(context.Background(), cfg.cache, misses)
-	if err != nil {
-		if rep.Fetched == 0 && rep.Skipped == 0 {
-			// Nothing warmed at all — the run would hit the same wall
-			// (dead fleet, bad kernel); fail now with the real cause.
-			return fmt.Errorf("prefetch: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "prefetch: %d of %d fetches failed (%v); the run will evaluate them\n",
-			rep.Failed, rep.Planned, err)
-	}
-	fmt.Fprintf(os.Stderr, "prefetch: %d predicted misses, %d fetched (%d samples), %d already present in %s\n",
-		rep.Planned, rep.Fetched, rep.Samples, rep.Skipped, time.Since(start).Round(time.Millisecond))
-	return nil
 }
 
 // planRun is `cs run <scenario> -cache -plan`: replay one scenario —
@@ -867,20 +784,6 @@ func cmdAll(args []string) error {
 	}
 	if cfg.plan {
 		return planAll(cfg)
-	}
-	if cfg.prefetch {
-		var names []string
-		for _, sc := range engine.Scenarios() {
-			// report re-runs the catalog; sampling drives its own local
-			// executor and never routes through the cache.
-			if sc.Name == "report" || sc.Name == "sampling" {
-				continue
-			}
-			names = append(names, sc.Name)
-		}
-		if err := prefetchScenarios(cfg, names); err != nil {
-			return err
-		}
 	}
 	return runAndReport(cfg, func() error {
 		for _, sc := range engine.Scenarios() {

@@ -116,9 +116,6 @@ func cmdExpRun(args []string) error {
 	if cfg.opts.OutDir == "" {
 		return fmt.Errorf("cs exp run: -out DIR required (runs are only useful as stamped artifacts)")
 	}
-	if cfg.prefetch {
-		return fmt.Errorf("cs exp run: -prefetch is not supported under exp (warm the cache with `cs all -cache -prefetch` first)")
-	}
 	g, err := exp.LoadGrid(*gridPath)
 	if err != nil {
 		return err

@@ -56,7 +56,6 @@ type Planner struct {
 type planned struct {
 	pos   montecarlo.Position
 	entry PlanEntry
-	req   montecarlo.Request
 }
 
 // NewPlanner builds a dry-run executor over a persistent cache
@@ -75,10 +74,7 @@ func (p *Planner) EstimateVec(ctx context.Context, req montecarlo.Request) ([]mo
 	states, hit := p.probe.loadDisk(Key(req), req)
 	entry.Cached = hit
 	p.mu.Lock()
-	// Keep the full request, not just the ledger line: the misses are
-	// exactly what a prefetch pass must evaluate to make the real run
-	// all-hits.
-	p.ledger = append(p.ledger, planned{montecarlo.PositionOf(ctx), entry, req})
+	p.ledger = append(p.ledger, planned{montecarlo.PositionOf(ctx), entry})
 	p.mu.Unlock()
 	if hit {
 		return fromStates(states), nil
@@ -110,18 +106,6 @@ func (p *Planner) Entries() []PlanEntry {
 	var out []PlanEntry
 	for _, pl := range p.ordered() {
 		out = append(out, pl.entry)
-	}
-	return out
-}
-
-// Misses returns the requests the planned run would have to evaluate,
-// in plan order, duplicates included (Prefetch dedupes by key).
-func (p *Planner) Misses() []montecarlo.Request {
-	var out []montecarlo.Request
-	for _, pl := range p.ordered() {
-		if !pl.entry.Cached {
-			out = append(out, pl.req)
-		}
 	}
 	return out
 }

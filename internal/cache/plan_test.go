@@ -21,21 +21,21 @@ func TestPlannerLedgerInPlanOrder(t *testing.T) {
 			<-done[i+1]
 		}
 		ctx = montecarlo.Point(ctx)
-		// Two requests per point, as a pilot and its point would issue.
+		// Two requests per point, as a pilot and its point would issue;
+		// the n-th request in plan order asks for n+1 shards.
 		for k := 0; k < 2; k++ {
-			if _, err := p.EstimateVec(ctx, testReq(float64(k+1), uint64(i), montecarlo.ShardSize)); err != nil {
+			if _, err := p.EstimateVec(ctx, testReq(float64(k+1), uint64(i), (2*i+k+1)*montecarlo.ShardSize)); err != nil {
 				t.Error(err)
 			}
 		}
 	})
-	misses := p.Misses()
 	entries := p.Entries()
-	if len(misses) != 6 || len(entries) != 6 {
-		t.Fatalf("%d misses, %d entries; want 6 each", len(misses), len(entries))
+	if len(entries) != 6 {
+		t.Fatalf("%d entries, want 6", len(entries))
 	}
-	for k, req := range misses {
-		if want := testReq(float64(k%2+1), uint64(k/2), montecarlo.ShardSize); Key(req) != Key(want) {
-			t.Errorf("miss %d is (seed %d, params %s), want seed %d in plan order", k, req.Seed, req.Params, k/2)
+	for n, e := range entries {
+		if want := (n + 1) * montecarlo.ShardSize; e.Samples != want {
+			t.Errorf("entry %d spans %d samples, want %d in plan order", n, e.Samples, want)
 		}
 	}
 }

@@ -105,8 +105,10 @@ func TestRemoteBitIdenticalToLocalAtAnyFleetSize(t *testing.T) {
 type flakyWorker struct {
 	survives int64
 	served   atomic.Int64 // batch frames received, the severed ones included
-	// died, when non-nil, is closed at the first severed batch.
+	// died, when non-nil, is closed at the severs-th severed batch
+	// (the first when severs is 0).
 	died     chan struct{}
+	severs   int64
 	diedOnce sync.Once
 }
 
@@ -117,7 +119,7 @@ func (f *flakyWorker) start(t *testing.T) string {
 		if batch <= f.survives {
 			return true
 		}
-		if f.died != nil {
+		if f.died != nil && batch-f.survives >= f.severs {
 			f.diedOnce.Do(func() { close(f.died) })
 		}
 		return false
@@ -153,9 +155,7 @@ func TestFailoverWorkerKilledMidRun(t *testing.T) {
 	// shard batches.
 	flaky := &flakyWorker{survives: 2, died: make(chan struct{})}
 	hosts := []string{startHeldWorker(t, flaky.died), flaky.start(t)}
-	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{
-		BatchSize: 1, Concurrency: 1, HostFailLimit: 2,
-	})
+	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{BatchSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestWorkerDeadFromTheStart(t *testing.T) {
 	deadHost := strings.TrimPrefix(deadSrv.URL, "http://")
 	deadSrv.Close()
 	hosts := append([]string{deadHost}, startWorkers(t, 1)...)
-	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{BatchSize: 1, HostFailLimit: 2})
+	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{BatchSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,15 +206,13 @@ func TestDeadWorkerStaysAbandonedAcrossEstimations(t *testing.T) {
 	// death-detection cost once, not re-probe the corpse at every
 	// point. (Default readmission probes /healthz in the background —
 	// readmit_test.go covers that path.)
-	flaky := &flakyWorker{survives: 0}
-	hosts := append(startWorkers(t, 1), flaky.start(t))
-	// HostFailLimit 1 so the very first abort kills the host; with a
-	// higher limit the healthy worker can drain the queue while the
-	// flaky loop redials, ending the run before the limit is reached.
-	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{
-		BatchSize: 1, Concurrency: 1, HostFailLimit: 1,
-		ReadmitBase: dist.ReadmitOff,
-	})
+	// The healthy worker is held until the flaky one has severed as
+	// many batches as it takes to be declared dead; otherwise the
+	// healthy worker can drain the queue while the flaky loop redials,
+	// ending the run before the flaky worker is dead.
+	flaky := &flakyWorker{survives: 0, died: make(chan struct{}), severs: dist.HostFailLimit}
+	hosts := []string{startHeldWorker(t, flaky.died), flaky.start(t)}
+	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{BatchSize: 1, ReadmitBase: dist.ReadmitOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +236,7 @@ func TestAllWorkersDeadFailsTheRun(t *testing.T) {
 	srv := httptest.NewServer(dist.NewServer())
 	host := strings.TrimPrefix(srv.URL, "http://")
 	srv.Close()
-	remote, err := dist.NewRemote([]string{host}, dist.RemoteOptions{HostFailLimit: 2})
+	remote, err := dist.NewRemote([]string{host})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +253,7 @@ func TestConcurrentEstimationsOnDyingFleetAllFail(t *testing.T) {
 	srv := httptest.NewServer(dist.NewServer())
 	host := strings.TrimPrefix(srv.URL, "http://")
 	srv.Close()
-	remote, err := dist.NewRemote([]string{host}, dist.RemoteOptions{HostFailLimit: 2})
+	remote, err := dist.NewRemote([]string{host})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,9 +96,7 @@ func TestEngineRunSurvivesWorkerDeathMidRun(t *testing.T) {
 	// so the flaky worker gets three: two served, then death.
 	flaky := &flakyWorker{survives: 2, died: make(chan struct{})}
 	hosts := []string{startHeldWorker(t, flaky.died), flaky.start(t)}
-	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{
-		BatchSize: 1, Concurrency: 1, HostFailLimit: 2,
-	})
+	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{BatchSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +125,7 @@ func TestEngineSurfacesExecutorFailureAsError(t *testing.T) {
 	srv := httptest.NewServer(dist.NewServer())
 	host := strings.TrimPrefix(srv.URL, "http://")
 	srv.Close()
-	remote, err := dist.NewRemote([]string{host}, dist.RemoteOptions{HostFailLimit: 1})
+	remote, err := dist.NewRemote([]string{host})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,3 +6,6 @@ var (
 	BatchWorker  = batchWorker
 	StartHandler = startHandler
 )
+
+// HostFailLimit is the consecutive failures that abandon a worker.
+const HostFailLimit = hostFailLimit

@@ -84,12 +84,12 @@ func TestInjectedTruncatedFrameIsRetried(t *testing.T) {
 
 func TestInjectedRefusalsExhaustTheirBudget(t *testing.T) {
 	// refuse=2 severs the first two requests at the socket; the third
-	// attempt lands inside the default HostFailLimit and completes.
+	// attempt lands inside the host failure limit (3) and completes.
 	p := installFault(t, "w1:refuse=2", "w1")
 	req := testRequest(t, 2*montecarlo.ShardSize)
 	want := wantLocal(t, req)
 	remote, err := dist.NewRemote(startWorkers(t, 1), dist.RemoteOptions{
-		BatchSize: 1, Concurrency: 1, ReadmitBase: dist.ReadmitOff,
+		BatchSize: 1, ReadmitBase: dist.ReadmitOff,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -172,7 +172,7 @@ func TestOneWorkerFleetNeverHedgesItsWedgedBatch(t *testing.T) {
 	var stalled atomic.Int64
 	host, release := startWedgeableWorker(t, &stall, &stalled)
 	remote, err := NewRemote([]string{host}, RemoteOptions{
-		BatchSize: 1, Concurrency: 2, HedgeQuantile: 0.9, ReadmitBase: ReadmitOff,
+		BatchSize: 1, HedgeQuantile: 0.9, ReadmitBase: ReadmitOff,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,6 +26,11 @@ import (
 type healingWorker struct {
 	healthy atomic.Bool
 	shards  atomic.Int64 // batches served while healthy
+	// dead, when non-nil, is closed at the dist.HostFailLimit-th
+	// severed connection: the coordinator is about to abandon it.
+	dead     chan struct{}
+	severed  atomic.Int64
+	deadOnce sync.Once
 }
 
 func (hw *healingWorker) start(t *testing.T) string {
@@ -35,6 +41,9 @@ func (hw *healingWorker) start(t *testing.T) string {
 	})
 	return dist.StartHandler(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !hw.healthy.Load() {
+			if hw.severed.Add(1) >= dist.HostFailLimit && hw.dead != nil {
+				hw.deadOnce.Do(func() { close(hw.dead) })
+			}
 			panic(http.ErrAbortHandler)
 		}
 		inner.ServeHTTP(w, r)
@@ -59,11 +68,13 @@ func TestDeadWorkerReadmittedAfterHeal(t *testing.T) {
 	}
 	want := estimates(local)
 
-	hw := &healingWorker{}
-	hosts := append(startWorkers(t, 1), hw.start(t))
+	// The healthy worker is held until the sick one is abandoned, so
+	// the first estimation cannot end while the sick one is still in
+	// the fleet.
+	hw := &healingWorker{dead: make(chan struct{})}
+	hosts := []string{startHeldWorker(t, hw.dead), hw.start(t)}
 	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{
-		BatchSize: 1, Concurrency: 1, HostFailLimit: 1,
-		ReadmitBase: 10 * time.Millisecond,
+		BatchSize: 1, ReadmitBase: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,8 +131,7 @@ func TestReadmittedWorkerJoinsRunInFlight(t *testing.T) {
 	remote, err := dist.NewRemote(
 		[]string{startSlowWorker(t, 20*time.Millisecond), hw.start(t)},
 		dist.RemoteOptions{
-			BatchSize: 1, Concurrency: 1, HostFailLimit: 1,
-			ReadmitBase: 10 * time.Millisecond,
+			BatchSize: 1, ReadmitBase: 10 * time.Millisecond,
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -168,8 +178,7 @@ func TestHedgingCompletesAroundWedgedStraggler(t *testing.T) {
 
 	hosts := append(startWorkers(t, 1), wedgeable)
 	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{
-		BatchSize: 1, Concurrency: 1,
-		HedgeQuantile: 0.9, ReadmitBase: dist.ReadmitOff,
+		BatchSize: 1, HedgeQuantile: 0.9, ReadmitBase: dist.ReadmitOff,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,9 +223,7 @@ func TestRunFailureNamesEveryWorkersCause(t *testing.T) {
 		hosts = append(hosts, strings.TrimPrefix(srv.URL, "http://"))
 		srv.Close() // connection refused from the start
 	}
-	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{
-		HostFailLimit: 1, ReadmitBase: dist.ReadmitOff,
-	})
+	remote, err := dist.NewRemote(hosts, dist.RemoteOptions{ReadmitBase: dist.ReadmitOff})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,19 +37,20 @@ const (
 	// large enough to amortize the per-batch round trip (a shard is
 	// 4096 samples), small enough that failover loses little work.
 	DefaultBatchSize = 8
-	// DefaultConcurrency is the pipeline depth per worker: unanswered
-	// batch frames on its stream, enough to cover transport latency
-	// while the worker computes.
-	DefaultConcurrency = 2
-	// DefaultHostFailLimit is the number of consecutive transport
-	// failures after which a worker is declared dead and abandoned.
-	DefaultHostFailLimit = 3
+	// concurrency is the pipeline depth per worker: unanswered batch
+	// frames on its stream, enough to cover transport latency while
+	// the worker computes.
+	concurrency = 2
+	// hostFailLimit is the number of consecutive transport failures
+	// after which a worker is declared dead and abandoned.
+	hostFailLimit = 3
 	// maxIdleStreams bounds the per-worker pool of idle streams kept
 	// across estimations.
 	maxIdleStreams = 4
-	// dialTimeout bounds connection establishment to a worker; dead
-	// hosts are detected here, never by capping how long a legitimate
-	// shard batch may compute.
+	// dialTimeout bounds stream establishment to a worker (the TCP
+	// connect, the upgrade and the hello) each; dead hosts are detected
+	// here, never by capping how long a legitimate shard batch may
+	// compute.
 	dialTimeout = 10 * time.Second
 	// DefaultReadmitBase is the readmission probe loop's base delay
 	// when ReadmitBase is zero: the first /healthz probe of a dead
@@ -86,9 +87,7 @@ const (
 // RemoteOptions tune a Remote executor. The zero value of every field
 // selects a default.
 type RemoteOptions struct {
-	BatchSize     int // shards per request (default DefaultBatchSize)
-	Concurrency   int // pipeline depth per worker (default DefaultConcurrency)
-	HostFailLimit int // consecutive failures before a worker is dead (default DefaultHostFailLimit)
+	BatchSize int // shards per request (default DefaultBatchSize)
 	// ReadmitBase paces dead-worker readmission: an abandoned worker
 	// gets a background /healthz probe loop with exponential backoff
 	// and jitter starting from this base. A probe that answers 200
@@ -155,12 +154,6 @@ func NewRemote(hosts []string, opts ...RemoteOptions) (*Remote, error) {
 	if opt.BatchSize <= 0 {
 		opt.BatchSize = DefaultBatchSize
 	}
-	if opt.Concurrency <= 0 {
-		opt.Concurrency = DefaultConcurrency
-	}
-	if opt.HostFailLimit <= 0 {
-		opt.HostFailLimit = DefaultHostFailLimit
-	}
 	if opt.ReadmitBase == 0 {
 		opt.ReadmitBase = DefaultReadmitBase
 	}
@@ -168,7 +161,7 @@ func NewRemote(hosts []string, opts ...RemoteOptions) (*Remote, error) {
 		return nil, fmt.Errorf("dist: hedge quantile must be in [0, 1), got %g", opt.HedgeQuantile)
 	}
 	r := &Remote{opt: opt, active: map[*dispatch]*runState{}, closed: make(chan struct{})}
-	r.maxAttempts = (opt.HostFailLimit+opt.Concurrency)*len(hosts) + 1
+	r.maxAttempts = (hostFailLimit+concurrency)*len(hosts) + 1
 	for i, h := range hosts {
 		if h == "" {
 			return nil, fmt.Errorf("dist: empty worker address")
@@ -640,7 +633,7 @@ type hostHealth int
 const (
 	// hostAlive: serving normally.
 	hostAlive hostHealth = iota
-	// hostDead: abandoned after HostFailLimit consecutive failures;
+	// hostDead: abandoned after hostFailLimit consecutive failures;
 	// loops for this host exit, and (unless ReadmitOff) a background
 	// probe loop works on bringing it back.
 	hostDead
@@ -725,7 +718,7 @@ func (r *Remote) countFailure(h *hostState) (dead bool) {
 		h.mu.Unlock()
 		r.markDead(h)
 		return true
-	case h.failures >= r.opt.HostFailLimit:
+	case h.failures >= hostFailLimit:
 		h.mu.Unlock()
 		r.markDead(h)
 		return true
@@ -764,7 +757,7 @@ func (r *Remote) acquireStream(ctx context.Context, h *hostState) (*streamConn, 
 		return sc, nil
 	}
 	h.mu.Unlock()
-	return dialStream(ctx, h.url, dialTimeout)
+	return dialStream(ctx, h.url)
 }
 
 // releaseStream returns a healthy stream to the host's pool.
@@ -792,7 +785,7 @@ func (e *fatalStatusError) Error() string { return e.msg }
 // batches through a stream until the plan drains or the host dies.
 // Stream establishment happens after claiming a batch, so a dead host
 // burns shard attempts (bounded by maxAttempts) rather than spinning
-// on dials; HostFailLimit bounds its unpaced redials.
+// on dials; hostFailLimit bounds its unpaced redials.
 func (r *Remote) hostLoop(ctx context.Context, h *hostState, req montecarlo.Request, d *dispatch) {
 	var lastErr error
 	defer func() { d.loopExited(h.url, lastErr) }()
@@ -976,7 +969,7 @@ func (r *Remote) runStream(ctx context.Context, h *hostState, sc *streamConn, re
 			// Claim the next batch only once it can go out: a batch
 			// claimed while this worker is wedged would sit where
 			// neither the queue nor hedging can reach it.
-			if !st.waitRoom(r.opt.Concurrency) {
+			if !st.waitRoom(concurrency) {
 				st.finishWriter(nil, sc.conn)
 				return
 			}

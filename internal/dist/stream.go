@@ -38,7 +38,7 @@ type streamConn struct {
 // base URL. A refusal to upgrade (any non-101 answer) or a hello
 // mismatch returns a *fatalStatusError; transport failures return the
 // underlying error.
-func dialStream(ctx context.Context, baseURL string, dialTimeout time.Duration) (*streamConn, error) {
+func dialStream(ctx context.Context, baseURL string) (*streamConn, error) {
 	u, err := url.Parse(baseURL)
 	if err != nil {
 		return nil, fmt.Errorf("dist: bad worker url %q: %w", baseURL, err)
@@ -62,7 +62,7 @@ func dialStream(ctx context.Context, baseURL string, dialTimeout time.Duration) 
 
 // upgrade performs the HTTP half of the handshake.
 func (sc *streamConn) upgrade(host string) error {
-	sc.conn.SetDeadline(time.Now().Add(10 * time.Second))
+	sc.conn.SetDeadline(time.Now().Add(dialTimeout))
 	defer sc.conn.SetDeadline(time.Time{})
 	fmt.Fprintf(sc.bw, "GET %s HTTP/1.1\r\nHost: %s\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n",
 		PathStream, host, streamUpgrade)
@@ -89,7 +89,7 @@ func (sc *streamConn) hello() error {
 	if err := sc.bw.Flush(); err != nil {
 		return err
 	}
-	sc.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	sc.conn.SetReadDeadline(time.Now().Add(dialTimeout))
 	defer sc.conn.SetReadDeadline(time.Time{})
 	t, payload, err := readFrame(sc.br, &sc.scratch)
 	if err != nil {

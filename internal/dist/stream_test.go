@@ -227,7 +227,7 @@ func TestBinaryWireCarriesTheRunAndStaysBitIdentical(t *testing.T) {
 
 func TestStreamsPersistAcrossEstimations(t *testing.T) {
 	host := startWorker(t)
-	remote, err := NewRemote([]string{host}, RemoteOptions{Concurrency: 1})
+	remote, err := NewRemote([]string{host})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestCorruptResultFrameFailsLoudlyNamingTheWorker(t *testing.T) {
 			_ = ss.bw.Flush()
 		}
 	})
-	remote, err := NewRemote([]string{host}, RemoteOptions{HostFailLimit: 2})
+	remote, err := NewRemote([]string{host})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestTruncatedFrameFailsLoudly(t *testing.T) {
 			return
 		}
 	})
-	remote, err := NewRemote([]string{host}, RemoteOptions{HostFailLimit: 1})
+	remote, err := NewRemote([]string{host})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func TestMalformedBatchFramesGetFatalErrorFrame(t *testing.T) {
 		{"retired sampler", request(montecarlo.ShardSize, 3, "antithetic"), []int{0}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			sc, err := dialStream(context.Background(), "http://"+host, 5*time.Second)
+			sc, err := dialStream(context.Background(), "http://"+host)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -473,7 +473,7 @@ func TestBinaryWorkerDiesMidRunFleetSurvives(t *testing.T) {
 		}
 		inner.ServeHTTP(w, r)
 	}))
-	remote, err := NewRemote([]string{healthy, flakyHost}, RemoteOptions{BatchSize: 1, Concurrency: 1, HostFailLimit: 2})
+	remote, err := NewRemote([]string{healthy, flakyHost}, RemoteOptions{BatchSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +500,7 @@ func TestServeDrainsStreamsWithGoodbye(t *testing.T) {
 		t.Fatalf("Serve exited before ready: %v", err)
 	}
 
-	sc, err := dialStream(context.Background(), "http://"+addr.String(), 5*time.Second)
+	sc, err := dialStream(context.Background(), "http://"+addr.String())
 	if err != nil {
 		t.Fatalf("dial stream: %v", err)
 	}

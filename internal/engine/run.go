@@ -49,10 +49,6 @@ type Options struct {
 	// registered strategies per kernel and rewrites every request to
 	// the per-kernel winner before it reaches the wire or the cache.
 	Sampler string
-	// AutoTable, when non-empty with Sampler "auto", persists the
-	// scheduler's per-kernel choices as a cache.KeyEpoch-stamped JSON
-	// table so repeat runs skip the pilot rounds.
-	AutoTable string
 	// RelErr, when > 0, switches every kernel estimation into
 	// convergence mode: a sampling.Driver grows each point's budget
 	// geometrically (whole shards, no sample re-evaluated) until the
@@ -379,7 +375,7 @@ func runVariant(ctx context.Context, sc Scenario, point GridPoint, scale string,
 	// run alike. The variant's context carries a fresh plan
 	// (montecarlo.WithPlan), whose positions order that ledger.
 	ctx = montecarlo.WithPlan(ctx)
-	chain, err := sampling.NewChain(opts.Executor, opts.Sampler, opts.RelErr, opts.MaxSamples, opts.AutoTable)
+	chain, err := sampling.NewChain(opts.Executor, opts.Sampler, opts.RelErr, opts.MaxSamples)
 	if err != nil {
 		return nil, err
 	}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -124,16 +122,12 @@ func TestRunValidatesSamplingOptions(t *testing.T) {
 	if _, err := Run(context.Background(), "mcstub-validate", Options{MaxSamples: 100}); err == nil {
 		t.Error("-max-samples without -relerr accepted")
 	}
-	if _, err := Run(context.Background(), "mcstub-validate", Options{AutoTable: "x.json"}); err == nil {
-		t.Error("-auto-table without -sampler auto accepted")
-	}
 }
 
 func TestRunAutoSamplerRecordsChoices(t *testing.T) {
 	registerMCStub(t, "mcstub-auto", 64*montecarlo.ShardSize)
-	table := filepath.Join(t.TempDir(), "choices.json")
 	results, err := Run(context.Background(), "mcstub-auto",
-		Options{Sampler: "auto", RelErr: 0.01, AutoTable: table})
+		Options{Sampler: "auto", RelErr: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,9 +144,6 @@ func TestRunAutoSamplerRecordsChoices(t *testing.T) {
 	}
 	if !strings.Contains(res.Text, "[auto sampler]") {
 		t.Errorf("report text missing the choice line: %q", res.Text)
-	}
-	if _, err := os.Stat(table); err != nil {
-		t.Errorf("choice table not persisted: %v", err)
 	}
 
 	// The default sampler must be restored after the run: a later

@@ -4,54 +4,8 @@ import (
 	"context"
 	"testing"
 
-	"carriersense/internal/cache"
 	"carriersense/internal/engine"
 )
-
-// TestPrefetchHitRate guards the -cache -prefetch pass: after the
-// planner's predicted misses are fetched, a fresh cache over the same
-// directory must serve the real curves run from it. These are the
-// calls `cs run curves -cache -prefetch` makes. The bound is the
-// prefetch_hit_rate lane of BENCH_20260808.json, 1.0, with its 15% CI
-// tolerance: 0.85.
-func TestPrefetchHitRate(t *testing.T) {
-	const minHitRate = 1.0 * (1 - 0.15)
-	ctx := context.Background()
-	dir := t.TempDir()
-	opts := engine.Options{Scale: "smoke", Seed: "7"}
-
-	planner := cache.NewPlanner(dir)
-	planOpts := opts
-	planOpts.Executor = planner
-	if _, err := engine.Run(ctx, "curves", planOpts); err != nil {
-		t.Fatal(err)
-	}
-	misses := planner.Misses()
-	if len(misses) == 0 {
-		t.Fatal("the plan of a cold cache predicted no misses")
-	}
-	rep, err := cache.Prefetch(ctx, cache.New(nil, cache.Options{Dir: dir}), misses)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	warm := cache.New(nil, cache.Options{Dir: dir})
-	runOpts := opts
-	runOpts.Executor = warm
-	if _, err := engine.Run(ctx, "curves", runOpts); err != nil {
-		t.Fatal(err)
-	}
-	st := warm.Stats()
-	lookups := st.Hits + st.DiskHits + st.Misses
-	if lookups == 0 {
-		t.Fatal("the real run made no cache lookups")
-	}
-	rate := float64(st.Hits+st.DiskHits) / float64(lookups)
-	t.Logf("prefetched %d; real run: %d hits, %d disk hits, %d misses", rep.Fetched, st.Hits, st.DiskHits, st.Misses)
-	if rate < minHitRate {
-		t.Errorf("prefetch hit rate = %.3f, want >= %.3f", rate, minHitRate)
-	}
-}
 
 // TestSamplesToTargetSavings guards what the variance-reducing samplers
 // save when the throughput curves (curves, Figure 4) and the efficiency

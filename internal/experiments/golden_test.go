@@ -8,10 +8,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"slices"
+	"sort"
 	"strings"
 	"testing"
 
+	"carriersense/internal/cache"
 	"carriersense/internal/dist"
 	"carriersense/internal/engine"
 	"carriersense/internal/montecarlo"
@@ -34,17 +35,29 @@ type goldenLeg struct {
 	// it with the set of the leg named same, which -update writes.
 	fleet bool
 	same  string
+	// cached runs each scenario twice, cold and then warm, through one
+	// fresh result-cache directory, as two `cs run -cache` processes
+	// would. Both runs must match the set, and the warm one must
+	// evaluate nothing. Each scenario of after then runs through the
+	// same warm directory and must equal an uncached run of it.
+	cached bool
+	after  []string
 }
 
 // goldenLegs mirror `cs all -scale smoke -seed 1` (locally and on a
 // two-worker fleet), `cs run tables -scale smoke -sampler auto -relerr
-// 0.01`, `cs run curves -scale smoke -sampler cv -relerr 0.01` and
-// `cs run testbed|exposed -scale smoke -sampler auto -relerr 0.01`.
+// 0.01` (uncached, and cold then warm under -cache, followed by curves
+// with the same flags), `cs run curves -scale smoke -sampler cv -relerr
+// 0.01` and `cs run testbed|exposed -scale smoke -sampler auto -relerr
+// 0.01`.
 var goldenLegs = []goldenLeg{
 	{name: "all", widths: []int{1, 0}},
 	{name: "all-fleet", same: "all", fleet: true, widths: []int{0}},
 	{name: "tables-auto", scenarios: []string{"tables"},
 		opts: engine.Options{Sampler: "auto", RelErr: 0.01}, widths: []int{0}},
+	{name: "tables-auto-cache", same: "tables-auto", scenarios: []string{"tables"},
+		opts: engine.Options{Sampler: "auto", RelErr: 0.01}, widths: []int{0},
+		cached: true, after: []string{"curves"}},
 	{name: "curves-cv", scenarios: []string{"curves"},
 		opts: engine.Options{Sampler: "cv", RelErr: 0.01}, widths: []int{0}},
 	{name: "testbed-relerr", scenarios: []string{"testbed", "exposed"},
@@ -94,14 +107,38 @@ func TestGoldenArtifacts(t *testing.T) {
 				if leg.fleet {
 					opts.Executor = testFleet(t)
 				}
-				for _, name := range scenarios {
-					got := runArtifacts(t, name, opts)
-					dir := filepath.Join("testdata", "golden", set, name)
-					if *update {
-						writeGolden(t, dir, got)
-						continue
+				if !leg.cached {
+					for _, name := range scenarios {
+						got := runArtifacts(t, name, opts)
+						dir := filepath.Join("testdata", "golden", set, name)
+						if *update {
+							writeGolden(t, dir, got)
+							continue
+						}
+						compareGolden(t, dir, got)
 					}
-					compareGolden(t, dir, got)
+					return
+				}
+				cacheDir := t.TempDir()
+				cachedRun := func(name string) (map[string][]byte, cache.Stats) {
+					c := cache.New(opts.Executor, cache.Options{Dir: cacheDir})
+					o := opts
+					o.Executor = c
+					return runArtifacts(t, name, o), c.Stats()
+				}
+				for _, name := range scenarios {
+					dir := filepath.Join("testdata", "golden", set, name)
+					for _, run := range []string{"cold", "warm"} {
+						got, st := cachedRun(name)
+						compareGolden(t, dir, got)
+						if run == "warm" && st.Misses != 0 {
+							t.Errorf("%s: the warm run evaluated %d requests, want 0", name, st.Misses)
+						}
+					}
+				}
+				for _, name := range leg.after {
+					got, _ := cachedRun(name)
+					compareRuns(t, name+" through the warm cache", got, runArtifacts(t, name, opts))
 				}
 			})
 		}
@@ -175,33 +212,52 @@ func compareGolden(t *testing.T, dir string, got map[string][]byte) {
 	if err != nil {
 		t.Fatalf("%v; write the golden set with: %s", err, goldenRegen)
 	}
-	var want []string
+	want := map[string][]byte{}
 	for _, e := range entries {
-		want = append(want, e.Name())
-	}
-	for name := range got {
-		if !slices.Contains(want, name) {
-			t.Errorf("%s: new artifact with no golden copy; if intended, regenerate with: %s", filepath.Join(dir, name), goldenRegen)
-		}
-	}
-	for _, name := range want {
-		path := filepath.Join(dir, name)
-		b, ok := got[name]
-		if !ok {
-			t.Errorf("%s: the run no longer writes this artifact", path)
-			continue
-		}
-		golden, err := os.ReadFile(path)
-		if err != nil {
+		if want[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
 			t.Fatal(err)
 		}
-		if bytes.Equal(b, golden) {
+	}
+	if compareRuns(t, dir, got, want) {
+		t.Logf("if the change is intended, regenerate with: %s", goldenRegen)
+	}
+}
+
+// compareRuns fails on every artifact that only one of two runs wrote
+// or that differs between them, naming for a difference its first
+// differing line. It reports whether anything failed.
+func compareRuns(t *testing.T, label string, got, want map[string][]byte) (failed bool) {
+	t.Helper()
+	for _, name := range sortedNames(got) {
+		if _, ok := want[name]; !ok {
+			t.Errorf("%s: %s: new artifact", label, name)
+			failed = true
+		}
+	}
+	for _, name := range sortedNames(want) {
+		b, ok := got[name]
+		if !ok {
+			t.Errorf("%s: %s: the run no longer writes this artifact", label, name)
+			failed = true
 			continue
 		}
-		line, gotLine, wantLine := firstDiff(b, golden)
-		t.Errorf("%s differs at line %d:\n got  %q\n want %q\nif the change is intended, regenerate with: %s",
-			path, line, gotLine, wantLine, goldenRegen)
+		if bytes.Equal(b, want[name]) {
+			continue
+		}
+		line, gotLine, wantLine := firstDiff(b, want[name])
+		t.Errorf("%s: %s differs at line %d:\n got  %q\n want %q", label, name, line, gotLine, wantLine)
+		failed = true
 	}
+	return failed
+}
+
+func sortedNames(files map[string][]byte) []string {
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // firstDiff returns the 1-based number of the first line where a and b

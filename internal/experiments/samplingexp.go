@@ -69,7 +69,7 @@ func SamplingBench(p SamplingBenchParams, scale Scale) []SamplerComparison {
 	for _, name := range []string{
 		sampling.Plain, sampling.Stratified, sampling.Sobol, sampling.CV, sampling.Auto,
 	} {
-		chain, err := sampling.NewChain(nil, name, p.Target, cap, "")
+		chain, err := sampling.NewChain(nil, name, p.Target, cap)
 		if err != nil {
 			panic(err) // options are static; a failure is a programming error
 		}

@@ -19,6 +19,7 @@
 package prov
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -71,18 +72,11 @@ type VCS struct {
 type ExecInfo struct {
 	// Workers is the fleet host list ("" = in-process only).
 	Workers []string `json:"workers,omitempty"`
-	// Wire is the shard transport that runs stamped before the frame
-	// stream became the only one recorded ("auto", "json", "binary").
-	// New runs leave it empty. It stays because the self-hash
-	// re-marshals the decoded struct: dropping the field would fail
-	// every such manifest's verification.
-	Wire string `json:"wire,omitempty"`
 	// Parallel is the pinned pool width (0 = GOMAXPROCS).
 	Parallel int `json:"parallel,omitempty"`
-	// Cache/CacheDir/Prefetch describe the caching executor, when on.
+	// Cache/CacheDir describe the caching executor, when on.
 	Cache    bool   `json:"cache,omitempty"`
 	CacheDir string `json:"cache_dir,omitempty"`
-	Prefetch bool   `json:"prefetch,omitempty"`
 	// Fault is the armed fault-injection schedule, so chaos runs are
 	// distinguishable from clean ones in the trajectory.
 	Fault string `json:"fault,omitempty"`
@@ -170,6 +164,28 @@ func (m *Manifest) SelfHash() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
+// fileSelfHash is SelfHash computed from a manifest file's bytes
+// instead of from its decoded struct: the compact form of what Stamp
+// wrote, with the recorded hash blanked, is the canonical form Stamp
+// hashed. A manifest therefore keeps verifying after this package
+// retires an ExecInfo field it records, and an edit that adds a field
+// this package does not know is still caught. ok is false when the
+// file does not end in the manifest_sha256 field Stamp writes last.
+func fileSelfHash(raw []byte, recorded string) (hash string, ok bool) {
+	var c bytes.Buffer
+	if json.Compact(&c, raw) != nil {
+		return "", false
+	}
+	// A recorded hash that JSON would escape is no hex digest: the
+	// suffix then fails to match, and verification fails with it.
+	canonical, found := bytes.CutSuffix(c.Bytes(), []byte(`"manifest_sha256":"`+recorded+`"}`))
+	if !found {
+		return "", false
+	}
+	sum := sha256.Sum256(append(canonical, `"manifest_sha256":""}`...))
+	return hex.EncodeToString(sum[:]), true
+}
+
 // HashFile returns the hex SHA-256 of one file's contents.
 func HashFile(path string) (string, int64, error) {
 	f, err := os.Open(path)
@@ -245,15 +261,21 @@ func Stamp(dir string, m *Manifest) error {
 
 // Load reads and decodes dir's manifest without verifying anything.
 func Load(dir string) (*Manifest, error) {
+	m, _, err := load(dir)
+	return m, err
+}
+
+// load is Load that also returns the manifest file's bytes.
+func load(dir string) (*Manifest, []byte, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var m Manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("prov: decode %s: %w", ManifestName, err)
+		return nil, nil, fmt.Errorf("prov: decode %s: %w", ManifestName, err)
 	}
-	return &m, nil
+	return &m, raw, nil
 }
 
 // VerifyError reports every integrity problem found in one run
@@ -274,7 +296,7 @@ func (e *VerifyError) Error() string {
 // (decoded) manifest and nil on a clean pass, or a *VerifyError
 // listing every problem.
 func VerifyDir(dir string) (*Manifest, error) {
-	m, err := Load(dir)
+	m, raw, err := load(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -282,11 +304,7 @@ func VerifyDir(dir string) (*Manifest, error) {
 	if m.Schema > SchemaVersion {
 		problems = append(problems, fmt.Sprintf("manifest schema %d is newer than this binary understands (%d)", m.Schema, SchemaVersion))
 	}
-	want, err := m.SelfHash()
-	if err != nil {
-		return m, err
-	}
-	if m.ManifestSHA256 != want {
+	if want, ok := fileSelfHash(raw, m.ManifestSHA256); !ok || m.ManifestSHA256 != want {
 		problems = append(problems, "manifest self-hash mismatch: a manifest field was edited after stamping")
 	}
 	manifested := make(map[string]bool, len(m.Artifacts))

@@ -170,37 +170,36 @@ func TestSelfHashStableAcrossRoundTrip(t *testing.T) {
 	}
 }
 
-// Distributed runs stamped while the CLI still had a transport flag
-// recorded "wire" in their execution shape. Their manifests must keep
-// verifying: the self-hash re-marshals the decoded struct, so the
-// field has to survive the decode.
+// testdata/retired-fields-run was stamped by a build whose ExecInfo
+// still had the "wire" and "prefetch" fields. A field retired since
+// must not read as an edit, while a field added to the file after
+// stamping still must.
 func TestManifestWithWireStillVerifies(t *testing.T) {
+	src := filepath.Join("testdata", "retired-fields-run")
+	m, err := VerifyDir(src)
+	if err != nil {
+		t.Fatalf("manifest recording retired fields no longer verifies: %v", err)
+	}
+	if len(m.Exec.Workers) != 1 || !m.Exec.Cache || m.Exec.CacheDir != "cache" {
+		t.Errorf("decoded exec %+v, want the fields still in ExecInfo kept", m.Exec)
+	}
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "output.txt"), []byte("efficiency 0.9131\n"), 0o644); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"output.txt", ManifestName} {
+		raw, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == ManifestName {
+			raw = []byte(strings.Replace(string(raw), `"prefetch": true`, `"prefetch": true, "hedge": 0.9`, 1))
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	m := &Manifest{
-		Schema:   SchemaVersion,
-		Created:  time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC),
-		Scenario: "curves",
-		Exec:     ExecInfo{Workers: []string{"127.0.0.1:18041"}, Wire: "auto"},
-	}
-	if err := Stamp(dir, m); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), `"wire": "auto"`) {
-		t.Fatalf("test setup: manifest does not record the wire:\n%s", raw)
-	}
-	got, err := VerifyDir(dir)
-	if err != nil {
-		t.Fatalf("manifest recording a wire no longer verifies: %v", err)
-	}
-	if got.Exec.Wire != "auto" {
-		t.Errorf("decoded wire = %q, want auto", got.Exec.Wire)
+	_, err = VerifyDir(dir)
+	var ve *VerifyError
+	if !errorsAs(err, &ve) || !containsProblem(ve, "self-hash") {
+		t.Fatalf("VerifyDir after adding an unknown field: got %v, want a self-hash problem", err)
 	}
 }
 

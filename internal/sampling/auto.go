@@ -22,26 +22,17 @@ package sampling
 // real estimations (the pilots run through the base executor), so the
 // choice — like everything else in the pipeline — is a pure function
 // of (kernel, params, seed) and reproduces identically on any
-// executor; ties break by fixed candidate order.
-//
-// Choices persist: with a table path configured, the per-kernel
-// winners are written as JSON keyed by the cache's KeyEpoch, so a
-// repeat run (same epoch) skips every pilot and goes straight to the
-// winning strategy. An epoch bump — any change to evaluation
-// semantics — invalidates the table exactly as it invalidates the
-// cache.
+// executor; ties break by fixed candidate order. Choices live for one
+// process: a repeat run pilots again, and under -cache the cache
+// serves those pilots.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
-	"carriersense/internal/cache"
 	"carriersense/internal/montecarlo"
 )
 
@@ -73,9 +64,6 @@ func autoCandidates(kernel string, haveCV bool) []string {
 
 // AutoOptions configure an AutoScheduler.
 type AutoOptions struct {
-	// TablePath, when non-empty, persists the per-kernel choices as a
-	// KeyEpoch-stamped JSON table so repeat runs skip the pilots.
-	TablePath string
 	// Target is the convergence driver's relative-error target, when
 	// the scheduler runs inside a driven chain. With a target the
 	// score is each candidate's expected per-point sample bill
@@ -106,7 +94,6 @@ type AutoScheduler struct {
 	piloting map[string]bool         // kernels whose pilot is running
 	settled  chan struct{}           // closed (and replaced) when a pilot ends
 	spent    int
-	table    string
 	target   float64
 }
 
@@ -115,13 +102,12 @@ type AutoScheduler struct {
 // = in-process). cv, when non-nil, is the chain's ControlVariates
 // decorator — the scheduler borrows its memoized pilot so the cv
 // candidate is scored with exactly the coefficients a cv win would
-// run with. A configured choice table is loaded eagerly; a stale
-// epoch discards it.
+// run with.
 func NewAuto(inner, base montecarlo.Executor, cv *ControlVariates, opt AutoOptions) *AutoScheduler {
 	if base == nil {
 		base = montecarlo.Local{}
 	}
-	a := &AutoScheduler{
+	return &AutoScheduler{
 		inner:    inner,
 		base:     base,
 		cv:       cv,
@@ -129,61 +115,8 @@ func NewAuto(inner, base montecarlo.Executor, cv *ControlVariates, opt AutoOptio
 		scores:   map[string][]PilotScore{},
 		piloting: map[string]bool{},
 		settled:  make(chan struct{}),
-		table:    opt.TablePath,
 		target:   opt.Target,
 	}
-	a.loadTable()
-	return a
-}
-
-// choiceTable is the persisted form: choices are only valid for the
-// evaluation semantics they were measured under, so the table carries
-// the cache KeyEpoch and is discarded wholesale on mismatch.
-type choiceTable struct {
-	KeyEpoch int               `json:"key_epoch"`
-	Choices  map[string]string `json:"choices"`
-}
-
-func (a *AutoScheduler) loadTable() {
-	if a.table == "" {
-		return
-	}
-	raw, err := os.ReadFile(a.table)
-	if err != nil {
-		return // absent or unreadable: start fresh
-	}
-	var t choiceTable
-	if json.Unmarshal(raw, &t) != nil || t.KeyEpoch != cache.KeyEpoch {
-		return
-	}
-	for kernel, name := range t.Choices {
-		// A name this build does not register (a retired sampler) is
-		// dropped, so only that kernel pilots again.
-		if name != "" && montecarlo.HasSampler(name) {
-			a.choices[kernel] = name
-		}
-	}
-}
-
-// saveTable write-through-persists the current choices. Called with
-// a.mu held.
-func (a *AutoScheduler) saveTable() {
-	if a.table == "" {
-		return
-	}
-	t := choiceTable{KeyEpoch: cache.KeyEpoch, Choices: a.choices}
-	raw, err := json.MarshalIndent(t, "", "  ")
-	if err != nil {
-		return
-	}
-	if err := os.MkdirAll(filepath.Dir(a.table), 0o755); err != nil {
-		return
-	}
-	tmp := a.table + ".tmp"
-	if err := os.WriteFile(tmp, append(raw, '\n'), 0o644); err != nil {
-		return
-	}
-	_ = os.Rename(tmp, a.table)
 }
 
 // expectedCost converts a candidate's raw relative variance into the
@@ -251,7 +184,7 @@ func (a *AutoScheduler) score(ctx context.Context, req montecarlo.Request, cand 
 // later task that asks first waits until the kernel resolves or it
 // comes to lead. The lock is not held across a pilot, so requests for
 // resolved kernels keep flowing meanwhile. A pilot runs once per
-// kernel per process (or never, with a warm choice table).
+// kernel per process.
 func (a *AutoScheduler) resolve(ctx context.Context, req montecarlo.Request) (string, error) {
 	for {
 		leads, changed := montecarlo.Leads(ctx)
@@ -306,12 +239,11 @@ func (a *AutoScheduler) pilot(ctx context.Context, req montecarlo.Request) (stri
 	}
 	a.choices[req.Kernel] = best
 	a.scores[req.Kernel] = board
-	a.saveTable()
 	return best, nil
 }
 
-// Choices returns the per-kernel winners resolved so far (including
-// table-loaded ones), keyed by kernel name. Deterministic content —
+// Choices returns the per-kernel winners resolved so far, keyed by
+// kernel name. Deterministic content —
 // safe to embed in byte-compared artifacts.
 func (a *AutoScheduler) Choices() map[string]string {
 	a.mu.Lock()

@@ -2,14 +2,9 @@ package sampling
 
 import (
 	"context"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
-	"carriersense/internal/cache"
 	"carriersense/internal/montecarlo"
 )
 
@@ -100,92 +95,6 @@ func TestAutoResultBitIdenticalToFixedWinner(t *testing.T) {
 	}
 	if got[0] != want[0] {
 		t.Errorf("auto result != fixed %q result", winner)
-	}
-}
-
-func TestAutoChoiceTablePersistsAndSkipsPilots(t *testing.T) {
-	table := filepath.Join(t.TempDir(), "choices", "table.json")
-	cold := NewAuto(montecarlo.Local{}, nil, nil, AutoOptions{TablePath: table})
-	if _, err := cold.EstimateVec(context.Background(), autoReq(2*montecarlo.ShardSize)); err != nil {
-		t.Fatal(err)
-	}
-	if cold.PilotSpent() == 0 {
-		t.Fatal("cold run piloted nothing")
-	}
-	raw, err := os.ReadFile(table)
-	if err != nil {
-		t.Fatalf("choice table not persisted: %v", err)
-	}
-	if !strings.Contains(string(raw), "\"key_epoch\"") {
-		t.Errorf("table %s carries no epoch stamp", raw)
-	}
-
-	warm := NewAuto(montecarlo.Local{}, nil, nil, AutoOptions{TablePath: table})
-	if _, err := warm.EstimateVec(context.Background(), autoReq(2*montecarlo.ShardSize)); err != nil {
-		t.Fatal(err)
-	}
-	if warm.PilotSpent() != 0 {
-		t.Errorf("warm run spent %d pilot samples, want 0 (table hit)", warm.PilotSpent())
-	}
-	if warm.Choices()["drive/noisy"] != cold.Choices()["drive/noisy"] {
-		t.Error("warm choice differs from the persisted one")
-	}
-}
-
-func TestAutoChoiceTableInvalidatedByEpoch(t *testing.T) {
-	table := filepath.Join(t.TempDir(), "table.json")
-	stale, _ := json.Marshal(map[string]any{
-		"key_epoch": cache.KeyEpoch - 1,
-		"choices":   map[string]string{"drive/noisy": Stratified},
-	})
-	if err := os.WriteFile(table, stale, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	a := NewAuto(montecarlo.Local{}, nil, nil, AutoOptions{TablePath: table})
-	if len(a.Choices()) != 0 {
-		t.Errorf("stale-epoch table loaded: %v", a.Choices())
-	}
-	if _, err := a.EstimateVec(context.Background(), autoReq(2*montecarlo.ShardSize)); err != nil {
-		t.Fatal(err)
-	}
-	if a.PilotSpent() == 0 {
-		t.Error("stale table skipped the re-pilot")
-	}
-}
-
-func TestAutoChoiceTableDropsRetiredSampler(t *testing.T) {
-	// A table written by a build that still had a since-retired
-	// sampler: only the kernel whose winner is gone pilots again.
-	table := filepath.Join(t.TempDir(), "table.json")
-	old, _ := json.Marshal(map[string]any{
-		"key_epoch": cache.KeyEpoch,
-		"choices":   map[string]string{"drive/noisy": "halton", "probe/first": Stratified},
-	})
-	if err := os.WriteFile(table, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	a := NewAuto(montecarlo.Local{}, nil, nil, AutoOptions{TablePath: table})
-	if got := a.Choices(); len(got) != 1 || got["probe/first"] != Stratified {
-		t.Fatalf("loaded choices %v, want only probe/first=%s", got, Stratified)
-	}
-	probe := montecarlo.Request{Kernel: "probe/first", Seed: 1, Samples: montecarlo.ShardSize, Dim: 1, Sampler: Auto}
-	if _, err := a.EstimateVec(context.Background(), probe); err != nil {
-		t.Fatal(err)
-	}
-	if a.PilotSpent() != 0 {
-		t.Errorf("kept choice re-piloted: spent %d", a.PilotSpent())
-	}
-	if _, err := a.EstimateVec(context.Background(), autoReq(2*montecarlo.ShardSize)); err != nil {
-		t.Fatal(err)
-	}
-	if want := len(autoCandidates("drive/noisy", false)) * autoPilotSamples; a.PilotSpent() != want {
-		t.Errorf("re-pilot spent %d, want %d (one kernel's candidates)", a.PilotSpent(), want)
-	}
-	if got := a.Choices()["drive/noisy"]; got == "" || got == "halton" {
-		t.Errorf("drive/noisy resolved to %q, want a fresh pilot winner", got)
-	}
-	if got := a.Choices()["probe/first"]; got != Stratified {
-		t.Errorf("probe/first choice %q after the re-pilot, want the kept %s", got, Stratified)
 	}
 }
 

@@ -28,13 +28,9 @@ type Chain struct {
 // base (nil = montecarlo.Local) and installs sampler as montecarlo's
 // default sampler until Close. relErr > 0 adds the convergence driver,
 // capped per point at maxSamples (0 = each request's own budget).
-// autoTable persists auto's per-kernel choices; it needs sampler auto.
-func NewChain(base montecarlo.Executor, sampler string, relErr float64, maxSamples int, autoTable string) (*Chain, error) {
+func NewChain(base montecarlo.Executor, sampler string, relErr float64, maxSamples int) (*Chain, error) {
 	if err := Validate(sampler); err != nil {
 		return nil, err
-	}
-	if autoTable != "" && sampler != Auto {
-		return nil, fmt.Errorf("sampling: -auto-table requires -sampler auto")
 	}
 	if relErr < 0 {
 		return nil, fmt.Errorf("sampling: -relerr must be > 0, got %g", relErr)
@@ -65,7 +61,7 @@ func NewChain(base montecarlo.Executor, sampler string, relErr float64, maxSampl
 		// fixed-budget measurement, not something to drive to
 		// convergence — and go to base, so a fleet or cache still
 		// serves them.
-		c.auto = NewAuto(c.exec, base, c.cv, AutoOptions{TablePath: autoTable, Target: relErr})
+		c.auto = NewAuto(c.exec, base, c.cv, AutoOptions{Target: relErr})
 		c.exec = c.auto
 	}
 	c.prev = montecarlo.DefaultSampler()

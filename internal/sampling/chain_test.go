@@ -18,7 +18,7 @@ func TestNewChainShapeAndDefaultSampler(t *testing.T) {
 		{CV, 0, false, true, false},
 		{Auto, 0.01, true, true, true},
 	} {
-		c, err := NewChain(nil, tc.sampler, tc.relErr, 0, "")
+		c, err := NewChain(nil, tc.sampler, tc.relErr, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestNewChainShapeAndDefaultSampler(t *testing.T) {
 }
 
 func TestNewChainCountsPilotSpend(t *testing.T) {
-	c, err := NewChain(nil, Auto, 0.01, 0, "")
+	c, err := NewChain(nil, Auto, 0.01, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

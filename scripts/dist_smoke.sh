@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Distributed smoke test: start two `cs serve` workers on localhost and
-# run one scenario four ways — locally, over the fleet, via -cache
-# -prefetch through the fleet, and with full observability (-trace +
-# -metrics-listen) — then require every run to be byte-identical to the
-# local one. A sampled leg (the cv sampler to a -relerr target) runs
+# run one scenario five ways — locally, over the fleet, through -cache
+# over the fleet cold and then warm, and with full observability
+# (-trace + -metrics-listen) — then require every run to be
+# byte-identical to the local one; the warm run must move no shards. A sampled leg (the cv sampler to a -relerr target) runs
 # locally and over the fleet and must be byte-identical too. The /stats endpoints must show the fleet moved shards over
 # frame streams, the /metrics scrapes must be live Prometheus text, and
 # a SIGTERM'd worker must drain in-flight batches and exit 0. CI runs
@@ -92,27 +92,26 @@ sampled=(-scale smoke -seed 7 -sampler cv -relerr 0.01 -quiet)
 "$work/cs" run "$scenario" "${sampled[@]}" -workers "$fleet" -out "$work/cv-fleet"
 require_identical "$work/cv-fleet" "sampled (cv) fleet" "$(echo "$work"/cv-local/*)"
 
-# Plan-driven prefetch: cold cache, -prefetch warms it through the
-# fleet, then the real run is served from the cache — still
-# byte-identical output.
-prefetch_log="$work/prefetch.log"
-"$work/cs" run "$scenario" -scale smoke -seed 7 -quiet \
-  -workers "$fleet" \
-  -cache -cache-dir "$work/cache" -prefetch \
-  -out "$work/prefetch" 2>"$prefetch_log"
-require_identical "$work/prefetch" "prefetch"
-if ! grep -q '^prefetch: [0-9]* predicted misses' "$prefetch_log"; then
-  echo "prefetch pass left no summary line; stderr was:" >&2
-  cat "$prefetch_log" >&2
+# Cache through the fleet: the cold run evaluates on the workers and
+# fills the cache; the warm run is served from it and must move no
+# shards. Both must be byte-identical to the local run.
+cached=(-scale smoke -seed 7 -quiet -workers "$fleet" -cache -cache-dir "$work/cache")
+before=$(stat_sum shards)
+"$work/cs" run "$scenario" "${cached[@]}" -out "$work/cache-cold"
+require_identical "$work/cache-cold" "cold cache"
+cold_shards=$(($(stat_sum shards) - before))
+if [ "$cold_shards" -eq 0 ]; then
+  echo "cold cache run moved no shards through the fleet" >&2
   exit 1
 fi
-fetched=$(grep -o '[0-9]* fetched' "$prefetch_log" | head -1 | cut -d' ' -f1)
-if [ "${fetched:-0}" -eq 0 ]; then
-  echo "prefetch pass fetched nothing on a cold cache:" >&2
-  cat "$prefetch_log" >&2
+before=$(stat_sum shards)
+"$work/cs" run "$scenario" "${cached[@]}" -out "$work/cache-warm"
+require_identical "$work/cache-warm" "warm cache"
+warm_shards=$(($(stat_sum shards) - before))
+if [ "$warm_shards" -ne 0 ]; then
+  echo "warm cache run moved $warm_shards shards; the cache should serve every estimation" >&2
   exit 1
 fi
-grep '^prefetch:' "$prefetch_log"
 
 # Observability run: a Perfetto trace plus a live coordinator /metrics
 # endpoint, still byte-identical to the local run — instrumentation
@@ -188,4 +187,4 @@ if ! grep -q 'drained in-flight shard batches and stopped' "$work/worker1.log"; 
   exit 1
 fi
 
-echo "distributed smoke OK: '$scenario' is bit-identical across 2 workers (+cv sampled, +prefetch, $fetched estimations warmed; +trace/metrics inert, $metrics_shards shards scraped, drain clean)"
+echo "distributed smoke OK: '$scenario' is bit-identical across 2 workers (+cv sampled, +cache cold $cold_shards shards then warm 0; +trace/metrics inert, $metrics_shards shards scraped, drain clean)"
