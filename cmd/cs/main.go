@@ -123,10 +123,8 @@ run/all flags:
                  at a time; results are bit-identical at any width
   -sampler NAME  Monte Carlo sampling strategy: plain (default),
                  stratified (per-shard strata), sobol (scrambled
-                 quasi-Monte Carlo), cv (control variates against
-                 each kernel's exact sigma=0 quadrature twin), or
-                 auto (pilot every strategy per kernel, run the
-                 winner); part of the estimation identity, so results
+                 quasi-Monte Carlo), or auto (pilot every strategy
+                 per kernel, run the winner); part of the estimation identity, so results
                  stay bit-identical at any -parallel width, -workers
                  fleet size, and through -cache
   -relerr T      adaptive budgets: grow each estimation point's sample
@@ -226,7 +224,7 @@ func runOptions(fs *flag.FlagSet, withSets bool) (finish func() (runConfig, erro
 	fs.StringVar(&opts.Seed, "seed", "", "override the scenario's Seed parameter")
 	fs.StringVar(&opts.Scale, "scale", "bench", "sampling effort: smoke, bench, or full")
 	fs.IntVar(&opts.Parallel, "parallel", 0, "worker pool width (0 = GOMAXPROCS)")
-	fs.StringVar(&opts.Sampler, "sampler", "", "sampling strategy: plain (default), stratified, sobol, cv, or auto")
+	fs.StringVar(&opts.Sampler, "sampler", "", "sampling strategy: plain (default), stratified, sobol, or auto")
 	fs.Float64Var(&opts.RelErr, "relerr", 0, "grow per-point budgets until this relative standard error is met")
 	fs.IntVar(&opts.MaxSamples, "max-samples", 0, "per-point budget cap for -relerr (0 = the scenario's own budget)")
 	workers := fs.String("workers", "", "distribute shards over cs serve workers (host:port,host:port,...)")

@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -151,14 +150,15 @@ func New(inner montecarlo.Executor, opts Options) *Executor {
 // control-variate adjustment (Request.Control joins the key), and the
 // sampler vocabulary gained sobol/halton/cv, whose block randomization
 // draws reshape the shard streams. Entries from earlier epochs miss
-// cleanly.
+// cleanly. Retiring cv later did not move the epoch: a key held the
+// control spec only when one was set, so every surviving request
+// hashes the bytes it hashed before.
 const KeyEpoch = 4
 
 // Key returns the cache key of a request: a SHA-256 over KeyEpoch and
 // every request field that determines the estimation result — the
-// sampler transforms the draws, the control spec adjusts every
-// sample, and the shard range selects the plan slice, so all three
-// are part of the result's identity.
+// sampler transforms the draws and the shard range selects the plan
+// slice, so both are part of the result's identity.
 func Key(req montecarlo.Request) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "epoch%d", KeyEpoch)
@@ -168,22 +168,9 @@ func Key(req montecarlo.Request) string {
 	h.Write(req.Params)
 	h.Write([]byte{0})
 	h.Write([]byte(req.Sampler))
-	h.Write([]byte{0})
-	if req.Control != nil {
-		// Hash the exact bit patterns: β and μ enter the per-sample
-		// arithmetic, so any bit difference is a different result.
-		var w [8]byte
-		for _, v := range req.Control.Beta {
-			binary.LittleEndian.PutUint64(w[:], math.Float64bits(v))
-			h.Write(w[:])
-		}
-		h.Write([]byte{1})
-		for _, v := range req.Control.Mean {
-			binary.LittleEndian.PutUint64(w[:], math.Float64bits(v))
-			h.Write(w[:])
-		}
-	}
-	h.Write([]byte{0})
+	// Two separators: epoch-4 keys held the retired control-variate
+	// spec between them, and hashed nothing there without one.
+	h.Write([]byte{0, 0})
 	var tail [32]byte
 	binary.LittleEndian.PutUint64(tail[0:], req.Seed)
 	binary.LittleEndian.PutUint64(tail[8:], uint64(req.Samples))
@@ -298,7 +285,6 @@ type diskEntry struct {
 	Dim        int                           `json:"dim"`
 	Sampler    string                        `json:"sampler,omitempty"`
 	FirstShard int                           `json:"first_shard,omitempty"`
-	Control    *montecarlo.ControlSpec       `json:"control,omitempty"`
 	States     []montecarlo.AccumulatorState `json:"states"`
 }
 
@@ -430,7 +416,6 @@ func (e *Executor) loadDisk(key string, req montecarlo.Request) ([]montecarlo.Ac
 	if de.Kernel != req.Kernel || de.Seed != req.Seed ||
 		de.Samples != req.Samples || de.Dim != req.Dim ||
 		de.Sampler != req.Sampler || de.FirstShard != req.FirstShard ||
-		!de.Control.Equal(req.Control) ||
 		!bytes.Equal(de.Params, req.Params) || len(de.States) != req.Dim {
 		return nil, false
 	}
@@ -460,7 +445,6 @@ func (e *Executor) saveDisk(key string, req montecarlo.Request, states []monteca
 			Dim:        req.Dim,
 			Sampler:    req.Sampler,
 			FirstShard: req.FirstShard,
-			Control:    req.Control,
 			States:     states,
 		})
 		if err != nil {

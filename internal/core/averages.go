@@ -88,57 +88,23 @@ func (m *Model) AvgMuxQuad(rmax float64) float64 {
 	return m.AvgSingleQuad(rmax) / 2
 }
 
-// AvgConcQuad computes ⟨C_concurrent⟩(R_max, D) for σ = 0 by nested
-// quadrature over the receiver disc.
-func (m *Model) AvgConcQuad(rmax, d float64) float64 {
-	conc, _ := m.concDiscQuad(rmax, d, false)
-	return conc
-}
-
-// ring memoizes, for one r ring of the disc sweep, the terms of the
-// upper-bound component that depend only on a node's squared radius
-// q = x² + y²: the signal power and C_single/2. The 480 nodes of a
-// ring round r²cos²θ + r²sin²θ to about five distinct q, so the
-// sweep evaluates these once per distinct q, not once per node. A
-// ⟨C_conc⟩-only sweep does not use it: saving one path gain per node
-// costs more in the lookup than it gains.
-type ring []ringNode
-
-type ringNode struct{ q, s, mux float64 }
-
-// at returns q's entry, computing it on first use.
-func (rg *ring) at(m *Model, q float64) ringNode {
-	for _, n := range *rg {
-		if n.q == q {
-			return n
-		}
-	}
-	s := m.pathGainSq(q)
-	n := ringNode{q: q, s: s, mux: m.thr(s/m.noise) / 2}
-	*rg = append(*rg, n)
-	return n
-}
-
-// The resolution of the σ = 0 disc averages: 20-point Gauss-Legendre
+// The resolution of the σ = 0 disc average: 20-point Gauss-Legendre
 // panels, discRPanels in r and discThetaPanels in θ.
 const discRPanels, discThetaPanels = 48, 24
 
-// concDiscQuad averages ⟨C_conc⟩ over receiver 1's disc at σ = 0 and,
-// when withUB is set, the per-receiver upper-bound component
-// ⟨max(C_conc, C_mux)⟩, which depends on receiver 1's placement only.
+// AvgConcQuad computes ⟨C_concurrent⟩(R_max, D) for σ = 0 by nested
+// quadrature over receiver 1's disc.
 //
 // It is the nested GaussLegendre20Panels form — the θ rule inside the
 // r rule, weighted by r, over π·R_max² — written out as one sweep with
 // the integrand inline and the θ nodes' sines and cosines computed
-// once. A node costs two path gains and one capacity evaluation; with
-// the upper bound, the signal path gain and C_single/2 come from the
-// node's ring. The partial sums run in the nested form's order
-// (θ-panel, r-node, r-panel, then the r-panels in order), so both
-// averages are bit-identical to it. The r-panels are striped over the
-// Monte Carlo pool's width, each into its own slot, and the slots are
-// added in panel order after the join: the result does not depend on
-// width.
-func (m *Model) concDiscQuad(rmax, d float64, withUB bool) (conc, ub float64) {
+// once. A node costs two path gains and one capacity evaluation. The
+// partial sums run in the nested form's order (θ-panel, r-node,
+// r-panel, then the r-panels in order), so the average is
+// bit-identical to it. The r-panels are striped over the Monte Carlo
+// pool's width, each into its own slot, and the slots are added in
+// panel order after the join: the result does not depend on width.
+func (m *Model) AvgConcQuad(rmax, d float64) float64 {
 	gw := numeric.GL20Weights
 	nq := len(gw)
 	// As variables, the panel counts divide in float64 at run time, as
@@ -161,41 +127,30 @@ func (m *Model) concDiscQuad(rmax, d float64, withUB bool) (conc, ub float64) {
 
 	noise := m.noise
 	hr := rmax / float64(rPanels)
-	slots := make([][2]float64, rPanels)
+	slots := make([]float64, rPanels)
 	sweep := func(first, width int) {
-		var rg ring
 		for i := first; i < rPanels; i += width {
 			a, b := float64(i)*hr, float64(i+1)*hr
 			mid, half := (a+b)/2, (b-a)/2
-			var acc0, acc1 float64
+			var acc float64
 			for k, x := range numeric.GL20Nodes {
 				r := mid + half*x
-				rg = rg[:0]
-				var in0, in1 float64
+				var in float64
 				for j, thHalf := range halves {
-					var p0, p1 float64
+					var p float64
 					for l, w := range gw {
 						x1, y1 := r*coss[j*nq+l], r*sins[j*nq+l]
-						q, dx := x1*x1+y1*y1, x1+d
+						dx := x1 + d
 						nI := noise + m.pathGainSq(dx*dx+y1*y1)
-						if withUB {
-							n := rg.at(m, q)
-							c := m.thr(n.s / nI)
-							p0 += w * c
-							p1 += w * math.Max(c, n.mux)
-						} else {
-							p0 += w * m.thr(m.pathGainSq(q)/nI)
-						}
+						p += w * m.thr(m.pathGainSq(x1*x1+y1*y1)/nI)
 					}
-					in0 += p0 * thHalf
-					in1 += p1 * thHalf
+					in += p * thHalf
 				}
-				acc0 += gw[k] * (r * in0)
-				acc1 += gw[k] * (r * in1)
+				acc += gw[k] * (r * in)
 			}
 			// One store per panel: neighbouring slots belong to other
 			// goroutines and may share a cache line.
-			slots[i] = [2]float64{acc0 * half, acc1 * half}
+			slots[i] = acc * half
 		}
 	}
 	width := min(montecarlo.Workers(), rPanels)
@@ -210,12 +165,11 @@ func (m *Model) concDiscQuad(rmax, d float64, withUB bool) (conc, ub float64) {
 	sweep(0, width)
 	wg.Wait()
 
+	var conc float64
 	for _, v := range slots {
-		conc += v[0]
-		ub += v[1]
+		conc += v
 	}
-	area := math.Pi * rmax * rmax
-	return conc / area, ub / area
+	return conc / (math.Pi * rmax * rmax)
 }
 
 // CurvePoint is one D-sample of the Figure 4/5/9 throughput curves.

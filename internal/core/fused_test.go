@@ -48,8 +48,8 @@ func pointKernelNames() []string {
 }
 
 // sourcePair returns two identical sources of the given kind: plain,
-// or uniform-hooked (the seam the stratified, sobol and cv samplers
-// drive, where every normal is a NormalQuantile of one uniform).
+// or uniform-hooked (the seam the stratified and sobol samplers drive,
+// where every normal is a NormalQuantile of one uniform).
 func sourcePair(kind string, seed uint64) (*rng.Source, *rng.Source) {
 	if kind == "plain" {
 		return rng.New(seed), rng.New(seed)

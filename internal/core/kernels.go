@@ -82,10 +82,8 @@ type pointKernel struct {
 	batch func(pe *pointEval) montecarlo.BatchEvalFunc
 }
 
-// pointKernels are the two-pair kernels by name. The registry, the
-// σ = 0 control twins and the local fallback all build from this one
-// table. It is a package variable, not init state, because control.go's
-// init runs before this file's.
+// pointKernels are the two-pair kernels by name. The registry and the
+// local fallback both build from this one table.
 var pointKernels = map[string]pointKernel{
 	KernelAverages:   {nAverages, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.averagesBatch }},
 	KernelSingle:     {1, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.singleBatch }},
@@ -94,12 +92,14 @@ var pointKernels = map[string]pointKernel{
 	KernelPolicyDiff: {2, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.policyDiffBatch }},
 }
 
-// pointKernelFactory rebuilds a two-pair kernel from its pointParams;
-// sigma0 builds it on the σ = 0 model, as the control twins need.
-func pointKernelFactory(name string, sigma0 bool) montecarlo.KernelFactory {
-	batch := pointKernels[name].batch
+// pointKernelFactory rebuilds a two-pair kernel from its pointParams.
+func pointKernelFactory(batch func(pe *pointEval) montecarlo.BatchEvalFunc) montecarlo.KernelFactory {
 	return func(raw json.RawMessage) (montecarlo.BatchEvalFunc, error) {
-		m, p, err := pointModel(raw, sigma0)
+		var p pointParams
+		if err := json.Unmarshal(raw, &p); err != nil {
+			return nil, err
+		}
+		m, err := p.Env.build()
 		if err != nil {
 			return nil, err
 		}
@@ -107,23 +107,9 @@ func pointKernelFactory(name string, sigma0 bool) montecarlo.KernelFactory {
 	}
 }
 
-// pointModel rebuilds the model a two-pair kernel's params name, with
-// shadowing disabled when sigma0 is set.
-func pointModel(raw json.RawMessage, sigma0 bool) (*Model, pointParams, error) {
-	var p pointParams
-	if err := json.Unmarshal(raw, &p); err != nil {
-		return nil, p, err
-	}
-	if sigma0 {
-		p.Env.SigmaDB = 0
-	}
-	m, err := p.Env.build()
-	return m, p, err
-}
-
 func init() {
 	for name, k := range pointKernels {
-		montecarlo.RegisterKernel(name, k.dim, pointKernelFactory(name, false))
+		montecarlo.RegisterKernel(name, k.dim, pointKernelFactory(k.batch))
 	}
 	montecarlo.RegisterKernel(KernelMulti, nMultiIdx, func(raw json.RawMessage) (montecarlo.BatchEvalFunc, error) {
 		var p multiParamsWire

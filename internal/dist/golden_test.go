@@ -38,7 +38,6 @@ func TestProtoVersionGolden(t *testing.T) {
 		Dim:        2,
 		Sampler:    "sobol",
 		FirstShard: 1,
-		Control:    &montecarlo.ControlSpec{Beta: []float64{0.5, 0}, Mean: []float64{1.25, 0}},
 	}
 	var buf bytes.Buffer
 	sc := &streamConn{bw: bufio.NewWriter(&buf)}

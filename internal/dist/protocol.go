@@ -30,11 +30,14 @@ const (
 // into wrong results. Version 3 added the control-variate spec
 // (Request.Control): a version-2 worker would drop the coefficients
 // and return unadjusted accumulators under the adjusted request's
-// identity. Both ends enforce it: a worker closes a stream whose hello
+// identity. Version 4 removed it with the cv sampler: a version-3
+// worker would serve a frame with no spec, but it would also still
+// accept a cv request that this binary can no longer name. Both ends
+// enforce it: a worker closes a stream whose hello
 // carries another version, and the coordinator abandons a worker whose
 // hello does, so a mixed-version fleet fails loudly instead of
 // corrupting the determinism contract.
-const ProtoVersion = 3
+const ProtoVersion = 4
 
 // validateIndices checks a shard batch for range and duplicates on the
 // worker hot path. Dup detection is a bitset sized by the shard count

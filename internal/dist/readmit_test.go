@@ -31,12 +31,19 @@ type healingWorker struct {
 	dead     chan struct{}
 	severed  atomic.Int64
 	deadOnce sync.Once
+	// served, when non-nil, is closed at the first batch served while
+	// healthy.
+	served     chan struct{}
+	servedOnce sync.Once
 }
 
 func (hw *healingWorker) start(t *testing.T) string {
 	t.Helper()
 	inner := dist.BatchWorker(func(int64) bool {
 		hw.shards.Add(1)
+		if hw.served != nil {
+			hw.servedOnce.Do(func() { close(hw.served) })
+		}
 		return true
 	})
 	return dist.StartHandler(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -109,16 +116,6 @@ func TestDeadWorkerReadmittedAfterHeal(t *testing.T) {
 	}
 }
 
-// startSlowWorker boots a worker that delays every batch, so a run
-// lasts long enough for mid-run events to land inside it.
-func startSlowWorker(t *testing.T, delay time.Duration) string {
-	t.Helper()
-	return dist.StartHandler(t, dist.BatchWorker(func(int64) bool {
-		time.Sleep(delay)
-		return true
-	}))
-}
-
 func TestReadmittedWorkerJoinsRunInFlight(t *testing.T) {
 	req := testRequest(t, 36*montecarlo.ShardSize)
 	local, err := montecarlo.Local{}.EstimateVec(context.Background(), req)
@@ -127,22 +124,40 @@ func TestReadmittedWorkerJoinsRunInFlight(t *testing.T) {
 	}
 	want := estimates(local)
 
-	hw := &healingWorker{}
-	remote, err := dist.NewRemote(
-		[]string{startSlowWorker(t, 20*time.Millisecond), hw.start(t)},
-		dist.RemoteOptions{
-			BatchSize: 1, ReadmitBase: 10 * time.Millisecond,
-		})
+	// The other worker's batch hook orders the run: its first batch
+	// waits until the dead worker has been severed dist.HostFailLimit
+	// times (the coordinator abandons it) and then heals it; its later
+	// batches wait until the healed worker has served a shard. The run
+	// cannot finish without that worker, so the readmission probe must
+	// bring it back into *this* run, not just the next one.
+	// A bound far beyond any healthy run releases every wait, so a
+	// broken readmission path fails the assertions below instead of
+	// hanging the test.
+	giveUp, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	await := func(ch <-chan struct{}) {
+		select {
+		case <-ch:
+		case <-giveUp.Done():
+		}
+	}
+	hw := &healingWorker{dead: make(chan struct{}), served: make(chan struct{})}
+	other := dist.StartHandler(t, dist.BatchWorker(func(batch int64) bool {
+		if batch == 1 {
+			await(hw.dead)
+			hw.healthy.Store(true)
+		} else {
+			await(hw.served)
+		}
+		return true
+	}))
+	remote, err := dist.NewRemote([]string{other, hw.start(t)}, dist.RemoteOptions{
+		BatchSize: 1, ReadmitBase: 10 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer remote.Close()
-
-	// Heal the dead worker while the slow worker is still grinding
-	// through the plan; the readmission probe should bring it back into
-	// *this* run, not just the next one.
-	healTimer := time.AfterFunc(50*time.Millisecond, func() { hw.healthy.Store(true) })
-	defer healTimer.Stop()
 
 	accs, err := remote.EstimateVec(context.Background(), req)
 	if err != nil {

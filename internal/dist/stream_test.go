@@ -419,6 +419,7 @@ func TestMalformedBatchFramesGetFatalErrorFrame(t *testing.T) {
 		// A sampler an older coordinator still knows but this worker
 		// no longer registers.
 		{"retired sampler", request(montecarlo.ShardSize, 3, "antithetic"), []int{0}},
+		{"retired cv sampler", request(montecarlo.ShardSize, 3, "cv"), []int{0}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			sc, err := dialStream(context.Background(), "http://"+host)

@@ -116,6 +116,11 @@ func TestRunValidatesSamplingOptions(t *testing.T) {
 	if _, err := Run(context.Background(), "mcstub-validate", Options{Sampler: "latin-hypercube"}); err == nil {
 		t.Error("unknown sampler accepted")
 	}
+	// cv is retired: the error names it and lists what remains.
+	_, err := Run(context.Background(), "mcstub-validate", Options{Sampler: "cv"})
+	if err == nil || !strings.Contains(err.Error(), `unknown sampler "cv" (want one of [auto plain sobol stratified])`) {
+		t.Errorf("-sampler cv: err = %v, want the unknown-sampler error listing auto, plain, sobol and stratified", err)
+	}
 	if _, err := Run(context.Background(), "mcstub-validate", Options{RelErr: -1}); err == nil {
 		t.Error("negative relerr accepted")
 	}

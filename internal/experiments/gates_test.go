@@ -36,7 +36,6 @@ func TestSamplesToTargetSavings(t *testing.T) {
 		snapshotPct       float64 // savings over plain in the snapshot, %
 	}{
 		{"curves", "sobol", 88.1},
-		{"curves", "cv", 82.1},
 		{"tables", "sobol", 88.6},
 	} {
 		t.Run(c.scenario+"/"+c.sampler, func(t *testing.T) {

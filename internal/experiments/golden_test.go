@@ -47,9 +47,8 @@ type goldenLeg struct {
 // goldenLegs mirror `cs all -scale smoke -seed 1` (locally and on a
 // two-worker fleet), `cs run tables -scale smoke -sampler auto -relerr
 // 0.01` (uncached, and cold then warm under -cache, followed by curves
-// with the same flags), `cs run curves -scale smoke -sampler cv -relerr
-// 0.01` and `cs run testbed|exposed -scale smoke -sampler auto -relerr
-// 0.01`.
+// with the same flags) and `cs run testbed|exposed -scale smoke
+// -sampler auto -relerr 0.01`.
 var goldenLegs = []goldenLeg{
 	{name: "all", widths: []int{1, 0}},
 	{name: "all-fleet", same: "all", fleet: true, widths: []int{0}},
@@ -58,8 +57,6 @@ var goldenLegs = []goldenLeg{
 	{name: "tables-auto-cache", same: "tables-auto", scenarios: []string{"tables"},
 		opts: engine.Options{Sampler: "auto", RelErr: 0.01}, widths: []int{0},
 		cached: true, after: []string{"curves"}},
-	{name: "curves-cv", scenarios: []string{"curves"},
-		opts: engine.Options{Sampler: "cv", RelErr: 0.01}, widths: []int{0}},
 	{name: "testbed-relerr", scenarios: []string{"testbed", "exposed"},
 		opts: engine.Options{Sampler: "auto", RelErr: 0.01}, widths: []int{1, 0}},
 }

@@ -45,7 +45,7 @@ func DefaultSamplingBench() SamplingBenchParams {
 type SamplerComparison struct {
 	Sampler   string
 	Spent     int     // samples to reach the target across all points (pilots included)
-	Pilot     int     // of Spent, samples that went to β/auto pilots
+	Pilot     int     // of Spent, samples that went to auto's pilots
 	Converged int     // points that reached the target
 	Points    int     // points driven
 	Savings   float64 // fraction of plain's samples avoided (0 for plain)
@@ -67,7 +67,7 @@ func SamplingBench(p SamplingBenchParams, scale Scale) []SamplerComparison {
 	var out []SamplerComparison
 	var plainSpent int
 	for _, name := range []string{
-		sampling.Plain, sampling.Stratified, sampling.Sobol, sampling.CV, sampling.Auto,
+		sampling.Plain, sampling.Stratified, sampling.Sobol, sampling.Auto,
 	} {
 		chain, err := sampling.NewChain(nil, name, p.Target, cap)
 		if err != nil {

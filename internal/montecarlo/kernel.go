@@ -39,10 +39,10 @@ type EvalFunc func(src *rng.Source, out []float64)
 // (sample i fills out[i*dim : (i+1)*dim]). The buffer is zeroed by
 // the caller, so indicator components may be left unset. It is the
 // one form every registered kernel takes. The plain path calls it a
-// chunk at a time; the sampler and control-variate paths call it with
-// count = 1, once per sample on that sample's stream. So a kernel must
-// carry no state from one call to the next: count calls with count = 1
-// must draw and compute exactly what one call with count does.
+// chunk at a time; the sampler path calls it with count = 1, once per
+// sample on that sample's stream. So a kernel must carry no state from
+// one call to the next: count calls with count = 1 must draw and
+// compute exactly what one call with count does.
 type BatchEvalFunc func(src *rng.Source, count int, out []float64)
 
 // KernelFactory rebuilds a kernel's BatchEvalFunc from serialized
@@ -171,12 +171,6 @@ type Request struct {
 	// FirstShard is the first shard index of the plan to evaluate
 	// (0 = the whole plan).
 	FirstShard int `json:"first_shard,omitempty"`
-	// Control, when non-nil, applies the control-variate adjustment to
-	// every evaluated sample (see control.go). Like Sampler it is part
-	// of the estimation's identity: the coefficients travel over the
-	// dist wire and are folded into the cache key, so an adjusted
-	// estimation reproduces bit-identically on any executor.
-	Control *ControlSpec `json:"control,omitempty"`
 }
 
 // Validate reports whether the request is well-formed (it does not
@@ -193,11 +187,6 @@ func (r Request) Validate() error {
 	}
 	if r.FirstShard < 0 || r.FirstShard >= ShardCount(r.Samples) {
 		return fmt.Errorf("montecarlo: request first shard %d out of plan range [0,%d)", r.FirstShard, ShardCount(r.Samples))
-	}
-	if r.Control != nil {
-		if err := r.Control.validate(r.Dim); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -252,17 +241,16 @@ func (Local) EstimateVec(ctx context.Context, req Request) ([]Accumulator, error
 }
 
 // prepared is a request made ready for in-process evaluation: checked,
-// with its kernel, sampler and control adjustment built.
+// with its kernel built and its sampler looked up.
 type prepared struct {
 	ev  BatchEvalFunc
 	sp  Sampler
-	cv  *controlEval
 	dim int
 }
 
 // prepare is the one request-preparation step RunRequest and
 // EvaluateShards share: validate, build the kernel, look up the
-// sampler, build the control.
+// sampler.
 func prepare(req Request) (prepared, error) {
 	if err := req.Validate(); err != nil {
 		return prepared{}, err
@@ -275,16 +263,12 @@ func prepare(req Request) (prepared, error) {
 	if err != nil {
 		return prepared{}, err
 	}
-	cv, err := buildControl(req)
-	if err != nil {
-		return prepared{}, err
-	}
-	return prepared{ev: ev, sp: sp, cv: cv, dim: req.Dim}, nil
+	return prepared{ev: ev, sp: sp, dim: req.Dim}, nil
 }
 
 // shard evaluates one shard of the prepared request.
 func (p prepared) shard(s Shard) []Accumulator {
-	return evalShard(p.ev, s, p.dim, p.sp, p.cv)
+	return evalShard(p.ev, s, p.dim, p.sp)
 }
 
 // RunRequest evaluates a request in-process: every planned shard (from
@@ -354,15 +338,14 @@ const batchChunk = 512
 // produce bit-identical accumulators. Under the plain sampler the
 // kernel is evaluated a chunk at a time into a preallocated flat
 // buffer, and rows are accumulated in sample order. Under any other
-// sampler — or whenever a control-variate adjustment is attached —
-// the kernel runs one sample per call over the sampler's stream, with
+// sampler the kernel runs one sample per call over the sampler's stream, with
 // each group of Group() consecutive samples folded into one
 // accumulator observation (their mean) — for stratified and Sobol
 // blocks that is what lets the accumulator's standard error see the
 // variance the block removes instead of only the marginal variance.
-func evalShard(ev BatchEvalFunc, s Shard, dim int, sp Sampler, cv *controlEval) []Accumulator {
-	if _, plain := sp.(plainSampler); cv != nil || (!plain && sp != nil) {
-		return evalShardSampled(ev, s, dim, sp, cv)
+func evalShard(ev BatchEvalFunc, s Shard, dim int, sp Sampler) []Accumulator {
+	if _, plain := sp.(plainSampler); !plain && sp != nil {
+		return evalShardSampled(ev, s, dim, sp)
 	}
 	accs := make([]Accumulator, dim)
 	defer addEvaluatedSamples(s.N)
@@ -395,33 +378,18 @@ func evalShard(ev BatchEvalFunc, s Shard, dim int, sp Sampler, cv *controlEval) 
 // evalShardSampled is the sampler-transformed shard evaluation: one
 // stream per shard, one Next() per sample, groups averaged into the
 // accumulators. The sample order, the group boundaries, and the
-// accumulation order are all pure functions of (shard, sampler,
-// control spec), so the result is bit-identical on any executor at
+// accumulation order are all pure functions of (shard, sampler), so
+// the result is bit-identical on any executor at
 // any parallelism. A trailing partial group (only possible in a
 // plan's partial last shard, since Group divides ShardSize) averages
 // over the samples it has.
-//
-// With a control adjustment attached (cv non-nil), each sample's
-// uniforms are recorded while the real kernel runs, replayed into the
-// twin, and the sample adjusted to out_j − β_j·(twin_j − μ_j) before
-// accumulation — so the accumulator states (and everything downstream:
-// merge, wire, cache) are states of the adjusted variable.
-func evalShardSampled(ev BatchEvalFunc, s Shard, dim int, sp Sampler, cv *controlEval) []Accumulator {
+func evalShardSampled(ev BatchEvalFunc, s Shard, dim int, sp Sampler) []Accumulator {
 	accs := make([]Accumulator, dim)
 	defer addEvaluatedSamples(s.N)
 	stream := sp.Stream(s.N, s.Src)
 	group := sp.Group()
 	out := make([]float64, dim)
 	sum := make([]float64, dim)
-	var (
-		rp   *replayPair
-		cur  *rng.Source
-		tout []float64
-	)
-	if cv != nil {
-		rp = newReplayPair(func() *rng.Source { return cur })
-		tout = make([]float64, dim)
-	}
 	for i := 0; i < s.N; {
 		for j := range sum {
 			sum[j] = 0
@@ -432,23 +400,7 @@ func evalShardSampled(ev BatchEvalFunc, s Shard, dim int, sp Sampler, cv *contro
 			for j := range out {
 				out[j] = 0
 			}
-			if cv == nil {
-				ev(src, 1, out)
-			} else {
-				cur = src
-				rp.beginSample()
-				ev(rp.record, 1, out)
-				for j := range tout {
-					tout[j] = 0
-				}
-				rp.beginReplay()
-				cv.fn(rp.replay, 1, tout)
-				for j, b := range cv.beta {
-					if b != 0 {
-						out[j] -= b * (tout[j] - cv.mean[j])
-					}
-				}
-			}
+			ev(src, 1, out)
 			for j, v := range out {
 				sum[j] += v
 			}

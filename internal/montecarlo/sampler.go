@@ -11,7 +11,7 @@ package montecarlo
 // The registry mirrors the kernel registry: montecarlo registers the
 // degenerate "plain" strategy (raw shard streams, one observation per
 // sample); internal/sampling registers the variance-reduction
-// strategies (stratified, sobol, cv) in its init. Both the
+// strategies (stratified, sobol) in its init. Both the
 // coordinator and `cs serve` workers link internal/sampling via the
 // engine, so a named sampler rebuilds identically on either side.
 

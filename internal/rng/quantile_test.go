@@ -7,8 +7,8 @@ import (
 
 // legacyNormalQuantile is NormalQuantile as it was before its
 // coefficients moved to package level: the bit-for-bit reference
-// the hoisted form must reproduce, since every normal a sobol,
-// stratified or cv stream draws goes through it.
+// the hoisted form must reproduce, since every normal a sobol or
+// stratified stream draws goes through it.
 func legacyNormalQuantile(p float64) float64 {
 	if math.IsNaN(p) || p <= 0 || p >= 1 {
 		switch {

@@ -9,15 +9,11 @@ package sampling
 // samples it would need to reach a relative-error target, and
 // rewrites every subsequent request for that kernel to the winner.
 //
-// The score is each candidate's expected per-point cost. Its raw form
-// is target-independent — a strategy's cost to reach relative error t
-// is (per-observation relative variance) × group ÷ t², so var_obs ×
-// group ranks candidates for every target at once — but raw variance
-// alone would crown a zero-variance candidate (cv on a σ = 0 lane)
-// even when its fixed overheads cost more than a rival's entire run.
-// So when the scheduler knows the convergence target it scores the
-// full bill: the variance-implied sample count, floored at the
-// smallest round the driver can issue, plus cv's per-point β pilot.
+// The score is each candidate's cost to reach the target: a strategy's
+// cost to reach relative error t is (per-observation relative
+// variance) × group ÷ t², so var_obs × group ranks candidates for
+// every target at once. With a known convergence target the score is
+// that sample count; without one it is the raw relative variance.
 // Scores come from the same bit-identical accumulator machinery as
 // real estimations (the pilots run through the base executor), so the
 // choice — like everything else in the pipeline — is a pure function
@@ -50,25 +46,16 @@ const AutoPilotShards = 2
 // autoPilotSamples is one candidate's pilot budget in samples.
 const autoPilotSamples = AutoPilotShards * montecarlo.ShardSize
 
-// autoCandidates returns the candidate strategies for a kernel, in
-// the fixed tie-break order: cheapest-machinery first, cv last and
-// only when the kernel has a registered control twin (and the
-// scheduler has a ControlVariates decorator to equip it).
-func autoCandidates(kernel string, haveCV bool) []string {
-	c := []string{Plain, Stratified, Sobol}
-	if haveCV && montecarlo.HasControlTwin(kernel) {
-		c = append(c, CV)
-	}
-	return c
-}
+// autoCandidates are the candidate strategies, in the fixed
+// tie-break order: cheapest machinery first.
+var autoCandidates = []string{Plain, Stratified, Sobol}
 
 // AutoOptions configure an AutoScheduler.
 type AutoOptions struct {
 	// Target is the convergence driver's relative-error target, when
 	// the scheduler runs inside a driven chain. With a target the
-	// score is each candidate's expected per-point sample bill
-	// (variance-implied count, round floor, cv pilot surcharge); with
-	// 0 it falls back to the target-independent relative variance.
+	// score is each candidate's variance-implied per-point sample
+	// count; with 0 it is the target-independent relative variance.
 	Target float64
 }
 
@@ -79,14 +66,13 @@ type PilotScore struct {
 }
 
 // AutoScheduler is the auto-resolving executor decorator. It wraps
-// the rest of the chain (the cv decorator and the convergence driver)
-// so a driven point's rounds all run under one resolved strategy, and
-// pilots go to the base executor directly — a pilot is a fixed-budget
-// probe, not something to drive to convergence.
+// the rest of the chain (the convergence driver) so a driven point's
+// rounds all run under one resolved strategy, and pilots go to the
+// base executor directly — a pilot is a fixed-budget probe, not
+// something to drive to convergence.
 type AutoScheduler struct {
 	inner montecarlo.Executor // full chain: handles the resolved request
-	base  montecarlo.Executor // pilot path: no driving, no auto/cv rewriting
-	cv    *ControlVariates    // equips the cv candidate; nil disables cv
+	base  montecarlo.Executor // pilot path: no driving, no auto rewriting
 
 	mu       sync.Mutex
 	choices  map[string]string       // kernel → winning sampler name ("plain" literal)
@@ -99,18 +85,14 @@ type AutoScheduler struct {
 
 // NewAuto builds an auto-scheduler over inner (the resolved-request
 // chain) and base (the undecorated executor pilots probe through; nil
-// = in-process). cv, when non-nil, is the chain's ControlVariates
-// decorator — the scheduler borrows its memoized pilot so the cv
-// candidate is scored with exactly the coefficients a cv win would
-// run with.
-func NewAuto(inner, base montecarlo.Executor, cv *ControlVariates, opt AutoOptions) *AutoScheduler {
+// = in-process).
+func NewAuto(inner, base montecarlo.Executor, opt AutoOptions) *AutoScheduler {
 	if base == nil {
 		base = montecarlo.Local{}
 	}
 	return &AutoScheduler{
 		inner:    inner,
 		base:     base,
-		cv:       cv,
 		choices:  map[string]string{},
 		scores:   map[string][]PilotScore{},
 		piloting: map[string]bool{},
@@ -119,28 +101,13 @@ func NewAuto(inner, base montecarlo.Executor, cv *ControlVariates, opt AutoOptio
 	}
 }
 
-// expectedCost converts a candidate's raw relative variance into the
-// per-point samples a driven estimation would spend reaching the
-// target: the variance-implied count, plus the β pilot for cv —
-// ControlFor keys on (kernel, params, seed), so every point pays its
-// own pilot. The count is deliberately NOT floored at the driver's
-// round sizes: the pilot sees one point's params, and flooring would
-// let a lane's easiest point erase the variance ranking that governs
-// its hardest ones. The variance term keeps the ranking honest
-// everywhere; the surcharge keeps a zero-variance cv candidate from
-// reading as free when a rival converges inside a cheaper probe.
-func expectedCost(cand string, raw, target float64) float64 {
-	n := raw / (target * target)
-	if cand == CV {
-		n += PilotSamples
-	}
-	return n
-}
-
 // score runs one candidate's pilot and returns its expected per-point
-// cost (with a known target), or its raw relative samples-to-target —
-// per-observation relative variance × group — without one. Lower is
-// better.
+// samples to reach the target (with a known target), or its raw
+// relative samples-to-target — per-observation relative variance ×
+// group — without one. The count is deliberately NOT floored at the
+// driver's round sizes: the pilot sees one point's params, and
+// flooring would let a lane's easiest point erase the variance
+// ranking that governs its hardest ones. Lower is better.
 func (a *AutoScheduler) score(ctx context.Context, req montecarlo.Request, cand string) (float64, error) {
 	pr := req
 	pr.Sampler = cand
@@ -149,14 +116,6 @@ func (a *AutoScheduler) score(ctx context.Context, req montecarlo.Request, cand 
 	}
 	pr.Samples = autoPilotSamples
 	pr.FirstShard = 0
-	pr.Control = nil
-	if cand == CV && montecarlo.HasControlTwin(req.Kernel) {
-		spec, err := a.cv.ControlFor(pr)
-		if err != nil {
-			return 0, err
-		}
-		pr.Control = spec
-	}
 	accs, err := a.base.EstimateVec(ctx, pr)
 	if err != nil {
 		return 0, fmt.Errorf("sampling: auto pilot %q/%s: %w", req.Kernel, cand, err)
@@ -172,7 +131,7 @@ func (a *AutoScheduler) score(ctx context.Context, req montecarlo.Request, cand 
 	varObs := est.StdErr * est.StdErr * float64(est.N)
 	raw := varObs * float64(group) / (est.Mean * est.Mean)
 	if a.target > 0 {
-		return expectedCost(cand, raw, a.target), nil
+		return raw / (a.target * a.target), nil
 	}
 	return raw, nil
 }
@@ -215,7 +174,7 @@ func (a *AutoScheduler) pilot(ctx context.Context, req montecarlo.Request) (stri
 	best, bestScore := "", math.Inf(1)
 	var board []PilotScore
 	var err error
-	for _, cand := range autoCandidates(req.Kernel, a.cv != nil) {
+	for _, cand := range autoCandidates {
 		var s float64
 		if s, err = a.score(ctx, req, cand); err != nil {
 			break
@@ -284,8 +243,8 @@ func (a *AutoScheduler) ChoiceLines() []string {
 }
 
 // PilotSpent returns the total samples the scheduler's pilots have
-// evaluated (excluding the cv coefficient pilot, which
-// ControlVariates accounts for).
+// evaluated: real samples the driver never sees, which an honest
+// spend ledger folds in.
 func (a *AutoScheduler) PilotSpent() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()

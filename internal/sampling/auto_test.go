@@ -26,7 +26,7 @@ func (r *recordingExecutor) EstimateVec(ctx context.Context, req montecarlo.Requ
 
 func TestAutoResolvesDeterministically(t *testing.T) {
 	run := func() (string, []PilotScore) {
-		a := NewAuto(montecarlo.Local{}, nil, NewControlVariates(nil), AutoOptions{Target: 0.005})
+		a := NewAuto(montecarlo.Local{}, nil, AutoOptions{Target: 0.005})
 		if _, err := a.EstimateVec(context.Background(), autoReq(2*montecarlo.ShardSize)); err != nil {
 			t.Fatal(err)
 		}
@@ -45,17 +45,18 @@ func TestAutoResolvesDeterministically(t *testing.T) {
 			t.Errorf("pilot score %d differs: %+v vs %+v", i, s1[i], s2[i])
 		}
 	}
-	// drive/noisy has no control twin, so cv must not be a candidate.
-	for _, s := range s1 {
-		if s.Sampler == CV {
-			t.Error("cv piloted for a twinless kernel")
+	// Every candidate is piloted, in tie-break order.
+	for i, s := range s1 {
+		if i >= len(autoCandidates) || s.Sampler != autoCandidates[i] {
+			t.Errorf("scoreboard %+v, want one entry per candidate in order %v", s1, autoCandidates)
+			break
 		}
 	}
 }
 
 func TestAutoRewritesToWinnerOnly(t *testing.T) {
 	rec := &recordingExecutor{inner: montecarlo.Local{}}
-	a := NewAuto(rec, nil, nil, AutoOptions{})
+	a := NewAuto(rec, nil, AutoOptions{})
 	if _, err := a.EstimateVec(context.Background(), autoReq(2*montecarlo.ShardSize)); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestAutoRewritesToWinnerOnly(t *testing.T) {
 }
 
 func TestAutoResultBitIdenticalToFixedWinner(t *testing.T) {
-	a := NewAuto(montecarlo.Local{}, nil, nil, AutoOptions{})
+	a := NewAuto(montecarlo.Local{}, nil, AutoOptions{})
 	got, err := a.EstimateVec(context.Background(), autoReq(2*montecarlo.ShardSize))
 	if err != nil {
 		t.Fatal(err)
@@ -95,14 +96,6 @@ func TestAutoResultBitIdenticalToFixedWinner(t *testing.T) {
 	}
 	if got[0] != want[0] {
 		t.Errorf("auto result != fixed %q result", winner)
-	}
-}
-
-func TestExpectedCostChargesCVPilot(t *testing.T) {
-	// A zero-variance cv candidate still costs its per-point β pilot;
-	// a rival whose variance implies fewer samples than that must win.
-	if cv, rival := expectedCost(CV, 0, 0.005), expectedCost(Sobol, 1e-5, 0.005); cv <= rival {
-		t.Errorf("cv cost %v <= cheap rival %v; pilot surcharge missing", cv, rival)
 	}
 }
 
@@ -130,7 +123,7 @@ func TestAutoPilotsOnPlanLeaderNotFirstAsker(t *testing.T) {
 	}
 	defer montecarlo.ResetMaxWorkers()
 	rec := &pilotRecorder{piloted: make(chan struct{})}
-	a := NewAuto(montecarlo.Local{}, rec, nil, AutoOptions{Target: 0.005})
+	a := NewAuto(montecarlo.Local{}, rec, AutoOptions{Target: 0.005})
 	// Task 0 asks only once task 1 has asked and waits behind it (its
 	// first look at ctx.Done is the scheduler's wait) or, were the
 	// scheduler first-come, has started piloting.

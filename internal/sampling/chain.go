@@ -2,12 +2,10 @@ package sampling
 
 // The sampling chain: the one place a run's executor decorators are
 // assembled. From the base executor outwards it holds the convergence
-// driver (with a RelErr target), the cv decorator (cv and auto) and
-// the auto-scheduler (auto). The variance-reduction decorators sit
-// outside the driver so a driven point's rounds all share one pilot
-// β (cv) and one resolved strategy (auto): the coefficients are
-// stamped on the full request before the driver splits it into ranged
-// rounds.
+// driver (with a RelErr target) and the auto-scheduler (auto). The
+// scheduler sits outside the driver so a driven point's rounds all
+// share one resolved strategy: it is stamped on the full request
+// before the driver splits it into ranged rounds.
 
 import (
 	"fmt"
@@ -19,7 +17,6 @@ import (
 type Chain struct {
 	exec   montecarlo.Executor
 	driver *Driver
-	cv     *ControlVariates
 	auto   *AutoScheduler
 	prev   string // the default sampler Close restores
 }
@@ -52,16 +49,11 @@ func NewChain(base montecarlo.Executor, sampler string, relErr float64, maxSampl
 		}
 		c.driver, c.exec = d, d
 	}
-	if sampler == CV || sampler == Auto {
-		c.cv = NewControlVariates(c.exec)
-		c.exec = c.cv
-	}
 	if sampler == Auto {
-		// Pilot probes bypass the driver/cv chain — a pilot is a
-		// fixed-budget measurement, not something to drive to
-		// convergence — and go to base, so a fleet or cache still
-		// serves them.
-		c.auto = NewAuto(c.exec, base, c.cv, AutoOptions{Target: relErr})
+		// Pilot probes bypass the driver — a pilot is a fixed-budget
+		// measurement, not something to drive to convergence — and go
+		// to base, so a fleet or cache still serves them.
+		c.auto = NewAuto(c.exec, base, AutoOptions{Target: relErr})
 		c.exec = c.auto
 	}
 	c.prev = montecarlo.DefaultSampler()
@@ -82,16 +74,11 @@ func (c *Chain) Driver() *Driver { return c.driver }
 // Auto returns the auto-scheduler, or nil unless the sampler is auto.
 func (c *Chain) Auto() *AutoScheduler { return c.auto }
 
-// PilotSpent returns the samples the cv coefficient pilots and the
-// auto-scheduler's candidate probes have evaluated: real samples the
-// driver never sees, which an honest spend ledger folds in.
+// PilotSpent returns the samples the auto-scheduler's candidate
+// probes have evaluated (0 unless the sampler is auto).
 func (c *Chain) PilotSpent() int {
-	n := 0
-	if c.cv != nil {
-		n += c.cv.PilotSpent()
+	if c.auto == nil {
+		return 0
 	}
-	if c.auto != nil {
-		n += c.auto.PilotSpent()
-	}
-	return n
+	return c.auto.PilotSpent()
 }

@@ -9,14 +9,14 @@ import (
 
 func TestNewChainShapeAndDefaultSampler(t *testing.T) {
 	for _, tc := range []struct {
-		sampler          string
-		relErr           float64
-		driver, cv, auto bool
+		sampler      string
+		relErr       float64
+		driver, auto bool
 	}{
-		{"", 0, false, false, false},
-		{Sobol, 0.01, true, false, false},
-		{CV, 0, false, true, false},
-		{Auto, 0.01, true, true, true},
+		{"", 0, false, false},
+		{Sobol, 0.01, true, false},
+		{Stratified, 0, false, false},
+		{Auto, 0.01, true, true},
 	} {
 		c, err := NewChain(nil, tc.sampler, tc.relErr, 0)
 		if err != nil {
@@ -25,10 +25,10 @@ func TestNewChainShapeAndDefaultSampler(t *testing.T) {
 		if got := montecarlo.DefaultSampler(); got != tc.sampler {
 			t.Errorf("%q: default sampler %q installed", tc.sampler, got)
 		}
-		if (c.Driver() != nil) != tc.driver || (c.cv != nil) != tc.cv || (c.Auto() != nil) != tc.auto {
-			t.Errorf("%q relerr %g: driver %v cv %v auto %v", tc.sampler, tc.relErr, c.Driver() != nil, c.cv != nil, c.Auto() != nil)
+		if (c.Driver() != nil) != tc.driver || (c.Auto() != nil) != tc.auto {
+			t.Errorf("%q relerr %g: driver %v auto %v", tc.sampler, tc.relErr, c.Driver() != nil, c.Auto() != nil)
 		}
-		if _, isLocal := c.Executor().(montecarlo.Local); isLocal != (tc.sampler == "") {
+		if _, isLocal := c.Executor().(montecarlo.Local); isLocal != (!tc.driver && !tc.auto) {
 			t.Errorf("%q: outermost executor %T", tc.sampler, c.Executor())
 		}
 		c.Close()
@@ -48,9 +48,8 @@ func TestNewChainCountsPilotSpend(t *testing.T) {
 	if _, err := c.Executor().EstimateVec(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	// The chain's spend is auto's candidate pilots plus cv's β pilots.
-	want := c.Auto().PilotSpent() + c.cv.PilotSpent()
-	if got := c.PilotSpent(); got != want || got < 3*autoPilotSamples {
-		t.Errorf("PilotSpent = %d, want %d (≥ 3 candidate pilots)", got, want)
+	// The chain's spend is auto's candidate pilots, one per candidate.
+	if got, want := c.PilotSpent(), len(autoCandidates)*autoPilotSamples; got != want {
+		t.Errorf("PilotSpent = %d, want %d (one pilot per candidate)", got, want)
 	}
 }

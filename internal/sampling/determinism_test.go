@@ -64,18 +64,8 @@ func TestSamplersBitIdenticalAcrossExecutors(t *testing.T) {
 		strings.TrimPrefix(srv2.URL, "http://"),
 	}
 
-	for _, sampler := range []string{sampling.Plain, sampling.Stratified, sampling.Sobol, sampling.CV} {
+	for _, sampler := range []string{sampling.Plain, sampling.Stratified, sampling.Sobol} {
 		req := averagesReq(t, sampler, 3*montecarlo.ShardSize+101)
-		if sampler == sampling.CV {
-			// The engine's cv decorator stamps the pilot coefficients
-			// before a request travels; do the same so the spec itself
-			// crosses the wire and the cache key space.
-			spec, err := montecarlo.PilotControl(req, sampling.PilotSamples)
-			if err != nil {
-				t.Fatal(err)
-			}
-			req.Control = spec
-		}
 
 		local, err := montecarlo.RunRequest(context.Background(), req)
 		if err != nil {
@@ -104,23 +94,15 @@ func TestDriverBitIdenticalAcrossExecutors(t *testing.T) {
 	srv := httptest.NewServer(dist.NewServer())
 	defer srv.Close()
 
-	for _, sampler := range []string{sampling.Plain, sampling.Stratified, sampling.Sobol, sampling.CV} {
+	for _, sampler := range []string{sampling.Plain, sampling.Stratified, sampling.Sobol} {
 		req := averagesReq(t, sampler, 6*montecarlo.ShardSize)
 		opts := sampling.DriverOptions{RelErr: 0.01, MaxSamples: 6 * montecarlo.ShardSize}
-		// cv runs under the engine's decorator chain (cv outside the
-		// driver), so every round of a point shares one pilot β.
-		chain := func(d *sampling.Driver) montecarlo.Executor {
-			if sampler == sampling.CV {
-				return sampling.NewControlVariates(d)
-			}
-			return d
-		}
 
 		dLocal, err := sampling.NewDriver(nil, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		local := estimate(t, chain(dLocal), req)
+		local := estimate(t, dLocal, req)
 
 		remote, err := dist.NewRemote([]string{strings.TrimPrefix(srv.URL, "http://")})
 		if err != nil {
@@ -130,14 +112,14 @@ func TestDriverBitIdenticalAcrossExecutors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSame(t, sampler+": driven remote vs local", estimate(t, chain(dRemote), req), local)
+		assertSame(t, sampler+": driven remote vs local", estimate(t, dRemote, req), local)
 
 		dir := t.TempDir()
 		dCache1, err := sampling.NewDriver(cache.New(nil, cache.Options{Dir: dir}), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSame(t, sampler+": driven cache fill vs local", estimate(t, chain(dCache1), req), local)
+		assertSame(t, sampler+": driven cache fill vs local", estimate(t, dCache1, req), local)
 
 		// A second driven run over the same directory must replay the
 		// identical round schedule and hit on every delta request.
@@ -146,7 +128,7 @@ func TestDriverBitIdenticalAcrossExecutors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSame(t, sampler+": driven cache replay vs local", estimate(t, chain(dCache2), req), local)
+		assertSame(t, sampler+": driven cache replay vs local", estimate(t, dCache2, req), local)
 		if st := warm.Stats(); st.Misses != 0 {
 			t.Errorf("%s: replayed convergence run missed the cache %d times (rounds: %d)",
 				sampler, st.Misses, dCache2.Reports()[0].Rounds)

@@ -16,8 +16,8 @@ package sampling
 // Ahead of the whole-shard schedule sits one sub-shard *probe* round:
 // a prefix of shard 0 sized to hold enough of the sampler's
 // observation groups for an honest error estimate. A strong
-// variance-reduction strategy (scrambled Sobol, control variates on a
-// σ = 0 lane) often meets the target inside that prefix, and without
+// variance-reduction strategy (scrambled Sobol on a smooth lane)
+// often meets the target inside that prefix, and without
 // the probe every such point would pay the full one-shard floor —
 // the floor, not the integrand, would set its cost. A probe that
 // converges IS the point's result (a plain Samples=p request,

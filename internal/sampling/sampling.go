@@ -12,8 +12,7 @@
 //     the receiver's radial position draw — to its own stratum of the
 //     shard, removing the between-strata variance of that dimension;
 //     `sobol` (qmc.go) replaces the whole uniform stream with
-//     scrambled low-discrepancy blocks; `cv` (cv.go) subtracts each
-//     kernel's exact σ = 0 twin. `plain` is montecarlo's built-in
+//     scrambled low-discrepancy blocks. `plain` is montecarlo's built-in
 //     identity strategy, and `auto` (auto.go) pilots the others per
 //     kernel and runs the winner.
 //   - The convergence driver (driver.go) changes how many samples each
@@ -22,8 +21,8 @@
 //     meets the target — so easy points stop early and heavy-tailed
 //     points keep going.
 //
-// NewChain (chain.go) stacks the driver and the cv and auto decorators
-// over a run's base executor; every caller builds its chain there.
+// NewChain (chain.go) stacks the driver and the auto decorator over a
+// run's base executor; every caller builds its chain there.
 //
 // Determinism contract: a strategy is a pure per-shard stream
 // transform. All state lives in the per-shard SampleStream, sample

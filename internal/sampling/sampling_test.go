@@ -43,16 +43,6 @@ func init() {
 			out[0] = u
 		}), nil
 	})
-	// probe/first's control twin is the integrand itself, so the cv
-	// sampler has a twin to adjust against.
-	montecarlo.RegisterControlTwin("probe/first", montecarlo.ControlTwin{
-		Eval: func(params json.RawMessage) (montecarlo.BatchEvalFunc, error) {
-			return montecarlo.BatchLoop(1, func(src *rng.Source, out []float64) {
-				out[0] = src.Float64()
-			}), nil
-		},
-		Means: func(params json.RawMessage) ([]float64, error) { return []float64{0.5}, nil },
-	})
 }
 
 func sequential(t *testing.T) {
@@ -161,16 +151,9 @@ func TestStratifiedAccumulatesBlockMeans(t *testing.T) {
 }
 
 func TestSamplersDeterministicAcrossParallelism(t *testing.T) {
-	for _, sampler := range []string{Plain, Stratified, Sobol, CV} {
+	for _, sampler := range []string{Plain, Stratified, Sobol} {
 		req := montecarlo.Request{
 			Kernel: "probe/first", Seed: 99, Samples: 5*montecarlo.ShardSize + 123, Dim: 1, Sampler: sampler,
-		}
-		if sampler == CV {
-			spec, err := montecarlo.PilotControl(req, PilotSamples)
-			if err != nil {
-				t.Fatal(err)
-			}
-			req.Control = spec
 		}
 		var base []montecarlo.Accumulator
 		for _, workers := range []int{1, 3, 8} {
@@ -194,12 +177,12 @@ func TestSamplersDeterministicAcrossParallelism(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	for _, name := range []string{"", Plain, Stratified, Sobol, CV, Auto} {
+	for _, name := range []string{"", Plain, Stratified, Sobol, Auto} {
 		if err := Validate(name); err != nil {
 			t.Errorf("Validate(%q) = %v", name, err)
 		}
 	}
-	for _, name := range []string{"latin-hypercube", "antithetic", "halton"} {
+	for _, name := range []string{"latin-hypercube", "antithetic", "halton", "cv"} {
 		err := Validate(name)
 		if err == nil || !strings.Contains(err.Error(), "unknown sampler") {
 			t.Errorf("Validate(%q) = %v, want an unknown-sampler error", name, err)

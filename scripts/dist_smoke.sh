@@ -3,9 +3,10 @@
 # run one scenario five ways — locally, over the fleet, through -cache
 # over the fleet cold and then warm, and with full observability
 # (-trace + -metrics-listen) — then require every run to be
-# byte-identical to the local one; the warm run must move no shards. A sampled leg (the cv sampler to a -relerr target) runs
-# locally and over the fleet and must be byte-identical too. The /stats endpoints must show the fleet moved shards over
-# frame streams, the /metrics scrapes must be live Prometheus text, and
+# byte-identical to the local one; the warm run must move no shards. A
+# sampled leg (the sobol sampler to a -relerr target) runs locally and
+# over the fleet and must be byte-identical too. The /stats endpoints
+# must show the fleet moved shards over frame streams, the /metrics scrapes must be live Prometheus text, and
 # a SIGTERM'd worker must drain in-flight batches and exit 0. CI runs
 # this; it is also handy locally:
 #
@@ -84,13 +85,14 @@ if [ "$(stat_sum streams)" -eq 0 ] || [ "$(stat_sum shards)" -eq 0 ]; then
   exit 1
 fi
 
-# Sampled leg: cv with a -relerr target evaluates every kernel one
-# sample per call and replays each sample into its control twin, on the
-# workers as well as locally. The fleet run must match the local one.
-sampled=(-scale smoke -seed 7 -sampler cv -relerr 0.01 -quiet)
-"$work/cs" run "$scenario" "${sampled[@]}" -out "$work/cv-local"
-"$work/cs" run "$scenario" "${sampled[@]}" -workers "$fleet" -out "$work/cv-fleet"
-require_identical "$work/cv-fleet" "sampled (cv) fleet" "$(echo "$work"/cv-local/*)"
+# Sampled leg: sobol with a -relerr target evaluates every kernel one
+# sample per call over scrambled blocks, in probe and ranged rounds, on
+# the workers as well as locally. The fleet run must match the local
+# one.
+sampled=(-scale smoke -seed 7 -sampler sobol -relerr 0.01 -quiet)
+"$work/cs" run "$scenario" "${sampled[@]}" -out "$work/sobol-local"
+"$work/cs" run "$scenario" "${sampled[@]}" -workers "$fleet" -out "$work/sobol-fleet"
+require_identical "$work/sobol-fleet" "sampled (sobol) fleet" "$(echo "$work"/sobol-local/*)"
 
 # Cache through the fleet: the cold run evaluates on the workers and
 # fills the cache; the warm run is served from it and must move no
@@ -187,4 +189,4 @@ if ! grep -q 'drained in-flight shard batches and stopped' "$work/worker1.log"; 
   exit 1
 fi
 
-echo "distributed smoke OK: '$scenario' is bit-identical across 2 workers (+cv sampled, +cache cold $cold_shards shards then warm 0; +trace/metrics inert, $metrics_shards shards scraped, drain clean)"
+echo "distributed smoke OK: '$scenario' is bit-identical across 2 workers (+sobol sampled, +cache cold $cold_shards shards then warm 0; +trace/metrics inert, $metrics_shards shards scraped, drain clean)"
