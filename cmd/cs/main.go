@@ -98,7 +98,7 @@ commands:
                             shared run flags: -workers, -cache, ...)
   cs exp analyze DIR        verify + aggregate manifested runs into
                             analysis/{summary_runs.csv,
-                            summary_grouped.csv, tables.tex, plots.txt}
+                            summary_grouped.csv}
   cs help <scenario>        describe one scenario and its parameters
 
 serve flags:
@@ -181,13 +181,6 @@ run-only flags:
   -grid k=v1,v2  sweep a parameter axis (repeatable; axes cross-multiply;
                  values within an axis and keys across axes are distinct)
 
-run/all -plan (requires -cache):
-  -plan          dry-run that diffs the run's estimations — for run,
-                 one scenario including its -grid cross product; for
-                 all, the whole catalog — against the cache and
-                 reports which will be free, without evaluating
-                 anything
-
 "cs all" runs every scenario except report (which is itself the whole
 catalog in one document).`)
 }
@@ -206,7 +199,6 @@ type runConfig struct {
 	opts          engine.Options
 	cache         *cache.Executor // non-nil when -cache is set
 	cacheDir      string          // resolved persistent cache directory (when -cache)
-	plan          bool            // -plan: report the cache plan instead of running
 	cpuProfile    string
 	memProfile    string
 	traceFile     string // -trace: Chrome trace_event JSON output path
@@ -232,7 +224,6 @@ func runOptions(fs *flag.FlagSet, withSets bool) (finish func() (runConfig, erro
 	readmitBase := fs.Duration("readmit-base", 0, "with -workers: base probe delay for readmitting dead workers (0 = default; negative = off)")
 	faultSpec := fs.String("fault", "", "deterministic fault schedule for this coordinator process (testing; see internal/fault)")
 	useCache := fs.Bool("cache", false, "serve repeated kernel estimations from the persistent result cache")
-	fs.BoolVar(&cfg.plan, "plan", false, "with -cache: report which estimations are already cached, without running")
 	cacheDir := fs.String("cache-dir", "", "persistent cache directory (default: user cache dir)")
 	cacheMaxBytes := fs.Int64("cache-max-bytes", 0, "evict least-recently-used persistent entries beyond this size (0 = unbounded)")
 	fs.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -299,18 +290,6 @@ func runOptions(fs *flag.FlagSet, withSets bool) (finish func() (runConfig, erro
 			return cfg, fmt.Errorf("-cache-dir requires -cache")
 		} else if *cacheMaxBytes != 0 {
 			return cfg, fmt.Errorf("-cache-max-bytes requires -cache")
-		}
-		if cfg.plan {
-			if cfg.cache == nil {
-				return cfg, fmt.Errorf("-plan requires -cache")
-			}
-			if opts.RelErr > 0 {
-				// A convergence-driven run issues rounds until the
-				// *values* converge; a dry run with zero-mean
-				// placeholders would spin every point to its cap and
-				// report nonsense. Plan the fixed-budget shape instead.
-				return cfg, fmt.Errorf("-plan cannot predict -relerr convergence rounds; plan without -relerr")
-			}
 		}
 		// Record the execution shape for provenance manifests: the
 		// engine cannot see through the Executor interface, so the flag
@@ -510,77 +489,10 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	if cfg.plan {
-		return planRun(cfg, name)
-	}
 	return runAndReport(cfg, func() error {
 		_, err := engine.Run(context.Background(), name, cfg.opts)
 		return err
 	})
-}
-
-// planRun is `cs run <scenario> -cache -plan`: replay one scenario —
-// including its -grid cross product and -set overrides — against the
-// cache.Planner dry-run executor and report, per kernel, how much of
-// the run is already paid for. The single-scenario counterpart of
-// `cs all -cache -plan` (ROADMAP: cache-aware orchestration).
-func planRun(cfg runConfig, name string) error {
-	if name == "sampling" {
-		return fmt.Errorf("the sampling scenario drives its own local executor and is never cache-routed; nothing to plan")
-	}
-	planner := cache.NewPlanner(cfg.cacheDir)
-	opts := cfg.opts
-	opts.Executor = planner
-	opts.Stdout = nil // the plan is the output, not the scenario report
-	opts.OutDir = ""
-	err := planScenario(name, opts)
-	entries := planner.Entries()
-	fmt.Printf("cache plan for %s (%s):\n", name, cfg.cacheDir)
-	// Per-kernel ledger, in first-appearance order.
-	type kernelPlan struct {
-		requests, cached int
-		samplesToEval    int64
-	}
-	perKernel := map[string]*kernelPlan{}
-	var order []string
-	for _, e := range entries {
-		kp := perKernel[e.Kernel]
-		if kp == nil {
-			kp = &kernelPlan{}
-			perKernel[e.Kernel] = kp
-			order = append(order, e.Kernel)
-		}
-		kp.requests++
-		if e.Cached {
-			kp.cached++
-		} else {
-			kp.samplesToEval += int64(e.Samples)
-		}
-	}
-	for _, k := range order {
-		kp := perKernel[k]
-		switch {
-		case kp.cached == kp.requests:
-			fmt.Printf("  %-20s %4d estimations, all cached — free\n", k, kp.requests)
-		default:
-			fmt.Printf("  %-20s %4d estimations, %4d cached, %4d to evaluate (~%d samples)\n",
-				k, kp.requests, kp.cached, kp.requests-kp.cached, kp.samplesToEval)
-		}
-	}
-	s := planner.Summarize()
-	switch {
-	case s.Requests == 0:
-		fmt.Println("  no kernel estimations (unaffected by the cache)")
-	default:
-		fmt.Printf("total: %d estimations, %d cached, %d to evaluate (~%d samples)\n",
-			s.Requests, s.Cached, s.ToEvaluate, s.SamplesToEval)
-	}
-	if err != nil {
-		// A scenario choking on placeholder estimates still yields a
-		// partial ledger; report it rather than abort.
-		fmt.Printf("(plan incomplete: %v)\n", err)
-	}
-	return nil
 }
 
 // cmdCache inspects or empties the persistent result cache used by
@@ -621,74 +533,6 @@ func cmdCache(args []string) error {
 	default:
 		return fmt.Errorf("unknown cache command %q (want stats or clear)", sub)
 	}
-}
-
-// planAll is `cs all -cache -plan`: replay every scenario against a
-// dry-run executor that diffs each estimation request against the
-// persistent cache instead of evaluating it, then report which
-// scenarios will be free before any real work is spent. Misses return
-// zero-mean placeholders, so a scenario whose control flow depends on
-// estimate *values* (threshold searches) may issue a slightly
-// different request mix than the real run — the plan is exact when
-// everything hits and an approximation otherwise.
-func planAll(cfg runConfig) error {
-	planner := cache.NewPlanner(cfg.cacheDir)
-	opts := cfg.opts
-	opts.Executor = planner
-	opts.Stdout = nil // the plan is the output, not the scenario reports
-	opts.OutDir = ""
-	var total cache.PlanSummary
-	fmt.Printf("cache plan (%s):\n", cfg.cacheDir)
-	for _, sc := range engine.Scenarios() {
-		if sc.Name == "report" {
-			continue
-		}
-		if sc.Name == "sampling" {
-			// The sampler shoot-out installs its own local driver (the
-			// evaluation work *is* its benchmark), so it neither reads
-			// the cache nor belongs in a dry run.
-			fmt.Printf("  %-14s skipped (drives its own local executor; never cache-routed)\n", sc.Name)
-			continue
-		}
-		planner.Reset()
-		err := planScenario(sc.Name, opts)
-		s := planner.Summarize()
-		switch {
-		case err != nil:
-			// A scenario choking on placeholder estimates still yields
-			// a partial ledger; report it rather than abort the plan.
-			fmt.Printf("  %-14s %3d estimations, %3d cached, %3d to evaluate (plan incomplete: %v)\n",
-				sc.Name, s.Requests, s.Cached, s.ToEvaluate, err)
-		case s.Requests == 0:
-			fmt.Printf("  %-14s no kernel estimations (unaffected by the cache)\n", sc.Name)
-		case s.ToEvaluate == 0:
-			fmt.Printf("  %-14s %3d estimations, all cached — free\n", sc.Name, s.Requests)
-		default:
-			fmt.Printf("  %-14s %3d estimations, %3d cached, %3d to evaluate (~%d samples)\n",
-				sc.Name, s.Requests, s.Cached, s.ToEvaluate, s.SamplesToEval)
-		}
-		total.Requests += s.Requests
-		total.Cached += s.Cached
-		total.ToEvaluate += s.ToEvaluate
-		total.SamplesCached += s.SamplesCached
-		total.SamplesToEval += s.SamplesToEval
-	}
-	fmt.Printf("total: %d estimations, %d cached, %d to evaluate (~%d samples)\n",
-		total.Requests, total.Cached, total.ToEvaluate, total.SamplesToEval)
-	return nil
-}
-
-// planScenario runs one scenario against the planning executor,
-// containing any panic a placeholder estimate provokes so the rest of
-// the plan still prints.
-func planScenario(name string, opts engine.Options) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	_, err = engine.Run(context.Background(), name, opts)
-	return err
 }
 
 // cmdServe runs a distributed shard worker: an HTTP server that
@@ -779,9 +623,6 @@ func cmdAll(args []string) error {
 	cfg, err := finish()
 	if err != nil {
 		return err
-	}
-	if cfg.plan {
-		return planAll(cfg)
 	}
 	return runAndReport(cfg, func() error {
 		for _, sc := range engine.Scenarios() {

@@ -315,11 +315,6 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// errLegacyEntry marks a pre-checksum entry file (bare JSON). Legacy
-// entries miss silently — they are not damage, just an older format —
-// and the store-through on the recomputed result overwrites them.
-var errLegacyEntry = errors.New("cache: legacy headerless entry")
-
 // sealEntry frames a payload in the checksummed on-disk format.
 func sealEntry(payload []byte) []byte {
 	header := fmt.Sprintf("%s %08x %d\n", entryMagic, crc32.Checksum(payload, crcTable), len(payload))
@@ -332,11 +327,10 @@ func sealEntry(payload []byte) []byte {
 // openEntry verifies an entry file's header and checksum and returns
 // the JSON payload. Any structural damage — missing or malformed
 // header, a length that disagrees with the file, a checksum mismatch
-// — is an error the caller must treat as corruption.
+// — is an error the caller must treat as corruption. A bare-JSON
+// file without a header is damage too: keys of the current KeyEpoch
+// were only ever written sealed.
 func openEntry(data []byte) ([]byte, error) {
-	if len(data) > 0 && data[0] == '{' {
-		return nil, errLegacyEntry
-	}
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
 		return nil, errors.New("cache: entry missing header line")
@@ -402,9 +396,6 @@ func (e *Executor) loadDisk(key string, req montecarlo.Request) ([]montecarlo.Ac
 		data = f.MangleCacheLoad(data)
 	}
 	payload, perr := openEntry(data)
-	if errors.Is(perr, errLegacyEntry) {
-		return nil, false
-	}
 	var de diskEntry
 	if perr == nil {
 		perr = json.Unmarshal(payload, &de)

@@ -122,40 +122,3 @@ func TestDiskHitRefreshesRecency(t *testing.T) {
 		t.Errorf("disk hit left mtime at %v; eviction would treat the entry as cold", info.ModTime())
 	}
 }
-
-func TestPlannerLedger(t *testing.T) {
-	dir := t.TempDir()
-	warm := New(montecarlo.Local{}, Options{Dir: dir})
-	cached := testReq(1, 3, montecarlo.ShardSize)
-	mustEstimate(t, warm, cached)
-
-	p := NewPlanner(dir)
-	fromCache := mustEstimate(t, p, cached)
-	if !sameAccs(fromCache, mustEstimate(t, warm, cached)) {
-		t.Error("planner hit did not return the cached bits")
-	}
-	missing := testReq(2, 4, 2*montecarlo.ShardSize)
-	placeholder := mustEstimate(t, p, missing)
-	if placeholder[0].N() != missing.Samples {
-		t.Errorf("placeholder N = %d, want the request's %d samples", placeholder[0].N(), missing.Samples)
-	}
-	if placeholder[0].Estimate().Mean != 0 {
-		t.Error("placeholder mean should be zero")
-	}
-
-	s := p.Summarize()
-	if s.Requests != 2 || s.Cached != 1 || s.ToEvaluate != 1 {
-		t.Errorf("summary = %+v, want 2 requests / 1 cached / 1 to evaluate", s)
-	}
-	if s.SamplesToEval != int64(missing.Samples) {
-		t.Errorf("samples to evaluate = %d, want %d", s.SamplesToEval, missing.Samples)
-	}
-	// Nothing was written: the missing request still misses.
-	if _, err := os.Stat(filepath.Join(dir, Key(missing)+".json")); err == nil {
-		t.Error("planner wrote a cache entry for a miss")
-	}
-	p.Reset()
-	if got := p.Summarize().Requests; got != 0 {
-		t.Errorf("reset ledger still has %d requests", got)
-	}
-}

@@ -2,9 +2,9 @@ package cache
 
 // Disk-entry integrity: a damaged persistent entry must read as a
 // miss — never a wrong result — be counted, and be quarantined out of
-// the entry namespace. Each corruption in the trio (truncated file,
-// flipped payload byte, wrong-length header) is applied to a freshly
-// written entry; the re-estimation after the miss must be
+// the entry namespace. Each corruption (truncated file, flipped
+// payload byte, wrong-length header, missing header) is applied to a
+// freshly written entry; the re-estimation after the miss must be
 // bit-identical to an undamaged run.
 
 import (
@@ -69,6 +69,11 @@ func TestCorruptDiskEntriesReadAsMisses(t *testing.T) {
 			fields[2] = strconv.Itoa(n + 8)
 			return append([]byte(strings.Join(fields, " ")+"\n"), data[nl+1:]...)
 		}},
+		{"headerless entry", func(t *testing.T, _ string, data []byte) []byte {
+			// The bare JSON payload with its header stripped: current
+			// keys were only ever written sealed, so this is damage.
+			return data[bytes.IndexByte(data, '\n')+1:]
+		}},
 	}
 	for _, d := range damage {
 		t.Run(d.name, func(t *testing.T) {
@@ -110,31 +115,6 @@ func TestCorruptDiskEntriesReadAsMisses(t *testing.T) {
 				t.Fatalf("re-written entry not served from disk: %+v", st)
 			}
 		})
-	}
-}
-
-func TestLegacyHeaderlessEntryMissesWithoutQuarantine(t *testing.T) {
-	req := testReq(2, 7, montecarlo.ShardSize)
-	dir := t.TempDir()
-	path, clean := writeEntryVia(t, dir, req)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Strip the header: exactly what a pre-integrity binary wrote.
-	nl := bytes.IndexByte(data, '\n')
-	if err := os.WriteFile(path, data[nl+1:], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, st := reload(t, dir, req)
-	if !sameAccs(got, clean) {
-		t.Fatal("result over a legacy entry differs from the clean run")
-	}
-	if st.Corrupt != 0 {
-		t.Fatalf("legacy entry counted as corrupt: %+v", st)
-	}
-	if _, err := os.Stat(filepath.Join(dir, QuarantineDir)); !os.IsNotExist(err) {
-		t.Fatal("legacy entry was quarantined; want a silent miss")
 	}
 }
 

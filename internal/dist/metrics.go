@@ -14,8 +14,6 @@ import (
 )
 
 var (
-	mBatches = obs.Default().Counter("cs_dist_batches_total",
-		"Shard batches completed.")
 	mWorkersAbandoned = obs.Default().Counter("cs_dist_workers_abandoned_total",
 		"Workers declared dead and removed from the fleet for a run.")
 	mProbes = obs.Default().Counter("cs_dist_readmit_probes_total",
@@ -41,8 +39,6 @@ var (
 		"Shards evaluated for coordinators.")
 	wInflight = obs.Default().Gauge("cs_worker_inflight_batches",
 		"Shard batches currently being evaluated.")
-	wDraining = obs.Default().Gauge("cs_worker_draining",
-		"1 while the worker is draining for shutdown, else 0.")
 	wBatchEvalSeconds = obs.Default().Histogram("cs_worker_batch_eval_seconds",
 		"Wall time to evaluate one received shard batch.", nil)
 )

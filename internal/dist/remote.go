@@ -690,7 +690,6 @@ func (r *Remote) markDead(h *hostState) {
 func (h *hostState) observeBatch(sent time.Time, shards int) {
 	elapsed := time.Since(sent)
 	h.batchSeconds.Observe(elapsed.Seconds())
-	mBatches.Inc()
 	if tr := obs.CurrentTracer(); tr != nil {
 		tr.NameThread(h.tid, "worker "+h.url)
 		start := tr.Now() - elapsed

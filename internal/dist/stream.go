@@ -380,7 +380,6 @@ func (s *Server) BeginDrain() {
 	if s.draining.Swap(true) {
 		return
 	}
-	wDraining.Set(1)
 	s.streamReg.mu.Lock()
 	for c := range s.streamReg.conns {
 		// Wake blocked readers; serveStream's error path turns this

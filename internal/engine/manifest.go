@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"carriersense/internal/cache"
-	"carriersense/internal/obs"
 	"carriersense/internal/prov"
 )
 
@@ -53,23 +52,7 @@ func writeManifest(runDir, scenario, scale string, opts Options, results []*Resu
 			Params:      params,
 			Metrics:     res.Metrics,
 			WallSeconds: res.Perf["wall_seconds"],
-			Stages:      manifestStages(res.Perf),
 		})
 	}
 	return prov.Stamp(runDir, m)
-}
-
-// manifestStages mirrors timings.csv's stage rows into the manifest so
-// provenance alone reconstructs where each variant spent its time.
-func manifestStages(perf map[string]float64) []prov.Stage {
-	var stages []prov.Stage
-	for _, st := range timingStages {
-		secs := obs.SumByPrefix(perf, st.family+"_sum")
-		count := obs.SumByPrefix(perf, st.family+"_count")
-		if secs == 0 && count == 0 {
-			continue
-		}
-		stages = append(stages, prov.Stage{Stage: st.stage, Seconds: secs, Count: count})
-	}
-	return stages
 }

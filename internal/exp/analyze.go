@@ -1,7 +1,7 @@
 package exp
 
-// Analysis: regenerate aggregate CSVs, LaTeX tables, and plots from
-// manifested run directories. Every run is verified against its
+// Analysis: regenerate aggregate CSVs from manifested run
+// directories. Every run is verified against its
 // manifest first — a tampered or drifted run dir fails the whole
 // analysis rather than silently skewing a mean.
 
@@ -14,9 +14,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 
-	"carriersense/internal/plot"
 	"carriersense/internal/prov"
 )
 
@@ -38,8 +36,8 @@ type runRow struct {
 }
 
 // Analyze verifies and aggregates every manifested run under root,
-// writing analysis/{summary_runs.csv, summary_grouped.csv, tables.tex,
-// plots.txt}. Log (nil ok) receives one line per verified run.
+// writing analysis/{summary_runs.csv, summary_grouped.csv}. Log (nil
+// ok) receives one line per verified run.
 func Analyze(root string, log io.Writer) error {
 	dirs, err := prov.FindManifests(root)
 	if err != nil {
@@ -97,12 +95,6 @@ func Analyze(root string, log io.Writer) error {
 	}
 	groups := groupRows(rows)
 	if err := writeGroupedCSV(filepath.Join(outDir, "summary_grouped.csv"), groups); err != nil {
-		return err
-	}
-	if err := writeLatex(filepath.Join(outDir, "tables.tex"), groups); err != nil {
-		return err
-	}
-	if err := writePlots(filepath.Join(outDir, "plots.txt"), rows); err != nil {
 		return err
 	}
 	if log != nil {
@@ -197,96 +189,6 @@ func writeGroupedCSV(path string, groups []*group) error {
 		return err
 	}
 	return f.Close()
-}
-
-// writeLatex emits one tabular per experiment: metric rows with
-// mean ± sample std over the repeats.
-func writeLatex(path string, groups []*group) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	byExp := map[string][]*group{}
-	var names []string
-	for _, g := range groups {
-		if _, ok := byExp[g.Experiment]; !ok {
-			names = append(names, g.Experiment)
-		}
-		byExp[g.Experiment] = append(byExp[g.Experiment], g)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(f, "%% generated by `cs exp analyze` from run manifests; do not edit\n")
-	for _, name := range names {
-		fmt.Fprintf(f, "\n%% experiment: %s\n", name)
-		fmt.Fprintf(f, "\\begin{tabular}{llrrr}\n\\hline\n")
-		fmt.Fprintf(f, "variant & metric & $n$ & mean & std \\\\\n\\hline\n")
-		for _, g := range byExp[name] {
-			fmt.Fprintf(f, "%s & %s & %d & %s & %s \\\\\n",
-				latexEscape(g.Variant), latexEscape(g.Metric), g.n(),
-				formatG(g.mean()), formatG(g.std()))
-		}
-		fmt.Fprintf(f, "\\hline\n\\end{tabular}\n")
-	}
-	return nil
-}
-
-// writePlots renders one chart per (experiment, metric): repeats on X,
-// one series per variant — the quickest visual check that repeats
-// agree and variants separate.
-func writePlots(path string, rows []runRow) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	type axisKey struct{ exp, metric string }
-	series := map[axisKey]map[string][][2]float64{}
-	var order []axisKey
-	for _, r := range rows {
-		for _, name := range sortedKeys(r.Metrics) {
-			key := axisKey{r.Experiment, name}
-			if series[key] == nil {
-				series[key] = map[string][][2]float64{}
-				order = append(order, key)
-			}
-			variant := r.Variant
-			if variant == "" {
-				variant = r.Scenario
-			}
-			series[key][variant] = append(series[key][variant], [2]float64{float64(r.Repeat), r.Metrics[name]})
-		}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].exp != order[j].exp {
-			return order[i].exp < order[j].exp
-		}
-		return order[i].metric < order[j].metric
-	})
-	for _, key := range order {
-		c := plot.Chart{
-			Title:  fmt.Sprintf("%s: %s across repeats", key.exp, key.metric),
-			XLabel: "repeat",
-			YLabel: key.metric,
-		}
-		for _, variant := range sortedKeys(series[key]) {
-			pts := series[key][variant]
-			s := plot.Series{Name: variant}
-			for _, p := range pts {
-				s.X = append(s.X, p[0])
-				s.Y = append(s.Y, p[1])
-			}
-			c.Series = append(c.Series, s)
-		}
-		c.Render(f, 60, 12)
-		fmt.Fprintln(f)
-	}
-	return nil
-}
-
-func latexEscape(s string) string {
-	r := strings.NewReplacer("_", "\\_", "%", "\\%", "&", "\\&", "#", "\\#", "$", "\\$")
-	return r.Replace(s)
 }
 
 func formatG(v float64) string { return strconv.FormatFloat(v, 'g', 9, 64) }

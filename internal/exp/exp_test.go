@@ -140,20 +140,6 @@ func TestRunGridStampsVerifiableRunsAndAnalyzes(t *testing.T) {
 			t.Errorf("summary_grouped.csv missing %q:\n%s", want, grouped)
 		}
 	}
-	tex, err := os.ReadFile(filepath.Join(out, AnalysisDir, "tables.tex"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(tex), `\begin{tabular}`) || !strings.Contains(string(tex), "lowgain") {
-		t.Errorf("tables.tex malformed:\n%s", tex)
-	}
-	plots, err := os.ReadFile(filepath.Join(out, AnalysisDir, "plots.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(plots), "gain across repeats") {
-		t.Errorf("plots.txt missing chart:\n%s", plots)
-	}
 	runs, err := os.ReadFile(filepath.Join(out, AnalysisDir, "summary_runs.csv"))
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,6 @@ import (
 var (
 	samplesEvaluated = obs.Default().Counter("cs_mc_samples_evaluated_total",
 		"Monte Carlo samples evaluated in-process or credited by an executor.")
-	shardsEvaluated = obs.Default().Counter("cs_mc_shards_evaluated_total",
-		"Deterministic shards evaluated by the local RunShards pool.")
 	shardEvalSeconds = obs.Default().Histogram("cs_mc_shard_eval_seconds",
 		"Wall time to evaluate one shard in the local pool.", nil)
 )
@@ -33,7 +31,6 @@ func instrumentShard(lane int, s Shard, fn func(Shard)) {
 	t0 := time.Now()
 	fn(s)
 	shardEvalSeconds.Observe(time.Since(t0).Seconds())
-	shardsEvaluated.Inc()
 	if tr != nil {
 		tr.Span("shard", "mc", lane, ts,
 			map[string]any{"shard": s.Index, "n": s.N})

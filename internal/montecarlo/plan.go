@@ -10,9 +10,8 @@ package montecarlo
 // lexicographically reproduces exactly the order the sequential
 // program would have issued them in. The layers whose artifacts
 // depend on order read the position instead of the arrival order:
-// the convergence driver's ledger, the cache planner's ledger, and
-// the auto sampler, which pilots a kernel on the first request in
-// plan order (Leads).
+// the convergence driver's ledger and the auto sampler, which pilots
+// a kernel on the first request in plan order (Leads).
 
 import (
 	"context"

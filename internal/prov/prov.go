@@ -86,15 +86,6 @@ type ExecInfo struct {
 	Repeat     int    `json:"repeat,omitempty"`
 }
 
-// Stage is one per-variant timing row — the manifest's copy of the
-// timings.csv breakdown, so provenance alone reconstructs where the
-// run spent its time.
-type Stage struct {
-	Stage   string  `json:"stage"`
-	Seconds float64 `json:"seconds"`
-	Count   float64 `json:"count"`
-}
-
 // Variant is one grid point's resolved identity and outcome.
 type Variant struct {
 	Variant string `json:"variant,omitempty"`
@@ -102,9 +93,9 @@ type Variant struct {
 	Params json.RawMessage `json:"params,omitempty"`
 	// Metrics are the deterministic headline numbers (result.json's).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
-	// WallSeconds and Stages are volatile timing provenance.
+	// WallSeconds is volatile timing provenance; the per-stage
+	// breakdown lives in the hashed timings.csv.
 	WallSeconds float64 `json:"wall_seconds"`
-	Stages      []Stage `json:"stages,omitempty"`
 }
 
 // Manifest ties one run directory's artifacts to their inputs.

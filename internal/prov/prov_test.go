@@ -38,7 +38,6 @@ func stampTestDir(t *testing.T) (string, *Manifest) {
 			Params:      json.RawMessage(`{"seed":42,"gain":2}`),
 			Metrics:     map[string]float64{"efficiency": 0.9131},
 			WallSeconds: 0.25,
-			Stages:      []Stage{{Stage: "estimate", Seconds: 0.2, Count: 1}},
 		}},
 	}
 	if err := Stamp(dir, m); err != nil {
@@ -171,9 +170,11 @@ func TestSelfHashStableAcrossRoundTrip(t *testing.T) {
 }
 
 // testdata/retired-fields-run was stamped by a build whose ExecInfo
-// still had the "wire" and "prefetch" fields. A field retired since
-// must not read as an edit, while a field added to the file after
-// stamping still must.
+// still had the "wire" and "prefetch" fields, and
+// testdata/retired-stages-run (cs run curves -scale smoke -seed 5
+// -out) by one whose variants still copied timings.csv into
+// "stages". A field retired since must not read as an edit, while a
+// field added to the file after stamping still must.
 func TestManifestWithWireStillVerifies(t *testing.T) {
 	src := filepath.Join("testdata", "retired-fields-run")
 	m, err := VerifyDir(src)
@@ -182,6 +183,13 @@ func TestManifestWithWireStillVerifies(t *testing.T) {
 	}
 	if len(m.Exec.Workers) != 1 || !m.Exec.Cache || m.Exec.CacheDir != "cache" {
 		t.Errorf("decoded exec %+v, want the fields still in ExecInfo kept", m.Exec)
+	}
+	staged, err := VerifyDir(filepath.Join("testdata", "retired-stages-run"))
+	if err != nil {
+		t.Fatalf("manifest recording per-variant stages no longer verifies: %v", err)
+	}
+	if len(staged.Variants) != 1 || staged.Variants[0].WallSeconds <= 0 {
+		t.Errorf("decoded variants %+v, want one with its wall seconds kept", staged.Variants)
 	}
 	dir := t.TempDir()
 	for _, name := range []string{"output.txt", ManifestName} {
