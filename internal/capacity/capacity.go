@@ -12,10 +12,7 @@
 // SNR gradient into a step-like drop in throughput").
 package capacity
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Model maps a linear SINR to a throughput in abstract capacity units
 // (nats/symbol for the Shannon model; fractions of a reference rate
@@ -54,19 +51,6 @@ func (s Shannon) Throughput(snr float64) float64 {
 
 // Name implements Model.
 func (s Shannon) Name() string { return "shannon" }
-
-// ShannonNats returns ln(1 + snr), the raw capacity integrand.
-func ShannonNats(snr float64) float64 {
-	if snr <= 0 {
-		return 0
-	}
-	return math.Log1p(snr)
-}
-
-// ShannonBits returns log2(1 + snr) in bits.
-func ShannonBits(snr float64) float64 {
-	return ShannonNats(snr) / math.Ln2
-}
 
 // FixedRate is the classical fixed-bitrate abstraction the paper
 // criticizes: full rate above an SINR threshold, nothing below it —
@@ -171,36 +155,6 @@ var Table80211b = RateTable{
 	{Mbps: 2, MinSNRdB: 3, Modulation: DSSS},
 	{Mbps: 5.5, MinSNRdB: 6, Modulation: DSSS},
 	{Mbps: 11, MinSNRdB: 9, Modulation: DSSS},
-}
-
-// Table80211g is the ERP rate set: the DSSS rates plus the OFDM rates,
-// giving the deep rate-adaptation floor the paper's 11a hardware
-// lacked.
-var Table80211g = append(append(RateTable{}, Table80211b...), Table80211a...)
-
-// Lookup returns the table entry with the given nominal rate.
-func (t RateTable) Lookup(mbps float64) (Rate, error) {
-	for _, r := range t {
-		if r.Mbps == mbps {
-			return r, nil
-		}
-	}
-	return Rate{}, fmt.Errorf("capacity: no %v Mbps entry in rate table", mbps)
-}
-
-// Best returns the highest rate whose MinSNRdB requirement the given
-// SINR (dB) satisfies, and false when even the lowest rate's
-// requirement is unmet.
-func (t RateTable) Best(snrDB float64) (Rate, bool) {
-	var best Rate
-	ok := false
-	for _, r := range t {
-		if snrDB >= r.MinSNRdB && r.Mbps > best.Mbps {
-			best = r
-			ok = true
-		}
-	}
-	return best, ok
 }
 
 // perWidthDB is the logistic PER transition width: the curve moves
@@ -327,36 +281,4 @@ func (f FadeModel) ExpectedDeliveryRate(r Rate, medianSNRdB float64, frameBytes 
 		p = 1
 	}
 	return (1-p)*branch(0) + p*branch(-f.OutageDepthDB)
-}
-
-// ExpectedGoodputMbps returns the best rate × expected delivery under
-// the fade model and its goodput — the fade-aware oracle.
-func (f FadeModel) ExpectedGoodputMbps(t RateTable, medianSNRdB float64, frameBytes int) (Rate, float64) {
-	var best Rate
-	bestGoodput := 0.0
-	for _, r := range t {
-		g := r.Mbps * f.ExpectedDeliveryRate(r, medianSNRdB, frameBytes)
-		if g > bestGoodput {
-			bestGoodput = g
-			best = r
-		}
-	}
-	return best, bestGoodput
-}
-
-// ExpectedThroughputMbps returns the rate that maximizes
-// rate × (1 - PER) at the given SINR, i.e. the oracle rate decision
-// the paper's experiments approximate by sweeping rates. The second
-// return is the achieved goodput in Mb/s (zero when no rate delivers).
-func (t RateTable) ExpectedThroughputMbps(snrDB float64, frameBytes int) (Rate, float64) {
-	var best Rate
-	bestGoodput := 0.0
-	for _, r := range t {
-		g := r.Mbps * DeliveryRate(r, snrDB, frameBytes)
-		if g > bestGoodput {
-			bestGoodput = g
-			best = r
-		}
-	}
-	return best, bestGoodput
 }

@@ -42,15 +42,6 @@ func TestShannonMonotone(t *testing.T) {
 	}
 }
 
-func TestShannonBitsNats(t *testing.T) {
-	if got := ShannonBits(1); math.Abs(got-1) > 1e-12 {
-		t.Errorf("log2(2) = %v", got)
-	}
-	if got := ShannonNats(math.E*math.E - 1); math.Abs(got-2) > 1e-12 {
-		t.Errorf("ln(e^2) = %v", got)
-	}
-}
-
 func TestFixedRateStep(t *testing.T) {
 	f := FixedRate{Rate: 5, MinSNR: 10}
 	if got := f.Throughput(9.99); got != 0 {
@@ -69,10 +60,12 @@ func TestDiscreteMatchesBest(t *testing.T) {
 	for _, snrDB := range []float64{-5, 3, 6, 9.5, 15, 25, 40} {
 		snr := math.Pow(10, snrDB/10)
 		got := d.Throughput(snr)
-		best, ok := Table80211a.Best(snrDB)
+		// The best rate is the highest one whose requirement is met.
 		want := 0.0
-		if ok {
-			want = best.Mbps
+		for _, r := range Table80211a {
+			if snrDB >= r.MinSNRdB && r.Mbps > want {
+				want = r.Mbps
+			}
 		}
 		if got != want {
 			t.Errorf("snr=%vdB: Discrete=%v, Best=%v", snrDB, got, want)
@@ -80,32 +73,19 @@ func TestDiscreteMatchesBest(t *testing.T) {
 	}
 }
 
-func TestRateTableLookup(t *testing.T) {
-	r, err := Table80211a.Lookup(24)
-	if err != nil || r.BitsPerSymbol != 96 {
-		t.Errorf("lookup 24 = %+v, %v", r, err)
-	}
-	if _, err := Table80211a.Lookup(11); err == nil {
-		t.Error("lookup of 802.11b rate should fail on the 11a table")
-	}
-}
-
-func TestRateTableBestOrdering(t *testing.T) {
-	// Best rate is nondecreasing in SNR.
+func TestDiscreteMonotone(t *testing.T) {
+	// The discrete rate is nondecreasing in SNR.
+	d := Discrete{Table: Table80211a}
 	prev := 0.0
-	for snr := -10.0; snr < 40; snr += 0.5 {
-		r, ok := Table80211a.Best(snr)
-		mbps := 0.0
-		if ok {
-			mbps = r.Mbps
-		}
+	for snrDB := -10.0; snrDB < 40; snrDB += 0.5 {
+		mbps := d.Throughput(math.Pow(10, snrDB/10))
 		if mbps < prev {
-			t.Errorf("best rate decreased at %v dB: %v -> %v", snr, prev, mbps)
+			t.Errorf("rate decreased at %v dB: %v -> %v", snrDB, prev, mbps)
 		}
 		prev = mbps
 	}
-	if _, ok := Table80211a.Best(0); ok {
-		t.Error("0 dB should not support any 11a rate")
+	if got := d.Throughput(1); got != 0 {
+		t.Errorf("0 dB supports %v Mb/s, want no 11a rate", got)
 	}
 }
 
@@ -149,25 +129,6 @@ func TestDeliveryComplement(t *testing.T) {
 		if got := DeliveryRate(r, snr, 1400) + PER(r, snr, 1400); math.Abs(got-1) > 1e-12 {
 			t.Errorf("delivery + PER = %v, want 1", got)
 		}
-	}
-}
-
-func TestExpectedThroughputOracle(t *testing.T) {
-	// At 30 dB the oracle must pick the top rate; at 7 dB, 6 Mb/s.
-	r, g := Table80211a.ExpectedThroughputMbps(30, 1400)
-	if r.Mbps != 54 || g < 50 {
-		t.Errorf("oracle at 30dB = %v Mb/s rate, %v goodput", r.Mbps, g)
-	}
-	r, g = Table80211a.ExpectedThroughputMbps(7, 1400)
-	if r.Mbps != 6 {
-		t.Errorf("oracle at 7dB picked %v Mb/s", r.Mbps)
-	}
-	if g <= 0 || g > 6 {
-		t.Errorf("goodput at 7dB = %v", g)
-	}
-	// Deep below threshold: nothing works.
-	if _, g := Table80211a.ExpectedThroughputMbps(-20, 1400); g != 0 {
-		t.Errorf("goodput at -20dB = %v, want 0", g)
 	}
 }
 
@@ -242,22 +203,13 @@ func TestExpectedDeliveryMonotoneInSNR(t *testing.T) {
 	}
 }
 
-func TestExpectedGoodputMbps(t *testing.T) {
+func TestWithOutageProbCutsDelivery(t *testing.T) {
 	f := DefaultFade()
-	// Rate-independent outages: the best rate at high SNR is still
-	// the top of the table.
-	r, g := f.ExpectedGoodputMbps(Table80211a, 35, 1400)
-	if r.Mbps != 54 {
-		t.Errorf("best rate at 35dB = %v", r.Mbps)
-	}
-	if g <= 0 || g > 54 {
-		t.Errorf("goodput = %v", g)
-	}
-	// WithOutageProb override.
-	heavy := f.WithOutageProb(0.5)
-	_, gHeavy := heavy.ExpectedGoodputMbps(Table80211a, 35, 1400)
-	if gHeavy >= g {
-		t.Errorf("heavier outage should cut goodput: %v vs %v", gHeavy, g)
+	top := Table80211a[7]
+	light := f.ExpectedDeliveryRate(top, 35, 1400)
+	heavy := f.WithOutageProb(0.5).ExpectedDeliveryRate(top, 35, 1400)
+	if heavy >= light {
+		t.Errorf("heavier outage should cut delivery: %v vs %v", heavy, light)
 	}
 }
 

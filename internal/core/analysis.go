@@ -2,11 +2,9 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"carriersense/internal/geometry"
 	"carriersense/internal/montecarlo"
-	"carriersense/internal/rng"
 )
 
 // Inefficiency decomposes the carrier-sense-versus-optimal gap along
@@ -69,64 +67,6 @@ func (m *Model) EstimateInefficiency(seed uint64, n int, rmax, dThresh float64, 
 		ineff.TriangleTotal = trap(triangle) / maxArea
 	}
 	return ineff
-}
-
-// Fairness summarizes the distributional properties of a policy at one
-// (R_max, D) point: §3.3.3 observes that long-range networks keep good
-// averages but can starve the receivers nearest an inside-the-network
-// interferer.
-type Fairness struct {
-	Rmax, D float64
-	// JainCS is Jain's fairness index of the two pairs' carrier sense
-	// throughputs, E[(x1+x2)²/(2(x1²+x2²))] over configurations.
-	JainCS montecarlo.Estimate
-	// StarvedConc is the probability a receiver is starved (<10% of
-	// its C_UBmax) under pure concurrency.
-	StarvedConc montecarlo.Estimate
-	// StarvedCS is the same probability under carrier sense with the
-	// given threshold: nonzero only when CS chooses concurrency.
-	StarvedCS montecarlo.Estimate
-	// P10CS is the 10th-percentile carrier sense throughput of pair 1,
-	// normalized by mean CS throughput (a tail-weight measure).
-	P10CS float64
-}
-
-// EstimateFairness estimates the fairness metrics with n samples.
-func (m *Model) EstimateFairness(seed uint64, n int, rmax, d, dThresh float64) Fairness {
-	pThresh := m.ThresholdPower(dThresh)
-	est := m.estimatePoint(KernelFairness, rmax, d, dThresh, seed, n)
-	// Percentile needs the sample set; rerun a single-threaded pass.
-	src := rng.New(seed ^ 0xfa1f)
-	samples := make([]float64, 0, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		c := m.SampleConfig(src, rmax, d)
-		v := m.CCarrierSense(c, 1, pThresh)
-		samples = append(samples, v)
-		sum += v
-	}
-	p10 := percentile(samples, 0.10)
-	mean := sum / float64(n)
-	f := Fairness{
-		Rmax: rmax, D: d,
-		JainCS:      est[0],
-		StarvedConc: est[1],
-		StarvedCS:   est[2],
-	}
-	if mean > 0 {
-		f.P10CS = p10 / mean
-	}
-	return f
-}
-
-func percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
 }
 
 // ShadowingExample packages the §3.4 worked example: a short range

@@ -44,43 +44,6 @@ func TestTriangleGrowsWithMisplacedThreshold(t *testing.T) {
 	}
 }
 
-func TestFairnessMetrics(t *testing.T) {
-	m := New(DefaultParams())
-	f := m.EstimateFairness(3, 40_000, 40, 55, 55)
-	if f.JainCS.Mean < 0.5 || f.JainCS.Mean > 1 {
-		t.Errorf("Jain index = %v, want in [0.5, 1]", f.JainCS.Mean)
-	}
-	if f.StarvedCS.Mean > f.StarvedConc.Mean+0.01 {
-		t.Errorf("CS starves more than pure concurrency: %v vs %v",
-			f.StarvedCS.Mean, f.StarvedConc.Mean)
-	}
-	if f.P10CS < 0 || f.P10CS > 1.5 {
-		t.Errorf("P10 ratio = %v", f.P10CS)
-	}
-}
-
-func TestLongRangeStarvationWorse(t *testing.T) {
-	// §3.3.3: under carrier sense with its own optimal threshold, a
-	// short-range network never transmits concurrently while an
-	// interferer is close enough to smother anyone (the threshold sits
-	// beyond 2·R_max), but a long-range network does: its threshold is
-	// *inside* the network, so interferers between D_thresh and R_max
-	// trigger concurrency and starve the receivers nearest them.
-	// Compare starvation under CS with the interferer at 0.9·R_max.
-	m := New(DefaultParams())
-	short := m.EstimateFairness(4, 60_000, 20, 18, 40)
-	long := m.EstimateFairness(4, 60_000, 120, 108, 60)
-	if long.StarvedCS.Mean <= short.StarvedCS.Mean {
-		t.Errorf("long-range CS starvation %v not above short-range %v",
-			long.StarvedCS.Mean, short.StarvedCS.Mean)
-	}
-	// And the short-range case is nearly starvation-free in absolute
-	// terms ("free of starvation", §4.3).
-	if short.StarvedCS.Mean > 0.05 {
-		t.Errorf("short-range CS starvation = %v, want < 5%%", short.StarvedCS.Mean)
-	}
-}
-
 func TestShadowingExampleConsistency(t *testing.T) {
 	// The §3.4 worked example: closed-form pieces and the direct MC
 	// estimate must agree on order of magnitude, and the individual
@@ -113,25 +76,5 @@ func TestLumpedDistanceFactor(t *testing.T) {
 	// 0 dB is no factor.
 	if got := m.LumpedDistanceFactor(0); got != 1 {
 		t.Errorf("0 dB factor = %v", got)
-	}
-}
-
-func TestPercentileHelper(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3}
-	if got := percentile(xs, 0); got != 1 {
-		t.Errorf("p0 = %v", got)
-	}
-	if got := percentile(xs, 1); got != 5 {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := percentile(xs, 0.5); got != 3 {
-		t.Errorf("p50 = %v", got)
-	}
-	if got := percentile(nil, 0.5); got != 0 {
-		t.Errorf("empty percentile = %v", got)
-	}
-	// Input must not be mutated.
-	if xs[0] != 5 {
-		t.Error("percentile sorted its input")
 	}
 }

@@ -218,14 +218,3 @@ func (m *Model) NormalizationConstant(seed uint64, n int) float64 {
 	est := m.estimatePoint(KernelSingle, 20, 1, 0, seed, n)
 	return est[0].Mean
 }
-
-// ConcurrencySlope estimates d⟨C_conc⟩/dD at the given D by a central
-// difference of the quadrature curve (σ = 0 only). Footnote 12 bounds
-// this slope by 1.37/R_max (in R_max = 20 normalized capacity units)
-// for α = 3 and all D > R_max.
-func (m *Model) ConcurrencySlope(rmax, d float64) float64 {
-	h := math.Max(d*0.01, 0.05)
-	return numeric.Derivative(func(x float64) float64 {
-		return m.AvgConcQuad(rmax, x)
-	}, d, h)
-}

@@ -157,13 +157,15 @@ func TestNormalizationConstantShadowed(t *testing.T) {
 func TestConcurrencySlopeBound(t *testing.T) {
 	// Footnote 12: for α = 3, σ = 0 the concurrency curve's slope (in
 	// R_max = 20 normalized units) is bounded by 1.37/R_max for all
-	// D > R_max.
+	// D > R_max. The slope is a central difference of the quadrature
+	// curve.
 	m := New(NoShadowParams())
 	norm := m.AvgSingleQuad(20)
 	for _, rmax := range []float64{20, 55, 120} {
 		bound := 1.37 / rmax
 		for _, d := range []float64{rmax * 1.05, rmax * 1.5, rmax * 2, rmax * 4} {
-			slope := m.ConcurrencySlope(rmax, d) / norm
+			h := math.Max(d*0.01, 0.05)
+			slope := (m.AvgConcQuad(rmax, d+h) - m.AvgConcQuad(rmax, d-h)) / (2 * h) / norm
 			if slope > bound*1.05 {
 				t.Errorf("Rmax=%v D=%v: slope %v exceeds bound %v", rmax, d, slope, bound)
 			}

@@ -2,8 +2,8 @@ package core
 
 // Fused per-sample evaluation: the Monte Carlo hot path behind every
 // kernel in this package. The policy formulas of model.go are written
-// for clarity — CCarrierSense calls CConcurrent which calls
-// SignalPower which calls pathGain — and the averages integrand used
+// for clarity — CUBMax calls CConcurrent which calls SignalPower
+// which calls pathGain — and the averages integrand used
 // to walk that tree ~13 times per sample, re-running the same
 // math.Pow path gains and interferer trigonometry each time. The
 // fused evaluator computes each primitive exactly once per sample:
@@ -16,10 +16,10 @@ package core
 //     rewritten into the shadowing domain — are hoisted into
 //     pointEval, outside the sample loop, and capacity goes through
 //     Model.thr, which calls the default Shannon formula directly;
-//   - every integrand (averages, single, fairness, bad-snr,
-//     policy-diff) is a thin projection over the same draw, and names
-//     the primitives it reads (receiver 1, receiver 2, sensing) so the
-//     draw computes only those.
+//   - every integrand (averages, single, bad-snr, policy-diff) is a
+//     thin projection over the same draw, and names the primitives it
+//     reads (receiver 1, receiver 2, sensing) so the draw computes
+//     only those.
 //
 // Determinism contract: draw consumes every random variate, in exactly
 // the order SampleConfig does (two disc points, then five lognormal
@@ -186,33 +186,6 @@ func (pe *pointEval) singleSample(e Evaluated, out []float64) {
 	out[0] = pe.m.thr(e.Sig1 / pe.noise)
 }
 
-// fairnessSample is the fused Jain-index-plus-starvation integrand.
-func (pe *pointEval) fairnessSample(e Evaluated, out []float64) {
-	noise := pe.noise
-	single1 := pe.m.thr(e.Sig1 / noise)
-	single2 := pe.m.thr(e.Sig2 / noise)
-	conc1 := pe.m.thr(e.Sig1 / (noise + e.Int1))
-	conc2 := pe.m.thr(e.Sig2 / (noise + e.Int2))
-	deferred := pe.defers(e)
-	x1, x2 := conc1, conc2
-	if deferred {
-		x1, x2 = single1/2, single2/2
-	}
-	if x1+x2 > 0 {
-		out[0] = (x1 + x2) * (x1 + x2) / (2 * (x1*x1 + x2*x2))
-	} else {
-		out[0] = 1
-	}
-	ub := math.Max(conc1, single1/2)
-	starved := ub > 0 && conc1 < StarvationFraction*ub
-	if starved {
-		out[1] = 1
-		if !deferred {
-			out[2] = 1
-		}
-	}
-}
-
 // badSNRSample is the fused §3.4 indicator: spurious concurrency
 // leaving receiver 1 below 0 dB SNR. It needs no capacity evaluation
 // at all.
@@ -250,12 +223,6 @@ func (pe *pointEval) averagesBatch(src *rng.Source, count int, out []float64) {
 func (pe *pointEval) singleBatch(src *rng.Source, count int, out []float64) {
 	for i := 0; i < count; i++ {
 		pe.singleSample(pe.draw(src, readRx1), out[i:i+1:i+1])
-	}
-}
-
-func (pe *pointEval) fairnessBatch(src *rng.Source, count int, out []float64) {
-	for i := 0; i < count; i++ {
-		pe.fairnessSample(pe.draw(src, readAll), out[i*3:(i+1)*3:(i+1)*3])
 	}
 }
 

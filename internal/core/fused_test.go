@@ -18,7 +18,6 @@ import (
 var pointProjections = map[string]func(*pointEval, Evaluated, []float64){
 	KernelAverages:   (*pointEval).averagesSample,
 	KernelSingle:     (*pointEval).singleSample,
-	KernelFairness:   (*pointEval).fairnessSample,
 	KernelBadSNR:     (*pointEval).badSNRSample,
 	KernelPolicyDiff: (*pointEval).policyDiffSample,
 }
@@ -26,8 +25,12 @@ var pointProjections = map[string]func(*pointEval, Evaluated, []float64){
 // fullDraw is the reference draw: the full SampleConfig layout with
 // every primitive computed by the model's reference power formulas.
 func fullDraw(pe *pointEval, src *rng.Source) Evaluated {
-	m := pe.m
-	c := m.SampleConfig(src, pe.rmax, pe.d)
+	return evaluate(pe.m, pe.m.SampleConfig(src, pe.rmax, pe.d))
+}
+
+// evaluate computes a configuration's primitives with the model's
+// reference power formulas.
+func evaluate(m *Model, c Config) Evaluated {
 	return Evaluated{
 		Sig1:   m.SignalPower(c, 1),
 		Int1:   m.InterferencePower(c, 1),

@@ -3,7 +3,7 @@ package core
 // Kernel registration: every Monte Carlo integrand of the model is a
 // named montecarlo kernel whose parameters serialize to JSON, so any
 // estimation in this package can be farmed out to worker processes by
-// a distributed executor (internal/dist) without the callers — the 15
+// a distributed executor (internal/dist) without the callers — the
 // registered scenarios — changing at all. The coordinator and the
 // workers run the same binary, so a (kernel name, params) pair
 // rebuilds the exact closure on either side.
@@ -21,7 +21,6 @@ import (
 const (
 	KernelAverages   = "core/averages"    // per-policy throughput vector (EstimateAverages)
 	KernelSingle     = "core/single"      // no-competition throughput (NormalizationConstant)
-	KernelFairness   = "core/fairness"    // Jain index + starvation indicators (EstimateFairness)
 	KernelBadSNR     = "core/bad-snr"     // §3.4 spurious-concurrency ∧ bad-SNR indicator
 	KernelPolicyDiff = "core/policy-diff" // C_conc vs C_mux pair (OptimalThresholdMC)
 	KernelMulti      = "core/multi"       // n-pair policy vector (EstimateMulti)
@@ -82,12 +81,11 @@ type pointKernel struct {
 	batch func(pe *pointEval) montecarlo.BatchEvalFunc
 }
 
-// pointKernels are the two-pair kernels by name. The registry and the
-// local fallback both build from this one table.
+// pointKernels are the two-pair kernels by name. init registers each
+// one, and estimatePoint reads its component count here.
 var pointKernels = map[string]pointKernel{
 	KernelAverages:   {nAverages, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.averagesBatch }},
 	KernelSingle:     {1, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.singleBatch }},
-	KernelFairness:   {3, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.fairnessBatch }},
 	KernelBadSNR:     {1, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.badSNRBatch }},
 	KernelPolicyDiff: {2, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.policyDiffBatch }},
 }

@@ -39,25 +39,6 @@ type Grid struct {
 	Values [][]float64 // Values[row][col], row 0 = +Extent (top)
 }
 
-// At returns the grid value nearest the plane point p.
-func (g *Grid) At(p geometry.Point) float64 {
-	col := int((p.X + g.Extent) / (2 * g.Extent) * float64(g.N))
-	row := int((g.Extent - p.Y) / (2 * g.Extent) * float64(g.N))
-	if col < 0 {
-		col = 0
-	}
-	if col >= g.N {
-		col = g.N - 1
-	}
-	if row < 0 {
-		row = 0
-	}
-	if row >= g.N {
-		row = g.N - 1
-	}
-	return g.Values[row][col]
-}
-
 // cellCenter returns the plane coordinates of cell (row, col).
 func (g *Grid) cellCenter(row, col int) geometry.Point {
 	step := 2 * g.Extent / float64(g.N)

@@ -197,12 +197,6 @@ func (m *Model) ThresholdPower(dThresh float64) float64 {
 	return m.pathGain(dThresh)
 }
 
-// ThresholdDistance converts a threshold power back to its nominal
-// distance.
-func (m *Model) ThresholdDistance(pThresh float64) float64 {
-	return math.Pow(pThresh, -1/m.params.Alpha)
-}
-
 // EquivalentDistanceAtAlpha re-expresses a threshold power as a
 // distance under a reference exponent (Figure 7 uses α = 3).
 func EquivalentDistanceAtAlpha(pThresh, alpha float64) float64 {
@@ -295,12 +289,6 @@ func (m *Model) InterferencePower(c Config, i int) float64 {
 	return m.pathGainSq(dx*dx+c.Y2*c.Y2) * c.LInt2
 }
 
-// SensedPower returns the power each sender senses from the other:
-// D^-α · L″.
-func (m *Model) SensedPower(c Config) float64 {
-	return m.pathGain(c.D) * c.LSense
-}
-
 // CSingle is the no-competition throughput of pair i:
 // cap(signal / N) — equation C_single of §3.2.2.
 func (m *Model) CSingle(c Config, i int) float64 {
@@ -318,41 +306,6 @@ func (m *Model) CMultiplexing(c Config, i int) float64 {
 func (m *Model) CConcurrent(c Config, i int) float64 {
 	snr := m.SignalPower(c, i) / (m.noise + m.InterferencePower(c, i))
 	return m.cap.Throughput(snr)
-}
-
-// Defers reports the carrier sense decision for the configuration:
-// true when the sensed power exceeds the threshold (multiplex), false
-// when below (transmit concurrently).
-func (m *Model) Defers(c Config, pThresh float64) bool {
-	return m.SensedPower(c) > pThresh
-}
-
-// CCarrierSense is pair i's throughput under threshold carrier sense:
-// the piecewise C_cs of §3.2.2.
-func (m *Model) CCarrierSense(c Config, i int, pThresh float64) float64 {
-	if m.Defers(c, pThresh) {
-		return m.CMultiplexing(c, i)
-	}
-	return m.CConcurrent(c, i)
-}
-
-// CMax is the genie-optimal per-pair average throughput: the better of
-// all-concurrent and all-multiplexed, decided jointly over both pairs
-// (½·Max[ΣC_conc, ΣC_mux] of §3.2.2). The weak fairness constraint —
-// equal channel resources for both senders — is what restricts the
-// genie to this binary choice.
-func (m *Model) CMax(c Config) float64 {
-	conc := m.CConcurrent(c, 1) + m.CConcurrent(c, 2)
-	mux := m.CMultiplexing(c, 1) + m.CMultiplexing(c, 2)
-	return math.Max(conc, mux) / 2
-}
-
-// OptimalPrefersConcurrency reports which branch CMax takes for the
-// configuration.
-func (m *Model) OptimalPrefersConcurrency(c Config) bool {
-	conc := m.CConcurrent(c, 1) + m.CConcurrent(c, 2)
-	mux := m.CMultiplexing(c, 1) + m.CMultiplexing(c, 2)
-	return conc >= mux
 }
 
 // CUBMax is the per-pair upper bound on optimal throughput that

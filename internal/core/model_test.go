@@ -81,7 +81,7 @@ func TestThresholdPowerDistanceRoundTrip(t *testing.T) {
 	f := func(raw float64) bool {
 		d := 1 + math.Abs(math.Mod(raw, 200))
 		p := m.ThresholdPower(d)
-		return math.Abs(m.ThresholdDistance(p)-d) < 1e-6*d
+		return math.Abs(EquivalentDistanceAtAlpha(p, m.Params().Alpha)-d) < 1e-6*d
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -142,40 +142,49 @@ func TestCConcurrentDegradesWithCloserInterferer(t *testing.T) {
 	}
 }
 
+// averagesOf evaluates the fused averages integrand on one fixed
+// configuration under the threshold D_thresh.
+func averagesOf(m *Model, c Config, dThresh float64) []float64 {
+	out := make([]float64, nAverages)
+	m.newPointEval(0, c.D, dThresh).averagesSample(evaluate(m, c), out)
+	return out
+}
+
 func TestDefersThreshold(t *testing.T) {
 	m := New(NoShadowParams())
-	pThresh := m.ThresholdPower(55)
-	if !m.Defers(fixedConfig(54, 10, 0), pThresh) {
-		t.Error("sender at D=54 should defer with Dthresh=55")
-	}
-	if m.Defers(fixedConfig(56, 10, 0), pThresh) {
-		t.Error("sender at D=56 should not defer with Dthresh=55")
+	for _, tc := range []struct {
+		d      float64
+		defers bool
+	}{{54, true}, {56, false}} {
+		c := fixedConfig(tc.d, 10, 0)
+		if got := m.newPointEval(0, tc.d, 55).defers(evaluate(m, c)); got != tc.defers {
+			t.Errorf("sender at D=%v with Dthresh=55: defers = %v, want %v", tc.d, got, tc.defers)
+		}
 	}
 }
 
 func TestDefersWithShadowing(t *testing.T) {
 	m := New(DefaultParams())
-	pThresh := m.ThresholdPower(55)
+	pe := m.newPointEval(0, 55, 55)
 	c := fixedConfig(55, 10, 0)
 	c.LSense = 2 // +3 dB shadowing on the sensing path
-	if !m.Defers(c, pThresh) {
+	if !pe.defers(evaluate(m, c)) {
 		t.Error("favorable sensing shadowing should trigger deferral")
 	}
 	c.LSense = 0.5
-	if m.Defers(c, pThresh) {
+	if pe.defers(evaluate(m, c)) {
 		t.Error("unfavorable sensing shadowing should suppress deferral")
 	}
 }
 
 func TestCCarrierSensePiecewise(t *testing.T) {
 	m := New(NoShadowParams())
-	pThresh := m.ThresholdPower(55)
 	near := fixedConfig(30, 20, 1)
-	if got, want := m.CCarrierSense(near, 1, pThresh), m.CMultiplexing(near, 1); got != want {
+	if got, want := averagesOf(m, near, 55)[idxCS], m.CMultiplexing(near, 1); got != want {
 		t.Errorf("near CS = %v, want mux %v", got, want)
 	}
 	far := fixedConfig(120, 20, 1)
-	if got, want := m.CCarrierSense(far, 1, pThresh), m.CConcurrent(far, 1); got != want {
+	if got, want := averagesOf(m, far, 55)[idxCS], m.CConcurrent(far, 1); got != want {
 		t.Errorf("far CS = %v, want conc %v", got, want)
 	}
 }
@@ -189,7 +198,7 @@ func TestCMaxIsBinaryChoice(t *testing.T) {
 		c := fixedConfig(d, r, theta)
 		conc := (m.CConcurrent(c, 1) + m.CConcurrent(c, 2)) / 2
 		mux := (m.CMultiplexing(c, 1) + m.CMultiplexing(c, 2)) / 2
-		got := m.CMax(c)
+		got := averagesOf(m, c, 55)[idxMax]
 		return math.Abs(got-math.Max(conc, mux)) < 1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -205,8 +214,8 @@ func TestCUBMaxBoundsCMax(t *testing.T) {
 	for i := 0; i < 5_000; i++ {
 		c := m.SampleConfig(src, 60, 45)
 		ub := (m.CUBMax(c, 1) + m.CUBMax(c, 2)) / 2
-		if m.CMax(c) > ub+1e-12 {
-			t.Fatalf("CMax %v exceeded UB %v", m.CMax(c), ub)
+		if got := averagesOf(m, c, 55)[idxMax]; got > ub+1e-12 {
+			t.Fatalf("CMax %v exceeded UB %v", got, ub)
 		}
 	}
 }

@@ -195,12 +195,6 @@ func (m *Model) SpuriousConcurrencyProbability(d, dThresh float64) float64 {
 	return rng.NormalCDF(x / m.params.SigmaDB)
 }
 
-// SpuriousDeferralProbability is the mirror image: an interferer at
-// d > dThresh appearing closer than the threshold, triggering deferral.
-func (m *Model) SpuriousDeferralProbability(d, dThresh float64) float64 {
-	return 1 - m.SpuriousConcurrencyProbability(d, dThresh)
-}
-
 // SNREstimateUncertaintyDB returns §3.4's pessimistic bound on a
 // sender's ability to estimate its receiver's SNR under shadowing:
 // the three independent lognormal effects (signal, interference,

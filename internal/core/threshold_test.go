@@ -169,10 +169,6 @@ func TestSpuriousConcurrencyProbability(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-	// Complement identity.
-	if p, q := m.SpuriousConcurrencyProbability(30, 40), m.SpuriousDeferralProbability(30, 40); math.Abs(p+q-1) > 1e-12 {
-		t.Errorf("probabilities don't sum to 1: %v + %v", p, q)
-	}
 }
 
 func TestSpuriousProbabilityNoShadowing(t *testing.T) {

@@ -25,6 +25,7 @@ import (
 	"carriersense/internal/fault"
 	"carriersense/internal/montecarlo"
 	"carriersense/internal/obs"
+	"carriersense/internal/obs/promtest"
 )
 
 // volatileArtifacts are per-run observability outputs, excluded from
@@ -140,7 +141,7 @@ func TestWorkerMetricsEndpointParses(t *testing.T) {
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := obs.CheckText(buf.String())
+	parsed, err := promtest.CheckText(buf.String())
 	if err != nil {
 		t.Fatalf("worker /metrics is not valid Prometheus text: %v", err)
 	}
@@ -166,7 +167,7 @@ func TestCoordinatorRegistryParsesAfterDistributedRun(t *testing.T) {
 	if err := obs.Default().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := obs.CheckText(buf.String())
+	parsed, err := promtest.CheckText(buf.String())
 	if err != nil {
 		t.Fatalf("coordinator registry is not valid Prometheus text: %v", err)
 	}
@@ -254,7 +255,7 @@ func TestWorkerMetricsScrapeCoversFaultAndFleetFamilies(t *testing.T) {
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := obs.CheckText(buf.String())
+	parsed, err := promtest.CheckText(buf.String())
 	if err != nil {
 		t.Fatalf("worker /metrics is not valid Prometheus text: %v", err)
 	}

@@ -120,8 +120,6 @@ type RunContext struct {
 	Params any
 	// Scale is the resolved sampling effort: "smoke", "bench", "full".
 	Scale string
-	// Parallel is the configured pool width (0 = GOMAXPROCS).
-	Parallel int
 
 	out    io.Writer
 	result *Result
@@ -426,12 +424,11 @@ func runVariant(ctx context.Context, sc Scenario, point GridPoint, scale string,
 		out = io.MultiWriter(&text, opts.Stdout)
 	}
 	rc := &RunContext{
-		Context:  ctx,
-		Params:   params,
-		Scale:    scale,
-		Parallel: opts.Parallel,
-		out:      out,
-		result:   res,
+		Context: ctx,
+		Params:  params,
+		Scale:   scale,
+		out:     out,
+		result:  res,
 	}
 	if res.Variant != "" {
 		rc.Printf("--- variant: %s ---\n", res.Variant)
@@ -531,9 +528,6 @@ func recordChoices(rc *RunContext, auto *sampling.AutoScheduler) {
 			rows = append(rows, []string{
 				kernel, ps.Sampler, fmt.Sprintf("%.6g", ps.Score), fmt.Sprintf("%t", ps.Sampler == choice),
 			})
-		}
-		if len(scores[kernel]) == 0 { // table-loaded choice: no pilot this run
-			rows = append(rows, []string{kernel, choice, "", "true"})
 		}
 	}
 	rc.CSV("sampler_choices", []string{"kernel", "sampler", "score", "chosen"}, rows)

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"carriersense/internal/cache"
@@ -78,7 +79,9 @@ func isGoldenArtifact(name string) bool {
 // TestGoldenArtifacts reruns the golden legs and compares every
 // deterministic artifact with the committed copy, byte for byte. A
 // change that moves an artifact on purpose regenerates the set with
-// goldenRegen and says which files moved and why.
+// goldenRegen and says which files moved and why. The all leg at
+// -parallel 1 also checks that the catalog requests every registered
+// kernel: a kernel no scenario requests is dead code.
 func TestGoldenArtifacts(t *testing.T) {
 	for _, leg := range goldenLegs {
 		scenarios := leg.scenarios
@@ -104,6 +107,11 @@ func TestGoldenArtifacts(t *testing.T) {
 				if leg.fleet {
 					opts.Executor = testFleet(t)
 				}
+				var rec *kernelRecorder
+				if leg.name == "all" && width == 1 {
+					rec = &kernelRecorder{inner: montecarlo.Local{}, seen: map[string]bool{}}
+					opts.Executor = rec
+				}
 				if !leg.cached {
 					for _, name := range scenarios {
 						got := runArtifacts(t, name, opts)
@@ -113,6 +121,19 @@ func TestGoldenArtifacts(t *testing.T) {
 							continue
 						}
 						compareGolden(t, dir, got)
+					}
+					if rec != nil {
+						// report's Figure 9 panel, curves at σ = 8 dB, is
+						// the one scenario run that `cs all` skips and that
+						// requests core/single.
+						fig9 := opts
+						fig9.Sets = []string{"sigmadb=8"}
+						runArtifacts(t, "curves", fig9)
+						for _, kernel := range montecarlo.KernelNames() {
+							if !rec.seen[kernel] {
+								t.Errorf("kernel %s is registered, but no scenario requests it", kernel)
+							}
+						}
 					}
 					return
 				}
@@ -140,6 +161,22 @@ func TestGoldenArtifacts(t *testing.T) {
 			})
 		}
 	}
+}
+
+// kernelRecorder is an executor that notes the kernel of every request
+// it passes on to inner.
+type kernelRecorder struct {
+	inner montecarlo.Executor
+	mu    sync.Mutex
+	seen  map[string]bool
+}
+
+// EstimateVec implements montecarlo.Executor.
+func (r *kernelRecorder) EstimateVec(ctx context.Context, req montecarlo.Request) ([]montecarlo.Accumulator, error) {
+	r.mu.Lock()
+	r.seen[req.Kernel] = true
+	r.mu.Unlock()
+	return r.inner.EstimateVec(ctx, req)
 }
 
 // testFleet starts two dist workers on local test servers and returns

@@ -48,11 +48,6 @@ func (p Point) Add(q Point) Point {
 	return Point{X: p.X + q.X, Y: p.Y + q.Y}
 }
 
-// Sub returns p - q.
-func (p Point) Sub(q Point) Point {
-	return Point{X: p.X - q.X, Y: p.Y - q.Y}
-}
-
 // Scale returns p scaled by k.
 func (p Point) Scale(k float64) Point {
 	return Point{X: k * p.X, Y: k * p.Y}
@@ -66,37 +61,6 @@ func UniformInDisc(src *rng.Source, radius float64) Point {
 	r := radius * math.Sqrt(src.Float64())
 	theta := src.Uniform(0, 2*math.Pi)
 	return Polar(r, theta)
-}
-
-// UniformInAnnulus draws a point uniformly over the annulus with the
-// given inner and outer radii, again uniform in area.
-func UniformInAnnulus(src *rng.Source, inner, outer float64) Point {
-	u := src.Float64()
-	r := math.Sqrt(inner*inner + u*(outer*outer-inner*inner))
-	theta := src.Uniform(0, 2*math.Pi)
-	return Polar(r, theta)
-}
-
-// InterfererDistance returns Δr, the distance from a receiver at polar
-// coordinates (r, θ) around the sender at the origin to the interferer
-// at (D, π), i.e. Cartesian (-D, 0):
-//
-//	Δr = sqrt((r·cosθ + D)² + (r·sinθ)²)
-//
-// exactly as defined under C_concurrent in §3.2.2. This is the
-// reference form of the paper's formula; the Monte Carlo hot path
-// computes the same quantity in Cartesian squared-distance form
-// ((x+D)² + y², see core's pathGainSq) and must not call this — the
-// Sincos/Hypot round trip is exactly what the fused evaluator removed.
-func InterfererDistance(r, theta, d float64) float64 {
-	x := r*math.Cos(theta) + d
-	y := r * math.Sin(theta)
-	return math.Hypot(x, y)
-}
-
-// DiscArea returns the area of a disc of the given radius.
-func DiscArea(radius float64) float64 {
-	return math.Pi * radius * radius
 }
 
 // FractionCloserTo returns the fraction of the R_max disc around the

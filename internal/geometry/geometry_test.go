@@ -26,9 +26,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := a.Add(b); got != (Point{X: -2, Y: 6}) {
 		t.Errorf("Add = %v", got)
 	}
-	if got := a.Sub(b); got != (Point{X: 4, Y: -2}) {
-		t.Errorf("Sub = %v", got)
-	}
 	if got := a.Scale(3); got != (Point{X: 3, Y: 6}) {
 		t.Errorf("Scale = %v", got)
 	}
@@ -77,51 +74,6 @@ func TestUniformInDiscQuadrantBalance(t *testing.T) {
 		if math.Abs(float64(c)/n-0.25) > 0.01 {
 			t.Errorf("quadrant %d fraction %v, want 0.25", q, float64(c)/n)
 		}
-	}
-}
-
-func TestUniformInAnnulus(t *testing.T) {
-	src := rng.New(3)
-	for i := 0; i < 10_000; i++ {
-		p := UniformInAnnulus(src, 3, 7)
-		r := p.Norm()
-		if r < 3-1e-9 || r > 7+1e-9 {
-			t.Fatalf("annulus point at r=%v", r)
-		}
-	}
-}
-
-func TestInterfererDistanceMatchesDirectComputation(t *testing.T) {
-	f := func(rawR, rawTheta, rawD float64) bool {
-		r := math.Abs(math.Mod(rawR, 200))
-		theta := math.Mod(rawTheta, 2*math.Pi)
-		d := math.Abs(math.Mod(rawD, 200))
-		direct := Polar(r, theta).Dist(Point{X: -d, Y: 0})
-		return math.Abs(InterfererDistance(r, theta, d)-direct) < 1e-9*(1+direct)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestInterfererDistanceKnownValues(t *testing.T) {
-	// Receiver on the +x axis: Δr = r + D.
-	if got := InterfererDistance(10, 0, 55); math.Abs(got-65) > 1e-9 {
-		t.Errorf("Δr = %v, want 65", got)
-	}
-	// Receiver on the -x axis (toward the interferer): Δr = D - r.
-	if got := InterfererDistance(10, math.Pi, 55); math.Abs(got-45) > 1e-9 {
-		t.Errorf("Δr = %v, want 45", got)
-	}
-	// Receiver on the sender: Δr = D.
-	if got := InterfererDistance(0, 1.23, 55); math.Abs(got-55) > 1e-9 {
-		t.Errorf("Δr = %v, want 55", got)
-	}
-}
-
-func TestDiscArea(t *testing.T) {
-	if got := DiscArea(2); math.Abs(got-4*math.Pi) > 1e-12 {
-		t.Errorf("DiscArea(2) = %v", got)
 	}
 }
 

@@ -14,8 +14,6 @@
 package mac
 
 import (
-	"fmt"
-
 	"carriersense/internal/capacity"
 	"carriersense/internal/phy"
 	"carriersense/internal/rng"
@@ -226,9 +224,6 @@ func NewStation(s *sim.Simulator, radio *phy.Radio, cfg Config, src *rng.Source,
 	return st
 }
 
-// Radio returns the bound radio.
-func (st *Station) Radio() *phy.Radio { return st.radio }
-
 // StartSaturated makes the station a saturated source of frameBytes
 // data frames to dst (phy.Broadcast for the paper's methodology),
 // beginning at the current simulation time.
@@ -242,11 +237,6 @@ func (st *Station) StartSaturated(dst phy.NodeID, frameBytes int) {
 	st.frameBytes = frameBytes
 	st.prepareNext()
 	st.beginAccess()
-}
-
-// StopTraffic ends the saturated source after any in-flight exchange.
-func (st *Station) StopTraffic() {
-	st.backlogged = false
 }
 
 // prepareNext stages the next data frame.
@@ -651,10 +641,4 @@ func (st *Station) cancelTimer() {
 // helper so Station never stores a second copy that could drift.
 func radioConfig(r *phy.Radio) phy.Config {
 	return r.MediumConfig()
-}
-
-// Describe returns a one-line summary of the station for logs.
-func (st *Station) Describe() string {
-	return fmt.Sprintf("station %d: sent=%d acked=%d retries=%d drops=%d",
-		st.radio.ID(), st.Stats.DataSent, st.Stats.DataAcked, st.Stats.Retries, st.Stats.Drops)
 }

@@ -1,9 +1,8 @@
 // Package numeric provides the deterministic numerical routines behind
 // the analytical model: root finding (the optimal carrier sense
-// threshold is the root of ⟨C_conc⟩(D) − ⟨C_mux⟩, §3.3.3), scalar
-// minimization, quadrature for the σ=0 integrals, and a Nelder-Mead
-// simplex optimizer used by the censored maximum-likelihood
-// propagation fit (Figure 14).
+// threshold is the root of ⟨C_conc⟩(D) − ⟨C_mux⟩, §3.3.3), quadrature
+// for the σ=0 integrals, and a Nelder-Mead simplex optimizer used by
+// the censored maximum-likelihood propagation fit (Figure 14).
 package numeric
 
 import (
@@ -115,54 +114,6 @@ func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
 		}
 	}
 	return (a + b) / 2, nil
-}
-
-// GoldenMin minimizes a unimodal f over [a, b] by golden-section
-// search and returns the minimizing x.
-func GoldenMin(f func(float64) float64, a, b, tol float64) float64 {
-	const invPhi = 0.6180339887498949
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	for math.Abs(b-a) > tol {
-		if f1 < f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - invPhi*(b-a)
-			f1 = f(x1)
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + invPhi*(b-a)
-			f2 = f(x2)
-		}
-	}
-	return (a + b) / 2
-}
-
-// GoldenMax maximizes a unimodal f over [a, b].
-func GoldenMax(f func(float64) float64, a, b, tol float64) float64 {
-	return GoldenMin(func(x float64) float64 { return -f(x) }, a, b, tol)
-}
-
-// Simpson integrates f over [a, b] with adaptive Simpson quadrature to
-// the given absolute tolerance.
-func Simpson(f func(float64) float64, a, b, tol float64) float64 {
-	c := (a + b) / 2
-	fa, fb, fc := f(a), f(b), f(c)
-	whole := (b - a) / 6 * (fa + 4*fc + fb)
-	return adaptiveSimpson(f, a, b, fa, fb, fc, whole, tol, 24)
-}
-
-func adaptiveSimpson(f func(float64) float64, a, b, fa, fb, fc, whole, tol float64, depth int) float64 {
-	c := (a + b) / 2
-	l, r := (a+c)/2, (c+b)/2
-	fl, fr := f(l), f(r)
-	left := (c - a) / 6 * (fa + 4*fl + fc)
-	right := (b - c) / 6 * (fc + 4*fr + fb)
-	if depth <= 0 || math.Abs(left+right-whole) <= 15*tol {
-		return left + right + (left+right-whole)/15
-	}
-	return adaptiveSimpson(f, a, c, fa, fc, fl, left, tol/2, depth-1) +
-		adaptiveSimpson(f, c, b, fc, fb, fr, right, tol/2, depth-1)
 }
 
 // GL20Nodes and GL20Weights are the nodes and weights of 20-point
@@ -296,11 +247,6 @@ func NelderMead(f func([]float64) float64, x0, step []float64, tol float64, maxI
 	}
 	sort.Slice(simplex, func(i, j int) bool { return simplex[i].f < simplex[j].f })
 	return simplex[0].x
-}
-
-// Derivative estimates f'(x) with a central difference of step h.
-func Derivative(f func(float64) float64, x, h float64) float64 {
-	return (f(x+h) - f(x-h)) / (2 * h)
 }
 
 // LogSpace returns n points logarithmically spaced over [lo, hi].

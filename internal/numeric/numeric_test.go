@@ -50,36 +50,6 @@ func TestBisect(t *testing.T) {
 	}
 }
 
-func TestGoldenMinMax(t *testing.T) {
-	min := GoldenMin(func(x float64) float64 { return (x - 3) * (x - 3) }, -10, 10, 1e-9)
-	if math.Abs(min-3) > 1e-6 {
-		t.Errorf("GoldenMin = %v, want 3", min)
-	}
-	max := GoldenMax(func(x float64) float64 { return -(x + 1) * (x + 1) }, -10, 10, 1e-9)
-	if math.Abs(max+1) > 1e-6 {
-		t.Errorf("GoldenMax = %v, want -1", max)
-	}
-}
-
-func TestSimpson(t *testing.T) {
-	// ∫₀^π sin = 2
-	got := Simpson(math.Sin, 0, math.Pi, 1e-10)
-	if math.Abs(got-2) > 1e-8 {
-		t.Errorf("Simpson sin = %v, want 2", got)
-	}
-	// ∫₀¹ x² = 1/3 (exact for Simpson)
-	got = Simpson(func(x float64) float64 { return x * x }, 0, 1, 1e-12)
-	if math.Abs(got-1.0/3) > 1e-12 {
-		t.Errorf("Simpson x^2 = %v", got)
-	}
-	// A peaked integrand.
-	got = Simpson(func(x float64) float64 { return math.Exp(-x * x * 100) }, -2, 2, 1e-12)
-	want := math.Sqrt(math.Pi) / 10
-	if math.Abs(got-want) > 1e-8 {
-		t.Errorf("Simpson gaussian = %v, want %v", got, want)
-	}
-}
-
 func TestGaussLegendre20PolynomialExactness(t *testing.T) {
 	// 20-point GL is exact for polynomials up to degree 39.
 	f := func(x float64) float64 { return math.Pow(x, 15) - 3*math.Pow(x, 8) + x }
@@ -121,13 +91,6 @@ func TestNelderMeadRosenbrock(t *testing.T) {
 	got := NelderMead(f, []float64{-1.2, 1}, []float64{0.5, 0.5}, 1e-14, 8000)
 	if math.Abs(got[0]-1) > 1e-3 || math.Abs(got[1]-1) > 1e-3 {
 		t.Errorf("Rosenbrock min = %v, want (1,1)", got)
-	}
-}
-
-func TestDerivative(t *testing.T) {
-	got := Derivative(math.Sin, 1, 1e-5)
-	if math.Abs(got-math.Cos(1)) > 1e-8 {
-		t.Errorf("d/dx sin(1) = %v, want %v", got, math.Cos(1))
 	}
 }
 

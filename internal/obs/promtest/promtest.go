@@ -1,17 +1,22 @@
-package obs
-
-// CheckText is a minimal Prometheus text-format (0.0.4) validator
-// used by the scrape tests and the smoke script: it verifies the
-// comment grammar, sample-line shape, TYPE consistency, and that
+// Package promtest is a minimal Prometheus text-format (0.0.4)
+// validator for tests that scrape a metrics exposition: it verifies
+// the comment grammar, sample-line shape, TYPE consistency, and that
 // histogram families carry coherent _bucket/_sum/_count series. It is
-// deliberately a parser of the format, not of this package's output,
-// so it would catch exposition bugs rather than mirror them.
+// deliberately a parser of the format, not of obs's output, so it
+// would catch exposition bugs rather than mirror them.
+package promtest
 
 import (
 	"fmt"
+	"regexp"
 	"strconv"
 	"strings"
 )
+
+// nameRE is the metric and label name grammar.
+var nameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+
+func validName(s string) bool { return nameRE.MatchString(s) }
 
 // ParsedMetrics maps each sample's full series name (name plus
 // rendered label set, exactly as exposed) to its value.

@@ -131,13 +131,6 @@ func (t *Tracer) Len() int {
 	return len(t.events)
 }
 
-// Dropped returns how many events the cap discarded.
-func (t *Tracer) Dropped() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // traceFile is the on-disk object format: Perfetto accepts either a
 // bare array or this object form; the object form lets us attach
 // metadata alongside the events.
@@ -200,8 +193,8 @@ func (t *Tracer) WriteFile(path string) error {
 }
 
 // The globally installed tracer. A nil pointer means tracing is off;
-// hot paths check TraceEnabled (one atomic load) before building any
-// event arguments.
+// hot paths nil-check CurrentTracer (one atomic load) before building
+// any event arguments.
 var globalTracer atomic.Pointer[Tracer]
 
 // SetTracer installs (or, with nil, removes) the global tracer.
@@ -211,6 +204,3 @@ func SetTracer(t *Tracer) { globalTracer.Store(t) }
 // off. Callers must nil-check — and should build Span/Instant args
 // only inside that check.
 func CurrentTracer() *Tracer { return globalTracer.Load() }
-
-// TraceEnabled reports whether a tracer is installed.
-func TraceEnabled() bool { return globalTracer.Load() != nil }

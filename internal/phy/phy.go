@@ -248,15 +248,8 @@ type Radio struct {
 	txPowerDBm float64
 	txPowerMw  float64
 
-	// ccaOffsetDB shifts this radio's CCA threshold from the medium
-	// default (threshold asymmetry pathology).
-	ccaOffsetDB float64
-	// noiseOffsetDB shifts this radio's noise floor from the medium
-	// default (hardware noise floor variation, footnote 20).
-	noiseOffsetDB float64
-
-	// Linear-scale caches of the dB configuration above; recomputed on
-	// every setter so the event loop never converts dB.
+	// Linear-scale noise floor and CCA threshold, so the event loop
+	// never converts dB. SetNoiseOffsetDB recomputes noiseMw.
 	noiseMw     float64
 	ccaThreshMw float64
 
@@ -298,27 +291,14 @@ func (r *Radio) catchUpCCA() {
 	}
 }
 
-// SetCCAOffsetDB shifts this radio's CCA threshold relative to the
-// medium default (positive = less sensitive, defers less).
-func (r *Radio) SetCCAOffsetDB(db float64) {
-	r.ccaOffsetDB = db
-	r.ccaThreshMw = DBToLin(r.medium.cfg.CCAThresholdDBm + db)
-}
-
-// SetNoiseOffsetDB shifts this radio's noise floor.
+// SetNoiseOffsetDB shifts this radio's noise floor from the medium
+// default (hardware noise floor variation, footnote 20).
 func (r *Radio) SetNoiseOffsetDB(db float64) {
-	r.noiseOffsetDB = db
 	r.noiseMw = DBToLin(r.medium.cfg.NoiseFloorDBm + db)
 }
 
-// TxPowerDBm returns the radio's transmit power.
-func (r *Radio) TxPowerDBm() float64 { return r.txPowerDBm }
-
 // Transmitting reports whether the radio is currently on the air.
 func (r *Radio) Transmitting() bool { return r.transmitting != nil }
-
-// Receiving reports whether the radio is locked on a frame.
-func (r *Radio) Receiving() bool { return r.rx != nil }
 
 // Medium is the shared wireless channel: it tracks all in-flight
 // transmissions, computes per-radio power sums, and drives every
@@ -371,12 +351,6 @@ func NewMedium(s *sim.Simulator, ch Channel, cfg Config, src *rng.Source) *Mediu
 	m.endTxFn = func(a any) { m.endTransmission(a.(*transmission)) }
 	return m
 }
-
-// Config returns the medium's PHY configuration.
-func (m *Medium) Config() Config { return m.cfg }
-
-// Sim returns the simulator driving this medium.
-func (m *Medium) Sim() *sim.Simulator { return m.sim }
 
 // AddRadio registers a radio with the given ID and transmit power.
 func (m *Medium) AddRadio(id NodeID, txPowerDBm float64) *Radio {
@@ -699,14 +673,4 @@ func (m *Medium) refreshCCA() {
 			}
 		}
 	}
-}
-
-// SINRdBBetween returns the SINR a frame from src would enjoy at dst
-// right now, given current interference — used by oracle tooling, not
-// by the protocol path.
-func (m *Medium) SINRdBBetween(src, dst NodeID) float64 {
-	from, to := m.radios[src], m.radios[dst]
-	sig := from.txPowerMw * m.gainLin(src, dst)
-	interf := m.interferenceMwAt(to, nil)
-	return 10 * math.Log10(sig/(to.noiseMw+interf))
 }

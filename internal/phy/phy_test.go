@@ -268,29 +268,6 @@ func TestListenCCAAfterFirstTransmit(t *testing.T) {
 	}
 }
 
-func TestCCAThresholdOffset(t *testing.T) {
-	// Threshold asymmetry (§5): sensed power is -60 dBm; a +25 dB
-	// offset raises this radio's busy threshold to -57 dBm, so it no
-	// longer defers while an unmodified radio would. Preamble carrier
-	// sense is disabled so the energy path alone decides.
-	cfg := quiet()
-	cfg.PreambleCarrierSense = false
-	s, _, r := collisionHarness(-80, -80, -75, cfg)
-	r[2].SetCCAOffsetDB(25)
-	s.At(0, func() { r[0].Transmit(Frame{Dst: Broadcast, Bytes: 1400, Rate: rate6}) })
-	s.At(10*sim.Microsecond, func() {
-		if r[2].CCABusy() {
-			t.Error("offset radio should ignore -60 dBm energy")
-		}
-		r[2].SetCCAOffsetDB(0)
-		if !r[2].CCABusy() {
-			t.Error("unmodified threshold should report busy at -60 dBm")
-		}
-		r[2].SetCCAOffsetDB(25)
-	})
-	s.RunAll()
-}
-
 func TestPreambleCarrierSense(t *testing.T) {
 	// Sensed power below the energy threshold but above preamble
 	// sensitivity: CCA busy only because the radio locked the frame.
@@ -397,11 +374,11 @@ func TestHalfDuplexDropsReception(t *testing.T) {
 	r[2].OnRx = func(res RxResult) { got++ }
 	s.At(0, func() { r[0].Transmit(Frame{Dst: Broadcast, Bytes: 1400, Rate: rate6}) })
 	s.At(50*sim.Microsecond, func() {
-		if !r[2].Receiving() {
+		if r[2].rx == nil {
 			t.Error("radio 2 should have locked radio 0's frame")
 		}
 		r[2].Transmit(Frame{Dst: Broadcast, Bytes: 100, Rate: rate6})
-		if r[2].Receiving() {
+		if r[2].rx != nil {
 			t.Error("transmit did not abandon the reception")
 		}
 	})

@@ -1,231 +1,11 @@
-// Package propagation implements the radio propagation models the
-// paper builds on (§2 and the appendix): deterministic power-law path
-// loss, lognormal shadowing, Rayleigh/Rician multipath fading with
-// wideband averaging, plus the supporting physical models the text
-// discusses — the two-ray ground reflection model and knife-edge
-// diffraction (used in §3.4 to argue that barriers cannot isolate
-// senders from each other).
-//
-// Two unit conventions coexist:
-//
-//   - The analytical model works with dimensionless linear power
-//     ratios relative to P0 (power at unit distance); PathLoss.Gain
-//     serves that world.
-//   - The packet simulator works in dB/dBm; the *DB methods and
-//     LinkBudget serve that world.
+// Package propagation holds the knife-edge diffraction model of §3.4:
+// the Fresnel-Kirchhoff parameter of an obstruction and Lee's
+// approximation of the loss it causes. The barrier scenario uses them
+// to argue that a barrier cannot hide one sender from another's
+// carrier sense.
 package propagation
 
-import (
-	"fmt"
-	"math"
-
-	"carriersense/internal/rng"
-)
-
-// PathLoss is a deterministic power-law path loss model: received
-// power is d^-Alpha relative to the unit-distance power. The exponent
-// typically ranges from 2 (free space) to 4 (heavily obstructed), with
-// the paper's own testbed measuring about 3.5 at 2.4 GHz (footnote 2).
-type PathLoss struct {
-	Alpha float64 // path loss exponent
-}
-
-// Gain returns the linear power gain at distance d relative to unit
-// distance: d^-Alpha. Distances below a small epsilon are clamped to
-// avoid the (physically meaningless) divergence at the antenna; the
-// paper notes the unbounded peak "is of little practical significance".
-func (p PathLoss) Gain(d float64) float64 {
-	const minDist = 1e-9
-	if d < minDist {
-		d = minDist
-	}
-	return math.Pow(d, -p.Alpha)
-}
-
-// LossDB returns the path loss in positive dB at distance d relative
-// to unit distance: 10·Alpha·log10(d).
-func (p PathLoss) LossDB(d float64) float64 {
-	const minDist = 1e-9
-	if d < minDist {
-		d = minDist
-	}
-	return 10 * p.Alpha * math.Log10(d)
-}
-
-// DistanceForLossDB inverts LossDB: the distance at which path loss
-// equals the given dB value.
-func (p PathLoss) DistanceForLossDB(lossDB float64) float64 {
-	return math.Pow(10, lossDB/(10*p.Alpha))
-}
-
-// Shadowing is the lognormal shadowing model: a multiplicative linear
-// power factor whose dB value is N(0, SigmaDB²). Typical indoor values
-// are 4-12 dB (§2); the paper's testbed measured about 10 dB.
-type Shadowing struct {
-	SigmaDB float64
-}
-
-// Sample draws one shadowing factor (linear, median 1).
-func (s Shadowing) Sample(src *rng.Source) float64 {
-	return src.LognormalDB(s.SigmaDB)
-}
-
-// SampleDB draws one shadowing value in dB (mean 0).
-func (s Shadowing) SampleDB(src *rng.Source) float64 {
-	return src.Normal(0, s.SigmaDB)
-}
-
-// MeanLinear returns E[L] for the lognormal factor: because capacity
-// is concave in linear SNR but the lognormal is skewed, E[L] =
-// exp((ln10/10·σ)²/2) > 1. This surplus is the formal core of §3.4's
-// observation that zero-mean (in dB) shadowing *raises* average linear
-// power and helps long-range concurrency.
-func (s Shadowing) MeanLinear() float64 {
-	k := math.Ln10 / 10 * s.SigmaDB
-	return math.Exp(k * k / 2)
-}
-
-// ExceedProbabilityDB returns P[L_dB > xDB], the probability that the
-// shadowing deviation exceeds xDB. §3.4's worked example ("about a 20%
-// chance of appearing beyond D_thresh") is a direct application.
-func (s Shadowing) ExceedProbabilityDB(xDB float64) float64 {
-	if s.SigmaDB == 0 {
-		if xDB < 0 {
-			return 1
-		}
-		return 0
-	}
-	return 1 - rng.NormalCDF(xDB/s.SigmaDB)
-}
-
-// FadingKind selects the multipath fading model.
-type FadingKind int
-
-const (
-	// FadingNone disables fast fading (the wideband limit the model
-	// mostly assumes: "we restrict our attention mainly to wideband
-	// channels ... which allows us largely to average fading away").
-	FadingNone FadingKind = iota
-	// FadingRayleigh is narrowband non-line-of-sight fading; the power
-	// factor is unit-mean exponential.
-	FadingRayleigh
-	// FadingRician is narrowband fading with a line-of-sight component
-	// of K-factor RicianK.
-	FadingRician
-	// FadingWideband models a wideband channel as the average of
-	// WidebandSubchannels independent Rayleigh subchannel powers,
-	// leaving the "few dB" residual the appendix describes.
-	FadingWideband
-)
-
-// Fading is the fast-fading model applied on top of path loss and
-// shadowing.
-type Fading struct {
-	Kind                FadingKind
-	RicianK             float64 // K-factor for FadingRician
-	WidebandSubchannels int     // subchannel count for FadingWideband (default 48, 802.11a OFDM)
-}
-
-// Sample draws one unit-mean linear power fading factor.
-func (f Fading) Sample(src *rng.Source) float64 {
-	switch f.Kind {
-	case FadingRayleigh:
-		return src.Exp(1)
-	case FadingRician:
-		return src.RicianPowerK(f.RicianK)
-	case FadingWideband:
-		n := f.WidebandSubchannels
-		if n <= 0 {
-			n = 48
-		}
-		return src.WidebandFadePower(n)
-	default:
-		return 1
-	}
-}
-
-// Model is the composite path loss + shadowing + fading channel model
-// of §2. It produces linear gains relative to unit-distance power.
-type Model struct {
-	PathLoss  PathLoss
-	Shadowing Shadowing
-	Fading    Fading
-}
-
-// Default returns the paper's default analytical environment:
-// α = 3, σ = 8 dB, no fast fading.
-func Default() Model {
-	return Model{
-		PathLoss:  PathLoss{Alpha: 3},
-		Shadowing: Shadowing{SigmaDB: 8},
-	}
-}
-
-// Validate reports whether the model parameters are physically
-// sensible (α in a broad (0, 8] range, σ ≥ 0).
-func (m Model) Validate() error {
-	if m.PathLoss.Alpha <= 0 || m.PathLoss.Alpha > 8 {
-		return fmt.Errorf("propagation: path loss exponent %v outside (0, 8]", m.PathLoss.Alpha)
-	}
-	if m.Shadowing.SigmaDB < 0 {
-		return fmt.Errorf("propagation: negative shadowing sigma %v", m.Shadowing.SigmaDB)
-	}
-	if m.Fading.Kind == FadingRician && m.Fading.RicianK < 0 {
-		return fmt.Errorf("propagation: negative Rician K %v", m.Fading.RicianK)
-	}
-	return nil
-}
-
-// MedianGain returns the deterministic (median) linear gain at
-// distance d: path loss only.
-func (m Model) MedianGain(d float64) float64 {
-	return m.PathLoss.Gain(d)
-}
-
-// SampleGain draws a random linear gain at distance d: path loss ×
-// shadowing × fading.
-func (m Model) SampleGain(src *rng.Source, d float64) float64 {
-	return m.PathLoss.Gain(d) * m.Shadowing.Sample(src) * m.Fading.Sample(src)
-}
-
-// SampleGainDB draws a random gain in dB (negative for loss) at
-// distance d.
-func (m Model) SampleGainDB(src *rng.Source, d float64) float64 {
-	return 10 * math.Log10(m.SampleGain(src, d))
-}
-
-// TwoRay is the two-ray ground-reflection model sketched in the
-// appendix: beyond the crossover distance the direct and
-// ground-reflected waves cancel at ground level and power decays as
-// d^-4.
-type TwoRay struct {
-	TxHeight, RxHeight float64 // antenna heights, meters
-	WavelengthM        float64 // carrier wavelength, meters
-}
-
-// CrossoverDistance returns the distance beyond which the d^-4
-// asymptote applies: 4·π·h_t·h_r/λ.
-func (t TwoRay) CrossoverDistance() float64 {
-	return 4 * math.Pi * t.TxHeight * t.RxHeight / t.WavelengthM
-}
-
-// GainDB returns the two-ray power gain in dB at ground distance d,
-// using free-space decay below the crossover and the
-// (h_t·h_r/d²)² asymptote beyond it, matched continuously.
-func (t TwoRay) GainDB(d float64) float64 {
-	if d <= 0 {
-		d = 1e-9
-	}
-	dc := t.CrossoverDistance()
-	freeSpace := func(d float64) float64 {
-		return 20 * math.Log10(t.WavelengthM/(4*math.Pi*d))
-	}
-	if d <= dc {
-		return freeSpace(d)
-	}
-	// Continuous match at dc, then 40 dB/decade.
-	return freeSpace(dc) - 40*math.Log10(d/dc)
-}
+import "math"
 
 // KnifeEdgeDiffractionLossDB returns the knife-edge diffraction loss
 // in dB for the given Fresnel-Kirchhoff parameter v, using Lee's
@@ -252,39 +32,4 @@ func KnifeEdgeDiffractionLossDB(v float64) float64 {
 // and d2 (meters) from the two endpoints, at wavelength lambda.
 func FresnelV(h, d1, d2, lambda float64) float64 {
 	return h * math.Sqrt(2*(d1+d2)/(lambda*d1*d2))
-}
-
-// FloorAttenuation returns the ITU-style indoor floor penetration loss
-// in dB for a path crossing n floors. Footnote 1 of the paper notes
-// that heavy uninterrupted floors warrant an explicit attenuation term
-// separate from shadowing. Values follow ITU-R P.1238 office
-// parameters at 2.4 GHz: 15 dB for the first floor, 4 dB for each
-// additional floor.
-func FloorAttenuation(n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return 15 + 4*float64(n-1)
-}
-
-// LinkBudget computes a received power in dBm from a transmit power in
-// dBm, a reference loss at 1 m, and the model's path loss and (given a
-// source) shadowing/fading draws. It is the dBm-world bridge used by
-// the testbed generator.
-type LinkBudget struct {
-	Model       Model
-	TxPowerDBm  float64
-	RefLoss1mDB float64 // loss at 1 m (e.g. ~40 dB at 2.4 GHz)
-}
-
-// MedianRxDBm returns the median received power at distance d meters.
-func (lb LinkBudget) MedianRxDBm(d float64) float64 {
-	return lb.TxPowerDBm - lb.RefLoss1mDB - lb.Model.PathLoss.LossDB(d)
-}
-
-// SampleRxDBm draws a received power at distance d meters with
-// shadowing and fading applied.
-func (lb LinkBudget) SampleRxDBm(src *rng.Source, d float64) float64 {
-	return lb.MedianRxDBm(d) + lb.Model.Shadowing.SampleDB(src) +
-		10*math.Log10(lb.Model.Fading.Sample(src))
 }

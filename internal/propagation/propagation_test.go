@@ -3,177 +3,7 @@ package propagation
 import (
 	"math"
 	"testing"
-	"testing/quick"
-
-	"carriersense/internal/rng"
 )
-
-func TestPathLossGainKnownValues(t *testing.T) {
-	p := PathLoss{Alpha: 3}
-	if got := p.Gain(1); math.Abs(got-1) > 1e-12 {
-		t.Errorf("gain at unit distance = %v, want 1", got)
-	}
-	if got := p.Gain(10); math.Abs(got-1e-3) > 1e-15 {
-		t.Errorf("gain at 10 = %v, want 1e-3", got)
-	}
-	if got := p.LossDB(10); math.Abs(got-30) > 1e-9 {
-		t.Errorf("loss at 10 = %v dB, want 30", got)
-	}
-}
-
-func TestPathLossClampsTinyDistance(t *testing.T) {
-	p := PathLoss{Alpha: 3}
-	if g := p.Gain(0); math.IsInf(g, 1) || math.IsNaN(g) {
-		t.Errorf("gain at 0 = %v, want finite clamp", g)
-	}
-}
-
-func TestPathLossDistanceForLossInverse(t *testing.T) {
-	f := func(rawLoss, rawAlpha float64) bool {
-		loss := math.Abs(math.Mod(rawLoss, 120))
-		alpha := 1.5 + math.Abs(math.Mod(rawAlpha, 3))
-		p := PathLoss{Alpha: alpha}
-		d := p.DistanceForLossDB(loss)
-		return math.Abs(p.LossDB(d)-loss) < 1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestShadowingStatistics(t *testing.T) {
-	s := Shadowing{SigmaDB: 8}
-	src := rng.New(1)
-	n := 100_000
-	below := 0
-	var sumDB float64
-	for i := 0; i < n; i++ {
-		if s.Sample(src) < 1 {
-			below++
-		}
-		sumDB += s.SampleDB(src)
-	}
-	if frac := float64(below) / float64(n); math.Abs(frac-0.5) > 0.01 {
-		t.Errorf("P[L<1] = %v", frac)
-	}
-	if mean := sumDB / float64(n); math.Abs(mean) > 0.1 {
-		t.Errorf("mean dB = %v, want 0", mean)
-	}
-}
-
-func TestShadowingMeanLinear(t *testing.T) {
-	s := Shadowing{SigmaDB: 8}
-	src := rng.New(2)
-	var sum float64
-	n := 400_000
-	for i := 0; i < n; i++ {
-		sum += s.Sample(src)
-	}
-	got := sum / float64(n)
-	want := s.MeanLinear()
-	if math.Abs(got-want)/want > 0.03 {
-		t.Errorf("empirical E[L] = %v, analytic %v", got, want)
-	}
-	if want <= 1 {
-		t.Errorf("MeanLinear = %v, must exceed 1 for sigma > 0", want)
-	}
-}
-
-func TestExceedProbability(t *testing.T) {
-	s := Shadowing{SigmaDB: 8}
-	if got := s.ExceedProbabilityDB(0); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("P[L>0dB] = %v, want 0.5", got)
-	}
-	if got := s.ExceedProbabilityDB(8); math.Abs(got-0.1587) > 1e-3 {
-		t.Errorf("P[L>sigma] = %v, want 0.159", got)
-	}
-	z := Shadowing{SigmaDB: 0}
-	if z.ExceedProbabilityDB(-1) != 1 || z.ExceedProbabilityDB(1) != 0 {
-		t.Error("zero-sigma exceed probability should be a step")
-	}
-}
-
-func TestFadingUnitMeans(t *testing.T) {
-	src := rng.New(3)
-	kinds := []Fading{
-		{Kind: FadingNone},
-		{Kind: FadingRayleigh},
-		{Kind: FadingRician, RicianK: 5},
-		{Kind: FadingWideband, WidebandSubchannels: 48},
-		{Kind: FadingWideband}, // default subchannels
-	}
-	for _, f := range kinds {
-		var sum float64
-		n := 100_000
-		for i := 0; i < n; i++ {
-			sum += f.Sample(src)
-		}
-		if mean := sum / float64(n); math.Abs(mean-1) > 0.03 {
-			t.Errorf("fading kind %v mean = %v, want 1", f.Kind, mean)
-		}
-	}
-}
-
-func TestModelValidate(t *testing.T) {
-	good := Default()
-	if err := good.Validate(); err != nil {
-		t.Errorf("default model invalid: %v", err)
-	}
-	bad := Default()
-	bad.PathLoss.Alpha = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative alpha accepted")
-	}
-	bad = Default()
-	bad.Shadowing.SigmaDB = -2
-	if err := bad.Validate(); err == nil {
-		t.Error("negative sigma accepted")
-	}
-	bad = Default()
-	bad.Fading = Fading{Kind: FadingRician, RicianK: -1}
-	if err := bad.Validate(); err == nil {
-		t.Error("negative K accepted")
-	}
-}
-
-func TestModelGainComposition(t *testing.T) {
-	m := Model{PathLoss: PathLoss{Alpha: 2}} // no shadowing/fading
-	src := rng.New(4)
-	if got := m.SampleGain(src, 10); math.Abs(got-0.01) > 1e-12 {
-		t.Errorf("deterministic sample gain = %v, want 0.01", got)
-	}
-	if got := m.MedianGain(10); math.Abs(got-0.01) > 1e-12 {
-		t.Errorf("median gain = %v", got)
-	}
-	if got := m.SampleGainDB(src, 10); math.Abs(got+20) > 1e-9 {
-		t.Errorf("gain dB = %v, want -20", got)
-	}
-}
-
-func TestTwoRay(t *testing.T) {
-	tr := TwoRay{TxHeight: 1.5, RxHeight: 1.5, WavelengthM: 0.125} // 2.4 GHz
-	dc := tr.CrossoverDistance()
-	want := 4 * math.Pi * 1.5 * 1.5 / 0.125
-	if math.Abs(dc-want) > 1e-9 {
-		t.Errorf("crossover = %v, want %v", dc, want)
-	}
-	// Continuity at the crossover.
-	below := tr.GainDB(dc * 0.999999)
-	above := tr.GainDB(dc * 1.000001)
-	if math.Abs(below-above) > 0.01 {
-		t.Errorf("discontinuity at crossover: %v vs %v", below, above)
-	}
-	// 40 dB per decade beyond crossover.
-	drop := tr.GainDB(dc*10) - tr.GainDB(dc)
-	if math.Abs(drop+40) > 0.1 {
-		t.Errorf("decade drop = %v dB, want -40", drop)
-	}
-	// 20 dB per decade below (free space).
-	drop = tr.GainDB(dc/10) - tr.GainDB(dc/100)
-	if math.Abs(drop+20) > 0.1 {
-		t.Errorf("free-space decade drop = %v dB, want -20", drop)
-	}
-}
 
 func TestKnifeEdgeDiffraction(t *testing.T) {
 	// No obstruction (v <= -1): no loss.
@@ -211,37 +41,5 @@ func TestFresnelV(t *testing.T) {
 	// Zero height -> zero v.
 	if got := FresnelV(0, 5, 5, 0.125); got != 0 {
 		t.Errorf("v at h=0 = %v", got)
-	}
-}
-
-func TestFloorAttenuation(t *testing.T) {
-	if got := FloorAttenuation(0); got != 0 {
-		t.Errorf("0 floors = %v", got)
-	}
-	if got := FloorAttenuation(1); got != 15 {
-		t.Errorf("1 floor = %v, want 15", got)
-	}
-	if got := FloorAttenuation(3); got != 23 {
-		t.Errorf("3 floors = %v, want 23", got)
-	}
-}
-
-func TestLinkBudget(t *testing.T) {
-	lb := LinkBudget{
-		Model:       Model{PathLoss: PathLoss{Alpha: 3.5}},
-		TxPowerDBm:  15,
-		RefLoss1mDB: 47,
-	}
-	// At 1 m: 15 - 47 = -32 dBm.
-	if got := lb.MedianRxDBm(1); math.Abs(got+32) > 1e-9 {
-		t.Errorf("rx at 1m = %v, want -32", got)
-	}
-	// At 10 m: 35 dB more loss.
-	if got := lb.MedianRxDBm(10); math.Abs(got+67) > 1e-9 {
-		t.Errorf("rx at 10m = %v, want -67", got)
-	}
-	src := rng.New(5)
-	if got := lb.SampleRxDBm(src, 10); math.Abs(got+67) > 1e-9 {
-		t.Errorf("deterministic sample = %v, want -67", got)
 	}
 }

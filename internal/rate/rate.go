@@ -175,18 +175,6 @@ func (sr *SampleRate) Update(dst phy.NodeID, rate capacity.Rate, success bool, a
 	st.avgTxTime[idx] = (1-sr.Alpha)*st.avgTxTime[idx] + sr.Alpha*sample
 }
 
-// DeliveryEstimate returns the observed delivery ratio at the given
-// rate for dst (diagnostics).
-func (sr *SampleRate) DeliveryEstimate(dst phy.NodeID, mbps float64) float64 {
-	st := sr.state(dst)
-	for i, r := range sr.table {
-		if r.Mbps == mbps && st.tries[i] > 0 {
-			return float64(st.oks[i]) / float64(st.tries[i])
-		}
-	}
-	return 0
-}
-
 // ARF is the classic Automatic Rate Fallback baseline: step the rate
 // up after a run of successes, down after consecutive failures.
 type ARF struct {

@@ -85,21 +85,6 @@ func TestSampleRateProbesOccasionally(t *testing.T) {
 	}
 }
 
-func TestSampleRateDeliveryEstimate(t *testing.T) {
-	table := capacity.Table80211a
-	sr := NewSampleRate(table)
-	feed(sr, table, 0, 1000) // only 6 Mb/s works
-	if got := sr.DeliveryEstimate(1, 6); got < 0.9 {
-		t.Errorf("6 Mb/s delivery estimate = %v", got)
-	}
-	if got := sr.DeliveryEstimate(1, 54); got != 0 {
-		t.Errorf("54 Mb/s delivery estimate = %v, want 0", got)
-	}
-	if got := sr.DeliveryEstimate(1, 11); got != 0 {
-		t.Errorf("unknown rate estimate = %v", got)
-	}
-}
-
 func TestSampleRateUnknownRateUpdateIgnored(t *testing.T) {
 	sr := NewSampleRate(capacity.Table80211a)
 	// Must not panic or corrupt state.

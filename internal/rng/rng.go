@@ -16,9 +16,8 @@
 //
 // The distributions here are the ones the paper's propagation model
 // needs (§2 and the appendix): Gaussian (for dB-domain shadowing),
-// lognormal (linear-domain shadowing), Rayleigh and Rician (multipath
-// fading amplitude), and the exponential power fade that Rayleigh
-// amplitude induces.
+// lognormal (linear-domain shadowing), and the exponential power fade
+// of a Rayleigh-faded signal.
 package rng
 
 import (
@@ -224,53 +223,6 @@ func (s *Source) LognormalDB(sigmaDB float64) float64 {
 // Already an inverse transform, so it is monotone under a uniform hook.
 func (s *Source) Exp(mean float64) float64 {
 	return -mean * math.Log(1-s.Float64())
-}
-
-// Rayleigh returns a Rayleigh-distributed amplitude with scale sigma.
-// The appendix derives this as the amplitude of a zero-mean bivariate
-// Gaussian signal vector (no line of sight).
-func (s *Source) Rayleigh(sigma float64) float64 {
-	return sigma * math.Sqrt(-2*math.Log(1-s.Float64()))
-}
-
-// Rician returns a Rician-distributed amplitude with line-of-sight
-// (specular) amplitude v and diffuse scale sigma. The appendix derives
-// this as the amplitude of a bivariate Gaussian offset from the origin
-// (line of sight present). v = 0 reduces to Rayleigh.
-func (s *Source) Rician(v, sigma float64) float64 {
-	x := s.Normal(v, sigma)
-	y := s.Normal(0, sigma)
-	return math.Hypot(x, y)
-}
-
-// RicianPowerK returns a unit-mean linear power factor for Rician
-// fading with K-factor k (ratio of specular to diffuse power). k = 0
-// is Rayleigh (unit-mean exponential); large k approaches no fading.
-func (s *Source) RicianPowerK(k float64) float64 {
-	if k <= 0 {
-		return s.Exp(1)
-	}
-	// Total mean power v^2 + 2sigma^2 = 1 with K = v^2 / (2 sigma^2).
-	sigma := math.Sqrt(1 / (2 * (k + 1)))
-	v := math.Sqrt(k / (k + 1))
-	a := s.Rician(v, sigma)
-	return a * a
-}
-
-// WidebandFadePower returns a unit-mean power factor representing a
-// wideband channel that averages nsub independent Rayleigh subchannels.
-// The paper (§2, appendix) argues wideband modulations largely average
-// fading away, leaving "the equivalent of a few dB variation"; this
-// models that residual. nsub <= 1 degenerates to narrowband Rayleigh.
-func (s *Source) WidebandFadePower(nsub int) float64 {
-	if nsub <= 1 {
-		return s.Exp(1)
-	}
-	sum := 0.0
-	for i := 0; i < nsub; i++ {
-		sum += s.Exp(1)
-	}
-	return sum / float64(nsub)
 }
 
 // Shuffle randomly permutes the first n elements using swap.

@@ -182,58 +182,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestRayleighMean(t *testing.T) {
-	src := New(9)
-	const sigma = 2.0
-	mean, _ := moments(200_000, func() float64 { return src.Rayleigh(sigma) })
-	want := sigma * math.Sqrt(math.Pi/2)
-	if math.Abs(mean-want)/want > 0.02 {
-		t.Errorf("rayleigh mean = %v, want %v", mean, want)
-	}
-}
-
-func TestRicianReducesToRayleigh(t *testing.T) {
-	src := New(10)
-	mean, _ := moments(100_000, func() float64 { return src.Rician(0, 1) })
-	want := math.Sqrt(math.Pi / 2)
-	if math.Abs(mean-want)/want > 0.03 {
-		t.Errorf("rician(0,1) mean = %v, want rayleigh %v", mean, want)
-	}
-}
-
-func TestRicianPowerKUnitMean(t *testing.T) {
-	src := New(11)
-	for _, k := range []float64{0, 1, 5, 20} {
-		mean, _ := moments(200_000, func() float64 { return src.RicianPowerK(k) })
-		if math.Abs(mean-1) > 0.03 {
-			t.Errorf("RicianPowerK(%v) mean = %v, want 1", k, mean)
-		}
-	}
-}
-
-func TestRicianPowerVarianceShrinksWithK(t *testing.T) {
-	src := New(12)
-	_, v0 := moments(100_000, func() float64 { return src.RicianPowerK(0) })
-	_, v20 := moments(100_000, func() float64 { return src.RicianPowerK(20) })
-	if v20 >= v0 {
-		t.Errorf("variance should shrink with K: K=0 %v, K=20 %v", v0, v20)
-	}
-}
-
-func TestWidebandFadeAveraging(t *testing.T) {
-	src := New(13)
-	mean, v48 := moments(100_000, func() float64 { return src.WidebandFadePower(48) })
-	if math.Abs(mean-1) > 0.02 {
-		t.Errorf("wideband fade mean = %v, want 1", mean)
-	}
-	_, v1 := moments(100_000, func() float64 { return src.WidebandFadePower(1) })
-	// Averaging 48 subchannels cuts variance by ~48x — the appendix's
-	// "reduces to the equivalent of a few dB variation".
-	if v48 > v1/20 {
-		t.Errorf("wideband variance %v not well below narrowband %v", v48, v1)
-	}
-}
-
 // zigguratTail is the ziggurat's base-strip edge (math/rand/v2's rn):
 // a standard normal draw beyond it came from the tail sampler, which
 // consumes extra words.

@@ -8,7 +8,7 @@
 // replications): event records live in a slab owned by the Simulator
 // and are recycled through a freelist, the priority queue is a 4-ary
 // heap of slot indices (no per-event allocation, no interface boxing),
-// and the At1/After1 forms let hot callers schedule a pre-built
+// and the At1 form lets hot callers schedule a pre-built
 // callback with an argument instead of allocating a fresh closure per
 // event. Recycled slots carry a generation counter, so an Event handle
 // kept past its firing (or cancellation) goes harmlessly stale instead
@@ -44,9 +44,6 @@ const (
 
 // Seconds returns the time as float64 seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Micros returns the time as float64 microseconds.
-func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
 // Duration converts to a time.Duration (both are nanoseconds).
 func (t Time) Duration() time.Duration { return time.Duration(t) }
@@ -143,13 +140,12 @@ func (e Event) Remaining() int {
 // concurrent use; a simulation is a single-goroutine affair (parallel
 // experiments run independent Simulators).
 type Simulator struct {
-	now     Time
-	seq     uint64
-	stopped bool
-	fired   uint64
-	slots   []slot
-	free    []int32
-	heap    []int32
+	now   Time
+	seq   uint64
+	fired uint64
+	slots []slot
+	free  []int32
+	heap  []int32
 }
 
 // New returns a Simulator at time zero.
@@ -164,10 +160,6 @@ func (s *Simulator) Now() Time { return s.now }
 // counts once, when its callback runs; its elapsed ticks are not
 // events.
 func (s *Simulator) EventsFired() uint64 { return s.fired }
-
-// Pending returns the number of events still queued. Canceled events
-// are removed from the queue immediately, so they never count.
-func (s *Simulator) Pending() int { return len(s.heap) }
 
 // alloc claims a slot from the freelist (or grows the slab) and fills
 // it. The slot keeps the generation its last release assigned.
@@ -333,14 +325,6 @@ func (s *Simulator) After(d Time, fn func()) Event {
 	return s.At(s.now+d, fn)
 }
 
-// After1 schedules fn(arg) after delay d from now.
-func (s *Simulator) After1(d Time, fn func(any), arg any) Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", d))
-	}
-	return s.At1(s.now+d, fn, arg)
-}
-
 // Countdown schedules a chain of n ticks, period apart from now, and
 // runs fn at the last one. It is equivalent to an After(period, ·)
 // chain in which every tick but the last only schedules the next, and
@@ -359,9 +343,6 @@ func (s *Simulator) Countdown(period Time, n int, fn func()) Event {
 	}
 	return s.schedule(s.now+period, call0, fn, period, int32(n))
 }
-
-// Stop halts Run after the current event returns.
-func (s *Simulator) Stop() { s.stopped = true }
 
 // fireRoot executes the heap minimum, whose time is at most until.
 //
@@ -406,12 +387,11 @@ func (s *Simulator) fireRoot(until Time) {
 	fn(arg)
 }
 
-// Run executes events in timestamp order until the queue empties, the
-// clock passes until, or Stop is called. Events scheduled exactly at
-// until still run. It returns the final simulation time.
+// Run executes events in timestamp order until the queue empties or the
+// clock passes until. Events scheduled exactly at until still run. It
+// returns the final simulation time.
 func (s *Simulator) Run(until Time) Time {
-	s.stopped = false
-	for len(s.heap) > 0 && !s.stopped {
+	for len(s.heap) > 0 {
 		if s.slots[s.heap[0]].at > until {
 			break
 		}
@@ -423,10 +403,9 @@ func (s *Simulator) Run(until Time) Time {
 	return s.now
 }
 
-// RunAll executes events until the queue is empty or Stop is called.
+// RunAll executes events until the queue is empty.
 func (s *Simulator) RunAll() Time {
-	s.stopped = false
-	for len(s.heap) > 0 && !s.stopped {
+	for len(s.heap) > 0 {
 		s.fireRoot(math.MaxInt64)
 	}
 	return s.now

@@ -244,7 +244,7 @@ func TestAt1PassesArgument(t *testing.T) {
 	var got []int
 	fn := func(a any) { got = append(got, a.(int)) }
 	s.At1(10*Microsecond, fn, 1)
-	s.After1(20*Microsecond, fn, 2)
+	s.At1(20*Microsecond, fn, 2)
 	s.RunAll()
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("got = %v", got)
@@ -267,25 +267,10 @@ func TestRunStopsAtUntil(t *testing.T) {
 	if len(fired) != 3 {
 		t.Errorf("fired %v after second run", fired)
 	}
-	if s.Pending() != 1 {
-		t.Errorf("pending = %d", s.Pending())
-	}
-}
-
-func TestStop(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.At(Time(i)*Microsecond, func() {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run(Second)
-	if count != 3 {
-		t.Errorf("count = %d, want 3", count)
+	// One event is left.
+	s.RunAll()
+	if len(fired) != 4 {
+		t.Errorf("fired %v after running all", fired)
 	}
 }
 
@@ -338,8 +323,8 @@ func TestTimeConversions(t *testing.T) {
 	if got := (2500 * Millisecond).Seconds(); got != 2.5 {
 		t.Errorf("Seconds = %v", got)
 	}
-	if got := FromMicros(9).Micros(); got != 9 {
-		t.Errorf("micros round trip = %v", got)
+	if got := FromMicros(9); got != 9*Microsecond {
+		t.Errorf("FromMicros(9) = %v", got)
 	}
 	if (3 * Microsecond).Duration().Microseconds() != 3 {
 		t.Error("Duration conversion")
@@ -349,7 +334,7 @@ func TestTimeConversions(t *testing.T) {
 		if us < 0 {
 			us = -us
 		}
-		return FromMicros(float64(us)).Micros() == float64(us)
+		return FromMicros(float64(us)) == Time(us)*Microsecond
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -526,7 +511,7 @@ func runCountdownPlan(p cdPlan, countdown bool, cov *cdCoverage) (log []string, 
 			}
 		}
 	}
-	logf("run all: now %d pending %d", s.RunAll(), s.Pending())
+	logf("run all: now %d", s.RunAll())
 	return log, s.EventsFired(), callbacks
 }
 

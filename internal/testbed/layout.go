@@ -103,11 +103,6 @@ type Node struct {
 	Floor int
 }
 
-// Pos3 returns the node's 3-D coordinates in meters.
-func (n Node) Pos3() (x, y, z float64) {
-	return n.X, n.Y, float64(n.Floor)
-}
-
 // Testbed is a frozen realization: node placements, the symmetric gain
 // matrix, and per-node noise floor offsets.
 type Testbed struct {
@@ -392,35 +387,6 @@ func (tb *Testbed) QualifyingLinks(rc RangeClass) []Link {
 	for _, l := range tb.Census() {
 		if rc.Matches(l) {
 			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// DetectablePairs returns undirected pairs whose RSSI clears the given
-// detection threshold, with distance and measured SNR — the Figure 14
-// data set (sub-threshold links are invisible, which is why the fit
-// must handle censoring).
-type DetectablePair struct {
-	I, J      int
-	DistanceM float64
-	SNRdB     float64
-}
-
-// DetectablePairs lists pairs above the detection threshold in dBm.
-func (tb *Testbed) DetectablePairs(thresholdDBm float64) []DetectablePair {
-	var out []DetectablePair
-	for i := 0; i < tb.Params.Nodes; i++ {
-		for j := i + 1; j < tb.Params.Nodes; j++ {
-			rssi := tb.RSSIdBm(phy.NodeID(i), phy.NodeID(j))
-			if rssi < thresholdDBm {
-				continue
-			}
-			out = append(out, DetectablePair{
-				I: i, J: j,
-				DistanceM: tb.DistanceM(i, j),
-				SNRdB:     tb.SNRdB(phy.NodeID(i), phy.NodeID(j)),
-			})
 		}
 	}
 	return out

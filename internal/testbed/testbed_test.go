@@ -277,22 +277,6 @@ func TestRangeClassStrings(t *testing.T) {
 	}
 }
 
-func TestDetectablePairs(t *testing.T) {
-	tb := Generate(DefaultLayout(), 42)
-	all := tb.DetectablePairs(-200)
-	some := tb.DetectablePairs(-90)
-	none := tb.DetectablePairs(100)
-	if len(all) != tb.Params.Nodes*(tb.Params.Nodes-1)/2 {
-		t.Errorf("all pairs = %d", len(all))
-	}
-	if len(some) == 0 || len(some) >= len(all) {
-		t.Errorf("censoring not effective: %d of %d", len(some), len(all))
-	}
-	if len(none) != 0 {
-		t.Errorf("impossible threshold found %d pairs", len(none))
-	}
-}
-
 func TestSNRAndRSSIRelation(t *testing.T) {
 	tb := Generate(small(), 6)
 	for i := 0; i < 5; i++ {
