@@ -114,7 +114,7 @@ func BenchmarkFigure4Curves(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var cross float64
 		for _, rmax := range []float64{20, 55, 120} {
-			res := experiments.Curves(experiments.DefaultCurves(rmax), benchScale())
+			res := experiments.Curves(context.Background(), experiments.DefaultCurves(rmax), benchScale())
 			cross = res.CrossoverD()
 		}
 		b.ReportMetric(cross, "crossover_rmax120")
@@ -126,7 +126,7 @@ func BenchmarkFigure4Curves(b *testing.B) {
 func BenchmarkFigure5CarrierSenseCurve(b *testing.B) {
 	p := experiments.DefaultCurves(55)
 	for i := 0; i < b.N; i++ {
-		res := experiments.Curves(p, benchScale())
+		res := experiments.Curves(context.Background(), p, benchScale())
 		// Gap between CS and optimal at the threshold (the visible
 		// compromise of Figure 5).
 		var gap float64
@@ -143,7 +143,7 @@ func BenchmarkFigure5CarrierSenseCurve(b *testing.B) {
 func BenchmarkFigure6Inefficiency(b *testing.B) {
 	p := experiments.DefaultCurves(55)
 	for i := 0; i < b.N; i++ {
-		res := experiments.InefficiencyDecomposition(p, benchScale())
+		res := experiments.InefficiencyDecomposition(context.Background(), p, benchScale())
 		b.ReportMetric(res.Ineff.HiddenTotal, "hidden_frac")
 		b.ReportMetric(res.Ineff.ExposedTotal, "exposed_frac")
 	}
@@ -159,7 +159,7 @@ func BenchmarkFigure7OptimalThreshold(b *testing.B) {
 		Seed:     1,
 	}
 	for i := 0; i < b.N; i++ {
-		res := experiments.Figure7(p, benchScale())
+		res := experiments.Figure7(context.Background(), p, benchScale())
 		pts := res.Curves[3]
 		b.ReportMetric(pts[0].DOptAlpha3, "dopt_small_rmax")
 		b.ReportMetric(pts[len(pts)-1].DOptAlpha3, "dopt_large_rmax")
@@ -174,7 +174,7 @@ func BenchmarkFigure9ShadowedCurves(b *testing.B) {
 		for _, rmax := range []float64{20, 55, 120} {
 			p := experiments.DefaultCurves(rmax)
 			p.SigmaDB = 8
-			res := experiments.Curves(p, benchScale())
+			res := experiments.Curves(context.Background(), p, benchScale())
 			for _, pt := range res.Points {
 				if math.Abs(pt.D-55) < 4 {
 					csAtThresh = pt.CS
@@ -241,7 +241,7 @@ func BenchmarkSection5ExposedTerminal(b *testing.B) {
 // (paper: ~20% spurious concurrency, ~4% bad-SNR configurations).
 func BenchmarkSection34ShadowingExample(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.Section34(benchScale())
+		res := experiments.Section34(context.Background(), benchScale())
 		b.ReportMetric(100*res.Example.PSpuriousConcurrency, "spurious_pct")
 		b.ReportMetric(100*res.Example.PBadSNRMC.Mean, "bad_snr_pct")
 	}
@@ -258,7 +258,7 @@ func BenchmarkAblationFixedVsAdaptiveRate(b *testing.B) {
 	run := func(capModel capacity.Model) float64 {
 		p := core.Params{Alpha: 3, SigmaDB: 8, NoiseDB: core.DefaultNoiseDB, Capacity: capModel}
 		m := core.New(p)
-		a := m.EstimateAverages(1, 40_000, 55, 55, 55)
+		a := m.EstimateAverages(context.Background(), 1, 40_000, 55, 55, 55)
 		return a.Efficiency()
 	}
 	for i := 0; i < b.N; i++ {
@@ -289,7 +289,7 @@ func BenchmarkAblationShadowing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, sigma := range []float64{0, 8} {
 			m := core.New(core.Params{Alpha: 3, SigmaDB: sigma, NoiseDB: -65})
-			a := m.EstimateAverages(2, 40_000, 55, 55, 55)
+			a := m.EstimateAverages(context.Background(), 2, 40_000, 55, 55, 55)
 			if sigma == 0 {
 				b.ReportMetric(a.Efficiency(), "eff_sigma0")
 			} else {
@@ -306,7 +306,7 @@ func BenchmarkAblationThresholdSensitivity(b *testing.B) {
 	p.SigmaDB = 8
 	p.DGrid = numeric.LinSpace(10, 160, 8)
 	for i := 0; i < b.N; i++ {
-		pts := experiments.ThresholdSensitivity(p, []float64{27, 55, 110}, benchScale())
+		pts := experiments.ThresholdSensitivity(context.Background(), p, []float64{27, 55, 110}, benchScale())
 		b.ReportMetric(pts[0].Efficiency, "eff_half_thresh")
 		b.ReportMetric(pts[1].Efficiency, "eff_at_thresh")
 		b.ReportMetric(pts[2].Efficiency, "eff_double_thresh")
@@ -412,7 +412,7 @@ func BenchmarkPacketSimSecond(b *testing.B) {
 func BenchmarkMonteCarloAverages(b *testing.B) {
 	m := core.New(core.DefaultParams())
 	for i := 0; i < b.N; i++ {
-		m.EstimateAverages(uint64(i), 40_000, 55, 55, 55)
+		m.EstimateAverages(context.Background(), uint64(i), 40_000, 55, 55, 55)
 	}
 }
 
@@ -466,15 +466,15 @@ func BenchmarkRunRequestPool(b *testing.B) {
 func BenchmarkDistributedVsLocal(b *testing.B) {
 	m := core.New(core.DefaultParams())
 	const samples = 40_000
-	run := func(b *testing.B) {
+	run := func(ctx context.Context, b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			a := m.EstimateAverages(uint64(i), samples, 55, 55, 55)
+			a := m.EstimateAverages(ctx, uint64(i), samples, 55, 55, 55)
 			b.ReportMetric(a.Efficiency(), "eff")
 		}
 		shards := float64(montecarlo.ShardCount(samples))
 		b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)/shards*1e6, "us/shard")
 	}
-	b.Run("local", run)
+	b.Run("local", func(b *testing.B) { run(context.Background(), b) })
 	for _, fleet := range []int{2, 5} {
 		hosts := make([]string, fleet)
 		for i := range hosts {
@@ -487,9 +487,7 @@ func BenchmarkDistributedVsLocal(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("remote-%dworkers", fleet), func(b *testing.B) {
-			montecarlo.SetExecutor(remote)
-			defer montecarlo.SetExecutor(nil)
-			run(b)
+			run(montecarlo.WithPlan(context.Background(), remote, ""), b)
 		})
 	}
 }
@@ -499,10 +497,10 @@ func BenchmarkDistributedVsLocal(b *testing.B) {
 // fixed-low-rate headroom should grow (footnote 18).
 func BenchmarkExtensionMultiPair(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		adaptive := core.NewMulti(core.DefaultMultiParams(6)).EstimateMulti(1, 10_000)
+		adaptive := core.NewMulti(core.DefaultMultiParams(6)).EstimateMulti(context.Background(), 1, 10_000)
 		p := core.DefaultMultiParams(6)
 		p.Env.Capacity = capacity.FixedRate{Rate: 1.25, MinSNR: 2.5}
-		fixed := core.NewMulti(p).EstimateMulti(1, 10_000)
+		fixed := core.NewMulti(p).EstimateMulti(context.Background(), 1, 10_000)
 		b.ReportMetric(100*adaptive.ExposedHeadroom(), "headroom_adaptive_pct")
 		b.ReportMetric(100*fixed.ExposedHeadroom(), "headroom_fixed_pct")
 	}

@@ -215,7 +215,7 @@ func runOptions(fs *flag.FlagSet, withSets bool) (finish func() (runConfig, erro
 	var sets, grid multiFlag
 	fs.StringVar(&opts.Seed, "seed", "", "override the scenario's Seed parameter")
 	fs.StringVar(&opts.Scale, "scale", "bench", "sampling effort: smoke, bench, or full")
-	fs.IntVar(&opts.Parallel, "parallel", 0, "worker pool width (0 = GOMAXPROCS)")
+	parallel := fs.Int("parallel", 0, "worker pool width (0 = GOMAXPROCS)")
 	fs.StringVar(&opts.Sampler, "sampler", "", "sampling strategy: plain (default), stratified, sobol, or auto")
 	fs.Float64Var(&opts.RelErr, "relerr", 0, "grow per-point budgets until this relative standard error is met")
 	fs.IntVar(&opts.MaxSamples, "max-samples", 0, "per-point budget cap for -relerr (0 = the scenario's own budget)")
@@ -240,6 +240,9 @@ func runOptions(fs *flag.FlagSet, withSets bool) (finish func() (runConfig, erro
 	return func() (runConfig, error) {
 		opts.Sets = sets
 		opts.Grid = grid
+		if err := setParallel(*parallel); err != nil {
+			return cfg, err
+		}
 		if !*quiet {
 			opts.Stdout = os.Stdout
 		}
@@ -295,7 +298,7 @@ func runOptions(fs *flag.FlagSet, withSets bool) (finish func() (runConfig, erro
 		// engine cannot see through the Executor interface, so the flag
 		// layer that assembled the chain reports it here.
 		opts.Exec = prov.ExecInfo{
-			Parallel: opts.Parallel,
+			Parallel: *parallel,
 			Cache:    *useCache,
 			CacheDir: cfg.cacheDir,
 			Fault:    *faultSpec,
@@ -303,6 +306,18 @@ func runOptions(fs *flag.FlagSet, withSets bool) (finish func() (runConfig, erro
 		opts.Exec.Workers = workerHosts
 		return cfg, nil
 	}
+}
+
+// setParallel pins the process's Monte Carlo pool width for `run`,
+// `all`, `exp run` and `serve`; 0 keeps the GOMAXPROCS default.
+func setParallel(n int) error {
+	if n == 0 {
+		return nil
+	}
+	if err := montecarlo.SetMaxWorkers(n); err != nil {
+		return fmt.Errorf("-parallel: %w", err)
+	}
+	return nil
 }
 
 // resolveCacheDir picks the persistent cache location: the explicit
@@ -550,9 +565,6 @@ func cmdServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *parallel < 0 {
-		return fmt.Errorf("-parallel must be >= 1 (or 0 for the GOMAXPROCS default), got %d", *parallel)
-	}
 	if *faultID != "" && *faultSpec == "" {
 		return fmt.Errorf("-fault-id requires -fault")
 	}
@@ -569,10 +581,8 @@ func cmdServe(args []string) error {
 			fmt.Fprintf(os.Stderr, "fault injection armed for %s: %s\n", *faultID, p)
 		}
 	}
-	if *parallel > 0 {
-		if err := montecarlo.SetMaxWorkers(*parallel); err != nil {
-			return err
-		}
+	if err := setParallel(*parallel); err != nil {
+		return err
 	}
 	// SIGINT/SIGTERM drain rather than kill: in-flight shard batches
 	// finish and deliver, streams close with a goodbye frame so

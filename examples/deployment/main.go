@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -24,6 +25,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const (
 		samples = 60_000
 		seed    = 7
@@ -44,7 +46,7 @@ func main() {
 	tbl := plot.Table{Headers: []string{"deployment", "Rmax", "optimal Dthresh", "regime", "edge SNR"}}
 	var lo, hi float64
 	for i, sc := range scenarios {
-		dOpt := model.OptimalThreshold(seed+uint64(i), samples, sc.rmax)
+		dOpt := model.OptimalThreshold(ctx, seed+uint64(i), samples, sc.rmax)
 		if i == 0 {
 			lo = dOpt
 		}
@@ -68,9 +70,9 @@ func main() {
 		p := experiments.DefaultCurves(sc.rmax)
 		p.SigmaDB = 8
 		p.DGrid = numeric.LinSpace(5, 4*sc.rmax, 12)
-		sens := experiments.ThresholdSensitivity(p, []float64{compromise}, experiments.ScaleBench)
-		dOpt := model.OptimalThreshold(seed+uint64(i), samples, sc.rmax)
-		tuned := experiments.ThresholdSensitivity(p, []float64{dOpt}, experiments.ScaleBench)
+		sens := experiments.ThresholdSensitivity(ctx, p, []float64{compromise}, experiments.ScaleBench)
+		dOpt := model.OptimalThreshold(ctx, seed+uint64(i), samples, sc.rmax)
+		tuned := experiments.ThresholdSensitivity(ctx, p, []float64{dOpt}, experiments.ScaleBench)
 		tbl2.AddRow(sc.name,
 			plot.Percent(sens[0].Efficiency),
 			plot.Percent(tuned[0].Efficiency),

@@ -11,12 +11,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"carriersense/internal/core"
 )
 
 func main() {
+	ctx := context.Background()
 	// The paper's default environment: α = 3, σ = 8 dB, noise floor
 	// -65 dB below unit-distance power (so r = 20 ≈ 26 dB SNR).
 	model := core.New(core.DefaultParams())
@@ -31,7 +33,7 @@ func main() {
 		seed    = 1
 	)
 
-	avg := model.EstimateAverages(seed, samples, rmax, d, dThresh)
+	avg := model.EstimateAverages(ctx, seed, samples, rmax, d, dThresh)
 	fmt.Println("Two competing pairs, Rmax=40, D=55, Dthresh=55:")
 	fmt.Printf("  multiplexing: %5.2f capacity units\n", avg.Mux.Mean)
 	fmt.Printf("  concurrency:  %5.2f\n", avg.Conc.Mean)
@@ -42,14 +44,14 @@ func main() {
 		100*avg.DeferredFraction.Mean)
 
 	// Where does this network sit on the short/long-range spectrum?
-	dOpt := model.OptimalThreshold(seed, samples/4, rmax)
+	dOpt := model.OptimalThreshold(ctx, seed, samples/4, rmax)
 	regime := core.Classify(rmax, dOpt)
 	fmt.Printf("Optimal threshold for Rmax=%.0f: D ~= %.0f (%s regime, edge SNR %.0f dB)\n",
 		rmax, dOpt, regime, model.EdgeSNRdB(rmax))
 
 	// The paper's factory recommendation: split the difference across
 	// the hardware's whole operating span (802.11g-like: r = 20..120).
-	factory := model.RecommendFactoryThreshold(seed, samples/4, 20, 120)
+	factory := model.RecommendFactoryThreshold(ctx, seed, samples/4, 20, 120)
 	fmt.Printf("Factory threshold across Rmax 20..120: D ~= %.0f (paper: ~55)\n\n", factory)
 
 	// How badly can shadowing mislead the sender about its receiver's

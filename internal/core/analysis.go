@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 
 	"carriersense/internal/geometry"
@@ -32,7 +33,7 @@ type Inefficiency struct {
 // EstimateInefficiency computes the Figure 6 decomposition for one
 // R_max and threshold across the given D grid with n Monte Carlo
 // samples per point.
-func (m *Model) EstimateInefficiency(seed uint64, n int, rmax, dThresh float64, dGrid []float64) Inefficiency {
+func (m *Model) EstimateInefficiency(ctx context.Context, seed uint64, n int, rmax, dThresh float64, dGrid []float64) Inefficiency {
 	ineff := Inefficiency{
 		Rmax: rmax, DThresh: dThresh, DGrid: dGrid,
 		HiddenGap:  make([]float64, len(dGrid)),
@@ -41,7 +42,7 @@ func (m *Model) EstimateInefficiency(seed uint64, n int, rmax, dThresh float64, 
 	maxCurve := make([]float64, len(dGrid))
 	triangle := make([]float64, len(dGrid))
 	for i, d := range dGrid {
-		a := m.EstimateAverages(seed+uint64(i)*7919, n, rmax, d, dThresh)
+		a := m.EstimateAverages(ctx, seed+uint64(i)*7919, n, rmax, d, dThresh)
 		gap := math.Max(0, a.Max.Mean-a.CS.Mean)
 		if d > dThresh {
 			ineff.HiddenGap[i] = gap
@@ -90,12 +91,12 @@ type ShadowingExample struct {
 }
 
 // EstimateShadowingExample evaluates the §3.4 example for this model.
-func (m *Model) EstimateShadowingExample(seed uint64, n int, rmax, d, dThresh float64) ShadowingExample {
+func (m *Model) EstimateShadowingExample(ctx context.Context, seed uint64, n int, rmax, d, dThresh float64) ShadowingExample {
 	ex := ShadowingExample{Rmax: rmax, D: d, DThresh: dThresh}
 	ex.PSpuriousConcurrency = m.SpuriousConcurrencyProbability(d, dThresh)
 	ex.PSmothered = geometry.FractionCloserTo(geometry.Point{X: -d, Y: 0}, rmax)
 	ex.PBadSNR = ex.PSpuriousConcurrency * ex.PSmothered
-	ex.PBadSNRMC = m.estimatePoint(KernelBadSNR, rmax, d, dThresh, seed, n)[0]
+	ex.PBadSNRMC = m.estimatePoint(ctx, KernelBadSNR, rmax, d, dThresh, seed, n)[0]
 	return ex
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 func TestInefficiencyNonNegative(t *testing.T) {
 	m := New(NoShadowParams())
 	grid := numeric.LinSpace(5, 180, 12)
-	ineff := m.EstimateInefficiency(1, 60_000, 55, 55, grid)
+	ineff := m.EstimateInefficiency(context.Background(), 1, 60_000, 55, 55, grid)
 	if ineff.HiddenTotal < 0 || ineff.ExposedTotal < 0 || ineff.TriangleTotal < 0 {
 		t.Errorf("negative inefficiency: %+v", ineff)
 	}
@@ -36,8 +37,8 @@ func TestTriangleGrowsWithMisplacedThreshold(t *testing.T) {
 	m := New(NoShadowParams())
 	grid := numeric.LinSpace(5, 180, 12)
 	dOpt := m.OptimalThresholdQuad(55)
-	atOpt := m.EstimateInefficiency(2, 60_000, 55, dOpt, grid)
-	misplaced := m.EstimateInefficiency(2, 60_000, 55, dOpt/2, grid)
+	atOpt := m.EstimateInefficiency(context.Background(), 2, 60_000, 55, dOpt, grid)
+	misplaced := m.EstimateInefficiency(context.Background(), 2, 60_000, 55, dOpt/2, grid)
 	if misplaced.TriangleTotal <= atOpt.TriangleTotal {
 		t.Errorf("triangle at misplaced threshold %v not above optimal %v",
 			misplaced.TriangleTotal, atOpt.TriangleTotal)
@@ -49,7 +50,7 @@ func TestShadowingExampleConsistency(t *testing.T) {
 	// estimate must agree on order of magnitude, and the individual
 	// probabilities match the analysis.
 	m := New(DefaultParams())
-	ex := m.EstimateShadowingExample(5, 400_000, 20, 20, 40)
+	ex := m.EstimateShadowingExample(context.Background(), 5, 400_000, 20, 20, 40)
 	if ex.PSpuriousConcurrency < 0.10 || ex.PSpuriousConcurrency > 0.22 {
 		t.Errorf("P[spurious] = %v", ex.PSpuriousConcurrency)
 	}

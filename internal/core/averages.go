@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sync"
 
@@ -50,11 +51,11 @@ const (
 
 // EstimateAverages estimates all policy averages at one (R_max, D)
 // point with n Monte Carlo configurations. dThresh sets the carrier
-// sense threshold distance. The estimation runs through the installed
-// executor (in-process by default, a worker fleet under `cs run
+// sense threshold distance. The estimation runs through the executor
+// of ctx's plan (in-process by default, a worker fleet under `cs run
 // -workers`); results are bit-identical either way.
-func (m *Model) EstimateAverages(seed uint64, n int, rmax, d, dThresh float64) Averages {
-	est := m.estimatePoint(KernelAverages, rmax, d, dThresh, seed, n)
+func (m *Model) EstimateAverages(ctx context.Context, seed uint64, n int, rmax, d, dThresh float64) Averages {
+	est := m.estimatePoint(ctx, KernelAverages, rmax, d, dThresh, seed, n)
 	return Averages{
 		Rmax: rmax, D: d, DThresh: dThresh,
 		Single:           est[idxSingle],
@@ -188,14 +189,14 @@ type CurvePoint struct {
 // estimated with n Monte Carlo samples. Values are normalized by
 // dividing by norm if norm > 0 (the paper normalizes to the
 // R_max = 20, D = ∞ throughput, i.e. ⟨C_single⟩(20)).
-func (m *Model) Curves(seed uint64, n int, rmax, dThresh float64, dGrid []float64, norm float64) []CurvePoint {
+func (m *Model) Curves(ctx context.Context, seed uint64, n int, rmax, dThresh float64, dGrid []float64, norm float64) []CurvePoint {
 	out := make([]CurvePoint, len(dGrid))
 	scale := 1.0
 	if norm > 0 {
 		scale = 1 / norm
 	}
 	for i, d := range dGrid {
-		a := m.EstimateAverages(seed+uint64(i)*7919, n, rmax, d, dThresh)
+		a := m.EstimateAverages(ctx, seed+uint64(i)*7919, n, rmax, d, dThresh)
 		out[i] = CurvePoint{
 			D:     d,
 			Mux:   a.Mux.Mean * scale,
@@ -211,10 +212,10 @@ func (m *Model) Curves(seed uint64, n int, rmax, dThresh float64, dGrid []float6
 // NormalizationConstant returns the paper's Figure 4 normalizer:
 // ⟨C_single⟩ at R_max = 20 (the D → ∞ throughput of a R_max = 20
 // network), estimated with n samples (or by quadrature when σ = 0).
-func (m *Model) NormalizationConstant(seed uint64, n int) float64 {
+func (m *Model) NormalizationConstant(ctx context.Context, seed uint64, n int) float64 {
 	if m.params.SigmaDB == 0 {
 		return m.AvgSingleQuad(20)
 	}
-	est := m.estimatePoint(KernelSingle, 20, 1, 0, seed, n)
+	est := m.estimatePoint(ctx, KernelSingle, 20, 1, 0, seed, n)
 	return est[0].Mean
 }

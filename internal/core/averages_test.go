@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 func TestQuadratureMatchesMonteCarloSigmaZero(t *testing.T) {
 	m := New(NoShadowParams())
 	const rmax, d = 40.0, 55.0
-	a := m.EstimateAverages(1, 400_000, rmax, d, 55)
+	a := m.EstimateAverages(context.Background(), 1, 400_000, rmax, d, 55)
 	quadSingle := m.AvgSingleQuad(rmax)
 	if rel := math.Abs(a.Single.Mean-quadSingle) / quadSingle; rel > 0.01 {
 		t.Errorf("MC single %v vs quadrature %v (rel %v)", a.Single.Mean, quadSingle, rel)
@@ -23,7 +24,7 @@ func TestQuadratureMatchesMonteCarloSigmaZero(t *testing.T) {
 
 func TestMuxIsHalfSingle(t *testing.T) {
 	m := New(DefaultParams())
-	a := m.EstimateAverages(2, 50_000, 40, 55, 55)
+	a := m.EstimateAverages(context.Background(), 2, 50_000, 40, 55, 55)
 	if math.Abs(a.Mux.Mean-a.Single.Mean/2) > 1e-12 {
 		t.Errorf("mux %v != single/2 %v", a.Mux.Mean, a.Single.Mean/2)
 	}
@@ -51,7 +52,7 @@ func TestConcurrencyLimits(t *testing.T) {
 func TestOptimalDominatesAllPolicies(t *testing.T) {
 	m := New(DefaultParams())
 	for _, d := range []float64{20, 55, 120} {
-		a := m.EstimateAverages(3, 100_000, 40, d, 55)
+		a := m.EstimateAverages(context.Background(), 3, 100_000, 40, d, 55)
 		// C_max ≥ both pure policies (same configurations, so this
 		// holds up to the tiny asymmetry of pair sampling).
 		if a.Max.Mean < a.Mux.Mean*0.995 {
@@ -74,7 +75,7 @@ func TestOptimalDominatesAllPolicies(t *testing.T) {
 
 func TestEfficiencyInUnitRange(t *testing.T) {
 	m := New(DefaultParams())
-	a := m.EstimateAverages(4, 100_000, 40, 55, 55)
+	a := m.EstimateAverages(context.Background(), 4, 100_000, 40, 55, 55)
 	eff := a.Efficiency()
 	if eff <= 0.5 || eff > 1.001 {
 		t.Errorf("efficiency = %v, want in (0.5, 1]", eff)
@@ -85,7 +86,7 @@ func TestDeferredFractionMonotoneInD(t *testing.T) {
 	m := New(DefaultParams())
 	prev := 1.1
 	for _, d := range []float64{20, 40, 55, 80, 120} {
-		a := m.EstimateAverages(5, 50_000, 40, d, 55)
+		a := m.EstimateAverages(context.Background(), 5, 50_000, 40, d, 55)
 		got := a.DeferredFraction.Mean
 		if got > prev+0.02 {
 			t.Errorf("deferral fraction rose with D at %v: %v > %v", d, got, prev)
@@ -94,7 +95,7 @@ func TestDeferredFractionMonotoneInD(t *testing.T) {
 	}
 	// At D = Dthresh the sensing shadowing is symmetric: deferral
 	// probability is 1/2.
-	a := m.EstimateAverages(6, 100_000, 40, 55, 55)
+	a := m.EstimateAverages(context.Background(), 6, 100_000, 40, 55, 55)
 	if math.Abs(a.DeferredFraction.Mean-0.5) > 0.02 {
 		t.Errorf("deferral at threshold = %v, want 0.5", a.DeferredFraction.Mean)
 	}
@@ -103,7 +104,7 @@ func TestDeferredFractionMonotoneInD(t *testing.T) {
 func TestCurvesShape(t *testing.T) {
 	m := New(NoShadowParams())
 	grid := numeric.LinSpace(5, 200, 14)
-	pts := m.Curves(7, 60_000, 55, 55, grid, 0)
+	pts := m.Curves(context.Background(), 7, 60_000, 55, 55, grid, 0)
 	if len(pts) != len(grid) {
 		t.Fatalf("got %d points", len(pts))
 	}
@@ -131,12 +132,12 @@ func TestCurvesShape(t *testing.T) {
 
 func TestCurvesNormalization(t *testing.T) {
 	m := New(NoShadowParams())
-	norm := m.NormalizationConstant(8, 0)
+	norm := m.NormalizationConstant(context.Background(), 8, 0)
 	quad := m.AvgSingleQuad(20)
 	if math.Abs(norm-quad) > 1e-9 {
 		t.Errorf("normalizer %v, want quadrature %v", norm, quad)
 	}
-	pts := m.Curves(8, 20_000, 20, 55, []float64{1e4}, norm)
+	pts := m.Curves(context.Background(), 8, 20_000, 20, 55, []float64{1e4}, norm)
 	// At huge D, a normalized R_max=20 concurrency curve approaches 1.
 	if math.Abs(pts[0].Conc-1) > 0.03 {
 		t.Errorf("normalized far conc = %v, want ~1", pts[0].Conc)
@@ -145,7 +146,7 @@ func TestCurvesNormalization(t *testing.T) {
 
 func TestNormalizationConstantShadowed(t *testing.T) {
 	m := New(DefaultParams())
-	norm := m.NormalizationConstant(9, 200_000)
+	norm := m.NormalizationConstant(context.Background(), 9, 200_000)
 	// Shadowing raises the linear mean (§3.4), so the shadowed
 	// normalizer exceeds the σ=0 quadrature value.
 	quad := New(NoShadowParams()).AvgSingleQuad(20)

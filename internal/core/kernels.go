@@ -6,7 +6,9 @@ package core
 // a distributed executor (internal/dist) without the callers — the
 // registered scenarios — changing at all. The coordinator and the
 // workers run the same binary, so a (kernel name, params) pair
-// rebuilds the exact closure on either side.
+// rebuilds the exact closure on either side. Every estimator that
+// reaches an executor takes the run's context first: its plan
+// (montecarlo.WithPlan) names the executor and the sampler.
 
 import (
 	"context"
@@ -146,25 +148,9 @@ func AveragesRequest(p Params, rmax, d, dThresh float64, seed uint64, n int) mon
 	return montecarlo.Request{Kernel: KernelAverages, Params: raw, Seed: seed, Samples: n, Dim: nAverages}
 }
 
-// WithContext returns a copy of the model whose estimations pass ctx
-// to the installed executor, as net/http's Request.WithContext does:
-// the estimators keep their signatures, and a forked task
-// (montecarlo.Fork) binds its context, and with it its plan position,
-// once. A model without a bound context passes context.TODO, which
-// the engine's executor replaces with the run's context.
-func (m *Model) WithContext(ctx context.Context) *Model {
-	c := *m
-	c.ctx = ctx
-	return &c
-}
-
 // estimatePoint routes a two-pair kernel estimation through the
-// installed executor, under the installed default sampler.
-func (m *Model) estimatePoint(kernel string, rmax, d, dThresh float64, seed uint64, n int) []montecarlo.Estimate {
-	ctx := m.ctx
-	if ctx == nil {
-		ctx = context.TODO()
-	}
+// executor of ctx's plan, under the plan's sampler.
+func (m *Model) estimatePoint(ctx context.Context, kernel string, rmax, d, dThresh float64, seed uint64, n int) []montecarlo.Estimate {
 	p := pointParams{Env: envSpecOf(m.params), Rmax: rmax, D: d, DThresh: dThresh}
 	return montecarlo.KernelMeanVec(ctx, kernel, p, seed, n, pointKernels[kernel].dim)
 }

@@ -15,7 +15,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -102,9 +101,6 @@ type Model struct {
 	// shanEff > 0 devirtualizes the (default) Shannon capacity model:
 	// thr inlines eff·Log1p instead of an interface dispatch.
 	shanEff float64
-	// ctx is the context estimations pass to the executor (see
-	// WithContext); nil until bound.
-	ctx context.Context
 }
 
 // New constructs a Model. It panics on invalid parameters, which are

@@ -401,12 +401,12 @@ func (mm *MultiModel) multiBatch() montecarlo.BatchEvalFunc {
 	}
 }
 
-// EstimateMulti runs the n-pair Monte Carlo through the installed
-// executor (in-process by default, a worker fleet under `cs run
+// EstimateMulti runs the n-pair Monte Carlo through the executor of
+// ctx's plan (in-process by default, a worker fleet under `cs run
 // -workers`).
-func (mm *MultiModel) EstimateMulti(seed uint64, nSamples int) MultiAverages {
+func (mm *MultiModel) EstimateMulti(ctx context.Context, seed uint64, nSamples int) MultiAverages {
 	n := mm.p.NPairs
-	est := montecarlo.KernelMeanVec(context.TODO(), KernelMulti, multiParamsWire{
+	est := montecarlo.KernelMeanVec(ctx, KernelMulti, multiParamsWire{
 		Env:        envSpecOf(mm.p.Env),
 		NPairs:     mm.p.NPairs,
 		AreaRadius: mm.p.AreaRadius,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestMultiReducesToTwoPairStructure(t *testing.T) {
 	// best-k, concurrency below best-k, CS between the pure policies'
 	// envelope and best-k.
 	mm := NewMulti(DefaultMultiParams(2))
-	a := mm.EstimateMulti(1, 30_000)
+	a := mm.EstimateMulti(context.Background(), 1, 30_000)
 	if a.BestK.Mean < a.TDMA.Mean*0.99 || a.BestK.Mean < a.Conc.Mean*0.99 {
 		t.Errorf("best-k %v below a pure policy (tdma %v, conc %v)",
 			a.BestK.Mean, a.TDMA.Mean, a.Conc.Mean)
@@ -30,8 +31,8 @@ func TestMultiReducesToTwoPairStructure(t *testing.T) {
 func TestMultiTDMAScaling(t *testing.T) {
 	// TDMA per-pair throughput scales as 1/n (same link distribution,
 	// 1/n of the airtime each).
-	a2 := NewMulti(DefaultMultiParams(2)).EstimateMulti(2, 30_000)
-	a4 := NewMulti(DefaultMultiParams(4)).EstimateMulti(2, 30_000)
+	a2 := NewMulti(DefaultMultiParams(2)).EstimateMulti(context.Background(), 2, 30_000)
+	a4 := NewMulti(DefaultMultiParams(4)).EstimateMulti(context.Background(), 2, 30_000)
 	ratio := a2.TDMA.Mean / a4.TDMA.Mean
 	if math.Abs(ratio-2) > 0.1 {
 		t.Errorf("TDMA scaling 2->4 pairs: ratio %v, want ~2", ratio)
@@ -42,7 +43,7 @@ func TestMultiSinglePairDegenerate(t *testing.T) {
 	// n = 1: no competition. TDMA = conc = CS = best-k = C_single.
 	p := DefaultMultiParams(1)
 	mm := NewMulti(p)
-	a := mm.EstimateMulti(3, 20_000)
+	a := mm.EstimateMulti(context.Background(), 3, 20_000)
 	for name, v := range map[string]float64{
 		"conc": a.Conc.Mean, "cs": a.CS.Mean, "bestk": a.BestK.Mean,
 	} {
@@ -59,7 +60,7 @@ func TestMultiCSEfficiencyStaysHighWithAdaptiveRate(t *testing.T) {
 	// §3.2.1's claim: small n > 2 does not fundamentally alter the
 	// results — CS stays within ~15% of the optimal proxy.
 	for _, n := range []int{2, 4, 6} {
-		a := NewMulti(DefaultMultiParams(n)).EstimateMulti(uint64(n), 15_000)
+		a := NewMulti(DefaultMultiParams(n)).EstimateMulti(context.Background(), uint64(n), 15_000)
 		if a.Efficiency() < 0.85 {
 			t.Errorf("n=%d: CS efficiency %v", n, a.Efficiency())
 		}
@@ -72,7 +73,7 @@ func TestMultiFixedRateHeadroomGrows(t *testing.T) {
 	headroom := func(n int, capModel capacity.Model) float64 {
 		p := DefaultMultiParams(n)
 		p.Env.Capacity = capModel
-		return NewMulti(p).EstimateMulti(uint64(n)*7, 15_000).ExposedHeadroom()
+		return NewMulti(p).EstimateMulti(context.Background(), uint64(n)*7, 15_000).ExposedHeadroom()
 	}
 	fixed := capacity.FixedRate{Rate: 1.25, MinSNR: 2.5}
 	if h2, h6 := headroom(2, fixed), headroom(6, fixed); h6 < h2 {
@@ -126,7 +127,7 @@ func TestMultiCSRoundIsMaximalIndependentSet(t *testing.T) {
 
 func TestMultiAvgActiveBounds(t *testing.T) {
 	for _, n := range []int{2, 5} {
-		a := NewMulti(DefaultMultiParams(n)).EstimateMulti(4, 10_000)
+		a := NewMulti(DefaultMultiParams(n)).EstimateMulti(context.Background(), 4, 10_000)
 		if a.AvgActive.Mean < 1 || a.AvgActive.Mean > float64(n) {
 			t.Errorf("n=%d avg active = %v", n, a.AvgActive.Mean)
 		}
@@ -134,7 +135,7 @@ func TestMultiAvgActiveBounds(t *testing.T) {
 }
 
 func TestMultiBestLevelInRange(t *testing.T) {
-	a := NewMulti(DefaultMultiParams(5)).EstimateMulti(5, 10_000)
+	a := NewMulti(DefaultMultiParams(5)).EstimateMulti(context.Background(), 5, 10_000)
 	if a.MeanBestLevel.Mean < 1 || a.MeanBestLevel.Mean > 5 {
 		t.Errorf("mean best level = %v", a.MeanBestLevel.Mean)
 	}

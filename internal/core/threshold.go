@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 
 	"carriersense/internal/numeric"
@@ -74,9 +75,9 @@ func (m *Model) OptimalThresholdQuad(rmax float64) float64 {
 // random numbers so their difference is far less noisy than either
 // alone. For σ > 0 no unique optimum exists (footnote 16); the paper
 // keeps the crossing-point definition and so do we.
-func (m *Model) OptimalThresholdMC(seed uint64, n int, rmax float64) float64 {
+func (m *Model) OptimalThresholdMC(ctx context.Context, seed uint64, n int, rmax float64) float64 {
 	diff := func(d float64) float64 {
-		est := m.estimatePoint(KernelPolicyDiff, rmax, d, 0, seed, n)
+		est := m.estimatePoint(ctx, KernelPolicyDiff, rmax, d, 0, seed, n)
 		return est[0].Mean - est[1].Mean
 	}
 	lo, hi := 1e-3, math.Max(4*rmax, 50.0)
@@ -94,11 +95,11 @@ func (m *Model) OptimalThresholdMC(seed uint64, n int, rmax float64) float64 {
 }
 
 // OptimalThreshold picks the appropriate solver for the model's σ.
-func (m *Model) OptimalThreshold(seed uint64, n int, rmax float64) float64 {
+func (m *Model) OptimalThreshold(ctx context.Context, seed uint64, n int, rmax float64) float64 {
 	if m.params.SigmaDB == 0 {
 		return m.OptimalThresholdQuad(rmax)
 	}
-	return m.OptimalThresholdMC(seed, n, rmax)
+	return m.OptimalThresholdMC(ctx, seed, n, rmax)
 }
 
 // ShortRangeThresholdAsymptote returns footnote 13's closed-form
@@ -150,10 +151,10 @@ type ThresholdPoint struct {
 // curve for the model's α (σ handled per the model), over the given
 // R_max grid. n is the MC sample count per curve evaluation (ignored
 // when σ = 0).
-func (m *Model) ThresholdCurve(seed uint64, n int, rmaxGrid []float64) []ThresholdPoint {
+func (m *Model) ThresholdCurve(ctx context.Context, seed uint64, n int, rmaxGrid []float64) []ThresholdPoint {
 	out := make([]ThresholdPoint, len(rmaxGrid))
 	for i, rmax := range rmaxGrid {
-		dOpt := m.OptimalThreshold(seed+uint64(i)*104729, n, rmax)
+		dOpt := m.OptimalThreshold(ctx, seed+uint64(i)*104729, n, rmax)
 		pThresh := m.ThresholdPower(dOpt)
 		out[i] = ThresholdPoint{
 			Rmax:       rmax,
@@ -173,9 +174,9 @@ func (m *Model) ThresholdCurve(seed uint64, n int, rmaxGrid []float64) []Thresho
 // midpoint of the optimal thresholds at the two extremes. For the
 // paper's defaults this lands near D_thresh ≈ 55 (P_thresh ≈ 13 dB
 // above... the -65 dB reference, i.e. sensed power -52 dB).
-func (m *Model) RecommendFactoryThreshold(seed uint64, n int, rmaxLo, rmaxHi float64) float64 {
-	dLo := m.OptimalThreshold(seed, n, rmaxLo)
-	dHi := m.OptimalThreshold(seed+1, n, rmaxHi)
+func (m *Model) RecommendFactoryThreshold(ctx context.Context, seed uint64, n int, rmaxLo, rmaxHi float64) float64 {
+	dLo := m.OptimalThreshold(ctx, seed, n, rmaxLo)
+	dHi := m.OptimalThreshold(ctx, seed+1, n, rmaxHi)
 	return (dLo + dHi) / 2
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -37,7 +38,7 @@ func TestOptimalThresholdCrossingProperty(t *testing.T) {
 func TestOptimalThresholdMCAgreesWithQuad(t *testing.T) {
 	m := New(NoShadowParams())
 	dq := m.OptimalThresholdQuad(40)
-	dmc := m.OptimalThresholdMC(3, 120_000, 40)
+	dmc := m.OptimalThresholdMC(context.Background(), 3, 120_000, 40)
 	if math.Abs(dq-dmc)/dq > 0.08 {
 		t.Errorf("quad %v vs MC %v", dq, dmc)
 	}
@@ -119,7 +120,7 @@ func TestEdgeSNR(t *testing.T) {
 
 func TestThresholdCurveRegimeProgression(t *testing.T) {
 	m := New(NoShadowParams())
-	pts := m.ThresholdCurve(1, 0, []float64{8, 40, 150})
+	pts := m.ThresholdCurve(context.Background(), 1, 0, []float64{8, 40, 150})
 	if pts[0].Regime != RegimeShortRange {
 		t.Errorf("Rmax=8 regime %v", pts[0].Regime)
 	}
@@ -138,7 +139,7 @@ func TestRecommendFactoryThreshold(t *testing.T) {
 	// §3.3.3's worked example: across Rmax 20..120 the compromise
 	// lands near 55.
 	m := New(NoShadowParams())
-	got := m.RecommendFactoryThreshold(2, 0, 20, 120)
+	got := m.RecommendFactoryThreshold(context.Background(), 2, 0, 20, 120)
 	if got < 48 || got > 64 {
 		t.Errorf("factory threshold = %v, paper says ~55", got)
 	}
@@ -202,7 +203,7 @@ func TestOptimalThresholdShadowedShiftsLeft(t *testing.T) {
 	// range and shifts optimal thresholds leftward (visible in the
 	// D=120 frame of Figure 9).
 	quad := New(NoShadowParams()).OptimalThresholdQuad(120)
-	shadowed := New(DefaultParams()).OptimalThresholdMC(4, 150_000, 120)
+	shadowed := New(DefaultParams()).OptimalThresholdMC(context.Background(), 4, 150_000, 120)
 	if shadowed >= quad {
 		t.Errorf("shadowed threshold %v not left of sigma=0 threshold %v", shadowed, quad)
 	}

@@ -37,7 +37,7 @@ func init() {
 			p := rc.Params.(*distScenarioParams)
 			// Shadowed two-pair averages: the core/averages kernel.
 			m := core.New(core.DefaultParams())
-			a := m.EstimateAverages(p.Seed, p.Samples, 55, 55, 55)
+			a := m.EstimateAverages(rc.Context, p.Seed, p.Samples, 55, 55, 55)
 			rc.Printf("cs=%v max=%v eff=%v\n", a.CS.Mean, a.Max.Mean, a.Efficiency())
 			rc.Metric("cs", a.CS.Mean)
 			rc.Metric("max", a.Max.Mean)
@@ -45,11 +45,11 @@ func init() {
 			// A non-default capacity model: the capacity.Spec round trip.
 			fm := core.New(core.Params{Alpha: 3, SigmaDB: 8, NoiseDB: core.DefaultNoiseDB,
 				Capacity: capacity.FixedRate{Rate: 1.25, MinSNR: 2.5}})
-			fa := fm.EstimateAverages(p.Seed+1, p.Samples, 55, 55, 55)
+			fa := fm.EstimateAverages(rc.Context, p.Seed+1, p.Samples, 55, 55, 55)
 			rc.Metric("fixed_eff", fa.Efficiency())
 			// The n-pair extension: the core/multi kernel.
 			mm := core.NewMulti(core.DefaultMultiParams(3))
-			ma := mm.EstimateMulti(p.Seed+2, p.Samples/2)
+			ma := mm.EstimateMulti(rc.Context, p.Seed+2, p.Samples/2)
 			rc.Metric("multi_eff", ma.Efficiency())
 			rc.Printf("multi cs=%v bestk=%v\n", ma.CS.Mean, ma.BestK.Mean)
 			return nil
@@ -107,15 +107,6 @@ func TestEngineRunSurvivesWorkerDeathMidRun(t *testing.T) {
 	if got.Text != local.Text || !reflect.DeepEqual(got.Metrics, local.Metrics) {
 		t.Errorf("results after mid-run worker death differ from local:\n%v\nvs\n%v",
 			got.Metrics, local.Metrics)
-	}
-}
-
-func TestEngineRejectsNegativeParallel(t *testing.T) {
-	_, err := engine.Run(context.Background(), "dist-test-scenario", engine.Options{
-		Scale: "smoke", Parallel: -2,
-	})
-	if err == nil || !strings.Contains(err.Error(), "-parallel") {
-		t.Fatalf("negative -parallel accepted (err=%v)", err)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 
 	"carriersense/internal/engine"
 	_ "carriersense/internal/experiments" // registers the scenario catalog
+	"carriersense/internal/montecarlo"
 )
 
 // runWith runs one variant of a scenario at seed 12345 and smoke scale
@@ -25,7 +26,7 @@ func runWith(t *testing.T, name string, opts engine.Options) (*engine.Result, st
 	opts.Seed, opts.Scale, opts.OutDir = "12345", "smoke", t.TempDir()
 	results, err := engine.Run(context.Background(), name, opts)
 	if err != nil {
-		t.Fatalf("run %s parallel=%d: %v", name, opts.Parallel, err)
+		t.Fatalf("run %s: %v", name, err)
 	}
 	if len(results) != 1 {
 		t.Fatalf("%d results", len(results))
@@ -61,12 +62,11 @@ func TestScenarioOutputInvariantUnderParallelWidth(t *testing.T) {
 			label = tc.name
 		}
 		t.Run(label, func(t *testing.T) {
-			opts := tc.opts
-			opts.Parallel = 1
-			serial, serialDir := runWith(t, tc.name, opts)
+			setWidth(t, 1)
+			serial, serialDir := runWith(t, tc.name, tc.opts)
 			for _, width := range []int{2, 8} {
-				opts.Parallel = width
-				wide, wideDir := runWith(t, tc.name, opts)
+				setWidth(t, width)
+				wide, wideDir := runWith(t, tc.name, tc.opts)
 				if wide.Text != serial.Text {
 					t.Errorf("parallel=%d text differs from serial (lens %d vs %d)",
 						width, len(wide.Text), len(serial.Text))
@@ -88,6 +88,15 @@ func TestScenarioOutputInvariantUnderParallelWidth(t *testing.T) {
 			}
 		})
 	}
+}
+
+// setWidth pins the Monte Carlo pool width until the test ends.
+func setWidth(t *testing.T, n int) {
+	t.Helper()
+	if err := montecarlo.SetMaxWorkers(n); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(montecarlo.ResetMaxWorkers)
 }
 
 func TestEveryFormerBinaryHasAScenario(t *testing.T) {

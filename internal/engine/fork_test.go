@@ -33,10 +33,10 @@ func (f failingCell) EstimateVec(ctx context.Context, req montecarlo.Request) ([
 
 func TestTablesOverAFailingExecutorReturnsAnError(t *testing.T) {
 	for _, parallel := range []int{1, 4} {
+		setWidth(t, parallel)
 		_, err := engine.Run(context.Background(), "tables", engine.Options{
-			Seed:     "12345",
-			Scale:    "smoke",
-			Parallel: parallel,
+			Seed:  "12345",
+			Scale: "smoke",
 			// Cell (1, 1) of Table 1: seed + 1·31 + 1.
 			Executor: failingCell{seed: 12345 + 32},
 		})
@@ -50,8 +50,9 @@ func TestTracedTablesLanesNeverPartiallyOverlap(t *testing.T) {
 	tr := obs.NewTracer()
 	obs.SetTracer(tr)
 	defer obs.SetTracer(nil)
+	setWidth(t, 2)
 	if _, err := engine.Run(context.Background(), "tables", engine.Options{
-		Seed: "12345", Scale: "smoke", Parallel: 2, Sampler: "auto", RelErr: 0.01,
+		Seed: "12345", Scale: "smoke", Sampler: "auto", RelErr: 0.01,
 	}); err != nil {
 		t.Fatal(err)
 	}

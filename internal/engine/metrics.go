@@ -22,7 +22,7 @@ import (
 )
 
 var mEstimateSeconds = obs.Default().Histogram("cs_engine_estimate_seconds",
-	"Wall time of one kernel estimation through the installed executor chain.", nil)
+	"Wall time of one kernel estimation through the run's executor chain.", nil)
 
 // runSummary is what `cs` historically printed to stderr and nowhere
 // else: now persisted per run directory so artifacts self-describe.

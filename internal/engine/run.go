@@ -29,12 +29,8 @@ type Options struct {
 	// Empty means "bench". Scenarios with a Scale param field receive
 	// it there too.
 	Scale string
-	// Parallel pins the sharded Monte Carlo worker pool width;
-	// 0 keeps GOMAXPROCS, negative is rejected. Any width yields
-	// bit-identical results.
-	Parallel int
 	// Executor, when non-nil, routes every kernel-based Monte Carlo
-	// estimation through it for the duration of the run — the seam the
+	// estimation of the run through it — the seam the
 	// distributed shard executor (internal/dist, `cs run -workers`)
 	// plugs into. nil keeps the in-process pool. Results are
 	// bit-identical for any executor that honors the shard-order merge
@@ -112,8 +108,10 @@ type Result struct {
 // RunContext is the scenario's view of one variant run.
 type RunContext struct {
 	// Context carries cancellation from the CLI and the variant's plan
-	// (montecarlo.WithPlan). Scenarios pass it to montecarlo.Fork and
-	// to estimations, so their points take positions in plan order.
+	// (montecarlo.WithPlan), which holds the run's executor and
+	// sampler. Scenarios pass it to montecarlo.Fork and to every
+	// estimation, so their points reach the run's executor and take
+	// positions in plan order.
 	Context context.Context
 	// Params is the populated parameter struct (same concrete type as
 	// Scenario.NewParams()).
@@ -187,15 +185,6 @@ func Run(ctx context.Context, name string, opts Options) ([]*Result, error) {
 	sc, ok := Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown scenario %q (try `cs list`)", name)
-	}
-	if opts.Parallel < 0 {
-		return nil, fmt.Errorf("engine: -parallel must be >= 1 (or 0 for GOMAXPROCS), got %d", opts.Parallel)
-	}
-	if opts.Parallel > 0 {
-		if err := montecarlo.SetMaxWorkers(opts.Parallel); err != nil {
-			return nil, err
-		}
-		defer montecarlo.ResetMaxWorkers()
 	}
 	scale := opts.Scale
 	if scale == "" {
@@ -282,28 +271,17 @@ func Run(ctx context.Context, name string, opts Options) ([]*Result, error) {
 	return results, nil
 }
 
-// boundExecutor is the engine's executor seam. An estimation issued
-// from a forked task (montecarlo.Fork) already carries a task context
-// derived from the run's, and is forwarded under it; one issued
-// without a plan task (context.TODO from a kernel entry point) runs
-// under the run's context, whose root task it joins. Either way
-// canceling engine.Run cancels distributed work, and the estimation
-// takes its plan position here (montecarlo.Point), before any layer
-// below reads it. It is also the engine's estimation-level
-// instrumentation point: every kernel estimation a variant issues is
-// timed into cs_engine_estimate_seconds and, under -trace, emitted as
-// a span on its task's lane.
-type boundExecutor struct {
-	ctx   context.Context
+// timedExecutor is the engine's estimation-level instrumentation
+// point, the executor of every variant's plan: every kernel
+// estimation a variant issues is timed into
+// cs_engine_estimate_seconds and, under -trace, emitted as a span on
+// its task's lane.
+type timedExecutor struct {
 	inner montecarlo.Executor
 }
 
 // EstimateVec implements montecarlo.Executor.
-func (b boundExecutor) EstimateVec(ctx context.Context, req montecarlo.Request) ([]montecarlo.Accumulator, error) {
-	if !montecarlo.InPlan(ctx) {
-		ctx = b.ctx
-	}
-	ctx = montecarlo.Point(ctx)
+func (b timedExecutor) EstimateVec(ctx context.Context, req montecarlo.Request) ([]montecarlo.Accumulator, error) {
 	tr := obs.CurrentTracer()
 	var ts time.Duration
 	if tr != nil {
@@ -365,21 +343,17 @@ func runVariant(ctx context.Context, sc Scenario, point GridPoint, scale string,
 			panic(r)
 		}
 	}()
-	// Install the variant's executor chain: the configured executor
-	// (worker fleet, cache, or montecarlo.Local) under the sampling
-	// chain — fresh per variant so each variant's sampling ledger is
-	// its own — wrapped in the bound, instrumented executor, so
-	// estimation timings and run-context cancellation apply to every
-	// run alike. The variant's context carries a fresh plan
-	// (montecarlo.WithPlan), whose positions order that ledger.
-	ctx = montecarlo.WithPlan(ctx)
+	// The variant's context carries a fresh plan (montecarlo.WithPlan)
+	// over its executor chain: the configured executor (worker fleet,
+	// cache, or montecarlo.Local) under the sampling chain — fresh per
+	// variant so each variant's sampling ledger is its own, ordered by
+	// the plan's positions — wrapped in the instrumented executor, so
+	// estimation timings apply to every run alike.
 	chain, err := sampling.NewChain(opts.Executor, opts.Sampler, opts.RelErr, opts.MaxSamples)
 	if err != nil {
 		return nil, err
 	}
-	defer chain.Close()
-	montecarlo.SetExecutor(boundExecutor{ctx: ctx, inner: chain.Executor()})
-	defer montecarlo.SetExecutor(nil)
+	ctx = montecarlo.WithPlan(ctx, timedExecutor{inner: chain.Executor()}, opts.Sampler)
 	params := sc.NewParams()
 	if opts.Seed != "" && HasParam(params, "seed") {
 		if err := SetParam(params, "seed", opts.Seed); err != nil {

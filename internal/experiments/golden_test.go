@@ -46,13 +46,16 @@ type goldenLeg struct {
 }
 
 // goldenLegs mirror `cs all -scale smoke -seed 1` (locally and on a
-// two-worker fleet), `cs run tables -scale smoke -sampler auto -relerr
-// 0.01` (uncached, and cold then warm under -cache, followed by curves
-// with the same flags) and `cs run testbed|exposed -scale smoke
-// -sampler auto -relerr 0.01`.
+// two-worker fleet), `cs run report -scale smoke -seed 1`, `cs run
+// tables -scale smoke -sampler auto -relerr 0.01` (uncached, and cold
+// then warm under -cache, followed by curves with the same flags) and
+// `cs run testbed|exposed -scale smoke -sampler auto -relerr 0.01`.
+// report is the one run of Figure 9's σ = 8 dB curves, the only
+// scenario that requests core/single.
 var goldenLegs = []goldenLeg{
 	{name: "all", widths: []int{1, 0}},
 	{name: "all-fleet", same: "all", fleet: true, widths: []int{0}},
+	{name: "report", scenarios: []string{"report"}, widths: []int{1, 0}},
 	{name: "tables-auto", scenarios: []string{"tables"},
 		opts: engine.Options{Sampler: "auto", RelErr: 0.01}, widths: []int{0}},
 	{name: "tables-auto-cache", same: "tables-auto", scenarios: []string{"tables"},
@@ -79,10 +82,18 @@ func isGoldenArtifact(name string) bool {
 // TestGoldenArtifacts reruns the golden legs and compares every
 // deterministic artifact with the committed copy, byte for byte. A
 // change that moves an artifact on purpose regenerates the set with
-// goldenRegen and says which files moved and why. The all leg at
-// -parallel 1 also checks that the catalog requests every registered
-// kernel: a kernel no scenario requests is dead code.
+// goldenRegen and says which files moved and why.
+//
+// The uncached legs at -parallel 1 run over a recording executor. Each
+// scenario's requests must span exactly the samples the process
+// evaluated during it, so no estimation bypasses the run's executor.
+// The exception is sampling, whose shoot-out runs each sampler through
+// a local chain of its own on purpose. Together the all and report
+// legs must also request every registered kernel: a kernel no scenario
+// requests is dead code.
 func TestGoldenArtifacts(t *testing.T) {
+	seen := map[string]bool{}
+	recorded := map[string]bool{}
 	for _, leg := range goldenLegs {
 		scenarios := leg.scenarios
 		if scenarios == nil {
@@ -103,37 +114,40 @@ func TestGoldenArtifacts(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s/parallel=%d", leg.name, width), func(t *testing.T) {
 				opts := leg.opts
-				opts.Seed, opts.Scale, opts.Parallel = "1", "smoke", width
+				opts.Seed, opts.Scale = "1", "smoke"
+				if width > 0 {
+					if err := montecarlo.SetMaxWorkers(width); err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(montecarlo.ResetMaxWorkers)
+				}
 				if leg.fleet {
 					opts.Executor = testFleet(t)
 				}
 				var rec *kernelRecorder
-				if leg.name == "all" && width == 1 {
-					rec = &kernelRecorder{inner: montecarlo.Local{}, seen: map[string]bool{}}
+				if width == 1 && !leg.cached {
+					rec = &kernelRecorder{inner: montecarlo.Local{}, seen: seen}
 					opts.Executor = rec
+					recorded[leg.name] = true
 				}
 				if !leg.cached {
 					for _, name := range scenarios {
+						before := montecarlo.EvaluatedSamples()
+						if rec != nil {
+							rec.requested = 0
+						}
 						got := runArtifacts(t, name, opts)
+						evaluated := montecarlo.EvaluatedSamples() - before
+						if rec != nil && name != "sampling" && evaluated != rec.requested {
+							t.Errorf("%s evaluated %d samples but requested %d of the run's executor: an estimation bypassed it",
+								name, evaluated, rec.requested)
+						}
 						dir := filepath.Join("testdata", "golden", set, name)
 						if *update {
 							writeGolden(t, dir, got)
 							continue
 						}
 						compareGolden(t, dir, got)
-					}
-					if rec != nil {
-						// report's Figure 9 panel, curves at σ = 8 dB, is
-						// the one scenario run that `cs all` skips and that
-						// requests core/single.
-						fig9 := opts
-						fig9.Sets = []string{"sigmadb=8"}
-						runArtifacts(t, "curves", fig9)
-						for _, kernel := range montecarlo.KernelNames() {
-							if !rec.seen[kernel] {
-								t.Errorf("kernel %s is registered, but no scenario requests it", kernel)
-							}
-						}
 					}
 					return
 				}
@@ -161,20 +175,29 @@ func TestGoldenArtifacts(t *testing.T) {
 			})
 		}
 	}
+	if recorded["all"] && recorded["report"] {
+		for _, kernel := range montecarlo.KernelNames() {
+			if !seen[kernel] {
+				t.Errorf("kernel %s is registered, but no scenario requests it", kernel)
+			}
+		}
+	}
 }
 
 // kernelRecorder is an executor that notes the kernel of every request
-// it passes on to inner.
+// it passes on to inner and sums the samples the requests span.
 type kernelRecorder struct {
-	inner montecarlo.Executor
-	mu    sync.Mutex
-	seen  map[string]bool
+	inner     montecarlo.Executor
+	mu        sync.Mutex
+	seen      map[string]bool
+	requested int64
 }
 
 // EstimateVec implements montecarlo.Executor.
 func (r *kernelRecorder) EstimateVec(ctx context.Context, req montecarlo.Request) ([]montecarlo.Accumulator, error) {
 	r.mu.Lock()
 	r.seen[req.Kernel] = true
+	r.requested += int64(req.SampleSpan())
 	r.mu.Unlock()
 	return r.inner.EstimateVec(ctx, req)
 }

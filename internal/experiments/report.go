@@ -39,14 +39,14 @@ func Report(ctx context.Context, w io.Writer, scale Scale) {
 
 	fmt.Fprintln(w, "--- F4/F5: throughput vs D, sigma=0 ---")
 	for _, rmax := range []float64{20, 55, 120} {
-		c := Curves(DefaultCurves(rmax), scale)
+		c := Curves(ctx, DefaultCurves(rmax), scale)
 		chart := c.Chart(rmax == 55) // Figure 5 highlights the CS curve at Rmax=55
 		chart.Render(w, 72, 18)
 		fmt.Fprintf(w, "concurrency/multiplexing crossover at D ~= %.0f\n\n", c.CrossoverD())
 	}
 
 	fmt.Fprintln(w, "--- F6: inefficiency decomposition ---")
-	InefficiencyDecomposition(DefaultCurves(55), scale).Render(w)
+	InefficiencyDecomposition(ctx, DefaultCurves(55), scale).Render(w)
 	fmt.Fprintln(w)
 
 	fmt.Fprintln(w, "--- F7: optimal threshold vs network radius ---")
@@ -55,7 +55,7 @@ func Report(ctx context.Context, w io.Writer, scale Scale) {
 		f7p.Alphas = []float64{3}
 		f7p.RmaxGrid = f7p.RmaxGrid[:6]
 	}
-	f7 := Figure7(f7p, scale)
+	f7 := Figure7(ctx, f7p, scale)
 	chart := f7.Chart()
 	chart.Render(w, 72, 20)
 	f7.RegimeTable(w)
@@ -65,14 +65,14 @@ func Report(ctx context.Context, w io.Writer, scale Scale) {
 	for _, rmax := range []float64{20, 55, 120} {
 		p := DefaultCurves(rmax)
 		p.SigmaDB = 8
-		c := Curves(p, scale)
+		c := Curves(ctx, p, scale)
 		chart := c.Chart(true)
 		chart.Render(w, 72, 18)
 		fmt.Fprintln(w)
 	}
 
 	fmt.Fprintln(w, "--- S34: shadowing worked example ---")
-	Section34(scale).Render(w)
+	Section34(ctx, scale).Render(w)
 	fmt.Fprintln(w)
 
 	fmt.Fprintln(w, "--- F8: barrier analysis ---")
@@ -106,7 +106,7 @@ func Report(ctx context.Context, w io.Writer, scale Scale) {
 	fmt.Fprintln(w)
 
 	fmt.Fprintln(w, "--- Xn: n > 2 senders (extension) ---")
-	RenderMultiPair(w, scale)
+	RenderMultiPair(ctx, w, scale)
 	fmt.Fprintln(w)
 
 	fmt.Fprintln(w, "--- F14: propagation fit ---")
@@ -130,7 +130,7 @@ func minScale(s Scale) Scale {
 
 // RenderMultiPair writes the n-pair extension sweep under both
 // capacity models (see cmd/csmulti for the standalone tool).
-func RenderMultiPair(w io.Writer, scale Scale) {
+func RenderMultiPair(ctx context.Context, w io.Writer, scale Scale) {
 	samples := scale.mcSamples() / 4
 	maxN := 6
 	if scale == ScaleSmoke {
@@ -147,7 +147,7 @@ func RenderMultiPair(w io.Writer, scale Scale) {
 			if fixed {
 				p.Env.Capacity = capacity.FixedRate{Rate: 1.25, MinSNR: 2.5}
 			}
-			a := core.NewMulti(p).EstimateMulti(uint64(n), samples)
+			a := core.NewMulti(p).EstimateMulti(ctx, uint64(n), samples)
 			fmt.Fprintf(w, "  n=%d: CS/best-k %.0f%%, exposed headroom +%.0f%%, avg active %.1f\n",
 				n, 100*a.Efficiency(), 100*a.ExposedHeadroom(), a.AvgActive.Mean)
 		}

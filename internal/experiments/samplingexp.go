@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"carriersense/internal/core"
@@ -54,16 +55,15 @@ type SamplerComparison struct {
 // SamplingBench drives the averages kernel at each D point to the
 // target under each sampler, through its own local convergence driver
 // (the estimation work is the benchmark itself, so the run bypasses
-// any -workers/-cache executor and any engine-level -relerr driver).
-func SamplingBench(p SamplingBenchParams, scale Scale) []SamplerComparison {
+// any -workers/-cache executor and any engine-level -relerr driver):
+// each sampler runs in a plan of its own over its own local chain,
+// derived from ctx for cancellation.
+func SamplingBench(ctx context.Context, p SamplingBenchParams, scale Scale) []SamplerComparison {
 	m := core.New(core.Params{Alpha: p.Alpha, SigmaDB: p.SigmaDB, NoiseDB: core.DefaultNoiseDB})
 	cap := p.MaxSamples
 	if cap <= 0 {
 		cap = scale.mcSamples() * 64
 	}
-	prevExec := montecarlo.CurrentExecutor()
-	defer montecarlo.SetExecutor(prevExec)
-
 	var out []SamplerComparison
 	var plainSpent int
 	for _, name := range []string{
@@ -73,13 +73,12 @@ func SamplingBench(p SamplingBenchParams, scale Scale) []SamplerComparison {
 		if err != nil {
 			panic(err) // options are static; a failure is a programming error
 		}
-		montecarlo.SetExecutor(chain.Executor())
+		pctx := montecarlo.WithPlan(ctx, chain.Executor(), name)
 		for i, d := range p.DValues {
 			// Same per-point seed schedule as core.Curves, so the
 			// comparison covers the exact estimations the scenarios run.
-			m.EstimateAverages(p.Seed+uint64(i)*7919, cap, p.Rmax, d, p.DThresh)
+			m.EstimateAverages(pctx, p.Seed+uint64(i)*7919, cap, p.Rmax, d, p.DThresh)
 		}
-		chain.Close()
 		s := chain.Driver().Summarize()
 		c := SamplerComparison{Sampler: name, Spent: s.Spent, Pilot: chain.PilotSpent(), Converged: s.Converged, Points: s.Points}
 		c.Spent += c.Pilot // pilots are real evaluations; the ledger is honest
@@ -101,7 +100,7 @@ func init() {
 		NewParams:   func() any { p := DefaultSamplingBench(); return &p },
 		Run: func(rc *engine.RunContext) error {
 			p := *rc.Params.(*SamplingBenchParams)
-			res := SamplingBench(p, scale(rc))
+			res := SamplingBench(rc.Context, p, scale(rc))
 			tbl := plot.Table{
 				Title: fmt.Sprintf("samples to RelErr <= %g on core/averages (Rmax=%.0f, sigma=%.0fdB, D=%v)",
 					p.Target, p.Rmax, p.SigmaDB, p.DValues),

@@ -33,7 +33,7 @@ func init() {
 		NewParams:   func() any { p := DefaultCurves(55); return &p },
 		Run: func(rc *engine.RunContext) error {
 			p := *rc.Params.(*CurvesParams)
-			res := Curves(p, scale(rc))
+			res := Curves(rc.Context, p, scale(rc))
 			rc.Chart("curves", res.Chart(true), 90, 24)
 			cross := res.CrossoverD()
 			rc.Printf("concurrency/multiplexing crossover (optimal threshold) at D ~= %.0f\n", cross)
@@ -50,7 +50,7 @@ func init() {
 		NewParams:   func() any { p := DefaultCurves(55); return &p },
 		Run: func(rc *engine.RunContext) error {
 			p := *rc.Params.(*CurvesParams)
-			res := InefficiencyDecomposition(p, scale(rc))
+			res := InefficiencyDecomposition(rc.Context, p, scale(rc))
 			res.Render(rc.Out())
 			rc.Metric("hidden_total", res.Ineff.HiddenTotal)
 			rc.Metric("exposed_total", res.Ineff.ExposedTotal)
@@ -66,7 +66,7 @@ func init() {
 		NewParams:   func() any { p := DefaultFigure7(); return &p },
 		Run: func(rc *engine.RunContext) error {
 			p := *rc.Params.(*Figure7Params)
-			res := Figure7(p, scale(rc))
+			res := Figure7(rc.Context, p, scale(rc))
 			rc.Chart("threshold", res.Chart(), 90, 26)
 			rc.Printf("\n")
 			res.RegimeTable(rc.Out())
@@ -282,7 +282,7 @@ func init() {
 		Figures:     "§3.4",
 		NewParams:   func() any { return &NoParams{} },
 		Run: func(rc *engine.RunContext) error {
-			res := Section34(scale(rc))
+			res := Section34(rc.Context, scale(rc))
 			res.Render(rc.Out())
 			rc.Metric("p_bad_snr", res.Example.PBadSNR)
 			rc.Metric("snr_uncertainty_db", res.SNRUncertainty)
@@ -346,7 +346,7 @@ func runMultiTable(rc *engine.RunContext, artifact, title string, p MultiScenari
 		mp.Rmax = p.Rmax
 		mp.DThresh = p.DThresh
 		mp.Env.Capacity = capModel
-		a := core.NewMulti(mp).EstimateMulti(uint64(n), samples)
+		a := core.NewMulti(mp).EstimateMulti(rc.Context, uint64(n), samples)
 		tbl.AddRow(
 			fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.3f", a.TDMA.Mean),

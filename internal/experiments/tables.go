@@ -101,7 +101,7 @@ func Table1(ctx context.Context, p Table1Params, scale Scale) EfficiencyTable {
 	cols := len(p.DGrid)
 	montecarlo.Fork(ctx, len(p.RmaxGrid)*cols, func(ctx context.Context, k int) {
 		i, j := k/cols, k%cols
-		a := m.WithContext(ctx).EstimateAverages(p.Seed+uint64(i*31+j), n, p.RmaxGrid[i], p.DGrid[j], p.DThresh)
+		a := m.EstimateAverages(ctx, p.Seed+uint64(i*31+j), n, p.RmaxGrid[i], p.DGrid[j], p.DThresh)
 		t.Cells[i][j] = a.Efficiency()
 	})
 	for i := range t.Thresholds {
@@ -122,9 +122,9 @@ func Table2(ctx context.Context, p Table1Params, scale Scale) EfficiencyTable {
 	t := newEfficiencyTable(p)
 	montecarlo.Fork(ctx, len(p.RmaxGrid), func(ctx context.Context, i int) {
 		rmax := p.RmaxGrid[i]
-		dOpt := m.WithContext(ctx).OptimalThreshold(p.Seed+uint64(1000+i), n/4, rmax)
+		dOpt := m.OptimalThreshold(ctx, p.Seed+uint64(1000+i), n/4, rmax)
 		montecarlo.Fork(ctx, len(p.DGrid), func(ctx context.Context, j int) {
-			a := m.WithContext(ctx).EstimateAverages(p.Seed+uint64(i*31+j), n, rmax, p.DGrid[j], dOpt)
+			a := m.EstimateAverages(ctx, p.Seed+uint64(i*31+j), n, rmax, p.DGrid[j], dOpt)
 			t.Cells[i][j] = a.Efficiency()
 		})
 		t.Thresholds[i] = dOpt

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -37,12 +38,12 @@ type Figure7Result struct {
 
 // Figure7 computes the optimal threshold (expressed as the α = 3
 // equivalent distance) versus network radius for each α.
-func Figure7(p Figure7Params, scale Scale) Figure7Result {
+func Figure7(ctx context.Context, p Figure7Params, scale Scale) Figure7Result {
 	res := Figure7Result{Params: p, Curves: make(map[float64][]core.ThresholdPoint)}
 	n := scale.mcSamples() / 4
 	for _, alpha := range p.Alphas {
 		m := core.New(core.Params{Alpha: alpha, SigmaDB: p.SigmaDB, NoiseDB: core.DefaultNoiseDB})
-		res.Curves[alpha] = m.ThresholdCurve(p.Seed, n, p.RmaxGrid)
+		res.Curves[alpha] = m.ThresholdCurve(ctx, p.Seed, n, p.RmaxGrid)
 	}
 	return res
 }
@@ -124,12 +125,12 @@ type Section34Result struct {
 // Section34 evaluates the §3.4 example: R_max = 20, D_thresh = 40,
 // interferer at D = 20 (paper: ≈20% spurious concurrency, ≈4% of
 // configurations with sub-0 dB SNR).
-func Section34(scale Scale) Section34Result {
+func Section34(ctx context.Context, scale Scale) Section34Result {
 	m := core.New(core.Params{Alpha: 3, SigmaDB: 8, NoiseDB: core.DefaultNoiseDB})
 	n := scale.mcSamples()
 	unc := m.SNREstimateUncertaintyDB()
 	return Section34Result{
-		Example:        m.EstimateShadowingExample(2, n, 20, 20, 40),
+		Example:        m.EstimateShadowingExample(ctx, 2, n, 20, 20, 40),
 		SNRUncertainty: unc,
 		DistanceFactor: m.LumpedDistanceFactor(unc),
 	}

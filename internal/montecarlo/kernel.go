@@ -13,9 +13,11 @@ package montecarlo
 // evaluates the whole shard plan in-process with the RunShards pool;
 // internal/dist provides a Remote executor that farms shards out over
 // a frame stream and merges the returned accumulator states in shard
-// order. engine.Run installs the configured executor for the
-// duration of a run, so every scenario distributes without
-// per-scenario changes.
+// order. A run's executor and sampler are state of its plan
+// (WithPlan), which its context carries; Submit is the one way a
+// request enters that executor. engine.Run starts one plan per
+// variant over the configured executor, so every scenario distributes
+// without per-scenario changes, and two runs at once never share one.
 
 import (
 	"context"
@@ -206,33 +208,10 @@ type Executor interface {
 	EstimateVec(ctx context.Context, req Request) ([]Accumulator, error)
 }
 
-var (
-	execMu      sync.RWMutex
-	currentExec Executor = Local{}
-)
-
-// SetExecutor installs the executor used by every kernel-routed
-// estimation. nil restores Local. engine.Run installs the
-// CLI-configured executor for the duration of a run.
-func SetExecutor(e Executor) {
-	execMu.Lock()
-	defer execMu.Unlock()
-	if e == nil {
-		e = Local{}
-	}
-	currentExec = e
-}
-
-// CurrentExecutor returns the installed executor.
-func CurrentExecutor() Executor {
-	execMu.RLock()
-	defer execMu.RUnlock()
-	return currentExec
-}
-
 // Local is the in-process executor and the default: the whole shard
-// plan evaluated by the RunShards pool. Every decorator that is given
-// a nil inner executor (the cache, the sampling chain) uses it.
+// plan evaluated by the RunShards pool. A plan started without an
+// executor, and every decorator that is given a nil inner executor
+// (the cache, the sampling chain), uses it.
 type Local struct{}
 
 // EstimateVec implements Executor.
@@ -432,19 +411,22 @@ func (e *ExecError) Error() string {
 func (e *ExecError) Unwrap() error { return e.Err }
 
 // KernelMeanVec estimates the means of a registered vector-valued
-// kernel through the installed executor, under the installed default
-// sampler. Params must marshal to the JSON the kernel's factory
-// expects. ctx reaches the executor: it carries cancellation and, for
-// a forked task (Fork), the task's plan position. Results are
-// bit-identical to MeanVec over the same integrand's per-sample form
-// (for the plain sampler), at any executor.
+// kernel through the executor of ctx's plan, under the plan's sampler
+// (Submit; Local and plain outside any plan). Params must marshal to
+// the JSON the kernel's factory expects. ctx also carries cancellation
+// and the plan position of the task that issues the estimation.
+// Results are bit-identical to MeanVec over the same integrand's
+// per-sample form (for the plain sampler), at any executor.
 func KernelMeanVec(ctx context.Context, kernel string, params any, seed uint64, n, dim int) []Estimate {
 	raw, err := json.Marshal(params)
 	if err != nil {
 		panic(&ExecError{Kernel: kernel, Err: fmt.Errorf("marshal params: %w", err)})
 	}
-	req := Request{Kernel: kernel, Params: raw, Seed: seed, Samples: n, Dim: dim, Sampler: DefaultSampler()}
-	accs, err := CurrentExecutor().EstimateVec(ctx, req)
+	req := Request{Kernel: kernel, Params: raw, Seed: seed, Samples: n, Dim: dim}
+	if t := taskOf(ctx); t != nil {
+		req.Sampler = t.plan.sampler
+	}
+	accs, err := Submit(ctx, req)
 	if err != nil {
 		panic(&ExecError{Kernel: kernel, Err: err})
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -255,17 +256,33 @@ func TestKernelMeanVecPanicsWithExecError(t *testing.T) {
 	KernelMeanVec(context.Background(), "test/definitely-not-registered", nil, 1, 10, 1)
 }
 
-func TestSetExecutorRoutesRequests(t *testing.T) {
-	defer SetExecutor(nil)
-	called := 0
-	SetExecutor(executorFunc(func(ctx context.Context, req Request) ([]Accumulator, error) {
-		called++
+// TestKernelMeanVecRoutesThroughThePlan checks that an estimation goes
+// to its plan's executor, at the plan's next position, stamped with
+// the plan's sampler ("plain" stored as its canonical "").
+func TestKernelMeanVecRoutesThroughThePlan(t *testing.T) {
+	var reqs []Request
+	var positions []Position
+	exec := executorFunc(func(ctx context.Context, req Request) ([]Accumulator, error) {
+		reqs = append(reqs, req)
+		positions = append(positions, PositionOf(ctx))
+		if req.Sampler != "" {
+			return make([]Accumulator, req.Dim), nil // no sampler is registered here
+		}
 		return RunRequest(ctx, req)
-	}))
+	})
 	want := MeanVec(5, ShardSize, 2, testKernelEval(0))
-	got := KernelMeanVec(context.Background(), "test/vec", testKernelParams{}, 5, ShardSize, 2)
-	if called != 1 {
-		t.Errorf("executor called %d times", called)
+	ctx := WithPlan(context.Background(), exec, SamplerPlain)
+	KernelMeanVec(ctx, "test/vec", testKernelParams{}, 5, ShardSize, 2)
+	got := KernelMeanVec(ctx, "test/vec", testKernelParams{}, 5, ShardSize, 2)
+	if len(reqs) != 2 || reqs[1].Sampler != "" {
+		t.Fatalf("plan executor saw %+v, want two plain requests", reqs)
+	}
+	if !reflect.DeepEqual(positions, []Position{{0}, {1}}) {
+		t.Errorf("positions %v, want [[0] [1]]", positions)
+	}
+	KernelMeanVec(WithPlan(context.Background(), exec, "stratified"), "test/vec", testKernelParams{}, 5, ShardSize, 2)
+	if reqs[2].Sampler != "stratified" {
+		t.Errorf("request stamped with sampler %q, want the plan's stratified", reqs[2].Sampler)
 	}
 	for j := range got {
 		if got[j] != want[j] {

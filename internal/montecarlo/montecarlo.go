@@ -11,7 +11,7 @@
 // seed in shard order, and shard accumulators are merged in shard
 // order. The worker pool only decides which goroutine evaluates which
 // shard, so every estimate is bit-identical for a given seed
-// regardless of worker count or GOMAXPROCS. The engine's `-parallel`
+// regardless of worker count or GOMAXPROCS. The CLI's `-parallel`
 // flag sets the pool width via SetMaxWorkers.
 package montecarlo
 

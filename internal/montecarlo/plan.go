@@ -6,7 +6,7 @@ package montecarlo
 // concurrent tasks. Each task carries a position in its context: the
 // forking task's path, the fork's sequence number in that task, and
 // the task's index. Every estimation point a task issues takes the
-// next sequence number of its task (Point), so ordering positions
+// next sequence number of its task (Submit), so ordering positions
 // lexicographically reproduces exactly the order the sequential
 // program would have issued them in. The layers whose artifacts
 // depend on order read the position instead of the arrival order:
@@ -30,10 +30,13 @@ import (
 // position (a request issued outside any plan) sorts first.
 type Position []int
 
-// plan is the shared state of one run's tasks: which of them are live
+// plan is the shared state of one run's tasks: the executor and the
+// sampler every estimation of the run goes to, which tasks are live
 // (running, or forked but not yet started, and not blocked in a fork
 // of their own), and a channel closed whenever that set changes.
 type plan struct {
+	exec    Executor
+	sampler string
 	mu      sync.Mutex
 	live    map[*task]struct{}
 	changed chan struct{}
@@ -72,32 +75,43 @@ func taskOf(ctx context.Context) *task {
 	return t
 }
 
-// WithPlan returns a context carrying the root task of a fresh plan.
-// engine.Run installs one per variant; Fork starts its own when the
-// context it is handed has none.
-func WithPlan(ctx context.Context) context.Context {
-	p := &plan{live: map[*task]struct{}{}, changed: make(chan struct{})}
+// WithPlan returns a context carrying the root task of a fresh plan
+// whose estimations go to exec (nil = Local) under sampler, the
+// registered sampling strategy KernelMeanVec stamps into each request.
+// "plain" is stored as "", so the default strategy has one request
+// identity: an explicit `-sampler plain` run shares wire jobs and cache
+// entries with a default run. The name is not checked here: the
+// sampling chain validates it, and may name a virtual strategy
+// ("auto") that its decorator resolves before any shard evaluation.
+// engine.Run starts one plan per variant; Fork starts its own, over
+// Local, when the context it is handed has none.
+func WithPlan(ctx context.Context, exec Executor, sampler string) context.Context {
+	if exec == nil {
+		exec = Local{}
+	}
+	if sampler == SamplerPlain {
+		sampler = ""
+	}
+	p := &plan{exec: exec, sampler: sampler, live: map[*task]struct{}{}, changed: make(chan struct{})}
 	t := &task{plan: p, lane: obs.TidEngine}
 	p.live[t] = struct{}{}
 	return context.WithValue(ctx, taskKey{}, t)
 }
 
-// InPlan reports whether ctx carries a plan task.
-func InPlan(ctx context.Context) bool { return taskOf(ctx) != nil }
-
-// Point gives an estimation point the next position of ctx's task and
-// returns the context carrying it. Without a task, ctx is returned as
-// is. The executor seam calls it once per point; every layer below
-// sees the point's position in the context it is handed.
-func Point(ctx context.Context) context.Context {
+// Submit sends req to the executor of ctx's plan as the next
+// estimation point of ctx's task: the context the executor is handed
+// carries the point's position (PositionOf), so every layer below sees
+// it. Outside any plan it runs on Local. It is the one way a request
+// enters a run's executor chain.
+func Submit(ctx context.Context, req Request) ([]Accumulator, error) {
 	t := taskOf(ctx)
 	if t == nil {
-		return ctx
+		return Local{}.EstimateVec(ctx, req)
 	}
-	return context.WithValue(ctx, posKey{}, t.next())
+	return t.plan.exec.EstimateVec(context.WithValue(ctx, posKey{}, t.next()), req)
 }
 
-// PositionOf returns the position Point gave ctx's estimation point,
+// PositionOf returns the position Submit gave ctx's estimation point,
 // or nil.
 func PositionOf(ctx context.Context) Position {
 	pos, _ := ctx.Value(posKey{}).(Position)
@@ -165,7 +179,7 @@ func ForkCapped(ctx context.Context, n, width int, fn func(ctx context.Context, 
 	}
 	parent := taskOf(ctx)
 	if parent == nil {
-		ctx = WithPlan(ctx)
+		ctx = WithPlan(ctx, nil, "")
 		parent = taskOf(ctx)
 	}
 	p := parent.plan

@@ -19,6 +19,25 @@ func withWorkers(t *testing.T, n int) {
 	t.Cleanup(ResetMaxWorkers)
 }
 
+// positionLog is a plan executor that notes each request's kernel
+// name with the position Submit gave it, and evaluates nothing.
+type positionLog struct {
+	mu  sync.Mutex
+	got []loggedPoint
+}
+
+type loggedPoint struct {
+	label string
+	pos   Position
+}
+
+func (l *positionLog) EstimateVec(ctx context.Context, req Request) ([]Accumulator, error) {
+	l.mu.Lock()
+	l.got = append(l.got, loggedPoint{req.Kernel, PositionOf(ctx)})
+	l.mu.Unlock()
+	return nil, nil
+}
+
 // planProgram is a small program with nested forks: two points, a fork
 // of three tasks (the middle one forking two of its own), one more
 // point. Every point records its label and position.
@@ -40,18 +59,11 @@ func planProgram(ctx context.Context, record func(ctx context.Context, label str
 func TestForkPositionsFollowSequentialOrder(t *testing.T) {
 	run := func(workers int) (issued, ordered []string) {
 		withWorkers(t, workers)
-		type point struct {
-			label string
-			pos   Position
-		}
-		var mu sync.Mutex
-		var pts []point
-		planProgram(WithPlan(context.Background()), func(ctx context.Context, label string) {
-			pos := PositionOf(Point(ctx))
-			mu.Lock()
-			pts = append(pts, point{label, pos})
-			mu.Unlock()
+		log := &positionLog{}
+		planProgram(WithPlan(context.Background(), log, ""), func(ctx context.Context, label string) {
+			Submit(ctx, Request{Kernel: label})
 		})
+		pts := log.got
 		for _, p := range pts {
 			issued = append(issued, p.label)
 		}
@@ -205,7 +217,7 @@ func TestLeadsFollowsPlanOrder(t *testing.T) {
 	withWorkers(t, 4)
 	release := []chan struct{}{make(chan struct{}), make(chan struct{})}
 	var result bool
-	Fork(WithPlan(context.Background()), 3, func(ctx context.Context, i int) {
+	Fork(WithPlan(context.Background(), nil, ""), 3, func(ctx context.Context, i int) {
 		if i < 2 {
 			<-release[i]
 			return
@@ -298,18 +310,18 @@ func TestForkWidthCap(t *testing.T) {
 	})
 	t.Run("positions", func(t *testing.T) {
 		positions := func(width int) []string {
-			var mu sync.Mutex
-			var got []string
-			ctx := WithPlan(context.Background())
-			Point(ctx)
+			log := &positionLog{}
+			ctx := WithPlan(context.Background(), log, "")
+			Submit(ctx, Request{})
 			ForkCapped(ctx, 5, width, func(ctx context.Context, i int) {
 				for range 2 {
-					pos := PositionOf(Point(ctx))
-					mu.Lock()
-					got = append(got, fmt.Sprint(pos))
-					mu.Unlock()
+					Submit(ctx, Request{})
 				}
 			})
+			var got []string
+			for _, p := range log.got[1:] {
+				got = append(got, fmt.Sprint(p.pos))
+			}
 			sort.Strings(got)
 			return got
 		}

@@ -13,7 +13,9 @@ package montecarlo
 // sample); internal/sampling registers the variance-reduction
 // strategies (stratified, sobol) in its init. Both the
 // coordinator and `cs serve` workers link internal/sampling via the
-// engine, so a named sampler rebuilds identically on either side.
+// engine, so a named sampler rebuilds identically on either side. A
+// run names its sampler once, on its plan (WithPlan), and
+// KernelMeanVec stamps that name into every request the run issues.
 
 import (
 	"fmt"
@@ -137,40 +139,4 @@ func (r rawStream) Next() *rng.Source { return r.src }
 
 func init() {
 	RegisterSampler(SamplerPlain, plainSampler{})
-}
-
-// defaultSampler is the process-wide sampler applied to kernel-routed
-// estimations whose call sites predate the sampler seam (the model's
-// estimators). The sampling chain (internal/sampling) installs the
-// CLI's -sampler choice here for the duration of a run, exactly as
-// engine.Run installs the executor.
-var (
-	defaultSamplerMu sync.RWMutex
-	defaultSampler   = ""
-)
-
-// SetDefaultSampler installs the sampler name KernelMeanVec stamps
-// into requests; "" restores plain. "plain" is canonicalized to "" so
-// the default strategy has exactly one request identity — an explicit
-// `-sampler plain` run shares wire jobs and cache entries with a
-// default run instead of re-evaluating bit-identical results under a
-// second key. The name is not checked here: the sampling chain
-// validates it, and may install a virtual strategy ("auto") that its
-// decorator resolves before any shard evaluation. A name nothing
-// resolves fails loudly at the first estimation's sampler lookup.
-func SetDefaultSampler(name string) {
-	if name == SamplerPlain {
-		name = ""
-	}
-	defaultSamplerMu.Lock()
-	defaultSampler = name
-	defaultSamplerMu.Unlock()
-}
-
-// DefaultSampler returns the installed default sampler name ("" =
-// plain).
-func DefaultSampler() string {
-	defaultSamplerMu.RLock()
-	defer defaultSamplerMu.RUnlock()
-	return defaultSampler
 }

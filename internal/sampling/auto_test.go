@@ -137,7 +137,7 @@ func TestAutoPilotsOnPlanLeaderNotFirstAsker(t *testing.T) {
 		}
 	}()
 	results := make([][]montecarlo.Accumulator, 2)
-	montecarlo.Fork(montecarlo.WithPlan(context.Background()), 2, func(ctx context.Context, i int) {
+	montecarlo.Fork(montecarlo.WithPlan(context.Background(), a, ""), 2, func(ctx context.Context, i int) {
 		if i == 0 {
 			<-asked
 		}
@@ -146,7 +146,7 @@ func TestAutoPilotsOnPlanLeaderNotFirstAsker(t *testing.T) {
 		if i == 1 {
 			ctx = &doneWatch{Context: ctx, first: waiting}
 		}
-		accs, err := a.EstimateVec(montecarlo.Point(ctx), req)
+		accs, err := montecarlo.Submit(ctx, req)
 		if err != nil {
 			t.Error(err)
 		}

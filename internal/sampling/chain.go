@@ -18,13 +18,13 @@ type Chain struct {
 	exec   montecarlo.Executor
 	driver *Driver
 	auto   *AutoScheduler
-	prev   string // the default sampler Close restores
 }
 
-// NewChain checks a run's sampling options, assembles the chain over
-// base (nil = montecarlo.Local) and installs sampler as montecarlo's
-// default sampler until Close. relErr > 0 adds the convergence driver,
-// capped per point at maxSamples (0 = each request's own budget).
+// NewChain checks a run's sampling options and assembles the chain
+// over base (nil = montecarlo.Local). relErr > 0 adds the convergence
+// driver, capped per point at maxSamples (0 = each request's own
+// budget). The run names sampler on its plan (montecarlo.WithPlan), so
+// that its requests carry it into the chain.
 func NewChain(base montecarlo.Executor, sampler string, relErr float64, maxSamples int) (*Chain, error) {
 	if err := Validate(sampler); err != nil {
 		return nil, err
@@ -56,13 +56,8 @@ func NewChain(base montecarlo.Executor, sampler string, relErr float64, maxSampl
 		c.auto = NewAuto(c.exec, base, AutoOptions{Target: relErr})
 		c.exec = c.auto
 	}
-	c.prev = montecarlo.DefaultSampler()
-	montecarlo.SetDefaultSampler(sampler)
 	return c, nil
 }
-
-// Close restores the default sampler NewChain replaced.
-func (c *Chain) Close() { montecarlo.SetDefaultSampler(c.prev) }
 
 // Executor returns the outermost executor of the chain.
 func (c *Chain) Executor() montecarlo.Executor { return c.exec }

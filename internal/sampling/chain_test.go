@@ -7,7 +7,7 @@ import (
 	"carriersense/internal/montecarlo"
 )
 
-func TestNewChainShapeAndDefaultSampler(t *testing.T) {
+func TestNewChainShape(t *testing.T) {
 	for _, tc := range []struct {
 		sampler      string
 		relErr       float64
@@ -22,18 +22,11 @@ func TestNewChainShapeAndDefaultSampler(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := montecarlo.DefaultSampler(); got != tc.sampler {
-			t.Errorf("%q: default sampler %q installed", tc.sampler, got)
-		}
 		if (c.Driver() != nil) != tc.driver || (c.Auto() != nil) != tc.auto {
 			t.Errorf("%q relerr %g: driver %v auto %v", tc.sampler, tc.relErr, c.Driver() != nil, c.Auto() != nil)
 		}
 		if _, isLocal := c.Executor().(montecarlo.Local); isLocal != (!tc.driver && !tc.auto) {
 			t.Errorf("%q: outermost executor %T", tc.sampler, c.Executor())
-		}
-		c.Close()
-		if got := montecarlo.DefaultSampler(); got != "" {
-			t.Errorf("%q: Close left default sampler %q", tc.sampler, got)
 		}
 	}
 }
@@ -43,7 +36,6 @@ func TestNewChainCountsPilotSpend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
 	req := driveReq(1, Auto, 8*montecarlo.ShardSize)
 	if _, err := c.Executor().EstimateVec(context.Background(), req); err != nil {
 		t.Fatal(err)

@@ -256,22 +256,22 @@ func TestDriverProbeConvergesSubShard(t *testing.T) {
 	}
 }
 
-// forkInReverse runs fn for three tasks of one plan and makes them
-// finish in reverse index order: each task waits for the next one to
-// finish before it starts.
-func forkInReverse(t *testing.T, fn func(ctx context.Context, i int)) {
+// forkInReverse runs fn for three tasks of one plan over exec and makes
+// them finish in reverse index order: each task waits for the next one
+// to finish before it starts.
+func forkInReverse(t *testing.T, exec montecarlo.Executor, fn func(ctx context.Context, i int)) {
 	t.Helper()
 	if err := montecarlo.SetMaxWorkers(4); err != nil {
 		t.Fatal(err)
 	}
 	defer montecarlo.ResetMaxWorkers()
 	done := []chan struct{}{make(chan struct{}), make(chan struct{}), make(chan struct{})}
-	montecarlo.Fork(montecarlo.WithPlan(context.Background()), 3, func(ctx context.Context, i int) {
+	montecarlo.Fork(montecarlo.WithPlan(context.Background(), exec, ""), 3, func(ctx context.Context, i int) {
 		defer close(done[i])
 		if i < 2 {
 			<-done[i+1]
 		}
-		fn(montecarlo.Point(ctx), i)
+		fn(ctx, i)
 	})
 }
 
@@ -280,10 +280,10 @@ func TestDriverReportsInPlanOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forkInReverse(t, func(ctx context.Context, i int) {
+	forkInReverse(t, d, func(ctx context.Context, i int) {
 		req := driveReq(1, "", 8*montecarlo.ShardSize)
 		req.Seed = uint64(i)
-		if _, err := d.EstimateVec(ctx, req); err != nil {
+		if _, err := montecarlo.Submit(ctx, req); err != nil {
 			t.Error(err)
 		}
 	})

@@ -201,9 +201,9 @@ func comboRequest(tb *Testbed, p ExperimentParams, l1, l2 Link, seed uint64) mon
 	}
 	// Sampler stays "" — the canonical plain identity. An empty name
 	// resolves to the plain strategy at evaluation regardless of the
-	// run's -sampler default (Request.Sampler, not the process default,
-	// is what the shard evaluator honors), so the replication is pinned
-	// to raw replay under any sampler choice.
+	// run's -sampler (runCombos submits the request as built, without
+	// the plan's sampler), so the replication is pinned to raw replay
+	// under any sampler choice.
 	return montecarlo.Request{
 		Kernel:  KernelCombo,
 		Params:  raw,
@@ -231,21 +231,21 @@ func comboFromAccs(l1, l2 Link, accs []montecarlo.Accumulator) ComboResult {
 	}
 }
 
-// runCombos measures every combo through the installed executor, one
-// task of a montecarlo.ForkCapped per combo, capped at Workers() so
-// that no more simulations are alive at once than the pool runs. Each
-// combo's request carries its task's plan position, so layers that
-// record per-point ledgers (sampling.csv) see combo order. Results are
-// assembled in combo order, so the outcome is bit-identical at any
-// pool width, on any executor honoring the accumulator contract. A
-// failed combo panics with a *montecarlo.ExecError.
+// runCombos measures every combo through the executor of ctx's plan
+// (montecarlo.Submit), one task of a montecarlo.ForkCapped per combo,
+// capped at Workers() so that no more simulations are alive at once
+// than the pool runs. Each combo's request carries its task's plan
+// position, so layers that record per-point ledgers (sampling.csv)
+// see combo order. Results are assembled in combo order, so the
+// outcome is bit-identical at any pool width, on any executor honoring
+// the accumulator contract. A failed combo panics with a
+// *montecarlo.ExecError.
 func runCombos(ctx context.Context, tb *Testbed, p ExperimentParams, combos [][2]Link, seeds []uint64) []ComboResult {
 	out := make([]ComboResult, len(combos))
 	memoPut(tb) // in-process kernel evaluations reuse this realization
-	exec := montecarlo.CurrentExecutor()
 	montecarlo.ForkCapped(ctx, len(combos), montecarlo.Workers(), func(ctx context.Context, i int) {
 		c := combos[i]
-		accs, err := exec.EstimateVec(ctx, comboRequest(tb, p, c[0], c[1], seeds[i]))
+		accs, err := montecarlo.Submit(ctx, comboRequest(tb, p, c[0], c[1], seeds[i]))
 		if err == nil && len(accs) != nComboIdx {
 			err = fmt.Errorf("executor returned %d components, want %d", len(accs), nComboIdx)
 		}

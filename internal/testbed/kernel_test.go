@@ -92,15 +92,13 @@ func TestExperimentExecutorVsDirectBitIdentity(t *testing.T) {
 func TestExperimentCacheBitIdentity(t *testing.T) {
 	tb, p := kernelExperiment()
 	c := cache.New(nil, cache.Options{Dir: t.TempDir()})
-	montecarlo.SetExecutor(c)
-	defer montecarlo.SetExecutor(nil)
-
-	first := RunExperiment(context.Background(), tb, p, ShortRange)
+	ctx := montecarlo.WithPlan(context.Background(), c, "")
+	first := RunExperiment(ctx, tb, p, ShortRange)
 	misses := c.Stats().Misses
 	if misses == 0 {
 		t.Fatal("first run hit an empty cache")
 	}
-	second := RunExperiment(context.Background(), tb, p, ShortRange)
+	second := RunExperiment(ctx, tb, p, ShortRange)
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("cached experiment differs from evaluated one")
 	}
@@ -129,9 +127,7 @@ func TestExperimentRemoteBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	montecarlo.SetExecutor(remote)
-	defer montecarlo.SetExecutor(nil)
-	distributed := RunExperiment(context.Background(), tb, p, ShortRange)
+	distributed := RunExperiment(montecarlo.WithPlan(context.Background(), remote, ""), tb, p, ShortRange)
 	if !reflect.DeepEqual(local, distributed) {
 		t.Fatal("distributed experiment differs from local")
 	}
