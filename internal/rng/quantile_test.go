@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// legacyNormalQuantile is NormalQuantile as it was before its
-// coefficients moved to package level: the bit-for-bit reference
-// the hoisted form must reproduce, since every normal a sobol or
-// stratified stream draws goes through it.
+// legacyNormalQuantile is the quantile NormalQuantile replaced: a
+// Beasley-Springer-Moro approximation refined by one Newton step
+// against NormalCDF, good to about 1e-9. It is kept as the reference
+// for TestNormalQuantileULPDrops and BenchmarkNormalQuantileLegacy.
 func legacyNormalQuantile(p float64) float64 {
 	if math.IsNaN(p) || p <= 0 || p >= 1 {
 		switch {
@@ -59,34 +59,137 @@ func legacyBSM(p float64) float64 {
 	return x
 }
 
-func TestNormalQuantileBitEqualToLegacy(t *testing.T) {
-	check := func(p float64) {
+// quantileResidual is |Φ(Q(p)) − p|, the error of Q as an inverse of
+// NormalCDF.
+func quantileResidual(p float64) float64 {
+	return math.Abs(NormalCDF(NormalQuantile(p)) - p)
+}
+
+func TestNormalQuantileAccuracy(t *testing.T) {
+	// Absolute residual across the body, on a fine grid.
+	worst, at := 0.0, 0.0
+	for k := 0; k <= 1<<16; k++ {
+		p := 0.001 + 0.998*float64(k)/(1<<16)
+		if r := quantileResidual(p); r > worst {
+			worst, at = r, p
+		}
+	}
+	t.Logf("|Φ(Q(p)) − p| ≤ %.2g on [0.001, 0.999]", worst)
+	if worst > 1e-15 {
+		t.Errorf("|Φ(Q(p)) − p| reaches %v at p = %v, want ≤ 1e-15", worst, at)
+	}
+	// Relative residual in the lower tail, from the clamp bound up,
+	// log-spaced. Φ is relatively accurate there, so this measures the
+	// quantile, and both tail branches (r ≤ 5 and r > 5) are crossed.
+	worst, at = 0, 0
+	for k := 0; k <= 4096; k++ {
+		p := math.Exp2(-53 + 43*float64(k)/4096)
+		if r := quantileResidual(p) / p; r > worst {
+			worst, at = r, p
+		}
+	}
+	t.Logf("|Φ(Q(p)) − p|/p ≤ %.2g on [2^-53, 2^-10]", worst)
+	if worst > 1e-13 {
+		t.Errorf("|Φ(Q(p)) − p|/p reaches %v at p = %v, want ≤ 1e-13 on [2^-53, 2^-10]", worst, at)
+	}
+}
+
+func TestNormalQuantileAntisymmetric(t *testing.T) {
+	// On a dyadic grid 1 − p is exact, and so must be the symmetry.
+	ps := make([]float64, 0, 1<<20)
+	for k := 1; k < 1<<20; k++ {
+		ps = append(ps, float64(k)/(1<<20))
+	}
+	for e := 21; e <= 53; e++ {
+		ps = append(ps, math.Exp2(-float64(e)))
+	}
+	for _, p := range ps {
+		if a, b := NormalQuantile(1-p), -NormalQuantile(p); a != b {
+			t.Fatalf("Q(1−p) = %v, −Q(p) = %v at p = %v", a, b, p)
+		}
+	}
+}
+
+func TestNormalQuantileClampBounds(t *testing.T) {
+	lo, hi := NormalQuantile(minQuantileU), NormalQuantile(maxQuantileU)
+	if math.IsInf(lo, 0) || math.IsNaN(lo) || lo > -8 || hi != -lo {
+		t.Errorf("Q(2^-53) = %v, Q(1−2^-53) = %v: want finite, near ∓8.13, antisymmetric", lo, hi)
+	}
+	// A uniform hook at 0 or 1 (a mirrored stream's edge) draws the
+	// clamped quantile, not an infinity.
+	for _, u := range []float64{0, 1} {
+		got := WithUniforms(func() float64 { return u }).Normal(0, 1)
+		want := lo
+		if u == 1 {
+			want = hi
+		}
+		if got != want {
+			t.Errorf("Normal under a hook at %v = %v, want the clamp bound's %v", u, got, want)
+		}
+	}
+}
+
+func TestNormalQuantileMonotone(t *testing.T) {
+	increasing := func(name string, ps []float64) {
 		t.Helper()
-		got, want := NormalQuantile(p), legacyNormalQuantile(p)
-		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
-			t.Fatalf("NormalQuantile(%v) = %v, legacy %v", p, got, want)
+		prev := NormalQuantile(ps[0])
+		for _, p := range ps[1:] {
+			x := NormalQuantile(p)
+			if !(x > prev) {
+				t.Fatalf("%s: Q(%v) = %v does not exceed the previous grid point's %v", name, p, x, prev)
+			}
+			prev = x
 		}
 	}
-	src := New(20261017)
-	for range 2_000_000 {
-		check(src.Float64())
+	const n = 1 << 22
+	grid := make([]float64, n)
+	for k := range grid {
+		grid[k] = (float64(k) + 0.5) / n
 	}
-	// Both tails to within 1e-12 of 0 and 1, the branch edges at
-	// |p - 0.5| = 0.42, and the out-of-range inputs.
-	for _, edge := range []float64{0, 1, 0.08, 0.92, 0.5} {
-		p := edge
-		for range 1000 {
-			p = math.Nextafter(p, math.Inf(-1))
-			check(p)
+	increasing("2^22 grid", grid)
+	// 1e-9 steps across the central/tail branch edges and away from
+	// the clamp bounds, and relative 1e-9 steps across the two tail
+	// branches' edge at √(−log p) = 5.
+	span := func(from, step float64) []float64 {
+		ps := make([]float64, 2001)
+		for k := range ps {
+			ps[k] = from + float64(k)*step
 		}
-		p = edge
-		for range 1000 {
-			p = math.Nextafter(p, math.Inf(1))
-			check(p)
-		}
+		return ps
 	}
-	for _, p := range []float64{1e-12, 1 - 1e-12, 5e-13, 1 - 5e-13, 1e-300, -1, 2, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		check(p)
+	increasing("p = 0.075", span(0.075-1e-6, 1e-9))
+	increasing("p = 0.925", span(0.925-1e-6, 1e-9))
+	increasing("lower clamp", span(minQuantileU, 1e-9))
+	increasing("upper clamp", span(maxQuantileU-2e-6, 1e-9))
+	edge := math.Exp(-25)
+	increasing("tail split", span(edge*(1-1e-6), edge*1e-9))
+}
+
+// TestNormalQuantileULPDrops counts one-ulp decreases over runs of
+// consecutive doubles. Neither AS241 nor the BSM-plus-Newton form is
+// monotone at ulp level; AS241 must not be worse than the form it
+// replaced.
+func TestNormalQuantileULPDrops(t *testing.T) {
+	drops := func(q func(float64) float64, from float64) int {
+		n := 0
+		p := from
+		prev := q(p)
+		for range 200_000 {
+			p = math.Nextafter(p, 1)
+			x := q(p)
+			if x < prev {
+				n++
+			}
+			prev = x
+		}
+		return n
+	}
+	for _, from := range []float64{0.075 - 1e-11, 0.3} {
+		got, legacy := drops(NormalQuantile, from), drops(legacyNormalQuantile, from)
+		t.Logf("from %v: %d one-ulp drops, legacy %d", from, got, legacy)
+		if got > legacy {
+			t.Errorf("from %v: %d one-ulp drops, more than the legacy form's %d", from, got, legacy)
+		}
 	}
 }
 
@@ -99,6 +202,21 @@ func BenchmarkNormalQuantile(b *testing.B) {
 	sum := 0.0
 	for i := 0; i < b.N; i++ {
 		sum += NormalQuantile(ps[i%len(ps)])
+	}
+	if math.IsNaN(sum) {
+		b.Fatal("NaN")
+	}
+}
+
+func BenchmarkNormalQuantileLegacy(b *testing.B) {
+	src := New(1)
+	ps := make([]float64, 1024)
+	for i := range ps {
+		ps[i] = src.Float64()
+	}
+	sum := 0.0
+	for i := 0; i < b.N; i++ {
+		sum += legacyNormalQuantile(ps[i%len(ps)])
 	}
 	if math.IsNaN(sum) {
 		b.Fatal("NaN")

@@ -247,10 +247,18 @@ func NormalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
-// NormalQuantile returns Φ⁻¹(p) for p in (0, 1), using the
-// Beasley-Springer-Moro rational approximation refined by one
-// Newton step against NormalCDF. Accuracy is better than 1e-9 across
-// (1e-12, 1-1e-12), ample for threshold and starvation calculations.
+// NormalQuantile returns Φ⁻¹(p) for p in (0, 1): Wichura's AS241
+// (PPND16; "Algorithm AS 241: The percentage points of the normal
+// distribution", Applied Statistics 37, 1988), about 1e-16 relative
+// accuracy. It is three rational functions of degree 7: one in
+// (p − ½)² for |p − ½| ≤ 0.425, and two in √(−log r) for the tails,
+// where r is the smaller of p and 1 − p. A lower-tail p goes into the
+// logarithm as it is, so the quantile keeps its relative precision
+// down to the smallest p a sampler feeds it; forming 2p − 1 (as
+// math.Erfinv would need) would lose it. The result is exactly
+// antisymmetric: NormalQuantile(1−p) = −NormalQuantile(p) whenever
+// 1 − p is exact. p = 0 and p = 1 give −Inf and +Inf; any other p
+// outside (0, 1), and NaN, give NaN.
 func NormalQuantile(p float64) float64 {
 	if math.IsNaN(p) || p <= 0 || p >= 1 {
 		switch {
@@ -261,56 +269,74 @@ func NormalQuantile(p float64) float64 {
 		}
 		return math.NaN()
 	}
-	x := bsm(p)
-	// One Newton refinement: x -= (Φ(x)-p)/φ(x).
-	pdf := math.Exp(-x*x/2) / sqrt2Pi
-	if pdf > 0 {
-		x -= (NormalCDF(x) - p) / pdf
-	}
-	return x
-}
-
-// sqrt2Pi is √(2π), the normal density's normalizer.
-var sqrt2Pi = math.Sqrt(2 * math.Pi)
-
-// The Beasley-Springer-Moro coefficients: bsmA/bsmB are the central
-// rational approximation's numerator and denominator, bsmC the tail
-// polynomial in log(-log r). They live at package level so that a
-// call does not rebuild them.
-var (
-	bsmA = [4]float64{2.50662823884, -18.61500062529, 41.39119773534, -25.44106049637}
-	bsmB = [4]float64{-8.47351093090, 23.08336743743, -21.06224101826, 3.13082909833}
-	bsmC = [9]float64{
-		0.3374754822726147, 0.9761690190917186, 0.1607979714918209,
-		0.0276438810333863, 0.0038405729373609, 0.0003951896511919,
-		0.0000321767881768, 0.0000002888167364, 0.0000003960315187,
-	}
-)
-
-// bsm is the Beasley-Springer-Moro approximation to the standard
-// normal quantile.
-func bsm(p float64) float64 {
-	a, b, c := &bsmA, &bsmB, &bsmC
-	y := p - 0.5
-	if math.Abs(y) < 0.42 {
-		r := y * y
-		num := y * (((a[3]*r+a[2])*r+a[1])*r + a[0])
-		den := (((b[3]*r+b[2])*r+b[1])*r+b[0])*r + 1
-		return num / den
+	q := p - 0.5
+	if math.Abs(q) <= 0.425 {
+		num, den := horner2(&as241A, &as241B, 0.180625-q*q)
+		return q * num / den
 	}
 	r := p
-	if y > 0 {
+	if q > 0 {
 		r = 1 - p
 	}
-	r = math.Log(-math.Log(r))
-	x := c[0]
-	pow := 1.0
-	for i := 1; i < 9; i++ {
-		pow *= r
-		x += c[i] * pow
+	r = math.Sqrt(-math.Log(r))
+	var num, den float64
+	if r <= 5 {
+		num, den = horner2(&as241C, &as241D, r-1.6)
+	} else {
+		num, den = horner2(&as241E, &as241F, r-5)
 	}
-	if y < 0 {
-		x = -x
+	if q < 0 {
+		return -num / den
 	}
-	return x
+	return num / den
 }
+
+// horner2 evaluates the degree-7 polynomials a and b at r by
+// Horner's rule.
+func horner2(a, b *[8]float64, r float64) (float64, float64) {
+	x := ((((((a[7]*r+a[6])*r+a[5])*r+a[4])*r+a[3])*r+a[2])*r+a[1])*r + a[0]
+	y := ((((((b[7]*r+b[6])*r+b[5])*r+b[4])*r+b[3])*r+b[2])*r+b[1])*r + b[0]
+	return x, y
+}
+
+// The AS241 coefficients in ascending powers: as241A/as241B for the
+// central region, as241C/as241D for tails with √(−log r) ≤ 5 (r down
+// to about 1.4e-11), as241E/as241F beyond.
+var (
+	as241A = [8]float64{
+		3.3871328727963666080e0, 1.3314166789178437745e2,
+		1.9715909503065514427e3, 1.3731693765509461125e4,
+		4.5921953931549871457e4, 6.7265770927008700853e4,
+		3.3430575583588128105e4, 2.5090809287301226727e3,
+	}
+	as241B = [8]float64{
+		1, 4.2313330701600911252e1,
+		6.8718700749205790830e2, 5.3941960214247511077e3,
+		2.1213794301586595867e4, 3.9307895800092710610e4,
+		2.8729085735721942674e4, 5.2264952788528545610e3,
+	}
+	as241C = [8]float64{
+		1.42343711074968357734e0, 4.63033784615654529590e0,
+		5.76949722146069140550e0, 3.64784832476320460504e0,
+		1.27045825245236838258e0, 2.41780725177450611770e-1,
+		2.27238449892691845833e-2, 7.74545014278341407640e-4,
+	}
+	as241D = [8]float64{
+		1, 2.05319162663775882187e0,
+		1.67638483018380384940e0, 6.89767334985100004550e-1,
+		1.48103976427480074590e-1, 1.51986665636164571966e-2,
+		5.47593808499534494600e-4, 1.05075007164441684324e-9,
+	}
+	as241E = [8]float64{
+		6.65790464350110377720e0, 5.46378491116411436990e0,
+		1.78482653991729133580e0, 2.96560571828504891230e-1,
+		2.65321895265761230930e-2, 1.24266094738807843860e-3,
+		2.71155556874348757815e-5, 2.01033439929228813265e-7,
+	}
+	as241F = [8]float64{
+		1, 5.99832206555887937690e-1,
+		1.36929880922735805310e-1, 1.48753612908506148525e-2,
+		7.86869131145613259100e-4, 1.84631831751005468180e-5,
+		1.42151175831644588870e-7, 2.04426310338993978564e-15,
+	}
+)

@@ -245,7 +245,7 @@ func TestNormalQuantileInverseProperty(t *testing.T) {
 	f := func(raw float64) bool {
 		p := 0.001 + 0.998*math.Abs(math.Mod(raw, 1))
 		x := NormalQuantile(p)
-		return math.Abs(NormalCDF(x)-p) < 1e-8
+		return math.Abs(NormalCDF(x)-p) <= 1e-15
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
