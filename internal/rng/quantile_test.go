@@ -8,7 +8,7 @@ import (
 // legacyNormalQuantile is the quantile NormalQuantile replaced: a
 // Beasley-Springer-Moro approximation refined by one Newton step
 // against NormalCDF, good to about 1e-9. It is kept as the reference
-// for TestNormalQuantileULPDrops and BenchmarkNormalQuantileLegacy.
+// for TestNormalQuantileULPDrops.
 func legacyNormalQuantile(p float64) float64 {
 	if math.IsNaN(p) || p <= 0 || p >= 1 {
 		switch {
@@ -65,23 +65,11 @@ func quantileResidual(p float64) float64 {
 	return math.Abs(NormalCDF(NormalQuantile(p)) - p)
 }
 
-func TestNormalQuantileAccuracy(t *testing.T) {
-	// Absolute residual across the body, on a fine grid.
-	worst, at := 0.0, 0.0
-	for k := 0; k <= 1<<16; k++ {
-		p := 0.001 + 0.998*float64(k)/(1<<16)
-		if r := quantileResidual(p); r > worst {
-			worst, at = r, p
-		}
-	}
-	t.Logf("|Φ(Q(p)) − p| ≤ %.2g on [0.001, 0.999]", worst)
-	if worst > 1e-15 {
-		t.Errorf("|Φ(Q(p)) − p| reaches %v at p = %v, want ≤ 1e-15", worst, at)
-	}
+func TestNormalQuantileTailAccuracy(t *testing.T) {
 	// Relative residual in the lower tail, from the clamp bound up,
 	// log-spaced. Φ is relatively accurate there, so this measures the
 	// quantile, and both tail branches (r ≤ 5 and r > 5) are crossed.
-	worst, at = 0, 0
+	worst, at := 0.0, 0.0
 	for k := 0; k <= 4096; k++ {
 		p := math.Exp2(-53 + 43*float64(k)/4096)
 		if r := quantileResidual(p) / p; r > worst {
@@ -202,21 +190,6 @@ func BenchmarkNormalQuantile(b *testing.B) {
 	sum := 0.0
 	for i := 0; i < b.N; i++ {
 		sum += NormalQuantile(ps[i%len(ps)])
-	}
-	if math.IsNaN(sum) {
-		b.Fatal("NaN")
-	}
-}
-
-func BenchmarkNormalQuantileLegacy(b *testing.B) {
-	src := New(1)
-	ps := make([]float64, 1024)
-	for i := range ps {
-		ps[i] = src.Float64()
-	}
-	sum := 0.0
-	for i := 0; i < b.N; i++ {
-		sum += legacyNormalQuantile(ps[i%len(ps)])
 	}
 	if math.IsNaN(sum) {
 		b.Fatal("NaN")

@@ -1,0 +1,140 @@
+package carriersense_bench
+
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// perfSnapshot is a committed benchmark snapshot that carries a
+// spread: every result file the harness wrote with -out, traced and
+// untraced, over several seeds, for the parent commit and the change.
+type perfSnapshot struct {
+	Parent []snapRun `json:"parent"`
+	Change []snapRun `json:"change"`
+}
+
+// snapRun is the part of one harness result file the table reads.
+type snapRun struct {
+	Provenance struct {
+		Trace bool `json:"trace"`
+	} `json:"provenance"`
+	Workloads map[string]struct {
+		Metrics map[string]struct {
+			Value float64 `json:"value"`
+		} `json:"metrics"`
+	} `json:"workloads"`
+}
+
+// snapRow is one table row: a metric of a workload, from the untraced
+// runs (end to end) or the traced ones (per layer).
+type snapRow struct {
+	workload, metric string
+	traced           bool
+}
+
+// inverseNormalRows are the rows of README's inverse-normal table:
+// every workload end to end, then the sampled path's layers on
+// tables-relerr.
+var inverseNormalRows = []snapRow{
+	{"tables-relerr", "run_p50_ref", false},
+	{"tables-relerr", "samples_per_ref", false},
+	{"tables-relerr", "alloc_mb_per_run", false},
+	{"tables-relerr", "peak_rss_mb", false},
+	{"tables-fixed", "run_p50_ref", false},
+	{"testbed", "run_p50_ref", false},
+	{"fleet-cache", "run_p50_ref", false},
+	{"tables-relerr", "rng.ns_per_sample", true},
+	{"tables-relerr", "core.ns_per_sample.averages", true},
+	{"tables-relerr", "core.ns_per_sample.policy-diff", true},
+	{"tables-relerr", "sampling.samples_to_target", true},
+}
+
+// snapValues collects one row's values across runs.
+func snapValues(runs []snapRun, r snapRow) []float64 {
+	var xs []float64
+	for _, run := range runs {
+		if run.Provenance.Trace != r.traced {
+			continue
+		}
+		if m, ok := run.Workloads[r.workload].Metrics[r.metric]; ok {
+			xs = append(xs, m.Value)
+		}
+	}
+	slices.Sort(xs)
+	return xs
+}
+
+func snapMedian(xs []float64) float64 {
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
+// snapNum renders a value to four significant digits, and a large one
+// (a sample count) in whole units.
+func snapNum(x float64) string {
+	if math.Abs(x) >= 1000 {
+		return fmt.Sprintf("%.0f", x)
+	}
+	return fmt.Sprintf("%.4g", x)
+}
+
+// snapCell renders "median [min–max] (n)".
+func snapCell(xs []float64) string {
+	return fmt.Sprintf("%s [%s–%s] (%d)", snapNum(snapMedian(xs)), snapNum(xs[0]), snapNum(xs[len(xs)-1]), len(xs))
+}
+
+// renderSnapshotTable renders rows of a snapshot as README's fenced
+// table: each side's median, range and run count, and the change in
+// the medians.
+func renderSnapshotTable(s perfSnapshot, rows []snapRow) (string, error) {
+	var b strings.Builder
+	b.WriteString("```\n")
+	fmt.Fprintf(&b, "%-14s %-42s %-29s %-29s %s\n", "workload", "metric", "parent", "this change", "change")
+	for _, r := range rows {
+		p, c := snapValues(s.Parent, r), snapValues(s.Change, r)
+		if len(p) == 0 || len(c) == 0 {
+			return "", fmt.Errorf("snapshot has no %s %s (traced %v) on one side", r.workload, r.metric, r.traced)
+		}
+		metric := r.metric
+		if r.traced {
+			metric += " (-trace 1)"
+		}
+		fmt.Fprintf(&b, "%-14s %-42s %-29s %-29s %+.1f%%\n", r.workload, metric, snapCell(p), snapCell(c),
+			100*(snapMedian(c)/snapMedian(p)-1))
+	}
+	b.WriteString("```\n")
+	return b.String(), nil
+}
+
+// TestREADMEInverseNormalTable checks that README's inverse-normal
+// table is the one BENCH_20261019.json renders to. When the snapshot
+// or the rows change, paste the block the failure prints into README.
+func TestREADMEInverseNormalTable(t *testing.T) {
+	data, err := os.ReadFile("BENCH_20261019.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s perfSnapshot
+	if err := json.Unmarshal(data, &s); err != nil {
+		t.Fatal(err)
+	}
+	table, err := renderSnapshotTable(s, inverseNormalRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(readme), table) {
+		t.Errorf("README.md does not contain the table BENCH_20261019.json renders to:\n%s", table)
+	}
+}
