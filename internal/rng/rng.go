@@ -272,6 +272,8 @@ func NormalQuantile(p float64) float64 {
 	q := p - 0.5
 	if math.Abs(q) <= 0.425 {
 		num, den := horner2(&as241A, &as241B, 0.180625-q*q)
+		// AS241's own order, (q·num)/den: q·(num/den) rounds
+		// differently, with about 40% more one-ulp drops near p = 0.3.
 		return q * num / den
 	}
 	r := p
