@@ -8,7 +8,7 @@
 //
 // Ablation benchmarks of the model's design choices live at the
 // bottom: fixed-rate versus adaptive capacity, the noise-floor
-// term, shadowing, CCA flavor, capture, and RTS policies.
+// term, shadowing, the CCA threshold and the CCA flavor.
 package carriersense_bench
 
 import (
@@ -24,11 +24,8 @@ import (
 	"carriersense/internal/core"
 	"carriersense/internal/dist"
 	"carriersense/internal/experiments"
-	"carriersense/internal/mac"
 	"carriersense/internal/montecarlo"
 	"carriersense/internal/numeric"
-	"carriersense/internal/phy"
-	"carriersense/internal/rng"
 	"carriersense/internal/sim"
 	"carriersense/internal/testbed"
 )
@@ -331,42 +328,6 @@ func BenchmarkAblationPreambleVsEnergyCCA(b *testing.B) {
 		b.ReportMetric(run(false), "cs_frac_energy")
 	}
 }
-
-// BenchmarkAblationRTSPolicy compares throughput under RTS off, always,
-// and adaptive on a clean unicast link — the §5 cost argument.
-func BenchmarkAblationRTSPolicy(b *testing.B) {
-	run := func(mode mac.RTSMode) float64 {
-		src := rng.New(7)
-		s := sim.New()
-		ch := staticChannel{gain: -80}
-		cfg := phy.DefaultConfig()
-		cfg.Fade = capacity.FadeModel{}
-		medium := phy.NewMedium(s, ch, cfg, src.Split())
-		tx := medium.AddRadio(0, 15)
-		rx := medium.AddRadio(1, 15)
-		_ = rx
-		macCfg := mac.DefaultConfig()
-		macCfg.UseACK = true
-		macCfg.RTS = mode
-		st := mac.NewStation(s, tx, macCfg, src.Split(), mac.FixedRate{Rate: capacity.Table80211a[4]})
-		mac.NewStation(s, medium.Radio(1), macCfg, src.Split(), nil)
-		delivered := 0.0
-		st.OnDeliver = func(phy.Frame) { delivered++ }
-		st.StartSaturated(1, 1400)
-		s.Run(1 * sim.Second)
-		return delivered
-	}
-	for i := 0; i < b.N; i++ {
-		b.ReportMetric(run(mac.RTSOff), "pkts_rts_off")
-		b.ReportMetric(run(mac.RTSAlways), "pkts_rts_always")
-		b.ReportMetric(run(mac.RTSAdaptive), "pkts_rts_adaptive")
-	}
-}
-
-// staticChannel is a flat channel for the RTS ablation.
-type staticChannel struct{ gain float64 }
-
-func (c staticChannel) GainDB(from, to phy.NodeID) float64 { return c.gain }
 
 // BenchmarkSimulatorEventThroughput measures the raw discrete-event
 // engine: a dense self-rescheduling workload. events/sec is its

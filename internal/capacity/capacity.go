@@ -105,14 +105,10 @@ func (d Discrete) Name() string { return "discrete" }
 // preamble and bit-serial payload).
 type Modulation int
 
-// Modulations.
-const (
-	// OFDM is the 802.11a/g symbol-based PHY (4 µs symbols).
-	OFDM Modulation = iota
-	// DSSS is the 802.11b direct-sequence PHY (192 µs long preamble,
-	// payload at the nominal bit rate).
-	DSSS
-)
+// DSSS is the 802.11b direct-sequence PHY (192 µs long preamble,
+// payload at the nominal bit rate). The zero Modulation is OFDM, the
+// 802.11a/g symbol-based PHY (4 µs symbols).
+const DSSS Modulation = 1
 
 // Rate describes one entry of a discrete PHY rate set.
 type Rate struct {

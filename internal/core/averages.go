@@ -36,7 +36,7 @@ func (a Averages) Efficiency() float64 {
 	return a.CS.Mean / a.Max.Mean
 }
 
-// indices into the MeanVec sample vector.
+// indices into the averages sample vector.
 const (
 	idxSingle = iota
 	idxMux

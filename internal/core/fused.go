@@ -21,14 +21,15 @@ package core
 //     reads (receiver 1, receiver 2, sensing) so the draw computes
 //     only those.
 //
-// Determinism contract: draw consumes every random variate, in exactly
-// the order SampleConfig does (two disc points, then five lognormal
-// shadowing factors), whatever the integrand reads, so shard streams
-// stay aligned across kernels, the chunked and one-sample-per-call
-// paths, worker fleets, and the cache. Only what is read is
-// transformed: an unread disc point skips its Sqrt, Sincos and path
-// gains, and an unread shadowing factor skips its Exp (and, on a
-// uniform-hooked source, its NormalQuantile) through rng.SkipNormal.
+// Determinism contract: draw consumes every random variate, in
+// exactly the order the tests' SampleConfig does (two disc points,
+// then five lognormal shadowing factors), whatever the integrand
+// reads, so shard streams stay aligned across kernels, the chunked
+// and one-sample-per-call paths, worker fleets, and the cache. Only
+// what is read is transformed: an unread disc point skips its Sqrt,
+// Sincos and path gains, and an unread shadowing factor skips its Exp
+// (and, on a uniform-hooked source, its NormalQuantile) through
+// rng.SkipNormal.
 
 import (
 	"math"
@@ -87,9 +88,9 @@ const (
 
 // draw samples one configuration and computes the received powers in
 // r; the fields of primitives outside r hold no meaning. Random
-// variates are consumed in exactly the order SampleConfig uses:
-// receiver 1 position, receiver 2 position, then the five lognormal
-// shadowing draws (none when σ = 0, matching rng.LognormalDB).
+// variates are consumed in exactly the order the tests' SampleConfig
+// uses: receiver 1 position, receiver 2 position, then the five
+// lognormal shadowing draws (none when σ = 0, matching rng.LognormalDB).
 func (pe *pointEval) draw(src *rng.Source, r reads) Evaluated {
 	m := pe.m
 	e := Evaluated{LSense: 1}

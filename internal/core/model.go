@@ -19,8 +19,6 @@ import (
 	"math"
 
 	"carriersense/internal/capacity"
-	"carriersense/internal/geometry"
-	"carriersense/internal/rng"
 )
 
 // DefaultNoiseDB is the paper's default noise floor N = N0/P0 in dB
@@ -48,13 +46,6 @@ type Params struct {
 // σ = 8 dB, N = -65 dB, Shannon capacity.
 func DefaultParams() Params {
 	return Params{Alpha: 3, SigmaDB: 8, NoiseDB: DefaultNoiseDB}
-}
-
-// NoShadowParams returns the simplified (σ = 0) environment of §3.3.
-func NoShadowParams() Params {
-	p := DefaultParams()
-	p.SigmaDB = 0
-	return p
 }
 
 // Validate reports whether the parameters are usable.
@@ -137,9 +128,6 @@ func (m *Model) thr(snr float64) float64 {
 // Params returns the model's parameters.
 func (m *Model) Params() Params { return m.params }
 
-// Noise returns the linear noise floor.
-func (m *Model) Noise() float64 { return m.noise }
-
 // minDist clamps degenerate geometry (receiver on top of its sender)
 // away from the d = 0 singularity of the power law.
 const minDist = 1e-9
@@ -208,8 +196,7 @@ func EquivalentDistanceAtAlpha(pThresh, alpha float64) float64 {
 // receiver's own sender: every consumer needs either the squared
 // sender-receiver distance or the squared interferer-receiver distance
 // (x±D)² + y², so Cartesian storage makes the sampling hot path free
-// of Atan2/Hypot round trips. Use ConfigPolar to construct one from
-// the paper's (r, θ) coordinates.
+// of Atan2/Hypot round trips.
 type Config struct {
 	D float64 // sender-sender separation
 
@@ -223,45 +210,6 @@ type Config struct {
 	LSense float64 // shadowing S1↔S2 (the carrier sense channel; one
 	// draw shared by both senders — the model assumes
 	// equal sensed powers, §3.2.1)
-}
-
-// ConfigPolar constructs a shadowing-free configuration from the
-// paper's polar receiver coordinates (both receivers at (r_i, θ_i)
-// around their own sender).
-func ConfigPolar(d, r1, theta1, r2, theta2 float64) Config {
-	p1 := geometry.Polar(r1, theta1)
-	p2 := geometry.Polar(r2, theta2)
-	return Config{
-		D: d, X1: p1.X, Y1: p1.Y, X2: p2.X, Y2: p2.Y,
-		LSig1: 1, LInt1: 1, LSig2: 1, LInt2: 1, LSense: 1,
-	}
-}
-
-// R1 returns receiver 1's distance from its sender.
-func (c Config) R1() float64 { return math.Hypot(c.X1, c.Y1) }
-
-// R2 returns receiver 2's distance from its sender.
-func (c Config) R2() float64 { return math.Hypot(c.X2, c.Y2) }
-
-// SampleConfig draws a random configuration: receivers uniform over
-// their R_max discs and independent lognormal shadowing on the five
-// channels (footnote 14: distributions assumed uncorrelated).
-func (m *Model) SampleConfig(src *rng.Source, rmax, d float64) Config {
-	p1 := geometry.UniformInDisc(src, rmax)
-	p2 := geometry.UniformInDisc(src, rmax)
-	sigma := m.params.SigmaDB
-	return Config{
-		D:      d,
-		X1:     p1.X,
-		Y1:     p1.Y,
-		X2:     p2.X,
-		Y2:     p2.Y,
-		LSig1:  src.LognormalDB(sigma),
-		LInt1:  src.LognormalDB(sigma),
-		LSig2:  src.LognormalDB(sigma),
-		LInt2:  src.LognormalDB(sigma),
-		LSense: src.LognormalDB(sigma),
-	}
 }
 
 // SignalPower returns the serving signal power at receiver i (1 or 2).

@@ -6,8 +6,61 @@ import (
 	"testing/quick"
 
 	"carriersense/internal/capacity"
+	"carriersense/internal/geometry"
 	"carriersense/internal/rng"
 )
+
+// The helpers below build the configurations and environments the
+// package's tests check the model against; no program path needs them.
+
+// NoShadowParams returns the simplified (σ = 0) environment of §3.3.
+func NoShadowParams() Params {
+	p := DefaultParams()
+	p.SigmaDB = 0
+	return p
+}
+
+// Noise returns the linear noise floor.
+func (m *Model) Noise() float64 { return m.noise }
+
+// ConfigPolar constructs a shadowing-free configuration from the
+// paper's polar receiver coordinates (both receivers at (r_i, θ_i)
+// around their own sender).
+func ConfigPolar(d, r1, theta1, r2, theta2 float64) Config {
+	p1 := geometry.Polar(r1, theta1)
+	p2 := geometry.Polar(r2, theta2)
+	return Config{
+		D: d, X1: p1.X, Y1: p1.Y, X2: p2.X, Y2: p2.Y,
+		LSig1: 1, LInt1: 1, LSig2: 1, LInt2: 1, LSense: 1,
+	}
+}
+
+// R1 returns receiver 1's distance from its sender.
+func (c Config) R1() float64 { return math.Hypot(c.X1, c.Y1) }
+
+// R2 returns receiver 2's distance from its sender.
+func (c Config) R2() float64 { return math.Hypot(c.X2, c.Y2) }
+
+// SampleConfig draws a random configuration: receivers uniform over
+// their R_max discs and independent lognormal shadowing on the five
+// channels (footnote 14: distributions assumed uncorrelated).
+func (m *Model) SampleConfig(src *rng.Source, rmax, d float64) Config {
+	p1 := geometry.UniformInDisc(src, rmax)
+	p2 := geometry.UniformInDisc(src, rmax)
+	sigma := m.params.SigmaDB
+	return Config{
+		D:      d,
+		X1:     p1.X,
+		Y1:     p1.Y,
+		X2:     p2.X,
+		Y2:     p2.Y,
+		LSig1:  src.LognormalDB(sigma),
+		LInt1:  src.LognormalDB(sigma),
+		LSig2:  src.LognormalDB(sigma),
+		LInt2:  src.LognormalDB(sigma),
+		LSense: src.LognormalDB(sigma),
+	}
+}
 
 func TestParamsValidate(t *testing.T) {
 	if err := DefaultParams().Validate(); err != nil {

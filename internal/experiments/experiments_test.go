@@ -84,7 +84,9 @@ func TestCurvesQualitativeShape(t *testing.T) {
 	// Crossover sits in the transition region and matches the σ=0
 	// optimal threshold.
 	cross := res.CrossoverD()
-	m := core.New(core.NoShadowParams())
+	noShadow := core.DefaultParams()
+	noShadow.SigmaDB = 0
+	m := core.New(noShadow)
 	dOpt := m.OptimalThresholdQuad(55)
 	if math.Abs(cross-dOpt) > 15 {
 		t.Errorf("crossover %v far from optimal threshold %v", cross, dOpt)

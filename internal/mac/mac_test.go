@@ -32,7 +32,6 @@ func quietPhy() phy.Config {
 }
 
 var rate6 = capacity.Table80211a[0]
-var rate24 = capacity.Table80211a[4]
 
 // harness bundles a small simulation.
 type harness struct {
@@ -47,8 +46,8 @@ func newHarness(ch phy.Channel, cfg phy.Config, seed uint64) *harness {
 	return &harness{s: s, medium: phy.NewMedium(s, ch, cfg, src.Split()), src: src}
 }
 
-func (h *harness) station(id phy.NodeID, cfg Config, rates RateSelector) *Station {
-	return NewStation(h.s, h.medium.AddRadio(id, 15), cfg, h.src.Split(), rates)
+func (h *harness) station(id phy.NodeID, cfg Config, rate capacity.Rate) *Station {
+	return NewStation(h.s, h.medium.AddRadio(id, 15), cfg, h.src.Split(), rate)
 }
 
 func countData(st *Station, from phy.NodeID) *uint64 {
@@ -65,8 +64,8 @@ func TestSingleStationSaturatedThroughput(t *testing.T) {
 	ch := matrixChannel{}
 	ch.set(0, 1, -80) // 30 dB SNR
 	h := newHarness(ch, quietPhy(), 1)
-	tx := h.station(0, DefaultConfig(), FixedRate{Rate: rate6})
-	rx := h.station(1, DefaultConfig(), nil)
+	tx := h.station(0, DefaultConfig(), rate6)
+	rx := h.station(1, DefaultConfig(), capacity.Rate{})
 	got := countData(rx, 0)
 	tx.StartSaturated(phy.Broadcast, 1400)
 	h.s.Run(2 * sim.Second)
@@ -93,10 +92,10 @@ func TestTwoStationsShareFairly(t *testing.T) {
 	ch.set(2, 1, -90)
 	h := newHarness(ch, quietPhy(), 2)
 	cfg := DefaultConfig()
-	s0 := h.station(0, cfg, FixedRate{Rate: rate6})
-	rx1 := h.station(1, cfg, nil)
-	s2 := h.station(2, cfg, FixedRate{Rate: rate6})
-	rx3 := h.station(3, cfg, nil)
+	s0 := h.station(0, cfg, rate6)
+	rx1 := h.station(1, cfg, capacity.Rate{})
+	s2 := h.station(2, cfg, rate6)
+	rx3 := h.station(3, cfg, capacity.Rate{})
 	got1 := countData(rx1, 0)
 	got3 := countData(rx3, 2)
 	s0.StartSaturated(phy.Broadcast, 1400)
@@ -132,10 +131,10 @@ func TestCarrierSenseDisabledCollides(t *testing.T) {
 		h := newHarness(ch, quietPhy(), seed)
 		cfg := DefaultConfig()
 		cfg.CarrierSense = cs
-		s0 := h.station(0, cfg, FixedRate{Rate: rate6})
-		rx1 := h.station(1, cfg, nil)
-		s2 := h.station(2, cfg, FixedRate{Rate: rate6})
-		rx3 := h.station(3, cfg, nil)
+		s0 := h.station(0, cfg, rate6)
+		rx1 := h.station(1, cfg, capacity.Rate{})
+		s2 := h.station(2, cfg, rate6)
+		rx3 := h.station(3, cfg, capacity.Rate{})
 		got1 := countData(rx1, 0)
 		got3 := countData(rx3, 2)
 		s0.StartSaturated(phy.Broadcast, 1400)
@@ -147,165 +146,6 @@ func TestCarrierSenseDisabledCollides(t *testing.T) {
 	withoutCS := mk(false, 3)
 	if withoutCS > withCS/2 {
 		t.Errorf("CS off should collapse throughput: on=%v off=%v", withCS, withoutCS)
-	}
-}
-
-func TestUnicastAckAndRetries(t *testing.T) {
-	ch := matrixChannel{}
-	ch.set(0, 1, -80)
-	h := newHarness(ch, quietPhy(), 4)
-	cfg := DefaultConfig()
-	cfg.UseACK = true
-	tx := h.station(0, cfg, FixedRate{Rate: rate6})
-	h.station(1, cfg, nil)
-	delivered := 0
-	tx.OnDeliver = func(phy.Frame) { delivered++ }
-	tx.StartSaturated(1, 1400)
-	h.s.Run(1 * sim.Second)
-	if delivered == 0 {
-		t.Fatal("no unicast deliveries")
-	}
-	if tx.Stats.DataAcked != uint64(delivered) {
-		t.Errorf("acked %d != delivered %d", tx.Stats.DataAcked, delivered)
-	}
-	if tx.Stats.Drops > 0 {
-		t.Errorf("drops on a clean link: %d", tx.Stats.Drops)
-	}
-	// ACK overhead cuts goodput below broadcast but not catastrophically.
-	rate := float64(delivered)
-	if rate < 350 || rate > 520 {
-		t.Errorf("unicast rate = %v pkt/s", rate)
-	}
-}
-
-func TestRetryExhaustionDrops(t *testing.T) {
-	// Receiver out of range: every frame times out and eventually
-	// drops, with CW growth in between.
-	ch := matrixChannel{}
-	ch.set(0, 1, -130)
-	h := newHarness(ch, quietPhy(), 5)
-	cfg := DefaultConfig()
-	cfg.UseACK = true
-	tx := h.station(0, cfg, FixedRate{Rate: rate6})
-	h.station(1, cfg, nil)
-	tx.StartSaturated(1, 1400)
-	h.s.Run(1 * sim.Second)
-	if tx.Stats.Drops == 0 {
-		t.Error("no drops to an unreachable receiver")
-	}
-	if tx.Stats.AckTimeouts == 0 {
-		t.Error("no ACK timeouts recorded")
-	}
-	if tx.Stats.DataAcked != 0 {
-		t.Errorf("phantom ACKs: %d", tx.Stats.DataAcked)
-	}
-}
-
-func TestRTSAlwaysProtectsButCosts(t *testing.T) {
-	ch := matrixChannel{}
-	ch.set(0, 1, -80)
-	run := func(mode RTSMode) (float64, uint64) {
-		h := newHarness(ch, quietPhy(), 6)
-		cfg := DefaultConfig()
-		cfg.UseACK = true
-		cfg.RTS = mode
-		tx := h.station(0, cfg, FixedRate{Rate: rate24})
-		h.station(1, cfg, nil)
-		delivered := 0
-		tx.OnDeliver = func(phy.Frame) { delivered++ }
-		tx.StartSaturated(1, 1400)
-		h.s.Run(1 * sim.Second)
-		return float64(delivered), tx.Stats.RTSSent
-	}
-	plain, rtsPlain := run(RTSOff)
-	protected, rtsCount := run(RTSAlways)
-	if rtsPlain != 0 {
-		t.Errorf("RTSOff sent %d RTS frames", rtsPlain)
-	}
-	if rtsCount == 0 {
-		t.Error("RTSAlways sent no RTS")
-	}
-	// On a clean link, blanket RTS/CTS costs real throughput — the §5
-	// objection to MACAW-style protection.
-	if protected >= plain {
-		t.Errorf("RTS overhead invisible: plain %v, protected %v", plain, protected)
-	}
-	if protected < plain*0.5 {
-		t.Errorf("RTS overhead implausibly large: plain %v, protected %v", plain, protected)
-	}
-}
-
-func TestRTSAdaptiveStaysOffOnCleanLink(t *testing.T) {
-	ch := matrixChannel{}
-	ch.set(0, 1, -80)
-	h := newHarness(ch, quietPhy(), 7)
-	cfg := DefaultConfig()
-	cfg.UseACK = true
-	cfg.RTS = RTSAdaptive
-	tx := h.station(0, cfg, FixedRate{Rate: rate24})
-	h.station(1, cfg, nil)
-	tx.StartSaturated(1, 1400)
-	h.s.Run(1 * sim.Second)
-	if tx.Stats.RTSSent > 0 {
-		t.Errorf("adaptive RTS engaged on a clean link: %d", tx.Stats.RTSSent)
-	}
-}
-
-func TestRTSAdaptiveEngagesUnderHiddenInterference(t *testing.T) {
-	// Hidden interferer smothers the receiver; the sender sees high
-	// RSSI but massive loss — §5's trigger condition.
-	ch := matrixChannel{}
-	ch.set(0, 1, -80)  // good serving link
-	ch.set(2, 1, -78)  // interference above signal
-	ch.set(0, 2, -300) // hidden
-	ch.set(2, 3, -300)
-	h := newHarness(ch, quietPhy(), 8)
-	cfg := DefaultConfig()
-	cfg.UseACK = true
-	cfg.RTS = RTSAdaptive
-	tx := h.station(0, cfg, FixedRate{Rate: rate24})
-	h.station(1, cfg, nil)
-	// The interferer blasts without CS (it cannot hear anyone anyway).
-	icfg := DefaultConfig()
-	icfg.CarrierSense = false
-	interferer := h.station(2, icfg, FixedRate{Rate: rate6})
-	tx.StartSaturated(1, 1400)
-	interferer.StartSaturated(phy.Broadcast, 1400)
-	h.s.Run(2 * sim.Second)
-	if tx.Stats.RTSSent == 0 {
-		t.Error("adaptive RTS never engaged under hidden-terminal loss")
-	}
-}
-
-func TestNAVDefersThirdStation(t *testing.T) {
-	// Station 4 overhears an RTS addressed elsewhere and must defer
-	// for the advertised NAV even though the data exchange itself is
-	// below its CCA threshold.
-	ch := matrixChannel{}
-	ch.set(0, 1, -80)
-	ch.set(0, 4, -85) // overhears the RTS
-	ch.set(1, 4, -85)
-	ch.set(4, 5, -80)
-	h := newHarness(ch, quietPhy(), 9)
-	cfg := DefaultConfig()
-	cfg.UseACK = true
-	cfg.RTS = RTSAlways
-	tx := h.station(0, cfg, FixedRate{Rate: rate6})
-	h.station(1, cfg, nil)
-	bystander := h.station(4, DefaultConfig(), FixedRate{Rate: rate6})
-	h.station(5, DefaultConfig(), nil)
-	tx.StartSaturated(1, 1400)
-	bystander.StartSaturated(phy.Broadcast, 1400)
-	h.s.Run(1 * sim.Second)
-	if bystander.Stats.NAVNanos == 0 {
-		t.Error("bystander never honored a NAV")
-	}
-}
-
-func TestModeStrings(t *testing.T) {
-	if RTSOff.String() != "off" || RTSAlways.String() != "always" ||
-		RTSAdaptive.String() != "adaptive" || RTSMode(9).String() != "?" {
-		t.Error("RTS mode names")
 	}
 }
 
@@ -324,10 +164,10 @@ func TestSlotCollisions(t *testing.T) {
 		h := newHarness(ch, quietPhy(), 12)
 		cfg := DefaultConfig()
 		cfg.CWMin = cwMin
-		s0 := h.station(0, cfg, FixedRate{Rate: rate6})
-		rx1 := h.station(1, cfg, nil)
-		s2 := h.station(2, cfg, FixedRate{Rate: rate6})
-		rx3 := h.station(3, cfg, nil)
+		s0 := h.station(0, cfg, rate6)
+		rx1 := h.station(1, cfg, capacity.Rate{})
+		s2 := h.station(2, cfg, rate6)
+		rx3 := h.station(3, cfg, capacity.Rate{})
 		got1 := countData(rx1, 0)
 		got3 := countData(rx3, 2)
 		s0.StartSaturated(phy.Broadcast, 1400)

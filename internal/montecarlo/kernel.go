@@ -32,8 +32,8 @@ import (
 // EvalFunc evaluates one sample of a vector-valued integrand: it fills
 // out (one slot per component) using draws from src. The slice is
 // zeroed before every call, so indicator components may be left unset.
-// It is the per-sample form MeanVec and BatchLoop take; registered
-// kernels are batch functions.
+// It is the per-sample form BatchLoop takes; registered kernels are
+// batch functions.
 type EvalFunc func(src *rng.Source, out []float64)
 
 // BatchEvalFunc evaluates count consecutive samples of a
@@ -313,8 +313,8 @@ func EvaluateShards(req Request, indices []int) ([][]Accumulator, error) {
 const batchChunk = 512
 
 // evalShard evaluates one shard of a dim-component integrand exactly
-// the way MeanVec does, so kernel-routed and closure-based estimations
-// produce bit-identical accumulators. Under the plain sampler the
+// the way the tests' closure-based MeanVec does, so the two produce
+// bit-identical accumulators. Under the plain sampler the
 // kernel is evaluated a chunk at a time into a preallocated flat
 // buffer, and rows are accumulated in sample order. Under any other
 // sampler the kernel runs one sample per call over the sampler's stream, with
@@ -415,8 +415,8 @@ func (e *ExecError) Unwrap() error { return e.Err }
 // (Submit; Local and plain outside any plan). Params must marshal to
 // the JSON the kernel's factory expects. ctx also carries cancellation
 // and the plan position of the task that issues the estimation.
-// Results are bit-identical to MeanVec over the same integrand's
-// per-sample form (for the plain sampler), at any executor.
+// Results are bit-identical to the tests' MeanVec over the same
+// integrand's per-sample form (for the plain sampler), at any executor.
 func KernelMeanVec(ctx context.Context, kernel string, params any, seed uint64, n, dim int) []Estimate {
 	raw, err := json.Marshal(params)
 	if err != nil {

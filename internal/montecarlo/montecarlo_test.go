@@ -8,6 +8,43 @@ import (
 	"carriersense/internal/rng"
 )
 
+// MeanVec is the closure-based reference the kernel-routed estimators
+// are checked against. It estimates the means of a vector-valued
+// integrand: f fills out with one sample per component. All components share the same
+// random configuration draw, which is exactly what comparing MAC
+// policies on identical configurations requires (common random
+// numbers — variance of *differences* shrinks dramatically).
+func MeanVec(seed uint64, n, dim int, f func(*rng.Source, []float64)) []Estimate {
+	shards := PlanShards(seed, n)
+	accs := make([][]Accumulator, len(shards))
+	RunShards(shards, func(s Shard) {
+		acc := make([]Accumulator, dim)
+		out := make([]float64, dim)
+		for i := 0; i < s.N; i++ {
+			// Zero the vector so integrands may leave components
+			// unset (e.g. indicator variables set only when true).
+			for j := range out {
+				out[j] = 0
+			}
+			f(s.Src, out)
+			for j, v := range out {
+				acc[j].Add(v)
+			}
+		}
+		accs[s.Index] = acc
+		addEvaluatedSamples(s.N)
+	})
+	result := make([]Estimate, dim)
+	for j := 0; j < dim; j++ {
+		var total Accumulator
+		for i := range accs {
+			total.Merge(accs[i][j])
+		}
+		result[j] = total.Estimate()
+	}
+	return result
+}
+
 // scalarMean is MeanVec over a one-component integrand.
 func scalarMean(seed uint64, n int, f func(*rng.Source) float64) Estimate {
 	return MeanVec(seed, n, 1, func(src *rng.Source, out []float64) { out[0] = f(src) })[0]

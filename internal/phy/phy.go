@@ -13,10 +13,8 @@
 //     of constant interference contributes independent per-byte
 //     survival at its own SINR, so a brief strong collision damages a
 //     frame roughly in proportion to the bytes it overlaps.
-//   - CCA is energy detection against a per-radio threshold, plus
+//   - CCA is energy detection against the medium's threshold, plus
 //     (optionally) preamble carrier sense while locked on a frame.
-//     Per-radio thresholds support the "threshold asymmetry" pathology
-//     of §5.
 //
 // Hot-path design: every dB-domain quantity that the per-frame loops
 // consult — noise floors, CCA thresholds, transmit powers, preamble
@@ -161,45 +159,12 @@ const dbLn = math.Ln10 / 10
 // between precomputed and on-the-fly paths holds by construction.
 func DBToLin(db float64) float64 { return math.Exp(dbLn * db) }
 
-// FrameKind distinguishes MAC frame types on the air.
-type FrameKind int
-
-// Frame kinds.
-const (
-	FrameData FrameKind = iota
-	FrameACK
-	FrameRTS
-	FrameCTS
-)
-
-// String returns the frame kind mnemonic.
-func (k FrameKind) String() string {
-	switch k {
-	case FrameData:
-		return "DATA"
-	case FrameACK:
-		return "ACK"
-	case FrameRTS:
-		return "RTS"
-	case FrameCTS:
-		return "CTS"
-	default:
-		return "?"
-	}
-}
-
-// Frame is one MAC frame on the air.
+// Frame is one MAC data frame on the air.
 type Frame struct {
-	Seq   uint64
 	Src   NodeID
 	Dst   NodeID // Broadcast or a specific node
-	Kind  FrameKind
 	Bytes int
 	Rate  capacity.Rate
-	// NAV is the network allocation vector carried by RTS/CTS frames:
-	// how long overhearers should treat the medium as reserved after
-	// this frame ends.
-	NAV sim.Time
 }
 
 // transmission is a frame in flight. Records are pooled on the Medium:
@@ -209,7 +174,6 @@ type Frame struct {
 type transmission struct {
 	frame      Frame
 	start, end sim.Time
-	txPowerDBm float64
 	txPowerMw  float64
 	// fadeLin caches the per-receiver linear fading factor for this
 	// frame, indexed by radio ordinal, so every power query during the
@@ -225,9 +189,6 @@ type RxResult struct {
 	SINR  float64 // time-averaged SINR over the locked reception, linear
 }
 
-// SINRdB returns the reception's time-averaged SINR in dB.
-func (r RxResult) SINRdB() float64 { return 10 * math.Log10(r.SINR) }
-
 // reception tracks a radio locked onto a frame. Each radio embeds one
 // reception record (a radio locks at most one frame at a time), so
 // locking allocates nothing.
@@ -242,11 +203,10 @@ type reception struct {
 
 // Radio is one node's PHY. Create via Medium.AddRadio.
 type Radio struct {
-	id         NodeID
-	ord        int // index in Medium.ordered; fadeLin cache slot
-	medium     *Medium
-	txPowerDBm float64
-	txPowerMw  float64
+	id        NodeID
+	ord       int // index in Medium.ordered; fadeLin cache slot
+	medium    *Medium
+	txPowerMw float64
 
 	// Linear-scale noise floor and CCA threshold, so the event loop
 	// never converts dB. SetNoiseOffsetDB recomputes noiseMw.
@@ -267,7 +227,7 @@ type Radio struct {
 	OnRx func(RxResult)
 	// OnTxDone, when non-nil, is called when this radio's own
 	// transmission leaves the air.
-	OnTxDone func(Frame)
+	OnTxDone func()
 }
 
 // ID returns the radio's node ID.
@@ -320,7 +280,6 @@ type Medium struct {
 	// associative) deterministic.
 	active []*transmission
 	txPool []*transmission
-	seq    uint64
 
 	// Linear-scale caches of medium-wide thresholds.
 	preambleSensMw float64
@@ -373,7 +332,6 @@ func (m *Medium) AddRadio(id NodeID, txPowerDBm float64) *Radio {
 		id:          id,
 		ord:         len(m.ordered),
 		medium:      m,
-		txPowerDBm:  txPowerDBm,
 		txPowerMw:   DBToLin(txPowerDBm),
 		noiseMw:     DBToLin(m.cfg.NoiseFloorDBm),
 		ccaThreshMw: DBToLin(m.cfg.CCAThresholdDBm),
@@ -385,9 +343,6 @@ func (m *Medium) AddRadio(id NodeID, txPowerDBm float64) *Radio {
 	m.ordered = append(m.ordered, r)
 	return r
 }
-
-// Radio returns the radio with the given ID, or nil.
-func (m *Medium) Radio(id NodeID) *Radio { return m.radios[id] }
 
 // gainLin returns the linear power gain of the from→to link.
 func (m *Medium) gainLin(from, to NodeID) float64 {
@@ -457,24 +412,6 @@ func (m *Medium) CCABusy(r *Radio) bool {
 // CCABusy reports the radio's current clear channel assessment.
 func (r *Radio) CCABusy() bool { return r.medium.CCABusy(r) }
 
-// MediumConfig returns the PHY configuration of the medium the radio
-// is attached to.
-func (r *Radio) MediumConfig() Config { return r.medium.cfg }
-
-// RSSIFromDBm returns the long-run received signal strength at this
-// radio for transmissions from the given node.
-func (r *Radio) RSSIFromDBm(from NodeID) float64 {
-	return r.medium.RSSIdBm(from, r.id)
-}
-
-// RSSIdBm returns the long-run received signal strength at radio to
-// from radio from: transmit power plus channel gain. This is the
-// "sender-sender RSSI" metric of Figures 11 and 13.
-func (m *Medium) RSSIdBm(from, to NodeID) float64 {
-	f := m.radios[from]
-	return f.txPowerDBm + m.ch.GainDB(from, to)
-}
-
 // acquireTx claims a pooled transmission record sized to the current
 // radio population.
 func (m *Medium) acquireTx() *transmission {
@@ -503,9 +440,8 @@ func (m *Medium) releaseTx(tx *transmission) {
 // Transmit commits radio r to sending a frame. Energy appears on the
 // air after the configured TxTurnaround — once committed, the radio
 // cannot abort, so two stations deciding within the turnaround window
-// collide without ever sensing each other. It returns the transmission
-// end time.
-func (r *Radio) Transmit(frame Frame) sim.Time {
+// collide without ever sensing each other.
+func (r *Radio) Transmit(frame Frame) {
 	m := r.medium
 	if r.transmitting != nil {
 		panic(fmt.Sprintf("phy: radio %d already transmitting", r.id))
@@ -516,15 +452,12 @@ func (r *Radio) Transmit(frame Frame) sim.Time {
 	r.catchUpCCA()
 	r.sensed = true
 	frame.Src = r.id
-	m.seq++
-	frame.Seq = m.seq
 	dur := m.cfg.FrameDuration(frame.Bytes, frame.Rate)
 	airStart := m.sim.Now() + m.cfg.TxTurnaround
 	tx := m.acquireTx()
 	tx.frame = frame
 	tx.start = airStart
 	tx.end = airStart + dur
-	tx.txPowerDBm = r.txPowerDBm
 	tx.txPowerMw = r.txPowerMw
 	// A radio that commits to transmitting abandons any reception in
 	// progress (half-duplex).
@@ -538,7 +471,6 @@ func (r *Radio) Transmit(frame Frame) sim.Time {
 		m.goLive(tx)
 	}
 	m.sim.At1(tx.end, m.endTxFn, tx)
-	return tx.end
 }
 
 // goLive puts a committed transmission on the air.
@@ -560,7 +492,7 @@ func (m *Medium) endTransmission(tx *transmission) {
 	sender.transmitting = nil
 	m.onAirChange(tx, false)
 	if sender.OnTxDone != nil {
-		sender.OnTxDone(tx.frame)
+		sender.OnTxDone()
 	}
 	// Resolve every radio locked on this transmission.
 	for _, r := range m.ordered {

@@ -10,6 +10,9 @@ import (
 	"carriersense/internal/sim"
 )
 
+// SINRdB returns the reception's time-averaged SINR in dB.
+func (r RxResult) SINRdB() float64 { return 10 * math.Log10(r.SINR) }
+
 // pairChannel is a two-way channel with settable gains.
 type pairChannel struct {
 	gains map[[2]NodeID]float64
@@ -76,7 +79,7 @@ func runLink(t *testing.T, gainDB float64, rate capacity.Rate, n int, cfg Config
 	}
 	var send func()
 	sent := 0
-	tx.OnTxDone = func(Frame) {
+	tx.OnTxDone = func() {
 		if sent < n {
 			s.After(10*sim.Microsecond, send)
 		}
@@ -294,21 +297,6 @@ func TestPreambleCarrierSense(t *testing.T) {
 	s2.RunAll()
 }
 
-func TestRSSIdBm(t *testing.T) {
-	s := sim.New()
-	ch := newPairChannel()
-	ch.set(0, 1, -77)
-	m := NewMedium(s, ch, quiet(), rng.New(3))
-	m.AddRadio(0, 15)
-	m.AddRadio(1, 15)
-	if got := m.RSSIdBm(0, 1); math.Abs(got-(-62)) > 1e-9 {
-		t.Errorf("RSSI = %v, want -62", got)
-	}
-	if got := m.Radio(1).RSSIFromDBm(0); math.Abs(got-(-62)) > 1e-9 {
-		t.Errorf("radio RSSI = %v", got)
-	}
-}
-
 func TestNoiseOffsetShiftsDelivery(t *testing.T) {
 	// Raising the receiver's noise floor by 12 dB turns a clean 12 dB
 	// link into a dead one at 6 Mb/s.
@@ -357,13 +345,6 @@ func TestDuplicateRadioPanics(t *testing.T) {
 		}
 	}()
 	m.AddRadio(0, 15)
-}
-
-func TestFrameKindString(t *testing.T) {
-	if FrameData.String() != "DATA" || FrameACK.String() != "ACK" ||
-		FrameRTS.String() != "RTS" || FrameCTS.String() != "CTS" || FrameKind(9).String() != "?" {
-		t.Error("frame kind names")
-	}
 }
 
 func TestHalfDuplexDropsReception(t *testing.T) {
@@ -440,7 +421,7 @@ func TestLinearChannelMatchesGeneric(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			s.After(sim.Time(i)*3*sim.Millisecond, func() {
 				if !tx.Transmitting() {
-					tx.Transmit(Frame{Dst: Broadcast, Kind: FrameData, Bytes: 1400, Rate: rate6})
+					tx.Transmit(Frame{Dst: Broadcast, Bytes: 1400, Rate: rate6})
 				}
 			})
 		}
@@ -477,11 +458,11 @@ func TestPerFrameAllocs(t *testing.T) {
 	rx := m.AddRadio(2, 15)
 	_ = rx
 	frames := 0
-	tx.OnTxDone = func(Frame) {
+	tx.OnTxDone = func() {
 		frames++
-		tx.Transmit(Frame{Dst: Broadcast, Kind: FrameData, Bytes: 1400, Rate: rate6})
+		tx.Transmit(Frame{Dst: Broadcast, Bytes: 1400, Rate: rate6})
 	}
-	tx.Transmit(Frame{Dst: Broadcast, Kind: FrameData, Bytes: 1400, Rate: rate6})
+	tx.Transmit(Frame{Dst: Broadcast, Bytes: 1400, Rate: rate6})
 	until := sim.Time(0)
 	run := func() {
 		until += 50 * sim.Millisecond
@@ -510,7 +491,7 @@ func TestAddRadioDuringTransmission(t *testing.T) {
 	m := NewMedium(s, newLinChannel(-70), cfg, src.Split())
 	tx := m.AddRadio(1, 15)
 	m.AddRadio(2, 15)
-	tx.Transmit(Frame{Dst: Broadcast, Kind: FrameData, Bytes: 1400, Rate: rate6})
+	tx.Transmit(Frame{Dst: Broadcast, Bytes: 1400, Rate: rate6})
 	s.Run(50 * sim.Microsecond) // frame is on the air
 	late := m.AddRadio(3, 15)
 	late.CCABusy() // queries rxPowerMw for the in-flight frame

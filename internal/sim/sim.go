@@ -36,7 +36,6 @@ type Time int64
 
 // Common durations.
 const (
-	Nanosecond  Time = 1
 	Microsecond Time = 1000
 	Millisecond Time = 1000 * Microsecond
 	Second      Time = 1000 * Millisecond

@@ -327,8 +327,8 @@ func runComboOnce(tb *Testbed, p ExperimentParams, phyCfg phy.Config, l1, l2 Lin
 	var count1, count2 uint64
 	attachReceiver(s, radios[l1.Dst], macCfg, src.Split(), l1.Src, &count1)
 	attachReceiver(s, radios[l2.Dst], macCfg, src.Split(), l2.Src, &count2)
-	st1 := mac.NewStation(s, radios[l1.Src], macCfg, src.Split(), mac.FixedRate{Rate: rate})
-	st2 := mac.NewStation(s, radios[l2.Src], macCfg, src.Split(), mac.FixedRate{Rate: rate})
+	st1 := mac.NewStation(s, radios[l1.Src], macCfg, src.Split(), rate)
+	st2 := mac.NewStation(s, radios[l2.Src], macCfg, src.Split(), rate)
 	st1.StartSaturated(phy.Broadcast, p.FrameBytes)
 	st2.StartSaturated(phy.Broadcast, p.FrameBytes)
 	s.Run(p.Duration)
@@ -351,7 +351,7 @@ func runSingle(tb *Testbed, p ExperimentParams, phyCfg phy.Config, l Link, rate 
 	macCfg := mac.DefaultConfig()
 	var count uint64
 	attachReceiver(s, rxr, macCfg, src.Split(), l.Src, &count)
-	st := mac.NewStation(s, txr, macCfg, src.Split(), mac.FixedRate{Rate: rate})
+	st := mac.NewStation(s, txr, macCfg, src.Split(), rate)
 	st.StartSaturated(phy.Broadcast, p.FrameBytes)
 	s.Run(p.Duration)
 	return count, st.Stats.DataSent
@@ -360,7 +360,7 @@ func runSingle(tb *Testbed, p ExperimentParams, phyCfg phy.Config, l Link, rate 
 // attachReceiver creates a passive station on a radio that counts
 // successfully decoded data frames from the expected source.
 func attachReceiver(s *sim.Simulator, r *phy.Radio, cfg mac.Config, src *rng.Source, expectSrc phy.NodeID, count *uint64) *mac.Station {
-	st := mac.NewStation(s, r, cfg, src, nil)
+	st := mac.NewStation(s, r, cfg, src, capacity.Rate{})
 	st.OnData = func(res phy.RxResult) {
 		if res.Frame.Src == expectSrc {
 			*count++
