@@ -60,10 +60,11 @@ func BenchmarkTable1Efficiency(b *testing.B) {
 }
 
 // BenchmarkTable2OptimizedThreshold reproduces the optimized-threshold
-// table (paper thresholds 40/55/60).
+// table (paper thresholds 40/55/60). Tables computes it together with
+// the fixed-threshold table, from the same draws.
 func BenchmarkTable2OptimizedThreshold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Table2(context.Background(), experiments.DefaultTable1(), benchScale())
+		_, t := experiments.Tables(context.Background(), experiments.DefaultTable1(), benchScale())
 		b.ReportMetric(t.Thresholds[0], "dopt_rmax20")
 		b.ReportMetric(t.Thresholds[2], "dopt_rmax120")
 		b.ReportMetric(t.Min(), "min_eff")

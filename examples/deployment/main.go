@@ -16,6 +16,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 
 	"carriersense/internal/core"
@@ -51,11 +52,15 @@ func main() {
 			lo = dOpt
 		}
 		hi = dOpt
+		snr := math.Round(model.EdgeSNRdB(sc.rmax))
+		if snr == 0 {
+			snr = 0 // a small negative SNR rounds to -0, which %.0f prints as "-0"
+		}
 		tbl.AddRow(sc.name,
 			fmt.Sprintf("%.0f", sc.rmax),
 			fmt.Sprintf("%.0f", dOpt),
 			core.Classify(sc.rmax, dOpt).String(),
-			fmt.Sprintf("%.0f dB", model.EdgeSNRdB(sc.rmax)))
+			fmt.Sprintf("%.0f dB", snr))
 	}
 	tbl.Render(os.Stdout)
 

@@ -11,7 +11,7 @@ func Example() {
 	// apartment   15    35               short-range   30 dB
 	// office      40    52               intermediate  17 dB
 	// warehouse   90    63               long-range    6 dB
-	// campus      150   47               long-range    -0 dB
+	// campus      150   47               long-range    0 dB
 	//
 	// Step 2: split-the-difference factory threshold: D ~= 41
 	//

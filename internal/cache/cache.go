@@ -3,9 +3,8 @@
 // JSON, seed, samples, dim) — and served as bit-exact stored
 // accumulator states on repeat. It wraps any inner executor (the
 // in-process pool or a dist.Remote worker fleet), so `cs all`
-// re-running the catalog, Table2's threshold search revisiting grid
-// points, and repeated CLI runs stop re-evaluating Monte Carlo work
-// they already have.
+// re-running the catalog and repeated CLI runs stop re-evaluating
+// Monte Carlo work they already have.
 //
 // Correctness: the merge currency is montecarlo.AccumulatorState —
 // IEEE-754 bit patterns — so a cache hit reproduces the inner

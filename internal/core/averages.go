@@ -49,6 +49,14 @@ const (
 	nAverages
 )
 
+// indices of the pair kernel's second-threshold components, after the
+// nAverages components it shares with core/averages.
+const (
+	idxCS2 = nAverages + iota
+	idxDeferred2
+	nAveragesPair
+)
+
 // EstimateAverages estimates all policy averages at one (R_max, D)
 // point with n Monte Carlo configurations. dThresh sets the carrier
 // sense threshold distance. The estimation runs through the executor
@@ -56,6 +64,26 @@ const (
 // -workers`); results are bit-identical either way.
 func (m *Model) EstimateAverages(ctx context.Context, seed uint64, n int, rmax, d, dThresh float64) Averages {
 	est := m.estimatePoint(ctx, KernelAverages, rmax, d, dThresh, seed, n)
+	return averagesFrom(est, rmax, d, dThresh)
+}
+
+// EstimateAveragesPair estimates the policy averages at one (R_max, D)
+// point under two carrier sense thresholds, dThresh and dThresh2, from
+// one set of n configurations. Only the deferral decision depends on
+// the threshold, so both results share every other component, and each
+// is bit-identical to the EstimateAverages call with its threshold and
+// the same seed.
+func (m *Model) EstimateAveragesPair(ctx context.Context, seed uint64, n int, rmax, d, dThresh, dThresh2 float64) (Averages, Averages) {
+	p := pointParams{Env: envSpecOf(m.params), Rmax: rmax, D: d, DThresh: dThresh, DThresh2: dThresh2}
+	est := montecarlo.KernelMeanVec(ctx, KernelAveragesPair, p, seed, n, nAveragesPair)
+	a := averagesFrom(est, rmax, d, dThresh)
+	b := a
+	b.DThresh, b.CS, b.DeferredFraction = dThresh2, est[idxCS2], est[idxDeferred2]
+	return a, b
+}
+
+// averagesFrom reads the first nAverages components of an estimate.
+func averagesFrom(est []montecarlo.Estimate, rmax, d, dThresh float64) Averages {
 	return Averages{
 		Rmax: rmax, D: d, DThresh: dThresh,
 		Single:           est[idxSingle],

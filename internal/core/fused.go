@@ -16,10 +16,10 @@ package core
 //     rewritten into the shadowing domain — are hoisted into
 //     pointEval, outside the sample loop, and capacity goes through
 //     Model.thr, which calls the default Shannon formula directly;
-//   - every integrand (averages, single, bad-snr, policy-diff) is a
-//     thin projection over the same draw, and names the primitives it
-//     reads (receiver 1, receiver 2, sensing) so the draw computes
-//     only those.
+//   - every integrand (averages, averages-pair, single, bad-snr,
+//     policy-diff) is a thin projection over the same draw, and names
+//     the primitives it reads (receiver 1, receiver 2, sensing) so the
+//     draw computes only those.
 //
 // Determinism contract: draw consumes every random variate, in
 // exactly the order the tests' SampleConfig does (two disc points,
@@ -61,6 +61,8 @@ type pointEval struct {
 	// domain: sensed = pathGain(D)·L″ > P_thresh  ⇔  L″ > senseThresh.
 	// For σ = 0 the comparison becomes a per-point constant.
 	senseThresh float64
+	// senseThresh2 is the same for the pair kernel's second threshold.
+	senseThresh2 float64
 }
 
 func (m *Model) newPointEval(rmax, d, dThresh float64) *pointEval {
@@ -73,6 +75,12 @@ func (m *Model) newPointEval(rmax, d, dThresh float64) *pointEval {
 		gainD: m.pathGain(d),
 	}
 	pe.senseThresh = m.ThresholdPower(dThresh) / pe.gainD
+	return pe
+}
+
+// withThreshold2 sets the pair kernel's second threshold distance.
+func (pe *pointEval) withThreshold2(dThresh2 float64) *pointEval {
+	pe.senseThresh2 = pe.m.ThresholdPower(dThresh2) / pe.gainD
 	return pe
 }
 
@@ -182,6 +190,21 @@ func (pe *pointEval) averagesSample(e Evaluated, out []float64) {
 	}
 }
 
+// averagesPairSample is averagesSample plus the CS and deferred
+// components under the second threshold: one draw and one set of
+// capacities serve both thresholds, and only the deferral compare
+// repeats.
+func (pe *pointEval) averagesPairSample(e Evaluated, out []float64) {
+	pe.averagesSample(e, out)
+	if e.LSense > pe.senseThresh2 {
+		out[idxCS2] = out[idxMux]
+		out[idxDeferred2] = 1
+	} else {
+		out[idxCS2] = out[idxConc]
+		out[idxDeferred2] = 0
+	}
+}
+
 // singleSample is the fused no-competition integrand.
 func (pe *pointEval) singleSample(e Evaluated, out []float64) {
 	out[0] = pe.m.thr(e.Sig1 / pe.noise)
@@ -218,6 +241,12 @@ func (pe *pointEval) policyDiffSample(e Evaluated, out []float64) {
 func (pe *pointEval) averagesBatch(src *rng.Source, count int, out []float64) {
 	for i := 0; i < count; i++ {
 		pe.averagesSample(pe.draw(src, readAll), out[i*nAverages:(i+1)*nAverages:(i+1)*nAverages])
+	}
+}
+
+func (pe *pointEval) averagesPairBatch(src *rng.Source, count int, out []float64) {
+	for i := 0; i < count; i++ {
+		pe.averagesPairSample(pe.draw(src, readAll), out[i*nAveragesPair:(i+1)*nAveragesPair:(i+1)*nAveragesPair])
 	}
 }
 

@@ -16,10 +16,11 @@ import (
 // pointProjections maps each two-pair kernel to its per-sample
 // integrand, the projection its batch applies to each draw.
 var pointProjections = map[string]func(*pointEval, Evaluated, []float64){
-	KernelAverages:   (*pointEval).averagesSample,
-	KernelSingle:     (*pointEval).singleSample,
-	KernelBadSNR:     (*pointEval).badSNRSample,
-	KernelPolicyDiff: (*pointEval).policyDiffSample,
+	KernelAverages:     (*pointEval).averagesSample,
+	KernelAveragesPair: (*pointEval).averagesPairSample,
+	KernelSingle:       (*pointEval).singleSample,
+	KernelBadSNR:       (*pointEval).badSNRSample,
+	KernelPolicyDiff:   (*pointEval).policyDiffSample,
 }
 
 // fullDraw is the reference draw: the full SampleConfig layout with
@@ -82,7 +83,7 @@ func TestPointKernelsMatchFullDraw(t *testing.T) {
 			p.SigmaDB = sigma
 			m := New(p)
 			for _, rmax := range []float64{20, 40, 120} {
-				pe := m.newPointEval(rmax, 55, 55)
+				pe := m.newPointEval(rmax, 55, 55).withThreshold2(40)
 				for _, kind := range []string{"plain", "hooked"} {
 					seed++
 					src, ref := sourcePair(kind, seed)

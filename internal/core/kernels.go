@@ -21,11 +21,12 @@ import (
 
 // Kernel names registered by this package.
 const (
-	KernelAverages   = "core/averages"    // per-policy throughput vector (EstimateAverages)
-	KernelSingle     = "core/single"      // no-competition throughput (NormalizationConstant)
-	KernelBadSNR     = "core/bad-snr"     // §3.4 spurious-concurrency ∧ bad-SNR indicator
-	KernelPolicyDiff = "core/policy-diff" // C_conc vs C_mux pair (OptimalThresholdMC)
-	KernelMulti      = "core/multi"       // n-pair policy vector (EstimateMulti)
+	KernelAverages     = "core/averages"      // per-policy throughput vector (EstimateAverages)
+	KernelAveragesPair = "core/averages-pair" // the same under a second threshold (EstimateAveragesPair)
+	KernelSingle       = "core/single"        // no-competition throughput (NormalizationConstant)
+	KernelBadSNR       = "core/bad-snr"       // §3.4 spurious-concurrency ∧ bad-SNR indicator
+	KernelPolicyDiff   = "core/policy-diff"   // C_conc vs C_mux pair (OptimalThresholdMC)
+	KernelMulti        = "core/multi"         // n-pair policy vector (EstimateMulti)
 )
 
 // EnvSpec is the serializable form of Params.
@@ -58,12 +59,14 @@ func (s EnvSpec) build() (*Model, error) {
 
 // pointParams parameterize the two-pair kernels: one environment and
 // one (R_max, D, D_thresh) evaluation point. Kernels that ignore
-// D_thresh leave it zero.
+// D_thresh leave it zero; only core/averages-pair reads DThresh2, so
+// every other kernel's params, and its cache key, are unchanged by it.
 type pointParams struct {
-	Env     EnvSpec `json:"env"`
-	Rmax    float64 `json:"rmax"`
-	D       float64 `json:"d"`
-	DThresh float64 `json:"dthresh,omitempty"`
+	Env      EnvSpec `json:"env"`
+	Rmax     float64 `json:"rmax"`
+	D        float64 `json:"d"`
+	DThresh  float64 `json:"dthresh,omitempty"`
+	DThresh2 float64 `json:"dthresh2,omitempty"`
 }
 
 // multiParamsWire parameterize the n-pair kernel.
@@ -86,10 +89,11 @@ type pointKernel struct {
 // pointKernels are the two-pair kernels by name. init registers each
 // one, and estimatePoint reads its component count here.
 var pointKernels = map[string]pointKernel{
-	KernelAverages:   {nAverages, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.averagesBatch }},
-	KernelSingle:     {1, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.singleBatch }},
-	KernelBadSNR:     {1, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.badSNRBatch }},
-	KernelPolicyDiff: {2, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.policyDiffBatch }},
+	KernelAverages:     {nAverages, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.averagesBatch }},
+	KernelAveragesPair: {nAveragesPair, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.averagesPairBatch }},
+	KernelSingle:       {1, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.singleBatch }},
+	KernelBadSNR:       {1, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.badSNRBatch }},
+	KernelPolicyDiff:   {2, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.policyDiffBatch }},
 }
 
 // pointKernelFactory rebuilds a two-pair kernel from its pointParams.
@@ -103,7 +107,7 @@ func pointKernelFactory(batch func(pe *pointEval) montecarlo.BatchEvalFunc) mont
 		if err != nil {
 			return nil, err
 		}
-		return batch(m.newPointEval(p.Rmax, p.D, p.DThresh)), nil
+		return batch(m.newPointEval(p.Rmax, p.D, p.DThresh).withThreshold2(p.DThresh2)), nil
 	}
 }
 

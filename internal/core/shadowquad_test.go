@@ -187,7 +187,7 @@ func TestShadowedOracleLimits(t *testing.T) {
 // shadowing transform moves a mean by many standard errors; the golden
 // artifacts would only record it.
 func TestShadowedKernelsMatchOracle(t *testing.T) {
-	const d, dThresh, n = 55.0, 40.0, 1 << 17
+	const d, dThresh, dThresh2, n = 55.0, 40.0, 60.0, 1 << 17
 	m := New(DefaultParams())
 	sh := newShadowRule(m.params.SigmaDB, oracleGH)
 	for _, c := range []struct {
@@ -199,6 +199,7 @@ func TestShadowedKernelsMatchOracle(t *testing.T) {
 			t.Errorf("R_max=%v: oracle ⟨C_conc⟩ %.7f, earlier %.6f", c.rmax, conc, c.conc)
 		}
 		pDefer := deferProb(m.newPointEval(c.rmax, d, dThresh))
+		pDefer2 := deferProb(m.newPointEval(c.rmax, d, dThresh2))
 		mux := single / 2
 		// Each kernel's components the oracle covers, as (index, value).
 		type comp struct {
@@ -213,15 +214,21 @@ func TestShadowedKernelsMatchOracle(t *testing.T) {
 				{idxCS, pDefer*mux + (1-pDefer)*conc},
 				{idxDeferred, pDefer},
 			},
+			KernelAveragesPair: {
+				{idxCS, pDefer*mux + (1-pDefer)*conc},
+				{idxDeferred, pDefer},
+				{idxCS2, pDefer2*mux + (1-pDefer2)*conc},
+				{idxDeferred2, pDefer2},
+			},
 			KernelSingle:     {{0, single}},
 			KernelPolicyDiff: {{0, conc}, {1, mux}},
 		}
-		raw, err := json.Marshal(pointParams{Env: envSpecOf(m.params), Rmax: c.rmax, D: d, DThresh: dThresh})
+		raw, err := json.Marshal(pointParams{Env: envSpecOf(m.params), Rmax: c.rmax, D: d, DThresh: dThresh, DThresh2: dThresh2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		seed := uint64(c.rmax)
-		for _, kernel := range []string{KernelAverages, KernelSingle, KernelPolicyDiff} {
+		for _, kernel := range []string{KernelAverages, KernelSingle, KernelPolicyDiff, KernelAveragesPair} {
 			for _, sampler := range []string{"", sampling.Sobol} {
 				seed++
 				req := montecarlo.Request{Kernel: kernel, Params: raw, Seed: seed, Samples: n, Dim: pointKernels[kernel].dim, Sampler: sampler}

@@ -81,13 +81,24 @@ func (m *Model) OptimalThresholdMC(ctx context.Context, seed uint64, n int, rmax
 		return est[0].Mean - est[1].Mean
 	}
 	lo, hi := 1e-3, math.Max(4*rmax, 50.0)
-	for diff(hi) < 0 {
+	fhi := diff(hi)
+	for fhi < 0 {
 		hi *= 2
 		if hi > 1e5 {
 			return hi
 		}
+		fhi = diff(hi)
 	}
-	d, err := numeric.Bisect(diff, lo, hi, math.Max(1e-3*hi, 0.05))
+	// Bisect evaluates both ends of the bracket; hi's value is known,
+	// and re-estimating it would spend the same samples on the same
+	// result.
+	f := func(d float64) float64 {
+		if d == hi {
+			return fhi
+		}
+		return diff(d)
+	}
+	d, err := numeric.Bisect(f, lo, hi, math.Max(1e-3*hi, 0.05))
 	if err != nil {
 		return hi
 	}

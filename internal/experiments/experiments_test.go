@@ -33,7 +33,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestTable2ThresholdsMatchPaper(t *testing.T) {
-	got := Table2(context.Background(), DefaultTable1(), ScaleBench)
+	t1, got := Tables(context.Background(), DefaultTable1(), ScaleBench)
 	wantThresh := []float64{40, 55, 60}
 	for i, th := range got.Thresholds {
 		if math.Abs(th-wantThresh[i])/wantThresh[i] > 0.15 {
@@ -46,6 +46,10 @@ func TestTable2ThresholdsMatchPaper(t *testing.T) {
 	fixed := Table1(context.Background(), DefaultTable1(), ScaleBench)
 	for i := range got.Cells {
 		for j := range got.Cells[i] {
+			// The pair kernel's fixed-threshold half is Table1's cell.
+			if math.Float64bits(t1.Cells[i][j]) != math.Float64bits(fixed.Cells[i][j]) {
+				t.Errorf("cell (%d,%d): Tables' t1 %v, Table1 %v", i, j, t1.Cells[i][j], fixed.Cells[i][j])
+			}
 			if math.Abs(got.Cells[i][j]-fixed.Cells[i][j]) > 0.07 {
 				t.Errorf("cell (%d,%d): optimized %v vs fixed %v differ too much",
 					i, j, got.Cells[i][j], fixed.Cells[i][j])

@@ -18,10 +18,9 @@ func Report(ctx context.Context, w io.Writer, scale Scale) {
 	fmt.Fprintln(w)
 
 	fmt.Fprintln(w, "--- T1/T2: carrier sense efficiency tables (section 3.2.5) ---")
-	t1 := Table1(ctx, DefaultTable1(), scale)
+	t1, t2 := Tables(ctx, DefaultTable1(), scale)
 	t1.Render(w, "T1: CS %% of optimal, fixed Dthresh=55 (paper: 96 88 96 / 96 87 96 / 89 83 92)")
 	fmt.Fprintln(w)
-	t2 := Table2(ctx, DefaultTable1(), scale)
 	t2.Render(w, "T2: CS %% of optimal, per-Rmax optimized thresholds (paper: Dthresh 40/55/60; 93 91 99 / 96 87 96 / 89 83 92)")
 	fmt.Fprintln(w)
 

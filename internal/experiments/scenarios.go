@@ -116,12 +116,10 @@ func init() {
 		NewParams:   func() any { p := DefaultTable1(); return &p },
 		Run: func(rc *engine.RunContext) error {
 			p := *rc.Params.(*Table1Params)
-			sc := scale(rc)
-			t1 := Table1(rc.Context, p, sc)
+			t1, t2 := Tables(rc.Context, p, scale(rc))
 			rc.Table("t1", efficiencyTable(t1,
 				"T1: CS % of optimal, fixed Dthresh (paper: 96 88 96 / 96 87 96 / 89 83 92)"))
 			rc.Printf("\n")
-			t2 := Table2(rc.Context, p, sc)
 			rc.Table("t2", efficiencyTable(t2,
 				"T2: CS % of optimal, per-Rmax optimized thresholds (paper: Dthresh 40/55/60)"))
 			rc.Printf("\nminimum cell: %.0f%% (paper claim: typically <15%% below optimal)\n", 100*t1.Min())

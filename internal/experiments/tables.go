@@ -89,11 +89,38 @@ type EfficiencyTable struct {
 	Thresholds []float64   // per-R_max threshold distance used
 }
 
-// Table1 computes the first §3.2.5 table: CS efficiency with the fixed
-// factory threshold D_thresh = 55 across the R_max × D grid. Paper
-// values: rows (20, 40, 120) × columns (20, 55, 120) =
-// (96 88 96 / 96 87 96 / 89 83 92) percent. The cells are independent
-// estimation points and run as one montecarlo.Fork.
+// Tables computes both §3.2.5 tables over the R_max × D grid. t1 uses
+// the fixed factory threshold p.DThresh; paper values: rows (20, 40,
+// 120) × columns (20, 55, 120) = (96 88 96 / 96 87 96 / 89 83 92)
+// percent. t2 uses the threshold optimized per R_max by the §3.3.3
+// criterion (the ⟨C_conc⟩ = ⟨C_mux⟩ crossing); paper thresholds 40, 55,
+// 60 and values (93 91 99 / 96 87 96 / 89 83 92) percent.
+//
+// Each row is one task of a montecarlo.Fork: its threshold search,
+// then its cells as a nested Fork, so that the slowest row's cells run
+// side by side. A cell is one pair estimate under both thresholds: the
+// two tables share every draw, and t1 is bit-identical to Table1.
+func Tables(ctx context.Context, p Table1Params, scale Scale) (t1, t2 EfficiencyTable) {
+	m := core.New(core.Params{Alpha: p.Alpha, SigmaDB: p.SigmaDB, NoiseDB: core.DefaultNoiseDB})
+	n := scale.mcSamples()
+	t1, t2 = newEfficiencyTable(p), newEfficiencyTable(p)
+	montecarlo.Fork(ctx, len(p.RmaxGrid), func(ctx context.Context, i int) {
+		rmax := p.RmaxGrid[i]
+		dOpt := m.OptimalThreshold(ctx, p.Seed+uint64(1000+i), n/4, rmax)
+		montecarlo.Fork(ctx, len(p.DGrid), func(ctx context.Context, j int) {
+			fixed, opt := m.EstimateAveragesPair(ctx, p.Seed+uint64(i*31+j), n, rmax, p.DGrid[j], p.DThresh, dOpt)
+			t1.Cells[i][j] = fixed.Efficiency()
+			t2.Cells[i][j] = opt.Efficiency()
+		})
+		t1.Thresholds[i] = p.DThresh
+		t2.Thresholds[i] = dOpt
+	})
+	return t1, t2
+}
+
+// Table1 computes the fixed-threshold table of Tables alone, for the
+// robustness sweep. Its cells are independent estimation points and
+// run as one montecarlo.Fork.
 func Table1(ctx context.Context, p Table1Params, scale Scale) EfficiencyTable {
 	m := core.New(core.Params{Alpha: p.Alpha, SigmaDB: p.SigmaDB, NoiseDB: core.DefaultNoiseDB})
 	n := scale.mcSamples()
@@ -107,28 +134,6 @@ func Table1(ctx context.Context, p Table1Params, scale Scale) EfficiencyTable {
 	for i := range t.Thresholds {
 		t.Thresholds[i] = p.DThresh
 	}
-	return t
-}
-
-// Table2 computes the second §3.2.5 table: the same grid but with the
-// threshold optimized per R_max by the §3.3.3 criterion (the
-// ⟨C_conc⟩ = ⟨C_mux⟩ crossing). Paper thresholds: 40, 55, 60; values
-// (93 91 99 / 96 87 96 / 89 83 92) percent. Each row is one task of a
-// montecarlo.Fork: its threshold search, then its cells as a nested
-// Fork, so that the slowest row's cells run side by side.
-func Table2(ctx context.Context, p Table1Params, scale Scale) EfficiencyTable {
-	m := core.New(core.Params{Alpha: p.Alpha, SigmaDB: p.SigmaDB, NoiseDB: core.DefaultNoiseDB})
-	n := scale.mcSamples()
-	t := newEfficiencyTable(p)
-	montecarlo.Fork(ctx, len(p.RmaxGrid), func(ctx context.Context, i int) {
-		rmax := p.RmaxGrid[i]
-		dOpt := m.OptimalThreshold(ctx, p.Seed+uint64(1000+i), n/4, rmax)
-		montecarlo.Fork(ctx, len(p.DGrid), func(ctx context.Context, j int) {
-			a := m.EstimateAverages(ctx, p.Seed+uint64(i*31+j), n, rmax, p.DGrid[j], dOpt)
-			t.Cells[i][j] = a.Efficiency()
-		})
-		t.Thresholds[i] = dOpt
-	})
 	return t
 }
 

@@ -312,10 +312,16 @@ func EvaluateShards(req Request, indices []int) ([][]Accumulator, error) {
 // sample buffer (batchChunk × dim float64s) stays L1/L2-resident.
 const batchChunk = 512
 
+// chunkBufs recycles evalShard's sample buffers, so a request
+// allocates one per concurrently evaluated shard rather than one per
+// shard. The buffer is zeroed before every chunk, so what a previous
+// shard left in it never reaches a kernel.
+var chunkBufs = sync.Pool{New: func() any { return new([]float64) }}
+
 // evalShard evaluates one shard of a dim-component integrand exactly
 // the way the tests' closure-based MeanVec does, so the two produce
 // bit-identical accumulators. Under the plain sampler the
-// kernel is evaluated a chunk at a time into a preallocated flat
+// kernel is evaluated a chunk at a time into a pooled flat
 // buffer, and rows are accumulated in sample order. Under any other
 // sampler the kernel runs one sample per call over the sampler's stream, with
 // each group of Group() consecutive samples folded into one
@@ -332,7 +338,12 @@ func evalShard(ev BatchEvalFunc, s Shard, dim int, sp Sampler) []Accumulator {
 	if s.N < chunk {
 		chunk = s.N
 	}
-	buf := make([]float64, chunk*dim)
+	bp := chunkBufs.Get().(*[]float64)
+	defer chunkBufs.Put(bp)
+	if cap(*bp) < chunk*dim {
+		*bp = make([]float64, chunk*dim)
+	}
+	buf := (*bp)[:chunk*dim]
 	for done := 0; done < s.N; {
 		n := chunk
 		if rest := s.N - done; n > rest {

@@ -296,3 +296,39 @@ type executorFunc func(ctx context.Context, req Request) ([]Accumulator, error)
 func (f executorFunc) EstimateVec(ctx context.Context, req Request) ([]Accumulator, error) {
 	return f(ctx, req)
 }
+
+// raceEnabled is set in race builds (race_test.go).
+var raceEnabled bool
+
+// TestRunRequestAllocs guards the plain path's allocations per shard:
+// each shard allocates its accumulator slice, and its sample buffer
+// comes from a pool, so a request's allocation count grows by about
+// one object per shard (two when every shard allocated its buffer).
+func TestRunRequestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	const maxPerShard = 1.25
+	raw, err := json.Marshal(testKernelParams{Offset: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SetMaxWorkers(2); err != nil {
+		t.Fatal(err)
+	}
+	defer ResetMaxWorkers()
+	allocs := func(shards int) float64 {
+		req := Request{Kernel: "test/vec", Params: raw, Seed: 3, Samples: shards * ShardSize, Dim: 2}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := RunRequest(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	lo, hi := allocs(16), allocs(64)
+	perShard := (hi - lo) / 48
+	t.Logf("16 shards: %.0f allocs, 64 shards: %.0f allocs, %.2f per shard", lo, hi, perShard)
+	if perShard > maxPerShard {
+		t.Errorf("RunRequest allocates %.2f objects per shard, want <= %v", perShard, maxPerShard)
+	}
+}
