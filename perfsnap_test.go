@@ -114,11 +114,30 @@ func renderSnapshotTable(s perfSnapshot, rows []snapRow) (string, error) {
 	return b.String(), nil
 }
 
-// TestREADMEInverseNormalTable checks that README's inverse-normal
-// table is the one BENCH_20261019.json renders to. When the snapshot
-// or the rows change, paste the block the failure prints into README.
-func TestREADMEInverseNormalTable(t *testing.T) {
-	data, err := os.ReadFile("BENCH_20261019.json")
+// sharedDrawsRows are the rows of README's table for the tables
+// workloads' shared draws: every workload end to end, then the layer
+// that moved on tables-fixed, kernel evaluation, as work counts and
+// ns/sample.
+var sharedDrawsRows = []snapRow{
+	{"tables-fixed", "run_p50_ref", false},
+	{"tables-fixed", "samples_per_ref", false},
+	{"tables-fixed", "alloc_mb_per_run", false},
+	{"tables-fixed", "peak_rss_mb", false},
+	{"tables-relerr", "run_p50_ref", false},
+	{"fleet-cache", "run_p50_ref", false},
+	{"testbed", "run_p50_ref", false},
+	{"tables-fixed", "engine.estimates_per_run", true},
+	{"tables-fixed", "montecarlo.shards_per_run", true},
+	{"tables-fixed", "core.ns_per_sample", true},
+	{"tables-relerr", "sampling.samples_to_target", true},
+}
+
+// checkREADMETable fails unless README.md contains the table the
+// snapshot file renders rows to. When the snapshot or the rows change,
+// paste the block the failure prints into README.
+func checkREADMETable(t *testing.T, file string, rows []snapRow) {
+	t.Helper()
+	data, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +145,7 @@ func TestREADMEInverseNormalTable(t *testing.T) {
 	if err := json.Unmarshal(data, &s); err != nil {
 		t.Fatal(err)
 	}
-	table, err := renderSnapshotTable(s, inverseNormalRows)
+	table, err := renderSnapshotTable(s, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,6 +154,18 @@ func TestREADMEInverseNormalTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(string(readme), table) {
-		t.Errorf("README.md does not contain the table BENCH_20261019.json renders to:\n%s", table)
+		t.Errorf("README.md does not contain the table %s renders to:\n%s", file, table)
 	}
+}
+
+// TestREADMEInverseNormalTable checks README's AS241 table against
+// BENCH_20261019.json.
+func TestREADMEInverseNormalTable(t *testing.T) {
+	checkREADMETable(t, "BENCH_20261019.json", inverseNormalRows)
+}
+
+// TestREADMESharedDrawsTable checks README's table for the tables
+// workloads' shared draws against BENCH_20261019b.json.
+func TestREADMESharedDrawsTable(t *testing.T) {
+	checkREADMETable(t, "BENCH_20261019b.json", sharedDrawsRows)
 }
