@@ -56,6 +56,8 @@ var goldenLegs = []goldenLeg{
 	{name: "all", widths: []int{1, 0}},
 	{name: "all-fleet", same: "all", fleet: true, widths: []int{0}},
 	{name: "report", scenarios: []string{"report"}, widths: []int{1, 0}},
+	{name: "curves-sigma8", scenarios: []string{"curves"},
+		opts: engine.Options{Sets: []string{"sigmadb=8"}}, widths: []int{1, 0}},
 	{name: "tables-auto", scenarios: []string{"tables"},
 		opts: engine.Options{Sampler: "auto", RelErr: 0.01}, widths: []int{0}},
 	{name: "tables-auto-cache", same: "tables-auto", scenarios: []string{"tables"},
