@@ -1,6 +1,7 @@
 // Command cs is the unified CLI over the scenario engine. It replaces
 // the former cscurves, csthreshold, cslandscape, cstables, csmulti,
-// cstestbed, csfit, and csreport binaries with one scenario catalog.
+// cstestbed, csfit, and csreport binaries with one scenario catalog;
+// `cs all` is the former consolidated report.
 //
 // Usage:
 //
@@ -181,8 +182,8 @@ run-only flags:
   -grid k=v1,v2  sweep a parameter axis (repeatable; axes cross-multiply;
                  values within an axis and keys across axes are distinct)
 
-"cs all" runs every scenario except report (which is itself the whole
-catalog in one document).`)
+"cs all" runs every scenario in catalog order: the whole reproduction in
+one run.`)
 }
 
 // multiFlag collects repeatable -set / -grid values.
@@ -636,11 +637,6 @@ func cmdAll(args []string) error {
 	}
 	return runAndReport(cfg, func() error {
 		for _, sc := range engine.Scenarios() {
-			// The report scenario re-runs the whole catalog; running it
-			// inside `cs all` would execute everything twice.
-			if sc.Name == "report" {
-				continue
-			}
 			if cfg.opts.Stdout != nil {
 				fmt.Fprintf(cfg.opts.Stdout, "=== %s ===\n", sc.Name)
 			}

@@ -114,7 +114,6 @@ func TestEveryFormerBinaryHasAScenario(t *testing.T) {
 		"testbed":      "cstestbed",
 		"exposed":      "cstestbed -exposed",
 		"fit":          "csfit",
-		"report":       "csreport",
 	}
 	for name, former := range want {
 		if _, ok := engine.Lookup(name); !ok {

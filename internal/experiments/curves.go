@@ -58,7 +58,7 @@ func Curves(ctx context.Context, p CurvesParams, scale Scale) CurvesResult {
 }
 
 // Chart renders the curves as a plot.Chart.
-func (r CurvesResult) Chart(withCS bool) plot.Chart {
+func (r CurvesResult) Chart() plot.Chart {
 	n := len(r.Points)
 	xs := make([]float64, n)
 	mux := make([]float64, n)
@@ -72,7 +72,7 @@ func (r CurvesResult) Chart(withCS bool) plot.Chart {
 		cs[i] = pt.CS
 		max[i] = pt.Max
 	}
-	c := plot.Chart{
+	return plot.Chart{
 		Title: fmt.Sprintf("<C> vs D, Rmax=%.0f, alpha=%.1f, sigma=%.0fdB (normalized to Rmax=20, D=inf)",
 			r.Params.Rmax, r.Params.Alpha, r.Params.SigmaDB),
 		XLabel: "inter-sender distance D",
@@ -81,13 +81,10 @@ func (r CurvesResult) Chart(withCS bool) plot.Chart {
 			{Name: "multiplexing", X: xs, Y: mux, Marker: 'm'},
 			{Name: "concurrency", X: xs, Y: conc, Marker: 'c'},
 			{Name: "optimal", X: xs, Y: max, Marker: 'o'},
+			{Name: "carrier sense", X: xs, Y: cs, Marker: 's'},
 		},
+		VLines: []float64{r.Params.DThresh},
 	}
-	if withCS {
-		c.Series = append(c.Series, plot.Series{Name: "carrier sense", X: xs, Y: cs, Marker: 's'})
-		c.VLines = []float64{r.Params.DThresh}
-	}
-	return c
 }
 
 // CrossoverD returns the D at which the concurrency curve first

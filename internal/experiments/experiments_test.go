@@ -304,20 +304,6 @@ func TestFigure14FitRecovery(t *testing.T) {
 	}
 }
 
-func TestReportSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("report is slow")
-	}
-	var b strings.Builder
-	Report(context.Background(), &b, ScaleSmoke)
-	out := b.String()
-	for _, want := range []string{"T1:", "F7:", "F14:", "S34:", "S5a:", "short-range", "long-range"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q", want)
-		}
-	}
-}
-
 func TestScaleSamples(t *testing.T) {
 	if !(ScaleSmoke.mcSamples() < ScaleBench.mcSamples() &&
 		ScaleBench.mcSamples() < ScaleFull.mcSamples()) {
@@ -349,18 +335,6 @@ func TestExtension11g(t *testing.T) {
 	res.Render(&b)
 	if !strings.Contains(b.String(), "11g rates") {
 		t.Error("render missing")
-	}
-}
-
-func TestRenderMultiPair(t *testing.T) {
-	var b strings.Builder
-	RenderMultiPair(context.Background(), &b, ScaleSmoke)
-	out := b.String()
-	if !strings.Contains(out, "adaptive bitrate") || !strings.Contains(out, "fixed low bitrate") {
-		t.Errorf("multi-pair render missing sections:\n%s", out)
-	}
-	if !strings.Contains(out, "n=2") || !strings.Contains(out, "n=3") {
-		t.Error("multi-pair render missing rows")
 	}
 }
 

@@ -46,16 +46,15 @@ type goldenLeg struct {
 }
 
 // goldenLegs mirror `cs all -scale smoke -seed 1` (locally and on a
-// two-worker fleet), `cs run report -scale smoke -seed 1`, `cs run
-// tables -scale smoke -sampler auto -relerr 0.01` (uncached, and cold
-// then warm under -cache, followed by curves with the same flags) and
-// `cs run testbed|exposed -scale smoke -sampler auto -relerr 0.01`.
-// report is the one run of Figure 9's σ = 8 dB curves, the only
-// scenario that requests core/single.
+// two-worker fleet), `cs run curves -scale smoke -seed 1 -set
+// sigmadb=8`, `cs run tables -scale smoke -sampler auto -relerr 0.01`
+// (uncached, and cold then warm under -cache, followed by curves with
+// the same flags) and `cs run testbed|exposed -scale smoke -sampler
+// auto -relerr 0.01`. curves-sigma8 is the one run of Figure 9's
+// σ = 8 dB curves, the only one that requests core/single.
 var goldenLegs = []goldenLeg{
 	{name: "all", widths: []int{1, 0}},
 	{name: "all-fleet", same: "all", fleet: true, widths: []int{0}},
-	{name: "report", scenarios: []string{"report"}, widths: []int{1, 0}},
 	{name: "curves-sigma8", scenarios: []string{"curves"},
 		opts: engine.Options{Sets: []string{"sigmadb=8"}}, widths: []int{1, 0}},
 	{name: "tables-auto", scenarios: []string{"tables"},
@@ -65,6 +64,22 @@ var goldenLegs = []goldenLeg{
 		cached: true, after: []string{"curves"}},
 	{name: "testbed-relerr", scenarios: []string{"testbed", "exposed"},
 		opts: engine.Options{Sampler: "auto", RelErr: 0.01}, widths: []int{1, 0}},
+}
+
+// scenarioSet returns the scenarios the leg runs and the name of the
+// golden set under testdata/golden that they are compared with.
+func (leg goldenLeg) scenarioSet() (scenarios []string, set string) {
+	scenarios = leg.scenarios
+	if scenarios == nil {
+		for _, sc := range engine.Scenarios() {
+			scenarios = append(scenarios, sc.Name)
+		}
+	}
+	set = leg.name
+	if leg.same != "" {
+		set = leg.same
+	}
+	return scenarios, set
 }
 
 // isGoldenArtifact reports whether a run-directory file is part of the
@@ -90,26 +105,14 @@ func isGoldenArtifact(name string) bool {
 // scenario's requests must span exactly the samples the process
 // evaluated during it, so no estimation bypasses the run's executor.
 // The exception is sampling, whose shoot-out runs each sampler through
-// a local chain of its own on purpose. Together the all and report
-// legs must also request every registered kernel: a kernel no scenario
-// requests is dead code.
+// a local chain of its own on purpose. Together the all and
+// curves-sigma8 legs must also request every registered kernel: a
+// kernel no scenario requests is dead code.
 func TestGoldenArtifacts(t *testing.T) {
 	seen := map[string]bool{}
 	recorded := map[string]bool{}
 	for _, leg := range goldenLegs {
-		scenarios := leg.scenarios
-		if scenarios == nil {
-			for _, sc := range engine.Scenarios() {
-				// report re-runs the catalog; `cs all` skips it too.
-				if sc.Name != "report" {
-					scenarios = append(scenarios, sc.Name)
-				}
-			}
-		}
-		set := leg.name
-		if leg.same != "" {
-			set = leg.same
-		}
+		scenarios, set := leg.scenarioSet()
 		for _, width := range leg.widths {
 			if *update && (width != leg.widths[0] || leg.same != "") {
 				continue
@@ -177,11 +180,38 @@ func TestGoldenArtifacts(t *testing.T) {
 			})
 		}
 	}
-	if recorded["all"] && recorded["report"] {
+	if recorded["all"] && recorded["curves-sigma8"] {
 		for _, kernel := range montecarlo.KernelNames() {
 			if !seen[kernel] {
 				t.Errorf("kernel %s is registered, but no scenario requests it", kernel)
 			}
+		}
+	}
+}
+
+// TestNoOrphanGoldenSets fails on a testdata/golden/<set>/<scenario>/
+// directory that no golden leg compares with: after a scenario or a
+// leg is deleted, its stale artifacts would otherwise stay committed
+// with no test reading them.
+func TestNoOrphanGoldenSets(t *testing.T) {
+	compared := map[string]bool{}
+	for _, leg := range goldenLegs {
+		scenarios, set := leg.scenarioSet()
+		for _, name := range scenarios {
+			compared[filepath.Join(set, name)] = true
+		}
+	}
+	dirs, err := filepath.Glob(filepath.Join("testdata", "golden", "*", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range dirs {
+		rel, err := filepath.Rel(filepath.Join("testdata", "golden"), dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !compared[rel] {
+			t.Errorf("%s: no golden leg compares with this set; delete it or add the leg that writes it", dir)
 		}
 	}
 }

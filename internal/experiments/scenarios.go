@@ -34,7 +34,7 @@ func init() {
 		Run: func(rc *engine.RunContext) error {
 			p := *rc.Params.(*CurvesParams)
 			res := Curves(rc.Context, p, scale(rc))
-			rc.Chart("curves", res.Chart(true), 90, 24)
+			rc.Chart("curves", res.Chart(), 90, 24)
 			cross := res.CrossoverD()
 			rc.Printf("concurrency/multiplexing crossover (optimal threshold) at D ~= %.0f\n", cross)
 			rc.Metric("crossover_d", cross)
@@ -298,17 +298,6 @@ func init() {
 			res.Render(rc.Out())
 			rc.Metric("best_path_db", res.BestPathDB)
 			rc.Metric("sense_margin_db", res.SenseMarginDB)
-			return nil
-		},
-	})
-
-	engine.Register(engine.Scenario{
-		Name:        "report",
-		Description: "Consolidated reproduction report: every figure and table in one document",
-		Figures:     "all",
-		NewParams:   func() any { return &NoParams{} },
-		Run: func(rc *engine.RunContext) error {
-			Report(rc.Context, rc.Out(), scale(rc))
 			return nil
 		},
 	})

@@ -11,12 +11,10 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 
 	"carriersense/internal/core"
 	"carriersense/internal/montecarlo"
-	"carriersense/internal/plot"
 )
 
 // Scale selects the sampling effort of an experiment.
@@ -151,26 +149,6 @@ func newEfficiencyTable(p Table1Params) EfficiencyTable {
 	return t
 }
 
-// Render writes the efficiency table in the paper's format.
-func (t EfficiencyTable) Render(w io.Writer, title string) {
-	tbl := plot.Table{Title: title, Headers: []string{"Rmax \\ D"}}
-	for _, d := range t.Params.DGrid {
-		tbl.Headers = append(tbl.Headers, fmt.Sprintf("%.0f", d))
-	}
-	for i, rmax := range t.Params.RmaxGrid {
-		label := fmt.Sprintf("%.0f", rmax)
-		if len(t.Thresholds) > i && t.Thresholds[i] != t.Params.DThresh {
-			label = fmt.Sprintf("%.0f (Dthresh=%.0f)", rmax, t.Thresholds[i])
-		}
-		row := []string{label}
-		for _, v := range t.Cells[i] {
-			row = append(row, plot.Percent(v))
-		}
-		tbl.AddRow(row...)
-	}
-	tbl.Render(w)
-}
-
 // Min returns the smallest efficiency in the table (the paper's
 // headline: "average throughput is typically less than 15% below
 // optimal" — every cell ≥ ~83%).
@@ -229,21 +207,4 @@ func RobustnessSweep(ctx context.Context, alphas, sigmas []float64, scale Scale)
 		}
 	}
 	return out
-}
-
-// RenderRobustness writes the sweep as a table.
-func RenderRobustness(w io.Writer, points []RobustnessPoint) {
-	tbl := plot.Table{
-		Title:   "T3: carrier sense efficiency across environments (fixed Dthresh=55)",
-		Headers: []string{"alpha", "sigma(dB)", "min eff", "mean eff"},
-	}
-	for _, p := range points {
-		tbl.AddRow(
-			fmt.Sprintf("%.1f", p.Alpha),
-			fmt.Sprintf("%.0f", p.SigmaDB),
-			plot.Percent(p.MinEfficiency),
-			plot.Percent(p.MeanEfficiency),
-		)
-	}
-	tbl.Render(w)
 }
