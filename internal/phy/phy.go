@@ -12,7 +12,12 @@
 //   - Frame errors accumulate per interference segment: each interval
 //     of constant interference contributes independent per-byte
 //     survival at its own SINR, so a brief strong collision damages a
-//     frame roughly in proportion to the bytes it overlaps.
+//     frame roughly in proportion to the bytes it overlaps. The frame
+//     is delivered when a uniform draw falls below its survival
+//     S = Π (1 − PER_i)^frac_i. Each segment adds bounds on its term
+//     of ln S from a table, and only a draw that falls between the
+//     bounds computes S exactly from capacity.PER, so every decision
+//     is the one the exact S gives (survival.go).
 //   - CCA is energy detection against the medium's threshold, plus
 //     (optionally) preamble carrier sense while locked on a frame.
 //
@@ -23,7 +28,12 @@
 // linear-scale gains directly (the testbed's precomputed gain matrix)
 // implement LinearChannel and skip the dB conversion entirely; the
 // per-frame fading draw is cached as a linear factor per (transmission,
-// radio). Transmission records are pooled on the Medium and event
+// radio). Closing an interference segment does no transcendental math:
+// its SINR indexes the bounds table of the frame's rate and length
+// (built once per process, 16 buckets per octave) through the bits of
+// the float64, and the reception keeps the segment for the exact
+// fallback, which under 1% of a bench-scale testbed run's receptions
+// take. Transmission records are pooled on the Medium and event
 // scheduling uses the simulator's argument-passing form, so a saturated
 // run allocates nothing per frame. In-flight transmissions live in a
 // slice in air-start order, making every interference sum — and
@@ -34,6 +44,7 @@ package phy
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"carriersense/internal/capacity"
 	"carriersense/internal/rng"
@@ -175,6 +186,7 @@ type transmission struct {
 	frame      Frame
 	start, end sim.Time
 	txPowerMw  float64
+	per        *perTable // survival bounds for the frame's rate and length
 	// fadeLin caches the per-receiver linear fading factor for this
 	// frame, indexed by radio ordinal, so every power query during the
 	// frame's lifetime sees one consistent channel state. 0 means "not
@@ -185,20 +197,25 @@ type transmission struct {
 // RxResult reports a completed reception attempt to a listener.
 type RxResult struct {
 	Frame Frame
-	OK    bool    // frame decoded successfully
-	SINR  float64 // time-averaged SINR over the locked reception, linear
+	OK    bool // frame decoded successfully
 }
 
 // reception tracks a radio locked onto a frame. Each radio embeds one
 // reception record (a radio locks at most one frame at a time), so
 // locking allocates nothing.
 type reception struct {
-	tx        *transmission
-	signalMw  float64 // received signal power, linear mW
-	survival  float64 // accumulated survival probability
-	segStart  sim.Time
-	interfMw  float64 // current other-transmission power at the radio
-	weightedI float64 // time-integral of interference power (mW·ns)
+	tx       *transmission
+	signalMw float64 // received signal power, linear mW
+	segStart sim.Time
+	interfMw float64 // current other-transmission power at the radio
+	// lnLo and lnHi bracket the log of the frame's survival over the
+	// closed segments (see survival.go).
+	lnLo, lnHi float64
+	// exact is the reference survival of the segments folded out of
+	// kept; kept[:n] are the closed segments after them.
+	exact float64
+	n     int
+	kept  [keptSegments]segment
 }
 
 // Radio is one node's PHY. Create via Medium.AddRadio.
@@ -216,12 +233,12 @@ type Radio struct {
 	transmitting *transmission
 	rx           *reception
 	rxData       reception // storage rx points into while locked
-	ccaBusy      bool
 	// onCCA is the ListenCCA listener. sensed marks a radio whose
 	// ccaBusy is kept current even without one: it has transmitted,
 	// or it joined while frames were on the air (see refreshCCA).
-	onCCA  func(busy bool)
-	sensed bool
+	onCCA   func(busy bool)
+	ccaBusy bool
+	sensed  bool
 	// OnRx, when non-nil, is called when a locked reception completes
 	// (successfully or not).
 	OnRx func(RxResult)
@@ -264,22 +281,24 @@ func (r *Radio) Transmitting() bool { return r.transmitting != nil }
 // transmissions, computes per-radio power sums, and drives every
 // radio's CCA and reception state.
 type Medium struct {
-	sim    *sim.Simulator
-	ch     Channel
-	lin    LinearChannel // non-nil when ch supplies linear gains
-	oc     OutageChannel // non-nil when ch supplies per-link outage probs
-	cfg    Config
-	src    *rng.Source
-	radios map[NodeID]*Radio
+	sim *sim.Simulator
+	ch  Channel
+	lin LinearChannel // non-nil when ch supplies linear gains
+	oc  OutageChannel // non-nil when ch supplies per-link outage probs
+	cfg Config
+	src *rng.Source
 	// ordered keeps radios in registration order: all medium-wide
 	// iteration uses it so that callback order — and therefore every
-	// simulation — is deterministic (Go map order is randomized).
+	// simulation — is deterministic.
 	ordered []*Radio
 	// active holds in-flight transmissions in air-start order; the
 	// fixed order keeps interference sums (float addition is not
 	// associative) deterministic.
 	active []*transmission
 	txPool []*transmission
+	// per is the survival table of the last frame sent, which every
+	// frame of a fixed-rate run shares.
+	per *perTable
 
 	// Linear-scale caches of medium-wide thresholds.
 	preambleSensMw float64
@@ -299,7 +318,6 @@ func NewMedium(s *sim.Simulator, ch Channel, cfg Config, src *rng.Source) *Mediu
 		ch:             ch,
 		cfg:            cfg,
 		src:            src,
-		radios:         make(map[NodeID]*Radio),
 		preambleSensMw: DBToLin(cfg.PreambleSensitivityDBm),
 		captureSINRLin: DBToLin(cfg.PreambleCaptureSINRdB),
 		fadeZero:       cfg.Fade.Zero(),
@@ -313,7 +331,7 @@ func NewMedium(s *sim.Simulator, ch Channel, cfg Config, src *rng.Source) *Mediu
 
 // AddRadio registers a radio with the given ID and transmit power.
 func (m *Medium) AddRadio(id NodeID, txPowerDBm float64) *Radio {
-	if _, dup := m.radios[id]; dup {
+	if m.radio(id) != nil {
 		panic(fmt.Sprintf("phy: duplicate radio %d", id))
 	}
 	// Late registration: transmissions already committed cache fading
@@ -339,9 +357,18 @@ func (m *Medium) AddRadio(id NodeID, txPowerDBm float64) *Radio {
 		// radio, so its CCA would draw their fading: keep it current.
 		sensed: len(m.active) > 0,
 	}
-	m.radios[id] = r
 	m.ordered = append(m.ordered, r)
 	return r
+}
+
+// radio returns the radio with the given ID, or nil.
+func (m *Medium) radio(id NodeID) *Radio {
+	for _, r := range m.ordered {
+		if r.id == id {
+			return r
+		}
+	}
+	return nil
 }
 
 // gainLin returns the linear power gain of the from→to link.
@@ -459,6 +486,10 @@ func (r *Radio) Transmit(frame Frame) {
 	tx.start = airStart
 	tx.end = airStart + dur
 	tx.txPowerMw = r.txPowerMw
+	if p := m.per; p == nil || p.rate != frame.Rate || p.bytes != frame.Bytes {
+		m.per = perTableFor(frame.Rate, frame.Bytes)
+	}
+	tx.per = m.per
 	// A radio that commits to transmitting abandons any reception in
 	// progress (half-duplex).
 	if r.rx != nil {
@@ -488,7 +519,7 @@ func (m *Medium) endTransmission(tx *transmission) {
 			break
 		}
 	}
-	sender := m.radios[tx.frame.Src]
+	sender := m.radio(tx.frame.Src)
 	sender.transmitting = nil
 	m.onAirChange(tx, false)
 	if sender.OnTxDone != nil {
@@ -513,7 +544,9 @@ func (m *Medium) onAirChange(tx *transmission, started bool) {
 		if r.rx != nil && r.rx.tx != tx {
 			// Close the current interference segment and open a new
 			// one reflecting the changed air.
-			m.closeSegment(r, now)
+			if g, ok := m.closeSegment(r, now); ok {
+				r.rx.keep(g)
+			}
 			r.rx.interfMw = m.interferenceMwAt(r, r.rx.tx)
 		}
 	}
@@ -543,47 +576,49 @@ func (m *Medium) tryLock(tx *transmission) {
 		r.rxData = reception{
 			tx:       tx,
 			signalMw: sig,
-			survival: 1,
 			segStart: m.sim.Now(),
 			interfMw: interf,
 		}
+		r.rxData.exact = 1
 		r.rx = &r.rxData
 	}
 }
 
-// closeSegment folds the interference segment [rx.segStart, now) into
-// the reception's survival probability.
-func (m *Medium) closeSegment(r *Radio, now sim.Time) {
+// closeSegment ends the interference segment [rx.segStart, now) and
+// adds it to the reception's survival bracket. It reports false when
+// the segment is empty.
+func (m *Medium) closeSegment(r *Radio, now sim.Time) (segment, bool) {
 	rx := r.rx
-	if rx == nil || now <= rx.segStart {
-		return
+	if now <= rx.segStart {
+		return segment{}, false
 	}
-	segDur := now - rx.segStart
-	sinr := rx.signalMw / (r.noiseMw + rx.interfMw)
-	sinrDB := 10 * math.Log10(sinr)
-	// Fraction of the frame's airtime this segment covers; per-byte
-	// survival at this SINR raised to the bytes in the segment.
-	per := capacity.PER(rx.tx.frame.Rate, sinrDB, rx.tx.frame.Bytes)
-	if per > 0 {
-		frameDur := rx.tx.end - rx.tx.start
-		frac := float64(segDur) / float64(frameDur)
-		rx.survival *= math.Pow(1-per, frac)
+	g := segment{
+		sinr: rx.signalMw / (r.noiseMw + rx.interfMw),
+		frac: float64(now-rx.segStart) / float64(rx.tx.end-rx.tx.start),
 	}
-	rx.weightedI += float64(segDur) * rx.interfMw
+	rx.add(g)
 	rx.segStart = now
+	return g, true
 }
+
+// decisionCounts, when set (by tests), counts the receptions the
+// medium resolves and those that needed the exact fallback.
+var decisionCounts *struct{ receptions, exact atomic.Int64 }
 
 // finishReception resolves a completed reception on radio r.
 func (m *Medium) finishReception(r *Radio) {
 	rx := r.rx
-	m.closeSegment(r, m.sim.Now())
+	last, hasLast := m.closeSegment(r, m.sim.Now())
 	r.rx = nil
-	frameDur := float64(rx.tx.end - rx.tx.start)
-	avgInterf := rx.weightedI / frameDur
-	sinr := rx.signalMw / (r.noiseMw + avgInterf)
-	ok := m.src.Float64() < rx.survival
+	ok, exact := rx.delivered(m.src.Float64(), last, hasLast)
+	if c := decisionCounts; c != nil {
+		c.receptions.Add(1)
+		if exact {
+			c.exact.Add(1)
+		}
+	}
 	if r.OnRx != nil {
-		r.OnRx(RxResult{Frame: rx.tx.frame, OK: ok, SINR: sinr})
+		r.OnRx(RxResult{Frame: rx.tx.frame, OK: ok})
 	}
 }
 

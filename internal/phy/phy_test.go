@@ -2,16 +2,12 @@ package phy
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"carriersense/internal/capacity"
 	"carriersense/internal/rng"
 	"carriersense/internal/sim"
 )
-
-// SINRdB returns the reception's time-averaged SINR in dB.
-func (r RxResult) SINRdB() float64 { return 10 * math.Log10(r.SINR) }
 
 // pairChannel is a two-way channel with settable gains.
 type pairChannel struct {
@@ -406,7 +402,7 @@ func (c linChannel) GainLin(from, to NodeID) float64 { return c.lin }
 // the generic dB path: the same scenario over the same gains must
 // deliver identically whichever interface the channel exposes.
 func TestLinearChannelMatchesGeneric(t *testing.T) {
-	run := func(ch Channel) (delivered int, sinr float64) {
+	run := func(ch Channel) (delivered int) {
 		src := rng.New(9)
 		s := sim.New()
 		m := NewMedium(s, ch, quiet(), src.Split())
@@ -415,7 +411,6 @@ func TestLinearChannelMatchesGeneric(t *testing.T) {
 		rx.OnRx = func(res RxResult) {
 			if res.OK {
 				delivered++
-				sinr = res.SINRdB()
 			}
 		}
 		for i := 0; i < 20; i++ {
@@ -426,16 +421,13 @@ func TestLinearChannelMatchesGeneric(t *testing.T) {
 			})
 		}
 		s.RunAll()
-		return delivered, sinr
+		return delivered
 	}
 	lin := newLinChannel(-70)
-	genericDelivered, genericSINR := run(dbOnly{lin})
-	linDelivered, linSINR := run(lin)
+	genericDelivered := run(dbOnly{lin})
+	linDelivered := run(lin)
 	if genericDelivered != linDelivered {
 		t.Fatalf("delivery differs: generic %d, linear %d", genericDelivered, linDelivered)
-	}
-	if math.Abs(genericSINR-linSINR) > 1e-9 {
-		t.Errorf("SINR differs: generic %v, linear %v", genericSINR, linSINR)
 	}
 }
 

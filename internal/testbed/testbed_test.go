@@ -395,11 +395,11 @@ func TestEnergyOnlyCCAChangesBehavior(t *testing.T) {
 // BenchmarkPacketSimSecond's workload: generating the default testbed
 // and simulating one second of a saturated two-pair combo at the first
 // rate. It is measured warm, so one-time initialization elsewhere in
-// the process does not count. The bound is the 410 objects it
-// allocates since the MAC became the broadcast DCF alone, with a 50%
-// tolerance: 615.
+// the process does not count. The bound is the 401 objects it
+// allocates since the medium finds a sender by scanning its radios
+// instead of through a map, with a 50% tolerance: 601.
 func TestPacketSimSecondAllocs(t *testing.T) {
-	const maxAllocs = 615
+	const maxAllocs = 601
 	allocs := testing.AllocsPerRun(3, func() {
 		tb := Generate(DefaultLayout(), 42)
 		p := DefaultExperiment()
