@@ -32,8 +32,8 @@
 // its SINR indexes the bounds table of the frame's rate and length
 // (built once per process, 16 buckets per octave) through the bits of
 // the float64, and the reception keeps the segment for the exact
-// fallback, which under 1% of a bench-scale testbed run's receptions
-// take. Transmission records are pooled on the Medium and event
+// fallback (taken by under 1% of a bench-scale testbed run's
+// receptions). Transmission records are pooled on the Medium and event
 // scheduling uses the simulator's argument-passing form, so a saturated
 // run allocates nothing per frame. In-flight transmissions live in a
 // slice in air-start order, making every interference sum — and
@@ -578,8 +578,8 @@ func (m *Medium) tryLock(tx *transmission) {
 			signalMw: sig,
 			segStart: m.sim.Now(),
 			interfMw: interf,
+			exact:    1,
 		}
-		r.rxData.exact = 1
 		r.rx = &r.rxData
 	}
 }

@@ -39,7 +39,9 @@ const (
 
 // decisionMargin is the relative slack between the bracket and u. It
 // covers the rounding of the bracket sums, of Exp and of the
-// reference's product, each many orders of magnitude smaller.
+// reference's product, each many orders of magnitude smaller: the
+// fractions sum to 1 and a finite bound is at least ln(qMargin) ≈ −37,
+// so a sum of n terms is off by at most about n·37·2⁻⁵³.
 const decisionMargin = 1e-9
 
 // perBucket bounds ln q over one SINR bucket.

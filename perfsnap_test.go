@@ -169,3 +169,28 @@ func TestREADMEInverseNormalTable(t *testing.T) {
 func TestREADMESharedDrawsTable(t *testing.T) {
 	checkREADMETable(t, "BENCH_20261019b.json", sharedDrawsRows)
 }
+
+// survivalRows are the rows of README's table for the PHY's bracketed
+// survival decision: testbed end to end, the other workloads' medians,
+// then testbed's combo layer, where the packet simulation runs.
+var survivalRows = []snapRow{
+	{"testbed", "run_p50_ref", false},
+	{"testbed", "run_p75_ref", false},
+	{"testbed", "runs_per_ref", false},
+	{"testbed", "samples_per_ref", false},
+	{"testbed", "setup_s", false},
+	{"testbed", "alloc_mb_per_run", false},
+	{"testbed", "peak_rss_mb", false},
+	{"tables-fixed", "run_p50_ref", false},
+	{"tables-relerr", "run_p50_ref", false},
+	{"fleet-cache", "run_p50_ref", false},
+	{"testbed", "testbed.combos_per_run", true},
+	{"testbed", "testbed.combo_ms_p50", true},
+	{"testbed", "engine.self_ms_p50", true},
+}
+
+// TestREADMESurvivalTable checks README's table for the bracketed
+// survival decision against BENCH_20261019c.json.
+func TestREADMESurvivalTable(t *testing.T) {
+	checkREADMETable(t, "BENCH_20261019c.json", survivalRows)
+}
