@@ -16,10 +16,14 @@ package core
 //     rewritten into the shadowing domain — are hoisted into
 //     pointEval, outside the sample loop, and capacity goes through
 //     Model.thr, which calls the default Shannon formula directly;
-//   - every integrand (averages, averages-pair, single, bad-snr,
-//     policy-diff) is a thin projection over the same draw, and names
-//     the primitives it reads (receiver 1, receiver 2, sensing) so the
-//     draw computes only those.
+//   - every integrand (averages, averages-pair, single, bad-snr) is a
+//     thin projection over the same draw, and names the primitives it
+//     reads (receiver 1, receiver 2, sensing) so the draw computes
+//     only those;
+//   - policy-diff is a split kernel (montecarlo.RegisterSplitKernel):
+//     its draw writes a record of what the variates decide, and its
+//     evaluation adds what D moves, so a threshold search draws each
+//     shard once.
 //
 // Determinism contract: draw consumes every random variate, in
 // exactly the order the tests' SampleConfig does (two disc points,
@@ -222,13 +226,6 @@ func (pe *pointEval) badSNRSample(e Evaluated, out []float64) {
 	}
 }
 
-// policyDiffSample is the fused common-random-numbers C_conc/C_mux
-// pair behind OptimalThresholdMC.
-func (pe *pointEval) policyDiffSample(e Evaluated, out []float64) {
-	out[0] = pe.m.thr(e.Sig1 / (pe.noise + e.Int1))
-	out[1] = pe.m.thr(e.Sig1/pe.noise) / 2
-}
-
 // Batch forms: one montecarlo.BatchEvalFunc call evaluates a whole
 // buffer chunk through direct (devirtualized, inlinable) method calls
 // on the shared pointEval, so the plain path pays the kernel's
@@ -262,8 +259,61 @@ func (pe *pointEval) badSNRBatch(src *rng.Source, count int, out []float64) {
 	}
 }
 
-func (pe *pointEval) policyDiffBatch(src *rng.Source, count int, out []float64) {
+// policyDiffRecLen is the length of a core/policy-diff draw record:
+// receiver 1's position x and y, its shadowed serving power Sig1, and
+// the shadowing factor of its interfering power.
+const policyDiffRecLen = 4
+
+// policyDiff is the common-random-numbers C_conc/C_mux pair behind
+// OptimalThresholdMC, a montecarlo.SplitKernel split at the one place
+// the interferer distance D enters: the draw writes everything the
+// variates decide, and the evaluation adds the interference path gain,
+// which D moves. A threshold search keeps the draws of one seed in a
+// draw memo and evaluates them at every D it tries.
+type policyDiff pointEval
+
+// drawKey is a two-pair kernel's draw identity: the params its draw
+// reads. D, the thresholds, the noise and the capacity model only
+// enter the evaluation.
+type drawKey struct{ alpha, sigma, rmax float64 }
+
+func (pe *pointEval) drawKey() drawKey {
+	return drawKey{alpha: pe.m.params.Alpha, sigma: pe.sigma, rmax: pe.rmax}
+}
+
+// Draw is draw(src, readRx1) stopped before the interference path
+// gain: the same variates in the same order, Sig1 computed and
+// shadowed as draw computes it, and Int1's shadowing factor kept.
+func (k *policyDiff) Draw(src *rng.Source, count int, rec []float64) {
+	pe := (*pointEval)(k)
+	m, sigma := pe.m, pe.sigma
 	for i := 0; i < count; i++ {
-		pe.policyDiffSample(pe.draw(src, readRx1), out[i*2:(i+1)*2:(i+1)*2])
+		r := rec[i*policyDiffRecLen : (i+1)*policyDiffRecLen : (i+1)*policyDiffRecLen]
+		p := geometry.UniformInDisc(src, pe.rmax)
+		sig, lInt := m.pathGainSq(p.X*p.X+p.Y*p.Y), 1.0
+		skipDisc(src)
+		if sigma != 0 {
+			sig *= src.LognormalDB(sigma)
+			lInt = src.LognormalDB(sigma)
+			src.SkipNormal()
+			src.SkipNormal()
+			src.SkipNormal()
+		}
+		r[0], r[1], r[2], r[3] = p.X, p.Y, sig, lInt
+	}
+}
+
+// Eval completes each record as draw would (Int1 is the interference
+// path gain times its shadowing factor, which is 1 at σ = 0) and
+// evaluates C_conc and C_mux from it.
+func (k *policyDiff) Eval(rec []float64, count int, out []float64) {
+	pe := (*pointEval)(k)
+	m, noise := pe.m, pe.noise
+	for i := 0; i < count; i++ {
+		r := rec[i*policyDiffRecLen : (i+1)*policyDiffRecLen : (i+1)*policyDiffRecLen]
+		dx := r[0] + pe.d
+		sig1, int1 := r[2], m.pathGainSq(dx*dx+r[1]*r[1])*r[3]
+		out[2*i] = m.thr(sig1 / (noise + int1))
+		out[2*i+1] = m.thr(sig1/noise) / 2
 	}
 }

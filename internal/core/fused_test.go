@@ -1,11 +1,13 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
 	"sort"
 	"strings"
 	"testing"
 
+	"carriersense/internal/montecarlo"
 	"carriersense/internal/rng"
 )
 
@@ -20,7 +22,31 @@ var pointProjections = map[string]func(*pointEval, Evaluated, []float64){
 	KernelAveragesPair: (*pointEval).averagesPairSample,
 	KernelSingle:       (*pointEval).singleSample,
 	KernelBadSNR:       (*pointEval).badSNRSample,
-	KernelPolicyDiff:   (*pointEval).policyDiffSample,
+	KernelPolicyDiff:   policyDiffReference,
+}
+
+// policyDiffReference is the C_conc/C_mux pair of one configuration,
+// the reference for the split policy-diff kernel.
+func policyDiffReference(pe *pointEval, e Evaluated, out []float64) {
+	out[0] = pe.m.thr(e.Sig1 / (pe.noise + e.Int1))
+	out[1] = pe.m.thr(e.Sig1/pe.noise) / 2
+}
+
+// pointBatch builds a two-pair kernel's registered batch evaluator
+// from its serialized params at (R_max, D, D_thresh, D_thresh2), as a
+// request would: a split kernel's is its draw followed by its
+// evaluation.
+func pointBatch(tb testing.TB, name string, m *Model, rmax, d, dThresh, dThresh2 float64) montecarlo.BatchEvalFunc {
+	tb.Helper()
+	raw, err := json.Marshal(pointParams{Env: envSpecOf(m.params), Rmax: rmax, D: d, DThresh: dThresh, DThresh2: dThresh2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fn, err := montecarlo.BuildKernel(name, raw, pointKernels[name].dim)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fn
 }
 
 // fullDraw is the reference draw: the full SampleConfig layout with
@@ -88,7 +114,7 @@ func TestPointKernelsMatchFullDraw(t *testing.T) {
 					seed++
 					src, ref := sourcePair(kind, seed)
 					got := make([]float64, n*dim)
-					pointKernels[name].batch(pe)(src, n, got)
+					pointBatch(t, name, m, rmax, 55, 55, 40)(src, n, got)
 					want := make([]float64, n*dim)
 					for i := 0; i < n; i++ {
 						project(pe, fullDraw(pe, ref), want[i*dim:(i+1)*dim])
@@ -149,11 +175,10 @@ func TestDrawReadSetsMatchFullDraw(t *testing.T) {
 // and a uniform-hooked source, in ns per sample.
 func BenchmarkPointKernel(b *testing.B) {
 	const chunk = 1024
-	pe := New(DefaultParams()).newPointEval(40, 55, 55)
+	m := New(DefaultParams())
 	for _, name := range pointKernelNames() {
-		k := pointKernels[name]
-		fn := k.batch(pe)
-		out := make([]float64, chunk*k.dim)
+		fn := pointBatch(b, name, m, 40, 55, 55, 0)
+		out := make([]float64, chunk*pointKernels[name].dim)
 		for _, kind := range []string{"plain", "hooked"} {
 			b.Run(strings.TrimPrefix(name, "core/")+"/"+kind, func(b *testing.B) {
 				src, _ := sourcePair(kind, 1)

@@ -80,7 +80,8 @@ type multiParamsWire struct {
 }
 
 // pointKernel is one two-pair kernel: a projection of the fused
-// pointEval draw with its component count.
+// pointEval draw with its component count. policy-diff, a split
+// kernel, has no batch here; init registers its parts.
 type pointKernel struct {
 	dim   int
 	batch func(pe *pointEval) montecarlo.BatchEvalFunc
@@ -93,28 +94,43 @@ var pointKernels = map[string]pointKernel{
 	KernelAveragesPair: {nAveragesPair, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.averagesPairBatch }},
 	KernelSingle:       {1, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.singleBatch }},
 	KernelBadSNR:       {1, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.badSNRBatch }},
-	KernelPolicyDiff:   {2, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.policyDiffBatch }},
+	KernelPolicyDiff:   {2, nil},
 }
 
-// pointKernelFactory rebuilds a two-pair kernel from its pointParams.
-func pointKernelFactory(batch func(pe *pointEval) montecarlo.BatchEvalFunc) montecarlo.KernelFactory {
-	return func(raw json.RawMessage) (montecarlo.BatchEvalFunc, error) {
-		var p pointParams
-		if err := json.Unmarshal(raw, &p); err != nil {
-			return nil, err
-		}
-		m, err := p.Env.build()
-		if err != nil {
-			return nil, err
-		}
-		return batch(m.newPointEval(p.Rmax, p.D, p.DThresh).withThreshold2(p.DThresh2)), nil
+// pointEvalOf rebuilds a two-pair kernel's pointEval from its
+// pointParams.
+func pointEvalOf(raw json.RawMessage) (*pointEval, error) {
+	var p pointParams
+	if err := json.Unmarshal(raw, &p); err != nil {
+		return nil, err
 	}
+	m, err := p.Env.build()
+	if err != nil {
+		return nil, err
+	}
+	return m.newPointEval(p.Rmax, p.D, p.DThresh).withThreshold2(p.DThresh2), nil
 }
 
 func init() {
 	for name, k := range pointKernels {
-		montecarlo.RegisterKernel(name, k.dim, pointKernelFactory(k.batch))
+		if k.batch == nil {
+			continue
+		}
+		montecarlo.RegisterKernel(name, k.dim, func(raw json.RawMessage) (montecarlo.BatchEvalFunc, error) {
+			pe, err := pointEvalOf(raw)
+			if err != nil {
+				return nil, err
+			}
+			return k.batch(pe), nil
+		})
 	}
+	montecarlo.RegisterSplitKernel(KernelPolicyDiff, 2, policyDiffRecLen, func(raw json.RawMessage) (montecarlo.SplitKernel, any, error) {
+		pe, err := pointEvalOf(raw)
+		if err != nil {
+			return nil, nil, err
+		}
+		return (*policyDiff)(pe), pe.drawKey(), nil
+	})
 	montecarlo.RegisterKernel(KernelMulti, nMultiIdx, func(raw json.RawMessage) (montecarlo.BatchEvalFunc, error) {
 		var p multiParamsWire
 		if err := json.Unmarshal(raw, &p); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 
+	"carriersense/internal/montecarlo"
 	"carriersense/internal/numeric"
 	"carriersense/internal/rng"
 )
@@ -69,13 +70,28 @@ func (m *Model) OptimalThresholdQuad(rmax float64) float64 {
 	return d
 }
 
+// withDrawMemo opens a threshold search's draw-memo scope. Tests swap
+// in a no-op to compare a search with an unmemoized one.
+var withDrawMemo = montecarlo.WithDrawMemo
+
 // OptimalThresholdMC solves the ⟨C_conc⟩ = ⟨C_mux⟩ crossing for the
 // shadowed model by Monte Carlo estimation and bisection. n is the
 // per-evaluation sample count; both curves are estimated with common
 // random numbers so their difference is far less noisy than either
 // alone. For σ > 0 no unique optimum exists (footnote 16); the paper
 // keeps the crossing-point definition and so do we.
+//
+// Every step estimates core/policy-diff on the same seed, so every
+// step draws the same receiver positions and shadowing factors; only
+// D, which enters after the draw, moves. The search runs in a draw-memo
+// scope (montecarlo.WithDrawMemo): each shard the local pool evaluates
+// is drawn once, at the first step that needs it, and later steps only
+// evaluate its records. A hit computes what a redraw would, operation
+// for operation, so every step's accumulators, the crossing and every
+// request, count and cache key are as without the scope.
 func (m *Model) OptimalThresholdMC(ctx context.Context, seed uint64, n int, rmax float64) float64 {
+	ctx, release := withDrawMemo(ctx)
+	defer release()
 	diff := func(d float64) float64 {
 		est := m.estimatePoint(ctx, KernelPolicyDiff, rmax, d, 0, seed, n)
 		return est[0].Mean - est[1].Mean

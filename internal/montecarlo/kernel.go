@@ -44,12 +44,33 @@ type EvalFunc func(src *rng.Source, out []float64)
 // chunk at a time; the sampler path calls it with count = 1, once per
 // sample on that sample's stream. So a kernel must carry no state from
 // one call to the next: count calls with count = 1 must draw and
-// compute exactly what one call with count does.
+// compute exactly what one call with count does. A split kernel's
+// BatchEvalFunc is its Draw followed by its Eval, a chunk at a time;
+// the two parts keep the same contract, and the only state between
+// them is the record, which a draw memo may keep for a later request.
 type BatchEvalFunc func(src *rng.Source, count int, out []float64)
 
 // KernelFactory rebuilds a kernel's BatchEvalFunc from serialized
 // parameters.
 type KernelFactory func(params json.RawMessage) (BatchEvalFunc, error)
+
+// SplitKernel is a kernel in two parts, so that a draw memo
+// (WithDrawMemo) can keep a shard's draws across requests that differ
+// only in params the draw does not read.
+type SplitKernel interface {
+	// Draw consumes the variates of count consecutive samples from src
+	// and writes each sample's record, recLen floats, into rec.
+	Draw(src *rng.Source, count int, rec []float64)
+	// Eval computes the components of count samples from their
+	// records into out, as a BatchEvalFunc does from a source.
+	Eval(rec []float64, count int, out []float64)
+}
+
+// SplitKernelFactory rebuilds a split kernel from serialized
+// parameters, with its draw key: two kernels whose params give equal
+// keys write equal records from equal streams. The key must be
+// comparable, and is best built without formatting.
+type SplitKernelFactory func(params json.RawMessage) (k SplitKernel, drawKey any, err error)
 
 // BatchLoop adapts a per-sample dim-component integrand into the batch
 // form, for kernels whose per-sample cost dwarfs the call indirection.
@@ -66,7 +87,9 @@ func BatchLoop(dim int, sample EvalFunc) BatchEvalFunc {
 // rejected rather than silently mis-striding the buffer.
 type registration struct {
 	factory KernelFactory
+	split   SplitKernelFactory
 	dim     int
+	recLen  int // record length of a split kernel, else 0
 	exact   bool
 }
 
@@ -93,8 +116,18 @@ func RegisterExactKernel(name string, dim int, factory KernelFactory) {
 	register(name, registration{factory: factory, dim: dim, exact: true})
 }
 
+// RegisterSplitKernel registers a kernel in its draw and eval parts
+// (SplitKernel), with recLen floats per record (1 to 4). Outside a
+// draw-memo scope it evaluates as its Draw followed by its Eval.
+func RegisterSplitKernel(name string, dim, recLen int, factory SplitKernelFactory) {
+	if recLen < 1 || recLen > maxRecLen || factory == nil {
+		panic(fmt.Sprintf("montecarlo: invalid split kernel %q", name))
+	}
+	register(name, registration{split: factory, dim: dim, recLen: recLen})
+}
+
 func register(name string, reg registration) {
-	if name == "" || reg.factory == nil || reg.dim < 1 {
+	if name == "" || (reg.factory == nil && reg.split == nil) || reg.dim < 1 {
 		panic("montecarlo: invalid kernel registration")
 	}
 	kernelMu.Lock()
@@ -131,20 +164,64 @@ func KernelNames() []string {
 // version-skewed coordinator, a hand-built job) is an error here, not
 // a mis-strided buffer or an out-of-range panic downstream.
 func BuildKernel(name string, params json.RawMessage, dim int) (BatchEvalFunc, error) {
+	k, err := buildKernel(name, params, dim)
+	if err != nil {
+		return nil, err
+	}
+	if k.recLen > 0 {
+		return splitBatch(k.split, dim, k.recLen), nil
+	}
+	return k.ev, nil
+}
+
+// kernel is a built kernel: its batch evaluator, or for a split kernel
+// its parts and draw key.
+type kernel struct {
+	ev      BatchEvalFunc
+	split   SplitKernel
+	drawKey any
+	recLen  int // > 0 for a split kernel
+}
+
+// buildKernel is BuildKernel without composing a split kernel's parts.
+func buildKernel(name string, params json.RawMessage, dim int) (kernel, error) {
 	kernelMu.RLock()
 	reg, ok := kernels[name]
 	kernelMu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("montecarlo: unknown kernel %q", name)
+		return kernel{}, fmt.Errorf("montecarlo: unknown kernel %q", name)
 	}
 	if dim != reg.dim {
-		return nil, fmt.Errorf("montecarlo: kernel %q has %d components, request wants %d", name, reg.dim, dim)
+		return kernel{}, fmt.Errorf("montecarlo: kernel %q has %d components, request wants %d", name, reg.dim, dim)
 	}
-	fn, err := reg.factory(params)
+	var k kernel
+	var err error
+	if reg.split != nil {
+		k.split, k.drawKey, err = reg.split(params)
+		k.recLen = reg.recLen
+	} else {
+		k.ev, err = reg.factory(params)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("montecarlo: kernel %q: %w", name, err)
+		return kernel{}, fmt.Errorf("montecarlo: kernel %q: %w", name, err)
 	}
-	return fn, nil
+	return k, nil
+}
+
+// splitBatch composes a split kernel's parts into its BatchEvalFunc:
+// each chunk drawn into a pooled record buffer, then evaluated.
+func splitBatch(k SplitKernel, dim, recLen int) BatchEvalFunc {
+	return func(src *rng.Source, count int, out []float64) {
+		g := recordBufs.Get().(*granule)
+		defer recordBufs.Put(g)
+		for done := 0; done < count; {
+			n := min(batchChunk, count-done)
+			rec := g[:n*recLen]
+			k.Draw(src, n, rec)
+			k.Eval(rec, n, out[done*dim:(done+n)*dim])
+			done += n
+		}
+	}
 }
 
 // Request is one complete, serializable estimation: a registered
@@ -222,7 +299,7 @@ func (Local) EstimateVec(ctx context.Context, req Request) ([]Accumulator, error
 // prepared is a request made ready for in-process evaluation: checked,
 // with its kernel built and its sampler looked up.
 type prepared struct {
-	ev  BatchEvalFunc
+	kernel
 	sp  Sampler
 	dim int
 }
@@ -234,7 +311,7 @@ func prepare(req Request) (prepared, error) {
 	if err := req.Validate(); err != nil {
 		return prepared{}, err
 	}
-	ev, err := BuildKernel(req.Kernel, req.Params, req.Dim)
+	k, err := buildKernel(req.Kernel, req.Params, req.Dim)
 	if err != nil {
 		return prepared{}, err
 	}
@@ -242,17 +319,14 @@ func prepare(req Request) (prepared, error) {
 	if err != nil {
 		return prepared{}, err
 	}
-	return prepared{ev: ev, sp: sp, dim: req.Dim}, nil
-}
-
-// shard evaluates one shard of the prepared request.
-func (p prepared) shard(s Shard) []Accumulator {
-	return evalShard(p.ev, s, p.dim, p.sp)
+	return prepared{kernel: k, sp: sp, dim: req.Dim}, nil
 }
 
 // RunRequest evaluates a request in-process: every planned shard (from
 // FirstShard on) through the worker pool, merged in shard order. It
-// is what Local runs.
+// is what Local runs. Under a draw-memo scope (WithDrawMemo) a split
+// kernel's shards reuse the records an earlier request of the scope
+// drew.
 func RunRequest(ctx context.Context, req Request) ([]Accumulator, error) {
 	p, err := prepare(req)
 	if err != nil {
@@ -261,10 +335,18 @@ func RunRequest(ctx context.Context, req Request) ([]Accumulator, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	shards := PlanShards(req.Seed, req.Samples)[req.FirstShard:]
+	var mr *memoRequest
+	if memo := memoOf(ctx); memo != nil && p.recLen > 0 {
+		mr = &memoRequest{memo, memoKey{kernel: req.Kernel, draw: p.drawKey, seed: req.Seed, sampler: req.Sampler}}
+		if _, plain := p.sp.(plainSampler); plain {
+			mr.key.sampler = ""
+		}
+	}
+	first := req.FirstShard
+	shards := PlanShards(req.Seed, req.Samples)[first:]
 	accs := make([][]Accumulator, len(shards))
 	RunShards(shards, func(s Shard) {
-		accs[s.Index-req.FirstShard] = p.shard(s)
+		accs[s.Index-first] = p.shard(s, mr)
 	})
 	merged := make([]Accumulator, req.Dim)
 	for i := range accs {
@@ -302,7 +384,7 @@ func EvaluateShards(req Request, indices []int) ([][]Accumulator, error) {
 	}
 	results := make([][]Accumulator, len(indices))
 	RunShards(selected, func(s Shard) {
-		results[position[s.Index]] = p.shard(s)
+		results[position[s.Index]] = p.shard(s, nil)
 	})
 	return results, nil
 }
@@ -312,96 +394,146 @@ func EvaluateShards(req Request, indices []int) ([][]Accumulator, error) {
 // sample buffer (batchChunk × dim float64s) stays L1/L2-resident.
 const batchChunk = 512
 
-// chunkBufs recycles evalShard's sample buffers, so a request
+// chunkBufs recycles the shard loop's sample buffers, so a request
 // allocates one per concurrently evaluated shard rather than one per
 // shard. The buffer is zeroed before every chunk, so what a previous
-// shard left in it never reaches a kernel.
-var chunkBufs = sync.Pool{New: func() any { return new([]float64) }}
+// shard left in it never reaches a kernel. recordBufs does the same
+// for the record chunks of split kernels outside a memo.
+var (
+	chunkBufs  = sync.Pool{New: func() any { return new([]float64) }}
+	recordBufs = sync.Pool{New: func() any { return new(granule) }}
+)
 
-// evalShard evaluates one shard of a dim-component integrand exactly
-// the way the tests' closure-based MeanVec does, so the two produce
-// bit-identical accumulators. Under the plain sampler the
-// kernel is evaluated a chunk at a time into a pooled flat
-// buffer, and rows are accumulated in sample order. Under any other
-// sampler the kernel runs one sample per call over the sampler's stream, with
-// each group of Group() consecutive samples folded into one
-// accumulator observation (their mean) — for stratified and Sobol
-// blocks that is what lets the accumulator's standard error see the
-// variance the block removes instead of only the marginal variance.
-func evalShard(ev BatchEvalFunc, s Shard, dim int, sp Sampler) []Accumulator {
-	if _, plain := sp.(plainSampler); !plain && sp != nil {
-		return evalShardSampled(ev, s, dim, sp)
-	}
+// shard evaluates one shard of the prepared request exactly the way
+// the tests' closure-based MeanVec does, so the two produce
+// bit-identical accumulators. Samples are evaluated a chunk at a time
+// into a pooled flat buffer and folded into the accumulators in sample
+// order (fold). Under the plain sampler the kernel draws a chunk from
+// the shard's stream per call; under any other it runs one sample per
+// call over the sampler's stream, each sample on its own source. A
+// split kernel draws its records the same way, a chunk or a sample at
+// a time, and evaluates them a chunk at a time. Under a draw memo (mr
+// non-nil) whose records for this shard are stored it only evaluates
+// them.
+func (p prepared) shard(s Shard, mr *memoRequest) []Accumulator {
+	dim := p.dim
 	accs := make([]Accumulator, dim)
 	defer addEvaluatedSamples(s.N)
-	chunk := batchChunk
-	if s.N < chunk {
-		chunk = s.N
+	rec, hit := mr.lookup(s)
+	var stream SampleStream
+	if _, plain := p.sp.(plainSampler); !hit && !plain {
+		stream = p.sp.Stream(s.N, s.Src)
 	}
+	var scratch *granule
+	if p.recLen > 0 && rec == nil {
+		scratch = recordBufs.Get().(*granule)
+		defer recordBufs.Put(scratch)
+	}
+	// The pooled buffer holds a chunk of rows and, after them, the
+	// fold's group sums.
+	chunk := min(batchChunk, s.N)
 	bp := chunkBufs.Get().(*[]float64)
 	defer chunkBufs.Put(bp)
-	if cap(*bp) < chunk*dim {
-		*bp = make([]float64, chunk*dim)
+	if cap(*bp) < (chunk+1)*dim {
+		*bp = make([]float64, (chunk+1)*dim)
 	}
-	buf := (*bp)[:chunk*dim]
-	for done := 0; done < s.N; {
-		n := chunk
-		if rest := s.N - done; n > rest {
-			n = rest
-		}
-		b := buf[:n*dim]
-		for i := range b {
-			b[i] = 0
-		}
-		ev(s.Src, n, b)
-		for i := 0; i < n; i++ {
-			row := b[i*dim : (i+1)*dim]
-			for j, v := range row {
-				accs[j].Add(v)
+	f := fold{accs: accs, sum: (*bp)[chunk*dim : (chunk+1)*dim], group: p.sp.Group()}
+	clear(f.sum)
+	for c, done := 0, 0; done < s.N; c++ {
+		n := min(chunk, s.N-done)
+		b := (*bp)[:n*dim]
+		clear(b)
+		switch {
+		case p.recLen > 0:
+			g := scratch
+			if rec != nil {
+				g = rec.g[c]
+			}
+			r := g[:n*p.recLen]
+			if !hit {
+				p.draw(s.Src, stream, n, r)
+			}
+			p.split.Eval(r, n, b)
+		case stream == nil:
+			p.ev(s.Src, n, b)
+		default:
+			for i := 0; i < n; i++ {
+				p.ev(stream.Next(), 1, b[i*dim:(i+1)*dim:(i+1)*dim])
 			}
 		}
+		f.rows(b, n, dim)
 		done += n
+	}
+	f.flush()
+	switch {
+	case hit:
+		samplesReused.Add(int64(s.N))
+	case rec != nil:
+		publish(rec)
 	}
 	return accs
 }
 
-// evalShardSampled is the sampler-transformed shard evaluation: one
-// stream per shard, one Next() per sample, groups averaged into the
-// accumulators. The sample order, the group boundaries, and the
-// accumulation order are all pure functions of (shard, sampler), so
-// the result is bit-identical on any executor at
-// any parallelism. A trailing partial group (only possible in a
+// draw writes the records of n samples of a split kernel: one call on
+// the shard's raw source, or one call per sample on the sampler's
+// stream.
+func (p prepared) draw(src *rng.Source, stream SampleStream, n int, rec []float64) {
+	if stream == nil {
+		p.split.Draw(src, n, rec)
+		return
+	}
+	l := p.recLen
+	for i := 0; i < n; i++ {
+		p.split.Draw(stream.Next(), 1, rec[i*l:(i+1)*l:(i+1)*l])
+	}
+}
+
+// fold accumulates a shard's evaluated rows. Under a group of 1 each
+// row is one observation. Under a block sampler each group of
+// consecutive rows folds into one observation, their mean, so that the
+// accumulator's standard error sees the variance the block removes
+// instead of only the marginal variance. Group boundaries are a pure
+// function of the sample index; a trailing partial group (only in a
 // plan's partial last shard, since Group divides ShardSize) averages
-// over the samples it has.
-func evalShardSampled(ev BatchEvalFunc, s Shard, dim int, sp Sampler) []Accumulator {
-	accs := make([]Accumulator, dim)
-	defer addEvaluatedSamples(s.N)
-	stream := sp.Stream(s.N, s.Src)
-	group := sp.Group()
-	out := make([]float64, dim)
-	sum := make([]float64, dim)
-	for i := 0; i < s.N; {
-		for j := range sum {
-			sum[j] = 0
-		}
-		k := 0
-		for ; k < group && i < s.N; k++ {
-			src := stream.Next()
-			for j := range out {
-				out[j] = 0
+// over the rows it has.
+type fold struct {
+	accs  []Accumulator
+	sum   []float64 // the open group's sums (zeroed; unused at group 1)
+	group int
+	k     int // rows in the open group
+}
+
+// rows folds n rows of the flat buffer b.
+func (f *fold) rows(b []float64, n, dim int) {
+	if f.group == 1 {
+		for i := 0; i < n; i++ {
+			for j, v := range b[i*dim : (i+1)*dim] {
+				f.accs[j].Add(v)
 			}
-			ev(src, 1, out)
-			for j, v := range out {
-				sum[j] += v
-			}
-			i++
 		}
-		inv := 1 / float64(k)
-		for j := range sum {
-			accs[j].Add(sum[j] * inv)
+		return
+	}
+	for i := 0; i < n; i++ {
+		for j, v := range b[i*dim : (i+1)*dim] {
+			f.sum[j] += v
+		}
+		if f.k++; f.k == f.group {
+			f.flush()
 		}
 	}
-	return accs
+}
+
+// flush folds the open group, if it has rows, into the accumulators.
+func (f *fold) flush() {
+	if f.k == 0 {
+		return
+	}
+	inv := 1 / float64(f.k)
+	for j, v := range f.sum {
+		f.accs[j].Add(v * inv)
+		f.sum[j] = 0
+	}
+	f.k = 0
 }
 
 // ExecError is the panic value raised when a kernel-routed estimation

@@ -14,6 +14,8 @@ import (
 var (
 	samplesEvaluated = obs.Default().Counter("cs_mc_samples_evaluated_total",
 		"Monte Carlo samples evaluated in-process or credited by an executor.")
+	samplesReused = obs.Default().Counter("cs_mc_samples_reused_total",
+		"Monte Carlo samples evaluated from a draw memo's stored records instead of drawn again.")
 	shardEvalSeconds = obs.Default().Histogram("cs_mc_shard_eval_seconds",
 		"Wall time to evaluate one shard in the local pool.", nil)
 )

@@ -13,6 +13,19 @@
 // shard, so every estimate is bit-identical for a given seed
 // regardless of worker count or GOMAXPROCS. The CLI's `-parallel`
 // flag sets the pool width via SetMaxWorkers.
+//
+// Kernels are registered by name (kernel.go), most as one batch
+// function that draws and evaluates. A split kernel registers its draw
+// (variates to a record of a few floats per sample) and its evaluation
+// (record to components) apart, with a key naming the params its draw
+// reads. A caller that estimates one split kernel many times on one
+// seed, such as a threshold bisection, opens a draw-memo scope
+// (WithDrawMemo, memo.go): within it each shard's records are drawn
+// once, from a bounded process-wide pool, and reused by every later
+// request whose shard has the same key. A reused record is the one a
+// redraw would write, so memoized and unmemoized estimates are
+// bit-identical; a shard that finds the pool empty is evaluated
+// unmemoized.
 package montecarlo
 
 import (
@@ -57,6 +70,13 @@ func AddEvaluatedSamples(n int) {
 // run to compute samples/sec.
 func EvaluatedSamples() int64 {
 	return samplesEvaluated.Value()
+}
+
+// ReusedSamples returns the number of samples evaluated, since process
+// start, from records a draw memo (WithDrawMemo) had stored instead of
+// drawn again: EvaluatedSamples minus ReusedSamples is what was drawn.
+func ReusedSamples() int64 {
+	return samplesReused.Value()
 }
 
 // SetMaxWorkers sets the worker pool width used by all estimators.
