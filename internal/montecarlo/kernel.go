@@ -212,8 +212,8 @@ func buildKernel(name string, params json.RawMessage, dim int) (kernel, error) {
 // each chunk drawn into a pooled record buffer, then evaluated.
 func splitBatch(k SplitKernel, dim, recLen int) BatchEvalFunc {
 	return func(src *rng.Source, count int, out []float64) {
-		g := recordBufs.Get().(*granule)
-		defer recordBufs.Put(g)
+		g := granules.Get().(*granule)
+		defer granules.Put(g)
 		for done := 0; done < count; {
 			n := min(batchChunk, count-done)
 			rec := g[:n*recLen]
@@ -397,12 +397,9 @@ const batchChunk = 512
 // chunkBufs recycles the shard loop's sample buffers, so a request
 // allocates one per concurrently evaluated shard rather than one per
 // shard. The buffer is zeroed before every chunk, so what a previous
-// shard left in it never reaches a kernel. recordBufs does the same
-// for the record chunks of split kernels outside a memo.
-var (
-	chunkBufs  = sync.Pool{New: func() any { return new([]float64) }}
-	recordBufs = sync.Pool{New: func() any { return new(granule) }}
-)
+// shard left in it never reaches a kernel. The record chunks of split
+// kernels outside a memo come from granules (memo.go) the same way.
+var chunkBufs = sync.Pool{New: func() any { return new([]float64) }}
 
 // shard evaluates one shard of the prepared request exactly the way
 // the tests' closure-based MeanVec does, so the two produce
@@ -426,8 +423,8 @@ func (p prepared) shard(s Shard, mr *memoRequest) []Accumulator {
 	}
 	var scratch *granule
 	if p.recLen > 0 && rec == nil {
-		scratch = recordBufs.Get().(*granule)
-		defer recordBufs.Put(scratch)
+		scratch = granules.Get().(*granule)
+		defer granules.Put(scratch)
 	}
 	// The pooled buffer holds a chunk of rows and, after them, the
 	// fold's group sums.

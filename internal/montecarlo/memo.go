@@ -1,29 +1,19 @@
 package montecarlo
 
-// Draw memos. A search that estimates one kernel at many parameter
-// values on one seed (the threshold bisection of
-// core.OptimalThresholdMC) would redraw the same shard streams at
-// every step, although only a parameter outside the draw has moved. A
-// split kernel (RegisterSplitKernel) separates the draw, the part of a
-// sample its random variates decide, from the evaluation of the record
-// it writes. Inside a scope a caller opens with WithDrawMemo,
-// RunRequest draws each shard's records once and, at every later step
-// that asks for the same shard, only evaluates them.
-//
-// A hit is bit-identical to a redraw. A shard's records are a pure
-// function of the memo key: the kernel, its draw key (the params the
+// Draw memos (see the package comment). A shard's records are a pure
+// function of its memo key: the kernel, its draw key (the params the
 // draw reads), the seed, the sampler, the shard index and the shard
 // size (a stratified stream depends on the size). Eval is a pure
 // function of a record and the params outside the draw key, and a
-// shard evaluates its records in sample order into the same
-// accumulation loop whether they were just drawn or stored. Results,
-// counts and cache keys are unchanged; only kernel time moves.
+// shard evaluates stored records in sample order into the same fold
+// as fresh ones, so a hit gives the accumulators a redraw would.
 //
-// Records live in granules of one evaluation chunk each, taken from one
-// process-wide pool of memoGranules granules (1 MiB, allocated on first
-// use and then recycled, never freed). A shard that cannot get a
-// granule for every chunk it has is evaluated unmemoized, with the same
-// result.
+// Records live in granules of one evaluation chunk each. Scopes hold
+// at most memoGranules of them (1 MiB) at once; a shard that cannot get
+// a granule for every chunk it has is evaluated unmemoized. Released
+// granules go back to the sync.Pool that also lends the shard loop its
+// record scratch, so a steady run of searches reuses them and an idle
+// process lets the collector take them.
 
 import (
 	"context"
@@ -34,7 +24,7 @@ import (
 // register: a granule holds one chunk of records of this length.
 const maxRecLen = 4
 
-// memoGranules is the size of the record pool in granules: 1 MiB, room
+// memoGranules bounds the granules scopes hold at once: 1 MiB, room
 // for the three concurrent threshold searches of a bench-scale tables
 // run (20 granules each).
 const memoGranules = 64
@@ -42,10 +32,14 @@ const memoGranules = 64
 // granule holds the records of one evaluation chunk.
 type granule [batchChunk * maxRecLen]float64
 
+// granules lends record granules to scopes and to the shard loop.
+var granules = sync.Pool{New: func() any { return new(granule) }}
+
 // records are one shard's draw records: granule c holds chunk c's.
 // ready is set, under memoMu, once the shard that took them has
 // written them all.
 type records struct {
+	key   memoKey
 	g     [ShardSize / batchChunk]*granule
 	ready bool
 }
@@ -53,25 +47,24 @@ type records struct {
 // memoKey identifies one shard's records.
 type memoKey struct {
 	kernel  string
-	draw    any // the split kernel's DrawKey
+	draw    any // the split kernel's draw key
 	seed    uint64
 	sampler string
 	index   int
 	n       int
 }
 
-// drawMemo is one scope's records by key.
+// drawMemo is one scope's records, a handful per search.
 type drawMemo struct {
-	entries map[memoKey]*records // nil once released
+	entries  []*records
+	released bool
 }
 
 var (
-	// memoMu guards every scope's entries and the granule pool.
+	// memoMu guards every scope's entries and memoHeld.
 	memoMu sync.Mutex
-	// memoFree holds the pooled granules no scope holds; memoMade
-	// counts the granules allocated so far (at most memoGranules).
-	memoFree = make([]*granule, 0, memoGranules)
-	memoMade int
+	// memoHeld counts the granules open scopes hold.
+	memoHeld int
 )
 
 type memoCtxKey struct{}
@@ -84,7 +77,7 @@ type memoCtxKey struct{}
 // Requests that reach other executors (a worker fleet, a cache hit)
 // are unaffected.
 func WithDrawMemo(ctx context.Context) (_ context.Context, release func()) {
-	m := &drawMemo{entries: map[memoKey]*records{}}
+	m := &drawMemo{}
 	return context.WithValue(ctx, memoCtxKey{}, m), m.release
 }
 
@@ -114,29 +107,27 @@ func (mr *memoRequest) lookup(s Shard) (rec *records, hit bool) {
 	k.index, k.n = s.Index, s.N
 	memoMu.Lock()
 	defer memoMu.Unlock()
-	if m.entries == nil {
+	if m.released {
 		return nil, false
 	}
-	if r, ok := m.entries[k]; ok {
-		if r.ready {
-			return r, true
+	for _, r := range m.entries {
+		if r.key == k {
+			if r.ready {
+				return r, true
+			}
+			return nil, false
 		}
-		return nil, false
 	}
 	need := (k.n + batchChunk - 1) / batchChunk
-	if len(memoFree)+memoGranules-memoMade < need {
+	if memoHeld+need > memoGranules {
 		return nil, false
 	}
-	r := &records{}
+	memoHeld += need
+	r := &records{key: k}
 	for c := range need {
-		if last := len(memoFree) - 1; last >= 0 {
-			r.g[c], memoFree = memoFree[last], memoFree[:last]
-		} else {
-			r.g[c] = new(granule)
-			memoMade++
-		}
+		r.g[c] = granules.Get().(*granule)
 	}
-	m.entries[k] = r
+	m.entries = append(m.entries, r)
 	return r, false
 }
 
@@ -154,9 +145,10 @@ func (m *drawMemo) release() {
 	for _, r := range m.entries {
 		for _, g := range r.g {
 			if g != nil {
-				memoFree = append(memoFree, g)
+				granules.Put(g)
+				memoHeld--
 			}
 		}
 	}
-	m.entries = nil
+	m.entries, m.released = nil, true
 }
