@@ -502,17 +502,18 @@ type fold struct {
 
 // rows folds n rows of the flat buffer b.
 func (f *fold) rows(b []float64, n, dim int) {
+	accs, sum := f.accs, f.sum
 	if f.group == 1 {
 		for i := 0; i < n; i++ {
 			for j, v := range b[i*dim : (i+1)*dim] {
-				f.accs[j].Add(v)
+				accs[j].Add(v)
 			}
 		}
 		return
 	}
 	for i := 0; i < n; i++ {
 		for j, v := range b[i*dim : (i+1)*dim] {
-			f.sum[j] += v
+			sum[j] += v
 		}
 		if f.k++; f.k == f.group {
 			f.flush()

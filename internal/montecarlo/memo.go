@@ -97,8 +97,8 @@ type memoRequest struct {
 // are drawn. On a miss it takes granules for every chunk of the
 // shard and files them undrawn, for the caller to draw and then
 // publish. nil means evaluate unmemoized: no scope (a nil request), a
-// released one, an empty pool, or another shard still drawing the same
-// records.
+// released one, the hold cap reached, or another shard still drawing
+// the same records.
 func (mr *memoRequest) lookup(s Shard) (rec *records, hit bool) {
 	if mr == nil {
 		return nil, false

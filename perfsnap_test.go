@@ -194,3 +194,36 @@ var survivalRows = []snapRow{
 func TestREADMESurvivalTable(t *testing.T) {
 	checkREADMETable(t, "BENCH_20261019c.json", survivalRows)
 }
+
+// drawMemoRows are the rows of README's table for the threshold
+// search's draw memo: the claimed workload end to end, the other
+// workloads' medians, allocation and peak RSS, then the layers: the
+// pool's time per estimate in the measured loop, where searches run in
+// their scopes, the replay's unscoped ns/sample, and the counts that
+// must repeat exactly.
+var drawMemoRows = []snapRow{
+	{"tables-relerr", "run_p50_ref", false},
+	{"tables-relerr", "run_p75_ref", false},
+	{"tables-relerr", "samples_per_ref", false},
+	{"tables-relerr", "alloc_mb_per_run", false},
+	{"tables-relerr", "peak_rss_mb", false},
+	{"tables-fixed", "run_p50_ref", false},
+	{"tables-fixed", "alloc_mb_per_run", false},
+	{"tables-fixed", "peak_rss_mb", false},
+	{"testbed", "run_p50_ref", false},
+	{"fleet-cache", "run_p50_ref", false},
+	{"tables-relerr", "montecarlo.estimate_ms_p50", true},
+	{"tables-fixed", "montecarlo.estimate_ms_p50", true},
+	{"tables-relerr", "core.ns_per_sample.policy-diff", true},
+	{"tables-fixed", "core.ns_per_sample.policy-diff", true},
+	{"tables-relerr", "engine.estimates_per_run", true},
+	{"tables-relerr", "montecarlo.shards_per_run", true},
+	{"tables-relerr", "sampling.samples_to_target", true},
+	{"tables-relerr", "sampling.pilot_samples", true},
+}
+
+// TestREADMEDrawMemoTable checks README's table for the threshold
+// search's draw memo against BENCH_20261019d.json.
+func TestREADMEDrawMemoTable(t *testing.T) {
+	checkREADMETable(t, "BENCH_20261019d.json", drawMemoRows)
+}
