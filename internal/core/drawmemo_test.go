@@ -59,7 +59,13 @@ func search(t *testing.T, c searchCase, memo bool) (float64, []step, int64) {
 	}
 	rec := &recorder{}
 	var exec montecarlo.Executor = rec
-	if c.relErr > 0 {
+	if c.sampler == sampling.Auto {
+		chain, err := sampling.NewChain(rec, c.sampler, c.relErr, 16*montecarlo.ShardSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec = chain.Executor()
+	} else if c.relErr > 0 {
 		d, err := sampling.NewDriver(rec, sampling.DriverOptions{RelErr: c.relErr, MaxSamples: 16 * montecarlo.ShardSize})
 		if err != nil {
 			t.Fatal(err)
@@ -126,6 +132,45 @@ func TestDrawMemoSearchBitIdentical(t *testing.T) {
 	}
 }
 
+// TestDrawMemoAutoPilotsKeepNoRecords runs an auto-sampled driven
+// search, whose candidate pilots run once inside its scope: the steps
+// match the unmemoized search's, and the samples reused are exactly
+// those of shards an earlier step of the search itself drew, none of
+// a pilot's.
+func TestDrawMemoAutoPilotsKeepNoRecords(t *testing.T) {
+	c := searchCase{sampler: sampling.Auto, sigma: 8, relErr: 0.002, seed: 15, n: 2*montecarlo.ShardSize + 300, rmax: 40}
+	d, steps, reused := search(t, c, true)
+	dRef, ref, _ := search(t, c, false)
+	sameSearch(t, "auto", d, dRef, steps, ref)
+	type shardKey struct {
+		sampler  string
+		index, n int
+	}
+	drawn := map[shardKey]bool{}
+	var want int64
+	pilots := 0
+	for _, s := range steps {
+		if s.req.FirstShard == 0 && s.req.Samples == sampling.AutoPilotShards*montecarlo.ShardSize {
+			pilots++
+			continue
+		}
+		for _, sh := range montecarlo.PlanShards(s.req.Seed, s.req.Samples)[s.req.FirstShard:] {
+			k := shardKey{s.req.Sampler, sh.Index, sh.N}
+			if drawn[k] {
+				want += int64(sh.N)
+			}
+			drawn[k] = true
+		}
+	}
+	t.Logf("%d steps, %d of them pilots: %d samples reused", len(steps), pilots, reused)
+	if pilots < 2 {
+		t.Fatalf("%d pilot requests, want one per candidate", pilots)
+	}
+	if reused != want {
+		t.Errorf("%d samples reused, want %d: the search's own repeated shards", reused, want)
+	}
+}
+
 // TestDrawMemoEmptyPool runs a search while another scope holds every
 // granule of the record pool: each shard is evaluated unmemoized, with
 // the same result.
@@ -139,7 +184,7 @@ func TestDrawMemoEmptyPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 12 full shards want 96 granules: the pool has 64.
-	fill := montecarlo.Request{Kernel: KernelPolicyDiff, Params: raw, Seed: 99, Samples: 12 * montecarlo.ShardSize, Dim: 2}
+	fill := montecarlo.Request{Kernel: KernelPolicyDiff, Params: raw, Seed: 99, Samples: 12 * montecarlo.ShardSize, Dim: policyDiffDim}
 	if _, err := montecarlo.RunRequest(hold, fill); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +275,7 @@ func TestMemoHitAllocs(t *testing.T) {
 	ctx, release := montecarlo.WithDrawMemo(context.Background())
 	defer release()
 	allocs := func(shards int) float64 {
-		req := montecarlo.Request{Kernel: KernelPolicyDiff, Params: raw, Seed: 5, Samples: shards * montecarlo.ShardSize, Dim: 2, Sampler: sampling.Sobol}
+		req := montecarlo.Request{Kernel: KernelPolicyDiff, Params: raw, Seed: 5, Samples: shards * montecarlo.ShardSize, Dim: policyDiffDim, Sampler: sampling.Sobol}
 		run := func() {
 			if _, err := montecarlo.RunRequest(ctx, req); err != nil {
 				t.Fatal(err)

@@ -264,6 +264,9 @@ func (pe *pointEval) badSNRBatch(src *rng.Source, count int, out []float64) {
 // the shadowing factor of its interfering power.
 const policyDiffRecLen = 4
 
+// policyDiffDim is core/policy-diff's component count: C_conc, C_mux.
+const policyDiffDim = 2
+
 // policyDiff is the common-random-numbers C_conc/C_mux pair behind
 // OptimalThresholdMC, a montecarlo.SplitKernel split at the one place
 // the interferer distance D enters: the draw writes everything the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"sort"
@@ -9,20 +10,20 @@ import (
 
 	"carriersense/internal/montecarlo"
 	"carriersense/internal/rng"
+	"carriersense/internal/sampling"
 )
 
 // The fused draw consumes every variate of the SampleConfig layout but
 // transforms only the primitives an integrand reads. These tests hold
 // it to a reference that draws and transforms everything.
 
-// pointProjections maps each two-pair kernel to its per-sample
+// pointProjections maps each two-pair batch kernel to its per-sample
 // integrand, the projection its batch applies to each draw.
 var pointProjections = map[string]func(*pointEval, Evaluated, []float64){
 	KernelAverages:     (*pointEval).averagesSample,
 	KernelAveragesPair: (*pointEval).averagesPairSample,
 	KernelSingle:       (*pointEval).singleSample,
 	KernelBadSNR:       (*pointEval).badSNRSample,
-	KernelPolicyDiff:   policyDiffReference,
 }
 
 // policyDiffReference is the C_conc/C_mux pair of one configuration,
@@ -32,10 +33,26 @@ func policyDiffReference(pe *pointEval, e Evaluated, out []float64) {
 	out[1] = pe.m.thr(e.Sig1/pe.noise) / 2
 }
 
-// pointBatch builds a two-pair kernel's registered batch evaluator
+// kernelPolicyDiffReference is a batch kernel that evaluates
+// policyDiffReference over the full draw, registered for the tests
+// that hold policy-diff's shards to it.
+const kernelPolicyDiffReference = "core-test/policy-diff-reference"
+
+func init() {
+	montecarlo.RegisterKernel(kernelPolicyDiffReference, policyDiffDim, func(raw json.RawMessage) (montecarlo.BatchEvalFunc, error) {
+		pe, err := pointEvalOf(raw)
+		if err != nil {
+			return nil, err
+		}
+		return montecarlo.BatchLoop(policyDiffDim, func(src *rng.Source, out []float64) {
+			policyDiffReference(pe, fullDraw(pe, src), out)
+		}), nil
+	})
+}
+
+// pointBatch builds a two-pair batch kernel's registered evaluator
 // from its serialized params at (R_max, D, D_thresh, D_thresh2), as a
-// request would: a split kernel's is its draw followed by its
-// evaluation.
+// request would.
 func pointBatch(tb testing.TB, name string, m *Model, rmax, d, dThresh, dThresh2 float64) montecarlo.BatchEvalFunc {
 	tb.Helper()
 	raw, err := json.Marshal(pointParams{Env: envSpecOf(m.params), Rmax: rmax, D: d, DThresh: dThresh, DThresh2: dThresh2})
@@ -67,7 +84,17 @@ func evaluate(m *Model, c Config) Evaluated {
 	}
 }
 
-// pointKernelNames returns the two-pair kernel names in a fixed order.
+// pointDim returns a two-pair kernel's component count, the split
+// policy-diff kernel's included.
+func pointDim(name string) int {
+	if name == KernelPolicyDiff {
+		return policyDiffDim
+	}
+	return pointKernels[name].dim
+}
+
+// pointKernelNames returns the two-pair batch kernel names in a fixed
+// order.
 func pointKernelNames() []string {
 	names := make([]string, 0, len(pointKernels))
 	for name := range pointKernels {
@@ -88,7 +115,7 @@ func sourcePair(kind string, seed uint64) (*rng.Source, *rng.Source) {
 	return rng.WithUniforms(a.Float64), rng.WithUniforms(b.Float64)
 }
 
-// TestPointKernelsMatchFullDraw checks every two-pair kernel's batch
+// TestPointKernelsMatchFullDraw checks every two-pair batch kernel
 // against the full-draw reference: bit-equal outputs, and the source
 // left at the same stream position (its next draw is equal).
 func TestPointKernelsMatchFullDraw(t *testing.T) {
@@ -135,6 +162,140 @@ func TestPointKernelsMatchFullDraw(t *testing.T) {
 	}
 }
 
+// TestPolicyDiffMatchesFullDraw checks the split policy-diff kernel's
+// parts against the full-draw reference: records drawn a chunk at a
+// time equal records drawn one sample per call (the sampler path's
+// contract), their evaluation is bit-equal to the reference, and
+// either way the source is left where the full draw leaves it.
+func TestPolicyDiffMatchesFullDraw(t *testing.T) {
+	const n = 2000
+	const l = policyDiffRecLen
+	seed := uint64(1)
+	for _, sigma := range []float64{0, 8} {
+		p := DefaultParams()
+		p.SigmaDB = sigma
+		m := New(p)
+		for _, rmax := range []float64{20, 40, 120} {
+			raw, err := json.Marshal(pointParams{Env: envSpecOf(m.params), Rmax: rmax, D: 55})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pe, err := pointEvalOf(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := (*policyDiff)(pe)
+			for _, kind := range []string{"plain", "hooked"} {
+				seed++
+				src, ref := sourcePair(kind, seed)
+				single, _ := sourcePair(kind, seed)
+				rec := make([]float64, n*l)
+				k.Draw(src, n, rec)
+				rec1 := make([]float64, n*l)
+				for i := 0; i < n; i++ {
+					k.Draw(single, 1, rec1[i*l:(i+1)*l])
+				}
+				got := make([]float64, n*policyDiffDim)
+				k.Eval(rec, n, got)
+				want := make([]float64, n*policyDiffDim)
+				for i := 0; i < n; i++ {
+					policyDiffReference(pe, fullDraw(pe, ref), want[i*policyDiffDim:(i+1)*policyDiffDim])
+				}
+				for i := range rec {
+					if math.Float64bits(rec1[i]) != math.Float64bits(rec[i]) {
+						t.Fatalf("σ=%v R_max=%v %s: record %d field %d is %v one sample per call, %v in one chunk",
+							sigma, rmax, kind, i/l, i%l, rec1[i], rec[i])
+					}
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("σ=%v R_max=%v %s: sample %d component %d is %v, full draw gives %v",
+							sigma, rmax, kind, i/policyDiffDim, i%policyDiffDim, got[i], want[i])
+					}
+				}
+				next := ref.Float64()
+				if a, b := src.Float64(), single.Float64(); a != next || b != next {
+					t.Fatalf("σ=%v R_max=%v %s: after %d samples the next draw is %v (chunk) and %v (per call), after the full draw %v",
+						sigma, rmax, kind, n, a, b, next)
+				}
+			}
+		}
+	}
+}
+
+// TestPolicyDiffShardsMatchReference holds the shard loop that
+// evaluates the split policy-diff kernel to the reference batch kernel
+// over the same shard plan and sampler streams: unscoped, on the
+// worker entry point, and in a draw-memo scope both when a request
+// draws and stores the records and when a second one evaluates the
+// stored records. The plan ends in a partial shard.
+func TestPolicyDiffShardsMatchReference(t *testing.T) {
+	const samples = 2*montecarlo.ShardSize + 300
+	for _, sampler := range []string{sampling.Plain, sampling.Stratified, sampling.Sobol} {
+		for _, sigma := range []float64{0, 8} {
+			p := DefaultParams()
+			p.SigmaDB = sigma
+			raw, err := json.Marshal(pointParams{Env: envSpecOf(p), Rmax: 40, D: 55})
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := montecarlo.Request{Kernel: kernelPolicyDiffReference, Params: raw, Seed: 21, Samples: samples, Dim: policyDiffDim, Sampler: sampler}
+			if sampler == sampling.Plain {
+				req.Sampler = ""
+			}
+			want, err := montecarlo.RunRequest(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Kernel = KernelPolicyDiff
+			memo, release := montecarlo.WithDrawMemo(context.Background())
+			reused := montecarlo.ReusedSamples()
+			runs := map[string]func() ([]montecarlo.Accumulator, error){
+				"unscoped":    func() ([]montecarlo.Accumulator, error) { return montecarlo.RunRequest(context.Background(), req) },
+				"worker":      func() ([]montecarlo.Accumulator, error) { return evaluateAllShards(req) },
+				"memo draw":   func() ([]montecarlo.Accumulator, error) { return montecarlo.RunRequest(memo, req) },
+				"memo reused": func() ([]montecarlo.Accumulator, error) { return montecarlo.RunRequest(memo, req) },
+			}
+			for _, path := range []string{"unscoped", "worker", "memo draw", "memo reused"} {
+				got, err := runs[path]()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range want {
+					if got[j] != want[j] {
+						t.Errorf("%s σ=%v %s: component %d is %+v, the reference gives %+v",
+							sampler, sigma, path, j, got[j].Estimate(), want[j].Estimate())
+					}
+				}
+			}
+			release()
+			if got := montecarlo.ReusedSamples() - reused; got != samples {
+				t.Errorf("%s σ=%v: %d samples reused, want the second scoped request's %d", sampler, sigma, got, samples)
+			}
+		}
+	}
+}
+
+// evaluateAllShards evaluates every shard of req through the worker
+// entry point and merges them in shard order.
+func evaluateAllShards(req montecarlo.Request) ([]montecarlo.Accumulator, error) {
+	indices := make([]int, montecarlo.ShardCount(req.Samples))
+	for i := range indices {
+		indices[i] = i
+	}
+	shards, err := montecarlo.EvaluateShards(req, indices)
+	if err != nil {
+		return nil, err
+	}
+	merged := make([]montecarlo.Accumulator, req.Dim)
+	for _, accs := range shards {
+		for j := range merged {
+			merged[j].Merge(accs[j])
+		}
+	}
+	return merged, nil
+}
+
 // TestDrawReadSetsMatchFullDraw checks draw under every read set, the
 // ones no kernel declares included: each primitive read is bit-equal
 // to the reference, and the source ends where the full draw leaves it.
@@ -171,8 +332,9 @@ func TestDrawReadSetsMatchFullDraw(t *testing.T) {
 	}
 }
 
-// BenchmarkPointKernel times each two-pair kernel's batch on a plain
-// and a uniform-hooked source, in ns per sample.
+// BenchmarkPointKernel times each two-pair kernel on a plain and a
+// uniform-hooked source, in ns per sample: a batch kernel's batch, and
+// policy-diff's draw followed by its evaluation.
 func BenchmarkPointKernel(b *testing.B) {
 	const chunk = 1024
 	m := New(DefaultParams())
@@ -189,5 +351,19 @@ func BenchmarkPointKernel(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chunk), "ns/sample")
 			})
 		}
+	}
+	k := (*policyDiff)(m.newPointEval(40, 55, 0))
+	rec := make([]float64, chunk*policyDiffRecLen)
+	out := make([]float64, chunk*policyDiffDim)
+	for _, kind := range []string{"plain", "hooked"} {
+		b.Run("policy-diff/"+kind, func(b *testing.B) {
+			src, _ := sourcePair(kind, 1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Draw(src, chunk, rec)
+				k.Eval(rec, chunk, out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chunk), "ns/sample")
+		})
 	}
 }

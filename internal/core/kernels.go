@@ -79,22 +79,22 @@ type multiParamsWire struct {
 	Rounds     int     `json:"rounds"`
 }
 
-// pointKernel is one two-pair kernel: a projection of the fused
-// pointEval draw with its component count. policy-diff, a split
-// kernel, has no batch here; init registers its parts.
+// pointKernel is one two-pair batch kernel: a projection of the fused
+// pointEval draw with its component count.
 type pointKernel struct {
 	dim   int
 	batch func(pe *pointEval) montecarlo.BatchEvalFunc
 }
 
-// pointKernels are the two-pair kernels by name. init registers each
-// one, and estimatePoint reads its component count here.
+// pointKernels are the two-pair batch kernels by name. init registers
+// each one, and estimatePoint reads its component count here. The
+// fifth two-pair kernel, policy-diff, is a split kernel that init
+// registers in its parts.
 var pointKernels = map[string]pointKernel{
 	KernelAverages:     {nAverages, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.averagesBatch }},
 	KernelAveragesPair: {nAveragesPair, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.averagesPairBatch }},
 	KernelSingle:       {1, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.singleBatch }},
 	KernelBadSNR:       {1, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.badSNRBatch }},
-	KernelPolicyDiff:   {2, nil},
 }
 
 // pointEvalOf rebuilds a two-pair kernel's pointEval from its
@@ -113,9 +113,6 @@ func pointEvalOf(raw json.RawMessage) (*pointEval, error) {
 
 func init() {
 	for name, k := range pointKernels {
-		if k.batch == nil {
-			continue
-		}
 		montecarlo.RegisterKernel(name, k.dim, func(raw json.RawMessage) (montecarlo.BatchEvalFunc, error) {
 			pe, err := pointEvalOf(raw)
 			if err != nil {
@@ -124,7 +121,7 @@ func init() {
 			return k.batch(pe), nil
 		})
 	}
-	montecarlo.RegisterSplitKernel(KernelPolicyDiff, 2, policyDiffRecLen, func(raw json.RawMessage) (montecarlo.SplitKernel, any, error) {
+	montecarlo.RegisterSplitKernel(KernelPolicyDiff, policyDiffDim, policyDiffRecLen, func(raw json.RawMessage) (montecarlo.SplitKernel, any, error) {
 		pe, err := pointEvalOf(raw)
 		if err != nil {
 			return nil, nil, err
@@ -168,7 +165,7 @@ func AveragesRequest(p Params, rmax, d, dThresh float64, seed uint64, n int) mon
 	return montecarlo.Request{Kernel: KernelAverages, Params: raw, Seed: seed, Samples: n, Dim: nAverages}
 }
 
-// estimatePoint routes a two-pair kernel estimation through the
+// estimatePoint routes a two-pair batch kernel estimation through the
 // executor of ctx's plan, under the plan's sampler.
 func (m *Model) estimatePoint(ctx context.Context, kernel string, rmax, d, dThresh float64, seed uint64, n int) []montecarlo.Estimate {
 	p := pointParams{Env: envSpecOf(m.params), Rmax: rmax, D: d, DThresh: dThresh}

@@ -54,6 +54,9 @@ func TestKernelsOneSamplePerCallMatchesChunk(t *testing.T) {
 		t.Fatalf("found %d core kernels (%v), want at least 5", len(names), names)
 	}
 	for _, name := range names {
+		if name == KernelPolicyDiff {
+			continue // a split kernel: TestPolicyDiffMatchesFullDraw checks its draw per call
+		}
 		for _, sigma := range []float64{0, 8} {
 			raw, dim := kernelParams(t, name, sigma)
 			build := func() montecarlo.BatchEvalFunc {

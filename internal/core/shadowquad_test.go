@@ -231,7 +231,7 @@ func TestShadowedKernelsMatchOracle(t *testing.T) {
 		for _, kernel := range []string{KernelAverages, KernelSingle, KernelPolicyDiff, KernelAveragesPair} {
 			for _, sampler := range []string{"", sampling.Sobol} {
 				seed++
-				req := montecarlo.Request{Kernel: kernel, Params: raw, Seed: seed, Samples: n, Dim: pointKernels[kernel].dim, Sampler: sampler}
+				req := montecarlo.Request{Kernel: kernel, Params: raw, Seed: seed, Samples: n, Dim: pointDim(kernel), Sampler: sampler}
 				accs, err := montecarlo.RunRequest(context.Background(), req)
 				if err != nil {
 					t.Fatal(err)

@@ -92,8 +92,10 @@ var withDrawMemo = montecarlo.WithDrawMemo
 func (m *Model) OptimalThresholdMC(ctx context.Context, seed uint64, n int, rmax float64) float64 {
 	ctx, release := withDrawMemo(ctx)
 	defer release()
+	env := envSpecOf(m.params)
 	diff := func(d float64) float64 {
-		est := m.estimatePoint(ctx, KernelPolicyDiff, rmax, d, 0, seed, n)
+		p := pointParams{Env: env, Rmax: rmax, D: d}
+		est := montecarlo.KernelMeanVec(ctx, KernelPolicyDiff, p, seed, n, policyDiffDim)
 		return est[0].Mean - est[1].Mean
 	}
 	lo, hi := 1e-3, math.Max(4*rmax, 50.0)

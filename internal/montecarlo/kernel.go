@@ -44,10 +44,11 @@ type EvalFunc func(src *rng.Source, out []float64)
 // chunk at a time; the sampler path calls it with count = 1, once per
 // sample on that sample's stream. So a kernel must carry no state from
 // one call to the next: count calls with count = 1 must draw and
-// compute exactly what one call with count does. A split kernel's
-// BatchEvalFunc is its Draw followed by its Eval, a chunk at a time;
-// the two parts keep the same contract, and the only state between
-// them is the record, which a draw memo may keep for a later request.
+// compute exactly what one call with count does. A split kernel
+// (SplitKernel) has no BatchEvalFunc: the shard loop calls its Draw as
+// it would call a BatchEvalFunc, under the same contract, and its Eval
+// on the records a chunk at a time. The only state between the two is
+// the record, which a draw memo may keep for a later request.
 type BatchEvalFunc func(src *rng.Source, count int, out []float64)
 
 // KernelFactory rebuilds a kernel's BatchEvalFunc from serialized
@@ -117,8 +118,10 @@ func RegisterExactKernel(name string, dim int, factory KernelFactory) {
 }
 
 // RegisterSplitKernel registers a kernel in its draw and eval parts
-// (SplitKernel), with recLen floats per record (1 to 4). Outside a
-// draw-memo scope it evaluates as its Draw followed by its Eval.
+// (SplitKernel), with recLen floats per record (1 to 4). It evaluates
+// only shard by shard (RunRequest, EvaluateShards), where every shard
+// draws its records and evaluates them, and under a draw-memo scope
+// keeps them.
 func RegisterSplitKernel(name string, dim, recLen int, factory SplitKernelFactory) {
 	if recLen < 1 || recLen > maxRecLen || factory == nil {
 		panic(fmt.Sprintf("montecarlo: invalid split kernel %q", name))
@@ -162,14 +165,15 @@ func KernelNames() []string {
 // evaluator from the serialized parameters. The registration pins the
 // kernel's component count: a request with a different dim (a
 // version-skewed coordinator, a hand-built job) is an error here, not
-// a mis-strided buffer or an out-of-range panic downstream.
+// a mis-strided buffer or an out-of-range panic downstream. A split
+// kernel has no batch evaluator, so it is an error too.
 func BuildKernel(name string, params json.RawMessage, dim int) (BatchEvalFunc, error) {
 	k, err := buildKernel(name, params, dim)
 	if err != nil {
 		return nil, err
 	}
 	if k.recLen > 0 {
-		return splitBatch(k.split, dim, k.recLen), nil
+		return nil, fmt.Errorf("montecarlo: kernel %q is a split kernel, evaluated only shard by shard", name)
 	}
 	return k.ev, nil
 }
@@ -183,7 +187,7 @@ type kernel struct {
 	recLen  int // > 0 for a split kernel
 }
 
-// buildKernel is BuildKernel without composing a split kernel's parts.
+// buildKernel is BuildKernel, building a split kernel's parts too.
 func buildKernel(name string, params json.RawMessage, dim int) (kernel, error) {
 	kernelMu.RLock()
 	reg, ok := kernels[name]
@@ -206,22 +210,6 @@ func buildKernel(name string, params json.RawMessage, dim int) (kernel, error) {
 		return kernel{}, fmt.Errorf("montecarlo: kernel %q: %w", name, err)
 	}
 	return k, nil
-}
-
-// splitBatch composes a split kernel's parts into its BatchEvalFunc:
-// each chunk drawn into a pooled record buffer, then evaluated.
-func splitBatch(k SplitKernel, dim, recLen int) BatchEvalFunc {
-	return func(src *rng.Source, count int, out []float64) {
-		g := granules.Get().(*granule)
-		defer granules.Put(g)
-		for done := 0; done < count; {
-			n := min(batchChunk, count-done)
-			rec := g[:n*recLen]
-			k.Draw(src, n, rec)
-			k.Eval(rec, n, out[done*dim:(done+n)*dim])
-			done += n
-		}
-	}
 }
 
 // Request is one complete, serializable estimation: a registered
@@ -409,9 +397,11 @@ var chunkBufs = sync.Pool{New: func() any { return new([]float64) }}
 // the shard's stream per call; under any other it runs one sample per
 // call over the sampler's stream, each sample on its own source. A
 // split kernel draws its records the same way, a chunk or a sample at
-// a time, and evaluates them a chunk at a time. Under a draw memo (mr
-// non-nil) whose records for this shard are stored it only evaluates
-// them.
+// a time, and evaluates them a chunk at a time: this loop is its one
+// evaluation path, scoped or not, on any executor. Its records go to
+// a pooled scratch granule, or, when a draw memo (mr non-nil) takes
+// the shard, to the memo's granules; when the memo already holds them
+// the shard only evaluates.
 func (p prepared) shard(s Shard, mr *memoRequest) []Accumulator {
 	dim := p.dim
 	accs := make([]Accumulator, dim)
