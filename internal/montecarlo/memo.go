@@ -25,11 +25,12 @@ import (
 const maxRecLen = 4
 
 // memoGranules bounds the granules scopes hold at once: 1 MiB. The
-// three concurrent threshold searches of a bench-scale tables run hold
-// at most 60 at a fixed budget (20 each) and about 30 under -sampler
-// auto -relerr 0.005, whose candidate pilots keep no records
-// (WithoutDrawMemo); kept, the pilots alone took 48 and the peak
-// reached 78.
+// three concurrent threshold searches of a bench-scale tables run want
+// 60 at a fixed budget (20 each). Under -sampler auto -relerr 0.005
+// they want 50 to 78, since auto's three candidate pilots hold 48
+// through the first search, so the cap fills at some seeds and a few
+// shards are redrawn; on that workload a cap of 96, or pilots kept
+// out of the scopes, measured no faster (2 vCPUs).
 const memoGranules = 64
 
 // granule holds the records of one evaluation chunk.
@@ -82,18 +83,6 @@ type memoCtxKey struct{}
 func WithDrawMemo(ctx context.Context) (_ context.Context, release func()) {
 	m := &drawMemo{}
 	return context.WithValue(ctx, memoCtxKey{}, m), m.release
-}
-
-// WithoutDrawMemo returns ctx outside any draw-memo scope: RunRequest
-// under it keeps no records and reuses none. A probe that a layer
-// sends once on a scope's behalf, such as an auto-sampler pilot, runs
-// under it, so its records do not take the pool's room until the
-// scope ends.
-func WithoutDrawMemo(ctx context.Context) context.Context {
-	if memoOf(ctx) == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, memoCtxKey{}, (*drawMemo)(nil))
 }
 
 func memoOf(ctx context.Context) *drawMemo {

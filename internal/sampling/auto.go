@@ -116,9 +116,7 @@ func (a *AutoScheduler) score(ctx context.Context, req montecarlo.Request, cand 
 	}
 	pr.Samples = autoPilotSamples
 	pr.FirstShard = 0
-	// A pilot runs once, so a draw memo the caller opened (a threshold
-	// search's) would only hold its records until the search ends.
-	accs, err := a.base.EstimateVec(montecarlo.WithoutDrawMemo(ctx), pr)
+	accs, err := a.base.EstimateVec(ctx, pr)
 	if err != nil {
 		return 0, fmt.Errorf("sampling: auto pilot %q/%s: %w", req.Kernel, cand, err)
 	}
