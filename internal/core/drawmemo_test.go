@@ -4,20 +4,28 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"net"
 	"sync"
 	"testing"
 
+	"carriersense/internal/capacity"
+	"carriersense/internal/dist"
 	"carriersense/internal/montecarlo"
 	"carriersense/internal/sampling"
 )
 
-// A threshold search draws each shard once, in a draw-memo scope, and
-// evaluates the stored records at every later step. These tests hold
-// it to a search without the scope: the same crossing, and the same
-// accumulators at every step, under every sampler (auto with its
-// pilots inside the scope), shadowed and not, at a fixed budget and
-// under the convergence driver's ranged rounds, with the record pool
-// empty, and with two searches sharing the pool.
+// A threshold search draws each shard once, into the process's draw
+// memo, and evaluates the stored records at every later step. These
+// tests hold it to the same search on the reference batch kernel
+// (kernelPolicyDiffReference), which the memo never serves: the same
+// crossing, and the same accumulators at every step, under every
+// sampler (auto with its pilots), shadowed and not, at a fixed budget
+// and under the convergence driver's ranged rounds, with two searches
+// sharing the memo, with records a search on other params left, and
+// over a worker fleet.
+//
+// The memo outlives each test, so a test that counts draws runs its
+// searches on seeds no other test uses.
 
 // step is one estimation a search sent to the local pool.
 type step struct {
@@ -25,40 +33,62 @@ type step struct {
 	accs []montecarlo.Accumulator
 }
 
-// recorder is a Local executor that keeps every request and result.
+// recorder is an executor that keeps every request and result. It
+// runs them on next, or on the local pool when next is nil. With ref
+// set it evaluates policy-diff requests on the reference kernel and
+// records them under their own name.
 type recorder struct {
+	next  montecarlo.Executor
+	ref   bool
 	mu    sync.Mutex
 	steps []step
 }
 
 func (r *recorder) EstimateVec(ctx context.Context, req montecarlo.Request) ([]montecarlo.Accumulator, error) {
-	accs, err := montecarlo.RunRequest(ctx, req)
+	run := req
+	if r.ref && run.Kernel == KernelPolicyDiff {
+		run.Kernel = kernelPolicyDiffReference
+	}
+	var accs []montecarlo.Accumulator
+	var err error
+	if r.next != nil {
+		accs, err = r.next.EstimateVec(ctx, run)
+	} else {
+		accs, err = montecarlo.RunRequest(ctx, run)
+	}
 	r.mu.Lock()
 	r.steps = append(r.steps, step{req, accs})
 	r.mu.Unlock()
 	return accs, err
 }
 
-// searchCase is one threshold search.
-type searchCase struct {
-	sampler string
-	sigma   float64
-	relErr  float64 // > 0 drives each step to this target
-	seed    uint64
-	n       int
-	rmax    float64
+// evaluated is the number of samples steps evaluated.
+func evaluated(steps []step) int64 {
+	var n int64
+	for _, s := range steps {
+		n += int64(s.req.SampleSpan())
+	}
+	return n
 }
 
-// search runs c's search, with or without the draw memo, and returns
-// the crossing, every step it sent to the pool and the samples that
-// hit stored records.
-func search(t *testing.T, c searchCase, memo bool) (float64, []step, int64) {
+// searchCase is one threshold search.
+type searchCase struct {
+	sampler    string
+	sigma      float64
+	relErr     float64 // > 0 drives each step to this target
+	seed       uint64
+	n          int
+	rmax       float64
+	noiseDB    float64 // 0 = the default
+	efficiency float64 // Shannon capacity's; 0 = the default
+}
+
+// search runs c's search, on policy-diff or on the reference kernel,
+// and returns the crossing, every step it sent to the pool and the
+// samples it drew.
+func search(t *testing.T, c searchCase, ref bool) (float64, []step, int64) {
 	t.Helper()
-	if !memo {
-		withDrawMemo = func(ctx context.Context) (context.Context, func()) { return ctx, func() {} }
-		defer func() { withDrawMemo = montecarlo.WithDrawMemo }()
-	}
-	rec := &recorder{}
+	rec := &recorder{ref: ref}
 	var exec montecarlo.Executor = rec
 	if c.sampler == sampling.Auto {
 		maxSamples := 0
@@ -79,10 +109,16 @@ func search(t *testing.T, c searchCase, memo bool) (float64, []step, int64) {
 	}
 	p := DefaultParams()
 	p.SigmaDB = c.sigma
+	if c.noiseDB != 0 {
+		p.NoiseDB = c.noiseDB
+	}
+	if c.efficiency != 0 {
+		p.Capacity = capacity.Shannon{Efficiency: c.efficiency}
+	}
 	ctx := montecarlo.WithPlan(context.Background(), exec, c.sampler)
 	reused := montecarlo.ReusedSamples()
 	d := New(p).OptimalThresholdMC(ctx, c.seed, c.n, c.rmax)
-	return d, rec.steps, montecarlo.ReusedSamples() - reused
+	return d, rec.steps, evaluated(rec.steps) - (montecarlo.ReusedSamples() - reused)
 }
 
 // sameSearch fails unless two searches found the same crossing through
@@ -90,19 +126,19 @@ func search(t *testing.T, c searchCase, memo bool) (float64, []step, int64) {
 func sameSearch(t *testing.T, name string, dGot, dWant float64, got, want []step) {
 	t.Helper()
 	if math.Float64bits(dGot) != math.Float64bits(dWant) {
-		t.Errorf("%s: crossing %v with the memo, %v without", name, dGot, dWant)
+		t.Errorf("%s: crossing %v with the memo, %v on the reference", name, dGot, dWant)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("%s: %d steps with the memo, %d without", name, len(got), len(want))
+		t.Fatalf("%s: %d steps with the memo, %d on the reference", name, len(got), len(want))
 	}
 	for i := range want {
 		g, w := got[i], want[i]
 		if string(g.req.Params) != string(w.req.Params) || g.req.Samples != w.req.Samples || g.req.FirstShard != w.req.FirstShard {
-			t.Fatalf("%s: step %d asks %+v with the memo, %+v without", name, i, g.req, w.req)
+			t.Fatalf("%s: step %d asks %+v with the memo, %+v on the reference", name, i, g.req, w.req)
 		}
 		for j := range w.accs {
 			if g.accs[j] != w.accs[j] {
-				t.Fatalf("%s: step %d component %d is %+v with the memo, %+v without",
+				t.Fatalf("%s: step %d component %d is %+v with the memo, %+v on the reference",
 					name, i, j, g.accs[j].Estimate(), w.accs[j].Estimate())
 			}
 		}
@@ -119,16 +155,16 @@ func TestDrawMemoSearchBitIdentical(t *testing.T) {
 				if relErr > 0 {
 					name += " driven"
 				}
-				d, steps, reused := search(t, c, true)
-				dRef, ref, refReused := search(t, c, false)
+				d, steps, drawn := search(t, c, false)
+				dRef, ref, _ := search(t, c, true)
 				sameSearch(t, name, d, dRef, steps, ref)
-				if reused == 0 || refReused != 0 {
-					t.Errorf("%s σ=%v: %d samples reused with the memo, %d without", name, sigma, reused, refReused)
+				if drawn >= evaluated(steps) {
+					t.Errorf("%s σ=%v: drew %d samples of %d evaluated, want reuse", name, sigma, drawn, evaluated(steps))
 				}
 				for _, s := range steps {
 					ranged = ranged || s.req.FirstShard > 0
 				}
-				t.Logf("%s σ=%v: %d steps, D_opt %.4f, %d samples reused", name, sigma, len(steps), d, reused)
+				t.Logf("%s σ=%v: %d steps, D_opt %.4f, %d of %d samples drawn", name, sigma, len(steps), d, drawn, evaluated(steps))
 			}
 		}
 	}
@@ -137,34 +173,41 @@ func TestDrawMemoSearchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDrawMemoEmptyPool runs a search while another scope holds every
-// granule of the record pool: each shard is evaluated unmemoized, with
-// the same result.
-func TestDrawMemoEmptyPool(t *testing.T) {
-	c := searchCase{sampler: sampling.Sobol, sigma: 8, seed: 12, n: 3 * montecarlo.ShardSize, rmax: 20}
-	dRef, ref, _ := search(t, c, false)
-
-	hold, release := montecarlo.WithDrawMemo(context.Background())
-	raw, err := json.Marshal(pointParams{Env: envSpecOf(DefaultParams()), Rmax: 120, D: 55})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 12 full shards want 96 granules: the pool has 64.
-	fill := montecarlo.Request{Kernel: KernelPolicyDiff, Params: raw, Seed: 99, Samples: 12 * montecarlo.ShardSize, Dim: policyDiffDim}
-	if _, err := montecarlo.RunRequest(hold, fill); err != nil {
-		t.Fatal(err)
-	}
-	d, steps, reused := search(t, c, true)
-	release()
-	sameSearch(t, "empty pool", d, dRef, steps, ref)
-	if reused != 0 {
-		t.Errorf("%d samples reused with the pool held elsewhere, want 0", reused)
+// TestDrawMemoKeyComplete runs searches back to back on one seed. A
+// search whose params differ only outside the draw key (noise floor,
+// capacity efficiency) reuses every record of the first and draws
+// nothing; one at another σ reuses none of them and, like the first,
+// draws each of its own shards once. Each equals its search on the
+// reference kernel.
+func TestDrawMemoKeyComplete(t *testing.T) {
+	base := searchCase{sampler: sampling.Sobol, sigma: 8, seed: 15, n: 2*montecarlo.ShardSize + 300, rmax: 40}
+	noise := base
+	noise.noiseDB, noise.efficiency = -70, 0.5
+	sigma := base
+	sigma.sigma = 6
+	for _, c := range []struct {
+		name   string
+		c      searchCase
+		reuses bool
+	}{{"first", base, false}, {"noise and capacity", noise, true}, {"σ", sigma, false}} {
+		d, steps, drawn := search(t, c.c, false)
+		dRef, ref, _ := search(t, c.c, true)
+		sameSearch(t, c.name, d, dRef, steps, ref)
+		want := int64(c.c.n) // each shard once, at the first step
+		if c.reuses {
+			want = 0
+		}
+		if drawn != want {
+			t.Errorf("%s: drew %d samples, want %d", c.name, drawn, want)
+		}
+		t.Logf("%s: D_opt %.4f, %d steps, %d samples drawn", c.name, d, len(steps), drawn)
 	}
 }
 
 // TestDrawMemoConcurrentSearches runs two searches at once, sharing
-// the record pool (together they want more granules than it has), and
-// checks each against its unmemoized search. It runs in CI's race lane.
+// the memo (together they want more granules than it holds), and
+// checks each against its search on the reference kernel. It runs in
+// CI's race lane.
 func TestDrawMemoConcurrentSearches(t *testing.T) {
 	cases := []searchCase{
 		{sampler: sampling.Plain, sigma: 8, seed: 13, n: 5 * montecarlo.ShardSize, rmax: 40},
@@ -176,7 +219,7 @@ func TestDrawMemoConcurrentSearches(t *testing.T) {
 	}
 	want := make([]result, len(cases))
 	for i, c := range cases {
-		want[i].d, want[i].steps, _ = search(t, c, false)
+		want[i].d, want[i].steps, _ = search(t, c, true)
 	}
 	got := make([]result, len(cases))
 	var wg sync.WaitGroup
@@ -184,7 +227,7 @@ func TestDrawMemoConcurrentSearches(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i].d, got[i].steps, _ = search(t, c, true)
+			got[i].d, got[i].steps, _ = search(t, c, false)
 		}()
 	}
 	wg.Wait()
@@ -193,33 +236,88 @@ func TestDrawMemoConcurrentSearches(t *testing.T) {
 	}
 }
 
-// TestThresholdSearchDrawsOnce is a perf gate: the three threshold
-// searches of a bench-scale tables run (40,000 samples a cell, so
-// 10,000 a step), run side by side as tables runs them, draw each
-// distinct shard once, so each draws 10,000 samples and evaluates
-// 10,000 per step. The counts are deterministic.
-func TestThresholdSearchDrawsOnce(t *testing.T) {
+// benchSearches runs the three threshold searches of a bench-scale
+// tables run (40,000 samples a cell, so 10,000 a step) side by side,
+// as tables runs them, on seeds seed, seed+1 and seed+2, through exec
+// (the local pool when nil). It returns the crossings, the samples
+// evaluated and the samples drawn.
+func benchSearches(exec montecarlo.Executor, seed uint64) (d []float64, spanned, drawn int64) {
 	const n = 10_000
 	rmaxes := []float64{20, 40, 120}
 	m := New(DefaultParams())
-	rec := &recorder{}
+	rec := &recorder{next: exec}
 	ctx := montecarlo.WithPlan(context.Background(), rec, "")
-	evaluated, reused := montecarlo.EvaluatedSamples(), montecarlo.ReusedSamples()
+	reused := montecarlo.ReusedSamples()
+	d = make([]float64, len(rmaxes))
 	montecarlo.Fork(ctx, len(rmaxes), func(ctx context.Context, i int) {
-		m.OptimalThresholdMC(ctx, uint64(1001+i), n, rmaxes[i])
+		d[i] = m.OptimalThresholdMC(ctx, seed+uint64(i), n, rmaxes[i])
 	})
-	evaluated = montecarlo.EvaluatedSamples() - evaluated
-	drawn := evaluated - (montecarlo.ReusedSamples() - reused)
-	steps := map[uint64]int{}
-	for _, s := range rec.steps {
-		steps[s.req.Seed]++
+	spanned = evaluated(rec.steps)
+	return d, spanned, spanned - (montecarlo.ReusedSamples() - reused)
+}
+
+// drawGate fails unless the three bench-scale searches evaluated
+// 360,000 samples (12 steps each) and drew 30,000: each row's 3 shards
+// once.
+func drawGate(t *testing.T, evaluated, drawn int64) {
+	t.Helper()
+	t.Logf("%d samples drawn, %d evaluated", drawn, evaluated)
+	if evaluated != 360_000 {
+		t.Errorf("evaluated %d samples, want 360,000 (3 rows of 12 steps of 10,000)", evaluated)
 	}
-	t.Logf("steps per row %v: %d samples drawn, %d evaluated", steps, drawn, evaluated)
-	if want := int64(len(rec.steps) * n); evaluated != want {
-		t.Errorf("evaluated %d samples, want %d (%d steps of %d)", evaluated, want, len(rec.steps), n)
+	if drawn != 30_000 {
+		t.Errorf("drew %d samples, want 30,000: each row's 3 shards once", drawn)
 	}
-	if want := int64(len(rmaxes) * n); drawn != want {
-		t.Errorf("drew %d samples, want %d: each row's 3 shards once", drawn, want)
+}
+
+// TestThresholdSearchDrawsOnce is a perf gate: the three searches of
+// a bench-scale tables run draw each distinct shard once. The counts
+// are deterministic.
+func TestThresholdSearchDrawsOnce(t *testing.T) {
+	_, evaluated, drawn := benchSearches(nil, 1001)
+	drawGate(t, evaluated, drawn)
+}
+
+// TestDrawMemoFleetDrawsOnce is the same perf gate over a two-worker
+// fleet in this process: its workers share the draw memo, so a shard
+// one worker drew at one step is a hit for whichever serves it next.
+// The crossings equal the local searches' on the reference kernel bit
+// for bit. It runs in CI's race lane.
+func TestDrawMemoFleetDrawsOnce(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	errs := make(chan error, 2)
+	var hosts []string
+	for range 2 {
+		ready := make(chan net.Addr, 1)
+		go func() { errs <- dist.Serve(ctx, "127.0.0.1:0", ready) }()
+		select {
+		case addr := <-ready:
+			hosts = append(hosts, addr.String())
+		case err := <-errs:
+			cancel()
+			t.Fatal(err)
+		}
+	}
+	defer func() {
+		cancel()
+		for range hosts {
+			if err := <-errs; err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	remote, err := dist.NewRemote(hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	d, evaluated, drawn := benchSearches(remote, 2001)
+	drawGate(t, evaluated, drawn)
+	want, _, _ := benchSearches(&recorder{ref: true}, 2001)
+	for i := range want {
+		if math.Float64bits(d[i]) != math.Float64bits(want[i]) {
+			t.Errorf("row %d: crossing %v over the fleet, %v locally on the reference", i, d[i], want[i])
+		}
 	}
 }
 
@@ -238,12 +336,10 @@ func TestMemoHitAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer montecarlo.ResetMaxWorkers()
-	ctx, release := montecarlo.WithDrawMemo(context.Background())
-	defer release()
 	allocs := func(shards int) float64 {
 		req := montecarlo.Request{Kernel: KernelPolicyDiff, Params: raw, Seed: 5, Samples: shards * montecarlo.ShardSize, Dim: policyDiffDim, Sampler: sampling.Sobol}
 		run := func() {
-			if _, err := montecarlo.RunRequest(ctx, req); err != nil {
+			if _, err := montecarlo.RunRequest(context.Background(), req); err != nil {
 				t.Fatal(err)
 			}
 		}

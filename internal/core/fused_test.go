@@ -225,10 +225,11 @@ func TestPolicyDiffMatchesFullDraw(t *testing.T) {
 
 // TestPolicyDiffShardsMatchReference holds the shard loop that
 // evaluates the split policy-diff kernel to the reference batch kernel
-// over the same shard plan and sampler streams: unscoped, on the
-// worker entry point, and in a draw-memo scope both when a request
-// draws and stores the records and when a second one evaluates the
-// stored records. The plan ends in a partial shard.
+// over the same shard plan and sampler streams: when a request draws
+// the records into the draw memo, and when a later one evaluates the
+// stored records, in the local pool and on the worker entry point. The
+// plan ends in a partial shard. Seed 21 is this test's alone, so the
+// first request draws every shard.
 func TestPolicyDiffShardsMatchReference(t *testing.T) {
 	const samples = 2*montecarlo.ShardSize + 300
 	for _, sampler := range []string{sampling.Plain, sampling.Stratified, sampling.Sobol} {
@@ -248,29 +249,26 @@ func TestPolicyDiffShardsMatchReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			req.Kernel = KernelPolicyDiff
-			memo, release := montecarlo.WithDrawMemo(context.Background())
 			reused := montecarlo.ReusedSamples()
-			runs := map[string]func() ([]montecarlo.Accumulator, error){
-				"unscoped":    func() ([]montecarlo.Accumulator, error) { return montecarlo.RunRequest(context.Background(), req) },
-				"worker":      func() ([]montecarlo.Accumulator, error) { return evaluateAllShards(req) },
-				"memo draw":   func() ([]montecarlo.Accumulator, error) { return montecarlo.RunRequest(memo, req) },
-				"memo reused": func() ([]montecarlo.Accumulator, error) { return montecarlo.RunRequest(memo, req) },
-			}
-			for _, path := range []string{"unscoped", "worker", "memo draw", "memo reused"} {
-				got, err := runs[path]()
+			local := func() ([]montecarlo.Accumulator, error) { return montecarlo.RunRequest(context.Background(), req) }
+			worker := func() ([]montecarlo.Accumulator, error) { return evaluateAllShards(req) }
+			for _, path := range []struct {
+				name string
+				run  func() ([]montecarlo.Accumulator, error)
+			}{{"draw", local}, {"worker reuse", worker}, {"reuse", local}} {
+				got, err := path.run()
 				if err != nil {
 					t.Fatal(err)
 				}
 				for j := range want {
 					if got[j] != want[j] {
 						t.Errorf("%s σ=%v %s: component %d is %+v, the reference gives %+v",
-							sampler, sigma, path, j, got[j].Estimate(), want[j].Estimate())
+							sampler, sigma, path.name, j, got[j].Estimate(), want[j].Estimate())
 					}
 				}
 			}
-			release()
-			if got := montecarlo.ReusedSamples() - reused; got != samples {
-				t.Errorf("%s σ=%v: %d samples reused, want the second scoped request's %d", sampler, sigma, got, samples)
+			if got := montecarlo.ReusedSamples() - reused; got != 2*samples {
+				t.Errorf("%s σ=%v: %d samples reused, want the two later requests' %d", sampler, sigma, got, 2*samples)
 			}
 		}
 	}

@@ -70,10 +70,6 @@ func (m *Model) OptimalThresholdQuad(rmax float64) float64 {
 	return d
 }
 
-// withDrawMemo opens a threshold search's draw-memo scope. Tests swap
-// in a no-op to compare a search with an unmemoized one.
-var withDrawMemo = montecarlo.WithDrawMemo
-
 // OptimalThresholdMC solves the ⟨C_conc⟩ = ⟨C_mux⟩ crossing for the
 // shadowed model by Monte Carlo estimation and bisection. n is the
 // per-evaluation sample count; both curves are estimated with common
@@ -83,15 +79,15 @@ var withDrawMemo = montecarlo.WithDrawMemo
 //
 // Every step estimates core/policy-diff on the same seed, so every
 // step draws the same receiver positions and shadowing factors; only
-// D, which enters after the draw, moves. The search runs in a draw-memo
-// scope (montecarlo.WithDrawMemo): each shard the local pool evaluates
-// is drawn once, at the first step that needs it, and later steps only
-// evaluate its records. A hit computes what a redraw would, operation
-// for operation, so every step's accumulators, the crossing and every
-// request, count and cache key are as without the scope.
+// D, which enters after the draw, moves. The process's draw memo
+// (internal/montecarlo, memo.go) keeps each shard's draws: the local
+// pool, or a fleet worker, draws a shard at the first step that needs
+// it, and later steps it serves only evaluate its records. A worker of
+// a multi-process fleet hits only for shards it served at an earlier
+// step. A hit computes what a redraw would, operation for operation,
+// so every step's accumulators, the crossing and every request, count
+// and cache key are as without the memo.
 func (m *Model) OptimalThresholdMC(ctx context.Context, seed uint64, n int, rmax float64) float64 {
-	ctx, release := withDrawMemo(ctx)
-	defer release()
 	env := envSpecOf(m.params)
 	diff := func(d float64) float64 {
 		p := pointParams{Env: env, Rmax: rmax, D: d}

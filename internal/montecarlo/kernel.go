@@ -48,16 +48,16 @@ type EvalFunc func(src *rng.Source, out []float64)
 // (SplitKernel) has no BatchEvalFunc: the shard loop calls its Draw as
 // it would call a BatchEvalFunc, under the same contract, and its Eval
 // on the records a chunk at a time. The only state between the two is
-// the record, which a draw memo may keep for a later request.
+// the record, which the draw memo may keep for a later request.
 type BatchEvalFunc func(src *rng.Source, count int, out []float64)
 
 // KernelFactory rebuilds a kernel's BatchEvalFunc from serialized
 // parameters.
 type KernelFactory func(params json.RawMessage) (BatchEvalFunc, error)
 
-// SplitKernel is a kernel in two parts, so that a draw memo
-// (WithDrawMemo) can keep a shard's draws across requests that differ
-// only in params the draw does not read.
+// SplitKernel is a kernel in two parts, so that the draw memo
+// (memo.go) can keep a shard's draws across requests that differ only
+// in params the draw does not read.
 type SplitKernel interface {
 	// Draw consumes the variates of count consecutive samples from src
 	// and writes each sample's record, recLen floats, into rec.
@@ -120,8 +120,8 @@ func RegisterExactKernel(name string, dim int, factory KernelFactory) {
 // RegisterSplitKernel registers a kernel in its draw and eval parts
 // (SplitKernel), with recLen floats per record (1 to 4). It evaluates
 // only shard by shard (RunRequest, EvaluateShards), where every shard
-// draws its records and evaluates them, and under a draw-memo scope
-// keeps them.
+// draws its records, or finds them in the draw memo, and evaluates
+// them.
 func RegisterSplitKernel(name string, dim, recLen int, factory SplitKernelFactory) {
 	if recLen < 1 || recLen > maxRecLen || factory == nil {
 		panic(fmt.Sprintf("montecarlo: invalid split kernel %q", name))
@@ -285,11 +285,13 @@ func (Local) EstimateVec(ctx context.Context, req Request) ([]Accumulator, error
 }
 
 // prepared is a request made ready for in-process evaluation: checked,
-// with its kernel built and its sampler looked up.
+// with its kernel built and its sampler looked up, and for a split
+// kernel its shards' memo key, less the shard fields.
 type prepared struct {
 	kernel
 	sp  Sampler
 	dim int
+	key memoKey
 }
 
 // prepare is the one request-preparation step RunRequest and
@@ -307,14 +309,20 @@ func prepare(req Request) (prepared, error) {
 	if err != nil {
 		return prepared{}, err
 	}
-	return prepared{kernel: k, sp: sp, dim: req.Dim}, nil
+	p := prepared{kernel: k, sp: sp, dim: req.Dim}
+	if k.recLen > 0 {
+		p.key = memoKey{kernel: req.Kernel, draw: k.drawKey, seed: req.Seed, sampler: req.Sampler}
+		if _, plain := sp.(plainSampler); plain {
+			p.key.sampler = ""
+		}
+	}
+	return p, nil
 }
 
 // RunRequest evaluates a request in-process: every planned shard (from
 // FirstShard on) through the worker pool, merged in shard order. It
-// is what Local runs. Under a draw-memo scope (WithDrawMemo) a split
-// kernel's shards reuse the records an earlier request of the scope
-// drew.
+// is what Local runs. A split kernel's shards reuse the records that
+// the draw memo (memo.go) kept from any earlier request of the process.
 func RunRequest(ctx context.Context, req Request) ([]Accumulator, error) {
 	p, err := prepare(req)
 	if err != nil {
@@ -323,18 +331,11 @@ func RunRequest(ctx context.Context, req Request) ([]Accumulator, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var mr *memoRequest
-	if memo := memoOf(ctx); memo != nil && p.recLen > 0 {
-		mr = &memoRequest{memo, memoKey{kernel: req.Kernel, draw: p.drawKey, seed: req.Seed, sampler: req.Sampler}}
-		if _, plain := p.sp.(plainSampler); plain {
-			mr.key.sampler = ""
-		}
-	}
 	first := req.FirstShard
 	shards := PlanShards(req.Seed, req.Samples)[first:]
 	accs := make([][]Accumulator, len(shards))
 	RunShards(shards, func(s Shard) {
-		accs[s.Index-first] = p.shard(s, mr)
+		accs[s.Index-first] = p.shard(s)
 	})
 	merged := make([]Accumulator, req.Dim)
 	for i := range accs {
@@ -351,7 +352,10 @@ func RunRequest(ctx context.Context, req Request) ([]Accumulator, error) {
 // shard's random source is single-stream state, so evaluating the same
 // index twice in one pool sweep would race on it. This is the worker
 // server's entry point: the coordinator sends index batches and merges
-// the states itself.
+// the states itself. A split kernel's shards share the draw memo with
+// RunRequest's, so a worker reuses the records of any earlier request
+// it served in the same process: a worker in a coordinator's process
+// shares them with the coordinator's local requests too.
 func EvaluateShards(req Request, indices []int) ([][]Accumulator, error) {
 	p, err := prepare(req)
 	if err != nil {
@@ -372,7 +376,7 @@ func EvaluateShards(req Request, indices []int) ([][]Accumulator, error) {
 	}
 	results := make([][]Accumulator, len(indices))
 	RunShards(selected, func(s Shard) {
-		results[position[s.Index]] = p.shard(s, nil)
+		results[position[s.Index]] = p.shard(s)
 	})
 	return results, nil
 }
@@ -385,8 +389,9 @@ const batchChunk = 512
 // chunkBufs recycles the shard loop's sample buffers, so a request
 // allocates one per concurrently evaluated shard rather than one per
 // shard. The buffer is zeroed before every chunk, so what a previous
-// shard left in it never reaches a kernel. The record chunks of split
-// kernels outside a memo come from granules (memo.go) the same way.
+// shard left in it never reaches a kernel. The record scratch of split
+// shards the memo does not take comes from granules (memo.go) the same
+// way.
 var chunkBufs = sync.Pool{New: func() any { return new([]float64) }}
 
 // shard evaluates one shard of the prepared request exactly the way
@@ -398,15 +403,21 @@ var chunkBufs = sync.Pool{New: func() any { return new([]float64) }}
 // call over the sampler's stream, each sample on its own source. A
 // split kernel draws its records the same way, a chunk or a sample at
 // a time, and evaluates them a chunk at a time: this loop is its one
-// evaluation path, scoped or not, on any executor. Its records go to
-// a pooled scratch granule, or, when a draw memo (mr non-nil) takes
-// the shard, to the memo's granules; when the memo already holds them
-// the shard only evaluates.
-func (p prepared) shard(s Shard, mr *memoRequest) []Accumulator {
+// evaluation path, on any executor. Its records go to the draw memo's
+// granules, or, when the memo cannot take the shard, to a pooled
+// scratch granule; when the memo already holds them the shard only
+// evaluates.
+func (p prepared) shard(s Shard) []Accumulator {
 	dim := p.dim
 	accs := make([]Accumulator, dim)
 	defer addEvaluatedSamples(s.N)
-	rec, hit := mr.lookup(s)
+	var rec *records
+	var hit bool
+	if p.recLen > 0 {
+		k := p.key
+		k.index, k.n = s.Index, s.N
+		rec, hit = lookup(k)
+	}
 	var stream SampleStream
 	if _, plain := p.sp.(plainSampler); !hit && !plain {
 		stream = p.sp.Stream(s.N, s.Src)
@@ -452,11 +463,11 @@ func (p prepared) shard(s Shard, mr *memoRequest) []Accumulator {
 		done += n
 	}
 	f.flush()
-	switch {
-	case hit:
+	if rec != nil {
+		unpin(rec, !hit)
+	}
+	if hit {
 		samplesReused.Add(int64(s.N))
-	case rec != nil:
-		publish(rec)
 	}
 	return accs
 }

@@ -1,51 +1,52 @@
 package montecarlo
 
-// Draw memos (see the package comment). A shard's records are a pure
-// function of its memo key: the kernel, its draw key (the params the
-// draw reads), the seed, the sampler, the shard index and the shard
-// size (a stratified stream depends on the size). Eval is a pure
+// The draw memo (see the package comment). A shard's records are a
+// pure function of its memo key: the kernel, its draw key (the params
+// the draw reads), the seed, the sampler, the shard index and the
+// shard size (a stratified stream depends on the size). Eval is a pure
 // function of a record and the params outside the draw key, and a
 // shard evaluates stored records in sample order into the same fold
-// as fresh ones, so a hit gives the accumulators a redraw would.
+// as fresh ones, so a hit gives the accumulators a redraw would, for
+// any request of the process that has the key.
 //
-// Records live in granules of one evaluation chunk each. Scopes hold
-// at most memoGranules of them (1 MiB) at once; a shard that cannot get
-// a granule for every chunk it has is evaluated unmemoized. Released
-// granules go back to the sync.Pool that also lends the shard loop its
-// record scratch, so a steady run of searches reuses them and an idle
-// process lets the collector take them.
+// There is one memo per process, and the shard loop consults it for
+// every split-kernel shard, from RunRequest and EvaluateShards alike.
+// Records live in granules of one evaluation chunk each, and the memo
+// holds at most memoGranules of them (1 MiB). An entry is pinned while
+// a shard draws or reads it. A new entry that would pass the cap
+// evicts the least recently used entries that are drawn and unpinned
+// and takes their granules, with no sync.Pool round trip; when those
+// are too few, the shard is evaluated unmemoized.
 
-import (
-	"context"
-	"sync"
-)
+import "sync"
 
 // maxRecLen is the largest record, in float64s, a split kernel may
 // register: a granule holds one chunk of records of this length.
 const maxRecLen = 4
 
-// memoGranules bounds the granules scopes hold at once: 1 MiB. The
-// three concurrent threshold searches of a bench-scale tables run want
-// 60 at a fixed budget (20 each). Under -sampler auto -relerr 0.005
-// they want 50 to 78, since auto's three candidate pilots hold 48
-// through the first search, so the cap fills at some seeds and a few
-// shards are redrawn; on that workload a cap of 96, or pilots kept
-// out of the scopes, measured no faster (2 vCPUs).
+// memoGranules bounds the granules the memo holds: 1 MiB. The three
+// concurrent threshold searches of a bench-scale tables run want 60 at
+// a fixed budget (20 each). Under -sampler auto -relerr 0.005 auto's
+// three candidate pilots add 48 during the first search. Eviction
+// drops the pilots no later step reads: at seeds 3, 4 and 6, 35 such
+// runs at the default width on 2 vCPUs all reused as many samples as
+// at -parallel 1, where a cap without eviction fell short in 9 of 30.
 const memoGranules = 64
 
 // granule holds the records of one evaluation chunk.
 type granule [batchChunk * maxRecLen]float64
 
-// granules lends record granules to scopes and to the shard loop.
+// granules lends the memo its granules and the shard loop its record
+// scratch for shards the memo does not take.
 var granules = sync.Pool{New: func() any { return new(granule) }}
 
 // records are one shard's draw records: granule c holds chunk c's.
-// ready is set, under memoMu, once the shard that took them has
-// written them all.
 type records struct {
 	key   memoKey
 	g     [ShardSize / batchChunk]*granule
-	ready bool
+	ready bool   // every record is drawn
+	pins  int    // shards drawing or reading the records
+	used  uint64 // the memo's clock at the last lookup
 }
 
 // memoKey identifies one shard's records.
@@ -58,101 +59,98 @@ type memoKey struct {
 	n       int
 }
 
-// drawMemo is one scope's records, a handful per search.
-type drawMemo struct {
-	entries  []*records
-	released bool
+// memo is the process's draw memo. held counts the granules of its
+// entries and spare; spare holds what evictions freed beyond the new
+// entry's need.
+var memo struct {
+	sync.Mutex
+	entries []*records
+	spare   []*granule
+	held    int
+	clock   uint64
 }
 
-var (
-	// memoMu guards every scope's entries and memoHeld.
-	memoMu sync.Mutex
-	// memoHeld counts the granules open scopes hold.
-	memoHeld int
-)
-
-type memoCtxKey struct{}
-
-// WithDrawMemo opens a draw-memo scope: split kernels that RunRequest
-// evaluates under the returned context draw each shard once, and later
-// requests for the same shard reuse its records. release returns the
-// scope's records to the pool; call it once every request of the scope
-// has returned (a request after release evaluates unmemoized).
-// Requests that reach other executors (a worker fleet, a cache hit)
-// are unaffected.
-func WithDrawMemo(ctx context.Context) (_ context.Context, release func()) {
-	m := &drawMemo{}
-	return context.WithValue(ctx, memoCtxKey{}, m), m.release
-}
-
-func memoOf(ctx context.Context) *drawMemo {
-	m, _ := ctx.Value(memoCtxKey{}).(*drawMemo)
-	return m
-}
-
-// memoRequest is one request's handle on its scope's memo: the memo
-// and the request's key, whose shard fields each lookup fills in.
-type memoRequest struct {
-	m   *drawMemo
-	key memoKey
-}
-
-// lookup returns shard s's records for the request, and whether they
-// are drawn. On a miss it takes granules for every chunk of the
-// shard and files them undrawn, for the caller to draw and then
-// publish. nil means evaluate unmemoized: no scope (a nil request), a
-// released one, the hold cap reached, or another shard still drawing
-// the same records.
-func (mr *memoRequest) lookup(s Shard) (rec *records, hit bool) {
-	if mr == nil {
-		return nil, false
-	}
-	m, k := mr.m, mr.key
-	k.index, k.n = s.Index, s.N
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	if m.released {
-		return nil, false
-	}
-	for _, r := range m.entries {
+// lookup returns the records of key k, pinned, and whether they are
+// drawn. On a miss it files a pinned entry with a granule for every
+// chunk of the shard, for the caller to draw. Either way the caller
+// unpins the entry with unpin once the shard is evaluated. nil means
+// evaluate unmemoized: another shard is drawing the same records, or
+// the cap is reached and evicting every drawn, unpinned entry would
+// not free enough granules.
+func lookup(k memoKey) (rec *records, hit bool) {
+	memo.Lock()
+	defer memo.Unlock()
+	memo.clock++
+	for _, r := range memo.entries {
 		if r.key == k {
-			if r.ready {
-				return r, true
+			if !r.ready {
+				return nil, false
 			}
-			return nil, false
+			r.pins++
+			r.used = memo.clock
+			return r, true
 		}
 	}
 	need := (k.n + batchChunk - 1) / batchChunk
-	if memoHeld+need > memoGranules {
+	if !reserve(need) {
 		return nil, false
 	}
-	memoHeld += need
-	r := &records{key: k}
+	r := &records{key: k, pins: 1, used: memo.clock}
 	for c := range need {
-		r.g[c] = granules.Get().(*granule)
+		if n := len(memo.spare); n > 0 {
+			r.g[c], memo.spare = memo.spare[n-1], memo.spare[:n-1]
+		} else {
+			r.g[c] = granules.Get().(*granule)
+			memo.held++
+		}
 	}
-	m.entries = append(m.entries, r)
+	memo.entries = append(memo.entries, r)
 	return r, false
 }
 
-// publish marks records drawn, so later lookups hit them.
-func publish(r *records) {
-	memoMu.Lock()
-	r.ready = true
-	memoMu.Unlock()
-}
-
-// release returns the scope's granules to the pool.
-func (m *drawMemo) release() {
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	for _, r := range m.entries {
+// reserve makes need granules available, in spare or under the cap,
+// by evicting least recently used entries into spare; it evicts
+// nothing and reports false when that cannot free enough.
+func reserve(need int) bool {
+	free := memoGranules - memo.held + len(memo.spare)
+	if free >= need {
+		return true
+	}
+	evictable := 0
+	for _, r := range memo.entries {
+		if r.ready && r.pins == 0 {
+			evictable += (r.key.n + batchChunk - 1) / batchChunk
+		}
+	}
+	if free+evictable < need {
+		return false
+	}
+	for free < need {
+		lru := -1
+		for i, r := range memo.entries {
+			if r.ready && r.pins == 0 && (lru < 0 || r.used < memo.entries[lru].used) {
+				lru = i
+			}
+		}
+		r := memo.entries[lru]
+		last := len(memo.entries) - 1
+		memo.entries[lru], memo.entries[last] = memo.entries[last], nil
+		memo.entries = memo.entries[:last]
 		for _, g := range r.g {
 			if g != nil {
-				granules.Put(g)
-				memoHeld--
+				memo.spare = append(memo.spare, g)
+				free++
 			}
 		}
 	}
-	m.entries, m.released = nil, true
+	return true
+}
+
+// unpin ends a shard's use of records; drew marks them drawn, so later
+// lookups hit them.
+func unpin(r *records, drew bool) {
+	memo.Lock()
+	r.pins--
+	r.ready = r.ready || drew
+	memo.Unlock()
 }

@@ -18,14 +18,13 @@
 // function that draws and evaluates. A split kernel registers its draw
 // (variates to a record of a few floats per sample) and its evaluation
 // (record to components) apart, with a key naming the params its draw
-// reads. A caller that estimates one split kernel many times on one
-// seed, such as a threshold bisection, opens a draw-memo scope
-// (WithDrawMemo, memo.go): within it each shard's records are drawn
-// once, from a bounded process-wide pool, and reused by every later
-// request whose shard has the same key. A reused record is the one a
-// redraw would write, so memoized and unmemoized estimates are
-// bit-identical; a shard that finds the pool empty is evaluated
-// unmemoized.
+// reads. The process keeps one bounded draw memo (memo.go): every
+// split-kernel shard, from RunRequest or EvaluateShards, draws its
+// records once and later requests whose shard has the same key, such
+// as the steps of a threshold bisection on one seed, only evaluate
+// them. A reused record is the one a redraw would write, so memoized
+// and unmemoized estimates are bit-identical; a shard the full memo
+// cannot take is evaluated unmemoized.
 package montecarlo
 
 import (
@@ -73,7 +72,7 @@ func EvaluatedSamples() int64 {
 }
 
 // ReusedSamples returns the number of samples evaluated, since process
-// start, from records a draw memo (WithDrawMemo) had stored instead of
+// start, from records the draw memo (memo.go) had stored instead of
 // drawn again: EvaluatedSamples minus ReusedSamples is what was drawn.
 func ReusedSamples() int64 {
 	return samplesReused.Value()
