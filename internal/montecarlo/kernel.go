@@ -168,7 +168,7 @@ func KernelNames() []string {
 // a mis-strided buffer or an out-of-range panic downstream. A split
 // kernel has no batch evaluator, so it is an error too.
 func BuildKernel(name string, params json.RawMessage, dim int) (BatchEvalFunc, error) {
-	k, err := buildKernel(name, params, dim)
+	k, _, err := buildKernel(name, params, dim)
 	if err != nil {
 		return nil, err
 	}
@@ -178,38 +178,36 @@ func BuildKernel(name string, params json.RawMessage, dim int) (BatchEvalFunc, e
 	return k.ev, nil
 }
 
-// kernel is a built kernel: its batch evaluator, or for a split kernel
-// its parts and draw key.
+// kernel is a built kernel: its batch evaluator, or a split kernel's
+// parts.
 type kernel struct {
-	ev      BatchEvalFunc
-	split   SplitKernel
-	drawKey any
-	recLen  int // > 0 for a split kernel
+	ev     BatchEvalFunc
+	split  SplitKernel
+	recLen int // > 0 for a split kernel
 }
 
-// buildKernel is BuildKernel, building a split kernel's parts too.
-func buildKernel(name string, params json.RawMessage, dim int) (kernel, error) {
+// buildKernel is BuildKernel, building a split kernel's parts and
+// draw key too.
+func buildKernel(name string, params json.RawMessage, dim int) (k kernel, drawKey any, err error) {
 	kernelMu.RLock()
 	reg, ok := kernels[name]
 	kernelMu.RUnlock()
 	if !ok {
-		return kernel{}, fmt.Errorf("montecarlo: unknown kernel %q", name)
+		return kernel{}, nil, fmt.Errorf("montecarlo: unknown kernel %q", name)
 	}
 	if dim != reg.dim {
-		return kernel{}, fmt.Errorf("montecarlo: kernel %q has %d components, request wants %d", name, reg.dim, dim)
+		return kernel{}, nil, fmt.Errorf("montecarlo: kernel %q has %d components, request wants %d", name, reg.dim, dim)
 	}
-	var k kernel
-	var err error
 	if reg.split != nil {
-		k.split, k.drawKey, err = reg.split(params)
+		k.split, drawKey, err = reg.split(params)
 		k.recLen = reg.recLen
 	} else {
 		k.ev, err = reg.factory(params)
 	}
 	if err != nil {
-		return kernel{}, fmt.Errorf("montecarlo: kernel %q: %w", name, err)
+		return kernel{}, nil, fmt.Errorf("montecarlo: kernel %q: %w", name, err)
 	}
-	return k, nil
+	return k, drawKey, nil
 }
 
 // Request is one complete, serializable estimation: a registered
@@ -286,7 +284,9 @@ func (Local) EstimateVec(ctx context.Context, req Request) ([]Accumulator, error
 
 // prepared is a request made ready for in-process evaluation: checked,
 // with its kernel built and its sampler looked up, and for a split
-// kernel its shards' memo key, less the shard fields.
+// kernel its shards' memo key, less the shard fields. At 128 bytes it
+// is as large as a closure captures by copy: any larger and each
+// RunShards call would move it to the heap.
 type prepared struct {
 	kernel
 	sp  Sampler
@@ -301,7 +301,7 @@ func prepare(req Request) (prepared, error) {
 	if err := req.Validate(); err != nil {
 		return prepared{}, err
 	}
-	k, err := buildKernel(req.Kernel, req.Params, req.Dim)
+	k, drawKey, err := buildKernel(req.Kernel, req.Params, req.Dim)
 	if err != nil {
 		return prepared{}, err
 	}
@@ -311,7 +311,7 @@ func prepare(req Request) (prepared, error) {
 	}
 	p := prepared{kernel: k, sp: sp, dim: req.Dim}
 	if k.recLen > 0 {
-		p.key = memoKey{kernel: req.Kernel, draw: k.drawKey, seed: req.Seed, sampler: req.Sampler}
+		p.key = memoKey{kernel: req.Kernel, draw: drawKey, seed: req.Seed, sampler: req.Sampler}
 		if _, plain := sp.(plainSampler); plain {
 			p.key.sampler = ""
 		}
