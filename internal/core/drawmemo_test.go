@@ -6,6 +6,7 @@ import (
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"carriersense/internal/capacity"
@@ -25,7 +26,7 @@ import (
 // over a worker fleet.
 //
 // The memo outlives each test, so a test that counts draws runs its
-// searches on seeds no other test uses.
+// searches on seeds no other test uses, after evictMemo.
 
 // step is one estimation a search sent to the local pool.
 type step struct {
@@ -69,6 +70,27 @@ func evaluated(steps []step) int64 {
 		n += int64(s.req.SampleSpan())
 	}
 	return n
+}
+
+// evictions counts evictMemo's calls, each of which fills the memo on
+// a seed of its own.
+var evictions atomic.Uint64
+
+// evictMemo fills the draw memo with the records of a request on a
+// seed no other request uses: 8 full shards, the memo's 64 granules.
+// It evicts every record an earlier test, or an earlier run of the
+// calling one (go test -count), left, so the caller's first draws are
+// misses. No request may run meanwhile.
+func evictMemo(t *testing.T) {
+	t.Helper()
+	raw, err := json.Marshal(pointParams{Env: envSpecOf(DefaultParams()), Rmax: 40, D: 55})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := montecarlo.Request{Kernel: KernelPolicyDiff, Params: raw, Seed: 1<<40 + evictions.Add(1), Samples: 8 * montecarlo.ShardSize, Dim: policyDiffDim}
+	if _, err := montecarlo.RunRequest(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // searchCase is one threshold search.
@@ -180,6 +202,7 @@ func TestDrawMemoSearchBitIdentical(t *testing.T) {
 // draws each of its own shards once. Each equals its search on the
 // reference kernel.
 func TestDrawMemoKeyComplete(t *testing.T) {
+	evictMemo(t)
 	base := searchCase{sampler: sampling.Sobol, sigma: 8, seed: 15, n: 2*montecarlo.ShardSize + 300, rmax: 40}
 	noise := base
 	noise.noiseDB, noise.efficiency = -70, 0.5
@@ -241,7 +264,8 @@ func TestDrawMemoConcurrentSearches(t *testing.T) {
 // as tables runs them, on seeds seed, seed+1 and seed+2, through exec
 // (the local pool when nil). It returns the crossings, the samples
 // evaluated and the samples drawn.
-func benchSearches(exec montecarlo.Executor, seed uint64) (d []float64, spanned, drawn int64) {
+func benchSearches(t *testing.T, exec montecarlo.Executor, seed uint64) (d []float64, spanned, drawn int64) {
+	evictMemo(t)
 	const n = 10_000
 	rmaxes := []float64{20, 40, 120}
 	m := New(DefaultParams())
@@ -274,7 +298,7 @@ func drawGate(t *testing.T, evaluated, drawn int64) {
 // a bench-scale tables run draw each distinct shard once. The counts
 // are deterministic.
 func TestThresholdSearchDrawsOnce(t *testing.T) {
-	_, evaluated, drawn := benchSearches(nil, 1001)
+	_, evaluated, drawn := benchSearches(t, nil, 1001)
 	drawGate(t, evaluated, drawn)
 }
 
@@ -311,9 +335,9 @@ func TestDrawMemoFleetDrawsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer remote.Close()
-	d, evaluated, drawn := benchSearches(remote, 2001)
+	d, evaluated, drawn := benchSearches(t, remote, 2001)
 	drawGate(t, evaluated, drawn)
-	want, _, _ := benchSearches(&recorder{ref: true}, 2001)
+	want, _, _ := benchSearches(t, &recorder{ref: true}, 2001)
 	for i := range want {
 		if math.Float64bits(d[i]) != math.Float64bits(want[i]) {
 			t.Errorf("row %d: crossing %v over the fleet, %v locally on the reference", i, d[i], want[i])

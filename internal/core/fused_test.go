@@ -228,10 +228,11 @@ func TestPolicyDiffMatchesFullDraw(t *testing.T) {
 // over the same shard plan and sampler streams: when a request draws
 // the records into the draw memo, and when a later one evaluates the
 // stored records, in the local pool and on the worker entry point. The
-// plan ends in a partial shard. Seed 21 is this test's alone, so the
-// first request draws every shard.
+// plan ends in a partial shard. Seed 21 is this test's alone, so after
+// evictMemo the first request draws every shard.
 func TestPolicyDiffShardsMatchReference(t *testing.T) {
 	const samples = 2*montecarlo.ShardSize + 300
+	evictMemo(t)
 	for _, sampler := range []string{sampling.Plain, sampling.Stratified, sampling.Sobol} {
 		for _, sigma := range []float64{0, 8} {
 			p := DefaultParams()

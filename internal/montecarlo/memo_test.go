@@ -223,10 +223,10 @@ func TestDrawMemoEvictsLeastRecentlyUsed(t *testing.T) {
 func TestDrawMemoConcurrentRequests(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
+		req, ref := splitRequest(t, uint64(41+g), []string{"", "test/grouped"}[g%2])
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			req, ref := splitRequest(t, uint64(41+g), []string{"", "test/grouped"}[g%2])
 			want := runReq(t, ref)
 			for i := 0; i < 4; i++ {
 				checkSame(t, fmt.Sprintf("seed %d run %d", req.Seed, i), runReq(t, req), want)
