@@ -28,9 +28,9 @@ const maxRecLen = 4
 // concurrent threshold searches of a bench-scale tables run want 60 at
 // a fixed budget (20 each). Under -sampler auto -relerr 0.005 auto's
 // three candidate pilots add 48 during the first search. Eviction
-// drops the pilots no later step reads: at seeds 3, 4 and 6, 35 such
+// drops the pilots no later step reads: at seeds 3, 4 and 6, 45 such
 // runs at the default width on 2 vCPUs all reused as many samples as
-// at -parallel 1, where a cap without eviction fell short in 9 of 30.
+// at -parallel 1, where a cap without eviction fell short in 11 of 45.
 const memoGranules = 64
 
 // granule holds the records of one evaluation chunk.

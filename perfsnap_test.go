@@ -227,3 +227,37 @@ var drawMemoRows = []snapRow{
 func TestREADMEDrawMemoTable(t *testing.T) {
 	checkREADMETable(t, "BENCH_20261019d.json", drawMemoRows)
 }
+
+// fleetMemoRows are the rows of README's table for the process-wide
+// draw memo: the claimed workload end to end, the other workloads'
+// medians and peak RSS, then the layers: the fleet's time per estimate
+// and per shard, where workers now hit stored records, and the traced
+// replay's policy-diff ns/sample, which now reads memo hits, and the
+// counts that must repeat exactly.
+var fleetMemoRows = []snapRow{
+	{"fleet-cache", "run_p50_ref", false},
+	{"fleet-cache", "run_p75_ref", false},
+	{"fleet-cache", "runs_per_ref", false},
+	{"fleet-cache", "samples_per_ref", false},
+	{"fleet-cache", "alloc_mb_per_run", false},
+	{"fleet-cache", "peak_rss_mb", false},
+	{"tables-fixed", "run_p50_ref", false},
+	{"tables-fixed", "alloc_mb_per_run", false},
+	{"tables-fixed", "peak_rss_mb", false},
+	{"tables-relerr", "run_p50_ref", false},
+	{"tables-relerr", "alloc_mb_per_run", false},
+	{"tables-relerr", "peak_rss_mb", false},
+	{"testbed", "run_p50_ref", false},
+	{"fleet-cache", "dist.estimate_ms_p50", true},
+	{"fleet-cache", "dist.us_per_shard", true},
+	{"fleet-cache", "core.ns_per_sample.policy-diff", true},
+	{"tables-fixed", "core.ns_per_sample.policy-diff", true},
+	{"fleet-cache", "engine.estimates_per_run", true},
+	{"fleet-cache", "montecarlo.shards_per_run", true},
+}
+
+// TestREADMEFleetMemoTable checks README's table for the process-wide
+// draw memo against BENCH_20261020b.json.
+func TestREADMEFleetMemoTable(t *testing.T) {
+	checkREADMETable(t, "BENCH_20261020b.json", fleetMemoRows)
+}
