@@ -28,7 +28,7 @@ import (
 // The memo outlives each test, so a test that counts draws runs its
 // searches on seeds no other test uses, after evictMemo.
 
-// step is one estimation a search sent to the local pool.
+// step is one estimation a search sent to its executor.
 type step struct {
 	req  montecarlo.Request
 	accs []montecarlo.Accumulator
