@@ -49,13 +49,20 @@ const (
 	nAverages
 )
 
-// indices of the pair kernel's second-threshold components, after the
-// nAverages components it shares with core/averages.
+// The row kernel's components: the two no D moves, idxSingle and
+// idxMux, then one block of rowBlock per D. Column j's component k
+// (idxConc through idxDeferred2) is at j·rowBlock + k: its block holds
+// core/averages' components from idxConc on, then CS and deferral under
+// the second threshold.
 const (
 	idxCS2 = nAverages + iota
 	idxDeferred2
 	nAveragesPair
+	rowBlock = nAveragesPair - idxConc
 )
+
+// rowDim is the row kernel's component count for a row of nd D values.
+func rowDim(nd int) int { return idxConc + nd*rowBlock }
 
 // EstimateAverages estimates all policy averages at one (R_max, D)
 // point with n Monte Carlo configurations. dThresh sets the carrier
@@ -67,19 +74,25 @@ func (m *Model) EstimateAverages(ctx context.Context, seed uint64, n int, rmax, 
 	return averagesFrom(est, rmax, d, dThresh)
 }
 
-// EstimateAveragesPair estimates the policy averages at one (R_max, D)
-// point under two carrier sense thresholds, dThresh and dThresh2, from
-// one set of n configurations. Only the deferral decision depends on
-// the threshold, so both results share every other component, and each
-// is bit-identical to the EstimateAverages call with its threshold and
-// the same seed.
-func (m *Model) EstimateAveragesPair(ctx context.Context, seed uint64, n int, rmax, d, dThresh, dThresh2 float64) (Averages, Averages) {
-	p := pointParams{Env: envSpecOf(m.params), Rmax: rmax, D: d, DThresh: dThresh, DThresh2: dThresh2}
-	est := montecarlo.KernelMeanVec(ctx, KernelAveragesPair, p, seed, n, nAveragesPair)
-	a := averagesFrom(est, rmax, d, dThresh)
-	b := a
-	b.DThresh, b.CS, b.DeferredFraction = dThresh2, est[idxCS2], est[idxDeferred2]
-	return a, b
+// EstimateAveragesRow estimates the policy averages of a row of
+// (R_max, D) points, one per D of ds, under two carrier sense
+// thresholds, dThresh and dThresh2, from one set of n configurations:
+// each is drawn once and evaluated at every D. Only the deferral
+// decision depends on the threshold, so the two results share every
+// other component. Column j of each is bit-identical to the
+// EstimateAverages call at ds[j] with its threshold and the same seed,
+// and the columns share their draws as common random numbers.
+func (m *Model) EstimateAveragesRow(ctx context.Context, seed uint64, n int, rmax float64, ds []float64, dThresh, dThresh2 float64) (fixed, opt []Averages) {
+	p := rowParams{Env: envSpecOf(m.params), Rmax: rmax, Ds: ds, DThresh: dThresh, DThresh2: dThresh2}
+	est := montecarlo.KernelMeanVec(ctx, KernelAveragesRow, p, seed, n, rowDim(len(ds)))
+	fixed, opt = make([]Averages, len(ds)), make([]Averages, len(ds))
+	for j, d := range ds {
+		col := append(est[:idxConc:idxConc], est[j*rowBlock+idxConc:j*rowBlock+nAveragesPair]...)
+		fixed[j] = averagesFrom(col, rmax, d, dThresh)
+		opt[j] = fixed[j]
+		opt[j].DThresh, opt[j].CS, opt[j].DeferredFraction = dThresh2, col[idxCS2], col[idxDeferred2]
+	}
+	return fixed, opt
 }
 
 // averagesFrom reads the first nAverages components of an estimate.

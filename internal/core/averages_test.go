@@ -2,11 +2,59 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"testing"
 
+	"carriersense/internal/montecarlo"
 	"carriersense/internal/numeric"
+	"carriersense/internal/sampling"
 )
+
+// TestAveragesRowMatchesAverages checks the row estimate column by
+// column against EstimateAverages at the row's seed, bit for bit, under
+// every sampler, at σ 8 and 0: each column's first result at the first
+// threshold, its second at the second. The budget ends in a partial
+// shard.
+func TestAveragesRowMatchesAverages(t *testing.T) {
+	const n = 2*montecarlo.ShardSize + 300
+	ds := []float64{20, 55, 120}
+	for _, sampler := range []string{sampling.Plain, sampling.Stratified, sampling.Sobol} {
+		ctx := montecarlo.WithPlan(context.Background(), nil, sampler)
+		for _, sigma := range []float64{8, 0} {
+			p := DefaultParams()
+			p.SigmaDB = sigma
+			m := New(p)
+			fixed, opt := m.EstimateAveragesRow(ctx, 31, n, 40, ds, 55, 40)
+			for j, d := range ds {
+				if want := m.EstimateAverages(ctx, 31, n, 40, d, 55); fixed[j] != want {
+					t.Errorf("%s σ=%v D=%v: row gives %+v, core/averages %+v", sampler, sigma, d, fixed[j], want)
+				}
+				if want := m.EstimateAverages(ctx, 31, n, 40, d, 40); opt[j] != want {
+					t.Errorf("%s σ=%v D=%v second threshold: row gives %+v, core/averages %+v", sampler, sigma, d, opt[j], want)
+				}
+			}
+		}
+	}
+}
+
+// TestAveragesRowDimFollowsParams checks that the registry takes the
+// row kernel's component count from its params: a request is built at
+// rowDim(len(ds)) and refused at any other count, or with no D.
+func TestAveragesRowDimFollowsParams(t *testing.T) {
+	for _, ds := range [][]float64{{55}, {20, 55, 120}, {}} {
+		raw, err := json.Marshal(rowParams{Env: envSpecOf(DefaultParams()), Rmax: 40, Ds: ds, DThresh: 55, DThresh2: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dim := range []int{rowDim(len(ds)) - 1, rowDim(len(ds)), rowDim(len(ds)) + rowBlock} {
+			_, err := montecarlo.BuildKernel(KernelAveragesRow, raw, dim)
+			if ok := len(ds) > 0 && dim == rowDim(len(ds)); ok != (err == nil) {
+				t.Errorf("%d Ds at dim %d: err = %v", len(ds), dim, err)
+			}
+		}
+	}
+}
 
 func TestQuadratureMatchesMonteCarloSigmaZero(t *testing.T) {
 	m := New(NoShadowParams())

@@ -16,10 +16,12 @@ package core
 //     rewritten into the shadowing domain — are hoisted into
 //     pointEval, outside the sample loop, and capacity goes through
 //     Model.thr, which calls the default Shannon formula directly;
-//   - every integrand (averages, averages-pair, single, bad-snr) is a
-//     thin projection over the same draw, and names the primitives it
-//     reads (receiver 1, receiver 2, sensing) so the draw computes
-//     only those;
+//   - every integrand (averages, single, bad-snr) is a thin projection
+//     over the same draw, and names the primitives it reads (receiver
+//     1, receiver 2, sensing) so the draw computes only those;
+//   - averages-row draws once per sample for a whole tables row and
+//     evaluates the averages integrand at each D of the row, since D
+//     moves only the two interference path gains;
 //   - policy-diff is a split kernel (montecarlo.RegisterSplitKernel):
 //     its draw writes a record of what the variates decide, and its
 //     evaluation adds what D moves, so a threshold search draws each
@@ -65,7 +67,7 @@ type pointEval struct {
 	// domain: sensed = pathGain(D)·L″ > P_thresh  ⇔  L″ > senseThresh.
 	// For σ = 0 the comparison becomes a per-point constant.
 	senseThresh float64
-	// senseThresh2 is the same for the pair kernel's second threshold.
+	// senseThresh2 is the same for the row kernel's second threshold.
 	senseThresh2 float64
 }
 
@@ -82,7 +84,7 @@ func (m *Model) newPointEval(rmax, d, dThresh float64) *pointEval {
 	return pe
 }
 
-// withThreshold2 sets the pair kernel's second threshold distance.
+// withThreshold2 sets the row kernel's second threshold distance.
 func (pe *pointEval) withThreshold2(dThresh2 float64) *pointEval {
 	pe.senseThresh2 = pe.m.ThresholdPower(dThresh2) / pe.gainD
 	return pe
@@ -165,16 +167,26 @@ func (pe *pointEval) defers(e Evaluated) bool {
 // 4 path gains and 4 capacity evaluations per sample instead of the
 // ~13 of each the unfused policy-formula tree performed.
 func (pe *pointEval) averagesSample(e Evaluated, out []float64) {
+	mux1, mux2 := pe.sharedSample(e, out)
+	pe.policySample(e, mux1, mux2, out)
+}
+
+// sharedSample writes the components no D moves, ⟨C_single⟩ and
+// ⟨C_mux⟩, and returns both receivers' multiplexing capacities.
+func (pe *pointEval) sharedSample(e Evaluated, out []float64) (mux1, mux2 float64) {
+	single1 := pe.m.thr(e.Sig1 / pe.noise)
+	out[idxSingle] = single1
+	out[idxMux] = single1 / 2
+	return single1 / 2, pe.m.thr(e.Sig2/pe.noise) / 2
+}
+
+// policySample writes the components D moves, idxConc through
+// idxDeferred, from the sample's powers and both receivers'
+// multiplexing capacities.
+func (pe *pointEval) policySample(e Evaluated, mux1, mux2 float64, out []float64) {
 	noise := pe.noise
-	single1 := pe.m.thr(e.Sig1 / noise)
-	single2 := pe.m.thr(e.Sig2 / noise)
 	conc1 := pe.m.thr(e.Sig1 / (noise + e.Int1))
 	conc2 := pe.m.thr(e.Sig2 / (noise + e.Int2))
-	mux1 := single1 / 2
-	mux2 := single2 / 2
-
-	out[idxSingle] = single1
-	out[idxMux] = mux1
 	out[idxConc] = conc1
 	deferred := pe.defers(e)
 	if deferred {
@@ -191,21 +203,6 @@ func (pe *pointEval) averagesSample(e Evaluated, out []float64) {
 		out[idxStarved] = 1
 	} else {
 		out[idxStarved] = 0
-	}
-}
-
-// averagesPairSample is averagesSample plus the CS and deferred
-// components under the second threshold: one draw and one set of
-// capacities serve both thresholds, and only the deferral compare
-// repeats.
-func (pe *pointEval) averagesPairSample(e Evaluated, out []float64) {
-	pe.averagesSample(e, out)
-	if e.LSense > pe.senseThresh2 {
-		out[idxCS2] = out[idxMux]
-		out[idxDeferred2] = 1
-	} else {
-		out[idxCS2] = out[idxConc]
-		out[idxDeferred2] = 0
 	}
 }
 
@@ -238,12 +235,6 @@ func (pe *pointEval) badSNRSample(e Evaluated, out []float64) {
 func (pe *pointEval) averagesBatch(src *rng.Source, count int, out []float64) {
 	for i := 0; i < count; i++ {
 		pe.averagesSample(pe.draw(src, readAll), out[i*nAverages:(i+1)*nAverages:(i+1)*nAverages])
-	}
-}
-
-func (pe *pointEval) averagesPairBatch(src *rng.Source, count int, out []float64) {
-	for i := 0; i < count; i++ {
-		pe.averagesPairSample(pe.draw(src, readAll), out[i*nAveragesPair:(i+1)*nAveragesPair:(i+1)*nAveragesPair])
 	}
 }
 
@@ -318,5 +309,58 @@ func (k *policyDiff) Eval(rec []float64, count int, out []float64) {
 		sig1, int1 := r[2], m.pathGainSq(dx*dx+r[1]*r[1])*r[3]
 		out[2*i] = m.thr(sig1 / (noise + int1))
 		out[2*i+1] = m.thr(sig1/noise) / 2
+	}
+}
+
+// averagesRow is the core/averages-row kernel: a tables row's
+// pointEvals, one per D, at one R_max and both thresholds. A sample is
+// drawn once, as draw(src, readAll) draws it, up to the interference
+// path gains, which D moves; those, and everything computed from them,
+// are evaluated at each D. Column j of the row's components equals
+// core/averages at the row's j-th D: the same variates, and the same
+// operations on them.
+type averagesRow []*pointEval
+
+// sample writes one sample's row components: the shared ones, then
+// column j's component k at j·rowBlock + k.
+func (row averagesRow) sample(src *rng.Source, out []float64) {
+	pe := row[0]
+	m := pe.m
+	p1 := geometry.UniformInDisc(src, pe.rmax)
+	p2 := geometry.UniformInDisc(src, pe.rmax)
+	e := Evaluated{
+		Sig1:   m.pathGainSq(p1.X*p1.X + p1.Y*p1.Y),
+		Sig2:   m.pathGainSq(p2.X*p2.X + p2.Y*p2.Y),
+		LSense: 1,
+	}
+	lInt1, lInt2 := 1.0, 1.0
+	if sigma := pe.sigma; sigma != 0 {
+		e.Sig1 *= src.LognormalDB(sigma)
+		lInt1 = src.LognormalDB(sigma)
+		e.Sig2 *= src.LognormalDB(sigma)
+		lInt2 = src.LognormalDB(sigma)
+		e.LSense = src.LognormalDB(sigma)
+	}
+	mux1, mux2 := pe.sharedSample(e, out)
+	for j, c := range row {
+		dx1, dx2 := p1.X+c.d, p2.X+c.d
+		e.Int1 = m.pathGainSq(dx1*dx1+p1.Y*p1.Y) * lInt1
+		e.Int2 = m.pathGainSq(dx2*dx2+p2.Y*p2.Y) * lInt2
+		col := out[j*rowBlock : j*rowBlock+nAveragesPair : j*rowBlock+nAveragesPair]
+		c.policySample(e, mux1, mux2, col)
+		if e.LSense > c.senseThresh2 {
+			col[idxCS2] = mux1
+			col[idxDeferred2] = 1
+		} else {
+			col[idxCS2] = col[idxConc]
+			col[idxDeferred2] = 0
+		}
+	}
+}
+
+func (row averagesRow) batch(src *rng.Source, count int, out []float64) {
+	dim := rowDim(len(row))
+	for i := 0; i < count; i++ {
+		row.sample(src, out[i*dim:(i+1)*dim:(i+1)*dim])
 	}
 }

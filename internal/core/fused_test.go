@@ -20,10 +20,42 @@ import (
 // pointProjections maps each two-pair batch kernel to its per-sample
 // integrand, the projection its batch applies to each draw.
 var pointProjections = map[string]func(*pointEval, Evaluated, []float64){
-	KernelAverages:     (*pointEval).averagesSample,
-	KernelAveragesPair: (*pointEval).averagesPairSample,
-	KernelSingle:       (*pointEval).singleSample,
-	KernelBadSNR:       (*pointEval).badSNRSample,
+	KernelAverages: (*pointEval).averagesSample,
+	KernelSingle:   (*pointEval).singleSample,
+	KernelBadSNR:   (*pointEval).badSNRSample,
+}
+
+// rowReference is the row kernel's reference: column j is the averages
+// projection of the full draw at the row's j-th D, each column drawn
+// from its own copy of the stream, plus CS and deferral under the
+// second threshold.
+func rowReference(row averagesRow, refs []*rng.Source, out []float64) {
+	for j, pe := range row {
+		e := fullDraw(pe, refs[j])
+		var cell [nAverages]float64
+		pe.averagesSample(e, cell[:])
+		copy(out[:idxConc], cell[:idxConc])
+		col := out[j*rowBlock : j*rowBlock+nAveragesPair]
+		copy(col[idxConc:nAverages], cell[idxConc:])
+		if e.LSense > pe.senseThresh2 {
+			col[idxCS2], col[idxDeferred2] = cell[idxMux], 1
+		} else {
+			col[idxCS2], col[idxDeferred2] = cell[idxConc], 0
+		}
+	}
+}
+
+// testRowDs is the D grid of the tests' row kernel requests.
+var testRowDs = []float64{20, 55, 120}
+
+// rowRaw serializes row kernel params at testRowDs.
+func rowRaw(tb testing.TB, m *Model, rmax, dThresh, dThresh2 float64) json.RawMessage {
+	tb.Helper()
+	raw, err := json.Marshal(rowParams{Env: envSpecOf(m.params), Rmax: rmax, Ds: testRowDs, DThresh: dThresh, DThresh2: dThresh2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
 }
 
 // policyDiffReference is the C_conc/C_mux pair of one configuration,
@@ -51,11 +83,11 @@ func init() {
 }
 
 // pointBatch builds a two-pair batch kernel's registered evaluator
-// from its serialized params at (R_max, D, D_thresh, D_thresh2), as a
-// request would.
-func pointBatch(tb testing.TB, name string, m *Model, rmax, d, dThresh, dThresh2 float64) montecarlo.BatchEvalFunc {
+// from its serialized params at (R_max, D, D_thresh), as a request
+// would.
+func pointBatch(tb testing.TB, name string, m *Model, rmax, d, dThresh float64) montecarlo.BatchEvalFunc {
 	tb.Helper()
-	raw, err := json.Marshal(pointParams{Env: envSpecOf(m.params), Rmax: rmax, D: d, DThresh: dThresh, DThresh2: dThresh2})
+	raw, err := json.Marshal(pointParams{Env: envSpecOf(m.params), Rmax: rmax, D: d, DThresh: dThresh})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -115,9 +147,10 @@ func sourcePair(kind string, seed uint64) (*rng.Source, *rng.Source) {
 	return rng.WithUniforms(a.Float64), rng.WithUniforms(b.Float64)
 }
 
-// TestPointKernelsMatchFullDraw checks every two-pair batch kernel
-// against the full-draw reference: bit-equal outputs, and the source
-// left at the same stream position (its next draw is equal).
+// TestPointKernelsMatchFullDraw checks every two-pair batch kernel, and
+// the row kernel at testRowDs, against the full-draw reference:
+// bit-equal outputs, and the source left at the same stream position
+// (its next draw is equal).
 func TestPointKernelsMatchFullDraw(t *testing.T) {
 	const n = 2000
 	names := pointKernelNames()
@@ -136,12 +169,12 @@ func TestPointKernelsMatchFullDraw(t *testing.T) {
 			p.SigmaDB = sigma
 			m := New(p)
 			for _, rmax := range []float64{20, 40, 120} {
-				pe := m.newPointEval(rmax, 55, 55).withThreshold2(40)
+				pe := m.newPointEval(rmax, 55, 55)
 				for _, kind := range []string{"plain", "hooked"} {
 					seed++
 					src, ref := sourcePair(kind, seed)
 					got := make([]float64, n*dim)
-					pointBatch(t, name, m, rmax, 55, 55, 40)(src, n, got)
+					pointBatch(t, name, m, rmax, 55, 55)(src, n, got)
 					want := make([]float64, n*dim)
 					for i := 0; i < n; i++ {
 						project(pe, fullDraw(pe, ref), want[i*dim:(i+1)*dim])
@@ -155,6 +188,49 @@ func TestPointKernelsMatchFullDraw(t *testing.T) {
 					if a, b := src.Float64(), ref.Float64(); a != b {
 						t.Fatalf("%s σ=%v R_max=%v %s: after %d samples the next draw is %v, after the full draw %v",
 							name, sigma, rmax, kind, n, a, b)
+					}
+				}
+			}
+		}
+	}
+	dim := rowDim(len(testRowDs))
+	for _, sigma := range []float64{0, 8} {
+		p := DefaultParams()
+		p.SigmaDB = sigma
+		m := New(p)
+		for _, rmax := range []float64{20, 40, 120} {
+			row, err := averagesRowOf(rowRaw(t, m, rmax, 55, 40))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fn, err := montecarlo.BuildKernel(KernelAveragesRow, rowRaw(t, m, rmax, 55, 40), dim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, kind := range []string{"plain", "hooked"} {
+				seed++
+				src, _ := sourcePair(kind, seed)
+				refs := make([]*rng.Source, len(row))
+				for j := range refs {
+					refs[j], _ = sourcePair(kind, seed)
+				}
+				got := make([]float64, n*dim)
+				fn(src, n, got)
+				want := make([]float64, n*dim)
+				for i := 0; i < n; i++ {
+					rowReference(row, refs, want[i*dim:(i+1)*dim])
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s σ=%v R_max=%v %s: sample %d component %d is %v, full draw gives %v",
+							KernelAveragesRow, sigma, rmax, kind, i/dim, i%dim, got[i], want[i])
+					}
+				}
+				next := src.Float64()
+				for j, ref := range refs {
+					if b := ref.Float64(); next != b {
+						t.Fatalf("%s σ=%v R_max=%v %s: after %d samples the next draw is %v, after column %d's full draw %v",
+							KernelAveragesRow, sigma, rmax, kind, n, next, j, b)
 					}
 				}
 			}
@@ -333,12 +409,14 @@ func TestDrawReadSetsMatchFullDraw(t *testing.T) {
 
 // BenchmarkPointKernel times each two-pair kernel on a plain and a
 // uniform-hooked source, in ns per sample: a batch kernel's batch, and
-// policy-diff's draw followed by its evaluation.
+// policy-diff's draw followed by its evaluation. The row kernel at
+// testRowDs reports ns per row sample, which serves len(testRowDs)
+// points.
 func BenchmarkPointKernel(b *testing.B) {
 	const chunk = 1024
 	m := New(DefaultParams())
 	for _, name := range pointKernelNames() {
-		fn := pointBatch(b, name, m, 40, 55, 55, 0)
+		fn := pointBatch(b, name, m, 40, 55, 55)
 		out := make([]float64, chunk*pointKernels[name].dim)
 		for _, kind := range []string{"plain", "hooked"} {
 			b.Run(strings.TrimPrefix(name, "core/")+"/"+kind, func(b *testing.B) {
@@ -350,6 +428,21 @@ func BenchmarkPointKernel(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chunk), "ns/sample")
 			})
 		}
+	}
+	row, err := montecarlo.BuildKernel(KernelAveragesRow, rowRaw(b, m, 40, 55, 40), rowDim(len(testRowDs)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rowOut := make([]float64, chunk*rowDim(len(testRowDs)))
+	for _, kind := range []string{"plain", "hooked"} {
+		b.Run("averages-row/"+kind, func(b *testing.B) {
+			src, _ := sourcePair(kind, 1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				row(src, chunk, rowOut)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chunk), "ns/sample")
+		})
 	}
 	k := (*policyDiff)(m.newPointEval(40, 55, 0))
 	rec := make([]float64, chunk*policyDiffRecLen)

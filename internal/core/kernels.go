@@ -21,12 +21,12 @@ import (
 
 // Kernel names registered by this package.
 const (
-	KernelAverages     = "core/averages"      // per-policy throughput vector (EstimateAverages)
-	KernelAveragesPair = "core/averages-pair" // the same under a second threshold (EstimateAveragesPair)
-	KernelSingle       = "core/single"        // no-competition throughput (NormalizationConstant)
-	KernelBadSNR       = "core/bad-snr"       // §3.4 spurious-concurrency ∧ bad-SNR indicator
-	KernelPolicyDiff   = "core/policy-diff"   // C_conc vs C_mux pair (OptimalThresholdMC)
-	KernelMulti        = "core/multi"         // n-pair policy vector (EstimateMulti)
+	KernelAverages    = "core/averages"     // per-policy throughput vector (EstimateAverages)
+	KernelAveragesRow = "core/averages-row" // the same at every D of a row, two thresholds (EstimateAveragesRow)
+	KernelSingle      = "core/single"       // no-competition throughput (NormalizationConstant)
+	KernelBadSNR      = "core/bad-snr"      // §3.4 spurious-concurrency ∧ bad-SNR indicator
+	KernelPolicyDiff  = "core/policy-diff"  // C_conc vs C_mux pair (OptimalThresholdMC)
+	KernelMulti       = "core/multi"        // n-pair policy vector (EstimateMulti)
 )
 
 // EnvSpec is the serializable form of Params.
@@ -59,14 +59,23 @@ func (s EnvSpec) build() (*Model, error) {
 
 // pointParams parameterize the two-pair kernels: one environment and
 // one (R_max, D, D_thresh) evaluation point. Kernels that ignore
-// D_thresh leave it zero; only core/averages-pair reads DThresh2, so
-// every other kernel's params, and its cache key, are unchanged by it.
+// D_thresh leave it zero.
 type pointParams struct {
-	Env      EnvSpec `json:"env"`
-	Rmax     float64 `json:"rmax"`
-	D        float64 `json:"d"`
-	DThresh  float64 `json:"dthresh,omitempty"`
-	DThresh2 float64 `json:"dthresh2,omitempty"`
+	Env     EnvSpec `json:"env"`
+	Rmax    float64 `json:"rmax"`
+	D       float64 `json:"d"`
+	DThresh float64 `json:"dthresh,omitempty"`
+}
+
+// rowParams parameterize core/averages-row: one environment, a tables
+// row's R_max and D grid, and its two threshold distances. The
+// kernel's component count follows from len(Ds) (rowDim).
+type rowParams struct {
+	Env      EnvSpec   `json:"env"`
+	Rmax     float64   `json:"rmax"`
+	Ds       []float64 `json:"ds"`
+	DThresh  float64   `json:"dthresh"`
+	DThresh2 float64   `json:"dthresh2"`
 }
 
 // multiParamsWire parameterize the n-pair kernel.
@@ -88,13 +97,13 @@ type pointKernel struct {
 
 // pointKernels are the two-pair batch kernels by name. init registers
 // each one, and estimatePoint reads its component count here. The
-// fifth two-pair kernel, policy-diff, is a split kernel that init
-// registers in its parts.
+// fourth two-pair kernel, policy-diff, is a split kernel that init
+// registers in its parts; averages-row, which evaluates a row of
+// two-pair points, registers as a sized kernel.
 var pointKernels = map[string]pointKernel{
-	KernelAverages:     {nAverages, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.averagesBatch }},
-	KernelAveragesPair: {nAveragesPair, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.averagesPairBatch }},
-	KernelSingle:       {1, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.singleBatch }},
-	KernelBadSNR:       {1, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.badSNRBatch }},
+	KernelAverages: {nAverages, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.averagesBatch }},
+	KernelSingle:   {1, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.singleBatch }},
+	KernelBadSNR:   {1, func(pe *pointEval) montecarlo.BatchEvalFunc { return pe.badSNRBatch }},
 }
 
 // pointEvalOf rebuilds a two-pair kernel's pointEval from its
@@ -108,7 +117,27 @@ func pointEvalOf(raw json.RawMessage) (*pointEval, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.newPointEval(p.Rmax, p.D, p.DThresh).withThreshold2(p.DThresh2), nil
+	return m.newPointEval(p.Rmax, p.D, p.DThresh), nil
+}
+
+// averagesRowOf rebuilds a core/averages-row kernel from its rowParams.
+func averagesRowOf(raw json.RawMessage) (averagesRow, error) {
+	var p rowParams
+	if err := json.Unmarshal(raw, &p); err != nil {
+		return nil, err
+	}
+	if len(p.Ds) == 0 {
+		return nil, fmt.Errorf("core: averages-row kernel needs at least one D")
+	}
+	m, err := p.Env.build()
+	if err != nil {
+		return nil, err
+	}
+	row := make(averagesRow, len(p.Ds))
+	for j, d := range p.Ds {
+		row[j] = m.newPointEval(p.Rmax, d, p.DThresh).withThreshold2(p.DThresh2)
+	}
+	return row, nil
 }
 
 func init() {
@@ -121,6 +150,13 @@ func init() {
 			return k.batch(pe), nil
 		})
 	}
+	montecarlo.RegisterSizedKernel(KernelAveragesRow, func(raw json.RawMessage) (montecarlo.BatchEvalFunc, int, error) {
+		row, err := averagesRowOf(raw)
+		if err != nil {
+			return nil, 0, err
+		}
+		return row.batch, rowDim(len(row)), nil
+	})
 	montecarlo.RegisterSplitKernel(KernelPolicyDiff, policyDiffDim, policyDiffRecLen, func(raw json.RawMessage) (montecarlo.SplitKernel, any, error) {
 		pe, err := pointEvalOf(raw)
 		if err != nil {

@@ -23,6 +23,8 @@ func kernelParams(t *testing.T, name string, sigmaDB float64) (json.RawMessage, 
 	)
 	if k, ok := pointKernels[name]; ok {
 		v, dim = pointParams{Env: env, Rmax: 40, D: 55, DThresh: 55}, k.dim
+	} else if name == KernelAveragesRow {
+		v, dim = rowParams{Env: env, Rmax: 40, Ds: testRowDs, DThresh: 55, DThresh2: 40}, rowDim(len(testRowDs))
 	} else if name == KernelMulti {
 		v, dim = multiParamsWire{Env: env, NPairs: 4, AreaRadius: 80, Rmax: 40, DThresh: 55, Rounds: 6}, nMultiIdx
 	} else {

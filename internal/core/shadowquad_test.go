@@ -214,24 +214,35 @@ func TestShadowedKernelsMatchOracle(t *testing.T) {
 				{idxCS, pDefer*mux + (1-pDefer)*conc},
 				{idxDeferred, pDefer},
 			},
-			KernelAveragesPair: {
-				{idxCS, pDefer*mux + (1-pDefer)*conc},
-				{idxDeferred, pDefer},
-				{idxCS2, pDefer2*mux + (1-pDefer2)*conc},
-				{idxDeferred2, pDefer2},
+			// The row's column 1 is at D.
+			KernelAveragesRow: {
+				{idxSingle, single},
+				{idxMux, mux},
+				{rowBlock + idxConc, conc},
+				{rowBlock + idxCS, pDefer*mux + (1-pDefer)*conc},
+				{rowBlock + idxDeferred, pDefer},
+				{rowBlock + idxCS2, pDefer2*mux + (1-pDefer2)*conc},
+				{rowBlock + idxDeferred2, pDefer2},
 			},
 			KernelSingle:     {{0, single}},
 			KernelPolicyDiff: {{0, conc}, {1, mux}},
 		}
-		raw, err := json.Marshal(pointParams{Env: envSpecOf(m.params), Rmax: c.rmax, D: d, DThresh: dThresh, DThresh2: dThresh2})
+		raw, err := json.Marshal(pointParams{Env: envSpecOf(m.params), Rmax: c.rmax, D: d, DThresh: dThresh})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowRaw, err := json.Marshal(rowParams{Env: envSpecOf(m.params), Rmax: c.rmax, Ds: []float64{20, d}, DThresh: dThresh, DThresh2: dThresh2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		seed := uint64(c.rmax)
-		for _, kernel := range []string{KernelAverages, KernelSingle, KernelPolicyDiff, KernelAveragesPair} {
+		for _, kernel := range []string{KernelAverages, KernelSingle, KernelPolicyDiff, KernelAveragesRow} {
 			for _, sampler := range []string{"", sampling.Sobol} {
 				seed++
 				req := montecarlo.Request{Kernel: kernel, Params: raw, Seed: seed, Samples: n, Dim: pointDim(kernel), Sampler: sampler}
+				if kernel == KernelAveragesRow {
+					req.Params, req.Dim = rowRaw, rowDim(2)
+				}
 				accs, err := montecarlo.RunRequest(context.Background(), req)
 				if err != nil {
 					t.Fatal(err)

@@ -20,11 +20,11 @@ import (
 
 var errInjected = errors.New("injected executor failure")
 
-// failingCell fails every request of one Table 1 cell and evaluates
-// the rest in-process.
-type failingCell struct{ seed uint64 }
+// failingRow fails every request of one tables row estimate and
+// evaluates the rest in-process.
+type failingRow struct{ seed uint64 }
 
-func (f failingCell) EstimateVec(ctx context.Context, req montecarlo.Request) ([]montecarlo.Accumulator, error) {
+func (f failingRow) EstimateVec(ctx context.Context, req montecarlo.Request) ([]montecarlo.Accumulator, error) {
 	if req.Seed == f.seed {
 		return nil, errInjected
 	}
@@ -37,8 +37,8 @@ func TestTablesOverAFailingExecutorReturnsAnError(t *testing.T) {
 		_, err := engine.Run(context.Background(), "tables", engine.Options{
 			Seed:  "12345",
 			Scale: "smoke",
-			// Cell (1, 1) of Table 1: seed + 1·31 + 1.
-			Executor: failingCell{seed: 12345 + 32},
+			// Row 1's estimate: seed + 1·31.
+			Executor: failingRow{seed: 12345 + 31},
 		})
 		if !errors.Is(err, errInjected) {
 			t.Errorf("parallel=%d: err = %v, want the injected failure", parallel, err)

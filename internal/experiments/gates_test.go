@@ -5,7 +5,24 @@ import (
 	"testing"
 
 	"carriersense/internal/engine"
+	"carriersense/internal/montecarlo"
 )
+
+// TestTablesEstimationCount is a perf gate on the work of a bench-scale
+// tables run: per row, a threshold search of 12 core/policy-diff steps
+// of 10,000 samples, then one core/averages-row estimate of 40,000
+// samples that serves the row's cells in both tables, so 39
+// estimations of 480,000 samples over the three rows.
+func TestTablesEstimationCount(t *testing.T) {
+	rec := &kernelRecorder{inner: montecarlo.Local{}, seen: map[string]bool{}}
+	if _, err := engine.Run(context.Background(), "tables", engine.Options{Seed: "1", Scale: "bench", Executor: rec}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d estimations of %d samples, kernels %v", rec.requests, rec.requested, rec.seen)
+	if rec.requests != 39 || rec.requested != 480_000 {
+		t.Errorf("a bench-scale tables run makes %d estimations of %d samples, want 39 of 480000", rec.requests, rec.requested)
+	}
+}
 
 // TestSamplesToTargetSavings guards what the variance-reducing samplers
 // save when the throughput curves (curves, Figure 4) and the efficiency

@@ -217,11 +217,13 @@ func TestNoOrphanGoldenSets(t *testing.T) {
 }
 
 // kernelRecorder is an executor that notes the kernel of every request
-// it passes on to inner and sums the samples the requests span.
+// it passes on to inner, counts the requests and sums the samples they
+// span.
 type kernelRecorder struct {
 	inner     montecarlo.Executor
 	mu        sync.Mutex
 	seen      map[string]bool
+	requests  int
 	requested int64
 }
 
@@ -229,6 +231,7 @@ type kernelRecorder struct {
 func (r *kernelRecorder) EstimateVec(ctx context.Context, req montecarlo.Request) ([]montecarlo.Accumulator, error) {
 	r.mu.Lock()
 	r.seen[req.Kernel] = true
+	r.requests++
 	r.requested += int64(req.SampleSpan())
 	r.mu.Unlock()
 	return r.inner.EstimateVec(ctx, req)

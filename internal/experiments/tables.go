@@ -95,9 +95,10 @@ type EfficiencyTable struct {
 // 60 and values (93 91 99 / 96 87 96 / 89 83 92) percent.
 //
 // Each row is one task of a montecarlo.Fork: its threshold search,
-// then its cells as a nested Fork, so that the slowest row's cells run
-// side by side. A cell is one pair estimate under both thresholds: the
-// two tables share every draw, and t1 is bit-identical to Table1.
+// then one row estimate that draws each sample once and evaluates it at
+// every D of the row under both thresholds. The two tables share every
+// draw, the columns of a row share theirs as common random numbers,
+// and t1 is bit-identical to Table1.
 func Tables(ctx context.Context, p Table1Params, scale Scale) (t1, t2 EfficiencyTable) {
 	m := core.New(core.Params{Alpha: p.Alpha, SigmaDB: p.SigmaDB, NoiseDB: core.DefaultNoiseDB})
 	n := scale.mcSamples()
@@ -105,11 +106,11 @@ func Tables(ctx context.Context, p Table1Params, scale Scale) (t1, t2 Efficiency
 	montecarlo.Fork(ctx, len(p.RmaxGrid), func(ctx context.Context, i int) {
 		rmax := p.RmaxGrid[i]
 		dOpt := m.OptimalThreshold(ctx, p.Seed+uint64(1000+i), n/4, rmax)
-		montecarlo.Fork(ctx, len(p.DGrid), func(ctx context.Context, j int) {
-			fixed, opt := m.EstimateAveragesPair(ctx, p.Seed+uint64(i*31+j), n, rmax, p.DGrid[j], p.DThresh, dOpt)
-			t1.Cells[i][j] = fixed.Efficiency()
-			t2.Cells[i][j] = opt.Efficiency()
-		})
+		fixed, opt := m.EstimateAveragesRow(ctx, rowSeed(p, i), n, rmax, p.DGrid, p.DThresh, dOpt)
+		for j := range p.DGrid {
+			t1.Cells[i][j] = fixed[j].Efficiency()
+			t2.Cells[i][j] = opt[j].Efficiency()
+		}
 		t1.Thresholds[i] = p.DThresh
 		t2.Thresholds[i] = dOpt
 	})
@@ -117,23 +118,24 @@ func Tables(ctx context.Context, p Table1Params, scale Scale) (t1, t2 Efficiency
 }
 
 // Table1 computes the fixed-threshold table of Tables alone, for the
-// robustness sweep. Its cells are independent estimation points and
-// run as one montecarlo.Fork.
+// robustness sweep: the same row estimates, with the fixed threshold in
+// both places. Its rows are independent and run as one montecarlo.Fork.
 func Table1(ctx context.Context, p Table1Params, scale Scale) EfficiencyTable {
 	m := core.New(core.Params{Alpha: p.Alpha, SigmaDB: p.SigmaDB, NoiseDB: core.DefaultNoiseDB})
 	n := scale.mcSamples()
 	t := newEfficiencyTable(p)
-	cols := len(p.DGrid)
-	montecarlo.Fork(ctx, len(p.RmaxGrid)*cols, func(ctx context.Context, k int) {
-		i, j := k/cols, k%cols
-		a := m.EstimateAverages(ctx, p.Seed+uint64(i*31+j), n, p.RmaxGrid[i], p.DGrid[j], p.DThresh)
-		t.Cells[i][j] = a.Efficiency()
-	})
-	for i := range t.Thresholds {
+	montecarlo.Fork(ctx, len(p.RmaxGrid), func(ctx context.Context, i int) {
+		fixed, _ := m.EstimateAveragesRow(ctx, rowSeed(p, i), n, p.RmaxGrid[i], p.DGrid, p.DThresh, p.DThresh)
+		for j := range p.DGrid {
+			t.Cells[i][j] = fixed[j].Efficiency()
+		}
 		t.Thresholds[i] = p.DThresh
-	}
+	})
 	return t
 }
+
+// rowSeed is the seed of row i's estimate.
+func rowSeed(p Table1Params, i int) uint64 { return p.Seed + uint64(i*31) }
 
 // newEfficiencyTable allocates a table's cells, so that forked tasks
 // can each fill their own.

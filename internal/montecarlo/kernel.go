@@ -55,6 +55,10 @@ type BatchEvalFunc func(src *rng.Source, count int, out []float64)
 // parameters.
 type KernelFactory func(params json.RawMessage) (BatchEvalFunc, error)
 
+// SizedKernelFactory is a KernelFactory for a kernel whose component
+// count follows from its parameters: it returns the count too.
+type SizedKernelFactory func(params json.RawMessage) (ev BatchEvalFunc, dim int, err error)
+
 // SplitKernel is a kernel in two parts, so that the draw memo
 // (memo.go) can keep a shard's draws across requests that differ only
 // in params the draw does not read.
@@ -85,9 +89,11 @@ func BatchLoop(dim int, sample EvalFunc) BatchEvalFunc {
 
 // registration pairs a factory with the component count its evaluators
 // stride the flat buffer by; requests with a different Dim are
-// rejected rather than silently mis-striding the buffer.
+// rejected rather than silently mis-striding the buffer. A sized
+// kernel's count comes from its params, so its dim is 0.
 type registration struct {
 	factory KernelFactory
+	sized   SizedKernelFactory
 	split   SplitKernelFactory
 	dim     int
 	recLen  int // record length of a split kernel, else 0
@@ -117,6 +123,16 @@ func RegisterExactKernel(name string, dim int, factory KernelFactory) {
 	register(name, registration{factory: factory, dim: dim, exact: true})
 }
 
+// RegisterSizedKernel registers a kernel whose component count its
+// parameters decide: a request is checked against the count the
+// factory returns for the request's params.
+func RegisterSizedKernel(name string, factory SizedKernelFactory) {
+	if factory == nil {
+		panic(fmt.Sprintf("montecarlo: invalid sized kernel %q", name))
+	}
+	register(name, registration{sized: factory})
+}
+
 // RegisterSplitKernel registers a kernel in its draw and eval parts
 // (SplitKernel), with recLen floats per record (1 to 4). It evaluates
 // only shard by shard (RunRequest, EvaluateShards), where every shard
@@ -130,7 +146,7 @@ func RegisterSplitKernel(name string, dim, recLen int, factory SplitKernelFactor
 }
 
 func register(name string, reg registration) {
-	if name == "" || (reg.factory == nil && reg.split == nil) || reg.dim < 1 {
+	if name == "" || (reg.factory == nil && reg.split == nil && reg.sized == nil) || (reg.sized == nil && reg.dim < 1) {
 		panic("montecarlo: invalid kernel registration")
 	}
 	kernelMu.Lock()
@@ -163,7 +179,7 @@ func KernelNames() []string {
 
 // BuildKernel resolves a registered kernel and rebuilds its batch
 // evaluator from the serialized parameters. The registration pins the
-// kernel's component count: a request with a different dim (a
+// kernel's component count (a sized kernel's params do): a request with a different dim (a
 // version-skewed coordinator, a hand-built job) is an error here, not
 // a mis-strided buffer or an out-of-range panic downstream. A split
 // kernel has no batch evaluator, so it is an error too.
@@ -195,13 +211,20 @@ func buildKernel(name string, params json.RawMessage, dim int) (k kernel, drawKe
 	if !ok {
 		return kernel{}, nil, fmt.Errorf("montecarlo: unknown kernel %q", name)
 	}
-	if dim != reg.dim {
+	if reg.sized == nil && dim != reg.dim {
 		return kernel{}, nil, fmt.Errorf("montecarlo: kernel %q has %d components, request wants %d", name, reg.dim, dim)
 	}
-	if reg.split != nil {
+	switch {
+	case reg.split != nil:
 		k.split, drawKey, err = reg.split(params)
 		k.recLen = reg.recLen
-	} else {
+	case reg.sized != nil:
+		var n int
+		k.ev, n, err = reg.sized(params)
+		if err == nil && n != dim {
+			err = fmt.Errorf("its params give %d components, request wants %d", n, dim)
+		}
+	default:
 		k.ev, err = reg.factory(params)
 	}
 	if err != nil {
@@ -352,7 +375,9 @@ func RunRequest(ctx context.Context, req Request) ([]Accumulator, error) {
 // shard's random source is single-stream state, so evaluating the same
 // index twice in one pool sweep would race on it. This is the worker
 // server's entry point: the coordinator sends index batches and merges
-// the states itself. A split kernel's shards share the draw memo with
+// the states itself. Only the batch's shards are planned: their
+// sources are derived from the seed's split stream without the rest of
+// the plan's. A split kernel's shards share the draw memo with
 // RunRequest's, so a worker reuses the records of any earlier request
 // it served in the same process: a worker in a coordinator's process
 // shares them with the coordinator's local requests too.
@@ -361,19 +386,18 @@ func EvaluateShards(req Request, indices []int) ([][]Accumulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := PlanShards(req.Seed, req.Samples)
-	selected := make([]Shard, len(indices))
+	count := ShardCount(req.Samples)
 	position := make(map[int]int, len(indices))
 	for i, idx := range indices {
-		if idx < req.FirstShard || idx >= len(shards) {
-			return nil, fmt.Errorf("montecarlo: shard index %d out of range [%d,%d)", idx, req.FirstShard, len(shards))
+		if idx < req.FirstShard || idx >= count {
+			return nil, fmt.Errorf("montecarlo: shard index %d out of range [%d,%d)", idx, req.FirstShard, count)
 		}
 		if _, dup := position[idx]; dup {
 			return nil, fmt.Errorf("montecarlo: duplicate shard index %d", idx)
 		}
-		selected[i] = shards[idx]
 		position[idx] = i
 	}
+	selected := planShardsAt(req.Seed, req.Samples, indices)
 	results := make([][]Accumulator, len(indices))
 	RunShards(selected, func(s Shard) {
 		results[position[s.Index]] = p.shard(s)

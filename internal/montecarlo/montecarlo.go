@@ -188,11 +188,20 @@ func PlanShards(seed uint64, total int) []Shard {
 	srcs := rng.New(seed).SplitN(count)
 	shards := make([]Shard, count)
 	for i := range shards {
-		n := ShardSize
-		if i == count-1 {
-			n = total - i*ShardSize
-		}
-		shards[i] = Shard{Index: i, N: n, Src: srcs[i]}
+		shards[i] = Shard{Index: i, N: min(ShardSize, total-i*ShardSize), Src: srcs[i]}
+	}
+	return shards
+}
+
+// planShardsAt returns the shards of PlanShards(seed, total) at the
+// given distinct indices, in the order given, each with the source
+// PlanShards gives it, without deriving the sources of the others.
+// Every index must be in the plan's range.
+func planShardsAt(seed uint64, total int, indices []int) []Shard {
+	srcs := rng.New(seed).SplitAt(indices)
+	shards := make([]Shard, len(indices))
+	for i, idx := range indices {
+		shards[i] = Shard{Index: idx, N: min(ShardSize, total-idx*ShardSize), Src: srcs[i]}
 	}
 	return shards
 }

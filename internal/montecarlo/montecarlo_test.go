@@ -189,6 +189,39 @@ func TestPlanShardsSourcesApart(t *testing.T) {
 	}
 }
 
+// TestPlanShardsAtMatchesPlan checks the shards EvaluateShards plans for
+// a batch, sparse and unordered index sets among them, against the
+// whole plan's: the same index, sample count and stream, apart as
+// PlanShards' streams are.
+func TestPlanShardsAtMatchesPlan(t *testing.T) {
+	const total = 9*ShardSize + 17
+	for _, indices := range [][]int{{0}, {9}, {4}, {7, 2}, {9, 0, 5}, {3, 1, 8, 6}, {9, 8, 7, 6, 5, 4, 3, 2, 1, 0}} {
+		plan := PlanShards(11, total)
+		got := planShardsAt(11, total, indices)
+		if len(got) != len(indices) {
+			t.Fatalf("indices %v: %d shards", indices, len(got))
+		}
+		for i, idx := range indices {
+			s, want := got[i], plan[idx]
+			if s.Index != want.Index || s.N != want.N {
+				t.Errorf("indices %v: shard %d is (index %d, %d samples), the plan's (%d, %d)", indices, idx, s.Index, s.N, want.Index, want.N)
+			}
+			for k := 0; k < 3; k++ {
+				if a, b := s.Src.Uint64(), want.Src.Uint64(); a != b {
+					t.Fatalf("indices %v: shard %d draw %d is %x, the plan's %x", indices, idx, k, a, b)
+				}
+			}
+			if i == 0 {
+				continue
+			}
+			a, b := uintptr(unsafe.Pointer(got[i-1].Src)), uintptr(unsafe.Pointer(s.Src))
+			if d := max(a, b) - min(a, b); d < 128 {
+				t.Errorf("indices %v: positions %d and %d: sources %d bytes apart, want >= 128", indices, i-1, i, d)
+			}
+		}
+	}
+}
+
 func TestMeanInvariantUnderWorkerWidth(t *testing.T) {
 	// The determinism contract behind the engine's -parallel flag:
 	// worker width affects scheduling only, never the estimate.

@@ -21,8 +21,10 @@
 package rng
 
 import (
+	"cmp"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"unsafe"
 )
 
@@ -114,6 +116,32 @@ func (s *Source) SplitN(n int) []*Source {
 	for i := range slab {
 		s.splitInto(&slab[i].Source)
 		out[i] = &slab[i].Source
+	}
+	return out
+}
+
+// SplitAt returns the streams that SplitN(n) returns at the given
+// distinct, non-negative positions, for any n above the largest, in the
+// order the positions are given and laid out as SplitN lays them out.
+// It advances s past the largest position's Split, skipping the words
+// of the Splits in between.
+func (s *Source) SplitAt(positions []int) []*Source {
+	order := make([]int, len(positions))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(positions[a], positions[b]) })
+	slab := make([]slabSource, len(positions))
+	out := make([]*Source, len(positions))
+	next := 0
+	for _, i := range order {
+		for ; next < positions[i]; next++ {
+			s.Uint64()
+			s.Uint64()
+		}
+		s.splitInto(&slab[i].Source)
+		out[i] = &slab[i].Source
+		next++
 	}
 	return out
 }
