@@ -179,10 +179,11 @@ func KernelNames() []string {
 
 // BuildKernel resolves a registered kernel and rebuilds its batch
 // evaluator from the serialized parameters. The registration pins the
-// kernel's component count (a sized kernel's params do): a request with a different dim (a
-// version-skewed coordinator, a hand-built job) is an error here, not
-// a mis-strided buffer or an out-of-range panic downstream. A split
-// kernel has no batch evaluator, so it is an error too.
+// kernel's component count (a sized kernel's params do): a request
+// with a different dim (a version-skewed coordinator, a hand-built
+// job) is an error here, not a mis-strided buffer or an out-of-range
+// panic downstream. A split kernel has no batch evaluator, so it is an
+// error too.
 func BuildKernel(name string, params json.RawMessage, dim int) (BatchEvalFunc, error) {
 	k, _, err := buildKernel(name, params, dim)
 	if err != nil {

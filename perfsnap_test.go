@@ -114,17 +114,23 @@ func renderSnapshotTable(s perfSnapshot, rows []snapRow) (string, error) {
 	return b.String(), nil
 }
 
-// sharedDrawsRows are the rows of README's table for the tables
-// workloads' shared draws: every workload end to end, then the layer
-// that moved on tables-fixed, kernel evaluation, as work counts and
-// ns/sample.
+// sharedDrawsRows are the rows of README's table for a tables row's
+// shared draws: the claimed workload end to end, the other workloads'
+// medians (tables-relerr's with its wall time and reference loop), then
+// the layer that moved on tables-fixed, kernel evaluation, as work
+// counts and ns/sample.
 var sharedDrawsRows = []snapRow{
 	{"tables-fixed", "run_p50_ref", false},
+	{"tables-fixed", "run_p75_ref", false},
 	{"tables-fixed", "samples_per_ref", false},
 	{"tables-fixed", "alloc_mb_per_run", false},
 	{"tables-fixed", "peak_rss_mb", false},
-	{"tables-relerr", "run_p50_ref", false},
 	{"fleet-cache", "run_p50_ref", false},
+	{"fleet-cache", "alloc_mb_per_run", false},
+	{"tables-relerr", "run_p50_ref", false},
+	{"tables-relerr", "run_p75_ref", false},
+	{"tables-relerr", "run_p50_s", false},
+	{"tables-relerr", "ref_ms_p50", false},
 	{"testbed", "run_p50_ref", false},
 	{"tables-fixed", "engine.estimates_per_run", true},
 	{"tables-fixed", "montecarlo.shards_per_run", true},
@@ -164,10 +170,10 @@ func TestREADMEInverseNormalTable(t *testing.T) {
 	checkREADMETable(t, "BENCH_20261019.json", inverseNormalRows)
 }
 
-// TestREADMESharedDrawsTable checks README's table for the tables
-// workloads' shared draws against BENCH_20261019b.json.
+// TestREADMESharedDrawsTable checks README's table for a tables row's
+// shared draws against BENCH_20261020c.json.
 func TestREADMESharedDrawsTable(t *testing.T) {
-	checkREADMETable(t, "BENCH_20261019b.json", sharedDrawsRows)
+	checkREADMETable(t, "BENCH_20261020c.json", sharedDrawsRows)
 }
 
 // survivalRows are the rows of README's table for the PHY's bracketed
