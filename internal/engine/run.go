@@ -500,11 +500,12 @@ func recordChoices(rc *RunContext, auto *sampling.AutoScheduler) {
 		kernel, choice, _ := strings.Cut(line, "=")
 		for _, ps := range scores[kernel] {
 			rows = append(rows, []string{
-				kernel, ps.Sampler, fmt.Sprintf("%.6g", ps.Score), fmt.Sprintf("%t", ps.Sampler == choice),
+				kernel, ps.Sampler, fmt.Sprintf("%d", ps.Samples), fmt.Sprintf("%.6g", ps.Score),
+				fmt.Sprintf("%t", ps.Sampler == choice),
 			})
 		}
 	}
-	rc.CSV("sampler_choices", []string{"kernel", "sampler", "score", "chosen"}, rows)
+	rc.CSV("sampler_choices", []string{"kernel", "sampler", "samples", "score", "chosen"}, rows)
 	rc.Printf("[auto sampler] %s\n", strings.Join(lines, " "))
 }
 

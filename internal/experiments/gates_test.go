@@ -24,11 +24,30 @@ func TestTablesEstimationCount(t *testing.T) {
 	}
 }
 
+// TestTablesAutoPilotSpend is a perf gate on auto's pilots: on a
+// smoke-scale tables run at -relerr 0.01 both kernels (core/policy-diff
+// and core/averages-row) settle at the driver's probe requests, 512 +
+// 1,024 + 1,024 samples each, so the pilots evaluate 5,120 samples
+// (49,152 when every candidate ran two whole shards).
+func TestTablesAutoPilotSpend(t *testing.T) {
+	results, err := engine.Run(context.Background(), "tables", engine.Options{
+		Seed: "1", Scale: "smoke", Sampler: "auto", RelErr: 0.01,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := results[0].Metrics["sampling_pilot"]; got != 5120 {
+		t.Errorf("tables -sampler auto -relerr 0.01 piloted %v samples, want 5120", got)
+	}
+}
+
 // TestSamplesToTargetSavings guards what the variance-reducing samplers
 // save when the throughput curves (curves, Figure 4) and the efficiency
 // tables (tables, Tables 1 and 2) are driven to 0.5% relative error: the
-// samples each spends, pilots included, against plain's. The bounds are
-// the sampling lane of BENCH_20260808.json with its 15% CI tolerance.
+// samples each spends, pilots included, against plain's, within 15% of
+// a snapshot's savings. The sobol bounds are the sampling lane of
+// BENCH_20260808.json, and the cold auto ones that of
+// BENCH_20261022.json.
 func TestSamplesToTargetSavings(t *testing.T) {
 	spent := func(t *testing.T, scenario, sampler string) float64 {
 		t.Helper()
@@ -54,6 +73,8 @@ func TestSamplesToTargetSavings(t *testing.T) {
 	}{
 		{"curves", "sobol", 88.1},
 		{"tables", "sobol", 88.6},
+		{"curves", "auto", 87.2},
+		{"tables", "auto", 88.7},
 	} {
 		t.Run(c.scenario+"/"+c.sampler, func(t *testing.T) {
 			if _, ok := plain[c.scenario]; !ok {

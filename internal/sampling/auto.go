@@ -4,10 +4,19 @@ package sampling
 // asking the user to guess which variance-reduction strategy fits
 // which kernel. "auto" is a virtual strategy — never registered,
 // never on the wire — resolved by the AutoScheduler executor
-// decorator: on first sight of each kernel it runs a cheap fixed-size
-// pilot round under every candidate strategy, scores each by the
-// samples it would need to reach a relative-error target, and
-// rewrites every subsequent request for that kernel to the winner.
+// decorator: on first sight of each kernel it pilots every candidate
+// strategy, scores each by the samples it would need to reach a
+// relative-error target, and rewrites every subsequent request for
+// that kernel to the winner.
+//
+// The pilot has two stages. Stage 1 runs each candidate on exactly
+// the convergence driver's probe request for that sampler
+// (probeSamples, from shard 0): 512 samples for plain, 1,024 for
+// stratified and sobol. When the best score stands clear of every
+// other by the separation rule (autoSeparation), stage 1 decides.
+// Otherwise stage 2 runs each candidate on two whole shards
+// (fullPilotSamples) and the winner is the best of those scores.
+// Both stages' samples count as pilot spend.
 //
 // The score is each candidate's cost to reach the target: a strategy's
 // cost to reach relative error t is (per-observation relative
@@ -37,14 +46,25 @@ import (
 // always carry the resolved winner.
 const Auto = "auto"
 
-// AutoPilotShards is the per-candidate pilot budget in shards. Two
-// shards give each candidate enough observations (≥ 32 even at the
-// sobol block size) for a stable variance ranking while costing less
-// than a single typical convergence round.
-const AutoPilotShards = 2
+// fullPilotSamples is one candidate's stage-2 pilot budget: two whole
+// shards, which hold 8,192 observations for plain and 128 at the
+// stratified and sobol block size, enough for a stable variance
+// ranking where the probe's could not settle it.
+const fullPilotSamples = 2 * montecarlo.ShardSize
 
-// autoPilotSamples is one candidate's pilot budget in samples.
-const autoPilotSamples = AutoPilotShards * montecarlo.ShardSize
+// autoSeparation is how many combined standard errors the log of a
+// score ratio must exceed for stage 1 to decide. A score is a sample
+// variance times fixed factors, and the variance s² of N
+// observations has Var(s²) = 2σ⁴/(N−1) for normal data, so by the
+// delta method ln(score) has standard error √(2/(N−1)) (N from
+// Estimate.N: samples for plain, blocks for the grouped samplers).
+// The candidates' pilots use separate streams, so the log of two
+// scores' ratio has standard error √(se₁² + se₂²). At 2.5 of those a
+// reversed ranking is a one-sided 0.6% event under normality; the
+// margin over 2 covers the heavier tails of real kernels' variance
+// estimates. Between the grouped samplers' 16-block probes this asks
+// for a ratio above 3.6×.
+const autoSeparation = 2.5
 
 // autoCandidates are the candidate strategies, in the fixed
 // tie-break order: cheapest machinery first.
@@ -62,7 +82,8 @@ type AutoOptions struct {
 // PilotScore is one candidate's pilot result, kept for reporting.
 type PilotScore struct {
 	Sampler string  `json:"sampler"`
-	Score   float64 `json:"score"` // expected per-point samples (or relative variance; lower is better)
+	Samples int     `json:"samples"` // pilot samples behind the score: the probe's or the full pilot's
+	Score   float64 `json:"score"`   // expected per-point samples (or relative variance; lower is better)
 }
 
 // AutoScheduler is the auto-resolving executor decorator. It wraps
@@ -101,39 +122,42 @@ func NewAuto(inner, base montecarlo.Executor, opt AutoOptions) *AutoScheduler {
 	}
 }
 
-// score runs one candidate's pilot and returns its expected per-point
-// samples to reach the target (with a known target), or its raw
-// relative samples-to-target — per-observation relative variance ×
-// group — without one. The count is deliberately NOT floored at the
-// driver's round sizes: the pilot sees one point's params, and
+// score runs one candidate's pilot on the first samples samples of req
+// and returns its expected per-point samples to reach the target (with
+// a known target), or its raw relative samples-to-target —
+// per-observation relative variance × group — without one, with the
+// observation count behind it. The count is deliberately NOT floored
+// at the driver's round sizes: the pilot sees one point's params, and
 // flooring would let a lane's easiest point erase the variance
 // ranking that governs its hardest ones. Lower is better.
-func (a *AutoScheduler) score(ctx context.Context, req montecarlo.Request, cand string) (float64, error) {
+func (a *AutoScheduler) score(ctx context.Context, req montecarlo.Request, cand string, samples int) (PilotScore, int, error) {
+	ps := PilotScore{Sampler: cand, Samples: samples}
 	pr := req
 	pr.Sampler = cand
 	if cand == Plain {
 		pr.Sampler = "" // canonical plain identity
 	}
-	pr.Samples = autoPilotSamples
+	pr.Samples = samples
 	pr.FirstShard = 0
 	accs, err := a.base.EstimateVec(ctx, pr)
 	if err != nil {
-		return 0, fmt.Errorf("sampling: auto pilot %q/%s: %w", req.Kernel, cand, err)
+		return ps, 0, fmt.Errorf("sampling: auto pilot %q/%s: %w", req.Kernel, cand, err)
 	}
 	group, err := montecarlo.SamplerGroup(cand)
 	if err != nil {
-		return 0, err
+		return ps, 0, err
 	}
 	est := accs[0].Estimate()
 	if est.Mean == 0 {
-		return math.Inf(1), nil
+		ps.Score = math.Inf(1)
+		return ps, est.N, nil
 	}
 	varObs := est.StdErr * est.StdErr * float64(est.N)
-	raw := varObs * float64(group) / (est.Mean * est.Mean)
+	ps.Score = varObs * float64(group) / (est.Mean * est.Mean)
 	if a.target > 0 {
-		return raw / (a.target * a.target), nil
+		ps.Score /= a.target * a.target
 	}
-	return raw, nil
+	return ps, est.N, nil
 }
 
 // resolve returns the winning sampler name for a kernel, piloting the
@@ -168,37 +192,82 @@ func (a *AutoScheduler) resolve(ctx context.Context, req montecarlo.Request) (st
 	}
 }
 
-// pilot scores every candidate on req and records the winner. A failed
-// pilot records nothing, so a later request may pilot again.
+// pilot scores every candidate on req, at the probe and, unless that
+// separates the best, on the full pilot, and records the winner. A
+// failed pilot records nothing, so a later request may pilot again.
 func (a *AutoScheduler) pilot(ctx context.Context, req montecarlo.Request) (string, error) {
-	best, bestScore := "", math.Inf(1)
-	var board []PilotScore
-	var err error
-	for _, cand := range autoCandidates {
-		var s float64
-		if s, err = a.score(ctx, req, cand); err != nil {
-			break
-		}
-		board = append(board, PilotScore{Sampler: cand, Score: s})
-		if s < bestScore { // strict: ties keep the earlier candidate
-			best, bestScore = cand, s
-		}
-	}
-	if best == "" {
-		best = Plain // every candidate scored +Inf (zero primary mean)
+	board, obs, spent, err := a.round(ctx, req, probeSamples)
+	if err == nil && !separated(board, obs) {
+		var full int
+		board, _, full, err = a.round(ctx, req, func(string) int { return fullPilotSamples })
+		spent += full
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	delete(a.piloting, req.Kernel)
 	close(a.settled)
 	a.settled = make(chan struct{})
-	a.spent += len(board) * autoPilotSamples
+	a.spent += spent
 	if err != nil {
 		return "", err
+	}
+	best := Plain // when every candidate scored +Inf (zero primary mean)
+	if b := bestScore(board); b >= 0 {
+		best = board[b].Sampler
 	}
 	a.choices[req.Kernel] = best
 	a.scores[req.Kernel] = board
 	return best, nil
+}
+
+// round scores every candidate, in tie-break order, on samples(cand)
+// samples of req, and returns the scoreboard, each score's observation
+// count and the samples spent, those of a failed round included.
+func (a *AutoScheduler) round(ctx context.Context, req montecarlo.Request, samples func(string) int) ([]PilotScore, []int, int, error) {
+	board := make([]PilotScore, 0, len(autoCandidates))
+	obs := make([]int, 0, len(autoCandidates))
+	spent := 0
+	for _, cand := range autoCandidates {
+		ps, n, err := a.score(ctx, req, cand, samples(cand))
+		if err != nil {
+			return nil, nil, spent, err
+		}
+		spent += ps.Samples
+		board, obs = append(board, ps), append(obs, n)
+	}
+	return board, obs, spent, nil
+}
+
+// bestScore returns the index of the lowest score, the earlier
+// candidate on a tie, or -1 when every score is +Inf.
+func bestScore(board []PilotScore) int {
+	best, lo := -1, math.Inf(1)
+	for i, ps := range board {
+		if ps.Score < lo {
+			best, lo = i, ps.Score
+		}
+	}
+	return best
+}
+
+// separated reports whether the best score stands clear of every
+// other: ln(other/best) > autoSeparation × √(2/(N_best−1) +
+// 2/(N_other−1)). A zero or infinite best never does.
+func separated(board []PilotScore, obs []int) bool {
+	b := bestScore(board)
+	if b < 0 || board[b].Score == 0 {
+		return false
+	}
+	for i, ps := range board {
+		if i == b {
+			continue
+		}
+		se := math.Sqrt(2/float64(obs[b]-1) + 2/float64(obs[i]-1))
+		if !(math.Log(ps.Score/board[b].Score) > autoSeparation*se) {
+			return false
+		}
+	}
+	return true
 }
 
 // Choices returns the per-kernel winners resolved so far, keyed by

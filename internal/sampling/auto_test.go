@@ -2,11 +2,68 @@ package sampling
 
 import (
 	"context"
+	"encoding/json"
+	"math"
 	"sync"
 	"testing"
 
 	"carriersense/internal/montecarlo"
+	"carriersense/internal/rng"
 )
+
+// auto/tied gives every candidate the same variance: it skips the
+// uniforms a Sobol point covers and draws a normal from the next one,
+// which every sampler passes through as a raw uniform, so each is
+// plain Monte Carlo.
+func init() {
+	montecarlo.RegisterKernel("auto/tied", 1, func(json.RawMessage) (montecarlo.BatchEvalFunc, error) {
+		return montecarlo.BatchLoop(1, func(src *rng.Source, out []float64) {
+			for range rng.SobolMaxDim {
+				src.Float64()
+			}
+			out[0] = 5 + src.Normal(0, 1)
+		}), nil
+	})
+}
+
+// fullPilotBoard is the full pilot's scoreboard for req computed
+// independently of the scheduler: each candidate's first two shards,
+// scored as var_obs × group ÷ mean² ÷ target².
+func fullPilotBoard(t *testing.T, req montecarlo.Request, target float64) []PilotScore {
+	t.Helper()
+	var board []PilotScore
+	for _, cand := range autoCandidates {
+		pr := req
+		pr.Sampler, pr.Samples, pr.FirstShard = cand, 2*montecarlo.ShardSize, 0
+		if cand == Plain {
+			pr.Sampler = ""
+		}
+		accs, err := montecarlo.RunRequest(context.Background(), pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		group, err := montecarlo.SamplerGroup(cand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est := accs[0].Estimate()
+		varObs := est.StdErr * est.StdErr * float64(est.N)
+		board = append(board, PilotScore{Sampler: cand, Samples: pr.Samples,
+			Score: varObs * float64(group) / (est.Mean * est.Mean) / (target * target)})
+	}
+	return board
+}
+
+// winnerOf returns the lowest-scoring candidate, the earlier on a tie.
+func winnerOf(board []PilotScore) string {
+	best, lo := Plain, math.Inf(1)
+	for _, ps := range board {
+		if ps.Score < lo {
+			best, lo = ps.Sampler, ps.Score
+		}
+	}
+	return best
+}
 
 func autoReq(samples int) montecarlo.Request {
 	r := driveReq(1, Auto, samples)
@@ -96,6 +153,86 @@ func TestAutoResultBitIdenticalToFixedWinner(t *testing.T) {
 	}
 	if got[0] != want[0] {
 		t.Errorf("auto result != fixed %q result", winner)
+	}
+}
+
+func TestAutoSettlesAtProbe(t *testing.T) {
+	a := NewAuto(montecarlo.Local{}, nil, AutoOptions{Target: 0.005})
+	req := autoReq(2 * montecarlo.ShardSize)
+	if _, err := a.EstimateVec(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	// drive/noisy is smooth in its one uniform: stratified is thousands
+	// of times cheaper than plain and about 8 times cheaper than sobol,
+	// so the driver's probe requests decide.
+	want := 0
+	for i, ps := range a.Scores()["drive/noisy"] {
+		if p := probeSamples(autoCandidates[i]); ps.Samples != p {
+			t.Errorf("%s scored on %d samples, want its probe's %d", ps.Sampler, ps.Samples, p)
+		}
+		want += ps.Samples
+	}
+	if got := a.PilotSpent(); got != want {
+		t.Errorf("PilotSpent = %d, want the probes' %d", got, want)
+	}
+	full := winnerOf(fullPilotBoard(t, req, 0.005))
+	if got := a.Choices()["drive/noisy"]; got != full {
+		t.Errorf("settled at the probe on %q, the full pilot picks %q", got, full)
+	}
+}
+
+func TestAutoTiedFallsThroughToFullPilot(t *testing.T) {
+	a := NewAuto(montecarlo.Local{}, nil, AutoOptions{Target: 0.005})
+	req := autoReq(2 * montecarlo.ShardSize)
+	req.Kernel, req.Params = "auto/tied", nil
+	if _, err := a.EstimateVec(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	want := fullPilotBoard(t, req, 0.005)
+	got := a.Scores()["auto/tied"]
+	if len(got) != len(want) {
+		t.Fatalf("scoreboard %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("score %d = %+v, want the full pilot's %+v bit for bit", i, got[i], want[i])
+		}
+	}
+	if c := a.Choices()["auto/tied"]; c != winnerOf(want) {
+		t.Errorf("chose %q, the full pilot picks %q", c, winnerOf(want))
+	}
+	spent := 0
+	for _, cand := range autoCandidates {
+		spent += probeSamples(cand) + 2*montecarlo.ShardSize
+	}
+	if got := a.PilotSpent(); got != spent {
+		t.Errorf("PilotSpent = %d, want %d (probe and full pilot of every candidate)", got, spent)
+	}
+}
+
+func TestSeparated(t *testing.T) {
+	// Between two 16-block probes the ratio must exceed
+	// exp(2.5·√(4/15)) ≈ 3.64.
+	obs := []int{512, 16, 16}
+	for _, c := range []struct {
+		scores []float64
+		want   bool
+	}{
+		{[]float64{1000, 100, 27.4}, true},
+		{[]float64{1000, 100, 27.6}, false},
+		{[]float64{100, 240, 240}, false}, // plain against a probe: needs 2.52×
+		{[]float64{100, 260, 260}, true},
+		{[]float64{math.Inf(1), math.Inf(1), math.Inf(1)}, false},
+		{[]float64{math.Inf(1), 5, math.Inf(1)}, true},
+		{[]float64{0, 0, 1}, false},
+	} {
+		board := make([]PilotScore, len(c.scores))
+		for i, s := range c.scores {
+			board[i] = PilotScore{Sampler: autoCandidates[i], Score: s}
+		}
+		if got := separated(board, obs); got != c.want {
+			t.Errorf("separated(%v) = %v, want %v", c.scores, got, c.want)
+		}
 	}
 }
 

@@ -40,8 +40,13 @@ func TestNewChainCountsPilotSpend(t *testing.T) {
 	if _, err := c.Executor().EstimateVec(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	// The chain's spend is auto's candidate pilots, one per candidate.
-	if got, want := c.PilotSpent(), len(autoCandidates)*autoPilotSamples; got != want {
-		t.Errorf("PilotSpent = %d, want %d (one pilot per candidate)", got, want)
+	// The chain's spend is auto's candidate pilots: drive/noisy settles
+	// at the probe, so one driver probe per candidate.
+	want := 0
+	for _, cand := range autoCandidates {
+		want += probeSamples(cand)
+	}
+	if got := c.PilotSpent(); got != want {
+		t.Errorf("PilotSpent = %d, want %d (one probe per candidate)", got, want)
 	}
 }
