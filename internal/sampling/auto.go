@@ -58,7 +58,7 @@ const fullPilotSamples = 2 * montecarlo.ShardSize
 // observations has Var(s²) = 2σ⁴/(N−1) for normal data, so by the
 // delta method ln(score) has standard error √(2/(N−1)) (N from
 // Estimate.N: samples for plain, blocks for the grouped samplers).
-// The candidates' pilots use separate streams, so the log of two
+// Taking two candidates' estimates as independent, the log of their
 // scores' ratio has standard error √(se₁² + se₂²). At 2.5 of those a
 // reversed ranking is a one-sided 0.6% event under normality; the
 // margin over 2 covers the heavier tails of real kernels' variance
@@ -84,6 +84,7 @@ type PilotScore struct {
 	Sampler string  `json:"sampler"`
 	Samples int     `json:"samples"` // pilot samples behind the score: the probe's or the full pilot's
 	Score   float64 `json:"score"`   // expected per-point samples (or relative variance; lower is better)
+	obs     int     // observations behind the score (Estimate.N)
 }
 
 // AutoScheduler is the auto-resolving executor decorator. It wraps
@@ -123,14 +124,14 @@ func NewAuto(inner, base montecarlo.Executor, opt AutoOptions) *AutoScheduler {
 }
 
 // score runs one candidate's pilot on the first samples samples of req
-// and returns its expected per-point samples to reach the target (with
-// a known target), or its raw relative samples-to-target —
-// per-observation relative variance × group — without one, with the
-// observation count behind it. The count is deliberately NOT floored
-// at the driver's round sizes: the pilot sees one point's params, and
-// flooring would let a lane's easiest point erase the variance
-// ranking that governs its hardest ones. Lower is better.
-func (a *AutoScheduler) score(ctx context.Context, req montecarlo.Request, cand string, samples int) (PilotScore, int, error) {
+// and scores it by its expected per-point samples to reach the target
+// (with a known target), or its raw relative samples-to-target —
+// per-observation relative variance × group — without one. The count
+// is deliberately NOT floored at the driver's round sizes: the pilot
+// sees one point's params, and flooring would let a lane's easiest
+// point erase the variance ranking that governs its hardest ones.
+// Lower is better.
+func (a *AutoScheduler) score(ctx context.Context, req montecarlo.Request, cand string, samples int) (PilotScore, error) {
 	ps := PilotScore{Sampler: cand, Samples: samples}
 	pr := req
 	pr.Sampler = cand
@@ -141,23 +142,24 @@ func (a *AutoScheduler) score(ctx context.Context, req montecarlo.Request, cand 
 	pr.FirstShard = 0
 	accs, err := a.base.EstimateVec(ctx, pr)
 	if err != nil {
-		return ps, 0, fmt.Errorf("sampling: auto pilot %q/%s: %w", req.Kernel, cand, err)
+		return ps, fmt.Errorf("sampling: auto pilot %q/%s: %w", req.Kernel, cand, err)
 	}
 	group, err := montecarlo.SamplerGroup(cand)
 	if err != nil {
-		return ps, 0, err
+		return ps, err
 	}
 	est := accs[0].Estimate()
+	ps.obs = est.N
 	if est.Mean == 0 {
 		ps.Score = math.Inf(1)
-		return ps, est.N, nil
+		return ps, nil
 	}
 	varObs := est.StdErr * est.StdErr * float64(est.N)
 	ps.Score = varObs * float64(group) / (est.Mean * est.Mean)
 	if a.target > 0 {
 		ps.Score /= a.target * a.target
 	}
-	return ps, est.N, nil
+	return ps, nil
 }
 
 // resolve returns the winning sampler name for a kernel, piloting the
@@ -196,10 +198,10 @@ func (a *AutoScheduler) resolve(ctx context.Context, req montecarlo.Request) (st
 // separates the best, on the full pilot, and records the winner. A
 // failed pilot records nothing, so a later request may pilot again.
 func (a *AutoScheduler) pilot(ctx context.Context, req montecarlo.Request) (string, error) {
-	board, obs, spent, err := a.round(ctx, req, probeSamples)
-	if err == nil && !separated(board, obs) {
+	board, spent, err := a.round(ctx, req, probeSamples)
+	if err == nil && !separated(board) {
 		var full int
-		board, _, full, err = a.round(ctx, req, func(string) int { return fullPilotSamples })
+		board, full, err = a.round(ctx, req, func(string) int { return fullPilotSamples })
 		spent += full
 	}
 	a.mu.Lock()
@@ -221,21 +223,20 @@ func (a *AutoScheduler) pilot(ctx context.Context, req montecarlo.Request) (stri
 }
 
 // round scores every candidate, in tie-break order, on samples(cand)
-// samples of req, and returns the scoreboard, each score's observation
-// count and the samples spent, those of a failed round included.
-func (a *AutoScheduler) round(ctx context.Context, req montecarlo.Request, samples func(string) int) ([]PilotScore, []int, int, error) {
+// samples of req, and returns the scoreboard and the samples spent,
+// those of a failed round included.
+func (a *AutoScheduler) round(ctx context.Context, req montecarlo.Request, samples func(string) int) ([]PilotScore, int, error) {
 	board := make([]PilotScore, 0, len(autoCandidates))
-	obs := make([]int, 0, len(autoCandidates))
 	spent := 0
 	for _, cand := range autoCandidates {
-		ps, n, err := a.score(ctx, req, cand, samples(cand))
+		ps, err := a.score(ctx, req, cand, samples(cand))
 		if err != nil {
-			return nil, nil, spent, err
+			return nil, spent, err
 		}
 		spent += ps.Samples
-		board, obs = append(board, ps), append(obs, n)
+		board = append(board, ps)
 	}
-	return board, obs, spent, nil
+	return board, spent, nil
 }
 
 // bestScore returns the index of the lowest score, the earlier
@@ -253,7 +254,7 @@ func bestScore(board []PilotScore) int {
 // separated reports whether the best score stands clear of every
 // other: ln(other/best) > autoSeparation × √(2/(N_best−1) +
 // 2/(N_other−1)). A zero or infinite best never does.
-func separated(board []PilotScore, obs []int) bool {
+func separated(board []PilotScore) bool {
 	b := bestScore(board)
 	if b < 0 || board[b].Score == 0 {
 		return false
@@ -262,7 +263,7 @@ func separated(board []PilotScore, obs []int) bool {
 		if i == b {
 			continue
 		}
-		se := math.Sqrt(2/float64(obs[b]-1) + 2/float64(obs[i]-1))
+		se := math.Sqrt(2/float64(board[b].obs-1) + 2/float64(ps.obs-1))
 		if !(math.Log(ps.Score/board[b].Score) > autoSeparation*se) {
 			return false
 		}

@@ -49,7 +49,7 @@ func fullPilotBoard(t *testing.T, req montecarlo.Request, target float64) []Pilo
 		est := accs[0].Estimate()
 		varObs := est.StdErr * est.StdErr * float64(est.N)
 		board = append(board, PilotScore{Sampler: cand, Samples: pr.Samples,
-			Score: varObs * float64(group) / (est.Mean * est.Mean) / (target * target)})
+			Score: varObs * float64(group) / (est.Mean * est.Mean) / (target * target), obs: est.N})
 	}
 	return board
 }
@@ -228,9 +228,9 @@ func TestSeparated(t *testing.T) {
 	} {
 		board := make([]PilotScore, len(c.scores))
 		for i, s := range c.scores {
-			board[i] = PilotScore{Sampler: autoCandidates[i], Score: s}
+			board[i] = PilotScore{Sampler: autoCandidates[i], Score: s, obs: obs[i]}
 		}
-		if got := separated(board, obs); got != c.want {
+		if got := separated(board); got != c.want {
 			t.Errorf("separated(%v) = %v, want %v", c.scores, got, c.want)
 		}
 	}

@@ -267,3 +267,93 @@ var fleetMemoRows = []snapRow{
 func TestREADMEFleetMemoTable(t *testing.T) {
 	checkREADMETable(t, "BENCH_20261020b.json", fleetMemoRows)
 }
+
+// samplingLane is a snapshot's samples-to-target lane: each scenario's
+// sampling_spent, pilots included, driven to the lane's relative-error
+// target under each sampler, auto cold.
+type samplingLane struct {
+	Sampling struct {
+		Scenarios []struct {
+			Scenario                       string
+			Plain, Stratified, Sobol, Auto float64
+		} `json:"scenarios"`
+	} `json:"sampling"`
+}
+
+// thousands renders a count with comma separators.
+func thousands(x float64) string {
+	s := fmt.Sprintf("%.0f", x)
+	for i := len(s) - 3; i > 0; i -= 3 {
+		s = s[:i] + "," + s[i:]
+	}
+	return s
+}
+
+// renderSamplesToTarget renders a sampling lane as README's markdown
+// table: plain's count, then each other sampler's with its change
+// against plain.
+func renderSamplesToTarget(l samplingLane) string {
+	var b strings.Builder
+	b.WriteString("| Scenario | plain | stratified | sobol | auto (cold) |\n|---|---|---|---|---|\n")
+	for _, s := range l.Sampling.Scenarios {
+		cell := func(x float64) string {
+			pct := strings.Replace(fmt.Sprintf("%+.0f%%", 100*(x/s.Plain-1)), "-", "−", 1)
+			return thousands(x) + " (" + pct + ")"
+		}
+		fmt.Fprintf(&b, "| `%s` | %s | %s | %s | %s |\n",
+			s.Scenario, thousands(s.Plain), cell(s.Stratified), cell(s.Sobol), cell(s.Auto))
+	}
+	return b.String()
+}
+
+// TestREADMESamplesToTargetTable checks README's samples-to-target
+// table against BENCH_20261022.json's sampling lane.
+func TestREADMESamplesToTargetTable(t *testing.T) {
+	data, err := os.ReadFile("BENCH_20261022.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l samplingLane
+	if err := json.Unmarshal(data, &l); err != nil {
+		t.Fatal(err)
+	}
+	if len(l.Sampling.Scenarios) == 0 {
+		t.Fatal("BENCH_20261022.json has no sampling lane")
+	}
+	table := renderSamplesToTarget(l)
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(readme), table) {
+		t.Errorf("README.md does not contain the table BENCH_20261022.json's sampling lane renders to:\n%s", table)
+	}
+}
+
+// probePilotRows are the rows of README's table for auto's staged
+// pilot: the claimed workload end to end, the other workloads' medians,
+// then the layers on tables-relerr: the pilot's samples, the shards and
+// estimate tail of the montecarlo layer the pilots run in, and the
+// engine's self time.
+var probePilotRows = []snapRow{
+	{"tables-relerr", "run_p50_ref", false},
+	{"tables-relerr", "run_p75_ref", false},
+	{"tables-relerr", "runs_per_ref", false},
+	{"tables-relerr", "samples_per_ref", false},
+	{"tables-relerr", "run_p50_s", false},
+	{"tables-relerr", "alloc_mb_per_run", false},
+	{"tables-relerr", "peak_rss_mb", false},
+	{"tables-fixed", "run_p50_ref", false},
+	{"fleet-cache", "run_p50_ref", false},
+	{"testbed", "run_p50_ref", false},
+	{"tables-relerr", "sampling.pilot_samples", true},
+	{"tables-relerr", "montecarlo.shards_per_run", true},
+	{"tables-relerr", "montecarlo.estimate_ms_p99", true},
+	{"tables-relerr", "engine.self_ms_p50", true},
+}
+
+// TestREADMEProbePilotTable checks README's table for auto's staged
+// pilot against BENCH_20261022.json.
+func TestREADMEProbePilotTable(t *testing.T) {
+	checkREADMETable(t, "BENCH_20261022.json", probePilotRows)
+}
